@@ -16,6 +16,7 @@ use hfast_netsim::{
 };
 use hfast_par::{forall, Rng64};
 use hfast_topology::CommGraph;
+use hfast_trace::{TraceRecorder, Track};
 
 /// FNV-1a over every stats field and per-flow record in a [`SimOutput`]:
 /// two runs with equal digests produced byte-identical results.
@@ -327,4 +328,126 @@ fn warm_cache_and_obs_runs_are_byte_identical() {
         assert_eq!(cold, instrumented, "cold vs instrumented run");
         assert!(obs.events.get() > 0 || flows.is_empty());
     });
+}
+
+/// 15→1 incast of 64 KiB messages: the scenario that forms a congestion
+/// tree under one-slot buffers.
+fn incast_flows() -> Vec<Flow> {
+    (1..16)
+        .map(|src| Flow {
+            src,
+            dst: 0,
+            bytes: 64 << 10,
+            start_ns: 0,
+        })
+        .collect()
+}
+
+/// The `golden_torus_faulted` inputs: fabric, flows, and outage plan.
+fn faulted_torus() -> (TorusFabric, Vec<Flow>, FaultPlan) {
+    let torus = TorusFabric::new((4, 4, 1)).unwrap();
+    let fs = seeded_flows(13, 16, 200);
+    let eligible = transit_links(&torus, &fs);
+    let plan = FaultPlan::builder()
+        .random_link_failures(0xFEED, 4, &eligible, (0, 400_000), Some(150_000))
+        .build(&torus)
+        .unwrap();
+    (torus, fs, plan)
+}
+
+/// FNV-1a over a recorder's span stream in record order: name, track,
+/// start, duration, and every field. Pins what a traced run *emits*, not
+/// just what it returns.
+fn span_digest(rec: &TraceRecorder) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x100000001b3);
+    };
+    for s in rec.snapshot() {
+        s.name.bytes().for_each(|b| mix(u64::from(b)));
+        let (kind, id) = match s.track {
+            Track::Link(l) => (1, l as u64),
+            Track::Engine => (2, 0),
+            Track::Reconfig => (3, 0),
+            other => panic!("simulator runs never record on {other:?}"),
+        };
+        mix(kind);
+        mix(id);
+        mix(s.t_ns);
+        mix(s.dur_ns);
+        for (k, v) in &s.fields {
+            k.bytes().for_each(|b| mix(u64::from(b)));
+            mix(*v);
+        }
+    }
+    h
+}
+
+// Credit-mode goldens, frozen on the three-loop engine (the separate
+// `run_credit` heap loop) before the loops were merged: the fault-free
+// constants must never change.
+
+#[test]
+fn golden_credit_torus_seeded() {
+    let torus = TorusFabric::new((4, 4, 2)).unwrap();
+    let fs = seeded_flows(7, 32, 300);
+    let out = Simulation::new(&torus)
+        .with_congestion(CreditConfig::credit(2))
+        .detailed()
+        .run(&fs);
+    assert_eq!(digest(&out), 0xf63af328a41b4ddc);
+}
+
+#[test]
+fn golden_credit_fattree_incast() {
+    let ft = FatTreeFabric::new(16, 4).unwrap();
+    let rec = TraceRecorder::new();
+    let out = Simulation::new(&ft)
+        .with_congestion(CreditConfig::credit(1))
+        .with_trace(&rec)
+        .detailed()
+        .run(&incast_flows());
+    assert_eq!(digest(&out), 0x519a92b8765df5bf);
+    assert_eq!(span_digest(&rec), 0xdaa292f45a292d3d, "span stream");
+}
+
+#[test]
+fn golden_credit_hfast_graph() {
+    let (fabric, flows) = hfast_graph();
+    let out = Simulation::new(&fabric)
+        .with_congestion(CreditConfig::credit(2))
+        .detailed()
+        .run(&flows);
+    assert_eq!(digest(&out), 0x3d0765d1266a95f8);
+}
+
+#[test]
+fn golden_credit_torus_faulted() {
+    let (torus, fs, plan) = faulted_torus();
+    let out = Simulation::new(&torus)
+        .with_congestion(CreditConfig::credit(2))
+        .with_faults(&plan)
+        .with_retry(RetryPolicy::default())
+        .detailed()
+        .run(&fs);
+    assert_eq!(digest(&out), 0x177eabfcdfd5bc26);
+}
+
+#[test]
+fn golden_torus_faulted_span_stream() {
+    let (torus, fs, plan) = faulted_torus();
+    let rec = TraceRecorder::new();
+    let out = Simulation::new(&torus)
+        .with_faults(&plan)
+        .with_retry(RetryPolicy::default())
+        .with_trace(&rec)
+        .detailed()
+        .run(&fs);
+    assert_eq!(
+        digest(&out),
+        0xe3be6145e07f0fef,
+        "tracing never moves output"
+    );
+    assert_eq!(span_digest(&rec), 0xf063deb63b6cc5e9);
 }
