@@ -9,9 +9,6 @@
 //! PR-9 baseline) and the credit-mode incast replay with its headline
 //! HFAST-vs-fat-tree congestion-spread ratio.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
 use hfast_bench::Harness;
 use hfast_core::{PaperLinear, ProvisionConfig, Provisioner, Strategy};
 use hfast_netsim::engine::PathCache;
@@ -113,8 +110,9 @@ fn main() {
 
     // Fault-replay ablation: the same load with a seeded mid-run outage
     // (12 transit links down for 500 us each) and the default retry
-    // policy. This prices the dynamic loop itself — stale-slot checks,
-    // fault events, rerouting — against the fault-free run above.
+    // policy. This prices what a fault plan adds to the one event loop —
+    // per-admission route checks, evictions, rerouting — against the
+    // fault-free run above.
     let eligible = transit_links(&big, &many);
     let plan = FaultPlan::builder()
         .random_link_failures(0x5C05, 12, &eligible, (0, 2_000_000), Some(500_000))
@@ -166,104 +164,6 @@ fn main() {
         h.record_value("guard/trace_off_vs_pr3", first.min(recheck) / base / drift);
     }
 
-    // ---- Event-loop rewrite: replica of the PR-5 loop vs the current
-    // engine, measured loop-vs-loop in one process so machine drift
-    // cancels exactly. The replica reproduces the old static loop
-    // structure faithfully: a `BinaryHeap` of 32-byte events (all 120k
-    // seeds resident), one virtual `Fabric::link` call per event, the
-    // per-pair `Option<Vec<LinkId>>` route indirection, and a
-    // `serialize_ns` float division per event. Its per-flow delivery
-    // times are asserted equal to the engine's before anything is timed,
-    // so the speedup compares two implementations of the *same*
-    // simulation.
-    let big_dyn: &dyn Fabric = &big;
-    let mut pair_slot: HashMap<(usize, usize), u32> = HashMap::new();
-    let mut slot_paths: Vec<Option<Vec<usize>>> = Vec::new();
-    let mut flow_slot: Vec<u32> = Vec::with_capacity(many.len());
-    for f in &many {
-        let s = *pair_slot.entry((f.src, f.dst)).or_insert_with(|| {
-            slot_paths.push(big_dyn.path(f.src, f.dst));
-            (slot_paths.len() - 1) as u32
-        });
-        flow_slot.push(s);
-    }
-    let mut legacy_link_free: Vec<u64> = vec![0; big_dyn.link_count()];
-    let mut legacy_ends: Vec<Option<u64>> = vec![None; many.len()];
-    let legacy_loop = |ends: &mut Vec<Option<u64>>, free: &mut Vec<u64>| -> u64 {
-        ends.fill(None);
-        free.fill(0);
-        let mut heap: BinaryHeap<Reverse<(u64, u64, u32, u32)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        for (i, f) in many.iter().enumerate() {
-            match &slot_paths[flow_slot[i] as usize] {
-                Some(p) if p.is_empty() => ends[i] = Some(f.start_ns),
-                Some(_) => {
-                    heap.push(Reverse((f.start_ns, seq, i as u32, 0)));
-                    seq += 1;
-                }
-                None => {}
-            }
-        }
-        let mut n = 0u64;
-        while let Some(Reverse((t, _, flow, hop))) = heap.pop() {
-            n += 1;
-            let path = slot_paths[flow_slot[flow as usize] as usize]
-                .as_ref()
-                .expect("queued flows have paths");
-            let link = path[hop as usize];
-            let spec = big_dyn.link(link);
-            let start = t.max(free[link]);
-            let ser = spec.serialize_ns(many[flow as usize].bytes);
-            free[link] = start + ser;
-            let header_out = start + spec.latency_ns;
-            if (hop as usize) + 1 < path.len() {
-                heap.push(Reverse((header_out, seq, flow, hop + 1)));
-                seq += 1;
-            } else {
-                ends[flow as usize] = Some(header_out + ser);
-            }
-        }
-        n
-    };
-
-    let reference = Simulation::new(&big)
-        .with_cache(&mut cache)
-        .detailed()
-        .run(&many);
-    let legacy_events = legacy_loop(&mut legacy_ends, &mut legacy_link_free);
-    assert_eq!(legacy_events, reference.perf.events, "event counts agree");
-    for (r, end) in reference.records().iter().zip(&legacy_ends) {
-        assert_eq!(r.end_ns, *end, "legacy replica diverged on flow {}", r.flow);
-    }
-
-    h.bench("netsim/20k-flows-512-torus/eventloop-legacy", || {
-        legacy_loop(&mut legacy_ends, &mut legacy_link_free)
-    });
-    // The speedup interleaves the two loops and compares fastest samples:
-    // this box drifts by tens of percent across seconds, so timing legacy
-    // in one block and the new loop in another measures mostly machine
-    // state. Alternating them puts both minima in the same wall-clock
-    // window. The engine times its own loop (LoopPerf excludes route
-    // indexing, table setup, and stats); the legacy replica is all loop,
-    // so the comparison slightly *understates* the engine's advantage.
-    let mut legacy_min = u64::MAX;
-    let mut new_min = u64::MAX;
-    for _ in 0..12 {
-        let t = std::time::Instant::now();
-        std::hint::black_box(legacy_loop(&mut legacy_ends, &mut legacy_link_free));
-        legacy_min = legacy_min.min(t.elapsed().as_nanos() as u64);
-        for _ in 0..3 {
-            let out = Simulation::new(&big)
-                .with_cache(&mut cache)
-                .run(std::hint::black_box(&many));
-            new_min = new_min.min(out.perf.loop_ns);
-        }
-    }
-    h.record_value(
-        "speedup/eventloop_pr5_vs_pr6",
-        legacy_min as f64 / new_min as f64,
-    );
-
     // Determinism guard: the conservative-parallel executor must return
     // byte-identical results to the sequential loop (1.0 = identical;
     // anything else aborts the bench).
@@ -275,12 +175,11 @@ fn main() {
     );
     h.record_value("guard/eventloop_parallel_vs_seq", 1.0);
 
-    // Congestion-mode guard: `CongestionMode::Ideal` is dispatched before
-    // the existing loops ever run, so an explicit ideal-mode builder must
-    // price identically to the plain cold run. Same protocol as the PR-3
-    // trace guard — fastest samples, calibration-normalized against the
-    // PR-9 baseline's cold case; values > 1.05 mean the congestion
-    // dispatch taxed runs that never asked for it.
+    // Congestion-mode guard: `CongestionMode::Ideal` is the default link
+    // model, so an explicit ideal-mode builder must price identically to
+    // the plain cold run. Same protocol as the PR-3 trace guard — fastest
+    // samples, calibration-normalized against the PR-9 baseline's cold
+    // case; values > 1.05 mean naming the model taxed the run.
     h.bench("netsim/20k-flows-512-torus/ideal-mode", || {
         Simulation::new(&big)
             .with_congestion(CreditConfig::default())

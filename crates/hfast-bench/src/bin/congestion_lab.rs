@@ -30,7 +30,7 @@ use hfast_core::{ProvisionConfig, Strategy};
 use hfast_netsim::scenario::tenant_slowdown;
 use hfast_netsim::{
     traffic, CreditConfig, Fabric, FatTreeFabric, Flow, HfastFabric, Scenario, ScenarioKind,
-    SimOutput, Simulation, TorusFabric,
+    Simulation, TorusFabric,
 };
 use hfast_trace::{congestion_trees, rank_hotspots, utilization_spread, TraceRecorder};
 
@@ -94,56 +94,18 @@ fn print_cell(label: &str, m: &CellMetrics) {
     );
 }
 
-/// FNV-1a digest matching the eventloop golden tests (stats + records).
-fn digest(out: &SimOutput) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    let s = &out.stats;
-    for v in [
-        s.completed as u64,
-        s.unrouted as u64,
-        s.abandoned as u64,
-        s.total_retries,
-        s.delivered_bytes,
-        s.makespan_ns,
-        s.p50_latency_ns,
-        s.p95_latency_ns,
-        s.max_latency_ns,
-        s.avg_hops.to_bits(),
-        s.max_link_utilization.to_bits(),
-        s.throughput.to_bits(),
-    ] {
-        mix(v);
-    }
-    if let Some(records) = &out.records {
-        for r in records {
-            mix(r.flow as u64);
-            mix(r.start_ns);
-            mix(r.end_ns.map_or(u64::MAX, |e| e));
-            mix(r.hops as u64);
-            mix(u64::from(r.retries));
-            mix(u64::from(r.abandoned));
-        }
-    }
-    h
-}
-
 /// `Ideal` must be byte-identical to a builder that never mentions
 /// congestion — the cheap in-lab form of the golden identity the
 /// eventloop suite pins in full.
 fn check_ideal_identity() {
     let torus = TorusFabric::new((4, 4, 2)).unwrap();
     let flows = traffic::uniform_random(32, 2_000, 4096, 500_000, SEED);
-    let plain = digest(&Simulation::new(&torus).detailed().run(&flows));
-    let ideal = digest(
-        &Simulation::new(&torus)
-            .with_congestion(CreditConfig::default())
-            .detailed()
-            .run(&flows),
-    );
+    let plain = Simulation::new(&torus).detailed().run(&flows).digest();
+    let ideal = Simulation::new(&torus)
+        .with_congestion(CreditConfig::default())
+        .detailed()
+        .run(&flows)
+        .digest();
     assert_eq!(
         plain, ideal,
         "CongestionMode::Ideal diverged from the plain event loop"

@@ -1,62 +1,26 @@
-//! Thread-count determinism smoke for the rewritten event loop: every
-//! scenario runs under `HFAST_THREADS=1` and `=8` semantics (via
+//! Thread-count determinism smoke for the event loop: every scenario
+//! runs under `HFAST_THREADS=1` and `=8` semantics (via
 //! `Simulation::with_threads`, the same resolution path the env variable
 //! feeds) and the outputs must be byte-identical. Exits non-zero, naming
 //! the scenario and both digests, on any divergence.
 //!
-//! Scenarios cover both loops: the 20k-flow static suite the bench
-//! measures (where the conservative-parallel executor actually engages),
-//! a bursty all-to-all on the fat tree (same-timestamp event storms), and
-//! a faulted torus with retries (the dynamic loop, which must stay
-//! untouched by the thread knob).
+//! Scenarios cover every way the one driver runs: the 20k-flow static
+//! suite the bench measures (where the conservative-parallel executor
+//! actually engages), a bursty all-to-all on the fat tree
+//! (same-timestamp event storms), a faulted torus with retries, credit
+//! flow control, and credit + faults + mid-run repatching together (all
+//! three sequential whatever the thread knob says).
 
+use hfast_core::{ProvisionConfig, Strategy};
 use hfast_netsim::{
-    traffic, transit_links, CreditConfig, FatTreeFabric, FaultPlan, RetryPolicy, Scenario,
-    ScenarioKind, SimOutput, Simulation, TorusFabric,
+    traffic, transit_links, CreditConfig, Fabric, FatTreeFabric, FaultPlan, HfastFabric,
+    RetryPolicy, Scenario, ScenarioKind, SimOutput, Simulation, TorusFabric,
 };
-
-/// FNV-1a over every stats field and per-flow record: equal digests ⇔
-/// byte-identical simulated results (mirrors the eventloop golden tests).
-fn digest(out: &SimOutput) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    let s = &out.stats;
-    for v in [
-        s.completed as u64,
-        s.unrouted as u64,
-        s.abandoned as u64,
-        s.total_retries,
-        s.delivered_bytes,
-        s.makespan_ns,
-        s.p50_latency_ns,
-        s.p95_latency_ns,
-        s.max_latency_ns,
-        s.avg_hops.to_bits(),
-        s.max_link_utilization.to_bits(),
-        s.throughput.to_bits(),
-    ] {
-        mix(v);
-    }
-    if let Some(records) = &out.records {
-        for r in records {
-            mix(r.flow as u64);
-            mix(r.start_ns);
-            mix(r.end_ns.map_or(u64::MAX, |e| e));
-            mix(r.hops as u64);
-            mix(u64::from(r.retries));
-            mix(u64::from(r.abandoned));
-        }
-    }
-    h
-}
 
 fn check(name: &str, run: impl Fn(usize) -> SimOutput) {
     let seq = run(1);
     let par = run(8);
-    let (d1, d8) = (digest(&seq), digest(&par));
+    let (d1, d8) = (seq.digest(), par.digest());
     assert_eq!(
         seq, par,
         "{name}: HFAST_THREADS=1 and =8 diverged (digests {d1:#018x} vs {d8:#018x})"
@@ -99,9 +63,10 @@ fn main() {
             .run(&fs)
     });
 
-    // The credit loop is sequential by construction, so the thread knob
-    // must be fully inert on it — on a scenario built to congest.
-    let incast = Scenario::preset(ScenarioKind::Incast, 32, 5).generate();
+    // Credit runs are sequential by construction, so the thread knob
+    // must be fully inert on them — on a scenario built to congest.
+    let scenario = Scenario::preset(ScenarioKind::Incast, 32, 5);
+    let incast = scenario.generate();
     check("credit/incast-fat-tree", |threads| {
         Simulation::new(&ft)
             .with_congestion(CreditConfig::credit(2))
@@ -110,16 +75,47 @@ fn main() {
             .run(&incast)
     });
 
+    // Everything at once: credit buffers, two circuits failing under
+    // load, and the mid-run repatch that brings them back.
+    let hfast = HfastFabric::provisioned(
+        &scenario.comm_graph(),
+        ProvisionConfig::default(),
+        Strategy::PaperLinear,
+    );
+    let mut outage = FaultPlan::builder();
+    for (i, l) in (0..hfast.link_count())
+        .filter(|&l| hfast.reprovisionable(l))
+        .take(2)
+        .enumerate()
+    {
+        outage = outage.fail_link(10_000 * (i as u64 + 1), l);
+    }
+    let outage = outage.build(&hfast).unwrap();
+    check("credit/faults-reprovision-hfast", |threads| {
+        let out = Simulation::new(&hfast)
+            .with_congestion(CreditConfig::credit(2))
+            .with_faults(&outage)
+            .with_reprovision(100_000)
+            .detailed()
+            .with_threads(threads)
+            .run(&incast);
+        assert!(
+            !out.reprovisions.is_empty(),
+            "failed circuits are repatched"
+        );
+        assert_eq!(out.stats.completed, incast.len(), "every flow lands");
+        out
+    });
+
     // And `Ideal` must be byte-identical to a builder that never mentions
     // congestion at all (the golden tests pin the absolute digests; this
     // smoke pins the equivalence on the 20k-flow suite).
-    let plain = digest(&Simulation::new(&torus).detailed().run(&many));
-    let ideal = digest(
-        &Simulation::new(&torus)
-            .with_congestion(CreditConfig::default())
-            .detailed()
-            .run(&many),
-    );
+    let plain = Simulation::new(&torus).detailed().run(&many).digest();
+    let ideal = Simulation::new(&torus)
+        .with_congestion(CreditConfig::default())
+        .detailed()
+        .run(&many)
+        .digest();
     assert_eq!(
         plain, ideal,
         "ideal-mode digest diverged from the plain loop on the 20k suite"

@@ -1,6 +1,6 @@
 //! Credit-based flow control: backpressure, stalls, and congestion trees.
 //!
-//! The default event loop models every link as an ideal FIFO server —
+//! The default link model treats every link as an ideal FIFO server —
 //! messages queue *at* a busy link but congestion can never spread
 //! *between* links. Real credit/wormhole fabrics behave differently:
 //! a hop may only forward when the downstream buffer has a free credit,
@@ -26,44 +26,50 @@
 //!
 //! End-to-end uncontended latency is therefore `Σ (latency + bytes/bw)`
 //! per hop (store-and-forward), not the cut-through `Σ latency +
-//! bytes/bw` of the ideal loop — the two modes are different *models*,
+//! bytes/bw` of the ideal model — the two modes are different *models*,
 //! compared credit-vs-credit across fabrics, never credit-vs-ideal.
-//! [`CongestionMode::Ideal`] (the default) routes to the untouched PR-9
-//! event loop and is byte-identical to it, golden-pinned by tests.
 //!
-//! With a [`TraceRecorder`](hfast_trace::TraceRecorder) attached the loop
-//! emits the same `hop` spans as the ideal loop plus `stall` spans
+//! This module is a link model and nothing else: `CreditBuffers`
+//! implements the engine's `LinkModel` seam with buffers, waiters, and
+//! the credit cascade. Everything around it — the event loop, the fault
+//! schedule, route resolution through the
+//! [`PathCache`](crate::PathCache), retry and abandon, mid-run circuit
+//! repatching, records, stats — is the one driver in [`crate::engine`],
+//! shared with the ideal model. So a credit run takes a
+//! [`FaultPlan`](crate::FaultPlan), a
+//! [`RetryPolicy`](crate::RetryPolicy), `with_reprovision`,
+//! `with_cache` / `with_snapshot`, and an
+//! [`EngineObs`](crate::EngineObs) exactly like an ideal run. The one
+//! model-specific fault rule: a link failure kills every occupant and
+//! waiter of the link at once (an ideal link kills lazily, when a header
+//! arrives), and each re-admits from its source around the outage.
+//!
+//! With a [`TraceRecorder`](hfast_trace::TraceRecorder) attached a credit
+//! run emits the same `hop` spans as an ideal run plus `stall` spans
 //! (`flow`, `for` = the downstream link that refused the credit) on the
 //! blocked link's track; `hfast_trace::congestion_trees` folds those
 //! into root/depth/victim reports.
 //!
-//! Fault integration: a [`FaultPlan`](crate::FaultPlan) replays on the
-//! same time axis. A link failure kills every occupant and waiter of the
-//! link (they re-admit from the source under the [`RetryPolicy`], with
-//! routes re-resolved around the outage); recoveries restore the link.
-//! Unlike the dynamic ideal loop, credit mode does not model mid-run
-//! circuit repatching — `with_reprovision` intervals are ignored.
+//! Finite buffers can deadlock where routes form a cycle (a torus with
+//! wrap-around links and no escape channel): such a run still terminates
+//! — the event queue simply runs dry — and the wedged flows come back
+//! undelivered.
 //!
-//! The loop is strictly sequential and single-threaded: identical inputs
-//! produce identical outputs regardless of `HFAST_THREADS`.
+//! Credit runs are sequential: identical inputs produce identical outputs
+//! regardless of `HFAST_THREADS`.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use hfast_trace::{engine_span_id, TraceRecorder, Track};
+use hfast_trace::{engine_span_id, Track};
 
-use crate::engine::{record_flow_spans, FlowRecord, LoopPerf};
-use crate::fabric::{Fabric, LinkId, LinkSpec};
-use crate::faultplan::{FaultPlan, FaultState, FaultTarget, RetryPolicy};
-use crate::obs::EngineObs;
-use crate::stats::RunStats;
-use crate::traffic::Flow;
+use crate::engine::{ArenaEntry, Driver, LinkModel, Probe, Ser, ADMIT};
+use crate::fabric::LinkId;
+use crate::queue::{Ev, TieClass};
 
 /// Which link model a [`Simulation`](crate::Simulation) runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CongestionMode {
-    /// Ideal FIFO links (the default): the unmodified event loop,
-    /// byte-identical to runs that never mention congestion at all.
+    /// Ideal FIFO links under virtual cut-through (the default).
     #[default]
     Ideal,
     /// Credit-based flow control with finite per-link buffers and
@@ -107,142 +113,123 @@ impl CreditConfig {
     }
 }
 
-/// Where a flow currently is, from the credit loop's point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where a flow currently is, from the link model's point of view.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Pos {
-    /// Injection scheduled but not yet processed.
-    Pending,
+    /// Not in the network: not yet admitted, between attempts, or done.
+    #[default]
+    Out,
     /// At the source NIC, waiting for a credit on its first link.
     SourceWait,
     /// Resident in its current link's buffer (queued or serializing).
     Buffered,
     /// Head of its current link, blocked on the next link's credit.
     Blocked,
-    Delivered,
-    Unrouted,
-    Abandoned,
 }
 
-struct FState {
-    route: Vec<LinkId>,
-    /// Index into `route` of the link currently holding (or wanted by)
-    /// the flow.
-    hop: usize,
+#[derive(Clone, Default)]
+struct InFlight {
+    /// Arena index of the link currently holding (or, at the source,
+    /// wanted by) the flow; the next link of its route is at `idx + 1`.
+    idx: u32,
     /// When the flow entered its current buffer (or the injection queue).
     arrived_ns: u64,
-    /// Bumped on every kill so queued events for the old life go stale.
+    /// Bumped on every kill so the queued completion of the old life goes
+    /// stale. Completions carry it as their queue tag.
     epoch: u32,
-    retries: u32,
     pos: Pos,
 }
 
-struct CLink {
-    spec: LinkSpec,
-    busy_ns: u64,
-    stall_ns: u64,
+#[derive(Clone, Default)]
+struct Buffer {
     /// Flows occupying this link's buffer; the front is in service (or
     /// blocked on its downstream credit).
-    buf: VecDeque<u32>,
+    slots: VecDeque<u32>,
     /// Flows waiting FIFO for one of this link's credits.
     waiters: VecDeque<u32>,
     /// When the current head became blocked (valid while the head's
     /// [`Pos::Blocked`]).
     blocked_since: u64,
-    up: bool,
 }
 
-/// Event classes, ordered at equal timestamps: faults fire first (the
-/// dynamic ideal loop's convention), then injections, then service
-/// completions.
-const CLASS_FAULT: u8 = 0;
-const CLASS_INJECT: u8 = 1;
-const CLASS_DONE: u8 = 2;
-
-/// Sentinel: not delivered.
-const NO_END: u64 = u64::MAX;
-
-type Event = Reverse<(u64, u8, u64, u64)>; // (time, class, seq, payload)
-
-struct CreditRun<'a> {
-    fabric: &'a dyn Fabric,
-    flows: &'a [Flow],
+/// The credit link model: finite per-link buffers, FIFO credit waiters,
+/// and the same-timestamp credit cascade. Schedules one kind of event —
+/// the completion of a buffer head's service, tagged with the flow's
+/// epoch.
+pub(crate) struct CreditBuffers {
     credits: usize,
-    retry: RetryPolicy,
-    trace: Option<&'a TraceRecorder>,
-    links: Vec<CLink>,
-    fstate: Vec<FState>,
-    ends: Vec<u64>,
-    heap: BinaryHeap<Event>,
-    seq: u64,
-    fault_state: FaultState,
-    /// Memoized healthy-fabric routes, keyed by (src, dst). Only used
-    /// while no component is down — degraded resolutions are per-flow.
-    healthy_routes: HashMap<(usize, usize), Option<Vec<LinkId>>>,
-    n_events: u64,
+    links: Vec<Buffer>,
+    flows: Vec<InFlight>,
 }
 
-impl<'a> CreditRun<'a> {
-    fn push(&mut self, t: u64, class: u8, payload: u64) {
-        self.heap.push(Reverse((t, class, self.seq, payload)));
-        self.seq += 1;
+/// Re-admissions fire before service completions at equal timestamps: an
+/// injection at `t` sees the buffers as they stood before anything
+/// finished at `t`.
+impl TieClass for CreditBuffers {
+    #[inline(always)]
+    fn class(tag: u32) -> u8 {
+        u8::from(tag != ADMIT)
     }
+}
 
-    fn flow_payload(&self, flow: u32) -> u64 {
-        u64::from(flow) | (u64::from(self.fstate[flow as usize].epoch) << 32)
-    }
-
-    /// Starts serializing the head of `link` at `t`: books the busy
-    /// time, emits the hop span, and schedules the completion event.
-    fn start_service(&mut self, link: LinkId, flow: u32, t: u64) {
-        let ser = self.links[link]
-            .spec
-            .serialize_ns(self.flows[flow as usize].bytes);
-        self.links[link].busy_ns += ser;
-        let wait = t - self.fstate[flow as usize].arrived_ns;
-        if let Some(tr) = self.trace {
-            tr.record_span(
-                Track::Link(link),
-                "hop",
-                t,
-                ser,
-                0,
-                engine_span_id(u64::from(flow) + 1),
-                vec![("wait", wait), ("flow", u64::from(flow))],
-            );
+impl CreditBuffers {
+    pub(crate) fn new(credits: u32, links: usize, flows: usize) -> Self {
+        CreditBuffers {
+            credits: credits.max(1) as usize,
+            links: vec![Buffer::default(); links],
+            flows: vec![InFlight::default(); flows],
         }
-        let done = t + self.links[link].spec.latency_ns + ser;
-        let payload = self.flow_payload(flow);
-        self.push(done, CLASS_DONE, payload);
+    }
+}
+
+/// What the driver does when it runs on credit buffers.
+impl<E: ArenaEntry, S: Ser, P: Probe> Driver<'_, E, S, P, CreditBuffers> {
+    /// Starts serializing the head of `link` at `t`: books the busy
+    /// time, reports the hop, and schedules the completion event.
+    fn start_service(&mut self, link: LinkId, flow: u32, t: u64) {
+        let lh = &mut self.links[link];
+        let ser = self.ser.of(flow, lh.bw_bits);
+        lh.busy_ns = lh.busy_ns.saturating_add(ser);
+        let done = t.saturating_add(lh.lat).saturating_add(ser);
+        let fs = &self.model.flows[flow as usize];
+        self.probe.hop(link, flow, t - fs.arrived_ns, t, ser);
+        self.q.push(done, flow, fs.epoch);
     }
 
-    /// Moves `flow` into `link`'s buffer (the caller already checked or
-    /// obtained a credit) and starts service if it became the head.
+    /// Moves `flow` into `link`'s buffer — the one place a buffer grows,
+    /// so the caller holds a credit — and starts service if it became the
+    /// head.
     fn enter(&mut self, link: LinkId, flow: u32, t: u64) {
-        self.fstate[flow as usize].pos = Pos::Buffered;
-        self.links[link].buf.push_back(flow);
-        if self.links[link].buf.len() == 1 {
+        debug_assert!(
+            self.model.links[link].slots.len() < self.model.credits,
+            "buffer occupancy exceeds the link's credits"
+        );
+        self.model.flows[flow as usize].pos = Pos::Buffered;
+        self.model.links[link].slots.push_back(flow);
+        if self.model.links[link].slots.len() == 1 {
             self.start_service(link, flow, t);
         }
     }
 
-    /// Closes the stall interval of `link`'s blocked head at `t`,
-    /// emitting the `stall` span that congestion-tree extraction folds.
-    fn close_stall(&mut self, link: LinkId, flow: u32, wanted: LinkId, t: u64) {
-        let since = self.links[link].blocked_since;
-        self.links[link].stall_ns += t - since;
-        if t > since {
-            if let Some(tr) = self.trace {
-                tr.record_span(
-                    Track::Link(link),
-                    "stall",
-                    since,
-                    t - since,
-                    0,
-                    engine_span_id(u64::from(flow) + 1),
-                    vec![("flow", u64::from(flow)), ("for", wanted as u64)],
-                );
-            }
+    /// Closes the stall interval of the blocked head `flow` at `t`,
+    /// emitting the `stall` span that congestion-tree extraction folds,
+    /// and returns the link whose credit it was waiting for.
+    fn close_stall(&self, flow: u32, t: u64) -> LinkId {
+        let idx = self.model.flows[flow as usize].idx as usize;
+        let (link, wanted) = (self.arena[idx].link(), self.arena[idx + 1].link());
+        let since = self.model.links[link].blocked_since;
+        if let (true, Some(tr)) = (t > since, self.probe.trace()) {
+            tr.record_span(
+                Track::Link(link),
+                "stall",
+                since,
+                t - since,
+                0,
+                engine_span_id(u64::from(flow) + 1),
+                vec![("flow", u64::from(flow)), ("for", wanted as u64)],
+            );
         }
+        wanted
     }
 
     /// The head of `link` has left its buffer slot: pop it, start the
@@ -252,315 +239,136 @@ impl<'a> CreditRun<'a> {
     fn depart(&mut self, link: LinkId, t: u64) {
         let mut pending: VecDeque<LinkId> = VecDeque::from([link]);
         while let Some(l) = pending.pop_front() {
-            self.links[l].buf.pop_front();
-            if let Some(&next) = self.links[l].buf.front() {
+            self.model.links[l].slots.pop_front();
+            if let Some(&next) = self.model.links[l].slots.front() {
                 self.start_service(l, next, t);
             }
-            let Some(w) = self.links[l].waiters.pop_front() else {
+            let Some(w) = self.model.links[l].waiters.pop_front() else {
                 continue;
             };
-            match self.fstate[w as usize].pos {
-                Pos::SourceWait => {
-                    // Entering from the NIC: `arrived_ns` stays the
-                    // injection time, so the hop span's wait field counts
-                    // the source queueing.
-                    self.enter(l, w, t);
-                }
+            match self.model.flows[w as usize].pos {
+                // Entering from the NIC: `arrived_ns` stays the injection
+                // time, so the hop's wait counts the source queueing.
+                Pos::SourceWait => {}
                 Pos::Blocked => {
-                    let prev = self.fstate[w as usize].route[self.fstate[w as usize].hop];
-                    self.close_stall(prev, w, l, t);
-                    self.fstate[w as usize].hop += 1;
-                    self.fstate[w as usize].arrived_ns = t;
-                    self.enter(l, w, t);
-                    pending.push_back(prev);
+                    self.close_stall(w, t);
+                    let fs = &mut self.model.flows[w as usize];
+                    pending.push_back(self.arena[fs.idx as usize].link());
+                    fs.idx += 1;
+                    fs.arrived_ns = t;
                 }
                 other => unreachable!("waiter in state {other:?}"),
             }
+            self.enter(l, w, t);
         }
     }
 
-    /// Kills `flow` at `t` (its path crossed a failed component): frees
-    /// whatever it occupies and re-admits it under the retry policy.
-    fn kill(&mut self, flow: u32, t: u64) {
-        let (pos, hop) = (
-            self.fstate[flow as usize].pos,
-            self.fstate[flow as usize].hop,
-        );
+    /// Kills `flow` at `t` because the link at arena index `dead` is
+    /// down: frees whatever the flow occupies, invalidates its queued
+    /// completion, and hands it back to the driver to retry or abandon.
+    fn kill_resident(&mut self, flow: u32, dead: u32, t: u64) {
+        let InFlight { idx, pos, .. } = self.model.flows[flow as usize];
+        let l = self.arena[idx as usize].link();
         match pos {
-            Pos::SourceWait => {
-                let first = self.fstate[flow as usize].route[0];
-                self.links[first].waiters.retain(|&w| w != flow);
-            }
+            Pos::SourceWait => self.model.links[l].waiters.retain(|&w| w != flow),
             Pos::Buffered | Pos::Blocked => {
-                let l = self.fstate[flow as usize].route[hop];
                 if pos == Pos::Blocked {
-                    let wanted = self.fstate[flow as usize].route[hop + 1];
-                    self.close_stall(l, flow, wanted, t);
-                    self.links[wanted].waiters.retain(|&w| w != flow);
+                    let wanted = self.close_stall(flow, t);
+                    self.model.links[wanted].waiters.retain(|&w| w != flow);
                 }
-                if self.links[l].buf.front() == Some(&flow) {
+                if self.model.links[l].slots.front() == Some(&flow) {
                     self.depart(l, t);
                 } else {
-                    self.links[l].buf.retain(|&w| w != flow);
+                    self.model.links[l].slots.retain(|&w| w != flow);
                 }
             }
-            Pos::Pending => {}
-            other => unreachable!("killing a flow in state {other:?}"),
+            Pos::Out => unreachable!("killing a flow that is not in the network"),
         }
-        self.reschedule(flow, t);
+        self.hand_back(flow, dead, t);
     }
 
-    /// Post-kill bookkeeping shared by every kill path: invalidate queued
-    /// events for the old life and either re-admit under the retry policy
-    /// or abandon.
-    fn reschedule(&mut self, flow: u32, t: u64) {
-        self.fstate[flow as usize].epoch += 1;
-        let failed = self.fstate[flow as usize].retries + 1;
-        if failed >= self.retry.attempts() {
-            self.fstate[flow as usize].pos = Pos::Abandoned;
-        } else {
-            self.fstate[flow as usize].retries += 1;
-            self.fstate[flow as usize].pos = Pos::Pending;
-            let payload = self.flow_payload(flow);
-            self.push(t + self.retry.backoff_ns(failed), CLASS_INJECT, payload);
-        }
+    /// Post-kill bookkeeping shared by every kill path.
+    fn hand_back(&mut self, flow: u32, dead: u32, t: u64) {
+        let fs = &mut self.model.flows[flow as usize];
+        fs.epoch += 1;
+        fs.pos = Pos::Out;
+        self.kill(t, flow, dead);
     }
 
-    /// Applies one fault-plan event: updates component health, and on a
-    /// link going down kills every occupant and waiter (their paths all
-    /// cross the dead link, so each re-admits under the retry policy).
-    fn apply_fault(&mut self, idx: usize, t: u64, plan: &FaultPlan) {
-        let ev = plan.events()[idx];
-        let incident = self.fault_state.apply(self.fabric, ev);
-        let affected: Vec<LinkId> = match ev.target {
-            FaultTarget::Link(l) => vec![l],
-            FaultTarget::Node(_) => incident,
-        };
-        for l in affected {
-            let up_now = self.fault_state.link_up(l);
-            if self.links[l].up && !up_now {
-                self.links[l].up = false;
-                // Waiters first: once the occupants drain, no freed
-                // credit may pull a doomed flow onto the dead link.
-                while let Some(w) = self.links[l].waiters.pop_front() {
-                    self.kill(w, t);
-                }
-                // Drain the buffer wholesale (no departs: a freed slot on
-                // a dead link must not start anyone's service).
-                let buf = std::mem::take(&mut self.links[l].buf);
-                for f in buf {
-                    let fs = &self.fstate[f as usize];
-                    if fs.pos == Pos::Blocked {
-                        let wanted = fs.route[fs.hop + 1];
-                        self.close_stall(l, f, wanted, t);
-                        self.links[wanted].waiters.retain(|&w| w != f);
-                    }
-                    self.reschedule(f, t);
-                }
-            } else if !self.links[l].up && up_now {
-                self.links[l].up = true;
-            }
-        }
-    }
-
-    /// Resolves the route for one (re-)admission: the healthy memo when
-    /// nothing is down, a fresh degraded resolution otherwise.
-    fn resolve(&mut self, flow: u32) -> Option<Vec<LinkId>> {
-        let f = self.flows[flow as usize];
-        if self.fault_state.any_down() {
-            if !self.fault_state.node_up(f.src) || !self.fault_state.node_up(f.dst) {
-                return None;
-            }
-            return self
-                .fabric
-                .path_avoiding(f.src, f.dst, &self.fault_state)
-                .filter(|p| !p.iter().any(|&l| !self.fault_state.link_up(l)));
-        }
-        self.healthy_routes
-            .entry((f.src, f.dst))
-            .or_insert_with(|| self.fabric.path(f.src, f.dst))
-            .clone()
-    }
-
-    fn inject(&mut self, flow: u32, t: u64, under_faults: bool) {
-        match self.resolve(flow) {
-            Some(route) if route.is_empty() => {
-                // Self-delivery is handled at setup; a retried flow can
-                // only get here if rerouting collapsed the path.
-                self.ends[flow as usize] = t;
-                self.fstate[flow as usize].pos = Pos::Delivered;
-            }
-            Some(route) => {
-                let first = route[0];
-                self.fstate[flow as usize].route = route;
-                self.fstate[flow as usize].hop = 0;
-                self.fstate[flow as usize].arrived_ns = t;
-                if self.links[first].buf.len() < self.credits {
-                    self.enter(first, flow, t);
-                } else {
-                    self.fstate[flow as usize].pos = Pos::SourceWait;
-                    self.links[first].waiters.push_back(flow);
-                }
-            }
-            None if under_faults => self.kill(flow, t),
-            None => self.fstate[flow as usize].pos = Pos::Unrouted,
-        }
-    }
-
+    /// `flow`'s service on its current link completed at `t`.
     fn done(&mut self, flow: u32, t: u64) {
-        let hop = self.fstate[flow as usize].hop;
-        let route_len = self.fstate[flow as usize].route.len();
-        let l = self.fstate[flow as usize].route[hop];
-        if hop + 1 == route_len {
-            self.ends[flow as usize] = t;
-            self.fstate[flow as usize].pos = Pos::Delivered;
-            self.depart(l, t);
-            return;
+        let idx = self.model.flows[flow as usize].idx;
+        let cell = self.arena[idx as usize];
+        let l = cell.link();
+        if cell.is_last() {
+            self.model.flows[flow as usize].pos = Pos::Out;
+            self.deliver(flow, t);
+            return self.depart(l, t);
         }
-        let next = self.fstate[flow as usize].route[hop + 1];
-        if !self.links[next].up {
-            self.kill(flow, t);
-        } else if self.links[next].buf.len() < self.credits {
-            self.fstate[flow as usize].hop = hop + 1;
-            self.fstate[flow as usize].arrived_ns = t;
+        let next = self.arena[idx as usize + 1].link();
+        if self.links[next].is_down() {
+            self.kill_resident(flow, idx + 1, t);
+        } else if self.model.links[next].slots.len() < self.model.credits {
+            let fs = &mut self.model.flows[flow as usize];
+            fs.idx = idx + 1;
+            fs.arrived_ns = t;
             self.enter(next, flow, t);
             self.depart(l, t);
         } else {
-            self.fstate[flow as usize].pos = Pos::Blocked;
-            self.links[next].waiters.push_back(flow);
-            self.links[l].blocked_since = t;
+            self.model.flows[flow as usize].pos = Pos::Blocked;
+            self.model.links[next].waiters.push_back(flow);
+            self.model.links[l].blocked_since = t;
         }
     }
 }
 
-/// The credit-mode event loop behind
-/// [`Simulation::with_congestion`](crate::Simulation::with_congestion).
-pub(crate) fn run_credit(
-    fabric: &dyn Fabric,
-    flows: &[Flow],
-    credits: u32,
-    faults: Option<&FaultPlan>,
-    retry: RetryPolicy,
-    obs: Option<&EngineObs>,
-    trace: Option<&TraceRecorder>,
-) -> (RunStats, Vec<FlowRecord>, LoopPerf) {
-    let link_count = fabric.link_count();
-    let links: Vec<CLink> = (0..link_count)
-        .map(|id| CLink {
-            spec: fabric.link(id),
-            busy_ns: 0,
-            stall_ns: 0,
-            buf: VecDeque::new(),
-            waiters: VecDeque::new(),
-            blocked_since: 0,
-            up: true,
-        })
-        .collect();
+impl<E: ArenaEntry, S: Ser, P: Probe> LinkModel for Driver<'_, E, S, P, CreditBuffers> {
+    /// An admission may have to wait at the source; it is not an event of
+    /// this model's making.
+    const ADMIT_IS_EVENT: bool = false;
 
-    let mut run = CreditRun {
-        fabric,
-        flows,
-        credits: credits.max(1) as usize,
-        retry,
-        trace,
-        links,
-        fstate: Vec::with_capacity(flows.len()),
-        ends: vec![NO_END; flows.len()],
-        heap: BinaryHeap::with_capacity(flows.len().min(1 << 12)),
-        seq: 0,
-        fault_state: FaultState::healthy(fabric),
-        healthy_routes: HashMap::new(),
-        n_events: 0,
-    };
-
-    // Seed injections in (start, flow) order — the convention every loop
-    // in this crate shares for timestamp ties.
-    let mut order: Vec<u32> = (0..flows.len() as u32).collect();
-    order.sort_by_key(|&i| (flows[i as usize].start_ns, i));
-    for (i, f) in flows.iter().enumerate() {
-        run.fstate.push(FState {
-            route: Vec::new(),
-            hop: 0,
-            arrived_ns: 0,
-            epoch: 0,
-            retries: 0,
-            pos: Pos::Pending,
-        });
-        if f.src == f.dst {
-            run.ends[i] = f.start_ns;
-            run.fstate[i].pos = Pos::Delivered;
-        }
-    }
-    for &i in &order {
-        if run.fstate[i as usize].pos == Pos::Pending {
-            let payload = run.flow_payload(i);
-            run.push(flows[i as usize].start_ns, CLASS_INJECT, payload);
-        }
-    }
-    let under_faults = faults.is_some_and(|p| !p.is_empty());
-    if let Some(plan) = faults {
-        for (idx, ev) in plan.events().iter().enumerate() {
-            run.push(ev.time_ns, CLASS_FAULT, idx as u64);
+    fn inject(&mut self, t: u64, flow: u32, idx: u32) {
+        let first = self.arena[idx as usize].link();
+        let fs = &mut self.model.flows[flow as usize];
+        fs.idx = idx;
+        fs.arrived_ns = t;
+        if self.model.links[first].slots.len() < self.model.credits {
+            self.enter(first, flow, t);
+        } else {
+            fs.pos = Pos::SourceWait;
+            self.model.links[first].waiters.push_back(flow);
         }
     }
 
-    let t_loop = std::time::Instant::now();
-    while let Some(Reverse((t, class, _seq, payload))) = run.heap.pop() {
-        run.n_events += 1;
-        match class {
-            CLASS_FAULT => {
-                let plan = faults.expect("fault events imply a plan");
-                run.apply_fault(payload as usize, t, plan);
+    #[inline]
+    fn event(&mut self, ev: Ev) {
+        // A kill since this completion was scheduled supersedes it.
+        if self.model.flows[ev.flow as usize].epoch == ev.tag {
+            self.done(ev.flow, ev.t);
+        }
+    }
+
+    /// Kills every occupant and waiter of `link`: their routes all cross
+    /// it, so each re-admits under the retry policy.
+    fn link_down(&mut self, link: LinkId, t: u64) {
+        // Waiters first: once the occupants drain, no freed credit may
+        // pull a doomed flow onto the dead link.
+        while let Some(w) = self.model.links[link].waiters.pop_front() {
+            let fs = &self.model.flows[w as usize];
+            let dead = fs.idx + u32::from(fs.pos == Pos::Blocked);
+            self.kill_resident(w, dead, t);
+        }
+        // Drain the buffer wholesale (no departs: a freed slot on a dead
+        // link must not start anyone's service).
+        for f in std::mem::take(&mut self.model.links[link].slots) {
+            let InFlight { idx, pos, .. } = self.model.flows[f as usize];
+            if pos == Pos::Blocked {
+                let wanted = self.close_stall(f, t);
+                self.model.links[wanted].waiters.retain(|&w| w != f);
             }
-            _ => {
-                let flow = payload as u32;
-                let epoch = (payload >> 32) as u32;
-                if run.fstate[flow as usize].epoch != epoch {
-                    continue; // a kill superseded this event
-                }
-                if class == CLASS_INJECT {
-                    run.inject(flow, t, under_faults);
-                } else {
-                    run.done(flow, t);
-                }
-            }
+            self.hand_back(f, idx, t);
         }
     }
-    let perf = LoopPerf {
-        events: run.n_events,
-        loop_ns: t_loop.elapsed().as_nanos() as u64,
-    };
-
-    let mut records: Vec<FlowRecord> = Vec::with_capacity(flows.len());
-    for (i, f) in flows.iter().enumerate() {
-        let fs = &run.fstate[i];
-        let delivered = run.ends[i] != NO_END;
-        records.push(FlowRecord {
-            flow: i,
-            start_ns: f.start_ns,
-            end_ns: delivered.then_some(run.ends[i]),
-            hops: if delivered { fs.route.len() } else { 0 },
-            retries: fs.retries,
-            abandoned: fs.pos == Pos::Abandoned,
-        });
-    }
-    if let Some(tr) = trace {
-        record_flow_spans(tr, flows, &records);
-    }
-
-    let link_busy_ns: Vec<u64> = run.links.iter().map(|l| l.busy_ns).collect();
-    let stats = RunStats::from_records(fabric, flows, &records, &link_busy_ns);
-    if let Some(obs) = obs {
-        obs.runs.inc();
-        obs.flows.add(flows.len() as u64);
-        obs.events.add(run.n_events);
-        obs.unrouted.add(stats.unrouted as u64);
-        obs.set_events_per_sec(&perf);
-        for f in flows {
-            obs.flow_bytes.record(f.bytes);
-        }
-    }
-    (stats, records, perf)
 }
 
 #[cfg(test)]
@@ -568,8 +376,9 @@ mod tests {
     use super::*;
     use crate::fattree::FatTreeFabric;
     use crate::torus::TorusFabric;
-    use crate::traffic;
+    use crate::traffic::{self, Flow};
     use crate::Simulation;
+    use hfast_trace::TraceRecorder;
 
     #[test]
     fn default_config_is_ideal() {
@@ -665,33 +474,5 @@ mod tests {
             assert!(s.fields.iter().any(|(k, _)| *k == "flow"));
             assert!(s.dur_ns > 0);
         }
-    }
-
-    #[test]
-    fn faulted_credit_runs_retry_and_stay_deterministic() {
-        let torus = TorusFabric::new((4, 4, 1)).expect("valid shape");
-        let flows = traffic::uniform_random(16, 400, 8192, 50_000, 3);
-        let eligible = crate::faultplan::transit_links(&torus, &flows);
-        let plan = FaultPlan::builder()
-            .random_link_failures(11, 3, &eligible, (0, 100_000), Some(200_000))
-            .build(&torus)
-            .expect("valid plan");
-        let run = || {
-            Simulation::new(&torus)
-                .with_congestion(CreditConfig::credit(2))
-                .with_faults(&plan)
-                .with_retry(RetryPolicy::default())
-                .detailed()
-                .run(&flows)
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "faulted credit replays are deterministic");
-        assert_eq!(
-            a.stats.completed + a.stats.unrouted,
-            flows.len(),
-            "every flow is accounted for"
-        );
-        assert!(a.stats.total_retries > 0, "the outage must hit something");
     }
 }

@@ -1,44 +1,40 @@
-//! The discrete-event core: per-link FIFO serialization of flows, with
-//! optional runtime fault injection.
+//! The discrete-event core: one event loop for every kind of run.
 //!
-//! Fault-free runs use a static loop (one event per flow-hop arrival).
-//! Attaching a non-empty [`FaultPlan`] switches to the dynamic loop, where
-//! plan events, HFAST sync points, and flow admissions interleave on one
-//! simulated-time axis: in-flight flows are killed when their header meets
-//! a dead link, re-admitted under a [`RetryPolicy`] with exponential
-//! backoff after targeted [`PathCache`] invalidation, and — on fabrics
-//! that support it — failed circuits are repatched mid-run through the
-//! MEMS crossbar at the next synchronization point.
+//! A [`Simulation`] always executes the same `Driver`, which owns what
+//! runs have in common — the merged pop over flow events, seed
+//! admissions and control events (faults, HFAST sync points, repatches),
+//! route resolution through the [`PathCache`], retry and abandon under a
+//! [`RetryPolicy`], per-flow records, and the stats/obs/trace epilogue —
+//! and meets the fabric's links through one narrow seam, the
+//! `LinkModel`: `IdealFifo` (virtual cut-through over ideal FIFO
+//! links, here) or `CreditBuffers` (finite credit buffers,
+//! [`crate::congestion`]). Nothing selects a "fault loop" or a "lean
+//! loop": with an empty [`FaultPlan`] the control schedule is empty, no
+//! link ever carries its down bit, and the per-event work is a merged
+//! pop, one arena load, one link claim, and one push.
 //!
-//! Both loops schedule through one calendar-queue [`Scheduler`] over a
-//! flat SoA event arena (see [`crate::queue`]) instead of a
-//! `BinaryHeap<Reverse<Event>>`: events are `u32` indices into parallel
-//! columns, routes are interned once per run into a flat link arena, and
-//! per-event work touches dense per-run tables (latency, bandwidth,
-//! route offsets) rather than virtual calls and hash probes. On top of
-//! the sequential rewrite the static loop can execute conservative
-//! lookahead windows in parallel (`HFAST_THREADS` /
-//! [`Simulation::with_threads`]) while preserving the deterministic
-//! `(time_ns, class, seq)` total order, so any thread count produces
-//! byte-identical [`SimOutput`]s — the invariant every release asserts.
+//! Instrumentation (`Probe`), the serialization lookup (`Ser`) and
+//! the arena cell width are type parameters, so the uninstrumented
+//! uniform-payload loop pays for none of them. Ideal, fault-free runs can
+//! additionally execute conservative lookahead windows in parallel
+//! (`HFAST_THREADS` / [`Simulation::with_threads`]) while preserving the
+//! deterministic `(time, class, push order)` total order, so any thread
+//! count produces byte-identical [`SimOutput`]s — the invariant every
+//! release asserts.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
 use hfast_core::ReconfigStep;
 use hfast_trace::{engine_span_id, TraceRecorder, Track};
 
-use crate::congestion::CreditConfig;
+use crate::congestion::{CongestionMode, CreditBuffers, CreditConfig};
 use crate::fabric::{Fabric, LinkId, LinkSpec};
-use crate::faultplan::{FaultAction, FaultPlan, FaultState, FaultTarget, RetryPolicy};
+use crate::faultplan::{FaultAction, FaultEvent, FaultPlan, FaultState, FaultTarget, RetryPolicy};
 use crate::obs::EngineObs;
-use crate::queue::{FlowQueue, Scheduler};
+use crate::queue::{CalendarQueue, Ev, TieClass};
 use crate::stats::RunStats;
 use crate::traffic::Flow;
-
-/// Unique-pair count above which missing paths are computed on worker
-/// threads; below it the spawn cost outweighs the routing work.
-pub(crate) const PAR_PATH_THRESHOLD: usize = 64;
 
 /// Batch size below which a drained lookahead window is executed inline:
 /// fanning a handful of events out to workers costs more than the events.
@@ -101,22 +97,21 @@ impl Hasher for PairHasher {
 /// same pairs (halo exchanges, transposes), so the engine resolves each
 /// distinct pair once. A cache can be reused across runs on the **same**
 /// fabric — replaying several traffic patterns on one fabric pays the
-/// routing cost once — and missing paths are computed in parallel (input
-/// order preserved, so results are deterministic).
+/// routing cost once.
 ///
 /// Internally the cache is an interned slot table: each pair owns a `u32`
 /// slot whose route lives in one flat link arena (`offs`/`lens` spans
-/// into `links`) and whose freshness is a per-slot state byte. Fault runs
-/// evict affected routes in place via [`invalidate_link`] /
-/// [`invalidate_node`] — one indexed store per evicted slot, no hash
-/// probing — and the slot stays allocated, so the next resolution of that
-/// pair recomputes it. A cache handed to a fault run therefore stays safe
-/// to reuse afterwards: every route the faults touched is left stale, so
-/// a later run re-derives the primary route instead of inheriting a
-/// detour.
+/// into `links`) and whose freshness is a per-slot state byte.
+/// [`invalidate_link`], [`invalidate_node`] and [`invalidate_pairs`] evict
+/// routes in place — one indexed store per evicted slot — and the slot
+/// stays allocated, so the next resolution of that pair recomputes it. A
+/// run only ever *adds* primary routes to a cache: detours taken around
+/// mid-run faults live in the run's own arena, so a cache handed to a
+/// fault run stays exact for a fault-free run afterwards.
 ///
 /// [`invalidate_link`]: PathCache::invalidate_link
 /// [`invalidate_node`]: PathCache::invalidate_node
+/// [`invalidate_pairs`]: PathCache::invalidate_pairs
 #[derive(Debug, Default, Clone)]
 pub struct PathCache {
     slot_of_pair: HashMap<u64, u32, PairHashBuilder>,
@@ -171,23 +166,10 @@ impl PathCache {
     }
 
     /// Marks every cached route crossing `link` stale, returning how many
-    /// routes were evicted. O(cached pairs) over the dense slot table —
-    /// called per fault event, not per flow — and each eviction is one
-    /// indexed store into the state column.
+    /// routes were evicted. O(cached pairs) over the dense slot table, one
+    /// indexed store per eviction.
     pub fn invalidate_link(&mut self, link: LinkId) -> usize {
-        let mut evicted = 0;
-        for slot in 0..self.state.len() {
-            if self.state[slot] != 0 {
-                continue; // stale already, or no route to cross the link
-            }
-            let off = self.offs[slot] as usize;
-            let len = self.lens[slot] as usize;
-            if self.links[off..off + len].contains(&link) {
-                self.state[slot] |= STALE_BIT;
-                evicted += 1;
-            }
-        }
-        evicted
+        self.invalidate_where(|_, path| path.is_some_and(|p| p.contains(&link)))
     }
 
     /// Marks every cached route with `node` as an endpoint or crossing any
@@ -195,17 +177,20 @@ impl PathCache {
     /// evicted.
     pub fn invalidate_node(&mut self, node: usize, incident: &[LinkId]) -> usize {
         let node = node as u32;
+        self.invalidate_where(|(src, dst), path| {
+            let crosses = |p: &[LinkId]| p.iter().any(|l| incident.contains(l));
+            src == node || dst == node || path.is_some_and(crosses)
+        })
+    }
+
+    /// Marks stale every fresh slot whose pair and route `touches` accepts.
+    fn invalidate_where(
+        &mut self,
+        touches: impl Fn((u32, u32), Option<&[LinkId]>) -> bool,
+    ) -> usize {
         let mut evicted = 0;
-        for (slot, &(src, dst)) in self.pairs.iter().enumerate() {
-            if self.state[slot] & STALE_BIT != 0 {
-                continue;
-            }
-            let touches = src == node
-                || dst == node
-                || self
-                    .path(slot)
-                    .is_some_and(|p| p.iter().any(|l| incident.contains(l)));
-            if touches {
+        for slot in 0..self.pairs.len() {
+            if self.state[slot] & STALE_BIT == 0 && touches(self.pairs[slot], self.path(slot)) {
                 self.state[slot] |= STALE_BIT;
                 evicted += 1;
             }
@@ -244,18 +229,6 @@ impl PathCache {
         }
         let off = self.offs[slot] as usize;
         Some(&self.links[off..off + self.lens[slot] as usize])
-    }
-
-    /// True if the slot's entry must be re-derived before use.
-    #[inline]
-    fn is_stale(&self, slot: usize) -> bool {
-        self.state[slot] & STALE_BIT != 0
-    }
-
-    /// Marks one slot stale: a single indexed store.
-    #[inline]
-    fn mark_stale(&mut self, slot: usize) {
-        self.state[slot] |= STALE_BIT;
     }
 
     /// Appends a new slot for `pair` holding `route`.
@@ -321,30 +294,56 @@ impl PathCache {
             }
         }
     }
+}
 
-    /// Resolves every flow's pair (computing missing routes, in parallel
-    /// when there are many) and returns each flow's cache slot. Stale
-    /// entries count as misses and are recomputed from the fabric's
-    /// primary routing.
-    fn index_flows(
-        &mut self,
+/// Resolved routes for one run: an optional immutable base cache plus the
+/// cache this run may extend.
+///
+/// Slots below `base_len` index into `base`; slots at or above it index
+/// into `own`. With a caller-owned cache there is no base and every pair
+/// lands in the caller's cache; the snapshot path leaves the shared base
+/// untouched and resolves strictly-new pairs into a run-private `own`,
+/// which is what lets many concurrent runs read one warm cache without
+/// cloning or locking it. Nothing is written after indexing: fault-era
+/// detours live in the run's own route arena, never in either cache.
+struct RouteView<'a> {
+    base: Option<&'a PathCache>,
+    base_len: usize,
+    own: &'a PathCache,
+    slots: Vec<usize>,
+}
+
+impl<'a> RouteView<'a> {
+    /// Resolves every flow's pair — a hit when `base` or `own` holds a
+    /// fresh entry, otherwise computed from the fabric's primary routing
+    /// into `own` (stale entries count as misses) — and records each
+    /// flow's slot.
+    fn index(
+        base: Option<&'a PathCache>,
+        own: &'a mut PathCache,
         fabric: &dyn Fabric,
         flows: &[Flow],
         obs: Option<&EngineObs>,
-    ) -> Vec<usize> {
+    ) -> Self {
+        let base_len = base.map_or(0, PathCache::slot_count);
+        let first_new = own.pairs.len();
         let mut slots = Vec::with_capacity(flows.len());
         let mut missing: Vec<(u32, u32)> = Vec::new();
         let mut refresh: Vec<u32> = Vec::new();
         let mut hits = 0u64;
-        let base = self.pairs.len();
         for f in flows {
             assert!(
                 f.src < fabric.nodes() && f.dst < fabric.nodes(),
                 "flow endpoints in range"
             );
-            let next = (base + missing.len()) as u32;
+            if let Some(slot) = base.and_then(|b| b.fresh_slot(f.src, f.dst)) {
+                hits += 1;
+                slots.push(slot);
+                continue;
+            }
+            let next = (first_new + missing.len()) as u32;
             let mut fresh = false;
-            let slot = *self
+            let slot = *own
                 .slot_of_pair
                 .entry(pair_key(f.src, f.dst))
                 .or_insert_with(|| {
@@ -356,136 +355,49 @@ impl PathCache {
                 let s = slot as usize;
                 // A slot allocated earlier in this same call has no state
                 // byte yet — it is being computed fresh below.
-                if s < self.state.len() && self.state[s] & STALE_BIT != 0 {
+                if s < own.state.len() && own.state[s] & STALE_BIT != 0 {
                     // Claim the refresh so a repeated pair is queued once.
-                    self.state[s] &= !STALE_BIT;
+                    own.state[s] &= !STALE_BIT;
                     refresh.push(slot);
                 } else {
                     hits += 1;
                 }
             }
-            slots.push(slot as usize);
+            slots.push(base_len + slot as usize);
         }
         if let Some(obs) = obs {
             obs.cache_hits.add(hits);
             obs.cache_misses.add((missing.len() + refresh.len()) as u64);
         }
-        let routed: Vec<Option<Vec<LinkId>>> = if missing.len() >= PAR_PATH_THRESHOLD {
-            hfast_par::par_map(missing.clone(), |(s, d)| {
-                fabric.path(s as usize, d as usize)
-            })
-        } else {
-            missing
-                .iter()
-                .map(|&(s, d)| fabric.path(s as usize, d as usize))
-                .collect()
-        };
-        for (&(s, d), path) in missing.iter().zip(&routed) {
-            self.push_slot(s, d, path.as_deref());
+        for (s, d) in missing {
+            let path = fabric.path(s as usize, d as usize);
+            own.push_slot(s, d, path.as_deref());
         }
         for slot in refresh {
-            let (s, d) = self.pairs[slot as usize];
+            let (s, d) = own.pairs[slot as usize];
             let path = fabric.path(s as usize, d as usize);
-            self.set_route(slot as usize, path.as_deref());
+            own.set_route(slot as usize, path.as_deref());
         }
-        slots
+        RouteView {
+            base,
+            base_len,
+            own,
+            slots,
+        }
     }
-}
 
-/// Resolved routes for one static run: an immutable base cache plus an
-/// optional local overlay for pairs the base did not cover.
-///
-/// Slots below `base_len` index into `base`; slots at or above it index
-/// into `extra`. The owned-cache path uses `extra: None` (every slot lands
-/// in the caller's cache); the snapshot path leaves the shared base
-/// untouched and resolves strictly-new pairs into a run-private overlay,
-/// which is what lets many concurrent runs read one warm cache without
-/// cloning or locking it.
-struct RouteView<'a> {
-    base: &'a PathCache,
-    base_len: usize,
-    extra: Option<PathCache>,
-    slots: Vec<usize>,
-}
-
-impl RouteView<'_> {
-    /// The route of flow `flow`, wherever its slot lives.
+    /// The cache and local slot behind a view slot.
     #[inline]
-    fn path(&self, flow: usize) -> Option<&[LinkId]> {
-        let slot = self.slots[flow];
-        if slot < self.base_len {
-            self.base.path(slot)
-        } else {
-            self.extra
-                .as_ref()
-                .expect("overlay slots require an overlay")
-                .path(slot - self.base_len)
+    fn locate(&self, slot: usize) -> (&PathCache, usize) {
+        match self.base {
+            Some(base) if slot < self.base_len => (base, slot),
+            _ => (self.own, slot - self.base_len),
         }
     }
-}
 
-/// Builds a [`RouteView`] over an immutable snapshot: pairs the snapshot
-/// covers (fresh entries) are hits; everything else is resolved into a
-/// run-private overlay, in parallel when there are many, exactly like
-/// [`PathCache::index_flows`].
-fn index_flows_layered<'a>(
-    base: &'a PathCache,
-    fabric: &dyn Fabric,
-    flows: &[Flow],
-    obs: Option<&EngineObs>,
-) -> RouteView<'a> {
-    let base_len = base.slot_count();
-    let mut extra = PathCache::new();
-    let mut slots = Vec::with_capacity(flows.len());
-    let mut missing: Vec<(u32, u32)> = Vec::new();
-    let mut hits = 0u64;
-    for f in flows {
-        assert!(
-            f.src < fabric.nodes() && f.dst < fabric.nodes(),
-            "flow endpoints in range"
-        );
-        if let Some(slot) = base.fresh_slot(f.src, f.dst) {
-            hits += 1;
-            slots.push(slot);
-            continue;
-        }
-        let next = missing.len() as u32;
-        let mut fresh = false;
-        let slot = *extra
-            .slot_of_pair
-            .entry(pair_key(f.src, f.dst))
-            .or_insert_with(|| {
-                missing.push((f.src as u32, f.dst as u32));
-                fresh = true;
-                next
-            });
-        if !fresh {
-            hits += 1;
-        }
-        slots.push(base_len + slot as usize);
-    }
-    if let Some(obs) = obs {
-        obs.cache_hits.add(hits);
-        obs.cache_misses.add(missing.len() as u64);
-    }
-    let routed: Vec<Option<Vec<LinkId>>> = if missing.len() >= PAR_PATH_THRESHOLD {
-        hfast_par::par_map(missing.clone(), |(s, d)| {
-            fabric.path(s as usize, d as usize)
-        })
-    } else {
-        missing
-            .iter()
-            .map(|&(s, d)| fabric.path(s as usize, d as usize))
-            .collect()
-    };
-    for (&(s, d), path) in missing.iter().zip(&routed) {
-        extra.push_slot(s, d, path.as_deref());
-    }
-    RouteView {
-        base,
-        base_len,
-        extra: Some(extra),
-        slots,
+    /// Number of view slots (the bound the run's slot tables are sized to).
+    fn slot_count(&self) -> usize {
+        self.base_len + self.own.slot_count()
     }
 }
 
@@ -496,10 +408,10 @@ pub struct FlowRecord {
     pub flow: usize,
     /// Injection time.
     pub start_ns: u64,
-    /// Delivery time (`None` if the fabric had no route or the flow was
-    /// abandoned).
+    /// Delivery time (`None` if the fabric had no route, the flow was
+    /// abandoned, or — credit mode only — it wedged behind full buffers).
     pub end_ns: Option<u64>,
-    /// Links traversed (of the delivering route).
+    /// Links traversed (of the delivering route; 0 if undelivered).
     pub hops: usize,
     /// Re-admissions this flow needed (0 in fault-free runs).
     pub retries: u32,
@@ -536,12 +448,14 @@ impl PartialEq for SimOutput {
 }
 
 /// How much work the event loop did and how fast it did it: the
-/// benchmark currency of the engine (`speedup/eventloop_*` in
-/// `BENCH_<tag>.json` is computed from these numbers).
+/// benchmark currency of the engine (`netsim.ns_per_event` in the repo
+/// benchmark is computed from these numbers).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LoopPerf {
-    /// Events the loop processed (hop arrivals, plus fault, sync,
-    /// repatch, and admission events on dynamic runs).
+    /// Events the loop processed: under ideal links one per header
+    /// arrival (a flow's admission is its first arrival); under credit
+    /// links one per admission and one per service completion; plus one
+    /// per fault, sync, and repatch event.
     pub events: u64,
     /// Wall-clock nanoseconds spent inside the event loop proper —
     /// excludes route resolution, table setup, and statistics
@@ -570,13 +484,55 @@ impl SimOutput {
             .as_deref()
             .expect("records require Simulation::detailed()")
     }
+
+    /// FNV-1a over every stats field, every per-flow record (detailed
+    /// runs), and the re-provisioning rounds: two runs with equal digests
+    /// produced byte-identical simulated results. `perf` is excluded. The
+    /// golden tests pin this value, so the mixing order is frozen.
+    pub fn digest(&self) -> u64 {
+        let s = &self.stats;
+        let stats = [
+            s.completed as u64,
+            s.unrouted as u64,
+            s.abandoned as u64,
+            s.total_retries,
+            s.delivered_bytes,
+            s.makespan_ns,
+            s.p50_latency_ns,
+            s.p95_latency_ns,
+            s.max_latency_ns,
+            s.avg_hops.to_bits(),
+            s.max_link_utilization.to_bits(),
+            s.throughput.to_bits(),
+        ];
+        let records = self.records.iter().flatten().flat_map(|r| {
+            let end = r.end_ns.unwrap_or(u64::MAX);
+            let (retries, abandoned) = (u64::from(r.retries), u64::from(r.abandoned));
+            [
+                r.flow as u64,
+                r.start_ns,
+                end,
+                r.hops as u64,
+                retries,
+                abandoned,
+            ]
+        });
+        let rounds = std::iter::once(self.reprovisions.len() as u64).chain(
+            self.reprovisions
+                .iter()
+                .map(|step| format!("{step:?}").len() as u64),
+        );
+        (stats.into_iter().chain(records).chain(rounds)).fold(0xcbf29ce484222325, |h, v| {
+            (h ^ v).wrapping_mul(0x100000001b3)
+        })
+    }
 }
 
-/// Worker count for the static loop's lookahead windows: an explicitly
-/// set `HFAST_THREADS` wins; unset (or 1) keeps the plain sequential
-/// loop. Unlike [`hfast_par::thread_count`] this does **not** fall back
-/// to the machine's available parallelism — windowed execution is an
-/// opt-in, so default runs stay on the fastest single-thread path.
+/// Worker count for the lookahead-window executor: an explicitly set
+/// `HFAST_THREADS` wins; unset (or 1) keeps the plain sequential loop.
+/// Unlike [`hfast_par::thread_count`] this does **not** fall back to the
+/// machine's available parallelism — windowed execution is an opt-in, so
+/// default runs stay on the fastest single-thread path.
 fn engine_threads() -> usize {
     std::env::var("HFAST_THREADS")
         .ok()
@@ -585,16 +541,18 @@ fn engine_threads() -> usize {
         .max(1)
 }
 
-/// Builder for one simulation run — the single entry point for fault-free
-/// and fault-injected replays alike.
+/// Builder for one simulation run — the single entry point for every
+/// link model, with or without faults.
 ///
-/// Model: virtual cut-through. The message *header* advances hop by hop,
-/// paying each link's fixed latency and waiting where a link is busy; each
-/// link stays occupied for the message's serialization time from the moment
-/// the header enters it; the tail arrives one serialization time after the
-/// header clears the last link. Uncontended end-to-end latency is therefore
-/// `Σ latency + bytes/bandwidth` — pipelined, like real cut-through
-/// networks — while shared links still contend FIFO.
+/// Default model: virtual cut-through. The message *header* advances hop
+/// by hop, paying each link's fixed latency and waiting where a link is
+/// busy; each link stays occupied for the message's serialization time
+/// from the moment the header enters it; the tail arrives one
+/// serialization time after the header clears the last link. Uncontended
+/// end-to-end latency is therefore `Σ latency + bytes/bandwidth` —
+/// pipelined, like real cut-through networks — while shared links still
+/// contend FIFO. Simulated time saturates at `u64::MAX` instead of
+/// wrapping.
 ///
 /// ```
 /// use hfast_netsim::{engine::PathCache, Simulation, TorusFabric, traffic};
@@ -663,7 +621,9 @@ impl<'a> Simulation<'a> {
     }
 
     /// Reuses a caller-owned [`PathCache`] (valid across runs on the same
-    /// fabric; [`PathCache::clear`] it before switching fabrics).
+    /// fabric; [`PathCache::clear`] it before switching fabrics). The run
+    /// adds the primary route of every new pair and nothing else: detours
+    /// taken around faults stay private to the run.
     pub fn with_cache(mut self, cache: &'a mut PathCache) -> Self {
         self.cache = Some(cache);
         self
@@ -678,8 +638,7 @@ impl<'a> Simulation<'a> {
     /// rescan a fresh private cache forces on every run.
     ///
     /// The snapshot must describe the same fabric. [`with_cache`] takes
-    /// precedence when both are set; fault runs, which rewrite routes
-    /// mid-flight, seed their private cache from a clone of the snapshot.
+    /// precedence when both are set.
     ///
     /// Results are bit-identical to a run with a private cache (asserted
     /// by property tests).
@@ -727,26 +686,33 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Executes the static loop's conservative lookahead windows on
-    /// `threads` workers (overriding `HFAST_THREADS`). `1` is the plain
-    /// sequential loop. Results are byte-identical for every thread count
-    /// — the windowed executor preserves the `(time_ns, class, seq)`
-    /// total order (property-tested) — so this only trades wall-clock
-    /// for cores. Fault runs are always sequential.
+    /// Executes conservative lookahead windows on `threads` workers
+    /// (overriding `HFAST_THREADS`). `1` is the plain sequential loop.
+    /// Results are byte-identical for every thread count — the windowed
+    /// executor preserves the `(time, push order)` total order
+    /// (property-tested) — so this only trades wall-clock for cores. The
+    /// windows need ideal links whose state no control event can change
+    /// under them: runs with a non-empty fault plan or credit flow
+    /// control are always sequential.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
     }
 
     /// Selects the link model (see [`crate::congestion`]).
-    /// [`CongestionMode::Ideal`](crate::CongestionMode::Ideal) — the
-    /// default — leaves every existing code path untouched, so outputs
-    /// are byte-identical to a builder that never mentions congestion.
-    /// [`CongestionMode::Credit`](crate::CongestionMode::Credit) routes
-    /// the run through the credit-based flow-control loop: finite
-    /// per-link buffers, head-of-line blocking, congestion trees. Credit
-    /// runs are strictly sequential (thread settings are ignored) and do
-    /// not model mid-run re-provisioning.
+    /// [`CongestionMode::Ideal`] — the default — is virtual cut-through
+    /// over ideal FIFO links. [`CongestionMode::Credit`] swaps in
+    /// credit-based flow control: finite per-link buffers, head-of-line
+    /// blocking, congestion trees. The model is the only thing that
+    /// changes: the same driver runs both, so credit runs honour
+    /// [`with_faults`], [`with_reprovision`], [`with_cache`] /
+    /// [`with_snapshot`], and every observability hook exactly like ideal
+    /// runs.
+    ///
+    /// [`with_faults`]: Simulation::with_faults
+    /// [`with_reprovision`]: Simulation::with_reprovision
+    /// [`with_cache`]: Simulation::with_cache
+    /// [`with_snapshot`]: Simulation::with_snapshot
     pub fn with_congestion(mut self, config: CreditConfig) -> Self {
         self.congestion = config;
         self
@@ -776,108 +742,156 @@ impl<'a> Simulation<'a> {
         let obs = self
             .obs
             .or_else(|| hfast_obs::enabled().then(crate::obs::global));
-        if self.congestion.mode == crate::congestion::CongestionMode::Credit {
-            let (stats, records, perf) = crate::congestion::run_credit(
-                self.fabric,
-                flows,
-                self.congestion.credits,
-                self.faults.filter(|p| !p.is_empty()),
-                self.retry,
+        let mut overlay = PathCache::new();
+        let (base, own) = match (self.cache, self.snapshot) {
+            (Some(cache), _) => (None, cache),
+            (None, snapshot) => (snapshot, &mut overlay),
+        };
+        let routes = RouteView::index(base, own, self.fabric, flows, obs);
+        let (stats, records, reprovisions, perf) = launch(&Setup {
+            fabric: self.fabric,
+            flows,
+            routes: &routes,
+            plan: self.faults.map_or(&[], FaultPlan::events),
+            retry: self.retry,
+            interval: self.reprovision_interval_ns,
+            threads: self.threads.unwrap_or_else(engine_threads),
+            probe: Instruments {
                 obs,
-                self.trace,
-            );
-            return SimOutput {
-                stats,
-                records: self.detailed.then_some(records),
-                reprovisions: Vec::new(),
-                perf,
-            };
-        }
-        let threads = self.threads.unwrap_or_else(engine_threads);
-        match self.faults {
-            Some(plan) if !plan.is_empty() => {
-                // The dynamic loop rewrites routes in place (detours,
-                // invalidations), so a shared snapshot cannot back it
-                // directly — clone it into the run-private cache instead,
-                // which still saves the cold resolution work.
-                let mut own_cache;
-                let cache = match self.cache {
-                    Some(c) => c,
-                    None => {
-                        own_cache = self.snapshot.cloned().unwrap_or_default();
-                        &mut own_cache
-                    }
-                };
-                let dyn_run = FaultRun {
-                    fabric: self.fabric,
-                    plan,
-                    retry: self.retry,
-                    reprovision_interval_ns: self.reprovision_interval_ns,
-                    trace: self.trace,
-                };
-                let (stats, records, reprovisions, perf) = dyn_run.run(flows, cache, obs);
-                SimOutput {
-                    stats,
-                    records: self.detailed.then_some(records),
-                    reprovisions,
-                    perf,
-                }
-            }
-            _ => {
-                let mut own_cache;
-                let routes = match (self.cache, self.snapshot) {
-                    (Some(cache), _) => {
-                        let slots = cache.index_flows(self.fabric, flows, obs);
-                        let base_len = cache.slot_count();
-                        RouteView {
-                            base: cache,
-                            base_len,
-                            extra: None,
-                            slots,
-                        }
-                    }
-                    (None, Some(snap)) => index_flows_layered(snap, self.fabric, flows, obs),
-                    (None, None) => {
-                        own_cache = PathCache::new();
-                        let slots = own_cache.index_flows(self.fabric, flows, obs);
-                        let base_len = own_cache.slot_count();
-                        RouteView {
-                            base: &own_cache,
-                            base_len,
-                            extra: None,
-                            slots,
-                        }
-                    }
-                };
-                let (stats, records, perf) =
-                    run_event_loop(self.fabric, flows, &routes, obs, self.trace, threads);
-                SimOutput {
-                    stats,
-                    records: self.detailed.then_some(records),
-                    reprovisions: Vec::new(),
-                    perf,
-                }
-            }
+                trace: self.trace,
+            },
+            congestion: self.congestion,
+        });
+        SimOutput {
+            stats,
+            records: self.detailed.then_some(records),
+            reprovisions,
+            perf,
         }
     }
 }
 
-/// Sentinel in the flattened per-flow route table: this flow has no route.
-const UNROUTED: u32 = u32::MAX;
+/// What [`Simulation::run`] hands the driver.
+struct Setup<'a> {
+    fabric: &'a dyn Fabric,
+    flows: &'a [Flow],
+    routes: &'a RouteView<'a>,
+    plan: &'a [FaultEvent],
+    retry: RetryPolicy,
+    interval: Option<u64>,
+    threads: usize,
+    probe: Instruments<'a>,
+    congestion: CreditConfig,
+}
 
-/// Sentinel in the flat delivery-time column: not delivered.
-const NO_END: u64 = u64::MAX;
+type Output = (RunStats, Vec<FlowRecord>, Vec<ReconfigStep>, LoopPerf);
+
+/// Picks the driver's type parameters from what the run can observe —
+/// link-id range, bandwidth and payload uniformity, attached
+/// instruments, link model — then builds and runs it. Every combination
+/// executes the same [`Driver`] code; the parameters only decide what
+/// the compiler can fold away.
+fn launch(s: &Setup<'_>) -> Output {
+    // Per-link spec table: one virtual call per link, up front.
+    let link_count = s.fabric.link_count();
+    let mut links: Vec<LinkHot> = Vec::with_capacity(link_count);
+    let mut uniform_bw = link_count > 0;
+    for id in 0..link_count {
+        let spec = s.fabric.link(id);
+        let bw_bits = spec.bandwidth.to_bits();
+        debug_assert!(bw_bits & DOWN_BIT == 0, "bandwidths are positive");
+        uniform_bw &= id == 0 || bw_bits == links[0].bw_bits;
+        links.push(LinkHot {
+            free_at: 0,
+            busy_ns: 0,
+            lat: spec.latency_ns,
+            bw_bits,
+        });
+    }
+    // Narrow arena cells whenever link ids fit: the route arena is the
+    // loop's largest random working set, and halving it is a straight
+    // cache-footprint win.
+    if link_count < <u16 as ArenaEntry>::MAX_LINKS {
+        pick_ser::<u16>(s, links, uniform_bw)
+    } else {
+        pick_ser::<u32>(s, links, uniform_bw)
+    }
+}
+
+/// Cheapest viable serialization lookup first: one scalar when every
+/// link has the same bandwidth and every flow the same payload, the
+/// per-flow memo otherwise.
+fn pick_ser<E: ArenaEntry>(s: &Setup<'_>, links: Vec<LinkHot>, uniform_bw: bool) -> Output {
+    match s.flows.first() {
+        Some(first) if uniform_bw && s.flows.iter().all(|f| f.bytes == first.bytes) => {
+            let ser = ScalarSer(serialize(links[0].bw_bits, first.bytes));
+            pick_probe::<E, _>(s, links, ser)
+        }
+        _ => {
+            let memo = vec![(u64::MAX, 0); s.flows.len()];
+            pick_probe::<E, _>(s, links, MemoSer(s.flows, memo))
+        }
+    }
+}
+
+fn pick_probe<E: ArenaEntry, S: Ser>(s: &Setup<'_>, links: Vec<LinkHot>, ser: S) -> Output {
+    match s.probe {
+        Instruments {
+            obs: None,
+            trace: None,
+        } => pick_model::<E, S, ()>(s, links, ser, ()),
+        probe => pick_model::<E, S, _>(s, links, ser, probe),
+    }
+}
+
+fn pick_model<E: ArenaEntry, S: Ser, P: Probe>(
+    s: &Setup<'_>,
+    links: Vec<LinkHot>,
+    ser: S,
+    probe: P,
+) -> Output {
+    match s.congestion.mode {
+        CongestionMode::Ideal => {
+            let d = Driver::<E, S, P, _>::new(s, links, ser, probe, IdealFifo);
+            // Lookahead windows replay each link's FIFO off the event
+            // loop, so they need links no control event or credit stall
+            // can touch mid-batch: ideal model, empty plan.
+            if s.threads > 1 && s.plan.is_empty() {
+                d.execute(|d| d.run_windows(s.threads))
+            } else {
+                d.execute(Driver::run)
+            }
+        }
+        CongestionMode::Credit => {
+            let model = CreditBuffers::new(s.congestion.credits, links.len(), s.flows.len());
+            Driver::<E, S, P, _>::new(s, links, ser, probe, model).execute(Driver::run)
+        }
+    }
+}
+
+/// Queue tag of a (re-)admission: the flow has no position in the fabric
+/// yet and its route is resolved when the event fires. Every other tag
+/// belongs to the link model.
+pub(crate) const ADMIT: u32 = u32::MAX;
+
+/// Run-private per-slot route state. Fresh slots have no bits set.
+/// [`STALE_BIT`] / [`NOROUTE_BIT`] mean what they mean in [`PathCache`];
+/// `DIRTY` marks a detour resolved while something was down (re-derived
+/// after the next repatch, when the primary may be back); `UNSEEN` marks
+/// a cache slot none of this run's flows use.
+const DIRTY_BIT: u8 = 4;
+const UNSEEN_BIT: u8 = 8;
 
 /// A route-arena cell: a link id with the entry's high bit flagging the
 /// route's final hop. Lets flow events carry a bare arena index — the loop
 /// learns both the link and whether the flow delivers from one load.
 ///
-/// Two widths exist because the arena is the static loop's biggest random
+/// Two widths exist because the arena is the loop's biggest random
 /// working set: fabrics with < 2^15 links (every suite benched here) halve
 /// their arena-cache footprint with `u16` cells, while bigger fabrics fall
-/// back to `u32`. The loops are generic over the cell, so both widths run
+/// back to `u32`. The driver is generic over the cell, so both widths run
 /// identical event math.
-trait ArenaEntry: Copy + Send + Sync + 'static {
+pub(crate) trait ArenaEntry: Copy + Send + Sync + 'static {
     /// Largest representable link id (the flag claims the top bit).
     const MAX_LINKS: usize;
     fn from_link(link: usize) -> Self;
@@ -887,81 +901,68 @@ trait ArenaEntry: Copy + Send + Sync + 'static {
     fn is_last(self) -> bool;
 }
 
-impl ArenaEntry for u16 {
-    const MAX_LINKS: usize = 1 << 15;
-    #[inline(always)]
-    fn from_link(link: usize) -> Self {
-        link as u16
-    }
-    #[inline(always)]
-    fn mark_last(&mut self) {
-        *self |= 1 << 15;
-    }
-    #[inline(always)]
-    fn link(self) -> usize {
-        (self & !(1 << 15)) as usize
-    }
-    #[inline(always)]
-    fn is_last(self) -> bool {
-        self & (1 << 15) != 0
-    }
+macro_rules! arena_entry {
+    ($cell:ty, $flag:expr) => {
+        impl ArenaEntry for $cell {
+            const MAX_LINKS: usize = 1 << $flag;
+            #[inline(always)]
+            fn from_link(link: usize) -> Self {
+                link as $cell
+            }
+            #[inline(always)]
+            fn mark_last(&mut self) {
+                *self |= 1 << $flag;
+            }
+            #[inline(always)]
+            fn link(self) -> usize {
+                (self & !(1 << $flag)) as usize
+            }
+            #[inline(always)]
+            fn is_last(self) -> bool {
+                self & (1 << $flag) != 0
+            }
+        }
+    };
 }
-
-impl ArenaEntry for u32 {
-    const MAX_LINKS: usize = 1 << 31;
-    #[inline(always)]
-    fn from_link(link: usize) -> Self {
-        link as u32
-    }
-    #[inline(always)]
-    fn mark_last(&mut self) {
-        *self |= 1 << 31;
-    }
-    #[inline(always)]
-    fn link(self) -> usize {
-        (self & !(1 << 31)) as usize
-    }
-    #[inline(always)]
-    fn is_last(self) -> bool {
-        self & (1 << 31) != 0
-    }
-}
-
-/// How the static loop resolves per-event serialization times; picked
-/// once per run, cheapest viable representation first (see
-/// [`run_event_loop`]).
-enum SerMode {
-    /// Uniform bandwidth and payload: one scalar, zero per-event lookups.
-    Scalar(u64),
-    /// Uniform bandwidth, varying payloads: a flat per-flow table.
-    Table(Vec<u64>),
-    /// Mixed bandwidths: per-flow memo in [`FlowHot`], recomputed when a
-    /// flow crosses a differently-provisioned link.
-    Memo,
-}
+arena_entry!(u16, 15);
+arena_entry!(u32, 31);
 
 /// Per-link hot state: everything an event touches about its link, packed
-/// so one claim is one cache line instead of four (`free_at` / `busy` /
-/// `lat` / `bw` used to live in four parallel `Vec`s).
+/// into 32 bytes so one claim is one cache line.
 #[derive(Clone, Copy)]
-struct LinkHot {
+pub(crate) struct LinkHot {
     free_at: u64,
-    busy_ns: u64,
-    lat: u64,
-    bw_bits: u64,
+    pub(crate) busy_ns: u64,
+    pub(crate) lat: u64,
+    /// The bandwidth's `f64` bits. A bandwidth is never negative, so the
+    /// sign bit ([`DOWN_BIT`]) carries the link's down flag: the one
+    /// fault-run datum every event must check rides on the line the
+    /// claim loads anyway.
+    pub(crate) bw_bits: u64,
 }
 
-/// Per-flow hot state: the route length (for the post-loop records pass)
-/// plus the memoized serialization time. `bw_bits` caches the bandwidth
-/// the memo was computed for; links share a handful of bandwidths, so the
-/// `bytes / bandwidth` division runs once per flow, not per hop (and on
-/// uniform-bandwidth fabrics the loop never touches this struct at all —
-/// see [`SerMode`]).
-#[derive(Clone, Copy)]
-struct FlowHot {
-    len: u32,
-    bw_bits: u64,
-    ser: u64,
+const DOWN_BIT: u64 = 1 << 63;
+
+impl LinkHot {
+    #[inline(always)]
+    pub(crate) fn is_down(&self) -> bool {
+        self.bw_bits & DOWN_BIT != 0
+    }
+
+    fn set_down(&mut self, down: bool) {
+        self.bw_bits = (self.bw_bits & !DOWN_BIT) | if down { DOWN_BIT } else { 0 };
+    }
+}
+
+/// The virtual cut-through link claim — the only place a link's FIFO
+/// horizon moves. A header arriving at `t` starts crossing when the link
+/// frees up and holds it for the message's serialization time. Returns
+/// the start time.
+#[inline(always)]
+fn claim(free_at: &mut u64, t: u64, ser: u64) -> u64 {
+    let start = t.max(*free_at);
+    *free_at = start.saturating_add(ser);
+    start
 }
 
 #[inline]
@@ -973,625 +974,985 @@ fn serialize(bw_bits: u64, bytes: u64) -> u64 {
     .serialize_ns(bytes)
 }
 
-/// The static event loop shared by every fault-free run configuration.
+/// How the loop finds an event's serialization time. A type parameter so
+/// the cheap representations cost nothing per event: under a scalar the
+/// ideal loop body compiles down to the merged pop, one arena load, one
+/// link claim, and one push, with no per-flow memory traffic at all.
+pub(crate) trait Ser: Sync {
+    /// Serialization time of `flow` on a link of bandwidth `bw_bits`,
+    /// without touching any memo (callable from parallel workers).
+    fn peek(&self, flow: u32, bw_bits: u64) -> u64;
+
+    #[inline(always)]
+    fn of(&mut self, flow: u32, bw_bits: u64) -> u64 {
+        self.peek(flow, bw_bits)
+    }
+}
+
+/// Uniform bandwidth and payload: one scalar, zero per-event lookups.
+struct ScalarSer(u64);
+
+impl Ser for ScalarSer {
+    #[inline(always)]
+    fn peek(&self, _: u32, _: u64) -> u64 {
+        self.0
+    }
+}
+
+/// Mixed bandwidths or payloads: a per-flow `(bw_bits, ser)` memo. Links
+/// share a handful of bandwidths, so the `bytes / bandwidth` division
+/// runs when a flow crosses onto a differently-provisioned link, not per
+/// hop.
+struct MemoSer<'a>(&'a [Flow], Vec<(u64, u64)>);
+
+impl Ser for MemoSer<'_> {
+    #[inline(always)]
+    fn peek(&self, flow: u32, bw_bits: u64) -> u64 {
+        match self.1[flow as usize] {
+            (bw, ser) if bw == bw_bits => ser,
+            _ => serialize(bw_bits, self.0[flow as usize].bytes),
+        }
+    }
+
+    #[inline(always)]
+    fn of(&mut self, flow: u32, bw_bits: u64) -> u64 {
+        let ser = self.peek(flow, bw_bits);
+        self.1[flow as usize] = (bw_bits, ser);
+        ser
+    }
+}
+
+/// What a run reports to the outside while it executes. A type parameter,
+/// not a copy of the loop: `()` compiles every hook away, [`Instruments`]
+/// forwards to the attached [`EngineObs`] and [`TraceRecorder`]. Probes
+/// are strictly write-only — nothing the driver decides reads one — so an
+/// instrumented run returns bit-identical results (property-tested).
+pub(crate) trait Probe {
+    fn obs(&self) -> Option<&EngineObs>;
+    fn trace(&self) -> Option<&TraceRecorder>;
+    /// An instant annotation (fault, kill, retry, sync point) at `t` on
+    /// `track`, parented to span `parent` (0 for none).
+    fn instant(
+        &self,
+        track: Track,
+        name: &'static str,
+        t: u64,
+        parent: u64,
+        fields: &[(&'static str, u64)],
+    );
+    /// `flow` occupies `link` for `ser` ns from `start`, having waited
+    /// `wait` ns for it.
+    fn hop(&self, link: usize, flow: u32, wait: u64, start: u64, ser: u64);
+    /// Events still pending after the one being processed.
+    fn pending(&self, events: usize);
+}
+
+impl Probe for () {
+    #[inline(always)]
+    fn obs(&self) -> Option<&EngineObs> {
+        None
+    }
+    #[inline(always)]
+    fn trace(&self) -> Option<&TraceRecorder> {
+        None
+    }
+    #[inline(always)]
+    fn instant(&self, _: Track, _: &'static str, _: u64, _: u64, _: &[(&'static str, u64)]) {}
+    #[inline(always)]
+    fn hop(&self, _: usize, _: u32, _: u64, _: u64, _: u64) {}
+    #[inline(always)]
+    fn pending(&self, _: usize) {}
+}
+
+/// The instruments a [`Simulation`] can attach.
+#[derive(Clone, Copy)]
+struct Instruments<'a> {
+    obs: Option<&'a EngineObs>,
+    trace: Option<&'a TraceRecorder>,
+}
+
+impl Probe for Instruments<'_> {
+    fn obs(&self) -> Option<&EngineObs> {
+        self.obs
+    }
+    fn trace(&self) -> Option<&TraceRecorder> {
+        self.trace
+    }
+    fn instant(
+        &self,
+        track: Track,
+        name: &'static str,
+        t: u64,
+        parent: u64,
+        fields: &[(&'static str, u64)],
+    ) {
+        if let Some(tr) = self.trace {
+            tr.record_span(track, name, t, 0, 0, parent, fields.to_vec());
+        }
+    }
+    fn hop(&self, link: usize, flow: u32, wait: u64, start: u64, ser: u64) {
+        if let Some(obs) = self.obs {
+            obs.queue_wait_ns.record(wait);
+            obs.link_busy(start, ser, link);
+        }
+        if let Some(tr) = self.trace {
+            tr.record_span(
+                Track::Link(link),
+                "hop",
+                start,
+                ser,
+                0,
+                engine_span_id(u64::from(flow) + 1),
+                vec![("wait", wait), ("flow", u64::from(flow))],
+            );
+        }
+    }
+    fn pending(&self, events: usize) {
+        if let Some(obs) = self.obs {
+            obs.queue_occupancy.record(events as u64);
+        }
+    }
+}
+
+/// The seam between the driver and the fabric's links: what happens when
+/// a flow meets a link. The driver owns time, routes, faults, retries,
+/// and records, and its shared code does not know which model it runs; a
+/// model owns only per-link occupancy (the driver's `model` field) and
+/// schedules its own events through the driver's queue (any tag but
+/// [`ADMIT`]). Implemented for the driver instantiated with each model's
+/// state, so model code reaches the arena, links, queue, and probe through
+/// `self`.
+pub(crate) trait LinkModel {
+    /// True if injecting a flow is the same as firing its first event
+    /// with the route's first arena index as the tag. Fault-free seeds
+    /// then carry that index directly and never pass through
+    /// [`Driver::admit`].
+    const ADMIT_IS_EVENT: bool;
+
+    /// `flow` enters the network at `t` on the route starting at arena
+    /// index `idx` (non-empty, every link up).
+    fn inject(&mut self, t: u64, flow: u32, idx: u32);
+
+    /// An event this model scheduled fires.
+    fn event(&mut self, ev: Ev);
+
+    /// `link` just went down at `t` (its [`LinkHot::is_down`] is already
+    /// set). Nothing is told about recoveries: a link comes back empty.
+    fn link_down(&mut self, link: LinkId, t: u64);
+}
+
+/// Ideal FIFO links under virtual cut-through: one event per header
+/// arrival (`tag` = arena index of the link reached), no state beyond
+/// [`LinkHot`].
+pub(crate) struct IdealFifo;
+
+impl TieClass for IdealFifo {
+    #[inline(always)]
+    fn class(_: u32) -> u8 {
+        0
+    }
+}
+
+impl<E: ArenaEntry, S: Ser, P: Probe> LinkModel for Driver<'_, E, S, P, IdealFifo> {
+    const ADMIT_IS_EVENT: bool = true;
+
+    #[inline(always)]
+    fn inject(&mut self, t: u64, flow: u32, idx: u32) {
+        self.event(Ev { t, flow, tag: idx });
+    }
+
+    #[inline(always)]
+    fn event(&mut self, ev: Ev) {
+        let cell = self.arena[ev.tag as usize];
+        let lh = &mut self.links[cell.link()];
+        if lh.is_down() {
+            // Lazy kill: the header met a dead link.
+            return self.kill(ev.t, ev.flow, ev.tag);
+        }
+        let ser = self.ser.of(ev.flow, lh.bw_bits);
+        let start = claim(&mut lh.free_at, ev.t, ser);
+        self.cross(ev, cell, start, ser);
+    }
+
+    /// Nothing to do: flows in flight discover the outage when their
+    /// header reaches the link.
+    #[inline(always)]
+    fn link_down(&mut self, _: LinkId, _: u64) {}
+}
+
+/// The side schedule of control events — fault-plan entries, sync points,
+/// repatch completions — and the fabric health they act on.
 ///
-/// Setup interns everything the per-event work touches into dense per-run
-/// tables: each distinct route slot is flattened once into one link arena
-/// of [`ArenaEntry`] cells (`u16` when the fabric's link ids fit, `u32`
-/// otherwise), per-link specs land in [`LinkHot`] (one virtual
-/// [`Fabric::link`] call per link per run instead of per event), and
-/// per-flow route spans and serialization memos in [`FlowHot`].
+/// Control events never enter the flow queue. At equal timestamps they
+/// run before any flow traffic ("state before traffic": a flow admitted
+/// at the instant of a failure already sees it), faults first, then a
+/// pending repatch, then a pending sync point — the order the class byte
+/// on every queue entry used to encode. With an empty plan nothing is
+/// ever due and the driver's loop never leaves its flow path.
+struct Control<'a> {
+    plan: &'a [FaultEvent],
+    /// Next unapplied plan entry.
+    pos: usize,
+    /// The one outstanding sync point or repatch: a failure books a sync
+    /// only while none is pending, a sync turns into its repatch, and a
+    /// finished repatch books the next sync if circuits failed meanwhile.
+    pending: Option<(u64, Pending)>,
+    fault: FaultState,
+    /// Sync-point spacing; `None` disables mid-run re-provisioning.
+    interval: Option<u64>,
+    reprovisions: Vec<ReconfigStep>,
+    /// Distinct pairs with byte weights, for circuit-coverage snapshots
+    /// around each re-provisioning round (built at the first sync point).
+    pair_weight: Option<Vec<((usize, usize), u64)>>,
+}
+
+enum Pending {
+    Sync,
+    /// The batch of failed circuits being repatched and the circuit
+    /// coverage when the batch was taken.
+    Repatch(Vec<LinkId>, f64),
+}
+
+impl Control<'_> {
+    /// When the next control event is due; `u64::MAX` if there is none.
+    fn next_time(&self) -> u64 {
+        let fault = self.plan.get(self.pos).map_or(u64::MAX, |fe| fe.time_ns);
+        self.pending.as_ref().map_or(fault, |&(t, _)| t.min(fault))
+    }
+
+    fn has_next(&self) -> bool {
+        self.pos < self.plan.len() || self.pending.is_some()
+    }
+
+    /// Byte-weighted share of pairs that currently have a route.
+    fn coverage(&mut self, fabric: &dyn Fabric, flows: &[Flow]) -> f64 {
+        let weights = self.pair_weight.get_or_insert_with(|| {
+            let mut acc = std::collections::BTreeMap::new();
+            for f in flows {
+                let w = acc.entry((f.src, f.dst)).or_insert(0u64);
+                *w = w.saturating_add(f.bytes);
+            }
+            acc.into_iter().collect()
+        });
+        // u128 totals: a sum of u64 weights cannot overflow them.
+        let (mut covered, mut total) = (0u128, 0u128);
+        for &((s, d), w) in weights.iter() {
+            total += u128::from(w);
+            if fabric.path_avoiding(s, d, &self.fault).is_some() {
+                covered += u128::from(w);
+            }
+        }
+        if total == 0 {
+            1.0
+        } else {
+            covered as f64 / total as f64
+        }
+    }
+}
+
+/// Outcome of one route resolution under the current fault state.
+enum Resolution {
+    /// A live route (possibly a detour): arena offset and length.
+    Route(u32, u32),
+    /// The healthy topology has no route for this pair; never retried.
+    Unreachable,
+    /// Everything is blocked by active faults; worth retrying.
+    Blocked,
+}
+
+/// The one event loop.
+///
+/// The driver owns everything every kind of run shares — the merged
+/// seed/queue pop, the control schedule, route resolution, retry and
+/// abandon, per-flow records, and the stats/obs/trace epilogue — and
+/// meets the fabric's links only through [`LinkModel`].
+///
+/// Setup interns everything the per-event work touches into dense
+/// per-run tables: each distinct route slot is flattened once into one
+/// link arena of [`ArenaEntry`] cells, per-link specs land in
+/// [`LinkHot`] (one virtual [`Fabric::link`] call per link per run
+/// instead of per event), and detours found mid-run append to the same
+/// arena, so a flow's position is always one arena index.
 ///
 /// Seed admissions are **not** enqueued: they are sorted once into a flat
-/// `(start_ns, flow)` array and merged with the calendar queue at pop
-/// time, with seeds winning timestamp ties — exactly the order the old
-/// code produced by pushing every seed first (seeds held the lowest
-/// sequence numbers). This keeps the queue's live set at the number of
-/// in-flight flows (typically hundreds) instead of the total flow count
-/// (tens of thousands), which is the difference between the hot path
-/// living in L1 and every queue operation missing to L3.
-///
-/// Observability is strictly read-from: `obs` never influences event
-/// ordering or timing, so an instrumented run returns bit-identical
-/// results (asserted by property tests).
-///
-/// `threads > 1` executes conservative lookahead windows in parallel; see
-/// [`run_windows`] for the determinism argument.
-fn run_event_loop(
-    fabric: &dyn Fabric,
-    flows: &[Flow],
-    routes: &RouteView<'_>,
-    obs: Option<&EngineObs>,
-    trace: Option<&TraceRecorder>,
-    threads: usize,
-) -> (RunStats, Vec<FlowRecord>, LoopPerf) {
-    let link_count = fabric.link_count();
-
-    // Per-link spec table: one virtual call per link, up front.
-    let mut links: Vec<LinkHot> = Vec::with_capacity(link_count);
-    let mut uniform_bw = true;
-    for id in 0..link_count {
-        let spec = fabric.link(id);
-        let bw_bits = spec.bandwidth.to_bits();
-        uniform_bw &= id == 0 || bw_bits == links[0].bw_bits;
-        links.push(LinkHot {
-            free_at: 0,
-            busy_ns: 0,
-            lat: spec.latency_ns,
-            bw_bits,
-        });
-    }
-
-    // Narrow arena cells whenever link ids fit: the route arena is the
-    // loop's largest random working set, and halving it is a straight
-    // cache-footprint win (the event math is identical — both widths are
-    // one monomorphization of the same generic code).
-    if link_count < <u16 as ArenaEntry>::MAX_LINKS {
-        run_static::<u16>(
-            fabric, flows, routes, obs, trace, threads, links, uniform_bw,
-        )
-    } else {
-        run_static::<u32>(
-            fabric, flows, routes, obs, trace, threads, links, uniform_bw,
-        )
-    }
+/// `(start_ns, flow, tag)` array and merged with the calendar queue at
+/// pop time, with seeds winning timestamp ties — exactly the order a
+/// single queue produces when every seed is pushed first. This keeps the
+/// queue's live set at the number of in-flight flows (typically hundreds)
+/// instead of the total flow count (tens of thousands), which is the
+/// difference between the hot path living in L1 and every queue
+/// operation missing to L3.
+pub(crate) struct Driver<'a, E, S, P, M> {
+    fabric: &'a dyn Fabric,
+    flows: &'a [Flow],
+    routes: &'a RouteView<'a>,
+    retry: RetryPolicy,
+    /// Flat route arena: every interned route's cells, concatenated.
+    pub(crate) arena: Vec<E>,
+    pub(crate) links: Vec<LinkHot>,
+    pub(crate) ser: S,
+    pub(crate) probe: P,
+    pub(crate) model: M,
+    pub(crate) q: CalendarQueue<M>,
+    /// Admissions as `(start, flow, tag)`, sorted; `seed_pos..` remain.
+    seeds: Vec<(u64, u32, u32)>,
+    seed_pos: usize,
+    events: u64,
+    // Per-flow record columns.
+    ends: Vec<Option<u64>>,
+    /// Arena span `(offset, length)` of the route the flow was last
+    /// admitted on.
+    route: Vec<(u32, u32)>,
+    retries: Vec<u32>,
+    abandoned: Vec<bool>,
+    /// When the flow first failed (kill or blocked admission).
+    first_fail: Vec<Option<u64>>,
+    // Per-slot route table: arena span and state bits of each view slot.
+    slot_span: Vec<(u32, u32)>,
+    slot_state: Vec<u8>,
+    /// Links whose down bit is set; zero lets admissions skip the
+    /// blocked-route scan.
+    down_links: usize,
+    ctl: Control<'a>,
+    /// Cached [`Control::next_time`].
+    ctl_t: u64,
 }
 
-/// The body of [`run_event_loop`], monomorphized per arena-cell width.
-#[allow(clippy::too_many_arguments)]
-fn run_static<E: ArenaEntry>(
-    fabric: &dyn Fabric,
-    flows: &[Flow],
-    routes: &RouteView<'_>,
-    obs: Option<&EngineObs>,
-    trace: Option<&TraceRecorder>,
-    threads: usize,
-    mut links: Vec<LinkHot>,
-    uniform_bw: bool,
-) -> (RunStats, Vec<FlowRecord>, LoopPerf) {
-    // Flatten each distinct route slot once into the link arena. Each
-    // cell is a link id with the last-hop flag set on a route's final
-    // link, so events carry a bare arena index and the loop never consults
-    // a per-flow route span.
-    debug_assert!(links.len() < E::MAX_LINKS, "link ids fit beside the flag");
-    let total_slots = routes.base_len + routes.extra.as_ref().map_or(0, PathCache::slot_count);
-    let mut slot_span: Vec<(u32, u32)> = vec![(0, 0); total_slots];
-    let mut slot_seen: Vec<bool> = vec![false; total_slots];
-    let mut route_links: Vec<E> = Vec::new();
-    let mut flow_hot: Vec<FlowHot> = Vec::with_capacity(flows.len());
-    // Delivery times, `NO_END` = undelivered; records are built from this
-    // flat column after the loop so the hot path writes 8 bytes per flow.
-    let mut ends: Vec<u64> = vec![NO_END; flows.len()];
-    // Routed admissions as (start, flow, arena offset), merged with the
-    // queue at pop time once sorted.
-    let mut seeds: Vec<(u64, u32, u32)> = Vec::with_capacity(flows.len());
-    let mut uniform_bytes = true;
-    let mut first_bytes = None;
-    for (i, f) in flows.iter().enumerate() {
-        let slot = routes.slots[i];
-        if !slot_seen[slot] {
-            slot_seen[slot] = true;
-            slot_span[slot] = match routes.path(i) {
-                Some(p) => {
-                    let off = route_links.len() as u32;
-                    route_links.extend(p.iter().map(|&l| E::from_link(l)));
-                    if !p.is_empty() {
-                        route_links.last_mut().expect("just extended").mark_last();
-                    }
-                    (off, p.len() as u32)
-                }
-                None => (0, UNROUTED),
-            };
-        }
-        let (off, len) = slot_span[slot];
-        flow_hot.push(FlowHot {
-            len,
-            bw_bits: u64::MAX,
-            ser: 0,
-        });
-        match len {
-            UNROUTED => {}
-            0 => ends[i] = f.start_ns, // self-delivery
-            _ => {
-                uniform_bytes &= *first_bytes.get_or_insert(f.bytes) == f.bytes;
-                seeds.push((f.start_ns, i as u32, off));
-            }
-        }
-    }
-    // (start, flow) order = the order the old code assigned seed sequence
-    // numbers in (flow order within a timestamp); the offset rides along
-    // without influencing it (it is a function of the flow).
-    seeds.sort_unstable();
-
-    // How the loop finds an event's serialization time, cheapest viable
-    // representation first: one scalar when every routed flow crosses
-    // identical-bandwidth links with identical payloads (no per-event
-    // flow lookup at all), a flat per-flow table under uniform bandwidth,
-    // and the per-flow bandwidth memo in [`FlowHot`] otherwise.
-    let ser_mode = if uniform_bw && !links.is_empty() {
-        match (uniform_bytes, first_bytes) {
-            (true, Some(b)) => SerMode::Scalar(serialize(links[0].bw_bits, b)),
-            _ => SerMode::Table(
-                flows
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| match flow_hot[i].len {
-                        0 | UNROUTED => 0,
-                        _ => serialize(links[0].bw_bits, f.bytes),
-                    })
-                    .collect(),
-            ),
-        }
-    } else {
-        SerMode::Memo
-    };
-
-    // The static loop schedules exactly one event class, so it uses the
-    // stable single-class queue: 16-byte entries, timestamp-only
-    // comparisons, push order standing in for sequence numbers.
-    let mut q = FlowQueue::with_hint(256, 1 << 12);
-
-    let mut n_events = 0u64;
-    let t_loop = std::time::Instant::now();
-    if threads <= 1 && obs.is_none() && trace.is_none() {
-        // The uninstrumented hot path, monomorphized per serialization
-        // mode: the closure inlines away, so the Scalar instantiation adds
-        // literally nothing per event beyond the merged pop, the arena
-        // load, the link claim, and the push. The
-        // `warm_cache_and_obs_runs_are_byte_identical` property test pins
-        // this specialization to the instrumented loop below.
-        n_events = match &ser_mode {
-            SerMode::Scalar(s) => {
-                let s = *s;
-                seq_lean(
-                    &mut q,
-                    &seeds,
-                    &route_links,
-                    &mut links,
-                    &mut ends,
-                    |_, _| s,
-                )
-            }
-            SerMode::Table(tab) => seq_lean(
-                &mut q,
-                &seeds,
-                &route_links,
-                &mut links,
-                &mut ends,
-                |flow, _| tab[flow as usize],
-            ),
-            SerMode::Memo => {
-                let flow_hot = &mut flow_hot;
-                seq_lean(
-                    &mut q,
-                    &seeds,
-                    &route_links,
-                    &mut links,
-                    &mut ends,
-                    |flow, bw_bits| {
-                        let fi = flow as usize;
-                        let fh = flow_hot[fi];
-                        if fh.bw_bits == bw_bits {
-                            fh.ser
-                        } else {
-                            let s = serialize(bw_bits, flows[fi].bytes);
-                            flow_hot[fi].bw_bits = bw_bits;
-                            flow_hot[fi].ser = s;
-                            s
-                        }
-                    },
-                )
-            }
-        };
-    } else if threads <= 1 {
-        // The instrumented sequential loop: identical event math with the
-        // observability and tracing hooks woven in.
-        let mut seed_pos = 0usize;
-        loop {
-            let take_seed = match (seeds.get(seed_pos), q.peek_time()) {
-                (Some(&(s, _, _)), Some(t)) => s <= t,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let (t, flow, idx) = if take_seed {
-                let (s, f, off) = seeds[seed_pos];
-                seed_pos += 1;
-                (s, f, off)
-            } else {
-                q.pop().expect("peeked event pops")
-            };
-            n_events += 1;
-            let entry = route_links[idx as usize];
-            let link = entry.link();
-            let lh = &mut links[link];
-            let start = t.max(lh.free_at);
-            let ser = match &ser_mode {
-                SerMode::Scalar(s) => *s,
-                SerMode::Table(tab) => tab[flow as usize],
-                SerMode::Memo => {
-                    let fi = flow as usize;
-                    let fh = flow_hot[fi];
-                    if fh.bw_bits == lh.bw_bits {
-                        fh.ser
-                    } else {
-                        let s = serialize(lh.bw_bits, flows[fi].bytes);
-                        flow_hot[fi].bw_bits = lh.bw_bits;
-                        flow_hot[fi].ser = s;
-                        s
-                    }
-                }
-            };
-            lh.free_at = start + ser;
-            lh.busy_ns += ser;
-            let lat = lh.lat;
-            if let Some(obs) = obs {
-                obs.queue_wait_ns.record(start - t);
-                obs.queue_occupancy
-                    .record((q.len() + seeds.len() - seed_pos) as u64);
-                obs.link_busy(start, ser, link);
-            }
-            if let Some(tr) = trace {
-                tr.record_span(
-                    Track::Link(link),
-                    "hop",
-                    start,
-                    ser,
-                    0,
-                    engine_span_id(u64::from(flow) + 1),
-                    vec![("wait", start - t), ("flow", u64::from(flow))],
-                );
-            }
-            // The header clears this link after the fixed latency; the
-            // tail follows one serialization time behind.
-            let header_out = start + lat;
-            if !entry.is_last() {
-                q.push(header_out, flow, idx + 1);
-            } else {
-                ends[flow as usize] = header_out + ser;
-            }
-        }
-    } else {
-        n_events = run_windows(
-            &mut q,
-            &seeds,
-            flows,
-            &route_links,
-            &ser_mode,
-            &mut flow_hot,
-            &mut links,
-            &mut ends,
-            obs,
-            trace,
-            threads,
-        );
-    }
-
-    let perf = LoopPerf {
-        events: n_events,
-        loop_ns: t_loop.elapsed().as_nanos() as u64,
-    };
-
-    let mut records: Vec<FlowRecord> = Vec::with_capacity(flows.len());
-    for (i, f) in flows.iter().enumerate() {
-        let len = flow_hot[i].len;
-        records.push(FlowRecord {
-            flow: i,
-            start_ns: f.start_ns,
-            end_ns: (ends[i] != NO_END).then_some(ends[i]),
-            hops: if len == UNROUTED { 0 } else { len as usize },
-            retries: 0,
-            abandoned: false,
-        });
-    }
-
-    if let Some(tr) = trace {
-        record_flow_spans(tr, flows, &records);
-    }
-
-    let link_busy_ns: Vec<u64> = links.iter().map(|l| l.busy_ns).collect();
-    let stats = RunStats::from_records(fabric, flows, &records, &link_busy_ns);
-    if let Some(obs) = obs {
-        obs.runs.inc();
-        obs.flows.add(flows.len() as u64);
-        obs.events.add(n_events);
-        obs.unrouted.add(stats.unrouted as u64);
-        obs.heap_peak.set_max(q.peak() as u64);
-        obs.set_events_per_sec(&perf);
-        for f in flows {
-            obs.flow_bytes.record(f.bytes);
-        }
-    }
-    (stats, records, perf)
-}
-
-/// The uninstrumented sequential event loop, generic over the arena-cell
-/// width and over how an event's serialization time is found
-/// (`ser_of(flow, bw_bits)`). Each [`SerMode`] instantiates its own copy
-/// with the closure fully inlined — under `SerMode::Scalar` the body
-/// compiles down to the merged pop, one arena load, one link claim, and
-/// one push, with no per-flow memory traffic at all. Event math is
-/// byte-for-byte the instrumented loop's (property tests assert the
-/// equivalence).
-#[inline(always)]
-fn seq_lean<E: ArenaEntry>(
-    q: &mut FlowQueue,
-    seeds: &[(u64, u32, u32)],
-    route_links: &[E],
-    links: &mut [LinkHot],
-    ends: &mut [u64],
-    mut ser_of: impl FnMut(u32, u64) -> u64,
-) -> u64 {
-    let mut n_events = 0u64;
-    let mut seed_pos = 0usize;
-    loop {
-        // Merged head of the sorted seed stream and the calendar queue;
-        // seeds win timestamp ties (they held the lowest sequence numbers
-        // in the old single-queue order), so the queue pops only when its
-        // top is strictly earlier than the next seed.
-        let limit = seeds.get(seed_pos).map_or(u64::MAX, |&(s, _, _)| s);
-        let (t, flow, idx) = match q.pop_before(limit) {
-            Some(ev) => ev,
-            None if seed_pos < seeds.len() => {
-                let (s, f, off) = seeds[seed_pos];
-                seed_pos += 1;
-                (s, f, off)
-            }
-            // `pop_before` is strict, so an event at exactly `u64::MAX`
-            // (unreachable for real timestamps) still drains here.
-            None => match q.pop() {
-                Some(ev) => ev,
-                None => break,
+impl<'a, E: ArenaEntry, S: Ser, P: Probe, M: TieClass> Driver<'a, E, S, P, M>
+where
+    Self: LinkModel,
+{
+    fn new(s: &Setup<'a>, links: Vec<LinkHot>, ser: S, probe: P, model: M) -> Self {
+        debug_assert!(links.len() < E::MAX_LINKS, "link ids fit beside the flag");
+        let n = s.flows.len();
+        let slots = s.routes.slot_count();
+        let mut d = Driver {
+            fabric: s.fabric,
+            flows: s.flows,
+            routes: s.routes,
+            retry: s.retry,
+            arena: Vec::new(),
+            links,
+            ser,
+            probe,
+            model,
+            q: CalendarQueue::new(),
+            seeds: Vec::with_capacity(n),
+            seed_pos: 0,
+            events: 0,
+            ends: vec![None; n],
+            route: vec![(0, 0); n],
+            retries: vec![0; n],
+            abandoned: vec![false; n],
+            first_fail: vec![None; n],
+            slot_span: vec![(0, 0); slots],
+            slot_state: vec![UNSEEN_BIT; slots],
+            down_links: 0,
+            ctl: Control {
+                plan: s.plan,
+                pos: 0,
+                pending: None,
+                fault: FaultState::healthy(s.fabric),
+                interval: s.interval,
+                reprovisions: Vec::new(),
+                pair_weight: None,
             },
+            ctl_t: u64::MAX,
         };
-        n_events += 1;
-        let entry = route_links[idx as usize];
-        let lh = &mut links[entry.link()];
-        let start = t.max(lh.free_at);
-        let ser = ser_of(flow, lh.bw_bits);
-        lh.free_at = start + ser;
-        lh.busy_ns += ser;
-        // The header clears this link after the fixed latency; the tail
-        // follows one serialization time behind.
-        let header_out = start + lh.lat;
-        if !entry.is_last() {
-            q.push(header_out, flow, idx + 1);
-        } else {
-            ends[flow as usize] = header_out + ser;
+        d.ctl_t = d.ctl.next_time();
+
+        // Under a fault plan every admission resolves its route when it
+        // fires, against the fabric's health at that instant, so every
+        // flow is seeded. Without one the primary route is final:
+        // unroutable flows and self-deliveries settle here, and a model
+        // whose admission is its first event skips `admit` altogether.
+        let faulted = !s.plan.is_empty();
+        let direct = Self::ADMIT_IS_EVENT && !faulted;
+        for (i, f) in s.flows.iter().enumerate() {
+            let slot = s.routes.slots[i];
+            if d.slot_state[slot] == UNSEEN_BIT {
+                let (cache, local) = s.routes.locate(slot);
+                (d.slot_span[slot], d.slot_state[slot]) = match cache.path(local) {
+                    Some(p) => (d.intern(p), 0),
+                    None => ((0, 0), NOROUTE_BIT),
+                };
+            }
+            let (off, len) = d.slot_span[slot];
+            if faulted {
+                d.seeds.push((f.start_ns, i as u32, ADMIT));
+            } else if d.slot_state[slot] & NOROUTE_BIT != 0 {
+                // Unroutable: stays undelivered.
+            } else if len == 0 {
+                d.ends[i] = Some(f.start_ns); // self-delivery
+            } else {
+                d.route[i] = (off, len);
+                let tag = if direct { off } else { ADMIT };
+                d.seeds.push((f.start_ns, i as u32, tag));
+            }
+        }
+        // (start, flow) order: flow order within a timestamp. The tag
+        // rides along without influencing it (flows are unique).
+        d.seeds.sort_unstable();
+        d
+    }
+
+    /// Appends `path` to the route arena, returning its span.
+    fn intern(&mut self, path: &[LinkId]) -> (u32, u32) {
+        let off = self.arena.len() as u32;
+        self.arena.extend(path.iter().map(|&l| E::from_link(l)));
+        if let Some(last) = self.arena[off as usize..].last_mut() {
+            last.mark_last();
+        }
+        (off, path.len() as u32)
+    }
+
+    /// Runs `body` (one of the loop executors) under the wall clock, then
+    /// the shared epilogue: records, flow spans, stats, obs counters.
+    fn execute(mut self, body: impl FnOnce(&mut Self)) -> Output {
+        let t_loop = std::time::Instant::now();
+        body(&mut self);
+        let perf = LoopPerf {
+            events: self.events,
+            loop_ns: t_loop.elapsed().as_nanos() as u64,
+        };
+        let records: Vec<FlowRecord> = (0..self.flows.len())
+            .map(|i| FlowRecord {
+                flow: i,
+                start_ns: self.flows[i].start_ns,
+                end_ns: self.ends[i],
+                hops: self.ends[i].map_or(0, |_| self.route[i].1 as usize),
+                retries: self.retries[i],
+                abandoned: self.abandoned[i],
+            })
+            .collect();
+        if let Some(tr) = self.probe.trace() {
+            record_flow_spans(tr, self.flows, &records);
+        }
+        let link_busy_ns: Vec<u64> = self.links.iter().map(|l| l.busy_ns).collect();
+        let stats = RunStats::from_records(self.flows, &records, &link_busy_ns);
+        if let Some(obs) = self.probe.obs() {
+            obs.runs.inc();
+            obs.flows.add(self.flows.len() as u64);
+            obs.events.add(self.events);
+            obs.unrouted.add(stats.unrouted as u64);
+            obs.heap_peak.set_max(self.q.peak() as u64);
+            obs.set_events_per_sec(&perf);
+            for f in self.flows {
+                obs.flow_bytes.record(f.bytes);
+            }
+        }
+        (stats, records, self.ctl.reprovisions, perf)
+    }
+
+    /// The sequential loop: a three-way merge of the flow queue, the
+    /// sorted seed stream, and the control schedule. The queue yields
+    /// only while its head is strictly earlier than both other heads, so
+    /// at one timestamp control events run first, then seed admissions,
+    /// then queued events in push order — the `(time, class, seq)` total
+    /// order of a single class-tagged queue, without a class or sequence
+    /// number on any entry.
+    fn run(&mut self) {
+        loop {
+            let seed_t = self.seeds.get(self.seed_pos).map_or(u64::MAX, |s| s.0);
+            let ev = match self.q.pop_before(seed_t.min(self.ctl_t)) {
+                Some(ev) => ev,
+                None if self.ctl_t <= seed_t && self.ctl.has_next() => {
+                    self.control();
+                    continue;
+                }
+                None if self.seed_pos < self.seeds.len() => {
+                    let (t, flow, tag) = self.seeds[self.seed_pos];
+                    self.seed_pos += 1;
+                    Ev { t, flow, tag }
+                }
+                // `pop_before` is strict, so events at exactly `u64::MAX`
+                // (where saturated timestamps pile up) drain here.
+                None => match self.q.pop() {
+                    Some(ev) => ev,
+                    None => break,
+                },
+            };
+            self.events += 1;
+            self.probe
+                .pending(self.q.len() + self.seeds.len() - self.seed_pos);
+            if ev.tag == ADMIT {
+                self.admit(ev.t, ev.flow);
+            } else {
+                self.event(ev);
+            }
         }
     }
-    n_events
+
+    /// (Re-)admits `flow` at `now`: resolves its route against the
+    /// fabric's current health and hands it to the link model, or books
+    /// a retry if every route is blocked.
+    fn admit(&mut self, now: u64, flow: u32) {
+        let f = flow as usize;
+        match self.resolve(f) {
+            Resolution::Route(off, len) => {
+                self.route[f] = (off, len);
+                if len == 0 {
+                    self.ends[f] = Some(now); // self-delivery
+                } else {
+                    self.inject(now, flow, off);
+                }
+            }
+            // The topology itself has no route; retrying cannot help.
+            Resolution::Unreachable => {}
+            Resolution::Blocked => self.retry_or_abandon(flow, now),
+        }
+    }
+
+    /// The current best route for `flow`'s pair: its slot's span while
+    /// that is fresh and fully up, otherwise a fresh
+    /// [`Fabric::path_avoiding`] search whose result replaces the span.
+    fn resolve(&mut self, flow: usize) -> Resolution {
+        let slot = self.routes.slots[flow];
+        let state = self.slot_state[slot];
+        if state & STALE_BIT == 0 {
+            if state & NOROUTE_BIT != 0 {
+                return Resolution::Unreachable;
+            }
+            let (off, len) = self.slot_span[slot];
+            let span = &self.arena[off as usize..(off + len) as usize];
+            if self.down_links == 0 || !span.iter().any(|c| self.links[c.link()].is_down()) {
+                return Resolution::Route(off, len);
+            }
+        }
+        let f = self.flows[flow];
+        let any_down = self.ctl.fault.any_down();
+        match self.fabric.path_avoiding(f.src, f.dst, &self.ctl.fault) {
+            Some(route) => {
+                let (off, len) = self.intern(&route);
+                self.slot_span[slot] = (off, len);
+                self.slot_state[slot] = if any_down { DIRTY_BIT } else { 0 };
+                Resolution::Route(off, len)
+            }
+            None if any_down => Resolution::Blocked,
+            None => {
+                // Healthy fabric, still no route: permanently unreachable.
+                self.slot_state[slot] = NOROUTE_BIT;
+                Resolution::Unreachable
+            }
+        }
+    }
+
+    /// `flow`'s header (or, under credit, the flow itself) met the dead
+    /// link at arena index `idx`: the attempt is over.
+    #[cold]
+    pub(crate) fn kill(&mut self, now: u64, flow: u32, idx: u32) {
+        if let Some(obs) = self.probe.obs() {
+            obs.flow_kills.inc();
+        }
+        self.probe.instant(
+            Track::Link(self.arena[idx as usize].link()),
+            "flow_kill",
+            now,
+            engine_span_id(u64::from(flow) + 1),
+            &[
+                ("flow", u64::from(flow)),
+                ("hop", u64::from(idx - self.route[flow as usize].0)),
+            ],
+        );
+        self.retry_or_abandon(flow, now);
+    }
+
+    /// Books a re-admission for a failed attempt, or abandons the flow
+    /// once the policy's attempt budget is spent. Every attempt follows
+    /// exactly one admission, so `retries + 1` admissions have failed.
+    fn retry_or_abandon(&mut self, flow: u32, now: u64) {
+        let f = flow as usize;
+        self.first_fail[f].get_or_insert(now);
+        let failed = self.retries[f] + 1;
+        if failed < self.retry.attempts() {
+            self.retries[f] += 1;
+            if let Some(obs) = self.probe.obs() {
+                obs.retries.inc();
+            }
+            self.probe.instant(
+                Track::Engine,
+                "flow_retry",
+                now,
+                engine_span_id(u64::from(flow) + 1),
+                &[("flow", u64::from(flow)), ("attempt", u64::from(failed))],
+            );
+            let at = now.saturating_add(self.retry.backoff_ns(failed));
+            self.q.push(at, flow, ADMIT);
+        } else {
+            self.abandoned[f] = true;
+            if let Some(obs) = self.probe.obs() {
+                obs.abandoned_flows.inc();
+            }
+        }
+    }
+
+    /// `flow`'s tail arrived at `end`.
+    #[inline(always)]
+    pub(crate) fn deliver(&mut self, flow: u32, end: u64) {
+        self.ends[flow as usize] = Some(end);
+        if let (Some(obs), Some(t0)) = (self.probe.obs(), self.first_fail[flow as usize]) {
+            obs.reroute_latency_ns.record(end.saturating_sub(t0));
+        }
+    }
+
+    /// Applies the next control event.
+    #[cold]
+    fn control(&mut self) {
+        self.events += 1;
+        let pending_t = self.ctl.pending.as_ref().map_or(u64::MAX, |&(t, _)| t);
+        match self.ctl.plan.get(self.ctl.pos) {
+            // Faults win timestamp ties against the pending event.
+            Some(&fe) if fe.time_ns <= pending_t => {
+                self.ctl.pos += 1;
+                self.apply_fault(fe);
+            }
+            _ => match self.ctl.pending.take().expect("a control event is due") {
+                (now, Pending::Sync) => self.sync_point(now),
+                (now, Pending::Repatch(batch, coverage)) => self.repatch(now, batch, coverage),
+            },
+        }
+        self.ctl_t = self.ctl.next_time();
+    }
+
+    /// One fault-plan entry: fold it into the fabric's health, evict the
+    /// routes it cuts, tell the link model which links died, and book a
+    /// sync point if a circuit can be repatched.
+    fn apply_fault(&mut self, fe: FaultEvent) {
+        let now = fe.time_ns;
+        let incident = self.ctl.fault.apply(self.fabric, fe);
+        let failing = fe.action == FaultAction::Fail;
+        let (name, id, node, affected) = match (fe.target, failing) {
+            (FaultTarget::Link(l), true) => ("link_fail", l, None, vec![l]),
+            (FaultTarget::Link(l), false) => ("link_recover", l, None, vec![l]),
+            (FaultTarget::Node(n), true) => ("node_fail", n, Some(n), incident),
+            (FaultTarget::Node(n), false) => ("node_recover", n, Some(n), incident),
+        };
+        let evicted = if failing {
+            self.evict(&affected, node)
+        } else {
+            0
+        };
+        if let Some(obs) = self.probe.obs() {
+            obs.cache_evictions.add(evicted as u64);
+            if failing {
+                obs.faults.inc();
+            } else {
+                obs.recoveries.inc();
+            }
+            obs.fault_event(now, name, id);
+        }
+        // Fault instants: link events annotate the link's own track; node
+        // events land on the engine track.
+        let (track, field) = match node {
+            None => (Track::Link(id), "link"),
+            Some(_) => (Track::Engine, "node"),
+        };
+        self.probe
+            .instant(track, name, now, 0, &[(field, id as u64)]);
+        for l in affected {
+            self.sync_link(l, now);
+        }
+        // A repairable circuit failure books the next sync point (once;
+        // later failures join the same batch).
+        if let (true, FaultTarget::Link(l)) = (failing, fe.target) {
+            if self.fabric.reprovisionable(l) && self.ctl.pending.is_none() {
+                self.book_sync(now);
+            }
+        }
+    }
+
+    /// Marks stale every fresh route that crosses one of the `dead` links
+    /// or (node faults) has `node` as an endpoint, returning how many
+    /// were evicted.
+    fn evict(&mut self, dead: &[LinkId], node: Option<usize>) -> usize {
+        let mut evicted = 0;
+        for slot in 0..self.slot_state.len() {
+            if self.slot_state[slot] & (STALE_BIT | UNSEEN_BIT) != 0 {
+                continue;
+            }
+            let (off, len) = self.slot_span[slot];
+            let ends_at = |n: usize| {
+                let (cache, local) = self.routes.locate(slot);
+                let (src, dst) = cache.pairs[local];
+                src as usize == n || dst as usize == n
+            };
+            let touches = node.is_some_and(ends_at)
+                || self.arena[off as usize..(off + len) as usize]
+                    .iter()
+                    .any(|c| dead.contains(&c.link()));
+            if touches {
+                self.slot_state[slot] |= STALE_BIT;
+                evicted += 1;
+            }
+        }
+        evicted
+    }
+
+    /// Brings `link`'s down bit in line with the fault state, telling the
+    /// link model when it just died.
+    fn sync_link(&mut self, link: LinkId, now: u64) {
+        let down = !self.ctl.fault.link_up(link);
+        if down == self.links[link].is_down() {
+            return;
+        }
+        self.links[link].set_down(down);
+        if down {
+            self.down_links += 1;
+            self.link_down(link, now);
+        } else {
+            self.down_links -= 1;
+        }
+    }
+
+    /// A sync point: batch every failed circuit that can be repatched and
+    /// start the MEMS reconfiguration.
+    fn sync_point(&mut self, now: u64) {
+        let batch = self.repairable();
+        if batch.is_empty() {
+            return; // everything already recovered on its own
+        }
+        let coverage = self.ctl.coverage(self.fabric, self.flows);
+        let circuits = [("failed_circuits", batch.len() as u64)];
+        self.probe
+            .instant(Track::Reconfig, "sync_point", now, 0, &circuits);
+        let done_at = now.saturating_add(hfast_core::CircuitSwitch::RECONFIG_LATENCY_NS);
+        self.ctl.pending = Some((done_at, Pending::Repatch(batch, coverage)));
+    }
+
+    /// A repatch completes: the batch's circuits are back.
+    fn repatch(&mut self, now: u64, batch: Vec<LinkId>, cov_before: f64) {
+        for &l in &batch {
+            self.ctl.fault.repatch_link(l);
+            self.sync_link(l, now);
+        }
+        // Fault-era detours may now be worse than the repaired primary:
+        // force those pairs to re-resolve.
+        for state in &mut self.slot_state {
+            if *state & DIRTY_BIT != 0 {
+                *state |= STALE_BIT;
+            }
+        }
+        let cov_after = self.ctl.coverage(self.fabric, self.flows);
+        if let Some(tr) = self.probe.trace() {
+            // The batch occupied the crossbar from its sync point until
+            // now; span ids continue past the flow id range so both stay
+            // unique in one recorder.
+            let latency = hfast_core::CircuitSwitch::RECONFIG_LATENCY_NS;
+            let round = self.ctl.reprovisions.len() as u64;
+            tr.record_span(
+                Track::Reconfig,
+                "reprovision",
+                now.saturating_sub(latency),
+                latency,
+                engine_span_id(self.flows.len() as u64 + 1 + round),
+                0,
+                vec![
+                    ("circuits", batch.len() as u64),
+                    ("coverage_before_permille", (cov_before * 1000.0) as u64),
+                    ("coverage_after_permille", (cov_after * 1000.0) as u64),
+                ],
+            );
+        }
+        self.ctl
+            .reprovisions
+            .push(ReconfigStep::repatch(batch.len(), cov_before, cov_after));
+        if let Some(obs) = self.probe.obs() {
+            obs.reprovisions.inc();
+            obs.repatched_links.add(batch.len() as u64);
+            obs.fault_event(now, "reprovision", batch.len());
+        }
+        // Circuits that failed during the repatch window get their own
+        // round.
+        if !self.repairable().is_empty() {
+            self.book_sync(now);
+        }
+    }
+
+    /// Failed circuits a repatch can bring back, ascending.
+    fn repairable(&self) -> Vec<LinkId> {
+        let mut failed = self.ctl.fault.failed_links();
+        failed.retain(|&l| self.fabric.reprovisionable(l));
+        failed
+    }
+
+    /// Books the next sync point — the first multiple of the interval
+    /// strictly after `now` — if mid-run re-provisioning is enabled.
+    fn book_sync(&mut self, now: u64) {
+        if let Some(interval) = self.ctl.interval {
+            let at = (now / interval + 1).saturating_mul(interval);
+            self.ctl.pending = Some((at, Pending::Sync));
+        }
+    }
 }
 
-/// One parallel worker's output in [`run_windows`]: the group's link, the
-/// link's final `free_at`, and `(start, ser)` per event in drain order.
+/// One parallel worker's output in [`Driver::run_windows`]: the group's
+/// link, the link's final `free_at`, and `(start, ser)` per event in
+/// drain order.
 type GroupResult = (usize, u64, Vec<(u64, u64)>);
 
-/// The conservative-parallelism executor for the static loop.
-///
-/// Events are drained in `(time, insertion)` order into a batch while each
-/// event's timestamp stays below the running lookahead bound
-/// `W = min over drained events of (time + latency(link(event)))`.
-///
-/// Why every drained batch is safe to execute out of order across links:
-///
-/// 1. Every batch event's time is `< W`: events pop in nondecreasing
-///    time, and for any members `j`, `k`: if `k` drained first, the bound
-///    including `k` already gated `j`'s admission (`t_j < W ≤ t_k +
-///    lat_k`); if `k` drained after `j`, then `t_j ≤ t_k < t_k + lat_k`.
-/// 2. Every successor lands at `start + latency ≥ time + latency ≥ W`,
-///    so no event scheduled *by* the batch can belong *in* the batch —
-///    the sequential loop would also have processed the entire batch
-///    before any successor.
-/// 3. Within the batch, only same-link events interact (through
-///    `link_free_at`); grouping by link preserves the drain order, so
-///    each link's FIFO claims replay exactly the sequential order.
-/// 4. Successors are pushed during the merge in batch order — the same
-///    order the sequential loop would have pushed them — and the stable
-///    [`FlowQueue`] breaks timestamp ties by push order, so the
-///    *(time, insertion)* total order (the old `(time, class, seq)`
-///    order with one class and monotone seqs), and with it every
-///    downstream tie-break, is byte-identical.
-///
-/// Observability and trace spans are recorded at merge time in batch
-/// order, so instrumented streams are also identical across thread
-/// counts. Batches smaller than [`PAR_BATCH_MIN`] execute inline; the
-/// fan-out only engages on bursts (all-to-alls, incasts) where per-link
-/// groups carry real work.
-#[allow(clippy::too_many_arguments)]
-fn run_windows<E: ArenaEntry>(
-    q: &mut FlowQueue,
-    seeds: &[(u64, u32, u32)],
-    flows: &[Flow],
-    route_links: &[E],
-    ser_mode: &SerMode,
-    flow_hot: &mut [FlowHot],
-    links: &mut [LinkHot],
-    ends: &mut [u64],
-    obs: Option<&EngineObs>,
-    trace: Option<&TraceRecorder>,
-    threads: usize,
-) -> u64 {
-    let mut n_events = 0u64;
-    let mut seed_pos = 0usize;
-    // (time, flow, arena index, arena entry) per drained event, in pop
-    // order.
-    let mut batch: Vec<(u64, u32, u32, E)> = Vec::new();
-    // (start, ser) per batch event, filled by the per-link groups.
-    let mut rows: Vec<(u64, u64)> = Vec::new();
-    // link -> group index for the current batch; reset after each batch.
-    let mut link_group: Vec<u32> = vec![u32::MAX; links.len()];
-    let mut groups: Vec<Vec<u32>> = Vec::new();
+impl<E: ArenaEntry, S: Ser, P: Probe> Driver<'_, E, S, P, IdealFifo> {
+    /// The header of `ev`'s flow crosses `cell`'s link from `start`, the
+    /// claim already made: account the occupancy, report the hop, and
+    /// schedule the next arrival or the delivery.
+    #[inline(always)]
+    fn cross(&mut self, ev: Ev, cell: E, start: u64, ser: u64) {
+        let lh = &mut self.links[cell.link()];
+        lh.busy_ns = lh.busy_ns.saturating_add(ser);
+        // The header clears this link after the fixed latency; the tail
+        // follows one serialization time behind.
+        let header_out = start.saturating_add(lh.lat);
+        self.probe
+            .hop(cell.link(), ev.flow, start - ev.t, start, ser);
+        if !cell.is_last() {
+            self.q.push(header_out, ev.flow, ev.tag + 1);
+        } else {
+            self.deliver(ev.flow, header_out.saturating_add(ser));
+        }
+    }
 
-    loop {
-        batch.clear();
-        let mut bound = u64::MAX;
+    /// The conservative-parallelism executor for ideal, fault-free runs.
+    ///
+    /// Events are drained in `(time, insertion)` order into a batch while
+    /// each event's timestamp stays below the running lookahead bound
+    /// `W = min over drained events of (time + latency(link(event)))`.
+    ///
+    /// Why every drained batch is safe to execute out of order across
+    /// links:
+    ///
+    /// 1. Every batch event's time is `< W`: events pop in nondecreasing
+    ///    time, and for any members `j`, `k`: if `k` drained first, the
+    ///    bound including `k` already gated `j`'s admission (`t_j < W ≤
+    ///    t_k + lat_k`); if `k` drained after `j`, then `t_j ≤ t_k < t_k
+    ///    + lat_k`.
+    /// 2. Every successor lands at `start + latency ≥ time + latency ≥
+    ///    W`, so no event scheduled *by* the batch can belong *in* the
+    ///    batch — the sequential loop would also have processed the
+    ///    entire batch before any successor.
+    /// 3. Within the batch, only same-link events interact (through the
+    ///    link's `free_at`); grouping by link preserves the drain order,
+    ///    so each link's FIFO claims replay exactly the sequential order
+    ///    — through the same [`claim`] the sequential loop calls.
+    /// 4. Successors are pushed during the merge in batch order — the
+    ///    same order the sequential loop would have pushed them — and the
+    ///    stable queue breaks timestamp ties by push order, so the
+    ///    *(time, insertion)* total order, and with it every downstream
+    ///    tie-break, is byte-identical.
+    ///
+    /// (Once timestamps saturate at `u64::MAX` the bound stops advancing
+    /// and batches degenerate to one event — still the sequential order.)
+    ///
+    /// Probe hooks fire at merge time in batch order, so instrumented
+    /// streams are also identical across thread counts. Batches smaller
+    /// than [`PAR_BATCH_MIN`] execute inline; the fan-out only engages on
+    /// bursts (all-to-alls, incasts) where per-link groups carry real
+    /// work.
+    fn run_windows(&mut self, threads: usize) {
+        // Drained events with their arena cells, in pop order.
+        let mut batch: Vec<(Ev, E)> = Vec::new();
+        // (start, ser) per batch event, filled by the per-link groups.
+        let mut rows: Vec<(u64, u64)> = Vec::new();
+        // link -> group index for the current batch; reset after each.
+        let mut link_group: Vec<u32> = vec![u32::MAX; self.links.len()];
+        let mut groups: Vec<Vec<u32>> = Vec::new();
+
         loop {
-            // Merged head of the seed stream and the calendar queue;
-            // seeds win timestamp ties (they carried the lowest sequence
-            // numbers in the old single-queue order).
-            let take_seed = match (seeds.get(seed_pos), q.peek_time()) {
-                (Some(&(s, _, _)), Some(t)) => s <= t,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let t_next = if take_seed {
-                seeds[seed_pos].0
-            } else {
-                q.peek_time().expect("peeked above")
-            };
-            if !batch.is_empty() && t_next >= bound {
+            batch.clear();
+            let mut bound = u64::MAX;
+            loop {
+                // Merged head of the seed stream and the calendar queue;
+                // seeds win timestamp ties.
+                let seed = self.seeds.get(self.seed_pos);
+                let seed = seed.map(|&(t, flow, tag)| Ev { t, flow, tag });
+                let queued = self.q.peek_time();
+                let take_seed = seed.is_some_and(|s| queued.is_none_or(|t| s.t <= t));
+                let head = if take_seed { seed.map(|s| s.t) } else { queued };
+                match head {
+                    Some(t) if batch.is_empty() || t < bound => {}
+                    _ => break,
+                }
+                let ev = if take_seed {
+                    self.seed_pos += 1;
+                    seed.expect("take_seed implies a seed")
+                } else {
+                    self.q.pop().expect("peeked event pops")
+                };
+                let cell = self.arena[ev.tag as usize];
+                bound = bound.min(ev.t.saturating_add(self.links[cell.link()].lat));
+                batch.push((ev, cell));
+            }
+            if batch.is_empty() {
                 break;
             }
-            let (t, flow, idx) = if take_seed {
-                let (s, f, off) = seeds[seed_pos];
-                seed_pos += 1;
-                (s, f, off)
-            } else {
-                q.pop().expect("peeked event pops")
-            };
-            let entry = route_links[idx as usize];
-            bound = bound.min(t + links[entry.link()].lat);
-            batch.push((t, flow, idx, entry));
-        }
-        if batch.is_empty() {
-            break;
-        }
-        let k = batch.len();
-        n_events += k as u64;
+            let k = batch.len();
+            self.events += k as u64;
 
-        if k < PAR_BATCH_MIN {
             rows.clear();
-            for &(t, flow, _idx, entry) in batch.iter() {
-                let fi = flow as usize;
-                let lh = &mut links[entry.link()];
-                let start = t.max(lh.free_at);
-                let ser = match ser_mode {
-                    SerMode::Scalar(s) => *s,
-                    SerMode::Table(tab) => tab[fi],
-                    SerMode::Memo => {
-                        let fh = flow_hot[fi];
-                        if fh.bw_bits == lh.bw_bits {
-                            fh.ser
-                        } else {
-                            let s = serialize(lh.bw_bits, flows[fi].bytes);
-                            flow_hot[fi].bw_bits = lh.bw_bits;
-                            flow_hot[fi].ser = s;
-                            s
-                        }
+            if k < PAR_BATCH_MIN {
+                for &(ev, cell) in &batch {
+                    let lh = &mut self.links[cell.link()];
+                    let ser = self.ser.of(ev.flow, lh.bw_bits);
+                    rows.push((claim(&mut lh.free_at, ev.t, ser), ser));
+                }
+            } else {
+                // Group by link, preserving drain order within each group.
+                groups.clear();
+                for (i, &(_, cell)) in batch.iter().enumerate() {
+                    let g = &mut link_group[cell.link()];
+                    if *g == u32::MAX {
+                        *g = groups.len() as u32;
+                        groups.push(Vec::new());
                     }
-                };
-                lh.free_at = start + ser;
-                rows.push((start, ser));
-            }
-        } else {
-            // Group by link, preserving drain order within each group.
-            groups.clear();
-            for (i, &(_, _, _, entry)) in batch.iter().enumerate() {
-                let link = entry.link();
-                let g = link_group[link];
-                if g == u32::MAX {
-                    link_group[link] = groups.len() as u32;
-                    groups.push(vec![i as u32]);
-                } else {
-                    groups[g as usize].push(i as u32);
+                    groups[*g as usize].push(i as u32);
+                }
+                // Each link's FIFO replays independently on a worker.
+                // Workers read the serialization memo but never write it
+                // (a pure recompute on miss costs the same either way and
+                // keeps the fan-out free of shared mutable state).
+                let (batch, groups, links, ser) = (&batch, &groups, &self.links, &self.ser);
+                let results: Vec<GroupResult> =
+                    hfast_par::par_map_range(threads, groups.len(), |gi| {
+                        let link = batch[groups[gi][0] as usize].1.link();
+                        let lh = links[link];
+                        let mut free = lh.free_at;
+                        let claims = groups[gi].iter().map(|&bi| {
+                            let ev = batch[bi as usize].0;
+                            let ser = ser.peek(ev.flow, lh.bw_bits);
+                            (claim(&mut free, ev.t, ser), ser)
+                        });
+                        let out = claims.collect();
+                        (link, free, out)
+                    });
+                rows.resize(k, (0, 0));
+                for (group, (link, free, out)) in groups.iter().zip(results) {
+                    self.links[link].free_at = free;
+                    link_group[link] = u32::MAX;
+                    for (&bi, row) in group.iter().zip(out) {
+                        rows[bi as usize] = row;
+                    }
                 }
             }
-            // Each link's FIFO replays independently on a worker. Workers
-            // read the serialization memo but never write it (a pure
-            // recompute on miss costs the same either way and keeps the
-            // fan-out free of shared mutable state).
-            let batch_ref = &batch;
-            let groups_ref = &groups;
-            let links_ref: &[LinkHot] = links;
-            let flow_hot_ref: &[FlowHot] = flow_hot;
-            // Per group: (link, final free_at, (start, ser) per event).
-            let results: Vec<GroupResult> =
-                hfast_par::par_map_range(threads, groups_ref.len(), |gi| {
-                    let idxs = &groups_ref[gi];
-                    let link = batch_ref[idxs[0] as usize].3.link();
-                    let lh = links_ref[link];
-                    let mut free = lh.free_at;
-                    let mut out = Vec::with_capacity(idxs.len());
-                    for &bi in idxs {
-                        let (t, flow, _, _) = batch_ref[bi as usize];
-                        let start = t.max(free);
-                        let ser = match ser_mode {
-                            SerMode::Scalar(s) => *s,
-                            SerMode::Table(tab) => tab[flow as usize],
-                            SerMode::Memo => {
-                                let fh = flow_hot_ref[flow as usize];
-                                if fh.bw_bits == lh.bw_bits {
-                                    fh.ser
-                                } else {
-                                    serialize(lh.bw_bits, flows[flow as usize].bytes)
-                                }
-                            }
-                        };
-                        free = start + ser;
-                        out.push((start, ser));
-                    }
-                    (link, free, out)
-                });
-            rows.clear();
-            rows.resize(k, (0, 0));
-            for (gi, (link, free, out)) in results.into_iter().enumerate() {
-                links[link].free_at = free;
-                for (&bi, row) in groups[gi].iter().zip(out) {
-                    rows[bi as usize] = row;
-                }
-            }
-            for g in &groups {
-                link_group[batch[g[0] as usize].3.link()] = u32::MAX;
-            }
-        }
 
-        // Merge in batch (= sequential) order: busy accounting, delivery
-        // times, observability, and successor pushes (whose order is the
-        // stable queue's tie-break).
-        for (i, (&(t, flow, idx, entry), &(start, ser))) in
-            batch.iter().zip(rows.iter()).enumerate()
-        {
-            let link = entry.link();
-            links[link].busy_ns += ser;
-            if let Some(obs) = obs {
-                obs.queue_wait_ns.record(start - t);
-                // The pending-event count the sequential loop would
-                // observe after consuming this event: the still-undrained
-                // remainder of the batch plus the unconsumed seed tail
-                // plus everything scheduled so far.
-                obs.queue_occupancy
-                    .record((q.len() + (seeds.len() - seed_pos) + k - i - 1) as u64);
-                obs.link_busy(start, ser, link);
-            }
-            if let Some(tr) = trace {
-                tr.record_span(
-                    Track::Link(link),
-                    "hop",
-                    start,
-                    ser,
-                    0,
-                    engine_span_id(u64::from(flow) + 1),
-                    vec![("wait", start - t), ("flow", u64::from(flow))],
-                );
-            }
-            let header_out = start + links[link].lat;
-            if !entry.is_last() {
-                q.push(header_out, flow, idx + 1);
-            } else {
-                ends[flow as usize] = header_out + ser;
+            // Merge in batch (= sequential) order: busy accounting,
+            // delivery times, probe hooks, and successor pushes (whose
+            // order is the stable queue's tie-break).
+            for (i, (&(ev, cell), &(start, ser))) in batch.iter().zip(&rows).enumerate() {
+                // The pending-event count the sequential loop would observe
+                // after consuming this event: the still-undrained remainder
+                // of the batch plus the unconsumed seed tail plus everything
+                // scheduled so far.
+                let undrained = k - i - 1 + self.seeds.len() - self.seed_pos;
+                self.probe.pending(self.q.len() + undrained);
+                self.cross(ev, cell, start, ser);
             }
         }
     }
-    n_events
 }
 
 /// Records one `flow` span (or terminal instant) per flow on the engine
 /// track; its span id (`engine_span_id(index + 1)`) is what every hop
 /// span recorded during the run parented itself to. Self-deliveries cross
 /// no link and leave no span.
-pub(crate) fn record_flow_spans(trace: &TraceRecorder, flows: &[Flow], records: &[FlowRecord]) {
+fn record_flow_spans(trace: &TraceRecorder, flows: &[Flow], records: &[FlowRecord]) {
     for (i, (f, r)) in flows.iter().zip(records).enumerate() {
         let span_id = engine_span_id(i as u64 + 1);
         let fields = vec![
@@ -1600,603 +1961,14 @@ pub(crate) fn record_flow_spans(trace: &TraceRecorder, flows: &[Flow], records: 
             ("bytes", f.bytes),
             ("retries", u64::from(r.retries)),
         ];
-        match r.end_ns {
-            Some(end) if end > r.start_ns => {
-                trace.record_span(
-                    Track::Engine,
-                    "flow",
-                    r.start_ns,
-                    end - r.start_ns,
-                    span_id,
-                    0,
-                    fields,
-                );
-            }
-            Some(_) => {}
-            None => {
-                trace.record_span(
-                    Track::Engine,
-                    if r.abandoned {
-                        "flow_abandoned"
-                    } else {
-                        "flow_unrouted"
-                    },
-                    r.start_ns,
-                    0,
-                    span_id,
-                    0,
-                    fields,
-                );
-            }
-        }
-    }
-}
-
-/// Event classes of the dynamic loop. At equal timestamps topology changes
-/// apply first, then pending repatches complete, then sync points fire,
-/// then flow traffic moves — so a flow admitted at the instant of a failure
-/// already sees the failure, matching the static loop's "state before
-/// traffic" reading.
-const CLASS_FAULT: u8 = 0;
-const CLASS_REPATCH: u8 = 1;
-const CLASS_SYNC: u8 = 2;
-const CLASS_FLOW: u8 = 3;
-
-/// Event kinds carried in the queue's payload byte. The static loop only
-/// uses [`KIND_FLOW`] (a hop arrival, `a` = flow, `b` = hop); the dynamic
-/// loop adds plan application (`a` = plan index), repatch completion
-/// (`a` = batch index), sync points, and (re-)admissions (`a` = flow).
-const KIND_FLOW: u8 = 0;
-const KIND_FAULT: u8 = 1;
-const KIND_REPATCH: u8 = 2;
-const KIND_SYNC: u8 = 3;
-const KIND_ADMIT: u8 = 4;
-
-/// The dynamic fault-injection run (configuration plus the loop).
-struct FaultRun<'a> {
-    fabric: &'a dyn Fabric,
-    plan: &'a FaultPlan,
-    retry: RetryPolicy,
-    reprovision_interval_ns: Option<u64>,
-    trace: Option<&'a TraceRecorder>,
-}
-
-impl FaultRun<'_> {
-    fn run(
-        &self,
-        flows: &[Flow],
-        cache: &mut PathCache,
-        obs: Option<&EngineObs>,
-    ) -> (RunStats, Vec<FlowRecord>, Vec<ReconfigStep>, LoopPerf) {
-        let fabric = self.fabric;
-        let flow_slot = cache.index_flows(fabric, flows, obs);
-        let mut state = FaultState::healthy(fabric);
-
-        let mut link_free_at: Vec<u64> = vec![0; fabric.link_count()];
-        let mut link_busy_ns: Vec<u64> = vec![0; fabric.link_count()];
-        let mut records: Vec<FlowRecord> = flows
-            .iter()
-            .enumerate()
-            .map(|(i, f)| FlowRecord {
-                flow: i,
-                start_ns: f.start_ns,
-                end_ns: None,
-                hops: 0,
-                retries: 0,
-                abandoned: false,
-            })
-            .collect();
-        // Each flow owns its admitted route: cache slots can be rewritten
-        // by later resolutions while the flow is still in flight.
-        let mut route: Vec<Option<Vec<LinkId>>> = vec![None; flows.len()];
-        let mut admissions: Vec<u32> = vec![0; flows.len()];
-        let mut first_fail: Vec<Option<u64>> = vec![None; flows.len()];
-        // Slots rewritten while components were down: their routes are
-        // fault-era detours, re-marked stale at the end of the run so a
-        // reused cache re-derives primary routes.
-        let mut dirty: BTreeSet<usize> = BTreeSet::new();
-
-        let mut t_min = u64::MAX;
-        let mut t_max = 0u64;
-        for t in self
-            .plan
-            .events()
-            .iter()
-            .map(|e| e.time_ns)
-            .chain(flows.iter().map(|f| f.start_ns))
-        {
-            t_min = t_min.min(t);
-            t_max = t_max.max(t);
-        }
-        let mut sched = Scheduler::with_hint(
-            self.plan.events().len() + flows.len(),
-            t_max.saturating_sub(t_min.min(t_max)),
-        );
-        for (idx, ev) in self.plan.events().iter().enumerate() {
-            sched.schedule(ev.time_ns, CLASS_FAULT, KIND_FAULT, idx as u32, 0);
-        }
-        for (i, f) in flows.iter().enumerate() {
-            sched.schedule(f.start_ns, CLASS_FLOW, KIND_ADMIT, i as u32, 0);
-        }
-
-        // Distinct pairs with byte weights, for circuit-coverage snapshots
-        // around each re-provisioning round.
-        let mut pair_weight: Vec<((usize, usize), u64)> = Vec::new();
-        {
-            let mut acc: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
-            for f in flows {
-                *acc.entry((f.src, f.dst)).or_insert(0) += f.bytes;
-            }
-            pair_weight.extend(acc);
-        }
-        let coverage = |state: &FaultState| -> f64 {
-            let mut covered = 0u64;
-            let mut total = 0u64;
-            for &((s, d), w) in &pair_weight {
-                total += w;
-                if fabric.path_avoiding(s, d, state).is_some() {
-                    covered += w;
-                }
-            }
-            if total == 0 {
-                1.0
-            } else {
-                covered as f64 / total as f64
-            }
+        let (name, dur) = match r.end_ns {
+            Some(end) if end > r.start_ns => ("flow", end - r.start_ns),
+            Some(_) => continue,
+            None if r.abandoned => ("flow_abandoned", 0),
+            None => ("flow_unrouted", 0),
         };
-
-        let mut sync_pending = false;
-        let mut batches: Vec<(Vec<LinkId>, f64)> = Vec::new();
-        let mut reprovisions: Vec<ReconfigStep> = Vec::new();
-        let mut n_events = 0u64;
-        let t_loop = std::time::Instant::now();
-
-        while let Some(ev) = sched.pop() {
-            n_events += 1;
-            let now = ev.time_ns;
-            if let Some(obs) = obs {
-                obs.queue_occupancy.record(sched.q.len() as u64);
-            }
-            match ev.kind {
-                KIND_FAULT => {
-                    let idx = ev.a as usize;
-                    let fe = self.plan.events()[idx];
-                    let incident = state.apply(fabric, fe);
-                    let evicted = match fe.target {
-                        FaultTarget::Link(l) => match fe.action {
-                            FaultAction::Fail => cache.invalidate_link(l),
-                            FaultAction::Recover => 0,
-                        },
-                        FaultTarget::Node(n) => match fe.action {
-                            FaultAction::Fail => cache.invalidate_node(n, &incident),
-                            FaultAction::Recover => 0,
-                        },
-                    };
-                    if let Some(obs) = obs {
-                        obs.cache_evictions.add(evicted as u64);
-                        let (kind, id) = match (fe.action, fe.target) {
-                            (FaultAction::Fail, FaultTarget::Link(l)) => ("link_fail", l),
-                            (FaultAction::Recover, FaultTarget::Link(l)) => ("link_recover", l),
-                            (FaultAction::Fail, FaultTarget::Node(n)) => ("node_fail", n),
-                            (FaultAction::Recover, FaultTarget::Node(n)) => ("node_recover", n),
-                        };
-                        match fe.action {
-                            FaultAction::Fail => obs.faults.inc(),
-                            FaultAction::Recover => obs.recoveries.inc(),
-                        }
-                        obs.fault_event(now, kind, id);
-                    }
-                    if let Some(tr) = self.trace {
-                        // Fault instants: link events annotate the link's
-                        // own track; node events land on the engine track.
-                        let (name, track, field) = match (fe.action, fe.target) {
-                            (FaultAction::Fail, FaultTarget::Link(l)) => {
-                                ("link_fail", Track::Link(l), ("link", l as u64))
-                            }
-                            (FaultAction::Recover, FaultTarget::Link(l)) => {
-                                ("link_recover", Track::Link(l), ("link", l as u64))
-                            }
-                            (FaultAction::Fail, FaultTarget::Node(n)) => {
-                                ("node_fail", Track::Engine, ("node", n as u64))
-                            }
-                            (FaultAction::Recover, FaultTarget::Node(n)) => {
-                                ("node_recover", Track::Engine, ("node", n as u64))
-                            }
-                        };
-                        tr.record_span(track, name, now, 0, 0, 0, vec![field]);
-                    }
-                    // A repairable circuit failure books the next sync
-                    // point (once; later failures join the same batch).
-                    if let (Some(interval), FaultAction::Fail, FaultTarget::Link(l)) =
-                        (self.reprovision_interval_ns, fe.action, fe.target)
-                    {
-                        if fabric.reprovisionable(l) && !sync_pending {
-                            sync_pending = true;
-                            sched.schedule(
-                                (now / interval + 1) * interval,
-                                CLASS_SYNC,
-                                KIND_SYNC,
-                                0,
-                                0,
-                            );
-                        }
-                    }
-                }
-                KIND_SYNC => {
-                    let batch: Vec<LinkId> = state
-                        .failed_links()
-                        .into_iter()
-                        .filter(|&l| fabric.reprovisionable(l))
-                        .collect();
-                    if batch.is_empty() {
-                        // Everything already recovered on its own.
-                        sync_pending = false;
-                        continue;
-                    }
-                    let cov_before = coverage(&state);
-                    let done_at = now + hfast_core::CircuitSwitch::RECONFIG_LATENCY_NS;
-                    if let Some(tr) = self.trace {
-                        tr.record_span(
-                            Track::Reconfig,
-                            "sync_point",
-                            now,
-                            0,
-                            0,
-                            0,
-                            vec![("failed_circuits", batch.len() as u64)],
-                        );
-                    }
-                    batches.push((batch, cov_before));
-                    sched.schedule(
-                        done_at,
-                        CLASS_REPATCH,
-                        KIND_REPATCH,
-                        (batches.len() - 1) as u32,
-                        0,
-                    );
-                }
-                KIND_REPATCH => {
-                    let idx = ev.a as usize;
-                    let (batch, cov_before) = batches[idx].clone();
-                    for &l in &batch {
-                        state.repatch_link(l);
-                    }
-                    // Fault-era detours may now be worse than the repaired
-                    // primary: force those pairs to re-resolve.
-                    for &slot in &dirty {
-                        cache.mark_stale(slot);
-                    }
-                    let cov_after = coverage(&state);
-                    if let Some(tr) = self.trace {
-                        // The batch occupied the crossbar from its sync
-                        // point until now; span ids continue past the flow
-                        // id range so both stay unique in one recorder.
-                        let latency = hfast_core::CircuitSwitch::RECONFIG_LATENCY_NS;
-                        tr.record_span(
-                            Track::Reconfig,
-                            "reprovision",
-                            now.saturating_sub(latency),
-                            latency,
-                            engine_span_id(flows.len() as u64 + 1 + idx as u64),
-                            0,
-                            vec![
-                                ("circuits", batch.len() as u64),
-                                ("coverage_before_permille", (cov_before * 1000.0) as u64),
-                                ("coverage_after_permille", (cov_after * 1000.0) as u64),
-                            ],
-                        );
-                    }
-                    reprovisions.push(ReconfigStep::repatch(batch.len(), cov_before, cov_after));
-                    if let Some(obs) = obs {
-                        obs.reprovisions.inc();
-                        obs.repatched_links.add(batch.len() as u64);
-                        obs.fault_event(now, "reprovision", batch.len());
-                    }
-                    sync_pending = false;
-                    // Circuits that failed during the repatch window get
-                    // their own round.
-                    if let Some(interval) = self.reprovision_interval_ns {
-                        if state
-                            .failed_links()
-                            .iter()
-                            .any(|&l| fabric.reprovisionable(l))
-                        {
-                            sync_pending = true;
-                            sched.schedule(
-                                (now / interval + 1) * interval,
-                                CLASS_SYNC,
-                                KIND_SYNC,
-                                0,
-                                0,
-                            );
-                        }
-                    }
-                }
-                KIND_ADMIT => {
-                    let flow = ev.a as usize;
-                    admissions[flow] += 1;
-                    let slot = flow_slot[flow];
-                    let resolved =
-                        Self::resolve(cache, slot, fabric, &state, flows[flow], &mut dirty);
-                    match resolved {
-                        Resolution::Route(r) => {
-                            records[flow].hops = r.len();
-                            if r.is_empty() {
-                                records[flow].end_ns = Some(now); // self-delivery
-                                continue;
-                            }
-                            route[flow] = Some(r);
-                            self.advance(
-                                flow,
-                                0,
-                                now,
-                                flows,
-                                &state,
-                                &route,
-                                &mut records,
-                                &mut link_free_at,
-                                &mut link_busy_ns,
-                                obs,
-                                &mut sched,
-                                &mut admissions,
-                                &mut first_fail,
-                                false,
-                            );
-                        }
-                        Resolution::Unreachable => {
-                            // The topology itself has no route; retrying
-                            // cannot help (matches the static loop).
-                            if let Some(obs) = obs {
-                                obs.unrouted.inc();
-                            }
-                        }
-                        Resolution::Blocked => {
-                            self.reschedule(
-                                flow,
-                                now,
-                                &mut records,
-                                &mut sched,
-                                &mut admissions,
-                                &mut first_fail,
-                                obs,
-                            );
-                        }
-                    }
-                }
-                _ => {
-                    debug_assert_eq!(ev.kind, KIND_FLOW);
-                    self.advance(
-                        ev.a as usize,
-                        ev.b as usize,
-                        now,
-                        flows,
-                        &state,
-                        &route,
-                        &mut records,
-                        &mut link_free_at,
-                        &mut link_busy_ns,
-                        obs,
-                        &mut sched,
-                        &mut admissions,
-                        &mut first_fail,
-                        true,
-                    );
-                }
-            }
-        }
-
-        let perf = LoopPerf {
-            events: n_events,
-            loop_ns: t_loop.elapsed().as_nanos() as u64,
-        };
-
-        // Leave no fault-era route behind for the next (possibly
-        // fault-free) user of this cache.
-        for slot in dirty {
-            cache.mark_stale(slot);
-        }
-
-        if let Some(tr) = self.trace {
-            record_flow_spans(tr, flows, &records);
-        }
-
-        let stats = RunStats::from_records(fabric, flows, &records, &link_busy_ns);
-        if let Some(obs) = obs {
-            obs.runs.inc();
-            obs.flows.add(flows.len() as u64);
-            obs.events.add(n_events);
-            obs.heap_peak.set_max(sched.q.peak() as u64);
-            obs.set_events_per_sec(&perf);
-            for f in flows {
-                obs.flow_bytes.record(f.bytes);
-            }
-        }
-        (stats, records, reprovisions, perf)
+        trace.record_span(Track::Engine, name, r.start_ns, dur, span_id, 0, fields);
     }
-
-    /// Resolves the current best route for `flow`'s pair through the
-    /// cache, recomputing via [`Fabric::path_avoiding`] when the stored
-    /// route is stale or blocked.
-    fn resolve(
-        cache: &mut PathCache,
-        slot: usize,
-        fabric: &dyn Fabric,
-        state: &FaultState,
-        flow: Flow,
-        dirty: &mut BTreeSet<usize>,
-    ) -> Resolution {
-        if !cache.is_stale(slot) {
-            match cache.path(slot) {
-                Some(p) if !state.blocks(p) => return Resolution::Route(p.to_vec()),
-                None => return Resolution::Unreachable,
-                Some(_) => {}
-            }
-        }
-        match fabric.path_avoiding(flow.src, flow.dst, state) {
-            Some(r) => {
-                cache.set_route(slot, Some(&r));
-                if state.any_down() {
-                    dirty.insert(slot);
-                } else {
-                    dirty.remove(&slot);
-                }
-                Resolution::Route(r)
-            }
-            None => {
-                if state.any_down() {
-                    Resolution::Blocked
-                } else {
-                    // Healthy fabric, still no route: permanently
-                    // unreachable. Cache the verdict.
-                    cache.set_route(slot, None);
-                    dirty.remove(&slot);
-                    Resolution::Unreachable
-                }
-            }
-        }
-    }
-
-    /// Moves `flow`'s header onto hop `hop` at time `now`: kills the
-    /// attempt if the link is down, otherwise claims the link FIFO exactly
-    /// like the static loop and schedules the next hop or the delivery.
-    #[allow(clippy::too_many_arguments)]
-    fn advance(
-        &self,
-        flow: usize,
-        hop: usize,
-        now: u64,
-        flows: &[Flow],
-        state: &FaultState,
-        route: &[Option<Vec<LinkId>>],
-        records: &mut [FlowRecord],
-        link_free_at: &mut [u64],
-        link_busy_ns: &mut [u64],
-        obs: Option<&EngineObs>,
-        sched: &mut Scheduler,
-        admissions: &mut [u32],
-        first_fail: &mut [Option<u64>],
-        in_flight: bool,
-    ) {
-        let path = route[flow].as_deref().expect("admitted flows have routes");
-        let link_id = path[hop];
-        if !state.link_up(link_id) {
-            // Lazy kill: the header met a dead link.
-            if in_flight {
-                if let Some(obs) = obs {
-                    obs.flow_kills.inc();
-                }
-            }
-            if let Some(tr) = self.trace {
-                tr.record_span(
-                    Track::Link(link_id),
-                    "flow_kill",
-                    now,
-                    0,
-                    0,
-                    engine_span_id(flow as u64 + 1),
-                    vec![("flow", flow as u64), ("hop", hop as u64)],
-                );
-            }
-            self.reschedule(flow, now, records, sched, admissions, first_fail, obs);
-            return;
-        }
-        let spec = self.fabric.link(link_id);
-        let bytes = flows[flow].bytes;
-        let start = now.max(link_free_at[link_id]);
-        let serialization = spec.serialize_ns(bytes);
-        link_free_at[link_id] = start + serialization;
-        link_busy_ns[link_id] += serialization;
-        if let Some(obs) = obs {
-            obs.queue_wait_ns.record(start - now);
-            obs.link_busy(start, serialization, link_id);
-        }
-        if let Some(tr) = self.trace {
-            tr.record_span(
-                Track::Link(link_id),
-                "hop",
-                start,
-                serialization,
-                0,
-                engine_span_id(flow as u64 + 1),
-                vec![("wait", start - now), ("flow", flow as u64)],
-            );
-        }
-        let header_out = start + spec.latency_ns;
-        if hop + 1 < path.len() {
-            sched.schedule(
-                header_out,
-                CLASS_FLOW,
-                KIND_FLOW,
-                flow as u32,
-                (hop + 1) as u32,
-            );
-        } else {
-            let end = header_out + serialization;
-            records[flow].end_ns = Some(end);
-            if let (Some(obs), Some(t0)) = (obs, first_fail[flow]) {
-                obs.reroute_latency_ns.record(end.saturating_sub(t0));
-            }
-        }
-    }
-
-    /// Books a retry for a failed attempt, or abandons the flow once the
-    /// policy's attempt budget is spent.
-    #[allow(clippy::too_many_arguments)]
-    fn reschedule(
-        &self,
-        flow: usize,
-        now: u64,
-        records: &mut [FlowRecord],
-        sched: &mut Scheduler,
-        admissions: &mut [u32],
-        first_fail: &mut [Option<u64>],
-        obs: Option<&EngineObs>,
-    ) {
-        if first_fail[flow].is_none() {
-            first_fail[flow] = Some(now);
-        }
-        let failed = admissions[flow];
-        if failed < self.retry.attempts() {
-            records[flow].retries += 1;
-            if let Some(obs) = obs {
-                obs.retries.inc();
-            }
-            if let Some(tr) = self.trace {
-                tr.record_span(
-                    Track::Engine,
-                    "flow_retry",
-                    now,
-                    0,
-                    0,
-                    engine_span_id(flow as u64 + 1),
-                    vec![("flow", flow as u64), ("attempt", u64::from(failed))],
-                );
-            }
-            sched.schedule(
-                now + self.retry.backoff_ns(failed),
-                CLASS_FLOW,
-                KIND_ADMIT,
-                flow as u32,
-                0,
-            );
-        } else {
-            records[flow].abandoned = true;
-            if let Some(obs) = obs {
-                obs.abandoned_flows.inc();
-                obs.unrouted.inc();
-            }
-        }
-    }
-}
-
-/// Outcome of one route resolution under the current fault state.
-enum Resolution {
-    /// A live route (possibly a detour).
-    Route(Vec<LinkId>),
-    /// The healthy topology has no route for this pair; never retried.
-    Unreachable,
-    /// Everything is blocked by active faults; worth retrying.
-    Blocked,
 }
 
 #[cfg(test)]

@@ -29,9 +29,9 @@ impl LinkSpec {
 
 /// A network fabric: a set of links and a deterministic routing function.
 ///
-/// `Sync` is a supertrait so the engine can precompute routes for many
-/// (src, dst) pairs in parallel; fabrics are immutable descriptions, so
-/// every implementation is trivially `Sync`.
+/// `Sync` is a supertrait so concurrent runs (experiment grids, a serving
+/// daemon's connections) can share one fabric; fabrics are immutable
+/// descriptions, so every implementation is trivially `Sync`.
 pub trait Fabric: Sync {
     /// Human-readable fabric name.
     fn name(&self) -> &str;

@@ -1,69 +1,61 @@
-//! The engine's scheduler: a calendar queue over flat bucket arenas.
+//! The engine's scheduler: one stable calendar queue over flat bucket
+//! arenas.
 //!
-//! Both event loops (static and fault-aware) used to drive a
-//! `BinaryHeap<Reverse<Event>>`: every push and pop paid `O(log n)`
-//! comparisons on a ~20k-entry heap, each one sifting a 32-byte struct
-//! through the backing array. A discrete-event simulation has much more
-//! structure than an arbitrary priority-queue workload — timestamps
-//! advance monotonically and new events land a bounded lookahead past the
-//! cursor — which is exactly what a calendar queue exploits: O(1)
-//! amortized push and pop.
+//! A discrete-event simulation has much more structure than an arbitrary
+//! priority-queue workload — timestamps advance monotonically and new
+//! events land a bounded lookahead past the cursor — which is exactly
+//! what a calendar queue exploits: O(1) amortized push and pop, where a
+//! `BinaryHeap` pays `O(log n)` comparisons sifting entries through its
+//! backing array.
 //!
-//! Layout: an event is one flat 24-byte record — timestamp, packed
-//! tie-break word, packed payload — stored *inline* in the bucket arenas
-//! (`Vec<Entry>` per bucket plus the sorted active run). An earlier cut of
-//! this rewrite kept events as `u32` indices into parallel SoA columns,
-//! but the per-window sort then gathers its keys through the indirection
-//! (dependent cache misses on every comparison) and measured markedly
-//! slower than sorting the records in place, so the indices were dropped.
-//! Bucket capacity is retained across the cursor's revolutions, so a
-//! steady-state run allocates nothing per event.
+//! Layout: an event is one flat 16-byte record — timestamp, flow, tag —
+//! stored *inline* in the bucket arenas (`Vec<Ev>` per bucket plus the
+//! sorted active run). Sorting records in place beats sorting indices
+//! into parallel columns (the indirection is a dependent cache miss per
+//! comparison). Bucket capacity is retained across the cursor's
+//! revolutions, so a steady-state run allocates nothing per event.
 //!
 //! Ordering contract (property-tested against `BinaryHeap` in this
-//! module): entries dequeue by ascending `(time_ns, class, seq)` — the
-//! exact total order the event loops' determinism argument relies on. The
-//! tie-break packs `class << 56 | seq << 3 | kind` into one `u64`: one
-//! integer compare orders by class then sequence number, and — because
-//! `seq` is unique per queue — the low `kind` bits ride along without ever
-//! deciding a comparison.
+//! module): entries dequeue by ascending `(time, class, push order)`. The
+//! queue is **stable**, so push order stands in for the sequence numbers
+//! a heap would need — the sequential loop pushes successors in pop
+//! order and the parallel executor pushes them in batch order, which is
+//! the same order. `class` comes from the [`TieClass`] type parameter:
+//! the ideal link model schedules one kind of event and orders purely by
+//! time; the credit model needs re-admissions ahead of service
+//! completions at equal timestamps, which is one bit derived from the
+//! tag.
 //!
-//! Bucket sizing: the queue is seeded with a hint (expected live events
-//! and the seed-time span); it picks a power-of-two bucket count close to
-//! the live-event estimate and a power-of-two bucket width such that one
-//! revolution of the ring covers the span. Events beyond one revolution
-//! wrap and are re-scanned once per revolution; a global-min jump after an
-//! empty revolution keeps sparse far-future schedules (retry backoffs,
-//! sync points) from spinning through empty windows.
+//! Bucket sizing is fixed (see [`CalendarQueue::new`]): seed admissions
+//! never enter the queue, so its live set is the in-flight flows whatever
+//! the run's size. Events beyond one revolution wrap and are re-scanned
+//! once per revolution; a global-min jump after an empty revolution keeps
+//! sparse far-future schedules (retry backoffs) from spinning through
+//! empty windows.
 
-/// Maximum sequence value: `class` takes the top 8 bits of the packed
-/// tie-break word and `kind` the bottom 3.
-const SEQ_BITS: u32 = 53;
+use std::marker::PhantomData;
 
-/// One scheduled event: 24 bytes, stored inline in the bucket arenas.
+/// One scheduled event: 16 bytes, stored inline in the bucket arenas.
+/// `tag` belongs to whoever scheduled the event (a route-arena index, a
+/// flow epoch, the driver's re-admission marker); the queue only ever
+/// hands it to [`TieClass::class`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    t: u64,
-    /// `class << 56 | seq << 3 | kind`.
-    lo: u64,
-    /// `a << 32 | b`.
-    pay: u64,
+pub(crate) struct Ev {
+    pub t: u64,
+    pub flow: u32,
+    pub tag: u32,
 }
 
-/// One dequeued event, unpacked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Popped {
-    pub time_ns: u64,
-    pub class: u8,
-    pub seq: u64,
-    pub kind: u8,
-    pub a: u32,
-    pub b: u32,
+/// How entries that share a timestamp are ordered *before* push order
+/// breaks the tie: lower classes dequeue first.
+pub(crate) trait TieClass {
+    fn class(tag: u32) -> u8;
 }
 
 /// Calendar queue over flat bucket arenas. See the module docs.
-#[derive(Debug, Default)]
-pub(crate) struct EventQueue {
-    buckets: Vec<Vec<Entry>>,
+#[derive(Debug)]
+pub(crate) struct CalendarQueue<C> {
+    buckets: Vec<Vec<Ev>>,
     /// One bit per bucket, set iff the bucket is non-empty. A sparse live
     /// set (in-flight flows ≪ bucket count × revolutions of spread) makes
     /// the cursor cross mostly-empty windows; the bitmask turns that walk
@@ -76,46 +68,57 @@ pub(crate) struct EventQueue {
     shift: u32,
     /// Bucket the cursor is currently draining.
     cursor: usize,
-    /// Exclusive end of the cursor's window: every entry still in a bucket
-    /// has `time >= window_end`; everything earlier has been moved to
-    /// `active`.
-    window_end: u64,
-    /// Entries due in the current window, sorted *descending* by
-    /// `(t, lo)` so the minimum pops from the back.
-    active: Vec<Entry>,
-
+    /// Last nanosecond of the cursor's window (inclusive, so the final
+    /// window before `u64::MAX` is representable once timestamps
+    /// saturate): every entry still in a bucket has `time > window_last`;
+    /// everything earlier has been moved to `active`.
+    window_last: u64,
+    /// Entries due in the current window, sorted ascending by
+    /// `(t, class)` with push-order ties; `active_pos..` is the live tail.
+    /// Ascending with a forward cursor because stability is directional:
+    /// among equal keys the earliest push pops first, which a descending
+    /// run popped from the back cannot represent without reversing each
+    /// equal-key group.
+    active: Vec<Ev>,
+    active_pos: usize,
     len: usize,
     peak: usize,
+    class: PhantomData<C>,
 }
 
-impl EventQueue {
-    /// An empty queue with default sizing (64 buckets of 64 ns).
-    #[cfg(test)]
+impl<C: TieClass> CalendarQueue<C> {
+    /// An empty queue of 256 buckets 256 ns wide. Measured on the
+    /// benchmark's replay_static / _credit / _faulted workloads: 16-ns
+    /// buckets cost 43 / 89 / 129 ns per event, 64 ns 30 / 70 / 107, 256 ns
+    /// 28 / 68 / 104, and wider buckets read the same — buckets narrower
+    /// than the typical scheduling lookahead keep successor events out of
+    /// the already-sorted active run (a bucket append is far cheaper than
+    /// a sorted insert).
     pub(crate) fn new() -> Self {
-        Self::with_hint(0, 0)
+        Self::with_geometry(256, 8)
     }
 
-    /// An empty queue sized for roughly `live` concurrent events spread
-    /// over a seed window of `span_ns`.
-    pub(crate) fn with_hint(live: usize, span_ns: u64) -> Self {
-        let nb = live.clamp(64, 65_536).next_power_of_two();
-        // Smallest power-of-two width covering the span in one revolution.
-        // The floor matters: buckets narrower than the typical scheduling
-        // lookahead keep successor events out of the already-sorted active
-        // run (a bucket append is far cheaper than a sorted insert).
-        let mut shift = 4u32;
-        while shift < 40 && (span_ns >> shift) > nb as u64 {
-            shift += 1;
-        }
-        EventQueue {
+    /// `nb` (a power of two) buckets of `1 << shift` nanoseconds.
+    fn with_geometry(nb: usize, shift: u32) -> Self {
+        debug_assert!(nb.is_power_of_two());
+        CalendarQueue {
             buckets: (0..nb).map(|_| Vec::new()).collect(),
             occupied: vec![0; nb.div_ceil(64)],
             mask: nb - 1,
             shift,
             cursor: 0,
-            window_end: 1u64 << shift,
-            ..EventQueue::default()
+            window_last: (1u64 << shift) - 1,
+            active: Vec::new(),
+            active_pos: 0,
+            len: 0,
+            peak: 0,
+            class: PhantomData,
         }
+    }
+
+    #[inline(always)]
+    fn key(e: &Ev) -> (u64, u8) {
+        (e.t, C::class(e.tag))
     }
 
     /// Live entries.
@@ -130,62 +133,67 @@ impl EventQueue {
         self.peak
     }
 
-    /// Schedules an event. `seq` must be unique per queue and below 2^53;
-    /// the loops guarantee this with one monotone counter.
+    /// Schedules `(flow, tag)` at `t`. Push order breaks `(t, class)`
+    /// ties.
     #[inline]
-    pub(crate) fn push(&mut self, time_ns: u64, class: u8, seq: u64, kind: u8, a: u32, b: u32) {
-        debug_assert!(seq < (1 << SEQ_BITS), "seq fits beside class and kind");
-        debug_assert!(kind < 8, "kind fits in the packed low bits");
-        let e = Entry {
-            t: time_ns,
-            lo: (u64::from(class) << 56) | (seq << 3) | u64::from(kind),
-            pay: (u64::from(a) << 32) | u64::from(b),
-        };
+    pub(crate) fn push(&mut self, t: u64, flow: u32, tag: u32) {
+        let e = Ev { t, flow, tag };
         self.len += 1;
         self.peak = self.peak.max(self.len);
-        if time_ns < self.window_end {
-            // Due now (or in the past — arbitrary streams are allowed):
-            // keep the active run sorted so the back stays the minimum.
-            let key = (time_ns, e.lo);
-            let pos = self.active.partition_point(|p| (p.t, p.lo) > key);
+        if t <= self.window_last {
+            // Due now (or in the past — arbitrary streams are allowed).
+            // The newest push sorts after every equal key already due:
+            // `<=` keeps the insert stable.
+            let key = Self::key(&e);
+            let tail = &self.active[self.active_pos..];
+            let pos = self.active_pos + tail.partition_point(|p| Self::key(p) <= key);
             self.active.insert(pos, e);
         } else {
-            let bucket = (time_ns >> self.shift) as usize & self.mask;
+            let bucket = (t >> self.shift) as usize & self.mask;
             self.buckets[bucket].push(e);
             self.occupied[bucket >> 6] |= 1 << (bucket & 63);
         }
     }
 
+    /// The earliest live entry, refilling the active run if it ran dry.
+    #[inline]
+    fn head(&mut self) -> Option<Ev> {
+        if self.active_pos == self.active.len() && !self.refill() {
+            return None;
+        }
+        Some(self.active[self.active_pos])
+    }
+
     /// Timestamp of the next event without dequeuing it.
-    #[cfg(test)]
+    #[inline]
     pub(crate) fn peek_time(&mut self) -> Option<u64> {
-        if self.active.is_empty() && !self.refill() {
-            return None;
-        }
-        Some(self.active[self.active.len() - 1].t)
+        self.head().map(|e| e.t)
     }
 
-    /// Dequeues the minimum-`(time, class, seq)` event.
+    /// Dequeues the earliest event.
     #[inline]
-    pub(crate) fn pop(&mut self) -> Option<Popped> {
-        if self.active.is_empty() && !self.refill() {
-            return None;
-        }
-        let e = self.active.pop().expect("refill produced an entry");
+    pub(crate) fn pop(&mut self) -> Option<Ev> {
+        let e = self.head()?;
+        self.active_pos += 1;
         self.len -= 1;
-        Some(Self::unpack(e))
+        Some(e)
     }
 
+    /// Dequeues the earliest event only if its timestamp is strictly
+    /// below `limit`. One refill check and one comparison, where a
+    /// `peek_time`-then-`pop` pair pays both twice — this is the driver's
+    /// merged pop: the queue yields only while its head is strictly
+    /// earlier than the next seed admission and the next control event,
+    /// both of which win timestamp ties.
     #[inline]
-    fn unpack(e: Entry) -> Popped {
-        Popped {
-            time_ns: e.t,
-            class: (e.lo >> 56) as u8,
-            seq: (e.lo >> 3) & ((1 << SEQ_BITS) - 1),
-            kind: (e.lo & 7) as u8,
-            a: (e.pay >> 32) as u32,
-            b: e.pay as u32,
+    pub(crate) fn pop_before(&mut self, limit: u64) -> Option<Ev> {
+        let e = self.head()?;
+        if e.t >= limit {
+            return None;
         }
+        self.active_pos += 1;
+        self.len -= 1;
+        Some(e)
     }
 
     /// Advances the cursor until a window yields due entries, filling
@@ -211,12 +219,14 @@ impl EventQueue {
             }
             stepped += ahead;
             self.cursor = k;
-            self.window_end += (ahead as u64) << self.shift;
+            self.window_last = self
+                .window_last
+                .saturating_add((ahead as u64) << self.shift);
             if self.drain_cursor() {
                 return true;
             }
             self.cursor = (self.cursor + 1) & self.mask;
-            self.window_end += 1u64 << self.shift;
+            self.window_last = self.window_last.saturating_add(1u64 << self.shift);
             stepped += 1;
         }
         // A whole revolution was empty: every live entry is at least one
@@ -229,7 +239,7 @@ impl EventQueue {
             .min()
             .expect("len > 0 means some bucket is non-empty");
         self.cursor = (min_t >> self.shift) as usize & self.mask;
-        self.window_end = (min_t >> self.shift).wrapping_add(1) << self.shift;
+        self.window_last = min_t | ((1u64 << self.shift) - 1);
         let drained = self.drain_cursor();
         debug_assert!(drained, "the minimum's bucket drains");
         drained
@@ -253,278 +263,11 @@ impl EventQueue {
         None
     }
 
-    /// Moves the cursor bucket's due entries (time < window_end) into the
-    /// sorted active run, in place: entries a revolution or more ahead are
-    /// compacted to the bucket's front and keep their allocation.
-    fn drain_cursor(&mut self) -> bool {
-        let bucket = &mut self.buckets[self.cursor];
-        if bucket.is_empty() {
-            return false;
-        }
-        debug_assert!(self.active.is_empty());
-        let window_end = self.window_end;
-        let mut keep = 0;
-        for i in 0..bucket.len() {
-            let e = bucket[i];
-            if e.t < window_end {
-                self.active.push(e);
-            } else {
-                bucket[keep] = e;
-                keep += 1;
-            }
-        }
-        bucket.truncate(keep);
-        if keep == 0 {
-            self.occupied[self.cursor >> 6] &= !(1 << (self.cursor & 63));
-        }
-        if self.active.is_empty() {
-            return false;
-        }
-        self.active
-            .sort_unstable_by_key(|e| std::cmp::Reverse((e.t, e.lo)));
-        true
-    }
-}
-
-/// The queue plus the run's monotone sequence counter: the **single**
-/// audited scheduling site. Every event both loops enqueue — admissions,
-/// hop arrivals, fault applications, sync points, repatch completions,
-/// retries — goes through [`schedule`], which is the only caller of
-/// [`EventQueue::push`] in the engine; the old code had 8+ hand-rolled
-/// `heap.push(Reverse(...))` sites, each re-deriving the tie-break by
-/// hand.
-///
-/// [`schedule`]: Scheduler::schedule
-#[derive(Debug)]
-pub(crate) struct Scheduler {
-    pub(crate) q: EventQueue,
-    seq: u64,
-}
-
-impl Scheduler {
-    /// A scheduler sized like [`EventQueue::with_hint`].
-    pub(crate) fn with_hint(live: usize, span_ns: u64) -> Self {
-        Scheduler {
-            q: EventQueue::with_hint(live, span_ns),
-            seq: 0,
-        }
-    }
-
-    /// Enqueues an event at `time_ns`, assigning the next sequence number.
-    /// Events dequeue by ascending `(time_ns, class, seq)`: scheduling
-    /// order breaks timestamp ties, exactly like the old heap's
-    /// monotonically assigned `Event::seq`.
-    #[inline]
-    pub(crate) fn schedule(&mut self, time_ns: u64, class: u8, kind: u8, a: u32, b: u32) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.q.push(time_ns, class, seq, kind, a, b);
-    }
-
-    /// Dequeues the next event.
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<Popped> {
-        self.q.pop()
-    }
-}
-
-/// Entry of the static loop's calendar queue: 16 bytes — timestamp,
-/// flow, route-arena index. No tie-break word: see [`FlowQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FlowEntry {
-    t: u64,
-    flow: u32,
-    idx: u32,
-}
-
-/// The static (fault-free) loop's calendar queue. Identical ring design
-/// to [`EventQueue`], with one structural specialization: every event the
-/// static loop schedules has the same class and kind, so the
-/// `(time, class, seq)` total order degenerates to *(time, insertion
-/// order)* — which a **stable** queue implements without materializing
-/// sequence numbers at all. Entries shrink from 24 to 16 bytes, every
-/// comparison is one `u64`, and the per-window sort is a stable
-/// sort-by-timestamp whose equal keys keep push order (the sequential
-/// loop pushes successors in pop order; the parallel executor pushes them
-/// in batch order, which is the same order — that is exactly the old
-/// `seq` tie-break).
-///
-/// `active` is sorted *ascending* and consumed via a forward cursor
-/// (`active_pos`), because stability is directional: among equal
-/// timestamps the earliest push pops first, which a descending run popped
-/// from the back cannot represent without reversing each equal-key group.
-#[derive(Debug, Default)]
-pub(crate) struct FlowQueue {
-    buckets: Vec<Vec<FlowEntry>>,
-    /// One bit per non-empty bucket (see [`EventQueue::occupied`]).
-    occupied: Vec<u64>,
-    mask: usize,
-    shift: u32,
-    cursor: usize,
-    window_end: u64,
-    /// Entries due in the current window, sorted ascending by `t` with
-    /// push-order ties; `active_pos..` is the live tail.
-    active: Vec<FlowEntry>,
-    active_pos: usize,
-
-    len: usize,
-    peak: usize,
-}
-
-impl FlowQueue {
-    /// An empty queue sized like [`EventQueue::with_hint`].
-    pub(crate) fn with_hint(live: usize, span_ns: u64) -> Self {
-        let nb = live.clamp(64, 65_536).next_power_of_two();
-        let mut shift = 4u32;
-        while shift < 40 && (span_ns >> shift) > nb as u64 {
-            shift += 1;
-        }
-        FlowQueue {
-            buckets: (0..nb).map(|_| Vec::new()).collect(),
-            occupied: vec![0; nb.div_ceil(64)],
-            mask: nb - 1,
-            shift,
-            cursor: 0,
-            window_end: 1u64 << shift,
-            ..FlowQueue::default()
-        }
-    }
-
-    /// Live entries.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// High-water mark of live entries over the queue's lifetime.
-    #[inline]
-    pub(crate) fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Schedules `(flow, idx)` at `time_ns`. Push order breaks timestamp
-    /// ties.
-    #[inline]
-    pub(crate) fn push(&mut self, time_ns: u64, flow: u32, idx: u32) {
-        let e = FlowEntry {
-            t: time_ns,
-            flow,
-            idx,
-        };
-        self.len += 1;
-        self.peak = self.peak.max(self.len);
-        if time_ns < self.window_end {
-            // The newest push sorts after every equal timestamp already
-            // due: `<=` keeps the insert stable.
-            let tail = &self.active[self.active_pos..];
-            let pos = self.active_pos + tail.partition_point(|p| p.t <= time_ns);
-            self.active.insert(pos, e);
-        } else {
-            let bucket = (time_ns >> self.shift) as usize & self.mask;
-            self.buckets[bucket].push(e);
-            self.occupied[bucket >> 6] |= 1 << (bucket & 63);
-        }
-    }
-
-    /// Timestamp of the next event without dequeuing it.
-    #[inline]
-    pub(crate) fn peek_time(&mut self) -> Option<u64> {
-        if self.active_pos == self.active.len() && !self.refill() {
-            return None;
-        }
-        Some(self.active[self.active_pos].t)
-    }
-
-    /// Dequeues the earliest `(time, flow, idx)`.
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<(u64, u32, u32)> {
-        if self.active_pos == self.active.len() && !self.refill() {
-            return None;
-        }
-        let e = self.active[self.active_pos];
-        self.active_pos += 1;
-        self.len -= 1;
-        Some((e.t, e.flow, e.idx))
-    }
-
-    /// Dequeues the earliest event only if its timestamp is strictly
-    /// below `limit`. One refill check and one comparison, where a
-    /// `peek_time`-then-`pop` pair pays both twice — this is the merged
-    /// seed-stream pop in the engine's lean loop (`seed.start <= top` ⇔
-    /// pop the queue only when `top < seed.start`).
-    #[inline]
-    pub(crate) fn pop_before(&mut self, limit: u64) -> Option<(u64, u32, u32)> {
-        if self.active_pos == self.active.len() && !self.refill() {
-            return None;
-        }
-        let e = self.active[self.active_pos];
-        if e.t >= limit {
-            return None;
-        }
-        self.active_pos += 1;
-        self.len -= 1;
-        Some((e.t, e.flow, e.idx))
-    }
-
-    /// See [`EventQueue::refill`]; same window walk, stable drains.
-    #[cold]
-    fn refill(&mut self) -> bool {
-        if self.len == 0 {
-            return false;
-        }
-        let mut stepped = 0usize;
-        while stepped <= self.mask {
-            let k = self
-                .next_occupied(self.cursor)
-                .expect("len > 0 means some bucket is non-empty");
-            let ahead = k.wrapping_sub(self.cursor) & self.mask;
-            if stepped + ahead > self.mask {
-                break;
-            }
-            stepped += ahead;
-            self.cursor = k;
-            self.window_end += (ahead as u64) << self.shift;
-            if self.drain_cursor() {
-                return true;
-            }
-            self.cursor = (self.cursor + 1) & self.mask;
-            self.window_end += 1u64 << self.shift;
-            stepped += 1;
-        }
-        let min_t = self
-            .buckets
-            .iter()
-            .flatten()
-            .map(|e| e.t)
-            .min()
-            .expect("len > 0 means some bucket is non-empty");
-        self.cursor = (min_t >> self.shift) as usize & self.mask;
-        self.window_end = (min_t >> self.shift).wrapping_add(1) << self.shift;
-        let drained = self.drain_cursor();
-        debug_assert!(drained, "the minimum's bucket drains");
-        drained
-    }
-
-    /// First non-empty bucket at or circularly after `from`.
-    #[inline]
-    fn next_occupied(&self, from: usize) -> Option<usize> {
-        let words = self.occupied.len();
-        let first = self.occupied[from >> 6] & (!0u64 << (from & 63));
-        if first != 0 {
-            return Some((from & !63) + first.trailing_zeros() as usize);
-        }
-        for step in 1..=words {
-            let w = ((from >> 6) + step) % words;
-            if self.occupied[w] != 0 {
-                return Some((w << 6) + self.occupied[w].trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// Drains the cursor bucket's due entries into `active`, stably
-    /// sorted ascending by timestamp (compaction and the stable sort both
-    /// preserve push order within equal keys).
+    /// Moves the cursor bucket's due entries (time <= window_last) into the
+    /// active run, stably sorted ascending by `(t, class)`: compaction and
+    /// the stable sort both preserve push order within equal keys.
+    /// Entries a revolution or more ahead are compacted to the bucket's
+    /// front and keep their allocation.
     fn drain_cursor(&mut self) -> bool {
         let bucket = &mut self.buckets[self.cursor];
         if bucket.is_empty() {
@@ -533,11 +276,11 @@ impl FlowQueue {
         debug_assert!(self.active_pos == self.active.len());
         self.active.clear();
         self.active_pos = 0;
-        let window_end = self.window_end;
+        let window_last = self.window_last;
         let mut keep = 0;
         for i in 0..bucket.len() {
             let e = bucket[i];
-            if e.t < window_end {
+            if e.t <= window_last {
                 self.active.push(e);
             } else {
                 bucket[keep] = e;
@@ -551,7 +294,7 @@ impl FlowQueue {
         if self.active.is_empty() {
             return false;
         }
-        self.active.sort_by_key(|e| e.t);
+        self.active.sort_by_key(Self::key);
         true
     }
 }
@@ -563,59 +306,51 @@ mod tests {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
+    /// One class: pure `(time, push order)`.
+    struct Flat;
+    impl TieClass for Flat {
+        fn class(_: u32) -> u8 {
+            0
+        }
+    }
+
+    /// The tag's low two bits are the class.
+    struct Low2;
+    impl TieClass for Low2 {
+        fn class(tag: u32) -> u8 {
+            (tag & 3) as u8
+        }
+    }
+
+    fn drain<C: TieClass>(q: &mut CalendarQueue<C>) -> Vec<Ev> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
     #[test]
-    fn dequeues_in_time_class_seq_order() {
-        let mut q = EventQueue::with_hint(8, 1_000);
-        // Same timestamp, distinct classes and seqs, pushed shuffled.
-        q.push(500, 3, 10, 0, 1, 0);
-        q.push(500, 0, 11, 1, 2, 0);
-        q.push(100, 3, 12, 0, 3, 0);
-        q.push(500, 3, 9, 4, 4, 0);
-        q.push(2_000, 1, 1, 2, 5, 0);
-        let order: Vec<(u64, u8, u64)> = std::iter::from_fn(|| q.pop())
-            .map(|p| (p.time_ns, p.class, p.seq))
-            .collect();
+    fn dequeues_in_time_class_push_order() {
+        let mut q = CalendarQueue::<Low2>::with_geometry(64, 4);
+        // Same timestamp, distinct classes, pushed shuffled; `flow`
+        // records the push order.
+        q.push(500, 0, 3);
+        q.push(500, 1, 0);
+        q.push(100, 2, 3);
+        q.push(500, 3, 3);
+        q.push(2_000, 4, 1);
+        let order: Vec<(u64, u32)> = drain(&mut q).iter().map(|e| (e.t, e.flow)).collect();
         assert_eq!(
             order,
-            vec![
-                (100, 3, 12),
-                (500, 0, 11),
-                (500, 3, 9),
-                (500, 3, 10),
-                (2_000, 1, 1),
-            ]
+            vec![(100, 2), (500, 1), (500, 0), (500, 3), (2_000, 4)]
         );
         assert_eq!(q.len(), 0);
         assert_eq!(q.peak(), 5);
     }
 
     #[test]
-    fn payload_round_trips() {
-        let mut q = EventQueue::new();
-        q.push(42, 2, 7, 4, 0xDEAD_BEEF, 0xCAFE_F00D);
-        let p = q.pop().unwrap();
-        assert_eq!(
-            p,
-            Popped {
-                time_ns: 42,
-                class: 2,
-                seq: 7,
-                kind: 4,
-                a: 0xDEAD_BEEF,
-                b: 0xCAFE_F00D,
-            }
-        );
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
     fn len_tracks_pushes_and_pops() {
-        let mut q = EventQueue::new();
-        let mut seq = 0;
+        let mut q = CalendarQueue::<Flat>::new();
         for round in 0..10u64 {
             for i in 0..100 {
-                q.push(round * 1000 + i, 3, seq, 0, 0, 0);
-                seq += 1;
+                q.push(round * 1000 + i, 0, 0);
             }
             assert_eq!(q.len(), 100);
             for _ in 0..100 {
@@ -629,84 +364,37 @@ mod tests {
     #[test]
     fn sparse_far_future_events_are_found_by_the_jump() {
         // Entries many revolutions apart: the empty-revolution jump must
-        // land on each without scanning the gap window by window.
-        let mut q = EventQueue::with_hint(4, 100);
-        q.push(10, 3, 0, 0, 0, 0);
-        q.push(1_000_000_000, 3, 1, 0, 0, 0);
-        q.push(50_000_000_000, 3, 2, 0, 0, 0);
-        assert_eq!(q.pop().unwrap().time_ns, 10);
-        assert_eq!(q.pop().unwrap().time_ns, 1_000_000_000);
-        assert_eq!(q.pop().unwrap().time_ns, 50_000_000_000);
-        assert!(q.pop().is_none());
+        // land on each without scanning the gap window by window — up to
+        // and including the saturation ceiling.
+        let mut q = CalendarQueue::<Flat>::with_geometry(4, 4);
+        let times = [10, 1_000_000_000, 50_000_000_000, u64::MAX - 1, u64::MAX];
+        for (i, &t) in times.iter().rev().enumerate() {
+            q.push(t, i as u32, 0);
+        }
+        q.push(u64::MAX, 9, 0);
+        let got: Vec<(u64, u32)> = drain(&mut q).iter().map(|e| (e.t, e.flow)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (10, 4),
+                (1_000_000_000, 3),
+                (50_000_000_000, 2),
+                (u64::MAX - 1, 1),
+                (u64::MAX, 0),
+                (u64::MAX, 9),
+            ]
+        );
     }
 
     #[test]
-    fn matches_binary_heap_on_random_streams() {
+    fn matches_a_seq_tagged_heap_on_random_streams() {
+        // The stable queue must replicate `(time, class, seq)` order with
+        // the seq implied by push order — the reference tags each push
+        // with an explicit monotone seq and pops through a heap.
         forall("queue_matches_binary_heap", 64, |rng| {
-            let hint_live = rng.range(0, 64);
-            let hint_span = rng.range_u64(0, 10_000);
-            let mut q = EventQueue::with_hint(hint_live, hint_span);
-            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-            let mut seq = 0u64;
-            let mut got = Vec::new();
-            let mut want = Vec::new();
-            for _ in 0..rng.range(1, 400) {
-                if rng.bool(0.5) || heap.is_empty() {
-                    // Bursts at identical timestamps + far-future strays +
-                    // pushes into the past relative to the cursor.
-                    let t = match rng.range(0, 4) {
-                        0 => rng.range_u64(0, 50),
-                        1 => rng.range_u64(0, 5_000),
-                        2 => rng.range_u64(0, 1 << 30),
-                        _ => 777,
-                    };
-                    let class = rng.range(0, 4) as u8;
-                    let kind = rng.range(0, 5) as u8;
-                    q.push(t, class, seq, kind, 0, 0);
-                    heap.push(Reverse((t, (u64::from(class) << 56) | seq)));
-                    seq += 1;
-                } else {
-                    let p = q.pop().unwrap();
-                    let Reverse(k) = heap.pop().unwrap();
-                    got.push((p.time_ns, (u64::from(p.class) << 56) | p.seq));
-                    want.push(k);
-                }
-            }
-            while let Some(p) = q.pop() {
-                got.push((p.time_ns, (u64::from(p.class) << 56) | p.seq));
-            }
-            while let Some(Reverse(k)) = heap.pop() {
-                want.push(k);
-            }
-            assert_eq!(got, want, "dequeue order diverged from the heap");
-        });
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        forall("peek_matches_pop", 16, |rng| {
-            let mut q = EventQueue::with_hint(16, 1000);
-            for seq in 0..rng.range_u64(1, 200) {
-                q.push(rng.range_u64(0, 5_000), 3, seq, 0, 0, 0);
-            }
-            while let Some(t) = q.peek_time() {
-                let p = q.pop().unwrap();
-                assert_eq!(p.time_ns, t);
-            }
-            assert!(q.pop().is_none());
-        });
-    }
-
-    #[test]
-    fn flow_queue_is_stable_and_matches_a_seq_tagged_heap() {
-        // The stable queue must replicate `(time, seq)` order with the
-        // seq implied by push order — the reference tags each push with an
-        // explicit monotone seq and pops through a heap.
-        forall("flow_queue_stable", 64, |rng| {
-            let hint_live = rng.range(0, 64);
-            let hint_span = rng.range_u64(0, 10_000);
-            let mut q = FlowQueue::with_hint(hint_live, hint_span);
-            let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+            let (nb, shift) = (1 << rng.range(0, 9), rng.range(0, 12) as u32);
+            let mut q = CalendarQueue::<Low2>::with_geometry(nb, shift);
+            let mut heap: BinaryHeap<Reverse<(u64, u8, u32)>> = BinaryHeap::new();
             let mut seq = 0u32;
             let mut got = Vec::new();
             let mut want = Vec::new();
@@ -720,39 +408,43 @@ mod tests {
                         2 => rng.range_u64(0, 1 << 30),
                         _ => 777,
                     };
-                    q.push(t, seq, !seq);
-                    heap.push(Reverse((t, seq)));
+                    let class = rng.range(0, 4) as u8;
+                    q.push(t, seq, u32::from(class) | 0x100);
+                    heap.push(Reverse((t, class, seq)));
                     seq += 1;
                 } else {
-                    let (t, flow, idx) = q.pop().unwrap();
-                    assert_eq!(idx, !flow, "payload rides with its entry");
-                    let Reverse(k) = heap.pop().unwrap();
-                    got.push((t, flow));
-                    want.push(k);
+                    if let Some(t) = q.peek_time() {
+                        assert_eq!(t, heap.peek().unwrap().0 .0, "peek is the next pop");
+                    }
+                    let e = q.pop().unwrap();
+                    assert_eq!(e.tag & !3, 0x100, "payload rides with its entry");
+                    got.push((e.t, Low2::class(e.tag), e.flow));
+                    want.push(heap.pop().unwrap().0);
                 }
             }
-            while let Some((t, flow, _)) = q.pop() {
-                got.push((t, flow));
-            }
-            while let Some(Reverse(k)) = heap.pop() {
-                want.push(k);
-            }
-            assert_eq!(got, want, "stable dequeue order diverged");
+            got.extend(
+                drain(&mut q)
+                    .iter()
+                    .map(|e| (e.t, Low2::class(e.tag), e.flow)),
+            );
+            want.extend(std::iter::from_fn(|| heap.pop()).map(|Reverse(k)| k));
+            assert_eq!(got, want, "stable dequeue order diverged from the heap");
         });
     }
 
     #[test]
-    fn flow_queue_pop_before_is_strict() {
-        let mut q = FlowQueue::with_hint(8, 1_000);
+    fn pop_before_is_strict() {
+        let mut q = CalendarQueue::<Flat>::with_geometry(64, 4);
         q.push(100, 0, 0);
         q.push(100, 1, 1);
         q.push(200, 2, 2);
+        let ev = |t, flow, tag| Some(Ev { t, flow, tag });
         assert_eq!(q.pop_before(100), None);
-        assert_eq!(q.pop_before(101), Some((100, 0, 0)));
-        assert_eq!(q.pop_before(101), Some((100, 1, 1)));
+        assert_eq!(q.pop_before(101), ev(100, 0, 0));
+        assert_eq!(q.pop_before(101), ev(100, 1, 1));
         assert_eq!(q.pop_before(101), None);
         assert_eq!(q.peek_time(), Some(200));
-        assert_eq!(q.pop(), Some((200, 2, 2)));
+        assert_eq!(q.pop(), ev(200, 2, 2));
         assert_eq!(q.len(), 0);
         assert_eq!(q.peak(), 3);
     }

@@ -1,7 +1,6 @@
 //! Aggregate simulation statistics.
 
 use crate::engine::FlowRecord;
-use crate::fabric::Fabric;
 use crate::traffic::Flow;
 
 /// Summary of one simulation run.
@@ -36,7 +35,6 @@ pub struct RunStats {
 
 impl RunStats {
     pub(crate) fn from_records(
-        fabric: &dyn Fabric,
         flows: &[Flow],
         records: &[FlowRecord],
         link_busy_ns: &[u64],
@@ -53,7 +51,7 @@ impl RunStats {
             match r.end_ns {
                 Some(end) => {
                     latencies.push(end - r.start_ns);
-                    delivered_bytes += flows[r.flow].bytes;
+                    delivered_bytes = delivered_bytes.saturating_add(flows[r.flow].bytes);
                     makespan = makespan.max(end);
                     hop_sum += r.hops;
                 }
@@ -74,7 +72,6 @@ impl RunStats {
         };
         let completed = latencies.len();
         let max_busy = link_busy_ns.iter().copied().max().unwrap_or(0);
-        let _ = fabric;
         RunStats {
             completed,
             unrouted,

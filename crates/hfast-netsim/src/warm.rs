@@ -19,7 +19,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::engine::{PathCache, PAR_PATH_THRESHOLD};
+use crate::engine::PathCache;
 use crate::fabric::Fabric;
 use crate::traffic::Flow;
 
@@ -79,9 +79,9 @@ impl SharedPathCache {
     ///
     /// Fast path: if the current snapshot already covers every pair, no
     /// lock beyond the snapshot read is taken. Otherwise one warmer at a
-    /// time clones the cache, resolves the missing pairs (in parallel when
-    /// there are many), and publishes the extended clone; waiting warmers
-    /// re-check after the publish and usually find nothing left to do.
+    /// time clones the cache, resolves the missing pairs, and publishes the
+    /// extended clone; waiting warmers re-check after the publish and
+    /// usually find nothing left to do.
     pub fn warm(&self, fabric: &dyn Fabric, flows: &[Flow]) -> Arc<PathCache> {
         let missing_in = |cache: &PathCache| -> Vec<(usize, usize)> {
             let mut missing: Vec<(usize, usize)> = Vec::new();
@@ -113,14 +113,8 @@ impl SharedPathCache {
             return snap;
         }
         let mut next = (*snap).clone();
-        let resolved: Vec<Option<Vec<crate::fabric::LinkId>>> =
-            if missing.len() >= PAR_PATH_THRESHOLD {
-                hfast_par::par_map(missing.clone(), |(s, d)| fabric.path(s, d))
-            } else {
-                missing.iter().map(|&(s, d)| fabric.path(s, d)).collect()
-            };
-        for (&(s, d), path) in missing.iter().zip(resolved) {
-            next.insert_resolved(s, d, path);
+        for (s, d) in missing {
+            next.insert_resolved(s, d, fabric.path(s, d));
         }
         let published = Arc::new(next);
         *self.current.lock().expect("shared cache poisoned") = Arc::clone(&published);

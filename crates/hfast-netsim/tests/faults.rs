@@ -8,8 +8,8 @@ use std::sync::Mutex;
 use hfast_core::{PaperLinear, ProvisionConfig, Provisioner};
 use hfast_netsim::engine::PathCache;
 use hfast_netsim::{
-    traffic, transit_links, Fabric, FatTreeFabric, FaultPlan, HfastFabric, RetryPolicy, SimOutput,
-    Simulation, TorusFabric,
+    traffic, transit_links, CreditConfig, Fabric, FatTreeFabric, FaultPlan, Flow, HfastFabric,
+    RetryPolicy, SimOutput, Simulation, TorusFabric,
 };
 use hfast_topology::CommGraph;
 
@@ -41,9 +41,8 @@ fn assert_stable_across_threads<F: Fn() -> SimOutput>(label: &str, f: F) -> SimO
 
 #[test]
 fn torus_fault_replay_is_thread_count_invariant() {
-    // 64 nodes and 300 flows: enough distinct pairs to push path
-    // resolution over the parallel threshold, so the sweep genuinely
-    // exercises the threaded path at HFAST_THREADS=8.
+    // 64 nodes and 300 flows, replayed at HFAST_THREADS = 1, 2 and 8:
+    // fault runs are sequential whatever the variable says.
     let fabric = TorusFabric::new((4, 4, 4)).expect("valid shape");
     let flows = traffic::uniform_random(64, 300, 1 << 16, 1_000_000, 7);
     let eligible = transit_links(&fabric, &flows);
@@ -90,9 +89,11 @@ fn torus_fault_replay_is_thread_count_invariant() {
     assert_eq!(out, warm);
 }
 
-#[test]
-fn hfast_reprovision_repairs_failed_circuits() {
-    // A dense comm graph so per-node provisioning dedicates circuits.
+/// A dense 24-node comm graph provisioned onto HFAST, its flows, and a
+/// plan failing two provisioned circuits early with no scheduled
+/// recovery: only the MEMS repatch at the next sync point can bring
+/// traffic back onto dedicated circuits.
+fn hfast_with_two_dead_circuits() -> (HfastFabric, Vec<Flow>, FaultPlan) {
     let n = 24;
     let mut g = CommGraph::new(n);
     for i in 0..n {
@@ -102,10 +103,6 @@ fn hfast_reprovision_repairs_failed_circuits() {
     let fabric = HfastFabric::new(PaperLinear.provision(&g, ProvisionConfig::default()));
     assert!(fabric.supports_reprovision());
     let flows = traffic::flows_from_graph(&g, 2048);
-
-    // Fail two provisioned circuits early, with no scheduled recovery:
-    // only the MEMS repatch at the next sync point can bring traffic back
-    // onto dedicated circuits.
     let circuits: Vec<_> = (0..fabric.link_count())
         .filter(|&l| fabric.reprovisionable(l))
         .collect();
@@ -115,6 +112,12 @@ fn hfast_reprovision_repairs_failed_circuits() {
         .fail_link(20_000, circuits[1])
         .build(&fabric)
         .expect("valid plan");
+    (fabric, flows, plan)
+}
+
+#[test]
+fn hfast_reprovision_repairs_failed_circuits() {
+    let (fabric, flows, plan) = hfast_with_two_dead_circuits();
 
     let out = assert_stable_across_threads("hfast repatch", || {
         Simulation::new(&fabric)
@@ -140,6 +143,23 @@ fn hfast_reprovision_repairs_failed_circuits() {
     // circuits are down, and the repatch restores them.
     assert_eq!(out.stats.completed, flows.len());
     assert_eq!(out.stats.unrouted, 0);
+}
+
+/// The repatch belongs to the driver, not to a link model: under credit
+/// flow control the same plan is repaired the same way. (The separate
+/// credit loop ignored `with_reprovision` and never reported a round.)
+#[test]
+fn credit_runs_repatch_failed_circuits_too() {
+    let (fabric, flows, plan) = hfast_with_two_dead_circuits();
+    let out = Simulation::new(&fabric)
+        .with_congestion(CreditConfig::credit(2))
+        .with_faults(&plan)
+        .with_reprovision(5_000_000)
+        .detailed()
+        .run(&flows);
+    assert!(!out.reprovisions.is_empty(), "credit mode repatches");
+    assert_eq!(out.reprovisions[0].circuits_changed, 2);
+    assert_eq!(out.stats.completed, flows.len(), "every flow lands");
 }
 
 #[test]

@@ -5,8 +5,8 @@ use std::collections::HashMap;
 use hfast_core::{PaperLinear, ProvisionConfig, Provisioner};
 use hfast_netsim::engine::PathCache;
 use hfast_netsim::{
-    traffic, transit_links, EngineObs, Fabric, FatTreeFabric, FaultPlan, Flow, HfastFabric,
-    RetryPolicy, SharedPathCache, Simulation, TorusFabric,
+    traffic, transit_links, CreditConfig, EngineObs, Fabric, FatTreeFabric, FaultPlan, Flow,
+    HfastFabric, RetryPolicy, SharedPathCache, Simulation, TorusFabric,
 };
 use hfast_obs::Val;
 use hfast_par::{forall, Rng64};
@@ -643,22 +643,223 @@ fn fault_plan_never_routes_through_failures() {
             builder = builder.fail_node(0, n);
         }
         let plan = builder.build(&torus).expect("in-range failures");
-        // One attempt, no recoveries: dead endpoints stay dead, matching
-        // the static failure sets the old DegradedFabric shim modeled.
-        let stats = Simulation::new(&torus)
-            .with_faults(&plan)
-            .with_retry(RetryPolicy {
-                max_attempts: 1,
-                base_backoff_ns: 1,
-                max_backoff_ns: 1,
-            })
-            .run(&fs)
-            .stats;
         let involving_dead = fs
             .iter()
             .filter(|f| dead.contains(&f.src) || dead.contains(&f.dst))
             .count();
-        assert!(stats.unrouted >= involving_dead.min(fs.len()));
-        assert_eq!(stats.completed + stats.unrouted, fs.len());
+        // One attempt, no recoveries: dead endpoints stay dead, matching
+        // the static failure sets the old DegradedFabric shim modeled.
+        // Route resolution belongs to the driver, so the guarantee holds
+        // under either link model.
+        for congestion in [CreditConfig::default(), CreditConfig::credit(2)] {
+            let stats = Simulation::new(&torus)
+                .with_congestion(congestion)
+                .with_faults(&plan)
+                .with_retry(RetryPolicy {
+                    max_attempts: 1,
+                    base_backoff_ns: 1,
+                    max_backoff_ns: 1,
+                })
+                .run(&fs)
+                .stats;
+            assert!(stats.unrouted >= involving_dead.min(fs.len()));
+            assert_eq!(stats.completed + stats.unrouted, fs.len());
+        }
     });
+}
+
+/// A 16-node torus, seeded traffic, and a four-link outage with recovery.
+fn credit_outage() -> (TorusFabric, Vec<Flow>, FaultPlan) {
+    let torus = TorusFabric::new((4, 4, 1)).expect("valid shape");
+    let fs = traffic::uniform_random(16, 400, 8192, 50_000, 3);
+    let eligible = transit_links(&torus, &fs);
+    let plan = FaultPlan::builder()
+        .random_link_failures(11, 4, &eligible, (0, 40_000), Some(100_000))
+        .build(&torus)
+        .expect("valid plan");
+    (torus, fs, plan)
+}
+
+/// The route cache belongs to the driver: a credit run fills the caller's
+/// `PathCache`, and a second run resolves nothing. (The separate credit
+/// loop ignored `with_cache` and kept a private memo.)
+#[test]
+fn credit_runs_fill_and_reuse_the_callers_cache() {
+    let (torus, fs, _) = credit_outage();
+    let mut cache = PathCache::new();
+    let cold = Simulation::new(&torus)
+        .with_congestion(CreditConfig::credit(2))
+        .with_cache(&mut cache)
+        .detailed()
+        .run(&fs);
+    let pairs: std::collections::BTreeSet<_> = fs.iter().map(|f| (f.src, f.dst)).collect();
+    assert_eq!(cache.len(), pairs.len(), "every distinct pair was cached");
+    let obs = EngineObs::new();
+    let warm = Simulation::new(&torus)
+        .with_congestion(CreditConfig::credit(2))
+        .with_cache(&mut cache)
+        .with_obs(&obs)
+        .detailed()
+        .run(&fs);
+    assert_eq!(obs.cache_misses.get(), 0, "the warm run resolved nothing");
+    assert_eq!(obs.cache_hits.get(), fs.len() as u64);
+    assert_eq!(cold, warm);
+    let snapshot = Simulation::new(&torus)
+        .with_congestion(CreditConfig::credit(2))
+        .with_snapshot(&cache)
+        .detailed()
+        .run(&fs);
+    assert_eq!(cold, snapshot);
+}
+
+/// Fault handling belongs to the driver, so a credit run under a fault
+/// plan retries, accounts for every flow, and replays deterministically.
+#[test]
+fn faulted_credit_runs_retry_and_stay_deterministic() {
+    let torus = TorusFabric::new((4, 4, 1)).expect("valid shape");
+    let flows = traffic::uniform_random(16, 400, 8192, 50_000, 3);
+    let eligible = transit_links(&torus, &flows);
+    let plan = FaultPlan::builder()
+        .random_link_failures(11, 3, &eligible, (0, 100_000), Some(200_000))
+        .build(&torus)
+        .expect("valid plan");
+    let run = || {
+        Simulation::new(&torus)
+            .with_congestion(CreditConfig::credit(2))
+            .with_faults(&plan)
+            .with_retry(RetryPolicy::default())
+            .detailed()
+            .run(&flows)
+    };
+    let a = run();
+    let b = run();
+    assert_eq!(a, b, "faulted credit replays are deterministic");
+    assert_eq!(
+        a.stats.completed + a.stats.unrouted,
+        flows.len(),
+        "every flow is accounted for"
+    );
+    assert!(a.stats.total_retries > 0, "the outage must hit something");
+}
+
+/// Every per-event observability hook fires under credit flow control,
+/// not just the epilogue counters the separate credit loop recorded.
+#[test]
+fn credit_runs_record_per_event_observability() {
+    let (torus, fs, plan) = credit_outage();
+    let run = |obs: Option<&EngineObs>| {
+        let sim = Simulation::new(&torus)
+            .with_congestion(CreditConfig::credit(2))
+            .with_faults(&plan)
+            .detailed();
+        match obs {
+            Some(obs) => sim.with_obs(obs).run(&fs),
+            None => sim.run(&fs),
+        }
+    };
+    let obs = EngineObs::with_timeline_capacity(1 << 16);
+    let out = run(Some(&obs));
+    assert_eq!(out, run(None), "observability never changes results");
+    assert_eq!(obs.faults.get(), 4);
+    assert_eq!(obs.recoveries.get(), 4);
+    assert!(out.stats.total_retries > 0, "the outage hits live traffic");
+    assert_eq!(out.stats.completed + out.stats.unrouted, fs.len());
+    assert_eq!(obs.retries.get(), out.stats.total_retries);
+    assert!(obs.flow_kills.get() >= obs.retries.get());
+    assert!(obs.queue_wait_ns.count() > 0, "one sample per hop");
+    assert_eq!(obs.queue_occupancy.count(), obs.events.get() - 8);
+    let busy = obs.timeline.snapshot();
+    let hops = busy.iter().filter(|e| e.name == "link_busy").count() as u64;
+    assert_eq!(hops, obs.queue_wait_ns.count(), "one busy interval per hop");
+    assert!(busy.iter().any(|e| e.name == "link_fail"));
+}
+
+/// Simulated time saturates at `u64::MAX` instead of overflowing: payloads
+/// whose serialization time alone exceeds the clock, and a flow injected
+/// one nanosecond before the end of time, run to completion under both
+/// link models, in debug and release builds, with every instrument on.
+#[test]
+fn simulated_time_saturates_instead_of_overflowing() {
+    let ft = FatTreeFabric::new(16, 4).expect("valid shape");
+    let flow = |src, bytes, start_ns| Flow {
+        src,
+        dst: 0,
+        bytes,
+        start_ns,
+    };
+    let giants: Vec<Flow> = (1..4).map(|src| flow(src, u64::MAX, 0)).collect();
+    let late = vec![flow(1, 4096, 0), flow(2, 4096, u64::MAX - 1)];
+    for congestion in [CreditConfig::default(), CreditConfig::credit(1)] {
+        for threads in [1, 2] {
+            let obs = EngineObs::new();
+            let rec = TraceRecorder::new();
+            let sim = || {
+                Simulation::new(&ft)
+                    .with_congestion(congestion)
+                    .with_threads(threads)
+                    .detailed()
+            };
+            let out = sim().run(&giants);
+            assert_eq!(out.stats.completed, 3, "{congestion:?}");
+            assert_eq!(out.stats.makespan_ns, u64::MAX, "pinned at the ceiling");
+            assert_eq!(out.stats.delivered_bytes, u64::MAX);
+            assert_eq!(out, sim().with_obs(&obs).with_trace(&rec).run(&giants));
+
+            let out = sim().run(&late);
+            assert_eq!(out.stats.completed, 2, "{congestion:?}");
+            assert_eq!(out.records()[1].end_ns, Some(u64::MAX));
+            assert!(
+                out.records()[0].end_ns < Some(1 << 20),
+                "untouched by the ceiling"
+            );
+            assert_eq!(out, sim().with_obs(&obs).with_trace(&rec).run(&late));
+        }
+    }
+    // Retry backoffs and sync points saturate the same way.
+    let torus = TorusFabric::new((4, 1, 1)).expect("valid shape");
+    let path = torus.path(0, 2).expect("routable");
+    let plan = FaultPlan::builder()
+        .fail_link(u64::MAX - 10, path[1])
+        .build(&torus)
+        .expect("valid plan");
+    let stuck = [Flow {
+        src: 0,
+        dst: 2,
+        bytes: 1 << 30,
+        start_ns: u64::MAX - 100,
+    }];
+    for congestion in [CreditConfig::default(), CreditConfig::credit(1)] {
+        let out = Simulation::new(&torus)
+            .with_congestion(congestion)
+            .with_faults(&plan)
+            .with_reprovision(1 << 40)
+            .run(&stuck);
+        assert_eq!(out.stats.completed + out.stats.unrouted, 1);
+    }
+    // So do the byte weights of the circuit-coverage snapshots around a
+    // repatch: giant flows over an HFAST fabric whose first circuit dies.
+    let mut g = CommGraph::new(12);
+    for i in 0..12 {
+        g.add_message(i, (i + 1) % 12, 1 << 20);
+        g.add_message(i, (i + 5) % 12, 1 << 19);
+    }
+    let hfast = HfastFabric::new(PaperLinear.provision(&g, ProvisionConfig::default()));
+    let circuit = (0..hfast.link_count())
+        .find(|&l| hfast.reprovisionable(l))
+        .expect("provisioning dedicated circuits");
+    let plan = FaultPlan::builder()
+        .fail_link(0, circuit)
+        .build(&hfast)
+        .expect("valid plan");
+    let mut giants = traffic::flows_from_graph(&g, 2048);
+    giants.iter_mut().for_each(|f| f.bytes = u64::MAX);
+    for congestion in [CreditConfig::default(), CreditConfig::credit(1)] {
+        let out = Simulation::new(&hfast)
+            .with_congestion(congestion)
+            .with_faults(&plan)
+            .with_reprovision(1_000)
+            .run(&giants);
+        assert_eq!(out.reprovisions.len(), 1, "{congestion:?}");
+        assert_eq!(out.stats.completed + out.stats.unrouted, giants.len());
+    }
 }

@@ -3,6 +3,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs one smoke quietly; on failure names it (and its command and exit
+# code) before the script exits non-zero, so a red verify says which of
+# the smokes broke.
+smoke() {
+  local name="$1" code=0
+  shift
+  "$@" > /dev/null || code=$?
+  if [ "$code" -ne 0 ]; then
+    echo "verify: FAILED smoke '$name' (exit $code): $*" >&2
+    exit "$code"
+  fi
+}
+
 cargo build --release
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
@@ -10,50 +23,51 @@ cargo test --workspace -q
 cargo test --doc --workspace -q
 # Fault-replay smoke: exits non-zero unless HFAST beats the fat tree in
 # goodput on every (app, failure-rate) cell.
-cargo run --release -q -p hfast-bench --bin faults_replay > /dev/null
+smoke faults_replay cargo run --release -q -p hfast-bench --bin faults_replay
 # Hotspot-analyzer smoke on one app: exits non-zero unless the traced
 # replay's hottest HFAST transit link is circuit-switched.
-cargo run --release -q -p hfast-bench --bin hotspots -- GTC > /dev/null
+smoke hotspots cargo run --release -q -p hfast-bench --bin hotspots -- GTC
 # Trace capture + JSON validation (GTC, P=256): exits non-zero unless the
 # exported document is valid trace-event JSON with one track per rank and
 # per used link and zero orphan recv spans.
-cargo run --release -q -p hfast-bench --bin trace_capture > /dev/null
+smoke trace_capture cargo run --release -q -p hfast-bench --bin trace_capture
 # Event-loop determinism smoke: every scenario (static 20k-flow suite,
-# all-to-all burst, faulted torus with retries) must produce byte-identical
-# digests under HFAST_THREADS=1 and =8; exits non-zero on divergence.
-cargo run --release -q -p hfast-bench --bin eventloop_smoke > /dev/null
+# all-to-all burst, faulted torus with retries, credit incast, credit +
+# faults + mid-run repatch on HFAST) must produce byte-identical digests
+# under HFAST_THREADS=1 and =8; exits non-zero on divergence.
+smoke eventloop_smoke cargo run --release -q -p hfast-bench --bin eventloop_smoke
 # Provisioner bake-off smoke: every strategy must produce a valid
 # provisioning on every app cell, paper_linear digests must match the
 # PR-6 goldens (the trait extraction is bit-identical), and credit-mode
 # replays must deliver every flow (no deadlock under backpressure).
-cargo run --release -q -p hfast-bench --bin provision_bakeoff -- --check > /dev/null
+smoke provision_bakeoff cargo run --release -q -p hfast-bench --bin provision_bakeoff -- --check
 # Congestion-lab smoke: adversarial scenarios x fabrics x strategies under
 # credit flow control; exits non-zero unless HFAST's congestion-tree
 # spread is strictly below the fat tree's on every scenario x strategy
 # cell, the fat tree shows off-root victims on incast, and ideal mode is
 # byte-identical to the plain loop.
-cargo run --release -q -p hfast-bench --bin congestion_lab -- --check > /dev/null
+smoke congestion_lab cargo run --release -q -p hfast-bench --bin congestion_lab -- --check
 # Serving smoke: ephemeral-port daemon exercised across every endpoint
 # (health, provision, cost, tdc, simulate with and without faults, the
 # panic-isolation probe, stats) and drained; exits non-zero on any
 # mismatch, unexercised cache, or a hung drain.
-cargo run --release -q -p hfast-serve -- --self-test > /dev/null
+smoke serve_self_test cargo run --release -q -p hfast-serve -- --self-test
 # Fleet smoke: two shard processes behind the consistent-hash router plus
 # a supervisor; exits non-zero unless the 2-shard digest is byte-identical
 # to the single node, a mid-run rolling restart of one shard is invisible
 # to clients (zero drops, zero mismatches), and every journaled job
 # submitted before the restart is fetchable after it.
-cargo run --release -q -p hfast-serve --bin hfast-fleet -- --smoke > /dev/null
+smoke fleet_smoke cargo run --release -q -p hfast-serve --bin hfast-fleet -- --smoke
 # Trace-plane smoke: capture a live 2-shard fleet with per-process span
 # sinks, stitch client + router + shards into one Perfetto document, and
 # exit non-zero unless every traced request forms exactly one connected
 # causal tree (one root, zero orphans).
-cargo run --release -q -p hfast-serve --bin fleet_trace -- --capture \
-  "${TMPDIR:-/tmp}/hfast-verify-trace" > /dev/null
+smoke fleet_trace cargo run --release -q -p hfast-serve --bin fleet_trace -- --capture \
+  "${TMPDIR:-/tmp}/hfast-verify-trace"
 # Soak smoke (~30 s wall): sustained mixed-verb load over a 2-shard fleet
 # while a monitor polls the rolling `metrics` windows and shard 0 is
 # rolling-restarted mid-soak; exits non-zero on any SLO violation — byte
 # divergence, refused responses, a breached p99 ceiling, or a durable job
 # lost across the restart.
-cargo run --release -q -p hfast-serve --bin hfast-fleet -- --soak --secs 20 > /dev/null
+smoke fleet_soak cargo run --release -q -p hfast-serve --bin hfast-fleet -- --soak --secs 20
 echo "verify: OK"
