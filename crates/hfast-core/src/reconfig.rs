@@ -212,20 +212,6 @@ impl ReconfigEngine {
         Self::builder(n, config).build()
     }
 
-    /// Attaches an explicit [`ReconfigObs`].
-    #[deprecated(since = "0.7.0", note = "use `ReconfigEngine::builder(..).obs(..)`")]
-    pub fn with_obs(mut self, obs: ReconfigObs) -> Self {
-        self.obs = Some(obs);
-        self
-    }
-
-    /// Attaches a trace recorder.
-    #[deprecated(since = "0.7.0", note = "use `ReconfigEngine::builder(..).trace(..)`")]
-    pub fn with_trace(mut self, recorder: Arc<TraceRecorder>) -> Self {
-        self.trace = Some(recorder);
-        self
-    }
-
     /// The attached observability, if any.
     pub fn obs(&self) -> Option<&ReconfigObs> {
         self.obs.as_ref()

@@ -218,16 +218,18 @@ impl<E: ArenaEntry, S: Ser, P: Probe> Driver<'_, E, S, P, CreditBuffers> {
         let idx = self.model.flows[flow as usize].idx as usize;
         let (link, wanted) = (self.arena[idx].link(), self.arena[idx + 1].link());
         let since = self.model.links[link].blocked_since;
-        if let (true, Some(tr)) = (t > since, self.probe.trace()) {
-            tr.record_span(
-                Track::Link(link),
-                "stall",
-                since,
-                t - since,
-                0,
-                engine_span_id(u64::from(flow) + 1),
-                vec![("flow", u64::from(flow)), ("for", wanted as u64)],
-            );
+        if t > since {
+            if let Some(tr) = self.probe.trace() {
+                tr.record_span(
+                    Track::Link(link),
+                    "stall",
+                    since,
+                    t - since,
+                    0,
+                    engine_span_id(u64::from(flow) + 1),
+                    vec![("flow", u64::from(flow)), ("for", wanted as u64)],
+                );
+            }
         }
         wanted
     }

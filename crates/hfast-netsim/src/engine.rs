@@ -26,12 +26,12 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
 use hfast_core::ReconfigStep;
-use hfast_trace::{engine_span_id, TraceRecorder, Track};
+use hfast_trace::{engine_span_id, FlowEnd, FlowRow, HopRow, TraceRecorder, Track};
 
 use crate::congestion::{CongestionMode, CreditBuffers, CreditConfig};
 use crate::fabric::{Fabric, LinkId, LinkSpec};
 use crate::faultplan::{FaultAction, FaultEvent, FaultPlan, FaultState, FaultTarget, RetryPolicy};
-use crate::obs::EngineObs;
+use crate::obs::{EngineObs, HistBuf};
 use crate::queue::{CalendarQueue, Ev, TieClass};
 use crate::stats::RunStats;
 use crate::traffic::Flow;
@@ -756,10 +756,8 @@ impl<'a> Simulation<'a> {
             retry: self.retry,
             interval: self.reprovision_interval_ns,
             threads: self.threads.unwrap_or_else(engine_threads),
-            probe: Instruments {
-                obs,
-                trace: self.trace,
-            },
+            obs,
+            trace: self.trace,
             congestion: self.congestion,
         });
         SimOutput {
@@ -780,7 +778,8 @@ struct Setup<'a> {
     retry: RetryPolicy,
     interval: Option<u64>,
     threads: usize,
-    probe: Instruments<'a>,
+    obs: Option<&'a EngineObs>,
+    trace: Option<&'a TraceRecorder>,
     congestion: CreditConfig,
 }
 
@@ -835,12 +834,9 @@ fn pick_ser<E: ArenaEntry>(s: &Setup<'_>, links: Vec<LinkHot>, uniform_bw: bool)
 }
 
 fn pick_probe<E: ArenaEntry, S: Ser>(s: &Setup<'_>, links: Vec<LinkHot>, ser: S) -> Output {
-    match s.probe {
-        Instruments {
-            obs: None,
-            trace: None,
-        } => pick_model::<E, S, ()>(s, links, ser, ()),
-        probe => pick_model::<E, S, _>(s, links, ser, probe),
+    match (s.obs, s.trace) {
+        (None, None) => pick_model::<E, S, ()>(s, links, ser, ()),
+        (obs, trace) => pick_model::<E, S, _>(s, links, ser, Instruments::new(obs, trace)),
     }
 }
 
@@ -1024,11 +1020,19 @@ impl Ser for MemoSer<'_> {
 
 /// What a run reports to the outside while it executes. A type parameter,
 /// not a copy of the loop: `()` compiles every hook away, [`Instruments`]
-/// forwards to the attached [`EngineObs`] and [`TraceRecorder`]. Probes
-/// are strictly write-only — nothing the driver decides reads one — so an
+/// serves the attached [`EngineObs`] and [`TraceRecorder`]. Probes are
+/// strictly write-only — nothing the driver decides reads one — so an
 /// instrumented run returns bit-identical results (property-tested).
+///
+/// The two per-event hooks, [`hop`](Probe::hop) and
+/// [`pending`](Probe::pending), take `&mut self` and never reach a shared
+/// sink: a probe keeps what they report in memory of its own and hands it
+/// over in [`timeline`](Probe::timeline) and [`finish`](Probe::finish).
 pub(crate) trait Probe {
+    /// The attached counters, for the rare paths that bump one.
     fn obs(&self) -> Option<&EngineObs>;
+    /// The attached recorder, for the rare spans with a shape of their
+    /// own (`stall`, `reprovision`).
     fn trace(&self) -> Option<&TraceRecorder>;
     /// An instant annotation (fault, kill, retry, sync point) at `t` on
     /// `track`, parented to span `parent` (0 for none).
@@ -1040,11 +1044,17 @@ pub(crate) trait Probe {
         parent: u64,
         fields: &[(&'static str, u64)],
     );
+    /// A fault-plan or re-provisioning event (`kind`, on link or node
+    /// `id`) for the obs timeline, after every hop reported before it.
+    fn timeline(&mut self, t: u64, kind: &'static str, id: usize);
     /// `flow` occupies `link` for `ser` ns from `start`, having waited
     /// `wait` ns for it.
-    fn hop(&self, link: usize, flow: u32, wait: u64, start: u64, ser: u64);
+    fn hop(&mut self, link: usize, flow: u32, wait: u64, start: u64, ser: u64);
     /// Events still pending after the one being processed.
-    fn pending(&self, events: usize);
+    fn pending(&mut self, events: usize);
+    /// The loop is done: hand over everything still held, and the flow
+    /// lifecycles read off `records`.
+    fn finish(&mut self, flows: &[Flow], records: &[FlowRecord]);
 }
 
 impl Probe for () {
@@ -1059,16 +1069,93 @@ impl Probe for () {
     #[inline(always)]
     fn instant(&self, _: Track, _: &'static str, _: u64, _: u64, _: &[(&'static str, u64)]) {}
     #[inline(always)]
-    fn hop(&self, _: usize, _: u32, _: u64, _: u64, _: u64) {}
+    fn timeline(&mut self, _: u64, _: &'static str, _: usize) {}
     #[inline(always)]
-    fn pending(&self, _: usize) {}
+    fn hop(&mut self, _: usize, _: u32, _: u64, _: u64, _: u64) {}
+    #[inline(always)]
+    fn pending(&mut self, _: usize) {}
+    #[inline(always)]
+    fn finish(&mut self, _: &[Flow], _: &[FlowRecord]) {}
 }
 
-/// The instruments a [`Simulation`] can attach.
-#[derive(Clone, Copy)]
+/// The instruments a [`Simulation`] can attach, and the run's per-event
+/// telemetry on its way to them.
+///
+/// A hop costs one 32-byte [`HopRow`] store and two plain histogram
+/// increments here; the shared sinks — the obs timeline's mutex-guarded
+/// ring, its atomic histograms, the recorder's mutex-guarded span list —
+/// are written in batches, one lock each:
+///
+/// - the **obs timeline** is a bounded ring ordered by *record* time and
+///   shared with the fault events, so rows not yet on it are flushed
+///   before every direct write ([`Probe::timeline`]) and at the end —
+///   ring contents and eviction count come out exactly as if every hop
+///   had been pushed when it happened;
+/// - the **histograms** are order-free and merge once, at the end;
+/// - the **recorder** sorts its snapshot and tells a `hop` from every
+///   other span by name, so it takes the rows whole, once, at the end.
 struct Instruments<'a> {
     obs: Option<&'a EngineObs>,
     trace: Option<&'a TraceRecorder>,
+    /// One row per link crossing, in event order: all of the run's with a
+    /// recorder attached (it wants every one), else only those the
+    /// timeline has not seen.
+    hops: Vec<HopRow>,
+    /// `hops[..on_timeline]` are already on the obs timeline.
+    on_timeline: usize,
+    /// Rows dropped off the front of `hops` since the last flush: hops
+    /// that happened, but which the ring would have evicted again before
+    /// anyone could read them.
+    skipped: u64,
+    /// Rows worth keeping when `hops` is cut back, which happens at twice
+    /// as many: the ring's capacity with no recorder attached — so an
+    /// obs-only run holds a bounded buffer however long it runs —
+    /// `usize::MAX` with one.
+    keep: usize,
+    /// Per-hop queueing delays, for [`EngineObs::queue_wait_ns`].
+    wait: HistBuf,
+    /// Pending-event counts, for [`EngineObs::queue_occupancy`].
+    occupancy: HistBuf,
+}
+
+impl<'a> Instruments<'a> {
+    fn new(obs: Option<&'a EngineObs>, trace: Option<&'a TraceRecorder>) -> Self {
+        let keep = match (obs, trace) {
+            (Some(obs), None) => obs.timeline.capacity(),
+            _ => usize::MAX,
+        };
+        Instruments {
+            obs,
+            trace,
+            hops: Vec::new(),
+            on_timeline: 0,
+            skipped: 0,
+            keep,
+            wait: HistBuf::default(),
+            occupancy: HistBuf::default(),
+        }
+    }
+
+    /// Drops the rows only a ring of more than its capacity could still
+    /// show. Obs-only, so none of `hops` is on the timeline yet.
+    #[cold]
+    fn trim(&mut self) {
+        let excess = self.hops.len() - self.keep;
+        self.hops.drain(..excess);
+        self.skipped += excess as u64;
+    }
+
+    /// Brings the obs timeline up to date with the hops reported so far.
+    fn flush_timeline(&mut self) {
+        let Some(obs) = self.obs else { return };
+        obs.link_busy_rows(self.skipped, &self.hops[self.on_timeline..]);
+        self.skipped = 0;
+        if self.trace.is_some() {
+            self.on_timeline = self.hops.len();
+        } else {
+            self.hops.clear();
+        }
+    }
 }
 
 impl Probe for Instruments<'_> {
@@ -1090,26 +1177,38 @@ impl Probe for Instruments<'_> {
             tr.record_span(track, name, t, 0, 0, parent, fields.to_vec());
         }
     }
-    fn hop(&self, link: usize, flow: u32, wait: u64, start: u64, ser: u64) {
+    fn timeline(&mut self, t: u64, kind: &'static str, id: usize) {
         if let Some(obs) = self.obs {
-            obs.queue_wait_ns.record(wait);
-            obs.link_busy(start, ser, link);
-        }
-        if let Some(tr) = self.trace {
-            tr.record_span(
-                Track::Link(link),
-                "hop",
-                start,
-                ser,
-                0,
-                engine_span_id(u64::from(flow) + 1),
-                vec![("wait", wait), ("flow", u64::from(flow))],
-            );
+            self.flush_timeline();
+            obs.fault_event(t, kind, id);
         }
     }
-    fn pending(&self, events: usize) {
+    #[inline(always)]
+    fn hop(&mut self, link: usize, flow: u32, wait: u64, start: u64, ser: u64) {
+        self.wait.record(wait);
+        self.hops.push(HopRow {
+            link: link as u32,
+            flow,
+            wait,
+            start,
+            ser,
+        });
+        if self.hops.len() / 2 >= self.keep {
+            self.trim();
+        }
+    }
+    #[inline(always)]
+    fn pending(&mut self, events: usize) {
+        self.occupancy.record(events as u64);
+    }
+    fn finish(&mut self, flows: &[Flow], records: &[FlowRecord]) {
+        self.flush_timeline();
         if let Some(obs) = self.obs {
-            obs.queue_occupancy.record(events as u64);
+            self.wait.merge_into(&obs.queue_wait_ns);
+            self.occupancy.merge_into(&obs.queue_occupancy);
+        }
+        if let Some(tr) = self.trace {
+            tr.record_engine_block(std::mem::take(&mut self.hops), flow_rows(flows, records));
         }
     }
 }
@@ -1425,9 +1524,7 @@ where
                 abandoned: self.abandoned[i],
             })
             .collect();
-        if let Some(tr) = self.probe.trace() {
-            record_flow_spans(tr, self.flows, &records);
-        }
+        self.probe.finish(self.flows, &records);
         let link_busy_ns: Vec<u64> = self.links.iter().map(|l| l.busy_ns).collect();
         let stats = RunStats::from_records(self.flows, &records, &link_busy_ns);
         if let Some(obs) = self.probe.obs() {
@@ -1590,8 +1687,10 @@ where
     #[inline(always)]
     pub(crate) fn deliver(&mut self, flow: u32, end: u64) {
         self.ends[flow as usize] = Some(end);
-        if let (Some(obs), Some(t0)) = (self.probe.obs(), self.first_fail[flow as usize]) {
-            obs.reroute_latency_ns.record(end.saturating_sub(t0));
+        if let Some(t0) = self.first_fail[flow as usize] {
+            if let Some(obs) = self.probe.obs() {
+                obs.reroute_latency_ns.record(end.saturating_sub(t0));
+            }
         }
     }
 
@@ -1639,8 +1738,8 @@ where
             } else {
                 obs.recoveries.inc();
             }
-            obs.fault_event(now, name, id);
         }
+        self.probe.timeline(now, name, id);
         // Fault instants: link events annotate the link's own track; node
         // events land on the engine track.
         let (track, field) = match node {
@@ -1759,8 +1858,8 @@ where
         if let Some(obs) = self.probe.obs() {
             obs.reprovisions.inc();
             obs.repatched_links.add(batch.len() as u64);
-            obs.fault_event(now, "reprovision", batch.len());
         }
+        self.probe.timeline(now, "reprovision", batch.len());
         // Circuits that failed during the repatch window get their own
         // round.
         if !self.repairable().is_empty() {
@@ -1948,27 +2047,31 @@ impl<E: ArenaEntry, S: Ser, P: Probe> Driver<'_, E, S, P, IdealFifo> {
     }
 }
 
-/// Records one `flow` span (or terminal instant) per flow on the engine
-/// track; its span id (`engine_span_id(index + 1)`) is what every hop
-/// span recorded during the run parented itself to. Self-deliveries cross
-/// no link and leave no span.
-fn record_flow_spans(trace: &TraceRecorder, flows: &[Flow], records: &[FlowRecord]) {
+/// One row per flow for the recorder's engine lane: a `flow` span, or the
+/// terminal instant of a flow that never arrived. Its span id
+/// (`engine_span_id(index + 1)`) is what every hop row of the run names
+/// as its parent. Self-deliveries cross no link and leave no row.
+fn flow_rows(flows: &[Flow], records: &[FlowRecord]) -> Vec<FlowRow> {
+    let mut rows = Vec::with_capacity(flows.len());
     for (i, (f, r)) in flows.iter().zip(records).enumerate() {
-        let span_id = engine_span_id(i as u64 + 1);
-        let fields = vec![
-            ("src", f.src as u64),
-            ("dst", f.dst as u64),
-            ("bytes", f.bytes),
-            ("retries", u64::from(r.retries)),
-        ];
-        let (name, dur) = match r.end_ns {
-            Some(end) if end > r.start_ns => ("flow", end - r.start_ns),
+        let (end, dur) = match r.end_ns {
+            Some(end) if end > r.start_ns => (FlowEnd::Delivered, end - r.start_ns),
             Some(_) => continue,
-            None if r.abandoned => ("flow_abandoned", 0),
-            None => ("flow_unrouted", 0),
+            None if r.abandoned => (FlowEnd::Abandoned, 0),
+            None => (FlowEnd::Unrouted, 0),
         };
-        trace.record_span(Track::Engine, name, r.start_ns, dur, span_id, 0, fields);
+        rows.push(FlowRow {
+            flow: i as u32,
+            src: f.src as u32,
+            dst: f.dst as u32,
+            retries: r.retries,
+            bytes: f.bytes,
+            start: r.start_ns,
+            dur,
+            end,
+        });
     }
+    rows
 }
 
 #[cfg(test)]

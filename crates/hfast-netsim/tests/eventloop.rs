@@ -461,20 +461,29 @@ fn golden_torus_faulted_obs_stream() {
     // fell between the occupancies.
     let (torus, fs, plan) = faulted_torus();
     for (capacity, golden) in [(64, 0xd7221c2f71ffa8e5u64), (384, 0x1fff6b5181775b4b)] {
-        let obs = EngineObs::with_timeline_capacity(capacity);
-        let out = Simulation::new(&torus)
-            .with_faults(&plan)
-            .with_retry(RetryPolicy::default())
-            .with_obs(&obs)
-            .detailed()
-            .run(&fs);
-        assert_eq!(digest(&out), 0xe3be6145e07f0fef, "obs never moves output");
-        assert_eq!(obs.timeline.len(), capacity);
-        assert_eq!(obs.timeline.dropped(), 413 - capacity as u64);
-        let faults = obs.timeline.snapshot();
-        let faults = faults.iter().filter(|e| e.name != "link_busy").count();
-        assert_eq!(faults, if capacity == 64 { 0 } else { 8 });
-        assert_eq!(obs_digest(&obs), golden, "capacity={capacity}");
+        // The obs stream is the same whether or not a recorder shares
+        // the run.
+        for traced in [false, true] {
+            let obs = EngineObs::with_timeline_capacity(capacity);
+            let rec = TraceRecorder::new();
+            let sim = Simulation::new(&torus)
+                .with_faults(&plan)
+                .with_retry(RetryPolicy::default())
+                .with_obs(&obs)
+                .detailed();
+            let sim = if traced { sim.with_trace(&rec) } else { sim };
+            let out = sim.run(&fs);
+            assert_eq!(digest(&out), 0xe3be6145e07f0fef, "obs never moves output");
+            assert_eq!(obs.timeline.len(), capacity);
+            assert_eq!(obs.timeline.dropped(), 413 - capacity as u64);
+            let faults = obs.timeline.snapshot();
+            let faults = faults.iter().filter(|e| e.name != "link_busy").count();
+            assert_eq!(faults, if capacity == 64 { 0 } else { 8 });
+            assert_eq!(obs_digest(&obs), golden, "capacity={capacity}");
+            if traced {
+                assert_eq!(span_digest(&rec), 0xf063deb63b6cc5e9);
+            }
+        }
     }
 }
 

@@ -5,7 +5,9 @@
 //! bucket them logarithmically. [`Histogram`] does the same: 65 power-of-two
 //! buckets cover the full `u64` range, recording is one `fetch_add` on the
 //! bucket plus count/sum updates, and reads are snapshots — safe to take
-//! while writers are still recording.
+//! while writers are still recording. A writer with a hot loop of its own
+//! counts into a plain [`BUCKETS`]-wide array instead and hands the lot
+//! over with [`Histogram::merge`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -63,7 +65,9 @@ pub fn quantile_from_counts(counts: &[u64], q: f64) -> u64 {
             let lo = if i == 1 { 1 } else { 1u64 << (i - 1) };
             let hi = bucket_bound(i);
             let span = (hi - lo) as f64;
-            return lo + (span * into).round() as u64;
+            // Saturating: in the top bucket `lo + span` is `u64::MAX`
+            // and the float product can round past it.
+            return lo.saturating_add((span * into).round() as u64);
         }
         cum += c;
     }
@@ -94,6 +98,22 @@ impl Histogram {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// Folds in observations a writer counted privately: `counts[i]` of
+    /// them fell in bucket `i` (see [`bucket_index`]) and together they
+    /// sum to `sum` (wrapping). Leaves the histogram exactly as one
+    /// [`record`](Histogram::record) per observation would.
+    pub fn merge(&self, counts: &[u64; BUCKETS], sum: u64) {
+        let mut total = 0u64;
+        for (bucket, &c) in self.buckets.iter().zip(counts) {
+            if c > 0 {
+                bucket.fetch_add(c, Ordering::Relaxed);
+                total += c;
+            }
+        }
+        self.count.fetch_add(total, Ordering::Relaxed);
+        self.sum.fetch_add(sum, Ordering::Relaxed);
     }
 
     /// Number of observations.
@@ -219,6 +239,33 @@ mod tests {
         assert_eq!(counts[0], 1, "one zero");
         assert_eq!(counts[1], 2, "two ones");
         assert_eq!(counts.iter().sum::<u64>(), 5);
+    }
+
+    #[test]
+    fn merge_equals_repeated_record() {
+        hfast_par::forall("hist_merge_equals_record", 64, |rng| {
+            let (merged, recorded) = (Histogram::new(), Histogram::new());
+            // Something already there, so merge adds rather than sets.
+            for h in [&merged, &recorded] {
+                h.record(7);
+            }
+            let mut counts = [0u64; BUCKETS];
+            let mut sum = 0u64;
+            for _ in 0..rng.range(0, 200) {
+                // Every magnitude, zero and the wrapping sum included.
+                let v = rng.range_u64(0, u64::MAX) >> rng.range(0, 64);
+                recorded.record(v);
+                counts[bucket_index(v)] += 1;
+                sum = sum.wrapping_add(v);
+            }
+            merged.merge(&counts, sum);
+            assert_eq!(merged.bucket_counts(), recorded.bucket_counts());
+            assert_eq!(merged.count(), recorded.count());
+            assert_eq!(merged.sum(), recorded.sum());
+            for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+                assert_eq!(merged.quantile(q), recorded.quantile(q), "q={q}");
+            }
+        });
     }
 
     #[test]

@@ -187,6 +187,31 @@ impl Tracer {
         ring.events.push_back(ev);
     }
 
+    /// Appends `n` events under one lock, leaving the ring and
+    /// [`dropped`](Tracer::dropped) exactly as `n` single
+    /// [`record_at`](Tracer::record_at) calls would. `event(i)` builds the
+    /// `i`-th of them and is only asked for the ones the ring can still
+    /// hold afterwards — the last `capacity` at most — so a writer that
+    /// batched a million events pays for the retained tail, not for a
+    /// million evictions.
+    pub fn record_batch(&self, n: u64, event: impl FnMut(u64) -> TraceEvent) {
+        let keep = n.min(self.capacity as u64);
+        let mut ring = self.ring.lock().expect("tracer poisoned");
+        // Of what is already there, whatever does not fit beside the new
+        // tail goes first; of the batch, everything before that tail was
+        // pushed and evicted again.
+        let stay = ring.events.len().min(self.capacity - keep as usize);
+        let evicted = ring.events.len() - stay;
+        ring.events.drain(..evicted);
+        ring.dropped += evicted as u64 + (n - keep);
+        ring.events.extend((n - keep..n).map(event));
+    }
+
+    /// The most events the ring retains.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Number of retained events.
     pub fn len(&self) -> usize {
         self.ring.lock().expect("tracer poisoned").events.len()
@@ -307,6 +332,42 @@ mod tests {
             lines[3],
             r#"{"event":"trace_truncated","dropped":7,"capacity":3}"#
         );
+    }
+
+    #[test]
+    fn batch_append_equals_single_pushes() {
+        let ev = |t: u64| TraceEvent {
+            t_ns: t,
+            dur_ns: 1,
+            name: "tick",
+            fields: vec![("i", Val::U(t))],
+        };
+        for capacity in 1..=6usize {
+            for existing in 0..=6u64 {
+                for n in 0..=6u64 {
+                    let (batched, single) = (Tracer::new(capacity), Tracer::new(capacity));
+                    for t in [&batched, &single] {
+                        (0..existing).for_each(|i| t.record_at(i, 1, "tick", ev(i).fields));
+                    }
+                    let mut built = 0;
+                    batched.record_batch(n, |i| {
+                        built += 1;
+                        ev(existing + i)
+                    });
+                    (0..n).for_each(|i| {
+                        single.record_at(existing + i, 1, "tick", ev(existing + i).fields)
+                    });
+                    let case = format!("capacity={capacity} existing={existing} n={n}");
+                    assert_eq!(batched.snapshot(), single.snapshot(), "{case}");
+                    assert_eq!(batched.dropped(), single.dropped(), "{case}");
+                    assert_eq!(
+                        built,
+                        n.min(capacity as u64),
+                        "only the tail is built: {case}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

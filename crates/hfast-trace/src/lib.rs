@@ -56,9 +56,9 @@ pub use flame::{aggregate, CallAgg};
 pub use json::{parse, JsonValue};
 pub use perfetto::{export, validate, TraceStats};
 pub use span::{
-    client_span_id, engine_span_id, rank_span_id, router_span_id, server_span_id, SpanContext,
-    SpanRecord, TraceContext, TraceRecorder, Track, CLIENT_SPAN_BASE, ENGINE_SPAN_BASE,
-    ROUTER_SPAN_BASE, SERVER_SPAN_BASE,
+    client_span_id, engine_span_id, rank_span_id, router_span_id, server_span_id, FlowEnd, FlowRow,
+    HopRow, SpanContext, SpanRecord, TraceContext, TraceRecorder, Track, CLIENT_SPAN_BASE,
+    ENGINE_SPAN_BASE, ROUTER_SPAN_BASE, SERVER_SPAN_BASE,
 };
 pub use stitch::{render_jsonl, stitch, trace_tree, StitchStats, TreeStats};
 

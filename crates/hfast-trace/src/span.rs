@@ -168,16 +168,144 @@ pub struct SpanRecord {
     pub fields: Vec<(&'static str, u64)>,
 }
 
+/// One link crossing of a simulator run, as the event loop hands it
+/// over: 32 bytes where the [`SpanRecord`] it stands for takes 88 plus a
+/// heap-allocated field list. Expands to the `hop` span on
+/// `Track::Link(link)` with `t_ns = start`, `dur_ns = ser`, no id of its
+/// own, the flow's span as parent, and fields `wait`, `flow`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HopRow {
+    /// Link crossed.
+    pub link: u32,
+    /// Index of the crossing flow in the run's flow list.
+    pub flow: u32,
+    /// How long the flow waited for the link, ns.
+    pub wait: u64,
+    /// When it started crossing, simulated ns.
+    pub start: u64,
+    /// How long it held the link (serialization time), ns.
+    pub ser: u64,
+}
+
+/// How a simulated flow ended; names the span its [`FlowRow`] expands to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlowEnd {
+    /// Delivered: a `flow` span lasting until the tail arrived.
+    Delivered,
+    /// Given up by the retry policy: a `flow_abandoned` instant.
+    Abandoned,
+    /// Never routed (or wedged): a `flow_unrouted` instant.
+    Unrouted,
+}
+
+/// One flow's lifecycle in a simulator run. Expands to a span on
+/// [`Track::Engine`] whose id is `engine_span_id(flow + 1)` — the parent
+/// of the flow's [`HopRow`]s — with fields `src`, `dst`, `bytes`,
+/// `retries`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowRow {
+    /// Index in the run's flow list.
+    pub flow: u32,
+    /// Source node.
+    pub src: u32,
+    /// Destination node.
+    pub dst: u32,
+    /// Re-admissions the flow needed.
+    pub retries: u32,
+    /// Payload size.
+    pub bytes: u64,
+    /// Injection time, simulated ns.
+    pub start: u64,
+    /// Injection to delivery, ns (0 unless delivered).
+    pub dur: u64,
+    /// How the flow ended.
+    pub end: FlowEnd,
+}
+
+impl From<HopRow> for SpanRecord {
+    fn from(r: HopRow) -> Self {
+        SpanRecord {
+            track: Track::Link(r.link as usize),
+            name: "hop",
+            t_ns: r.start,
+            dur_ns: r.ser,
+            span_id: 0,
+            parent_id: engine_span_id(u64::from(r.flow) + 1),
+            fields: vec![("wait", r.wait), ("flow", u64::from(r.flow))],
+        }
+    }
+}
+
+impl From<FlowRow> for SpanRecord {
+    fn from(r: FlowRow) -> Self {
+        SpanRecord {
+            track: Track::Engine,
+            name: match r.end {
+                FlowEnd::Delivered => "flow",
+                FlowEnd::Abandoned => "flow_abandoned",
+                FlowEnd::Unrouted => "flow_unrouted",
+            },
+            t_ns: r.start,
+            dur_ns: r.dur,
+            span_id: engine_span_id(u64::from(r.flow) + 1),
+            parent_id: 0,
+            fields: vec![
+                ("src", u64::from(r.src)),
+                ("dst", u64::from(r.dst)),
+                ("bytes", r.bytes),
+                ("retries", u64::from(r.retries)),
+            ],
+        }
+    }
+}
+
+/// One simulator run's rows, and where in the span list they were
+/// handed over.
+#[derive(Debug)]
+struct EngineBlock {
+    /// `spans.len()` at hand-over: the block stands for records appended
+    /// right there.
+    at: usize,
+    hops: Vec<HopRow>,
+    flows: Vec<FlowRow>,
+}
+
+#[derive(Debug, Default)]
+struct Recorded {
+    spans: Vec<SpanRecord>,
+    /// The engine lane, in hand-over order.
+    blocks: Vec<EngineBlock>,
+}
+
+impl Recorded {
+    /// Spans recorded either way: owned records plus engine rows.
+    fn len(&self) -> usize {
+        let rows = |b: &EngineBlock| b.hops.len() + b.flows.len();
+        self.spans.len() + self.blocks.iter().map(rows).sum::<usize>()
+    }
+}
+
 /// Thread-safe, unbounded collector of [`SpanRecord`]s for one run.
 ///
 /// Unbounded on purpose: unlike the `hfast-obs` ring (an always-on
-/// low-cost monitor), the recorder only exists when `HFAST_TRACE` asked
-/// for a full capture, and the exporters need every span to reconstruct
-/// causality. Recording is a mutex push; contention is irrelevant next to
-/// the channel send it piggybacks on.
+/// low-cost monitor), the recorder only exists when a full capture was
+/// asked for, and the exporters need every span to reconstruct
+/// causality.
+///
+/// Two ways in. [`record_span`](TraceRecorder::record_span) is a mutex
+/// push of one owned record — right for the MPI runtime, the serving
+/// daemon and the simulator's rare annotations (faults, kills, retries,
+/// stalls, repatches), where a span accompanies a channel send or a whole
+/// request. It is far too dear for the simulator's event loop, which
+/// closes a span every ~30 ns: that goes through the **engine lane**,
+/// [`record_engine_block`](TraceRecorder::record_engine_block), which
+/// takes a run's hop and flow rows in one locked hand-over and keeps them
+/// as rows. [`len`](TraceRecorder::len) counts rows as the spans they
+/// stand for and [`snapshot`](TraceRecorder::snapshot) expands them, so
+/// readers cannot tell the two apart.
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
-    spans: Mutex<Vec<SpanRecord>>,
+    inner: Mutex<Recorded>,
 }
 
 impl TraceRecorder {
@@ -186,12 +314,13 @@ impl TraceRecorder {
         TraceRecorder::default()
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, Recorded> {
+        self.inner.lock().expect("trace recorder poisoned")
+    }
+
     /// Appends one span record.
     pub fn record(&self, span: SpanRecord) {
-        self.spans
-            .lock()
-            .expect("trace recorder poisoned")
-            .push(span);
+        self.lock().spans.push(span);
     }
 
     /// Appends a span built from parts.
@@ -217,9 +346,19 @@ impl TraceRecorder {
         });
     }
 
+    /// Appends one simulator run's link crossings and flow lifecycles —
+    /// equivalent to [`record`](TraceRecorder::record)ing each hop row's
+    /// span in order and then each flow row's, at the cost of one lock
+    /// and no copy.
+    pub fn record_engine_block(&self, hops: Vec<HopRow>, flows: Vec<FlowRow>) {
+        let mut inner = self.lock();
+        let at = inner.spans.len();
+        inner.blocks.push(EngineBlock { at, hops, flows });
+    }
+
     /// Number of recorded spans.
     pub fn len(&self) -> usize {
-        self.spans.lock().expect("trace recorder poisoned").len()
+        self.lock().len()
     }
 
     /// True when nothing has been recorded.
@@ -230,9 +369,23 @@ impl TraceRecorder {
     /// Copies out all spans in a deterministic order: sorted by
     /// `(track, t_ns, span_id, name)`. Recording order depends on thread
     /// interleaving; the sort restores the determinism contract for
-    /// exports.
+    /// exports. The sort is stable and engine rows expand where they were
+    /// handed over, so records with equal keys (two hops entering one
+    /// link at one instant) keep their recording order.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let mut spans = self.spans.lock().expect("trace recorder poisoned").clone();
+        let mut spans = {
+            let inner = self.lock();
+            let mut all = Vec::with_capacity(inner.len());
+            let mut from = 0;
+            for b in &inner.blocks {
+                all.extend_from_slice(&inner.spans[from..b.at]);
+                all.extend(b.hops.iter().map(|&r| SpanRecord::from(r)));
+                all.extend(b.flows.iter().map(|&r| SpanRecord::from(r)));
+                from = b.at;
+            }
+            all.extend_from_slice(&inner.spans[from..]);
+            all
+        };
         spans.sort_by(|a, b| {
             (a.track, a.t_ns, a.span_id, a.name).cmp(&(b.track, b.t_ns, b.span_id, b.name))
         });
@@ -308,5 +461,104 @@ mod tests {
         assert_eq!(snap[1].t_ns, 20);
         assert_eq!(snap[2].track, Track::Link(3));
         assert_eq!(rec.snapshot(), snap, "snapshot is reproducible");
+    }
+
+    #[test]
+    fn engine_blocks_equal_their_expanded_spans() {
+        // Small ranges on purpose: hops, annotations and flows collide on
+        // (track, t, id, name), so a wrong expansion order shows.
+        hfast_par::forall("engine_blocks_equal_expanded_spans", 64, |rng| {
+            let (lane, plain) = (TraceRecorder::new(), TraceRecorder::new());
+            let ordinary = |rng: &mut hfast_par::Rng64| SpanRecord {
+                track: [Track::Link(rng.range(0, 3)), Track::Engine][rng.range(0, 2)],
+                name: ["hop", "flow", "stall", "flow_kill"][rng.range(0, 4)],
+                t_ns: rng.range_u64(0, 4),
+                dur_ns: rng.range_u64(0, 3),
+                span_id: [0, engine_span_id(rng.range_u64(1, 4))][rng.range(0, 2)],
+                parent_id: rng.range_u64(0, 3),
+                fields: vec![("x", rng.range_u64(0, 9))],
+            };
+            for _ in 0..rng.range(0, 4) {
+                for _ in 0..rng.range(0, 4) {
+                    let span = ordinary(rng);
+                    lane.record(span.clone());
+                    plain.record(span);
+                }
+                let hops: Vec<HopRow> = (0..rng.range(0, 12))
+                    .map(|_| HopRow {
+                        link: rng.range(0, 3) as u32,
+                        flow: rng.range(0, 3) as u32,
+                        wait: rng.range_u64(0, 5),
+                        start: rng.range_u64(0, 4),
+                        ser: rng.range_u64(0, 3),
+                    })
+                    .collect();
+                let flows: Vec<FlowRow> = (0..rng.range(0, 4))
+                    .map(|_| FlowRow {
+                        flow: rng.range(0, 3) as u32,
+                        src: rng.range(0, 8) as u32,
+                        dst: rng.range(0, 8) as u32,
+                        retries: rng.range(0, 3) as u32,
+                        bytes: rng.range_u64(1, 1 << 20),
+                        start: rng.range_u64(0, 4),
+                        dur: rng.range_u64(0, 3),
+                        end: [FlowEnd::Delivered, FlowEnd::Abandoned, FlowEnd::Unrouted]
+                            [rng.range(0, 3)],
+                    })
+                    .collect();
+                for &r in &hops {
+                    plain.record(r.into());
+                }
+                for &r in &flows {
+                    plain.record(r.into());
+                }
+                lane.record_engine_block(hops, flows);
+                assert_eq!(lane.len(), plain.len());
+            }
+            let span = ordinary(rng);
+            lane.record(span.clone());
+            plain.record(span);
+            assert_eq!(lane.len(), plain.len());
+            assert_eq!(lane.snapshot(), plain.snapshot());
+        });
+    }
+
+    #[test]
+    fn rows_expand_to_the_spans_the_engine_recorded() {
+        let hop = SpanRecord::from(HopRow {
+            link: 3,
+            flow: 7,
+            wait: 11,
+            start: 100,
+            ser: 50,
+        });
+        assert_eq!(hop.track, Track::Link(3));
+        assert_eq!((hop.name, hop.t_ns, hop.dur_ns), ("hop", 100, 50));
+        assert_eq!((hop.span_id, hop.parent_id), (0, engine_span_id(8)));
+        assert_eq!(hop.fields, vec![("wait", 11), ("flow", 7)]);
+        let row = FlowRow {
+            flow: 7,
+            src: 1,
+            dst: 2,
+            retries: 4,
+            bytes: 4096,
+            start: 90,
+            dur: 0,
+            end: FlowEnd::Abandoned,
+        };
+        let flow = SpanRecord::from(row);
+        assert_eq!(flow.track, Track::Engine);
+        assert_eq!(
+            (flow.name, flow.t_ns, flow.dur_ns),
+            ("flow_abandoned", 90, 0)
+        );
+        assert_eq!((flow.span_id, flow.parent_id), (engine_span_id(8), 0));
+        assert_eq!(
+            flow.fields,
+            vec![("src", 1), ("dst", 2), ("bytes", 4096), ("retries", 4)]
+        );
+        let named = |end| SpanRecord::from(FlowRow { end, ..row }).name;
+        assert_eq!(named(FlowEnd::Delivered), "flow");
+        assert_eq!(named(FlowEnd::Unrouted), "flow_unrouted");
     }
 }
