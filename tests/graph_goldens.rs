@@ -1,0 +1,224 @@
+//! Pins ahead of the sparse-store rewrite of `CommGraph`: `content_hash`
+//! keys the serve cache, the fabric registry and the journal, and every
+//! `Provisioning::digest` depends on the order `neighbors` yields peers in.
+//! These constants were recorded on the dense `n × n` store; the sorted-row
+//! store must reproduce every one of them.
+
+use hfast::apps::{all_apps, profile_app, STUDY_SIZES};
+use hfast::core::{ProvisionConfig, Strategy};
+use hfast::netsim::{Scenario, ScenarioKind};
+use hfast::topology::generators::{
+    complete_graph, hypercube_graph, mesh3d_graph, ring_graph, torus3d_graph,
+};
+use hfast::topology::{CommGraph, EdgeStat};
+
+/// Compares a computed `(label, value)` table with its golden, printing
+/// the whole computed table on a mismatch so a deliberate change can be
+/// re-recorded in one go.
+fn check(what: &str, got: &[(String, u64)], golden: &[(&str, u64)]) {
+    let same = got.len() == golden.len()
+        && got
+            .iter()
+            .zip(golden)
+            .all(|((gl, gv), (l, v))| gl == l && gv == v);
+    if !same {
+        for (label, value) in got {
+            eprintln!("    (\"{label}\", {value:#018x}),");
+        }
+        panic!("{what}: computed table (above) differs from the golden");
+    }
+}
+
+/// `(app P=procs, comm_graph hash)` then `(app P=procs wire, wire_graph
+/// hash)` for each app and study size.
+const APP_HASHES: &[(&str, u64)] = &[
+    ("Cactus P=64", 0xe9ec50c8a47ca405),
+    ("Cactus P=64 wire", 0xb1834c6cdb41bb49),
+    ("Cactus P=256", 0x86be894ba0e4c2ea),
+    ("Cactus P=256 wire", 0xe862642fbe77bac6),
+    ("LBMHD P=64", 0x100bfb56eb69eb45),
+    ("LBMHD P=64 wire", 0xc67925492b8dd307),
+    ("LBMHD P=256", 0xe428fff403fb2eaa),
+    ("LBMHD P=256 wire", 0xac6f798540d0edb0),
+    ("GTC P=64", 0x6d4075a2470f0105),
+    ("GTC P=64 wire", 0x6e3a774144deff5d),
+    ("GTC P=256", 0x37a0896d429c0b2a),
+    ("GTC P=256 wire", 0x6f4969e1bc082a82),
+    ("SuperLU P=64", 0x3e24fd3319b9d685),
+    ("SuperLU P=64 wire", 0xf1d785276e271859),
+    ("SuperLU P=256", 0xc44c14a1f1f0e0ea),
+    ("SuperLU P=256 wire", 0x34f03996cbb601ca),
+    ("PMEMD P=64", 0x40dc63a518fceab1),
+    ("PMEMD P=64 wire", 0xaeedc63feeeef4c9),
+    ("PMEMD P=256", 0x1cd8b963f9f00d99),
+    ("PMEMD P=256 wire", 0x3e575d872bbfa549),
+    ("PARATEC P=64", 0x59db484e32a72d45),
+    ("PARATEC P=64 wire", 0xeb965717fb0aa58f),
+    ("PARATEC P=256", 0x68e24481721da36a),
+    ("PARATEC P=256 wire", 0x5226dd4f34732010),
+];
+
+#[test]
+fn app_graph_content_hashes() {
+    let mut got = Vec::new();
+    for app in &all_apps() {
+        for procs in STUDY_SIZES {
+            let steady = profile_app(app.as_ref(), procs).expect("profiles").steady;
+            let name = app.name();
+            got.push((
+                format!("{name} P={procs}"),
+                steady.comm_graph().content_hash(),
+            ));
+            got.push((
+                format!("{name} P={procs} wire"),
+                steady.wire_graph().content_hash(),
+            ));
+        }
+    }
+    check("app content_hash", &got, APP_HASHES);
+}
+
+fn regular_graphs() -> Vec<(&'static str, CommGraph)> {
+    vec![
+        ("torus", torus3d_graph((4, 4, 4), 300 << 10)),
+        ("mesh", mesh3d_graph((4, 4, 4), 300 << 10)),
+        ("hypercube", hypercube_graph(64, 300 << 10)),
+        ("complete", complete_graph(64, 300 << 10)),
+    ]
+}
+
+const GENERATOR_HASHES: &[(&str, u64)] = &[
+    ("torus", 0x6a8f02532af28885),
+    ("mesh", 0x22f83b91bae118a5),
+    ("hypercube", 0x5636d21cbb75e285),
+    ("complete", 0x376e8e6f64021005),
+    ("ring", 0xa2f3c6b11725058d),
+    ("torus 2x3x5", 0x643a75f32140f1fb),
+];
+
+#[test]
+fn generator_content_hashes() {
+    let mut got: Vec<(String, u64)> = regular_graphs()
+        .into_iter()
+        .map(|(name, g)| (name.to_string(), g.content_hash()))
+        .collect();
+    // The ring wraps: its last message inserts peer 0 ahead of the tail.
+    got.push(("ring".into(), ring_graph(64, 1000).content_hash()));
+    got.push((
+        "torus 2x3x5".into(),
+        torus3d_graph((2, 3, 5), 77).content_hash(),
+    ));
+    check("generator content_hash", &got, GENERATOR_HASHES);
+}
+
+const SCENARIO_HASHES: &[(&str, u64)] = &[
+    ("incast", 0xdc9270a87f340f75),
+    ("permutation", 0x1c2346375e2646e5),
+    ("hotspot", 0x87e6d50da21bd287),
+    ("multi_tenant", 0xa207cbfee4990f3f),
+    ("bursty", 0xb60c642e33b2bc40),
+];
+
+#[test]
+fn scenario_content_hashes() {
+    let got: Vec<(String, u64)> = ScenarioKind::ALL
+        .iter()
+        .map(|&kind| {
+            let g = Scenario::preset(kind, 64, 4242).comm_graph();
+            (kind.as_str().to_string(), g.content_hash())
+        })
+        .collect();
+    check("scenario content_hash", &got, SCENARIO_HASHES);
+}
+
+fn stat(bytes: u64, count: u64, max_msg: u64) -> EdgeStat {
+    EdgeStat {
+        bytes,
+        count,
+        max_msg,
+    }
+}
+
+/// Both orientations of a pair, a self edge, a duplicate, a `count == 0`
+/// stat that still carries bytes, an all-zero stat, and peers out of order.
+fn oddities() -> CommGraph {
+    CommGraph::from_directed(
+        8,
+        vec![
+            (5, 2, stat(100, 1, 100)),
+            (2, 5, stat(300, 2, 200)),
+            (3, 3, stat(64, 1, 64)),
+            (7, 0, stat(4096, 1, 4096)),
+            (7, 0, stat(4096, 1, 4096)),
+            (1, 6, stat(999, 0, 999)),
+            (4, 6, stat(0, 0, 0)),
+            (7, 1, stat(10, 1, 10)),
+            (0, 1, stat(20, 2, 10)),
+        ],
+    )
+}
+
+const ODDITIES_HASH: u64 = 0x5e18167e58ab29f0;
+
+#[test]
+fn from_directed_oddities() {
+    let g = oddities();
+    assert_eq!(
+        g.content_hash(),
+        ODDITIES_HASH,
+        "{:#018x}",
+        g.content_hash()
+    );
+    assert_eq!(*g.edge(2, 5), stat(400, 3, 200));
+    assert_eq!(*g.edge(5, 2), stat(400, 3, 200));
+    assert_eq!(*g.edge(3, 3), stat(64, 1, 64), "the self entry merges once");
+    assert_eq!(*g.edge(0, 7), stat(8192, 2, 4096));
+    // An inactive stat with bytes is stored and counted in the total, but
+    // is no neighbour and no edge; an all-zero stat leaves no trace.
+    assert_eq!(*g.edge(6, 1), stat(999, 0, 999));
+    assert_eq!(*g.edge(4, 6), EdgeStat::default());
+    assert_eq!(g.total_bytes(), 400 + 64 + 8192 + 999 + 10 + 20);
+    assert_eq!(g.edge_count(), 4);
+    assert_eq!(g.edge_count_thresholded(200), 2);
+    let peers = |v| g.neighbors(v).map(|(u, _)| u).collect::<Vec<_>>();
+    assert_eq!(peers(1), vec![0, 7]);
+    assert_eq!(peers(6), Vec::<usize>::new());
+    assert_eq!(peers(3), Vec::<usize>::new());
+    assert_eq!(peers(7), vec![0, 1]);
+    let mut with_zero = oddities();
+    assert_eq!(with_zero, g);
+    with_zero.add_message(4, 6, 0);
+    assert_ne!(with_zero, g);
+}
+
+/// `Provisioning::digest` per (topology, strategy) at P = 64, default
+/// config.
+const DIGESTS: &[(&str, u64)] = &[
+    ("torus paper_linear", 0x016fa76db298211d),
+    ("torus bff_circuit", 0xe9ae38bf95df0d5d),
+    ("torus demand_decomp", 0x36decb2dc4f8f17d),
+    ("mesh paper_linear", 0x7c73906c2ec77bdd),
+    ("mesh bff_circuit", 0xd586f38265df1c9d),
+    ("mesh demand_decomp", 0x1b9f089a62ddd82d),
+    ("hypercube paper_linear", 0x9a02117e3be16d9d),
+    ("hypercube bff_circuit", 0xbf903deed74f78fd),
+    ("hypercube demand_decomp", 0xa6315819d53e6dbd),
+    ("complete paper_linear", 0x70d56ff85bbe06f6),
+    ("complete bff_circuit", 0x776dba40c74d63a1),
+    ("complete demand_decomp", 0xb4737f32b5535a35),
+];
+
+#[test]
+fn provisioning_digests() {
+    let mut got = Vec::new();
+    for (name, g) in regular_graphs() {
+        for strategy in Strategy::ALL {
+            let prov = strategy
+                .provisioner()
+                .provision(&g, ProvisionConfig::default());
+            prov.validate(&g).expect("valid");
+            got.push((format!("{name} {strategy}"), prov.digest()));
+        }
+    }
+    check("provisioning digest", &got, DIGESTS);
+}
