@@ -5,8 +5,13 @@
 use hfast_bench::Harness;
 use hfast_topology::generators::{complete_graph, mesh3d_graph};
 use hfast_topology::{
-    detect_structure, tdc_sweep, tdc_sweep_csr, tdc_sweep_naive, CommGraph, CsrGraph, PAPER_CUTOFFS,
+    detect_structure, tdc, tdc_sweep, tdc_sweep_csr, CommGraph, CsrGraph, TdcSummary, PAPER_CUTOFFS,
 };
+
+/// The baseline: one `tdc` rescan per cutoff.
+fn tdc_sweep_naive(graph: &CommGraph, cutoffs: &[u64]) -> Vec<(u64, TdcSummary)> {
+    cutoffs.iter().map(|&c| (c, tdc(graph, c))).collect()
+}
 
 fn main() {
     let mut h = Harness::new("topology");

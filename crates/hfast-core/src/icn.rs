@@ -15,7 +15,7 @@
 //! (bounded uniform degree) embed; case-iii codes (divergent max TDC)
 //! overflow the fixed per-PE crossbar and fail.
 
-use hfast_topology::{CommGraph, CsrGraph};
+use hfast_topology::CommGraph;
 
 use crate::clique;
 use crate::provision::ProvisionConfig;
@@ -91,9 +91,8 @@ pub struct IcnEmbedding {
 /// accepts an overflowing one.)
 pub fn embed(graph: &CommGraph, config: &IcnConfig) -> Result<IcnEmbedding, IcnError> {
     let k = config.block_size;
-    let csr = CsrGraph::from_graph(graph, config.cutoff);
-    for node in 0..csr.n() {
-        let degree = csr.degree(node);
+    for node in 0..graph.n() {
+        let degree = graph.degree_thresholded(node, config.cutoff);
         if degree >= k {
             return Err(IcnError::DegreeOverflow { node, degree, k });
         }
@@ -116,7 +115,7 @@ pub fn embed(graph: &CommGraph, config: &IcnConfig) -> Result<IcnEmbedding, IcnE
             }
         }
     }
-    let mut node_block = vec![usize::MAX; csr.n()];
+    let mut node_block = vec![usize::MAX; graph.n()];
     for (b, members) in fixed.iter().enumerate() {
         for &v in members {
             node_block[v] = b;
@@ -124,20 +123,15 @@ pub fn embed(graph: &CommGraph, config: &IcnConfig) -> Result<IcnEmbedding, IcnE
     }
     let mut intra = 0usize;
     let mut links = std::collections::BTreeSet::new();
-    for a in 0..csr.n() {
-        for &b in csr.neighbors(a) {
-            if b <= a {
-                continue;
-            }
-            if node_block[a] == node_block[b] {
-                intra += 1;
-            } else {
-                let (lo, hi) = (
-                    node_block[a].min(node_block[b]),
-                    node_block[a].max(node_block[b]),
-                );
-                links.insert((lo, hi));
-            }
+    for (a, b, _) in graph.edges().filter(|(_, _, e)| e.max_msg >= config.cutoff) {
+        if node_block[a] == node_block[b] {
+            intra += 1;
+        } else {
+            let (lo, hi) = (
+                node_block[a].min(node_block[b]),
+                node_block[a].max(node_block[b]),
+            );
+            links.insert((lo, hi));
         }
     }
     Ok(IcnEmbedding {

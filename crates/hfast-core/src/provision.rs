@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use hfast_topology::{CommGraph, CsrGraph};
+use hfast_topology::CommGraph;
 
 use crate::switch::{CircuitSwitch, Endpoint, SwitchBlock};
 
@@ -158,27 +158,20 @@ pub(crate) fn build_clustered(
         }
     }
 
-    // Classify edges, iterating a packed CSR snapshot of the active
-    // adjacency rather than rescanning dense matrix rows.
-    let csr = CsrGraph::from_graph(graph, 0);
+    // Classify edges.
     let mut intra = Vec::new();
     let mut inter = Vec::new();
     let mut unprov = Vec::new();
-    for a in 0..n {
-        for (b, e) in csr.neighbors_with_stats(a) {
-            if b <= a {
-                continue;
-            }
-            if node_cluster[a] == usize::MAX || node_cluster[b] == usize::MAX {
-                continue; // edges touching offline nodes are ignored
-            }
-            if e.max_msg < config.cutoff {
-                unprov.push((a, b));
-            } else if node_cluster[a] == node_cluster[b] {
-                intra.push((a, b));
-            } else {
-                inter.push((a, b));
-            }
+    for (a, b, e) in graph.edges() {
+        if node_cluster[a] == usize::MAX || node_cluster[b] == usize::MAX {
+            continue; // edges touching offline nodes are ignored
+        }
+        if e.max_msg < config.cutoff {
+            unprov.push((a, b));
+        } else if node_cluster[a] == node_cluster[b] {
+            intra.push((a, b));
+        } else {
+            inter.push((a, b));
         }
     }
 
@@ -304,29 +297,6 @@ pub(crate) fn build_clustered(
 }
 
 impl Provisioning {
-    /// The paper's linear-time algorithm: one cluster (hence one block
-    /// chain) per node.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `provisioner::PaperLinear.provision(graph, config)` (or \
-                `Strategy::PaperLinear.provisioner()`); this shim is removed next release"
-    )]
-    pub fn per_node(graph: &CommGraph, config: ProvisionConfig) -> Self {
-        crate::provisioner::Provisioner::provision(&crate::provisioner::PaperLinear, graph, config)
-    }
-
-    /// Provisions with an explicit node clustering (see
-    /// [`crate::clique::cluster_nodes`] for the heuristic the paper proposes
-    /// as future work).
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `provisioner::Clustered::new(clustering).provision(graph, config)`; \
-                this shim is removed next release"
-    )]
-    pub fn build(graph: &CommGraph, config: ProvisionConfig, clustering: Vec<Vec<usize>>) -> Self {
-        build_clustered(graph, config, clustering)
-    }
-
     /// Number of packet switch blocks consumed (`N_active` in §5.3).
     ///
     /// Spare slots parked by incremental re-provisioning hold no ports and
@@ -475,18 +445,15 @@ impl Provisioning {
                 return Err(format!("block {} over-allocated", b.id));
             }
         }
-        let csr = CsrGraph::from_graph(graph, self.config.cutoff);
-        for a in 0..graph.n() {
-            for (b, e) in csr.neighbors_with_stats(a) {
-                if b <= a || e.max_msg < self.config.cutoff {
-                    continue;
-                }
-                if self.node_cluster[a] == usize::MAX || self.node_cluster[b] == usize::MAX {
-                    continue; // offline endpoints have no routes by design
-                }
-                if self.route(a, b).is_none() {
-                    return Err(format!("edge ({a},{b}) above cutoff but unrouted"));
-                }
+        for (a, b, e) in graph.edges() {
+            if e.max_msg < self.config.cutoff {
+                continue;
+            }
+            if self.node_cluster[a] == usize::MAX || self.node_cluster[b] == usize::MAX {
+                continue; // offline endpoints have no routes by design
+            }
+            if self.route(a, b).is_none() {
+                return Err(format!("edge ({a},{b}) above cutoff but unrouted"));
             }
         }
         for (i, &(block, _pos)) in self.attach.iter().enumerate() {

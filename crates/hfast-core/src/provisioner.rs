@@ -11,15 +11,15 @@
 //!   incremental [`Provisioner::reprovision`] fed the comm-graph delta
 //!   accumulated since the last synchronization point (default: recompute
 //!   from scratch).
-//! * [`PaperLinear`] — the paper's §5.3 heuristic, extracted verbatim from
-//!   the former `Provisioning::per_node` (digests unchanged), with a true
-//!   O(changed-edges) incremental path.
+//! * [`PaperLinear`] — the paper's §5.3 heuristic (digests pinned since
+//!   before the trait existed), with a true O(changed-edges) incremental
+//!   path.
 //! * [`BffCircuit`] — stable-matching / best-fit-first circuit scheduling:
 //!   repeatedly dedicate the heaviest remaining demand pair a shared chain.
 //! * [`DemandDecomp`] — BvN-style decomposition: peel maximal matchings off
 //!   the demand matrix and merge them into bounded clusters.
 //! * [`Clustered`] — an explicit clustering (clique/anneal output) behind
-//!   the same trait, replacing the free `Provisioning::build` constructor.
+//!   the same trait.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::str::FromStr;
@@ -123,19 +123,16 @@ impl GraphDelta {
     pub fn diff(before: &CommGraph, after: &CommGraph) -> Self {
         assert_eq!(before.n(), after.n(), "snapshots must cover the same nodes");
         let mut delta = GraphDelta::new();
-        for a in 0..after.n() {
-            for (b, e) in after.neighbors(a) {
-                if b > a && before.edge(a, b) != e {
-                    delta.note(a, b, *e);
-                }
+        for (a, b, e) in after.edges() {
+            if before.edge(a, b) != e {
+                delta.note(a, b, *e);
             }
-            // Edges active before but inactive after (a fresh observation
-            // window dropped them) are changes too.
-            for (b, e) in before.neighbors(a) {
-                if b > a && !after.edge(a, b).is_active() {
-                    let _ = e;
-                    delta.note(a, b, EdgeStat::default());
-                }
+        }
+        // Edges active before but inactive after (a fresh observation
+        // window dropped them) are changes too.
+        for (a, b, _) in before.edges() {
+            if !after.edge(a, b).is_active() {
+                delta.note(a, b, EdgeStat::default());
             }
         }
         delta
@@ -235,8 +232,7 @@ impl std::fmt::Debug for dyn Provisioner {
 }
 
 /// The paper's §5.3 linear-time algorithm: one cluster (hence one block
-/// chain) per node. Extracted verbatim from the former
-/// `Provisioning::per_node`; outputs are bit-identical.
+/// chain) per node. Its digests are pinned by `tests/provisioner_goldens.rs`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PaperLinear;
 
@@ -505,6 +501,16 @@ impl Provisioner for ScratchOnly {
     }
 }
 
+/// The above-cutoff demand pairs as `(bytes, a, b)` with `a < b`, in pair
+/// order — what the matching strategies schedule.
+fn demand_pairs(graph: &CommGraph, cutoff: u64) -> Vec<(u64, usize, usize)> {
+    graph
+        .edges()
+        .filter(|(_, _, e)| e.max_msg >= cutoff)
+        .map(|(a, b, e)| (e.bytes, a, b))
+        .collect()
+}
+
 /// Stable-matching / best-fit-first circuit scheduling (arXiv 1712.06634's
 /// BFF family): sort the above-cutoff demand pairs by weight and greedily
 /// marry unmatched endpoints, so each heavy pair shares one chain (its edge
@@ -523,14 +529,7 @@ impl Provisioner for BffCircuit {
         // Heaviest-first, endpoints as deterministic tie-breakers: this is
         // the greedy maximal matching that 2-approximates max-weight
         // matching — the "best fit first" step of the BFF schedule.
-        let mut edges: Vec<(u64, usize, usize)> = Vec::new();
-        for a in 0..n {
-            for (b, e) in graph.neighbors_thresholded(a, config.cutoff) {
-                if b > a {
-                    edges.push((e.bytes, a, b));
-                }
-            }
-        }
+        let mut edges = demand_pairs(graph, config.cutoff);
         edges.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
         let mut partner = vec![usize::MAX; n];
         for &(_, a, b) in &edges {
@@ -574,14 +573,7 @@ impl Provisioner for DemandDecomp {
     fn provision(&self, graph: &CommGraph, config: ProvisionConfig) -> Provisioning {
         let n = graph.n();
         let cap = (config.block_ports / 4).max(2);
-        let mut residual: Vec<(u64, usize, usize)> = Vec::new();
-        for a in 0..n {
-            for (b, e) in graph.neighbors_thresholded(a, config.cutoff) {
-                if b > a {
-                    residual.push((e.bytes, a, b));
-                }
-            }
-        }
+        let mut residual = demand_pairs(graph, config.cutoff);
         // Union-find over nodes; cluster size capped so a chain stays short.
         let mut parent: Vec<usize> = (0..n).collect();
         let mut size = vec![1usize; n];
@@ -636,7 +628,7 @@ impl Provisioner for DemandDecomp {
 
 /// An explicit node clustering (e.g. [`crate::clique::cluster_nodes`] or
 /// [`crate::anneal::optimize_clusters`] output) behind the [`Provisioner`]
-/// trait — the replacement for the free `Provisioning::build` constructor.
+/// trait.
 #[derive(Debug, Clone)]
 pub struct Clustered {
     clusters: Vec<Vec<usize>>,
@@ -683,15 +675,6 @@ mod tests {
             assert_eq!(s.provisioner().name(), s.as_str());
         }
         assert!("fastest_possible".parse::<Strategy>().is_err());
-    }
-
-    #[test]
-    fn paper_linear_matches_former_per_node() {
-        let g = mesh3d_graph((4, 4, 4), 300 << 10);
-        let via_trait = PaperLinear.provision(&g, cfg());
-        #[allow(deprecated)]
-        let direct = Provisioning::per_node(&g, cfg());
-        assert_eq!(via_trait.digest(), direct.digest());
     }
 
     #[test]
@@ -758,16 +741,6 @@ mod tests {
                 p.validate(g).unwrap_or_else(|e| panic!("{s}: {e}"));
             }
         }
-    }
-
-    #[test]
-    fn clustered_behind_trait_matches_former_build() {
-        let g = complete_graph(8, 1 << 20);
-        let clusters: Vec<Vec<usize>> = vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]];
-        let via_trait = Clustered::new(clusters.clone()).provision(&g, cfg());
-        #[allow(deprecated)]
-        let direct = Provisioning::build(&g, cfg(), clusters);
-        assert_eq!(via_trait.digest(), direct.digest());
     }
 
     #[test]

@@ -242,15 +242,13 @@ impl ReconfigEngine {
     pub fn coverage(&self, observed: &CommGraph) -> f64 {
         let mut covered = 0u64;
         let mut total = 0u64;
-        for a in 0..observed.n() {
-            for (b, e) in observed.neighbors(a) {
-                if b <= a || e.max_msg < self.config.cutoff {
-                    continue;
-                }
-                total += e.bytes;
-                if self.current.route(a, b).is_some() {
-                    covered += e.bytes;
-                }
+        for (a, b, e) in observed.edges() {
+            if e.max_msg < self.config.cutoff {
+                continue;
+            }
+            total += e.bytes;
+            if self.current.route(a, b).is_some() {
+                covered += e.bytes;
             }
         }
         if total == 0 {

@@ -12,7 +12,7 @@
 //! assignments by the interconnect bytes they avoid, and search for good
 //! assignments with a greedy pass plus local refinement.
 
-use hfast_topology::{CommGraph, CsrGraph};
+use hfast_topology::CommGraph;
 
 /// A rank→node placement for `ranks_per_node`-way SMP nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,15 +64,11 @@ impl SmpAssignment {
 
     /// Bytes that stay inside shared memory under this placement.
     pub fn localized_bytes(&self, graph: &CommGraph) -> u64 {
-        let mut local = 0;
-        for a in 0..graph.n() {
-            for (b, e) in graph.neighbors(a) {
-                if b > a && self.node_of[a] == self.node_of[b] {
-                    local += e.bytes;
-                }
-            }
-        }
-        local
+        graph
+            .edges()
+            .filter(|&(a, b, _)| self.node_of[a] == self.node_of[b])
+            .map(|(_, _, e)| e.bytes)
+            .sum()
     }
 
     /// Fraction of total traffic the placement keeps off the interconnect.
@@ -88,16 +84,11 @@ impl SmpAssignment {
     /// intra-node edges dropped. This graph is what HFAST provisioning and
     /// TDC analysis operate on for an SMP machine.
     pub fn fold(&self, graph: &CommGraph) -> CommGraph {
-        let mut directed = Vec::new();
-        for a in 0..graph.n() {
-            for (b, e) in graph.neighbors(a) {
-                let (na, nb) = (self.node_of[a], self.node_of[b]);
-                if b > a && na != nb {
-                    directed.push((na, nb, *e));
-                }
-            }
-        }
-        CommGraph::from_directed(self.nodes, directed)
+        let cross = graph
+            .edges()
+            .map(|(a, b, e)| (self.node_of[a], self.node_of[b], *e))
+            .filter(|(na, nb, _)| na != nb);
+        CommGraph::from_directed(self.nodes, cross)
     }
 }
 
@@ -108,19 +99,13 @@ pub fn localize(graph: &CommGraph, ranks_per_node: usize, swap_passes: usize) ->
     let ranks = graph.n();
     assert!(ranks_per_node >= 1);
     let nodes = ranks.div_ceil(ranks_per_node);
-    let csr = CsrGraph::from_graph(graph, 0);
 
     // Greedy seeding: repeatedly start a node from the heaviest unassigned
     // rank and add the unassigned rank with the most bytes into the set.
     let mut node_of = vec![usize::MAX; ranks];
     let mut order: Vec<usize> = (0..ranks).collect();
-    order.sort_by_key(|&v| {
-        std::cmp::Reverse(
-            csr.neighbors_with_stats(v)
-                .map(|(_, e)| e.bytes)
-                .sum::<u64>(),
-        )
-    });
+    order
+        .sort_by_key(|&v| std::cmp::Reverse(graph.neighbors(v).map(|(_, e)| e.bytes).sum::<u64>()));
     let mut node = 0usize;
     for &seed in &order {
         if node_of[seed] != usize::MAX {
@@ -131,7 +116,7 @@ pub fn localize(graph: &CommGraph, ranks_per_node: usize, swap_passes: usize) ->
         while members.len() < ranks_per_node {
             let mut best: Option<(u64, usize)> = None;
             for &m in &members {
-                for (u, e) in csr.neighbors_with_stats(m) {
+                for (u, e) in graph.neighbors(m) {
                     if node_of[u] == usize::MAX {
                         let gain = e.bytes;
                         if best.is_none_or(|(g, bu)| gain > g || (gain == g && u < bu)) {

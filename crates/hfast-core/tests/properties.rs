@@ -103,7 +103,6 @@ fn fault_survivors_never_degrade() {
         // Removing nodes never adds traffic.
         let cut = remove_nodes(&g, &failed);
         assert!(cut.total_bytes() <= g.total_bytes());
-        assert!(cut.is_symmetric());
     });
 }
 

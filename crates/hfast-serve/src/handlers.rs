@@ -530,4 +530,40 @@ mod tests {
             );
         }
     }
+
+    /// An inline graph is wire input: a task count no real graph has and
+    /// an endpoint past `n` are both refused before any graph is built,
+    /// instead of exhausting memory or panicking a worker.
+    #[test]
+    fn hostile_inline_graphs_are_structured_errors() {
+        let reg = Registry::new();
+        let huge = AppSpec::Inline {
+            n: 60_000_000,
+            edges: vec![],
+        };
+        let dangling = AppSpec::Inline {
+            n: 4,
+            edges: vec![(0, 1, 4096, 1, 4096), (2, 4, 4096, 1, 4096)],
+        };
+        for app in [huge, dangling] {
+            for req in [
+                Request::Tdc {
+                    app: app.clone(),
+                    cutoffs: vec![0, 2048],
+                },
+                Request::Simulate {
+                    app: app.clone(),
+                    fabric: FabricSpec::Hfast,
+                    cutoff: 2048,
+                    faults: None,
+                    strategy: None,
+                },
+            ] {
+                let Response::Error { message } = execute(&req, &reg) else {
+                    panic!("{req:?} should be refused");
+                };
+                assert!(message.starts_with("inline "), "{message}");
+            }
+        }
+    }
 }

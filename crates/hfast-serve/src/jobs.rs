@@ -604,6 +604,52 @@ mod tests {
         assert!(text.starts_with(r#"{"type":"sim""#), "{text}");
     }
 
+    /// A submitted `simulate` whose inline graph is hostile fails once, as
+    /// a structured error: no worker abort or panic, no retry, and a
+    /// terminal journal record so a restart does not replay it.
+    #[test]
+    fn hostile_inline_graph_job_fails_without_retry() {
+        let reg = Registry::new();
+        let q = JobQueue::new(fast_retry());
+        let mut ids = Vec::new();
+        for (n, edges) in [
+            (60_000_000, vec![]),
+            (4, vec![(0usize, 7usize, 4096u64, 1u64, 4096u64)]),
+        ] {
+            let job = Request::Simulate {
+                app: AppSpec::Inline { n, edges },
+                fabric: FabricSpec::Hfast,
+                cutoff: 2048,
+                faults: None,
+                strategy: None,
+            };
+            ids.push(q.submit(job).expect("queueable"));
+        }
+        std::thread::scope(|s| {
+            let h = s.spawn(|| q.run_worker(&reg));
+            while q.pending() > 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            q.drain();
+            h.join().unwrap();
+        });
+        for id in ids {
+            let Response::JobStatus {
+                state,
+                attempts,
+                message,
+                ..
+            } = q.poll(id)
+            else {
+                panic!("expected status");
+            };
+            assert_eq!(state, JobState::Failed);
+            assert_eq!(attempts, 1, "a structured error is terminal");
+            assert!(message.unwrap().starts_with("inline "));
+        }
+        assert_eq!(q.totals().retried, 0);
+    }
+
     #[test]
     fn panics_retry_to_the_cap_then_fail() {
         let reg = Registry::new();

@@ -25,6 +25,12 @@ use crate::protocol::{AppSpec, FabricSpec};
 /// rank, so an unbounded `procs` would let one request exhaust the host.
 pub const MAX_PROCS: usize = 1024;
 
+/// Sanity bound on an inline graph's task count. An empty graph costs one
+/// row header per task (1.5 MB here), so a few bytes of request can never
+/// ask the daemon for more than that; 65 536 is the paper's ultra-scale
+/// tier.
+pub const MAX_INLINE_TASKS: usize = 1 << 16;
+
 type GraphResult = Result<Arc<CommGraph>, String>;
 
 /// A fabric built for one (app, fabric-spec, cutoff) key, with the warm
@@ -136,22 +142,31 @@ impl Registry {
         out
     }
 
-    /// The communication graph of an app spec: inline graphs materialize
-    /// directly (cheap), named apps profile once per (name, procs) and
-    /// every later request — concurrent or not — reuses the result.
+    /// The communication graph of an app spec: inline graphs are checked
+    /// (they arrive straight off the wire) and materialize directly
+    /// (cheap), named apps profile once per (name, procs) and every later
+    /// request — concurrent or not — reuses the result.
     pub fn graph(&self, app: &AppSpec) -> GraphResult {
-        if let Some(g) = app.inline_graph() {
-            if g.n() == 0 {
-                return Err("inline graph needs at least one task".into());
+        match app {
+            AppSpec::Inline { n, edges } => {
+                if !(1..=MAX_INLINE_TASKS).contains(n) {
+                    return Err(format!(
+                        "inline graph needs n in 1..={MAX_INLINE_TASKS}, got {n}"
+                    ));
+                }
+                if let Some(&(a, b, ..)) = edges.iter().find(|&&(a, b, ..)| a >= *n || b >= *n) {
+                    return Err(format!(
+                        "inline edge ({a}, {b}) names a task outside 0..{n}"
+                    ));
+                }
+                Ok(Arc::new(app.inline_graph().expect("an inline spec")))
             }
-            return Ok(Arc::new(g));
+            AppSpec::Named { name, procs } => {
+                let key = format!("{name}\u{1}{procs}");
+                let slot = entry(&self.graphs, &key);
+                slot.get_or_init(|| profile_named(name, *procs)).clone()
+            }
         }
-        let AppSpec::Named { name, procs } = app else {
-            unreachable!("inline handled above")
-        };
-        let key = format!("{name}\u{1}{procs}");
-        let slot = entry(&self.graphs, &key);
-        slot.get_or_init(|| profile_named(name, *procs)).clone()
     }
 
     /// The fabric (plus warm cache) for a simulate key. Keyed by the

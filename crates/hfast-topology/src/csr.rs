@@ -1,13 +1,14 @@
-//! Compressed sparse row view of a communication graph.
+//! Thresholded CSR freeze of a communication graph.
 //!
-//! The dense [`CommGraph`] is convenient to build; the
-//! provisioning and simulation code in downstream crates iterates adjacency
-//! heavily, for which this compact CSR snapshot (optionally thresholded by
-//! message size) is the right shape.
+//! [`CommGraph`] already stores sorted sparse rows, so reading it needs no
+//! conversion. A [`CsrGraph`] is the immutable slice view for code that
+//! re-reads the same *thresholded* adjacency many times (clique and anneal
+//! clustering, the ICN embedding, a cutoff sweep): the cutoff filter is
+//! paid once and neighbour lists come back as plain `&[usize]`.
 
 use crate::graph::{CommGraph, EdgeStat};
 
-/// Immutable CSR adjacency snapshot of a [`CommGraph`].
+/// Immutable CSR adjacency snapshot of a [`CommGraph`] at one cutoff.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrGraph {
     n: usize,
@@ -17,31 +18,22 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Builds the CSR view keeping only edges with `max_msg >= cutoff`
-    /// (`cutoff == 0` keeps every active edge).
-    ///
-    /// Two passes over the dense adjacency: a counting pass sizes every
-    /// allocation exactly, so the fill pass never reallocates — on dense
-    /// graphs the repeated `Vec` growth used to cost several times the
-    /// scan itself.
+    /// Freezes the edges with `max_msg >= cutoff` (`cutoff == 0` keeps
+    /// every active edge) in one filter-copy pass over the rows, keeping
+    /// their ascending peer order.
     pub fn from_graph(graph: &CommGraph, cutoff: u64) -> Self {
         let n = graph.n();
         let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::new();
+        let mut stats = Vec::new();
         offsets.push(0);
-        let mut nnz = 0usize;
-        for v in 0..n {
-            nnz += graph.degree_thresholded(v, cutoff);
-            offsets.push(nnz);
-        }
-        let mut targets = Vec::with_capacity(nnz);
-        let mut stats = Vec::with_capacity(nnz);
         for v in 0..n {
             for (u, e) in graph.neighbors_thresholded(v, cutoff) {
                 targets.push(u);
                 stats.push(*e);
             }
+            offsets.push(targets.len());
         }
-        debug_assert_eq!(targets.len(), nnz);
         CsrGraph {
             n,
             offsets,
@@ -82,76 +74,14 @@ impl CsrGraph {
     pub fn nnz(&self) -> usize {
         self.targets.len()
     }
-
-    /// True if `a` and `b` are adjacent (linear scan of the shorter list).
-    pub fn has_edge(&self, a: usize, b: usize) -> bool {
-        let (probe, other) = if self.degree(a) <= self.degree(b) {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        self.neighbors(probe).contains(&other)
-    }
-
-    /// Connected components, as a component id per vertex.
-    ///
-    /// Useful for fault analysis: a failed node partitions a mesh but not a
-    /// fully-provisioned HFAST fabric.
-    pub fn components(&self) -> Vec<usize> {
-        let mut comp = vec![usize::MAX; self.n];
-        let mut next = 0;
-        let mut stack = Vec::new();
-        for start in 0..self.n {
-            if comp[start] != usize::MAX {
-                continue;
-            }
-            comp[start] = next;
-            stack.push(start);
-            while let Some(v) = stack.pop() {
-                for &u in self.neighbors(v) {
-                    if comp[u] == usize::MAX {
-                        comp[u] = next;
-                        stack.push(u);
-                    }
-                }
-            }
-            next += 1;
-        }
-        comp
-    }
-
-    /// Breadth-first hop distances from `src` (`usize::MAX` if unreachable).
-    pub fn bfs_distances(&self, src: usize) -> Vec<usize> {
-        let mut dist = vec![usize::MAX; self.n];
-        let mut queue = std::collections::VecDeque::new();
-        dist[src] = 0;
-        queue.push_back(src);
-        while let Some(v) = queue.pop_front() {
-            for &u in self.neighbors(v) {
-                if dist[u] == usize::MAX {
-                    dist[u] = dist[v] + 1;
-                    queue.push_back(u);
-                }
-            }
-        }
-        dist
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn path_graph(n: usize) -> CommGraph {
-        let mut g = CommGraph::new(n);
-        for i in 0..n - 1 {
-            g.add_message(i, i + 1, 4096);
-        }
-        g
-    }
-
     #[test]
-    fn csr_matches_dense_adjacency() {
+    fn csr_matches_row_adjacency() {
         let mut g = CommGraph::new(5);
         g.add_message(0, 1, 100);
         g.add_message(0, 3, 5000);
@@ -160,9 +90,8 @@ mod tests {
         assert_eq!(csr.n(), 5);
         assert_eq!(csr.degree(0), 2);
         assert_eq!(csr.neighbors(0), &[1, 3]);
-        assert!(csr.has_edge(0, 3));
-        assert!(csr.has_edge(3, 0));
-        assert!(!csr.has_edge(1, 2));
+        assert_eq!(csr.neighbors(3), &[0]);
+        assert_eq!(csr.neighbors(1), &[0]);
         assert_eq!(csr.nnz(), 6);
     }
 
@@ -175,33 +104,6 @@ mod tests {
         assert_eq!(csr.degree(0), 0);
         assert_eq!(csr.degree(1), 1);
         assert_eq!(csr.neighbors(1), &[2]);
-    }
-
-    #[test]
-    fn components_detects_partitions() {
-        let g = path_graph(6);
-        // Break edge 2-3 by building only parts.
-        let mut broken = CommGraph::new(6);
-        for i in 0..5 {
-            if i == 2 {
-                continue;
-            }
-            broken.add_message(i, i + 1, 4096);
-        }
-        let whole = CsrGraph::from_graph(&g, 0).components();
-        assert!(whole.iter().all(|&c| c == 0));
-        let parts = CsrGraph::from_graph(&broken, 0).components();
-        assert_eq!(parts[0], parts[2]);
-        assert_eq!(parts[3], parts[5]);
-        assert_ne!(parts[0], parts[3]);
-    }
-
-    #[test]
-    fn bfs_distances_on_path() {
-        let g = path_graph(5);
-        let csr = CsrGraph::from_graph(&g, 0);
-        assert_eq!(csr.bfs_distances(0), vec![0, 1, 2, 3, 4]);
-        assert_eq!(csr.bfs_distances(2), vec![2, 1, 0, 1, 2]);
     }
 
     #[test]

@@ -40,28 +40,52 @@ impl EdgeStat {
 /// describes the topological connectivity required by the application …
 /// we assume that switch links are bi-directional").
 ///
-/// Storage is a dense symmetric matrix — the study sizes (P = 64, 256, up to
-/// a few thousand) make density cheap, and it keeps edge updates O(1).
+/// Storage is one row per task, sorted by peer, holding only the pairs that
+/// carried traffic — the paper's point is that TDC stays far below P, so a
+/// graph costs O(P·TDC), not O(P²). Both directions of a pair are stored
+/// (the self entry once). Ascending peer order is a contract: `neighbors`,
+/// [`content_hash`](Self::content_hash) and every provisioning digest
+/// built on them depend on it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommGraph {
-    n: usize,
-    /// Row-major `n×n`, kept symmetric; the diagonal (self-traffic) is
+    /// `rows[a]` holds `(b, stat)` ascending by `b`; a pair that never saw
+    /// a non-zero statistic has no entry. The self entry (self-traffic) is
     /// tracked but excluded from degree computations.
-    edges: Vec<EdgeStat>,
+    rows: Vec<Vec<(u32, EdgeStat)>>,
+}
+
+/// The entry for `peer` in a sorted row, created zeroed if absent. Peers
+/// arriving in ascending order (every generator's) take the tail append.
+fn slot(row: &mut Vec<(u32, EdgeStat)>, peer: u32) -> &mut EdgeStat {
+    let at = if row.last().is_none_or(|&(last, _)| last < peer) {
+        row.push((peer, EdgeStat::default()));
+        row.len() - 1
+    } else {
+        row.binary_search_by_key(&peer, |&(p, _)| p)
+            .unwrap_or_else(|at| {
+                row.insert(at, (peer, EdgeStat::default()));
+                at
+            })
+    };
+    &mut row[at].1
 }
 
 impl CommGraph {
     /// An empty graph over `n` tasks.
     pub fn new(n: usize) -> Self {
+        assert!(u32::try_from(n).is_ok(), "task count exceeds u32");
         CommGraph {
-            n,
-            edges: vec![EdgeStat::default(); n * n],
+            rows: vec![Vec::new(); n],
         }
     }
 
     /// Builds a graph from *directed* per-pair volumes (e.g. send-side
     /// profiling records), symmetrizing as the paper does: traffic in either
     /// direction contributes to the same undirected edge.
+    ///
+    /// Records may arrive in any order: every row collects its entries
+    /// unsorted, then sorts once and merges duplicates — never a sorted
+    /// insert per record, which an adversarial order makes quadratic.
     pub fn from_directed<I>(n: usize, directed: I) -> Self
     where
         I: IntoIterator<Item = (usize, usize, EdgeStat)>,
@@ -69,10 +93,22 @@ impl CommGraph {
         let mut g = CommGraph::new(n);
         for (src, dst, stat) in directed {
             assert!(src < n && dst < n, "rank out of range");
-            g.edges[src * n + dst].merge(&stat);
-            if src != dst {
-                g.edges[dst * n + src].merge(&stat);
+            if stat != EdgeStat::default() {
+                g.rows[src].push((dst as u32, stat));
+                if src != dst {
+                    g.rows[dst].push((src as u32, stat));
+                }
             }
+        }
+        for row in &mut g.rows {
+            row.sort_by_key(|&(peer, _)| peer);
+            row.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1.merge(&next.1);
+                }
+                same
+            });
         }
         g
     }
@@ -80,29 +116,38 @@ impl CommGraph {
     /// Number of tasks.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.rows.len()
     }
 
     /// Records one message between `a` and `b` (undirected).
     pub fn add_message(&mut self, a: usize, b: usize, bytes: u64) {
-        assert!(a < self.n && b < self.n, "rank out of range");
-        self.edges[a * self.n + b].add_message(bytes);
+        assert!(a < self.n() && b < self.n(), "rank out of range");
+        slot(&mut self.rows[a], b as u32).add_message(bytes);
         if a != b {
-            self.edges[b * self.n + a].add_message(bytes);
+            slot(&mut self.rows[b], a as u32).add_message(bytes);
         }
     }
 
-    /// Edge statistics between `a` and `b`.
-    #[inline]
+    /// Edge statistics between `a` and `b` (all zero for a pair that never
+    /// exchanged anything).
     pub fn edge(&self, a: usize, b: usize) -> &EdgeStat {
-        &self.edges[a * self.n + b]
+        static ABSENT: EdgeStat = EdgeStat {
+            bytes: 0,
+            count: 0,
+            max_msg: 0,
+        };
+        assert!(a < self.n() && b < self.n(), "rank out of range");
+        let row = &self.rows[a];
+        row.binary_search_by_key(&(b as u32), |&(p, _)| p)
+            .map_or(&ABSENT, |at| &row[at].1)
     }
 
-    /// Iterates over the active neighbours of `v` (self-edges excluded).
+    /// Iterates over the active neighbours of `v` (self-edges excluded),
+    /// ascending by peer.
     pub fn neighbors(&self, v: usize) -> impl Iterator<Item = (usize, &EdgeStat)> {
-        let row = &self.edges[v * self.n..(v + 1) * self.n];
-        row.iter()
-            .enumerate()
+        self.rows[v]
+            .iter()
+            .map(|(u, e)| (*u as usize, e))
             .filter(move |(u, e)| *u != v && e.is_active())
     }
 
@@ -132,51 +177,45 @@ impl CommGraph {
         self.neighbors_thresholded(v, cutoff).count()
     }
 
+    /// Every stored entry `(a, b, stat)` with `a <= b`, ascending by `a`
+    /// then `b`: each undirected pair once, self and inactive entries
+    /// included.
+    fn upper(&self) -> impl Iterator<Item = (usize, usize, &EdgeStat)> {
+        self.rows.iter().enumerate().flat_map(|(a, row)| {
+            let from = row.partition_point(|&(b, _)| (b as usize) < a);
+            row[from..].iter().map(move |(b, e)| (a, *b as usize, e))
+        })
+    }
+
+    /// The active undirected edges `(a, b, stat)` with `a < b`, each once,
+    /// ascending by `a` then `b`.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, usize, &EdgeStat)> {
+        self.upper().filter(|&(a, b, e)| a != b && e.is_active())
+    }
+
     /// Total bytes over all undirected edges (each edge counted once).
     pub fn total_bytes(&self) -> u64 {
-        let mut sum = 0;
-        for a in 0..self.n {
-            for b in a..self.n {
-                sum += self.edge(a, b).bytes;
-            }
-        }
-        sum
+        self.upper().map(|(_, _, e)| e.bytes).sum()
     }
 
     /// Number of active undirected edges (self-edges excluded).
     pub fn edge_count(&self) -> usize {
-        let mut c = 0;
-        for a in 0..self.n {
-            for b in (a + 1)..self.n {
-                if self.edge(a, b).is_active() {
-                    c += 1;
-                }
-            }
-        }
-        c
+        self.edges().count()
     }
 
     /// Number of active undirected edges at a message-size cutoff.
     pub fn edge_count_thresholded(&self, cutoff: u64) -> usize {
-        let mut c = 0;
-        for a in 0..self.n {
-            for b in (a + 1)..self.n {
-                let e = self.edge(a, b);
-                if e.is_active() && e.max_msg >= cutoff {
-                    c += 1;
-                }
-            }
-        }
-        c
+        self.edges().filter(|(_, _, e)| e.max_msg >= cutoff).count()
     }
 
     /// A canonical 64-bit content hash (FNV-1a over `n` and every active
-    /// upper-triangle edge with its statistics).
+    /// upper-triangle edge, self entries included, with its statistics).
     ///
     /// Two graphs hash equal iff they carry identical traffic; the hash is
     /// stable across processes and platforms, so it can key caches and
-    /// name fabrics in serving registries. Inactive edges are skipped,
-    /// making the hash independent of matrix storage.
+    /// name fabrics in serving registries. The byte sequence — `a <= b`
+    /// ascending, inactive entries skipped — is a compatibility contract:
+    /// caches and journals hold these hashes.
     pub fn content_hash(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -187,32 +226,15 @@ impl CommGraph {
                 h = h.wrapping_mul(FNV_PRIME);
             }
         };
-        mix(self.n as u64);
-        for a in 0..self.n {
-            for b in a..self.n {
-                let e = self.edge(a, b);
-                if e.is_active() {
-                    mix(a as u64);
-                    mix(b as u64);
-                    mix(e.bytes);
-                    mix(e.count);
-                    mix(e.max_msg);
-                }
-            }
+        mix(self.n() as u64);
+        for (a, b, e) in self.upper().filter(|(_, _, e)| e.is_active()) {
+            mix(a as u64);
+            mix(b as u64);
+            mix(e.bytes);
+            mix(e.count);
+            mix(e.max_msg);
         }
         h
-    }
-
-    /// Verifies the symmetry invariant (diagnostic; cheap for test sizes).
-    pub fn is_symmetric(&self) -> bool {
-        for a in 0..self.n {
-            for b in (a + 1)..self.n {
-                if self.edges[a * self.n + b] != self.edges[b * self.n + a] {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -229,7 +251,29 @@ mod tests {
         assert_eq!(g.edge(2, 0).bytes, 1500);
         assert_eq!(g.edge(0, 2).count, 2);
         assert_eq!(g.edge(0, 2).max_msg, 1000);
-        assert!(g.is_symmetric());
+    }
+
+    #[test]
+    #[should_panic(expected = "rank out of range")]
+    fn edge_rejects_a_column_past_n() {
+        // Flat `a * n + b` indexing would alias this to cell (1, 0).
+        let mut g = CommGraph::new(4);
+        g.add_message(1, 0, 8);
+        g.edge(0, 4);
+    }
+
+    #[test]
+    fn out_of_order_peers_land_sorted() {
+        let mut g = CommGraph::new(6);
+        for peer in [4, 1, 5, 3, 1] {
+            g.add_message(2, peer, 10);
+        }
+        g.add_message(2, 2, 10);
+        let peers: Vec<usize> = g.neighbors(2).map(|(u, _)| u).collect();
+        assert_eq!(peers, vec![1, 3, 4, 5]);
+        assert_eq!(g.edge(1, 2).count, 2);
+        let edges: Vec<(usize, usize)> = g.edges().map(|(a, b, _)| (a, b)).collect();
+        assert_eq!(edges, vec![(1, 2), (2, 3), (2, 4), (2, 5)]);
     }
 
     #[test]
@@ -281,7 +325,6 @@ mod tests {
         assert_eq!(g.edge(1, 0).bytes, 40);
         assert_eq!(g.edge(0, 1).count, 3);
         assert_eq!(g.edge(0, 1).max_msg, 20);
-        assert!(g.is_symmetric());
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! isomorphic to a mesh?").
 //!
 //! Everything here is self-contained — the graph structures are implemented
-//! from scratch (dense symmetric storage plus a CSR view for traversal).
+//! from scratch: [`CommGraph`] stores sparse per-task rows sorted by peer
+//! (O(P·TDC), the only store), and [`CsrGraph`] freezes one thresholded
+//! slice of it for code that re-reads the same adjacency many times.
 
 #![warn(missing_docs)]
 
@@ -31,6 +33,5 @@ pub use graph::{CommGraph, EdgeStat};
 pub use histogram::BufferHistogram;
 pub use matrix::{render_ascii, to_csv, to_dot};
 pub use tdc::{
-    degrees_sweep, tdc, tdc_sweep, tdc_sweep_csr, tdc_sweep_naive, TdcSummary, BDP_CUTOFF,
-    PAPER_CUTOFFS,
+    degrees_sweep, tdc, tdc_sweep, tdc_sweep_csr, TdcSummary, BDP_CUTOFF, PAPER_CUTOFFS,
 };

@@ -121,7 +121,7 @@ fn sweep_kernel(
 /// of task `v` at `cutoffs[c]`). Each vertex's incident edge sizes are
 /// sorted once; the degrees at all cutoffs then fall out of a single merge
 /// against the sorted cutoff list — `O(E log d + E + n·C)` total versus the
-/// naive `O(C·E)` full rescans (`C` cutoffs, max degree `d`).
+/// `O(C·E)` of one [`tdc`] rescan per cutoff (`C` cutoffs, max degree `d`).
 pub fn degrees_sweep(csr: &CsrGraph, cutoffs: &[u64]) -> Vec<Vec<usize>> {
     sweep_kernel(csr.n(), cutoffs, |v, buf| {
         buf.extend(csr.neighbors_with_stats(v).map(|(_, e)| e.max_msg));
@@ -133,8 +133,8 @@ pub fn degrees_sweep(csr: &CsrGraph, cutoffs: &[u64]) -> Vec<Vec<usize>> {
 ///
 /// Single-pass: sorts each vertex's incident message sizes once and derives
 /// every cutoff's degrees from that ordering (see [`degrees_sweep`]),
-/// reading the dense adjacency directly — no CSR snapshot is materialized
-/// for a one-shot sweep. Produces values identical to calling [`tdc`] per
+/// reading the graph's rows directly — no CSR snapshot is materialized for
+/// a one-shot sweep. Produces values identical to calling [`tdc`] per
 /// cutoff.
 pub fn tdc_sweep(graph: &CommGraph, cutoffs: &[u64]) -> Vec<(u64, TdcSummary)> {
     let degs = sweep_kernel(graph.n(), cutoffs, |v, buf| {
@@ -156,15 +156,14 @@ fn summarize(degs: Vec<Vec<usize>>, cutoffs: &[u64]) -> Vec<(u64, TdcSummary)> {
         .collect()
 }
 
-/// The straightforward per-cutoff rescan ([`tdc`] in a loop). Kept as the
-/// reference implementation for property tests and the benchmark baseline.
-pub fn tdc_sweep_naive(graph: &CommGraph, cutoffs: &[u64]) -> Vec<(u64, TdcSummary)> {
-    cutoffs.iter().map(|&c| (c, tdc(graph, c))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference the sweep must match: one [`tdc`] rescan per cutoff.
+    fn tdc_sweep_naive(graph: &CommGraph, cutoffs: &[u64]) -> Vec<(u64, TdcSummary)> {
+        cutoffs.iter().map(|&c| (c, tdc(graph, c))).collect()
+    }
 
     fn star(n: usize, msg: u64) -> CommGraph {
         let mut g = CommGraph::new(n);

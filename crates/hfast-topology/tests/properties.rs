@@ -2,7 +2,7 @@
 
 use hfast_par::{forall, Rng64};
 use hfast_topology::{
-    bisection_bytes, tdc, tdc_sweep, tdc_sweep_naive, BufferHistogram, CommGraph, CsrGraph,
+    bisection_bytes, tdc, tdc_sweep, BufferHistogram, CommGraph, CsrGraph, EdgeStat, TdcSummary,
     PAPER_CUTOFFS,
 };
 
@@ -27,12 +27,176 @@ fn random_graph(rng: &mut Rng64, n: usize, max_msgs: usize) -> CommGraph {
     build(n, &msgs)
 }
 
+/// The store `CommGraph` had before its rows went sparse: a row-major
+/// `n × n` matrix kept symmetric. Test-only reference for
+/// [`sparse_rows_match_the_dense_matrix`].
+#[derive(Clone, PartialEq)]
+struct DenseRef {
+    n: usize,
+    cells: Vec<EdgeStat>,
+}
+
+impl DenseRef {
+    fn new(n: usize) -> Self {
+        DenseRef {
+            n,
+            cells: vec![EdgeStat::default(); n * n],
+        }
+    }
+
+    /// Applies `update` to cell `(a, b)` and, off the diagonal, `(b, a)`.
+    fn update(&mut self, a: usize, b: usize, update: impl Fn(&mut EdgeStat)) {
+        update(&mut self.cells[a * self.n + b]);
+        if a != b {
+            update(&mut self.cells[b * self.n + a]);
+        }
+    }
+
+    fn edge(&self, a: usize, b: usize) -> &EdgeStat {
+        &self.cells[a * self.n + b]
+    }
+
+    fn neighbors(&self, v: usize, cutoff: u64) -> Vec<(usize, EdgeStat)> {
+        (0..self.n)
+            .filter(|&u| u != v)
+            .map(|u| (u, *self.edge(v, u)))
+            .filter(|(_, e)| e.is_active() && e.max_msg >= cutoff)
+            .collect()
+    }
+
+    fn upper(&self) -> impl Iterator<Item = (usize, usize, &EdgeStat)> {
+        (0..self.n).flat_map(move |a| (a..self.n).map(move |b| (a, b, self.edge(a, b))))
+    }
+
+    fn content_hash(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        mix(self.n as u64);
+        for (a, b, e) in self.upper().filter(|(_, _, e)| e.is_active()) {
+            for v in [a as u64, b as u64, e.bytes, e.count, e.max_msg] {
+                mix(v);
+            }
+        }
+        h
+    }
+}
+
+/// A random statistic: usually a plausible one, sometimes all-zero, and
+/// sometimes inactive (`count == 0`) while still carrying bytes.
+fn random_stat(rng: &mut Rng64) -> EdgeStat {
+    let max_msg = rng.range_u64(0, 1 << 21);
+    match rng.range(0, 8) {
+        0 => EdgeStat::default(),
+        1 => EdgeStat {
+            bytes: max_msg,
+            count: 0,
+            max_msg,
+        },
+        _ => EdgeStat {
+            bytes: max_msg * 3,
+            count: rng.range_u64(1, 5),
+            max_msg,
+        },
+    }
+}
+
+/// Compares every accessor of `g` with the dense reference.
+fn assert_same(g: &CommGraph, d: &DenseRef) {
+    let n = d.n;
+    assert_eq!(g.n(), n);
+    for a in 0..n {
+        for b in 0..n {
+            assert_eq!(g.edge(a, b), d.edge(a, b), "edge({a}, {b})");
+        }
+    }
+    let cutoffs = [0, 2048, 1 << 20];
+    for v in 0..n {
+        let got: Vec<(usize, EdgeStat)> = g.neighbors(v).map(|(u, e)| (u, *e)).collect();
+        assert_eq!(got, d.neighbors(v, 0), "neighbors({v}) and their order");
+        assert_eq!(g.degree(v), got.len());
+        for cutoff in cutoffs {
+            let got: Vec<(usize, EdgeStat)> = g
+                .neighbors_thresholded(v, cutoff)
+                .map(|(u, e)| (u, *e))
+                .collect();
+            assert_eq!(got, d.neighbors(v, cutoff), "neighbors({v}) at {cutoff}");
+            assert_eq!(g.degree_thresholded(v, cutoff), got.len());
+        }
+    }
+    let pairs = |cutoff: u64| {
+        d.upper()
+            .filter(|&(a, b, e)| a != b && e.is_active() && e.max_msg >= cutoff)
+            .map(|(a, b, e)| (a, b, *e))
+            .collect::<Vec<_>>()
+    };
+    let edges: Vec<(usize, usize, EdgeStat)> = g.edges().map(|(a, b, e)| (a, b, *e)).collect();
+    assert_eq!(edges, pairs(0), "edges() and their order");
+    assert_eq!(g.edge_count(), edges.len());
+    assert_eq!(
+        g.total_bytes(),
+        d.upper().map(|(_, _, e)| e.bytes).sum::<u64>()
+    );
+    assert_eq!(g.content_hash(), d.content_hash());
+    for cutoff in cutoffs {
+        assert_eq!(g.edge_count_thresholded(cutoff), pairs(cutoff).len());
+        let csr = CsrGraph::from_graph(g, cutoff);
+        assert_eq!(csr.n(), n);
+        assert_eq!(csr.nnz(), 2 * pairs(cutoff).len());
+        for v in 0..n {
+            let want = d.neighbors(v, cutoff);
+            let got: Vec<(usize, EdgeStat)> =
+                csr.neighbors_with_stats(v).map(|(u, e)| (u, *e)).collect();
+            assert_eq!(got, want, "CSR row {v} at {cutoff}");
+            assert_eq!(csr.degree(v), want.len());
+            let peers: Vec<usize> = want.iter().map(|&(u, _)| u).collect();
+            assert_eq!(csr.neighbors(v), peers.as_slice());
+        }
+    }
+}
+
 #[test]
-fn graph_stays_symmetric() {
-    forall("graph_stays_symmetric", 256, |rng| {
-        let g = random_graph(rng, 12, 200);
-        assert!(g.is_symmetric());
+fn sparse_rows_match_the_dense_matrix() {
+    forall("sparse_rows_match_the_dense_matrix", 128, |rng| {
+        let n = rng.range(1, 14);
+        // Start from `from_directed` (records in arbitrary order, both
+        // orientations, duplicates, self pairs, zero and inactive stats) …
+        let directed: Vec<(usize, usize, EdgeStat)> = (0..rng.range(0, 60))
+            .map(|_| (rng.range(0, n), rng.range(0, n), random_stat(rng)))
+            .collect();
+        let mut dense = DenseRef::new(n);
+        for (a, b, stat) in &directed {
+            dense.update(*a, *b, |cell| cell.merge(stat));
+        }
+        let mut g = CommGraph::from_directed(n, directed);
+        assert_same(&g, &dense);
+        // … then grow it by messages (peers out of order, zero-byte
+        // messages, self messages), checking equality tracks the matrix's.
+        let before = (g.clone(), dense.clone());
+        for (a, b, bytes) in messages(rng, n, 40) {
+            let bytes = if bytes % 5 == 0 { 0 } else { bytes };
+            g.add_message(a, b, bytes);
+            dense.update(a, b, |cell| cell.add_message(bytes));
+            assert_eq!(g == before.0, dense == before.1, "== follows the matrix");
+        }
+        assert_same(&g, &dense);
+        assert_eq!(g, g.clone());
     });
+}
+
+#[test]
+#[should_panic(expected = "rank out of range")]
+fn from_directed_rejects_an_endpoint_past_n() {
+    CommGraph::from_directed(3, [(0, 3, EdgeStat::default())]);
+}
+
+/// The reference the single-pass sweep must match: one [`tdc`] rescan per
+/// cutoff.
+fn tdc_sweep_naive(g: &CommGraph, cutoffs: &[u64]) -> Vec<(u64, TdcSummary)> {
+    cutoffs.iter().map(|&c| (c, tdc(g, c))).collect()
 }
 
 #[test]
@@ -87,8 +251,7 @@ fn csr_matches_dense() {
         for v in 0..10 {
             assert_eq!(csr.degree(v), g.degree_thresholded(v, cutoff));
             for &u in csr.neighbors(v) {
-                assert!(csr.has_edge(v, u));
-                assert!(csr.has_edge(u, v), "CSR adjacency is symmetric");
+                assert!(csr.neighbors(u).contains(&v), "CSR adjacency is symmetric");
             }
         }
     });
@@ -126,44 +289,5 @@ fn histogram_cdf_properties() {
         let p25 = hist.percentile(25.0).unwrap();
         let p75 = hist.percentile(75.0).unwrap();
         assert!(p25 <= median && median <= p75);
-    });
-}
-
-#[test]
-fn bfs_distances_satisfy_triangle_on_edges() {
-    forall("bfs_distances_satisfy_triangle_on_edges", 256, |rng| {
-        let g = random_graph(rng, 10, 80);
-        let csr = CsrGraph::from_graph(&g, 0);
-        let dist = csr.bfs_distances(0);
-        for v in 0..10 {
-            if dist[v] == usize::MAX {
-                continue;
-            }
-            for &u in csr.neighbors(v) {
-                assert!(
-                    dist[u] != usize::MAX && dist[u] + 1 >= dist[v] && dist[v] + 1 >= dist[u],
-                    "adjacent distances differ by at most 1"
-                );
-            }
-        }
-    });
-}
-
-#[test]
-fn components_consistent_with_reachability() {
-    forall("components_consistent_with_reachability", 128, |rng| {
-        let g = random_graph(rng, 10, 60);
-        let csr = CsrGraph::from_graph(&g, 0);
-        let comp = csr.components();
-        for src in 0..10 {
-            let dist = csr.bfs_distances(src);
-            for v in 0..10 {
-                assert_eq!(
-                    dist[v] != usize::MAX,
-                    comp[v] == comp[src],
-                    "reachable iff same component"
-                );
-            }
-        }
     });
 }

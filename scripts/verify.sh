@@ -74,4 +74,11 @@ smoke fleet_trace cargo run --release -q -p hfast-serve --bin fleet_trace -- --c
 # divergence, refused responses, a breached p99 ceiling, or a durable job
 # lost across the restart.
 smoke fleet_soak cargo run --release -q -p hfast-serve --bin hfast-fleet -- --soak --secs 20
+# Benchmark-package smoke: `benchmark/` is a standalone package (own
+# lockfile, invisible to the workspace build above), so a change to the
+# "API surface the benchmark calls" (benchmark/README.md) would otherwise
+# first fail in the pipeline. Build it offline in the profile the pipeline
+# runs, then run its own tests.
+smoke benchmark_build cargo build --release --offline -q --manifest-path benchmark/Cargo.toml
+smoke benchmark_test cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 echo "verify: OK"

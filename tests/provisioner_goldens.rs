@@ -1,11 +1,10 @@
 //! PR-7 regression pins: `PaperLinear` behind the `Provisioner` trait must
-//! be bit-identical to the pre-refactor `Provisioning::per_node` path on
-//! every study application's steady-state graph, and both must match the
-//! PR-6 digests recorded when the trait was introduced (the same table
-//! `provision_bakeoff --check` enforces).
+//! match, on every study application's steady-state graph, the PR-6
+//! digests recorded from the pre-trait entry point when the trait was
+//! introduced (the same table `provision_bakeoff --check` enforces).
 
 use hfast::apps::{all_apps, profile_app};
-use hfast::core::{PaperLinear, ProvisionConfig, Provisioner, Provisioning};
+use hfast::core::{PaperLinear, ProvisionConfig, Provisioner};
 
 /// `Provisioning::digest()` of the paper heuristic on each app at P = 64,
 /// default config, recorded at the PR-6/PR-7 boundary.
@@ -24,14 +23,6 @@ fn paper_linear_is_bit_identical_on_all_six_apps() {
         let outcome = profile_app(app.as_ref(), 64).expect("profiles at 64 ranks");
         let graph = outcome.steady.comm_graph();
         let via_trait = PaperLinear.provision(&graph, ProvisionConfig::default());
-        #[allow(deprecated)]
-        let pre_refactor = Provisioning::per_node(&graph, ProvisionConfig::default());
-        assert_eq!(
-            via_trait.digest(),
-            pre_refactor.digest(),
-            "{}: trait vs pre-refactor shim",
-            app.name()
-        );
         let golden = GOLDENS
             .iter()
             .find(|(n, _)| *n == app.name())
