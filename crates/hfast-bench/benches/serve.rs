@@ -190,7 +190,7 @@ fn main() {
     h.bench("serve/handle/obs-off", || execute(&tdc, &registry));
     let obs = ServeObs::new(&ENDPOINTS);
     h.bench("serve/handle/obs-on", || {
-        obs.record_request(tdc.endpoint_index());
+        obs.record_request(tdc.verb_index());
         obs.request_admitted();
         obs.queue_wait_ns.record(1_000);
         let resp = execute(&tdc, &registry);

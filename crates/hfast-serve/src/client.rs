@@ -17,7 +17,7 @@
 //! [`ClientError::Server`] (the fleet gave up after the server kept
 //! refusing).
 
-use std::io::{self, Read};
+use std::io;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -151,24 +151,14 @@ impl Client {
         }
         Ok(resp)
     }
-
-    /// Reads until the server closes the stream, returning what arrived.
-    ///
-    /// # Errors
-    /// Propagates read failures other than clean EOF.
-    pub fn drain_bytes(&mut self) -> io::Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.stream.read_to_end(&mut out)?;
-        Ok(out)
-    }
 }
 
 /// How many times a shard-pinned (job) verb retries its owning shard
 /// before giving up — sized to ride out one rolling restart.
-const DEFAULT_STATEFUL_RETRIES: usize = 40;
+const STATEFUL_RETRIES: usize = 40;
 
 /// Pause between shard-pinned retries.
-const DEFAULT_RETRY_PAUSE: Duration = Duration::from_millis(50);
+const RETRY_PAUSE: Duration = Duration::from_millis(50);
 
 /// A sharded client: one logical connection to a fleet of daemons.
 ///
@@ -181,8 +171,6 @@ pub struct FleetClient {
     addrs: Vec<String>,
     ring: HashRing,
     conns: Vec<Option<Client>>,
-    stateful_retries: usize,
-    retry_pause: Duration,
     /// Root-span recorder when this client originates traces; injected
     /// explicitly via [`with_trace`](FleetClient::with_trace) — never
     /// probed from the environment, so a client embedded in a process
@@ -209,20 +197,11 @@ impl FleetClient {
             addrs: addrs.to_vec(),
             ring: HashRing::new(addrs.len(), DEFAULT_VNODES),
             conns,
-            stateful_retries: DEFAULT_STATEFUL_RETRIES,
-            retry_pause: DEFAULT_RETRY_PAUSE,
             trace: None,
             epoch: Instant::now(),
             seq: 0,
             active_ctx: None,
         }
-    }
-
-    /// Overrides the shard-pinned retry budget (count, pause).
-    pub fn with_stateful_retries(mut self, retries: usize, pause: Duration) -> FleetClient {
-        self.stateful_retries = retries;
-        self.retry_pause = pause;
-        self
     }
 
     /// Makes this client a trace originator: every call records a root
@@ -304,9 +283,9 @@ impl FleetClient {
             )));
         }
         let mut last: Option<ClientError> = None;
-        for attempt in 0..self.stateful_retries.max(1) {
+        for attempt in 0..STATEFUL_RETRIES {
             if attempt > 0 {
-                std::thread::sleep(self.retry_pause);
+                std::thread::sleep(RETRY_PAUSE);
             }
             match self.call_shard(shard, req) {
                 Ok((Response::Busy, _)) => {

@@ -50,8 +50,7 @@ use crate::client::{Client, ClientError};
 use crate::frame::{write_frame, FrameError, FramePoll, FrameReader};
 use crate::protocol::{
     decode_request_traced, decode_response, encode_request, encode_response, envelope_traced,
-    envelope_v2, request_key, strip_envelope, JobTotals, Request, Response, VerbLatency,
-    WireVersion,
+    request_key, strip_envelope, JobTotals, Request, Response, VerbLatency,
 };
 
 /// Bits reserved for the shard-local job id; the shard index lives above
@@ -62,7 +61,11 @@ pub const JOB_SHARD_SHIFT: u32 = 40;
 /// within a few percent of even at small shard counts.
 pub const DEFAULT_VNODES: usize = 32;
 
-/// Namespaces a shard-local job id as a fleet-global one.
+/// Namespaces a shard-local job id as a fleet-global one. Total: a
+/// `local` past 2^40 keeps its low 40 bits — aliasing inside its own
+/// shard's namespace, never into another's — and a `shard` past 2^13
+/// still round-trips through [`unwrap_job_id`] but no longer through a
+/// JSON number.
 pub fn wrap_job_id(shard: usize, local: u64) -> u64 {
     ((shard as u64) << JOB_SHARD_SHIFT) | (local & ((1u64 << JOB_SHARD_SHIFT) - 1))
 }
@@ -712,10 +715,7 @@ fn router_connection(shared: &RouterShared, mut stream: TcpStream, conn_id: usiz
                                 vec![("trace", c.trace_id)],
                             );
                         }
-                        match version {
-                            WireVersion::V1 => body,
-                            WireVersion::V2 => envelope_v2(&body),
-                        }
+                        version.wrap(body)
                     }
                     Err(message) => encode_response(&Response::Error { message }),
                 };
@@ -845,6 +845,45 @@ mod tests {
                 let global = wrap_job_id(shard, local);
                 assert_eq!(unwrap_job_id(global), (shard, local));
                 assert!(global < (1 << 53), "JSON-number-safe");
+            }
+        }
+    }
+
+    /// Past the edges of the namespace (ROADMAP 3(b)): the packing never
+    /// panics, an oversized local id cannot forge another shard's index,
+    /// an oversized shard index is at least self-consistent, and whatever
+    /// id a client sends, a fleet refuses the ones that name a shard it
+    /// does not have before touching the network.
+    #[test]
+    fn job_id_packing_overflow_is_contained() {
+        let local_mask = (1u64 << JOB_SHARD_SHIFT) - 1;
+        for shard in [0usize, 1, 8191] {
+            for local in [1 << JOB_SHARD_SHIFT, (1 << JOB_SHARD_SHIFT) | 5, u64::MAX] {
+                let global = wrap_job_id(shard, local);
+                assert_eq!(unwrap_job_id(global), (shard, local & local_mask));
+            }
+        }
+        for shard in [1usize << 13, (1 << 13) + 1, (1 << 24) - 1] {
+            let global = wrap_job_id(shard, 7);
+            assert_eq!(unwrap_job_id(global), (shard, 7));
+            assert!(
+                global >= 1 << 53,
+                "past 2^13 shards ids stop being JSON-safe"
+            );
+        }
+        assert_eq!(unwrap_job_id(u64::MAX), ((1 << 24) - 1, local_mask));
+        // Nothing listens on port 1, and nothing needs to.
+        let mut fleet = crate::client::FleetClient::connect(&["127.0.0.1:1".to_string()]);
+        for id in [wrap_job_id(1, 7), wrap_job_id(1 << 13, 7), u64::MAX] {
+            for req in [
+                Request::Poll { id },
+                Request::Fetch { id },
+                Request::Cancel { id },
+            ] {
+                match fleet.call(&req) {
+                    Err(ClientError::Protocol(e)) => assert!(e.contains("fleet has 1"), "{e}"),
+                    other => panic!("job {id}: expected a refusal, got {other:?}"),
+                }
             }
         }
     }

@@ -20,8 +20,10 @@
 //! Payloads are embedded as JSON *strings* (escaped canonical v1
 //! encodings) so the line grammar stays flat and replay restores the
 //! response text byte-exactly. Replay tolerates a torn final line — the
-//! crash case — truncating the fragment so the next record starts on a
-//! fresh line, and re-enqueues every job with no terminal record: a
+//! crash case, including a tear inside a multi-byte character, since
+//! names and messages above U+007F are journaled unescaped — truncating
+//! the fragment so the next record starts on a fresh line, and
+//! re-enqueues every job with no terminal record: a
 //! submitted job is never lost and never duplicated across a restart.
 //! Terminal jobs are retained for `poll`/`fetch` up to
 //! [`MAX_TERMINAL_JOBS`], then evicted oldest-first so a long-lived
@@ -35,7 +37,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -143,20 +145,19 @@ impl JobQueue {
     /// non-terminal job), then appends new records to it.
     pub fn with_journal(path: &Path, retry: RetryPolicy) -> io::Result<JobQueue> {
         let queue = JobQueue::new(retry);
-        let mut text = String::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_string(&mut text)?;
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        // Bytes, not a `String`: a crash can cut the tail mid-character,
+        // and that must read as a torn record, not an unreadable journal.
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
-        }
-        let (valid_len, unterminated) = queue.replay(&text);
+        };
+        let (valid_len, unterminated) = queue.replay(&bytes);
         let mut file = OpenOptions::new().create(true).append(true).open(path)?;
         // Drop the torn tail so the next record starts on a fresh line
         // instead of merging into the fragment; a final valid record the
         // crash cut at the newline gets its newline back instead.
-        if (valid_len as usize) < text.len() {
+        if (valid_len as usize) < bytes.len() {
             file.set_len(valid_len)?;
         }
         if unterminated {
@@ -166,20 +167,23 @@ impl JobQueue {
         Ok(queue)
     }
 
-    /// Applies journal text to the (empty) queue. Stops at the first
-    /// malformed line: a torn tail is the expected crash artifact, and
-    /// anything after it is suspect. Returns how many leading bytes of
-    /// `text` form valid records and whether the final valid record is
-    /// missing its trailing newline, so the caller can repair the file
-    /// before appending.
-    fn replay(&self, text: &str) -> (u64, bool) {
+    /// Applies journal bytes to the (empty) queue. Stops at the first
+    /// malformed line (not UTF-8, not JSON, or not a record): a torn tail
+    /// is the expected crash artifact, and anything after it is suspect.
+    /// Returns how many leading bytes form valid records and whether the
+    /// final valid record is missing its trailing newline, so the caller
+    /// can repair the file before appending.
+    fn replay(&self, bytes: &[u8]) -> (u64, bool) {
         let mut st = self.state.lock().unwrap();
         let mut max_id = 0u64;
         let mut valid_len = 0usize;
         let mut unterminated = false;
-        for segment in text.split_inclusive('\n') {
-            let line = segment.strip_suffix('\n').unwrap_or(segment);
-            let Ok(v) = json::parse(line) else { break };
+        for segment in bytes.split_inclusive(|&b| b == b'\n') {
+            let line = segment.strip_suffix(b"\n").unwrap_or(segment);
+            let text = std::str::from_utf8(line).ok();
+            let Some(v) = text.and_then(|l| json::parse(l).ok()) else {
+                break;
+            };
             let (Some(op), Some(id)) = (
                 v.get("op").and_then(|o| o.as_str()),
                 v.get("id").and_then(|i| i.as_u64()),
@@ -264,7 +268,7 @@ impl JobQueue {
             }
             max_id = max_id.max(id);
             valid_len += segment.len();
-            unterminated = !segment.ends_with('\n');
+            unterminated = !segment.ends_with(b"\n");
         }
         // Re-enqueue survivors in id order: deterministic restart order.
         let mut pending: Vec<u64> = st
@@ -282,15 +286,17 @@ impl JobQueue {
         (valid_len as u64, unterminated)
     }
 
-    fn journal_line(&self, line: &str) {
+    /// Appends one record: `op`, `id`, and at most one string member.
+    fn journal_line(&self, op: &str, id: u64, payload: Option<(&str, &str)>) {
         let mut guard = self.journal.lock().unwrap();
         if let Some(f) = guard.as_mut() {
+            let mut record = JsonObj::new().str("op", op).u64("id", id);
+            if let Some((key, text)) = payload {
+                record = record.str(key, text);
+            }
             // Single write of line + newline: a crash tears at most the
             // final line, which replay tolerates.
-            let mut buf = String::with_capacity(line.len() + 1);
-            buf.push_str(line);
-            buf.push('\n');
-            let _ = f.write_all(buf.as_bytes());
+            let _ = f.write_all((record.finish() + "\n").as_bytes());
             let _ = f.flush();
         }
     }
@@ -319,11 +325,7 @@ impl JobQueue {
             return Err(Response::Busy);
         }
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let line = JsonObj::new()
-            .str("op", "submit")
-            .u64("id", id)
-            .str("job", &encode_request(&job))
-            .finish();
+        let encoded = encode_request(&job);
         st.jobs.insert(
             id,
             JobRecord {
@@ -340,7 +342,7 @@ impl JobQueue {
         // Journal while still holding the state lock: a worker can pick
         // the job up the instant the lock drops, and its terminal record
         // must never reach the journal before this submit record.
-        self.journal_line(&line);
+        self.journal_line("submit", id, Some(("job", &encoded)));
         drop(st);
         self.cond.notify_one();
         Ok(id)
@@ -398,7 +400,7 @@ impl JobQueue {
             st.totals.cancelled += 1;
             st.ready.retain(|&r| r != id);
             st.note_terminal(id);
-            self.journal_line(&JsonObj::new().str("op", "cancel").u64("id", id).finish());
+            self.journal_line("cancel", id, None);
             resp
         } else {
             Self::status_of(id, rec)
@@ -469,21 +471,10 @@ impl JobQueue {
             let Some(rec) = st.jobs.get_mut(&id) else {
                 continue;
             };
-            match outcome {
-                Ok(Response::Error { message }) => {
-                    rec.state = JobState::Failed;
-                    rec.message = Some(message.clone());
-                    st.totals.failed += 1;
-                    st.note_terminal(id);
-                    drop(st);
-                    self.journal_line(
-                        &JsonObj::new()
-                            .str("op", "fail")
-                            .u64("id", id)
-                            .str("message", &message)
-                            .finish(),
-                    );
-                }
+            // A structured error is a deterministic verdict, terminal at
+            // once; a panic becomes one when the retry budget is spent.
+            let failure = match outcome {
+                Ok(Response::Error { message }) => message,
                 Ok(resp) => {
                     let text = encode_response(&resp);
                     rec.state = JobState::Done;
@@ -491,13 +482,8 @@ impl JobQueue {
                     st.totals.completed += 1;
                     st.note_terminal(id);
                     drop(st);
-                    self.journal_line(
-                        &JsonObj::new()
-                            .str("op", "done")
-                            .u64("id", id)
-                            .str("resp", &text)
-                            .finish(),
-                    );
+                    self.journal_line("done", id, Some(("resp", &text)));
+                    continue;
                 }
                 Err(payload) => {
                     let what = payload
@@ -506,20 +492,7 @@ impl JobQueue {
                         .or_else(|| payload.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "opaque panic".to_string());
                     let message = format!("panicked: {what}");
-                    if rec.attempts >= self.retry.attempts() {
-                        rec.state = JobState::Failed;
-                        rec.message = Some(message.clone());
-                        st.totals.failed += 1;
-                        st.note_terminal(id);
-                        drop(st);
-                        self.journal_line(
-                            &JsonObj::new()
-                                .str("op", "fail")
-                                .u64("id", id)
-                                .str("message", &message)
-                                .finish(),
-                        );
-                    } else {
+                    if rec.attempts < self.retry.attempts() {
                         let backoff = Duration::from_nanos(self.retry.backoff_ns(rec.attempts));
                         rec.state = JobState::Queued;
                         rec.message = Some(message);
@@ -528,9 +501,17 @@ impl JobQueue {
                         st.ready.push_back(id);
                         drop(st);
                         self.cond.notify_one();
+                        continue;
                     }
+                    message
                 }
-            }
+            };
+            rec.state = JobState::Failed;
+            rec.message = Some(failure.clone());
+            st.totals.failed += 1;
+            st.note_terminal(id);
+            drop(st);
+            self.journal_line("fail", id, Some(("message", &failure)));
         }
     }
 }
@@ -715,16 +696,18 @@ mod tests {
         assert_eq!(q.totals().cancelled, 1);
     }
 
-    #[test]
-    fn journal_replay_restores_pending_and_done_jobs() {
-        let dir = std::env::temp_dir().join(format!(
-            "hfast-jobs-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
+    /// A fresh directory and the journal path inside it.
+    fn scratch_journal(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("hfast-jobs-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("journal.jsonl");
-        let _ = std::fs::remove_file(&path);
+        (dir, path)
+    }
+
+    #[test]
+    fn journal_replay_restores_pending_and_done_jobs() {
+        let (dir, path) = scratch_journal("replay");
         let reg = Registry::new();
 
         // First incarnation: finish one job, leave one queued, then "crash"
@@ -800,15 +783,166 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Asserts `q` holds exactly what replaying `ops` — `(op, id)` journal
+    /// records, in order — must leave: every id in `ids` in its last
+    /// recorded state (or unknown), survivors re-enqueued, totals equal to
+    /// the record counts, and the `done` job's response text intact.
+    fn assert_recovered(q: &JobQueue, ops: &[(&str, u64)], ids: &[u64], done: (u64, &str)) {
+        let mut want: HashMap<u64, JobState> = HashMap::new();
+        for &(op, id) in ops {
+            let state = match op {
+                "submit" => JobState::Queued,
+                "done" => JobState::Done,
+                "fail" => JobState::Failed,
+                _ => JobState::Cancelled,
+            };
+            want.insert(id, state);
+        }
+        for id in ids {
+            match (q.poll(*id), want.get(id)) {
+                (Response::JobStatus { state, .. }, Some(want)) => assert_eq!(state, *want),
+                (Response::Error { .. }, None) => {}
+                (got, want) => panic!("job {id}: recovered {got:?}, journal says {want:?}"),
+            }
+        }
+        let count = |op: &str| ops.iter().filter(|(o, _)| *o == op).count() as u64;
+        let totals = q.totals();
+        assert_eq!(
+            (
+                totals.submitted,
+                totals.completed,
+                totals.failed,
+                totals.cancelled
+            ),
+            (
+                count("submit"),
+                count("done"),
+                count("fail"),
+                count("cancel")
+            )
+        );
+        let queued = want.values().filter(|s| **s == JobState::Queued).count();
+        assert_eq!(q.pending(), queued, "every survivor re-enqueued once");
+        if want.get(&done.0) == Some(&JobState::Done) {
+            assert!(matches!(q.fetch(done.0), Fetched::Ready(text) if text == done.1));
+        }
+    }
+
+    /// ROADMAP 3(b), mechanically: record a journal holding every record
+    /// kind and a client-supplied name above U+007F (journaled unescaped,
+    /// in the submit record and in the failure message that quotes it),
+    /// then open every prefix of it and every single-bit corruption of it.
+    /// A tear at any byte — inside a record, between records, inside a
+    /// character — must open, recover exactly the records the prefix
+    /// wholly contains, and leave the file so that a record appended
+    /// afterwards replays on the next open. A flipped bit must open too,
+    /// and replay stops at the damaged line or (the flip left it a valid
+    /// record) runs to the end.
+    #[test]
+    fn journal_opens_after_a_tear_or_bit_flip_at_every_offset() {
+        let (dir, path) = scratch_journal("every-offset");
+        let reg = Registry::new();
+        let open = || JobQueue::with_journal(&path, fast_retry()).expect("damaged journal opens");
+        let unknown_app = Request::Simulate {
+            app: AppSpec::Named {
+                name: "Gyrokinetic—Tørus".into(),
+                procs: 4,
+            },
+            fabric: FabricSpec::Hfast,
+            cutoff: 0,
+            faults: None,
+            strategy: None,
+        };
+        let (ops, done_text) = {
+            let q = open();
+            let a = q.submit(sim_request(4)).unwrap();
+            let b = q.submit(unknown_app).unwrap();
+            let c = q.submit(sim_request(5)).unwrap();
+            q.cancel(c);
+            std::thread::scope(|s| {
+                let h = s.spawn(|| q.run_worker(&reg));
+                while q.pending() > 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                q.drain();
+                h.join().unwrap();
+            });
+            let d = q.submit(sim_request(6)).unwrap();
+            let Fetched::Ready(done_text) = q.fetch(a) else {
+                panic!("job a finished");
+            };
+            let ops = [
+                ("submit", a),
+                ("submit", b),
+                ("submit", c),
+                ("cancel", c),
+                ("done", a),
+                ("fail", b),
+                ("submit", d),
+            ];
+            (ops, done_text)
+        };
+        let done = (ops[0].1, done_text.as_str());
+        let journal = std::fs::read(&path).unwrap();
+        let newlines: Vec<usize> = (0..journal.len())
+            .filter(|&i| journal[i] == b'\n')
+            .collect();
+        assert_eq!(newlines.len(), ops.len(), "one line per record");
+        assert!(!journal.is_ascii(), "the name is journaled unescaped");
+        let ids: Vec<u64> = ops.iter().map(|&(_, id)| id).collect();
+
+        for cut in 0..=journal.len() {
+            std::fs::write(&path, &journal[..cut]).unwrap();
+            // A record is whole once its closing brace is in; the newline
+            // after it is repaired on open.
+            let whole = newlines.iter().filter(|&&nl| nl <= cut).count();
+            let q = open();
+            assert_recovered(&q, &ops[..whole], &ids, done);
+            let fresh = q.submit(sim_request(4)).unwrap();
+            drop(q);
+            let after = [&ops[..whole], &[("submit", fresh)]].concat();
+            assert_recovered(&open(), &after, &[&ids[..], &[fresh]].concat(), done);
+        }
+
+        for at in 0..journal.len() {
+            let mut damaged = journal.clone();
+            damaged[at] ^= 1 << (at % 8);
+            std::fs::write(&path, &damaged).unwrap();
+            let q = open();
+            let line = newlines.iter().filter(|&&nl| nl < at).count();
+            let line_start = if line == 0 { 0 } else { newlines[line - 1] + 1 };
+            let kept = std::fs::metadata(&path).unwrap().len() as usize;
+            if kept == line_start {
+                assert_recovered(&q, &ops[..line], &ids, done);
+            } else {
+                assert_eq!(kept, journal.len(), "byte {at}: stopped past the damage");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The parser's depth bound is what stands between a journal line and
+    /// the stack: a `job` string of 100,000 open brackets is one more
+    /// malformed record, where it used to abort `start()`.
+    #[test]
+    fn journal_job_string_nesting_bomb_is_a_torn_record() {
+        let (dir, path) = scratch_journal("bomb");
+        let record = |id: u64, job: &str| {
+            let obj = JsonObj::new().str("op", "submit").u64("id", id);
+            obj.str("job", job).finish() + "\n"
+        };
+        let good = record(1, &encode_request(&sim_request(4)));
+        let text = good.clone() + &record(2, &"[".repeat(100_000)) + &good;
+        std::fs::write(&path, text).unwrap();
+        let q = JobQueue::with_journal(&path, fast_retry()).expect("opens");
+        assert_eq!(q.pending(), 1, "replay stops at the bomb");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), good);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn journal_tail_missing_only_its_newline_is_kept_and_repaired() {
-        let dir = std::env::temp_dir().join(format!(
-            "hfast-jobs-nl-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.jsonl");
+        let (dir, path) = scratch_journal("newline");
         // A crash can deliver the full final record but tear off its
         // newline: the record must replay, and the repair must keep the
         // next append from merging into it.

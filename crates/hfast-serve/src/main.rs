@@ -5,19 +5,119 @@
 //!                           until a client sends `shutdown`
 //! hfast-serve --self-test   start on an ephemeral port, drive every
 //!                           endpoint through a real socket, verify the
-//!                           answers, drain, exit non-zero on failure
+//!                           answers, then send it hostile frames,
+//!                           drain, exit non-zero on failure
 //! ```
 //!
 //! The self-test is the smoke `verify.sh` runs: it proves the daemon
 //! binds, serves all endpoints, caches repeats, isolates a handler
-//! panic, and drains cleanly — in a few hundred milliseconds.
+//! panic, answers hostile frames with a structured error (or a clean
+//! close) and stays healthy, and drains cleanly — in a few hundred
+//! milliseconds. A hostile frame that breaks it is named on stderr with
+//! what was expected, what came back, and whether the daemon survived.
 
+use std::io::Write as _;
+use std::net::{SocketAddr, TcpStream};
 use std::process::ExitCode;
 
 use hfast_serve::{
-    start, AppSpec, Client, FabricSpec, JobState, Request, Response, ScenarioKind, ServerConfig,
-    WireVersion,
+    decode_response, encode_request, read_frame, start, write_frame, AppSpec, Client, FabricSpec,
+    FrameError, JobState, Request, Response, ScenarioKind, ServerConfig, WireVersion,
 };
+
+/// The hostile-frame round. Each frame goes out on a fresh connection
+/// and must draw a structured error mentioning `needle`; then the
+/// connection either answers `health` or — where a bad frame leaves the
+/// stream position undefined — closes cleanly and a new one answers it.
+/// A failure names the frame, the stage, expected versus got, and
+/// whether the daemon survived.
+fn hostile_round(addr: SocketAddr) -> Result<(), String> {
+    let framed = |payload: &[u8]| [&(payload.len() as u32).to_be_bytes(), payload].concat();
+    let golden = encode_request(&Request::Poll { id: 7 });
+    let credits = r#"{"type":"scenario","kind":"incast","nodes":16,"seed":1,"fabric":{"kind":"hfast"},"credits":4294967297}"#;
+    // (name, bytes on the wire, the error mentions, the connection survives)
+    let mut frames = vec![
+        (
+            "nesting bomb".to_string(),
+            framed(&[b'['; 100_000]),
+            "nesting deeper",
+            true,
+        ),
+        (
+            "oversized length prefix".into(),
+            u32::MAX.to_be_bytes().to_vec(),
+            "exceeds",
+            false,
+        ),
+        (
+            "non-UTF-8 payload".into(),
+            framed(&[0xff, 0xfe, 0xfd]),
+            "UTF-8",
+            false,
+        ),
+        (
+            "out-of-range credits".into(),
+            framed(credits.as_bytes()),
+            "\"credits\"",
+            true,
+        ),
+    ];
+    for at in [1, golden.len() / 2, golden.len() - 1] {
+        let cut = framed(&golden.as_bytes()[..at]);
+        frames.push((format!("golden cut at byte {at}"), cut, "", true));
+    }
+    let healthy = |stream: &mut TcpStream| {
+        write_frame(stream, &encode_request(&Request::Health)).map_err(|e| e.to_string())?;
+        let reply = read_frame(stream).map_err(|e| e.to_string())?;
+        match decode_response(&reply) {
+            Ok(Response::Health { .. }) => Ok(()),
+            other => Err(format!("{other:?}")),
+        }
+    };
+    // A hung daemon must read as a failed frame, not a hung smoke.
+    let connect = || {
+        let stream = TcpStream::connect(addr).and_then(|s| {
+            s.set_read_timeout(Some(std::time::Duration::from_secs(10)))?;
+            Ok(s)
+        });
+        stream.map_err(|e| format!("connect: {e}"))
+    };
+    // One stderr line, a name at a time: if a frame takes the whole
+    // process down, the last name printed is the frame that did it.
+    eprint!("hfast-serve self-test: hostile frames:");
+    for (name, wire, needle, survives) in frames {
+        eprint!(" [{name}]");
+        let fail = |stage: &str, expected: &str, got: String| {
+            let alive = connect().and_then(|mut probe| healthy(&mut probe)).is_ok();
+            let alive = if alive { "still alive" } else { "dead" };
+            eprintln!();
+            format!(
+                "hostile frame '{name}' at {stage}: expected {expected}, got {got}; daemon {alive}"
+            )
+        };
+        let mut stream = connect()?;
+        stream.write_all(&wire).map_err(|e| format!("write: {e}"))?;
+        match read_frame(&mut stream).map(|reply| decode_response(&reply)) {
+            Ok(Ok(Response::Error { message })) if message.contains(needle) => {}
+            other => {
+                return Err(fail(
+                    "reply",
+                    &format!("an error with {needle:?}"),
+                    format!("{other:?}"),
+                ))
+            }
+        }
+        if !survives {
+            match read_frame(&mut stream) {
+                Err(FrameError::Eof) => stream = connect()?,
+                other => return Err(fail("close", "a clean close", format!("{other:?}"))),
+            }
+        }
+        healthy(&mut stream).map_err(|got| fail("health", "a health reply", got))?;
+    }
+    eprintln!(" all refused");
+    Ok(())
+}
 
 fn self_test() -> Result<(), String> {
     // The debug_panic probe panics a worker on purpose; one quiet line
@@ -225,6 +325,7 @@ fn self_test() -> Result<(), String> {
         }
         other => return Err(format!("metrics: unexpected {other:?}")),
     }
+    hostile_round(addr)?;
     match client.call(&Request::Shutdown) {
         Ok(Response::Ok) => {}
         other => return Err(format!("shutdown: unexpected {other:?}")),

@@ -1,18 +1,48 @@
 //! The wire protocol: typed requests and responses, and their canonical
 //! JSON codec.
 //!
-//! Encoding goes through `hfast_obs::JsonObj` (floats rendered with the
-//! shortest round-trip `Display` form), decoding through the in-repo
-//! `hfast_trace::json` parser — no external serialization crates. The
-//! encoder is *canonical*: one value has exactly one encoding, so the
-//! encoded request doubles as the cache key (hashed with FNV-1a) and a
-//! decode → encode round trip reproduces the input byte for byte
-//! (asserted by property tests).
+//! Strings are escaped by `hfast_obs::json::escape_into`, floats are
+//! rendered with the shortest round-trip `Display` form, and decoding
+//! goes through the in-repo `hfast_trace::json` parser — no external
+//! serialization crates. The encoder is *canonical*: one value has
+//! exactly one encoding, so the encoded request doubles as the cache key
+//! (hashed with FNV-1a) and a decode → encode round trip reproduces the
+//! input byte for byte (asserted by property tests).
 //!
 //! Integers ride on JSON numbers, so — as in any interoperable JSON
 //! protocol — they are exact only up to 2^53 (the f64 mantissa). Every
 //! field carried here (byte counts, nanoseconds, port counts, seeds)
 //! fits comfortably; values beyond that round.
+//!
+//! ## One declaration per message
+//!
+//! Every message is declared exactly once, inside a `wire_struct!` or
+//! `wire_enum!` invocation, and that declaration *is* the codec: the
+//! macro emits the type as written (docs, derives and all) plus its
+//! `Wire` impl, so a member's name, type and position are stated in
+//! one place. The rules every derived codec follows:
+//!
+//! * **Order.** Members are written in declaration order; an enum writes
+//!   its `"type"` tag first. Cache keys, ring placement and the job
+//!   journal hash or store these bytes, so reordering a declaration is a
+//!   wire change.
+//! * **Omission.** An `Option` member that is `None` writes nothing and
+//!   an absent member reads as `None` — which is what keeps frames from
+//!   before a member existed byte-identical. Every other member is
+//!   required. Unknown members are ignored.
+//! * **Ranges.** A member's Rust type is its range: `u32` and `usize`
+//!   members are read with `try_from`, a negative, fractional or
+//!   overflowing number is an error naming the member, and floats must
+//!   be finite (a non-finite float is *written* as `null`, which does
+//!   not read back).
+//! * **Depth.** The parser refuses input nested deeper than
+//!   `hfast_trace::json::MAX_DEPTH` before any of this runs, so decode
+//!   recursion is bounded whatever the peer sends.
+//!
+//! Only shapes that are not their Rust shape keep a hand-written
+//! `Wire` impl: [`AppSpec`]'s untagged named/inline union,
+//! [`FabricSpec`]'s flat `x`/`y`/`z`, the per-name tallies in `stats`,
+//! and `submit`'s boxed job with its queueable check.
 //!
 //! ## Wire versions
 //!
@@ -33,16 +63,297 @@
 //! queue, and how it is handled (in the server's connection thread or by
 //! a pure worker function). [`ENDPOINTS`], the metric labels, the cache
 //! admission test, and worker dispatch are all derived from the table —
-//! adding a verb is one row plus its codec arms.
+//! adding a verb is one row plus one variant declaration.
+
+use std::fmt::Write as _;
 
 use hfast_core::Strategy;
 use hfast_netsim::ScenarioKind;
-use hfast_obs::JsonObj;
+use hfast_obs::json::escape_into;
 use hfast_topology::{CommGraph, EdgeStat};
 use hfast_trace::json::{self, JsonValue};
 use hfast_trace::TraceContext;
 
 use crate::registry::Registry;
+
+/// The codec of one wire type: `put` appends the value's canonical JSON,
+/// `get` reads it back, checking type and range. Message members go
+/// through the `_field` pair, which `Option<T>` overrides to mean
+/// "omitted when `None`, `None` when absent".
+trait Wire: Sized {
+    fn put(&self, out: &mut String);
+    fn get(v: &JsonValue) -> Result<Self, String>;
+
+    /// Appends `"key":value` to the object under construction.
+    fn put_field(&self, key: &str, out: &mut String) {
+        // A value never ends in `{`, so this is "not the first member".
+        if !out.ends_with('{') {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(key);
+        out.push_str("\":");
+        self.put(out);
+    }
+
+    /// Reads member `key` of `obj`; the error names the member.
+    fn get_field(obj: &JsonValue, key: &str) -> Result<Self, String> {
+        let v = obj
+            .get(key)
+            .ok_or_else(|| format!("missing field {key:?}"))?;
+        Self::get(v).map_err(|e| format!("field {key:?}: {e}"))
+    }
+}
+
+/// Declares a struct and derives its `Wire` impl: a JSON object whose
+/// members are the fields, in declaration order.
+macro_rules! wire_struct {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty),* $(,)?
+    }) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty),*
+        }
+
+        impl Wire for $name {
+            fn put(&self, out: &mut String) {
+                out.push('{');
+                $(self.$field.put_field(stringify!($field), out);)*
+                out.push('}');
+            }
+
+            fn get(v: &JsonValue) -> Result<Self, String> {
+                Ok($name {
+                    $($field: Wire::get_field(v, stringify!($field))?),*
+                })
+            }
+        }
+    };
+}
+
+/// Declares a message enum and derives its `Wire` impl: a JSON object
+/// led by `"type":<tag>` (then a constant member, for the one variant
+/// that has one — written, never read), then the variant's fields in
+/// declaration order.
+macro_rules! wire_enum {
+    ($(#[$meta:meta])* $vis:vis enum $name:ident {
+        $($(#[$vmeta:meta])* $variant:ident = $tag:literal $(($ckey:literal: $cval:literal))?
+            $({ $($(#[$fmeta:meta])* $field:ident: $ty:ty),* $(,)? })?),* $(,)?
+    }) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $variant $({ $($(#[$fmeta])* $field: $ty),* })?),*
+        }
+
+        impl Wire for $name {
+            fn put(&self, out: &mut String) {
+                match self {
+                    $($name::$variant $({ $($field),* })? => {
+                        out.push_str(concat!(
+                            "{\"type\":\"", $tag, "\"" $(, ",\"", $ckey, "\":", $cval)?
+                        ));
+                        $($($field.put_field(stringify!($field), out);)*)?
+                    })*
+                }
+                out.push('}');
+            }
+
+            fn get(v: &JsonValue) -> Result<Self, String> {
+                match v.get("type").and_then(JsonValue::as_str) {
+                    $(Some($tag) => Ok($name::$variant $({
+                        $($field: Wire::get_field(v, stringify!($field))?),*
+                    })?),)*
+                    Some(other) => Err(format!(
+                        concat!("unknown ", stringify!($name), " type {:?}"),
+                        other
+                    )),
+                    None => Err("missing or non-string field \"type\"".into()),
+                }
+            }
+        }
+    };
+}
+
+macro_rules! wire_uint {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn get(v: &JsonValue) -> Result<Self, String> {
+                let n = v.as_u64().ok_or("expected a non-negative integer")?;
+                <$ty>::try_from(n)
+                    .map_err(|_| format!(concat!("{} is out of range for ", stringify!($ty)), n))
+            }
+        }
+    )*};
+}
+wire_uint!(u64, usize, u32);
+
+impl Wire for f64 {
+    fn put(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push_str("null");
+        }
+    }
+
+    fn get(v: &JsonValue) -> Result<Self, String> {
+        let n = v.as_f64().filter(|n| n.is_finite());
+        n.ok_or_else(|| "expected a finite number".into())
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn get(v: &JsonValue) -> Result<Self, String> {
+        match v {
+            JsonValue::Bool(b) => Ok(*b),
+            _ => Err("expected a boolean".into()),
+        }
+    }
+}
+
+fn put_str(s: &str, out: &mut String) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+fn get_str(v: &JsonValue) -> Result<&str, String> {
+    v.as_str().ok_or_else(|| "expected a string".into())
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut String) {
+        put_str(self, out);
+    }
+
+    fn get(v: &JsonValue) -> Result<Self, String> {
+        get_str(v).map(str::to_string)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut String) {
+        match self {
+            Some(x) => x.put(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn get(v: &JsonValue) -> Result<Self, String> {
+        T::get(v).map(Some)
+    }
+
+    fn put_field(&self, key: &str, out: &mut String) {
+        if let Some(x) = self {
+            x.put_field(key, out);
+        }
+    }
+
+    fn get_field(obj: &JsonValue, key: &str) -> Result<Self, String> {
+        match obj.get(key) {
+            None => Ok(None),
+            Some(_) => T::get_field(obj, key).map(Some),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut String) {
+        out.push('[');
+        for (i, x) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            x.put(out);
+        }
+        out.push(']');
+    }
+
+    fn get(v: &JsonValue) -> Result<Self, String> {
+        let items = v.as_arr().ok_or("expected an array")?;
+        let item = |(i, x)| T::get(x).map_err(|e| format!("[{i}]: {e}"));
+        items.iter().enumerate().map(item).collect()
+    }
+}
+
+/// Fixed-arity rows (`[lo,hi]` fault windows, five-cell edge rows) are
+/// tuples in Rust and arrays of exactly that length on the wire.
+macro_rules! wire_row {
+    ($len:literal: $($ty:ident $i:tt),+) => {
+        impl<$($ty: Wire),+> Wire for ($($ty,)+) {
+            fn put(&self, out: &mut String) {
+                $(
+                    out.push(if $i == 0 { '[' } else { ',' });
+                    self.$i.put(out);
+                )+
+                out.push(']');
+            }
+
+            fn get(v: &JsonValue) -> Result<Self, String> {
+                match v.as_arr() {
+                    Some(cells) if cells.len() == $len => Ok(($(
+                        $ty::get(&cells[$i]).map_err(|e| format!("[{}]: {e}", $i))?,
+                    )+)),
+                    _ => Err(concat!("expected an array of ", $len, " cells").into()),
+                }
+            }
+        }
+    };
+}
+wire_row!(2: A 0, B 1);
+wire_row!(5: A 0, B 1, C 2, D 3, E 4);
+
+/// Enums that ride as their stable lowercase name, one of `ALL`.
+macro_rules! wire_name {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut String) {
+                put_str(self.as_str(), out);
+            }
+
+            fn get(v: &JsonValue) -> Result<Self, String> {
+                let name = get_str(v)?;
+                let named = <$ty>::ALL.into_iter().find(|x| x.as_str() == name);
+                named.ok_or_else(|| format!("unknown name {name:?}"))
+            }
+        }
+    )*};
+}
+wire_name!(Strategy, ScenarioKind, JobState);
+
+/// The `stats` tallies are fixed arrays in Rust and objects keyed by
+/// name, in the name enum's `ALL` order, on the wire.
+macro_rules! wire_tally {
+    ($($len:literal by $names:ty),*) => {$(
+        impl Wire for [u64; $len] {
+            fn put(&self, out: &mut String) {
+                out.push('{');
+                for (name, count) in <$names>::ALL.iter().zip(self) {
+                    count.put_field(name.as_str(), out);
+                }
+                out.push('}');
+            }
+
+            fn get(v: &JsonValue) -> Result<Self, String> {
+                let mut counts = [0; $len];
+                for (name, slot) in <$names>::ALL.iter().zip(&mut counts) {
+                    *slot = Wire::get_field(v, name.as_str())?;
+                }
+                Ok(counts)
+            }
+        }
+    )*};
+}
+wire_tally!(3 by Strategy, 5 by ScenarioKind);
 
 /// How a request names the application whose communication graph drives
 /// the analysis.
@@ -90,6 +401,39 @@ impl AppSpec {
     }
 }
 
+/// An untagged union: a `"name"` member selects the named shape, its
+/// absence the inline one.
+impl Wire for AppSpec {
+    fn put(&self, out: &mut String) {
+        out.push('{');
+        match self {
+            AppSpec::Named { name, procs } => {
+                name.put_field("name", out);
+                procs.put_field("procs", out);
+            }
+            AppSpec::Inline { n, edges } => {
+                n.put_field("n", out);
+                edges.put_field("edges", out);
+            }
+        }
+        out.push('}');
+    }
+
+    fn get(v: &JsonValue) -> Result<Self, String> {
+        if v.get("name").is_some() {
+            Ok(AppSpec::Named {
+                name: Wire::get_field(v, "name")?,
+                procs: Wire::get_field(v, "procs")?,
+            })
+        } else {
+            Ok(AppSpec::Inline {
+                n: Wire::get_field(v, "n")?,
+                edges: Wire::get_field(v, "edges")?,
+            })
+        }
+    }
+}
+
 /// The simulated fabric family for a `simulate` request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricSpec {
@@ -107,19 +451,56 @@ pub enum FabricSpec {
     Hfast,
 }
 
-/// Optional fault injection for a `simulate` request: seeded random link
-/// failures inside a time window, mirroring
-/// `FaultPlanBuilder::random_link_failures`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// RNG seed (same seed, same schedule).
-    pub seed: u64,
-    /// Number of link failures to draw.
-    pub count: usize,
-    /// Failure-time window `[lo, hi)` in simulated nanoseconds.
-    pub window: (u64, u64),
-    /// Downtime before automatic recovery; `None` leaves links down.
-    pub downtime_ns: Option<u64>,
+/// Tagged by `"kind"`; a torus writes its dimensions flat as `x`/`y`/`z`.
+impl Wire for FabricSpec {
+    fn put(&self, out: &mut String) {
+        match self {
+            FabricSpec::FatTree { ports } => {
+                out.push_str("{\"kind\":\"fattree\"");
+                ports.put_field("ports", out);
+            }
+            FabricSpec::Torus { dims: (x, y, z) } => {
+                out.push_str("{\"kind\":\"torus\"");
+                x.put_field("x", out);
+                y.put_field("y", out);
+                z.put_field("z", out);
+            }
+            FabricSpec::Hfast => out.push_str("{\"kind\":\"hfast\""),
+        }
+        out.push('}');
+    }
+
+    fn get(v: &JsonValue) -> Result<Self, String> {
+        let dim = |key| Wire::get_field(v, key);
+        match v.get("kind").and_then(JsonValue::as_str) {
+            Some("fattree") => Ok(FabricSpec::FatTree {
+                ports: dim("ports")?,
+            }),
+            Some("torus") => Ok(FabricSpec::Torus {
+                dims: (dim("x")?, dim("y")?, dim("z")?),
+            }),
+            Some("hfast") => Ok(FabricSpec::Hfast),
+            Some(other) => Err(format!("unknown fabric kind {other:?}")),
+            None => Err("missing or non-string field \"kind\"".into()),
+        }
+    }
+}
+
+wire_struct! {
+    /// Optional fault injection for a `simulate` request: seeded random link
+    /// failures inside a time window, mirroring
+    /// `FaultPlanBuilder::random_link_failures`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct FaultSpec {
+        /// RNG seed (same seed, same schedule).
+        pub seed: u64,
+        /// Number of link failures to draw.
+        pub count: usize,
+        /// Failure-time window `[lo, hi)` in simulated nanoseconds.
+        pub window: (u64, u64),
+        /// Downtime before automatic recovery; `None` leaves links down.
+        pub downtime_ns: Option<u64>,
+    }
 }
 
 /// Which envelope a frame used (and its answer must use).
@@ -130,6 +511,16 @@ pub enum WireVersion {
     V1,
     /// `{"v":2,...}`-tagged body.
     V2,
+}
+
+impl WireVersion {
+    /// Puts a canonical v1 body in this version's envelope.
+    pub(crate) fn wrap(self, body: String) -> String {
+        match self {
+            WireVersion::V1 => body,
+            WireVersion::V2 => envelope_v2(&body),
+        }
+    }
 }
 
 /// Lifecycle state of a queued job.
@@ -148,6 +539,15 @@ pub enum JobState {
 }
 
 impl JobState {
+    /// Every state, in lifecycle order.
+    const ALL: [JobState; 5] = [
+        JobState::Queued,
+        JobState::Running,
+        JobState::Done,
+        JobState::Failed,
+        JobState::Cancelled,
+    ];
+
     /// The wire name of this state.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -161,14 +561,7 @@ impl JobState {
 
     /// Parses a wire name back into a state.
     pub fn parse(s: &str) -> Option<JobState> {
-        Some(match s {
-            "queued" => JobState::Queued,
-            "running" => JobState::Running,
-            "done" => JobState::Done,
-            "failed" => JobState::Failed,
-            "cancelled" => JobState::Cancelled,
-            _ => return None,
-        })
+        JobState::ALL.into_iter().find(|state| state.as_str() == s)
     }
 
     /// True once the job can never change state again.
@@ -180,130 +573,150 @@ impl JobState {
     }
 }
 
-/// Lifetime job-queue totals reported by the `stats` verb.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct JobTotals {
-    /// Jobs accepted by `submit`.
-    pub submitted: u64,
-    /// Jobs that finished with a result.
-    pub completed: u64,
-    /// Jobs that exhausted retries or hit a terminal error.
-    pub failed: u64,
-    /// Jobs cancelled before running.
-    pub cancelled: u64,
-    /// Re-admissions after a failed attempt.
-    pub retried: u64,
+wire_struct! {
+    /// Lifetime job-queue totals reported by the `stats` verb.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct JobTotals {
+        /// Jobs accepted by `submit`.
+        pub submitted: u64,
+        /// Jobs that finished with a result.
+        pub completed: u64,
+        /// Jobs that exhausted retries or hit a terminal error.
+        pub failed: u64,
+        /// Jobs cancelled before running.
+        pub cancelled: u64,
+        /// Re-admissions after a failed attempt.
+        pub retried: u64,
+    }
 }
 
-/// One request frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Liveness probe; never queued, never cached.
-    Health,
-    /// Server counters and cache statistics.
-    Stats,
-    /// HFAST provisioning for an app: switch-block counts and port math.
-    Provision {
-        /// The application graph.
-        app: AppSpec,
-        /// Ports per switch block.
-        block_ports: usize,
-        /// Message-size cutoff in bytes.
-        cutoff: u64,
-        /// Provisioner strategy; `None` means the paper's linear heuristic
-        /// and is omitted from the encoding so pre-strategy clients keep
-        /// byte-identical cache keys.
-        strategy: Option<Strategy>,
-    },
-    /// Fat-tree versus HFAST cost comparison.
-    Cost {
-        /// The application graph.
-        app: AppSpec,
-        /// Ports per switch block.
-        block_ports: usize,
-        /// Message-size cutoff in bytes.
-        cutoff: u64,
-    },
-    /// Thresholded-degree sweep over several cutoffs.
-    Tdc {
-        /// The application graph.
-        app: AppSpec,
-        /// Cutoffs to sweep, in bytes.
-        cutoffs: Vec<u64>,
-    },
-    /// Replay the app's traffic over a fabric, optionally under faults.
-    Simulate {
-        /// The application graph.
-        app: AppSpec,
-        /// Fabric to replay over.
-        fabric: FabricSpec,
-        /// Message-size cutoff for flow extraction.
-        cutoff: u64,
-        /// Optional seeded fault injection.
-        faults: Option<FaultSpec>,
-        /// Provisioner strategy for HFAST fabrics (ignored by fat tree and
-        /// torus); `None` means the paper heuristic, omitted on the wire.
-        strategy: Option<Strategy>,
-    },
-    /// Begin graceful drain: stop accepting, finish in-flight, exit.
-    Shutdown,
-    /// Panic inside a worker (panic-isolation testing only).
-    DebugPanic,
-    /// Enqueue a queueable request as a durable job; answers
-    /// [`Response::JobAccepted`] immediately.
-    Submit {
-        /// The request to run asynchronously (must be queueable per its
-        /// [`VerbSpec`]).
-        job: Box<Request>,
-    },
-    /// Ask for a job's status without consuming anything.
-    Poll {
-        /// Job id from [`Response::JobAccepted`].
-        id: u64,
-    },
-    /// Retrieve a finished job's result; answers the job's own response
-    /// when done, [`Response::JobStatus`] while it is still pending.
-    /// Idempotent: fetching never consumes the result.
-    Fetch {
-        /// Job id from [`Response::JobAccepted`].
-        id: u64,
-    },
-    /// Cancel a queued job (running or terminal jobs are unaffected);
-    /// answers the job's resulting status.
-    Cancel {
-        /// Job id from [`Response::JobAccepted`].
-        id: u64,
-    },
-    /// Rolling SLO snapshot: per-verb windowed latency quantiles,
-    /// throughput counts, and error/busy tallies, plus live gauges.
-    /// Numbers move between calls, so never cached.
-    Metrics,
-    /// Replay a generated adversarial scenario (incast, permutation,
-    /// hot-spot, multi-tenant, bursty) on a fabric under credit-based
-    /// flow control, reporting the congestion-tree analysis.
-    Scenario {
-        /// Which generator to run.
-        kind: ScenarioKind,
-        /// Endpoint count (the generator's node universe).
-        nodes: usize,
-        /// Flow-count override; `None` uses the kind's preset and is
-        /// omitted from the encoding.
-        flows: Option<usize>,
-        /// Foreground per-flow byte override; `None` uses the preset,
-        /// omitted on the wire.
-        bytes: Option<u64>,
-        /// Generator seed (same seed, same traffic).
-        seed: u64,
-        /// Fabric to replay over; HFAST is provisioned from the
-        /// scenario's own communication graph.
-        fabric: FabricSpec,
-        /// Provisioner strategy for HFAST fabrics; `None` means the
-        /// paper heuristic, omitted on the wire.
-        strategy: Option<Strategy>,
-        /// Buffer slots per link for the credit model; `None` means the
-        /// engine default, omitted on the wire.
-        credits: Option<u32>,
-    },
+wire_enum! {
+    /// One request frame.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request {
+        /// Liveness probe; never queued, never cached.
+        Health = "health",
+        /// Server counters and cache statistics.
+        Stats = "stats",
+        /// HFAST provisioning for an app: switch-block counts and port math.
+        Provision = "provision" {
+            /// The application graph.
+            app: AppSpec,
+            /// Ports per switch block.
+            block_ports: usize,
+            /// Message-size cutoff in bytes.
+            cutoff: u64,
+            /// Provisioner strategy; `None` means the paper's linear heuristic
+            /// and is omitted from the encoding so pre-strategy clients keep
+            /// byte-identical cache keys.
+            strategy: Option<Strategy>,
+        },
+        /// Fat-tree versus HFAST cost comparison.
+        Cost = "cost" {
+            /// The application graph.
+            app: AppSpec,
+            /// Ports per switch block.
+            block_ports: usize,
+            /// Message-size cutoff in bytes.
+            cutoff: u64,
+        },
+        /// Thresholded-degree sweep over several cutoffs.
+        Tdc = "tdc" {
+            /// The application graph.
+            app: AppSpec,
+            /// Cutoffs to sweep, in bytes.
+            cutoffs: Vec<u64>,
+        },
+        /// Replay the app's traffic over a fabric, optionally under faults.
+        Simulate = "simulate" {
+            /// The application graph.
+            app: AppSpec,
+            /// Fabric to replay over.
+            fabric: FabricSpec,
+            /// Message-size cutoff for flow extraction.
+            cutoff: u64,
+            /// Optional seeded fault injection.
+            faults: Option<FaultSpec>,
+            /// Provisioner strategy for HFAST fabrics (ignored by fat tree and
+            /// torus); `None` means the paper heuristic, omitted on the wire.
+            strategy: Option<Strategy>,
+        },
+        /// Begin graceful drain: stop accepting, finish in-flight, exit.
+        Shutdown = "shutdown",
+        /// Panic inside a worker (panic-isolation testing only).
+        DebugPanic = "debug_panic",
+        /// Enqueue a queueable request as a durable job; answers
+        /// [`Response::JobAccepted`] immediately.
+        Submit = "submit" {
+            /// The request to run asynchronously (must be queueable per its
+            /// [`VerbSpec`]).
+            job: Box<Request>,
+        },
+        /// Ask for a job's status without consuming anything.
+        Poll = "poll" {
+            /// Job id from [`Response::JobAccepted`].
+            id: u64,
+        },
+        /// Retrieve a finished job's result; answers the job's own response
+        /// when done, [`Response::JobStatus`] while it is still pending.
+        /// Idempotent: fetching never consumes the result.
+        Fetch = "fetch" {
+            /// Job id from [`Response::JobAccepted`].
+            id: u64,
+        },
+        /// Cancel a queued job (running or terminal jobs are unaffected);
+        /// answers the job's resulting status.
+        Cancel = "cancel" {
+            /// Job id from [`Response::JobAccepted`].
+            id: u64,
+        },
+        /// Rolling SLO snapshot: per-verb windowed latency quantiles,
+        /// throughput counts, and error/busy tallies, plus live gauges.
+        /// Numbers move between calls, so never cached.
+        Metrics = "metrics",
+        /// Replay a generated adversarial scenario (incast, permutation,
+        /// hot-spot, multi-tenant, bursty) on a fabric under credit-based
+        /// flow control, reporting the congestion-tree analysis.
+        Scenario = "scenario" {
+            /// Which generator to run.
+            kind: ScenarioKind,
+            /// Endpoint count (the generator's node universe).
+            nodes: usize,
+            /// Flow-count override; `None` uses the kind's preset and is
+            /// omitted from the encoding.
+            flows: Option<usize>,
+            /// Foreground per-flow byte override; `None` uses the preset,
+            /// omitted on the wire.
+            bytes: Option<u64>,
+            /// Generator seed (same seed, same traffic).
+            seed: u64,
+            /// Fabric to replay over; HFAST is provisioned from the
+            /// scenario's own communication graph.
+            fabric: FabricSpec,
+            /// Provisioner strategy for HFAST fabrics; `None` means the
+            /// paper heuristic, omitted on the wire.
+            strategy: Option<Strategy>,
+            /// Buffer slots per link for the credit model; `None` means the
+            /// engine default, omitted on the wire.
+            credits: Option<u32>,
+        },
+    }
+}
+
+/// `submit`'s inner request: boxed in Rust, nested verbatim on the wire,
+/// and refused at decode time unless its verb is queueable.
+impl Wire for Box<Request> {
+    fn put(&self, out: &mut String) {
+        (**self).put(out);
+    }
+
+    fn get(v: &JsonValue) -> Result<Self, String> {
+        let job = Request::get(v)?;
+        if !job.spec().queueable {
+            return Err(format!("verb {:?} is not queueable", job.endpoint()));
+        }
+        Ok(Box::new(job))
+    }
 }
 
 /// How a verb is executed.
@@ -318,7 +731,7 @@ pub enum VerbHandler {
 }
 
 /// One row of the declarative verb table: everything the server needs to
-/// know about a verb besides its codec arms.
+/// know about a verb besides its [`Request`] variant declaration.
 #[derive(Debug, Clone, Copy)]
 pub struct VerbSpec {
     /// Wire name (`"type"` field) and metric label.
@@ -428,8 +841,9 @@ pub const VERBS: [VerbSpec; 14] = [
 ];
 
 impl Request {
-    /// Index of this request's row in [`VERBS`] — the only hand-written
-    /// request-shape match left; everything else derives from the table.
+    /// Index of this request's row in [`VERBS`] (and of its label in
+    /// [`ENDPOINTS`]) — the only hand-written request-shape match left;
+    /// everything else derives from the table or the declaration.
     pub fn verb_index(&self) -> usize {
         match self {
             Request::Health => 0,
@@ -464,11 +878,6 @@ impl Request {
     pub fn endpoint(&self) -> &'static str {
         self.spec().name
     }
-
-    /// Index of this request's endpoint in [`ENDPOINTS`].
-    pub fn endpoint_index(&self) -> usize {
-        self.verb_index()
-    }
 }
 
 /// Metric labels for every endpoint, in [`VERBS`] order.
@@ -482,289 +891,250 @@ pub const ENDPOINTS: [&str; VERBS.len()] = {
     names
 };
 
-/// One row of a TDC sweep response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TdcRow {
-    /// Cutoff in bytes.
-    pub cutoff: u64,
-    /// Maximum thresholded degree.
-    pub max: usize,
-    /// Minimum thresholded degree.
-    pub min: usize,
-    /// Mean thresholded degree.
-    pub avg: f64,
-    /// Median thresholded degree.
-    pub median: usize,
-}
-
-/// Lifetime latency quantiles for one verb, in the `stats` response.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct VerbLatency {
-    /// Verb name, one of [`ENDPOINTS`].
-    pub verb: String,
-    /// Requests of this verb served since process start.
-    pub count: u64,
-    /// Interpolated p50 service latency, nanoseconds.
-    pub p50_ns: u64,
-    /// Interpolated p95 service latency, nanoseconds.
-    pub p95_ns: u64,
-    /// Interpolated p99 service latency, nanoseconds.
-    pub p99_ns: u64,
-}
-
-/// Rolling windowed statistics for one verb, in the `metrics` response.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct VerbWindow {
-    /// Verb name, one of [`ENDPOINTS`].
-    pub verb: String,
-    /// Requests observed inside the window.
-    pub count: u64,
-    /// Successful responses inside the window.
-    pub ok: u64,
-    /// Busy (load-shed) responses inside the window.
-    pub busy: u64,
-    /// Error responses inside the window.
-    pub errors: u64,
-    /// Rolling interpolated p50 latency, nanoseconds.
-    pub p50_ns: u64,
-    /// Rolling interpolated p95 latency, nanoseconds.
-    pub p95_ns: u64,
-    /// Rolling interpolated p99 latency, nanoseconds.
-    pub p99_ns: u64,
-}
-
-/// One response frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Liveness acknowledgement.
-    Health {
-        /// Compute worker count.
-        workers: usize,
-        /// Admission queue capacity.
-        queue: usize,
-    },
-    /// Server counters; numbers move between calls, so never cached.
-    Stats {
-        /// Total requests parsed (all endpoints).
-        requests: u64,
-        /// Requests shed with [`Response::Busy`].
-        shed: u64,
-        /// Response-cache hits.
-        cache_hits: u64,
-        /// Response-cache misses.
-        cache_misses: u64,
-        /// Response-cache LRU evictions.
-        cache_evictions: u64,
-        /// Cached entries right now.
-        cache_entries: u64,
-        /// Cached payload bytes right now.
-        cache_bytes: u64,
-        /// Simulator events processed across all simulate runs.
-        sim_events: u64,
-        /// Event-loop throughput of the most recent simulate run
-        /// (events per wall-clock second inside the loop; 0 before the
-        /// first run).
-        sim_events_per_sec: u64,
-        /// Provision/simulate executions per strategy, in
-        /// [`Strategy::ALL`] order (cache hits do not re-execute and are
-        /// not counted).
-        strategy_hits: [u64; 3],
-        /// Scenario replays per generator kind, in [`ScenarioKind::ALL`]
-        /// order (cache hits do not re-execute and are not counted).
-        scenario_hits: [u64; 5],
-        /// Profiled app graphs resident in the registry.
-        graphs: u64,
-        /// Built fabrics resident in the registry.
-        fabrics: u64,
-        /// Durable-job-queue lifetime totals.
-        jobs: JobTotals,
-        /// Lifetime per-verb service-latency quantiles, one row per
-        /// [`VERBS`] entry in table order.
-        latency: Vec<VerbLatency>,
-    },
-    /// Provisioning summary for one app graph.
-    Provisioned {
-        /// Tasks in the graph.
-        n: usize,
-        /// Switch blocks allocated.
-        blocks: usize,
-        /// Packet-switch ports purchased.
-        total_block_ports: usize,
-        /// Circuit (MEMS) ports in use.
-        circuit_ports: usize,
-        /// Packet ports per node.
-        ports_per_node: f64,
-        /// Worst provisioned route's switch hops (0 if nothing routed).
-        max_switch_hops: usize,
-    },
-    /// Fat tree versus HFAST cost report.
-    CostReport {
-        /// HFAST build cost (normalized packet-port units).
-        hfast: f64,
-        /// Fat-tree build cost.
-        fat_tree: f64,
-        /// `hfast / fat_tree`.
-        ratio: f64,
-        /// True when HFAST is the cheaper build.
-        hfast_wins: bool,
-        /// Packet ports per node under HFAST.
-        hfast_ports_per_node: f64,
-        /// Switch ports per processor in the fat tree.
-        fat_tree_ports_per_node: usize,
-    },
-    /// TDC sweep rows, one per requested cutoff.
-    TdcReport {
-        /// Rows in request cutoff order.
-        rows: Vec<TdcRow>,
-    },
-    /// Simulation outcome summary.
-    SimReport {
-        /// Flows delivered.
-        completed: usize,
-        /// Flows without a route (including abandoned).
-        unrouted: usize,
-        /// Flows abandoned by the retry policy.
-        abandoned: usize,
-        /// Payload bytes delivered.
-        delivered_bytes: u64,
-        /// Worst flow latency.
-        max_latency_ns: u64,
-        /// Time of last delivery.
-        makespan_ns: u64,
-        /// Retry re-admissions.
-        total_retries: u64,
-        /// Mid-run circuit re-provisioning rounds.
-        reprovisions: usize,
-    },
-    /// Congestion-tree report from a `scenario` replay under credit-based
-    /// flow control.
-    ScenarioReport {
-        /// Flows the generator emitted.
-        flows: usize,
-        /// Flows delivered.
-        completed: usize,
-        /// Flows without a route.
-        unrouted: usize,
-        /// Time of last delivery.
-        makespan_ns: u64,
-        /// 95th-percentile flow latency.
-        p95_latency_ns: u64,
-        /// Congestion trees found in the trace.
-        trees: usize,
-        /// Deepest tree (stalled links upstream of the root).
-        deepest: usize,
-        /// Total stalled time across all trees.
-        stall_ns: u64,
-        /// Worst tree's victims over its root-crossing flows (0 when no
-        /// link ever stalled).
-        spread: f64,
-        /// Victims that never traverse their tree's root link, summed.
-        off_root_victims: usize,
-        /// Max-over-mean link busy-time (1.0 = perfectly balanced).
-        max_over_mean: f64,
-        /// Gini coefficient of link busy-time (0 = balanced).
-        gini: f64,
-    },
-    /// A job was accepted onto the durable queue.
-    JobAccepted {
-        /// The id to `poll`/`fetch`/`cancel` with.
-        id: u64,
-    },
-    /// A job's current status (`poll`, a pending `fetch`, or `cancel`).
-    JobStatus {
-        /// The job id asked about.
-        id: u64,
-        /// Lifecycle state right now.
-        state: JobState,
-        /// Admissions so far (1 = first attempt running or finished).
-        attempts: u32,
-        /// Failure cause; present only for [`JobState::Failed`].
-        message: Option<String>,
-    },
-    /// Rolling SLO snapshot from the `metrics` verb. A shard reports its
-    /// own window (`shards == 1`); the fleet router merges shard windows
-    /// into fleet-level bounds — counts and gauges sum, quantiles take
-    /// the per-shard maximum (a conservative upper bound, since log₂
-    /// histograms from different processes cannot be re-interpolated
-    /// jointly without shipping every bucket).
-    Metrics {
-        /// Width of the rolling window the verb rows cover, nanoseconds.
-        window_ns: u64,
-        /// Processes merged into this snapshot (1 for a single shard).
-        shards: u64,
-        /// Compute admission-queue depth right now, summed.
-        queue_depth: u64,
-        /// Response-cache hits (lifetime), summed.
-        cache_hits: u64,
-        /// Response-cache misses (lifetime), summed.
-        cache_misses: u64,
-        /// Jobs in a non-terminal state right now, summed.
-        jobs_pending: u64,
-        /// Job re-admissions after failed attempts (lifetime), summed.
-        jobs_retried: u64,
-        /// Keys currently tripped hot by the router's hot-key tracker
-        /// (always 0 from a shard).
-        hot_keys: u64,
-        /// Rolling per-verb stats, one row per [`VERBS`] entry in table
-        /// order.
-        verbs: Vec<VerbWindow>,
-    },
-    /// Load shed: the admission queue was full. Retry later.
-    Busy,
-    /// Acknowledgement (shutdown).
-    Ok,
-    /// Structured failure; the connection stays usable.
-    Error {
-        /// Human-readable cause.
-        message: String,
-    },
-}
-
-fn encode_app(app: &AppSpec) -> String {
-    match app {
-        AppSpec::Named { name, procs } => JsonObj::new()
-            .str("name", name)
-            .usize("procs", *procs)
-            .finish(),
-        AppSpec::Inline { n, edges } => {
-            let mut rows = String::from("[");
-            for (i, &(a, b, bytes, count, max_msg)) in edges.iter().enumerate() {
-                if i > 0 {
-                    rows.push(',');
-                }
-                rows.push_str(&format!("[{a},{b},{bytes},{count},{max_msg}]"));
-            }
-            rows.push(']');
-            JsonObj::new().usize("n", *n).raw("edges", &rows).finish()
-        }
+wire_struct! {
+    /// One row of a TDC sweep response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TdcRow {
+        /// Cutoff in bytes.
+        pub cutoff: u64,
+        /// Maximum thresholded degree.
+        pub max: usize,
+        /// Minimum thresholded degree.
+        pub min: usize,
+        /// Mean thresholded degree.
+        pub avg: f64,
+        /// Median thresholded degree.
+        pub median: usize,
     }
 }
 
-fn encode_fabric(fabric: &FabricSpec) -> String {
-    match fabric {
-        FabricSpec::FatTree { ports } => JsonObj::new()
-            .str("kind", "fattree")
-            .usize("ports", *ports)
-            .finish(),
-        FabricSpec::Torus { dims } => JsonObj::new()
-            .str("kind", "torus")
-            .usize("x", dims.0)
-            .usize("y", dims.1)
-            .usize("z", dims.2)
-            .finish(),
-        FabricSpec::Hfast => JsonObj::new().str("kind", "hfast").finish(),
+wire_struct! {
+    /// Lifetime latency quantiles for one verb, in the `stats` response.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct VerbLatency {
+        /// Verb name, one of [`ENDPOINTS`].
+        pub verb: String,
+        /// Requests of this verb served since process start.
+        pub count: u64,
+        /// Interpolated p50 service latency, nanoseconds.
+        pub p50_ns: u64,
+        /// Interpolated p95 service latency, nanoseconds.
+        pub p95_ns: u64,
+        /// Interpolated p99 service latency, nanoseconds.
+        pub p99_ns: u64,
     }
 }
 
-fn encode_faults(f: &FaultSpec) -> String {
-    let mut obj = JsonObj::new()
-        .u64("seed", f.seed)
-        .usize("count", f.count)
-        .raw("window", &format!("[{},{}]", f.window.0, f.window.1));
-    if let Some(d) = f.downtime_ns {
-        obj = obj.u64("downtime_ns", d);
+wire_struct! {
+    /// Rolling windowed statistics for one verb, in the `metrics` response.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct VerbWindow {
+        /// Verb name, one of [`ENDPOINTS`].
+        pub verb: String,
+        /// Requests observed inside the window.
+        pub count: u64,
+        /// Successful responses inside the window.
+        pub ok: u64,
+        /// Busy (load-shed) responses inside the window.
+        pub busy: u64,
+        /// Error responses inside the window.
+        pub errors: u64,
+        /// Rolling interpolated p50 latency, nanoseconds.
+        pub p50_ns: u64,
+        /// Rolling interpolated p95 latency, nanoseconds.
+        pub p95_ns: u64,
+        /// Rolling interpolated p99 latency, nanoseconds.
+        pub p99_ns: u64,
     }
-    obj.finish()
+}
+
+wire_enum! {
+    /// One response frame.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// Liveness acknowledgement.
+        Health = "health" ("ok": true) {
+            /// Compute worker count.
+            workers: usize,
+            /// Admission queue capacity.
+            queue: usize,
+        },
+        /// Server counters; numbers move between calls, so never cached.
+        Stats = "stats" {
+            /// Total requests parsed (all endpoints).
+            requests: u64,
+            /// Requests shed with [`Response::Busy`].
+            shed: u64,
+            /// Response-cache hits.
+            cache_hits: u64,
+            /// Response-cache misses.
+            cache_misses: u64,
+            /// Response-cache LRU evictions.
+            cache_evictions: u64,
+            /// Cached entries right now.
+            cache_entries: u64,
+            /// Cached payload bytes right now.
+            cache_bytes: u64,
+            /// Simulator events processed across all simulate runs.
+            sim_events: u64,
+            /// Event-loop throughput of the most recent simulate run
+            /// (events per wall-clock second inside the loop; 0 before the
+            /// first run).
+            sim_events_per_sec: u64,
+            /// Provision/simulate executions per strategy, in
+            /// [`Strategy::ALL`] order (cache hits do not re-execute and are
+            /// not counted).
+            strategy_hits: [u64; 3],
+            /// Scenario replays per generator kind, in [`ScenarioKind::ALL`]
+            /// order (cache hits do not re-execute and are not counted).
+            scenario_hits: [u64; 5],
+            /// Profiled app graphs resident in the registry.
+            graphs: u64,
+            /// Built fabrics resident in the registry.
+            fabrics: u64,
+            /// Durable-job-queue lifetime totals.
+            jobs: JobTotals,
+            /// Lifetime per-verb service-latency quantiles, one row per
+            /// [`VERBS`] entry in table order.
+            latency: Vec<VerbLatency>,
+        },
+        /// Provisioning summary for one app graph.
+        Provisioned = "provisioned" {
+            /// Tasks in the graph.
+            n: usize,
+            /// Switch blocks allocated.
+            blocks: usize,
+            /// Packet-switch ports purchased.
+            total_block_ports: usize,
+            /// Circuit (MEMS) ports in use.
+            circuit_ports: usize,
+            /// Packet ports per node.
+            ports_per_node: f64,
+            /// Worst provisioned route's switch hops (0 if nothing routed).
+            max_switch_hops: usize,
+        },
+        /// Fat tree versus HFAST cost report.
+        CostReport = "cost" {
+            /// HFAST build cost (normalized packet-port units).
+            hfast: f64,
+            /// Fat-tree build cost.
+            fat_tree: f64,
+            /// `hfast / fat_tree`.
+            ratio: f64,
+            /// True when HFAST is the cheaper build.
+            hfast_wins: bool,
+            /// Packet ports per node under HFAST.
+            hfast_ports_per_node: f64,
+            /// Switch ports per processor in the fat tree.
+            fat_tree_ports_per_node: usize,
+        },
+        /// TDC sweep rows, one per requested cutoff.
+        TdcReport = "tdc" {
+            /// Rows in request cutoff order.
+            rows: Vec<TdcRow>,
+        },
+        /// Simulation outcome summary.
+        SimReport = "sim" {
+            /// Flows delivered.
+            completed: usize,
+            /// Flows without a route (including abandoned).
+            unrouted: usize,
+            /// Flows abandoned by the retry policy.
+            abandoned: usize,
+            /// Payload bytes delivered.
+            delivered_bytes: u64,
+            /// Worst flow latency.
+            max_latency_ns: u64,
+            /// Time of last delivery.
+            makespan_ns: u64,
+            /// Retry re-admissions.
+            total_retries: u64,
+            /// Mid-run circuit re-provisioning rounds.
+            reprovisions: usize,
+        },
+        /// Congestion-tree report from a `scenario` replay under credit-based
+        /// flow control.
+        ScenarioReport = "scenario" {
+            /// Flows the generator emitted.
+            flows: usize,
+            /// Flows delivered.
+            completed: usize,
+            /// Flows without a route.
+            unrouted: usize,
+            /// Time of last delivery.
+            makespan_ns: u64,
+            /// 95th-percentile flow latency.
+            p95_latency_ns: u64,
+            /// Congestion trees found in the trace.
+            trees: usize,
+            /// Deepest tree (stalled links upstream of the root).
+            deepest: usize,
+            /// Total stalled time across all trees.
+            stall_ns: u64,
+            /// Worst tree's victims over its root-crossing flows (0 when no
+            /// link ever stalled).
+            spread: f64,
+            /// Victims that never traverse their tree's root link, summed.
+            off_root_victims: usize,
+            /// Max-over-mean link busy-time (1.0 = perfectly balanced).
+            max_over_mean: f64,
+            /// Gini coefficient of link busy-time (0 = balanced).
+            gini: f64,
+        },
+        /// A job was accepted onto the durable queue.
+        JobAccepted = "job" {
+            /// The id to `poll`/`fetch`/`cancel` with.
+            id: u64,
+        },
+        /// A job's current status (`poll`, a pending `fetch`, or `cancel`).
+        JobStatus = "job_status" {
+            /// The job id asked about.
+            id: u64,
+            /// Lifecycle state right now.
+            state: JobState,
+            /// Admissions so far (1 = first attempt running or finished).
+            attempts: u32,
+            /// Failure cause; present only for [`JobState::Failed`].
+            message: Option<String>,
+        },
+        /// Rolling SLO snapshot from the `metrics` verb. A shard reports its
+        /// own window (`shards == 1`); the fleet router merges shard windows
+        /// into fleet-level bounds — counts and gauges sum, quantiles take
+        /// the per-shard maximum (a conservative upper bound, since log₂
+        /// histograms from different processes cannot be re-interpolated
+        /// jointly without shipping every bucket).
+        Metrics = "metrics" {
+            /// Width of the rolling window the verb rows cover, nanoseconds.
+            window_ns: u64,
+            /// Processes merged into this snapshot (1 for a single shard).
+            shards: u64,
+            /// Compute admission-queue depth right now, summed.
+            queue_depth: u64,
+            /// Response-cache hits (lifetime), summed.
+            cache_hits: u64,
+            /// Response-cache misses (lifetime), summed.
+            cache_misses: u64,
+            /// Jobs in a non-terminal state right now, summed.
+            jobs_pending: u64,
+            /// Job re-admissions after failed attempts (lifetime), summed.
+            jobs_retried: u64,
+            /// Keys currently tripped hot by the router's hot-key tracker
+            /// (always 0 from a shard).
+            hot_keys: u64,
+            /// Rolling per-verb stats, one row per [`VERBS`] entry in table
+            /// order.
+            verbs: Vec<VerbWindow>,
+        },
+        /// Load shed: the admission queue was full. Retry later.
+        Busy = "busy",
+        /// Acknowledgement (shutdown).
+        Ok = "ok",
+        /// Structured failure; the connection stays usable.
+        Error = "error" {
+            /// Human-readable cause.
+            message: String,
+        },
+    }
 }
 
 /// Wraps a canonical v1 body in the v2 envelope: the version tag becomes
@@ -815,8 +1185,10 @@ pub fn strip_envelope(text: &str) -> String {
 }
 
 fn hex_id(v: &JsonValue, key: &str) -> Result<u64, String> {
-    let s = need_str(v, key)?;
-    u64::from_str_radix(s, 16).map_err(|_| format!("trace field {key:?} is not a hex id"))
+    v.get(key)
+        .and_then(JsonValue::as_str)
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or_else(|| format!("trace field {key:?} is not a hex id"))
 }
 
 fn decode_trace(v: &JsonValue, version: WireVersion) -> Result<Option<TraceContext>, String> {
@@ -832,818 +1204,82 @@ fn decode_trace(v: &JsonValue, version: WireVersion) -> Result<Option<TraceConte
     }))
 }
 
+/// Reads the envelope version of a parsed frame: no `"v"` field is v1,
+/// `"v":2` is v2, anything else is from the future and refused.
+pub fn wire_version(v: &JsonValue) -> Result<WireVersion, String> {
+    match Wire::get_field(v, "v")? {
+        None::<u64> => Ok(WireVersion::V1),
+        Some(2) => Ok(WireVersion::V2),
+        Some(other) => Err(format!("unsupported wire version {other}")),
+    }
+}
+
+fn encode<T: Wire>(msg: &T, version: WireVersion) -> String {
+    let mut body = String::with_capacity(128);
+    msg.put(&mut body);
+    version.wrap(body)
+}
+
+/// Parses a frame in either envelope and decodes its body, handing back
+/// the parsed tree for callers that read envelope members too.
+fn decode<T: Wire>(text: &str) -> Result<(T, WireVersion, JsonValue), String> {
+    let v = json::parse(text)?;
+    let version = wire_version(&v)?;
+    Ok((T::get(&v)?, version, v))
+}
+
+/// Encodes a request canonically (the encoding is the cache-key basis).
+pub fn encode_request(req: &Request) -> String {
+    encode(req, WireVersion::V1)
+}
+
+/// Encodes a request under the given wire version (v1 is canonical; v2
+/// adds the envelope tag).
+pub fn encode_request_versioned(req: &Request, version: WireVersion) -> String {
+    encode(req, version)
+}
+
+/// Encodes a response canonically.
+pub fn encode_response(resp: &Response) -> String {
+    encode(resp, WireVersion::V1)
+}
+
+/// Encodes a response under the given wire version.
+pub fn encode_response_versioned(resp: &Response, version: WireVersion) -> String {
+    encode(resp, version)
+}
+
 /// Decodes one request frame in either envelope, also extracting the
 /// cross-process [`TraceContext`] when the v2 envelope carries one.
 /// A malformed `trace` member is a decode error, not a silent drop.
 pub fn decode_request_traced(
     text: &str,
 ) -> Result<(Request, WireVersion, Option<TraceContext>), String> {
-    let v = json::parse(text)?;
-    let version = wire_version(&v)?;
-    let ctx = decode_trace(&v, version)?;
-    Ok((decode_request_value(&v)?, version, ctx))
-}
-
-/// Encodes a request under the given wire version (v1 is canonical; v2
-/// adds the envelope tag).
-pub fn encode_request_versioned(req: &Request, version: WireVersion) -> String {
-    let body = encode_request(req);
-    match version {
-        WireVersion::V1 => body,
-        WireVersion::V2 => envelope_v2(&body),
-    }
-}
-
-/// Encodes a response under the given wire version.
-pub fn encode_response_versioned(resp: &Response, version: WireVersion) -> String {
-    let body = encode_response(resp);
-    match version {
-        WireVersion::V1 => body,
-        WireVersion::V2 => envelope_v2(&body),
-    }
-}
-
-/// Encodes a request canonically (the encoding is the cache-key basis).
-pub fn encode_request(req: &Request) -> String {
-    match req {
-        Request::Health
-        | Request::Stats
-        | Request::Shutdown
-        | Request::DebugPanic
-        | Request::Metrics => JsonObj::new().str("type", req.endpoint()).finish(),
-        Request::Submit { job } => JsonObj::new()
-            .str("type", "submit")
-            .raw("job", &encode_request(job))
-            .finish(),
-        Request::Poll { id } | Request::Fetch { id } | Request::Cancel { id } => JsonObj::new()
-            .str("type", req.endpoint())
-            .u64("id", *id)
-            .finish(),
-        Request::Provision {
-            app,
-            block_ports,
-            cutoff,
-            strategy,
-        } => {
-            let mut obj = JsonObj::new()
-                .str("type", "provision")
-                .raw("app", &encode_app(app))
-                .usize("block_ports", *block_ports)
-                .u64("cutoff", *cutoff);
-            // Omitted when None: strategy-less requests stay byte-identical
-            // to the pre-strategy wire format (and thus to its cache keys).
-            if let Some(s) = strategy {
-                obj = obj.str("strategy", s.as_str());
-            }
-            obj.finish()
-        }
-        Request::Cost {
-            app,
-            block_ports,
-            cutoff,
-        } => JsonObj::new()
-            .str("type", "cost")
-            .raw("app", &encode_app(app))
-            .usize("block_ports", *block_ports)
-            .u64("cutoff", *cutoff)
-            .finish(),
-        Request::Tdc { app, cutoffs } => {
-            let mut arr = String::from("[");
-            for (i, c) in cutoffs.iter().enumerate() {
-                if i > 0 {
-                    arr.push(',');
-                }
-                arr.push_str(&c.to_string());
-            }
-            arr.push(']');
-            JsonObj::new()
-                .str("type", "tdc")
-                .raw("app", &encode_app(app))
-                .raw("cutoffs", &arr)
-                .finish()
-        }
-        Request::Simulate {
-            app,
-            fabric,
-            cutoff,
-            faults,
-            strategy,
-        } => {
-            let mut obj = JsonObj::new()
-                .str("type", "simulate")
-                .raw("app", &encode_app(app))
-                .raw("fabric", &encode_fabric(fabric))
-                .u64("cutoff", *cutoff);
-            if let Some(f) = faults {
-                obj = obj.raw("faults", &encode_faults(f));
-            }
-            if let Some(s) = strategy {
-                obj = obj.str("strategy", s.as_str());
-            }
-            obj.finish()
-        }
-        Request::Scenario {
-            kind,
-            nodes,
-            flows,
-            bytes,
-            seed,
-            fabric,
-            strategy,
-            credits,
-        } => {
-            let mut obj = JsonObj::new()
-                .str("type", "scenario")
-                .str("kind", kind.as_str())
-                .usize("nodes", *nodes);
-            // Optional overrides are omitted when None so preset requests
-            // keep minimal, stable cache keys.
-            if let Some(f) = flows {
-                obj = obj.usize("flows", *f);
-            }
-            if let Some(b) = bytes {
-                obj = obj.u64("bytes", *b);
-            }
-            obj = obj.u64("seed", *seed).raw("fabric", &encode_fabric(fabric));
-            if let Some(s) = strategy {
-                obj = obj.str("strategy", s.as_str());
-            }
-            if let Some(c) = credits {
-                obj = obj.u64("credits", u64::from(*c));
-            }
-            obj.finish()
-        }
-    }
-}
-
-fn encode_verb_latency(rows: &[VerbLatency]) -> String {
-    let mut arr = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            arr.push(',');
-        }
-        arr.push_str(
-            &JsonObj::new()
-                .str("verb", &r.verb)
-                .u64("count", r.count)
-                .u64("p50_ns", r.p50_ns)
-                .u64("p95_ns", r.p95_ns)
-                .u64("p99_ns", r.p99_ns)
-                .finish(),
-        );
-    }
-    arr.push(']');
-    arr
-}
-
-fn encode_verb_windows(rows: &[VerbWindow]) -> String {
-    let mut arr = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            arr.push(',');
-        }
-        arr.push_str(
-            &JsonObj::new()
-                .str("verb", &r.verb)
-                .u64("count", r.count)
-                .u64("ok", r.ok)
-                .u64("busy", r.busy)
-                .u64("errors", r.errors)
-                .u64("p50_ns", r.p50_ns)
-                .u64("p95_ns", r.p95_ns)
-                .u64("p99_ns", r.p99_ns)
-                .finish(),
-        );
-    }
-    arr.push(']');
-    arr
-}
-
-/// Encodes a response canonically.
-pub fn encode_response(resp: &Response) -> String {
-    match resp {
-        Response::Health { workers, queue } => JsonObj::new()
-            .str("type", "health")
-            .bool("ok", true)
-            .usize("workers", *workers)
-            .usize("queue", *queue)
-            .finish(),
-        Response::Stats {
-            requests,
-            shed,
-            cache_hits,
-            cache_misses,
-            cache_evictions,
-            cache_entries,
-            cache_bytes,
-            sim_events,
-            sim_events_per_sec,
-            strategy_hits,
-            scenario_hits,
-            graphs,
-            fabrics,
-            jobs,
-            latency,
-        } => {
-            let mut hits = JsonObj::new();
-            for (s, &count) in Strategy::ALL.iter().zip(strategy_hits) {
-                hits = hits.u64(s.as_str(), count);
-            }
-            let mut sc_hits = JsonObj::new();
-            for (k, &count) in ScenarioKind::ALL.iter().zip(scenario_hits) {
-                sc_hits = sc_hits.u64(k.as_str(), count);
-            }
-            let job_obj = JsonObj::new()
-                .u64("submitted", jobs.submitted)
-                .u64("completed", jobs.completed)
-                .u64("failed", jobs.failed)
-                .u64("cancelled", jobs.cancelled)
-                .u64("retried", jobs.retried)
-                .finish();
-            JsonObj::new()
-                .str("type", "stats")
-                .u64("requests", *requests)
-                .u64("shed", *shed)
-                .u64("cache_hits", *cache_hits)
-                .u64("cache_misses", *cache_misses)
-                .u64("cache_evictions", *cache_evictions)
-                .u64("cache_entries", *cache_entries)
-                .u64("cache_bytes", *cache_bytes)
-                .u64("sim_events", *sim_events)
-                .u64("sim_events_per_sec", *sim_events_per_sec)
-                .raw("strategy_hits", &hits.finish())
-                .raw("scenario_hits", &sc_hits.finish())
-                .u64("graphs", *graphs)
-                .u64("fabrics", *fabrics)
-                .raw("jobs", &job_obj)
-                .raw("latency", &encode_verb_latency(latency))
-                .finish()
-        }
-        Response::Metrics {
-            window_ns,
-            shards,
-            queue_depth,
-            cache_hits,
-            cache_misses,
-            jobs_pending,
-            jobs_retried,
-            hot_keys,
-            verbs,
-        } => JsonObj::new()
-            .str("type", "metrics")
-            .u64("window_ns", *window_ns)
-            .u64("shards", *shards)
-            .u64("queue_depth", *queue_depth)
-            .u64("cache_hits", *cache_hits)
-            .u64("cache_misses", *cache_misses)
-            .u64("jobs_pending", *jobs_pending)
-            .u64("jobs_retried", *jobs_retried)
-            .u64("hot_keys", *hot_keys)
-            .raw("verbs", &encode_verb_windows(verbs))
-            .finish(),
-        Response::Provisioned {
-            n,
-            blocks,
-            total_block_ports,
-            circuit_ports,
-            ports_per_node,
-            max_switch_hops,
-        } => JsonObj::new()
-            .str("type", "provisioned")
-            .usize("n", *n)
-            .usize("blocks", *blocks)
-            .usize("total_block_ports", *total_block_ports)
-            .usize("circuit_ports", *circuit_ports)
-            .f64("ports_per_node", *ports_per_node)
-            .usize("max_switch_hops", *max_switch_hops)
-            .finish(),
-        Response::CostReport {
-            hfast,
-            fat_tree,
-            ratio,
-            hfast_wins,
-            hfast_ports_per_node,
-            fat_tree_ports_per_node,
-        } => JsonObj::new()
-            .str("type", "cost")
-            .f64("hfast", *hfast)
-            .f64("fat_tree", *fat_tree)
-            .f64("ratio", *ratio)
-            .bool("hfast_wins", *hfast_wins)
-            .f64("hfast_ports_per_node", *hfast_ports_per_node)
-            .usize("fat_tree_ports_per_node", *fat_tree_ports_per_node)
-            .finish(),
-        Response::TdcReport { rows } => {
-            let mut arr = String::from("[");
-            for (i, r) in rows.iter().enumerate() {
-                if i > 0 {
-                    arr.push(',');
-                }
-                arr.push_str(
-                    &JsonObj::new()
-                        .u64("cutoff", r.cutoff)
-                        .usize("max", r.max)
-                        .usize("min", r.min)
-                        .f64("avg", r.avg)
-                        .usize("median", r.median)
-                        .finish(),
-                );
-            }
-            arr.push(']');
-            JsonObj::new().str("type", "tdc").raw("rows", &arr).finish()
-        }
-        Response::SimReport {
-            completed,
-            unrouted,
-            abandoned,
-            delivered_bytes,
-            max_latency_ns,
-            makespan_ns,
-            total_retries,
-            reprovisions,
-        } => JsonObj::new()
-            .str("type", "sim")
-            .usize("completed", *completed)
-            .usize("unrouted", *unrouted)
-            .usize("abandoned", *abandoned)
-            .u64("delivered_bytes", *delivered_bytes)
-            .u64("max_latency_ns", *max_latency_ns)
-            .u64("makespan_ns", *makespan_ns)
-            .u64("total_retries", *total_retries)
-            .usize("reprovisions", *reprovisions)
-            .finish(),
-        Response::ScenarioReport {
-            flows,
-            completed,
-            unrouted,
-            makespan_ns,
-            p95_latency_ns,
-            trees,
-            deepest,
-            stall_ns,
-            spread,
-            off_root_victims,
-            max_over_mean,
-            gini,
-        } => JsonObj::new()
-            .str("type", "scenario")
-            .usize("flows", *flows)
-            .usize("completed", *completed)
-            .usize("unrouted", *unrouted)
-            .u64("makespan_ns", *makespan_ns)
-            .u64("p95_latency_ns", *p95_latency_ns)
-            .usize("trees", *trees)
-            .usize("deepest", *deepest)
-            .u64("stall_ns", *stall_ns)
-            .f64("spread", *spread)
-            .usize("off_root_victims", *off_root_victims)
-            .f64("max_over_mean", *max_over_mean)
-            .f64("gini", *gini)
-            .finish(),
-        Response::JobAccepted { id } => JsonObj::new().str("type", "job").u64("id", *id).finish(),
-        Response::JobStatus {
-            id,
-            state,
-            attempts,
-            message,
-        } => {
-            let mut obj = JsonObj::new()
-                .str("type", "job_status")
-                .u64("id", *id)
-                .str("state", state.as_str())
-                .u64("attempts", u64::from(*attempts));
-            // Omitted unless present, keeping the common statuses short.
-            if let Some(m) = message {
-                obj = obj.str("message", m);
-            }
-            obj.finish()
-        }
-        Response::Busy => JsonObj::new().str("type", "busy").finish(),
-        Response::Ok => JsonObj::new().str("type", "ok").finish(),
-        Response::Error { message } => JsonObj::new()
-            .str("type", "error")
-            .str("message", message)
-            .finish(),
-    }
-}
-
-fn need_usize(v: &JsonValue, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .map(|u| u as usize)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-fn need_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-fn need_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-}
-
-fn need_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing or non-string field {key:?}"))
-}
-
-fn need_bool(v: &JsonValue, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        Some(JsonValue::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing or non-boolean field {key:?}")),
-    }
-}
-
-fn decode_app(v: &JsonValue) -> Result<AppSpec, String> {
-    let app = v.get("app").ok_or("missing field \"app\"")?;
-    if app.get("name").is_some() {
-        Ok(AppSpec::Named {
-            name: need_str(app, "name")?.to_string(),
-            procs: need_usize(app, "procs")?,
-        })
-    } else {
-        let n = need_usize(app, "n")?;
-        let rows = app
-            .get("edges")
-            .and_then(JsonValue::as_arr)
-            .ok_or("inline app needs an \"edges\" array")?;
-        let mut edges = Vec::with_capacity(rows.len());
-        for row in rows {
-            let cells = row.as_arr().ok_or("edge rows are arrays")?;
-            if cells.len() != 5 {
-                return Err("edge rows are [a,b,bytes,count,max_msg]".into());
-            }
-            let num = |i: usize| {
-                cells[i]
-                    .as_u64()
-                    .ok_or_else(|| format!("edge cell {i} is not an integer"))
-            };
-            edges.push((
-                num(0)? as usize,
-                num(1)? as usize,
-                num(2)?,
-                num(3)?,
-                num(4)?,
-            ));
-        }
-        Ok(AppSpec::Inline { n, edges })
-    }
-}
-
-fn decode_fabric(v: &JsonValue) -> Result<FabricSpec, String> {
-    let fab = v.get("fabric").ok_or("missing field \"fabric\"")?;
-    match need_str(fab, "kind")? {
-        "fattree" => Ok(FabricSpec::FatTree {
-            ports: need_usize(fab, "ports")?,
-        }),
-        "torus" => Ok(FabricSpec::Torus {
-            dims: (
-                need_usize(fab, "x")?,
-                need_usize(fab, "y")?,
-                need_usize(fab, "z")?,
-            ),
-        }),
-        "hfast" => Ok(FabricSpec::Hfast),
-        other => Err(format!("unknown fabric kind {other:?}")),
-    }
-}
-
-fn decode_strategy(v: &JsonValue) -> Result<Option<Strategy>, String> {
-    let Some(s) = v.get("strategy") else {
-        return Ok(None);
-    };
-    let name = s.as_str().ok_or("strategy is a string")?;
-    name.parse().map(Some)
-}
-
-fn decode_faults(v: &JsonValue) -> Result<Option<FaultSpec>, String> {
-    let Some(f) = v.get("faults") else {
-        return Ok(None);
-    };
-    let window = f
-        .get("window")
-        .and_then(JsonValue::as_arr)
-        .ok_or("faults need a [lo,hi] \"window\"")?;
-    if window.len() != 2 {
-        return Err("fault window is [lo,hi]".into());
-    }
-    let bound = |i: usize| {
-        window[i]
-            .as_u64()
-            .ok_or_else(|| format!("window bound {i} is not an integer"))
-    };
-    let downtime_ns = match f.get("downtime_ns") {
-        None => None,
-        Some(d) => Some(d.as_u64().ok_or("downtime_ns is not an integer")?),
-    };
-    Ok(Some(FaultSpec {
-        seed: need_u64(f, "seed")?,
-        count: need_usize(f, "count")?,
-        window: (bound(0)?, bound(1)?),
-        downtime_ns,
-    }))
-}
-
-/// Reads the envelope version of a parsed frame: no `"v"` field is v1,
-/// `"v":2` is v2, anything else is from the future and refused.
-pub fn wire_version(v: &JsonValue) -> Result<WireVersion, String> {
-    match v.get("v") {
-        None => Ok(WireVersion::V1),
-        Some(tag) => match tag.as_u64() {
-            Some(2) => Ok(WireVersion::V2),
-            Some(other) => Err(format!("unsupported wire version {other}")),
-            None => Err("wire version tag must be an integer".into()),
-        },
-    }
+    let (req, version, v) = decode(text)?;
+    Ok((req, version, decode_trace(&v, version)?))
 }
 
 /// Decodes one request frame in either envelope, reporting which one it
 /// used so the response can answer in kind.
 pub fn decode_request_versioned(text: &str) -> Result<(Request, WireVersion), String> {
-    let v = json::parse(text)?;
-    let version = wire_version(&v)?;
-    Ok((decode_request_value(&v)?, version))
+    decode(text).map(|(req, version, _)| (req, version))
 }
 
 /// Decodes one request frame (either envelope; the version is dropped —
 /// use [`decode_request_versioned`] to answer in kind).
 pub fn decode_request(text: &str) -> Result<Request, String> {
-    decode_request_versioned(text).map(|(req, _)| req)
-}
-
-fn decode_request_value(v: &JsonValue) -> Result<Request, String> {
-    match need_str(v, "type")? {
-        "health" => Ok(Request::Health),
-        "stats" => Ok(Request::Stats),
-        "shutdown" => Ok(Request::Shutdown),
-        "debug_panic" => Ok(Request::DebugPanic),
-        "provision" => Ok(Request::Provision {
-            app: decode_app(v)?,
-            block_ports: need_usize(v, "block_ports")?,
-            cutoff: need_u64(v, "cutoff")?,
-            strategy: decode_strategy(v)?,
-        }),
-        "cost" => Ok(Request::Cost {
-            app: decode_app(v)?,
-            block_ports: need_usize(v, "block_ports")?,
-            cutoff: need_u64(v, "cutoff")?,
-        }),
-        "tdc" => {
-            let arr = v
-                .get("cutoffs")
-                .and_then(JsonValue::as_arr)
-                .ok_or("tdc needs a \"cutoffs\" array")?;
-            let mut cutoffs = Vec::with_capacity(arr.len());
-            for c in arr {
-                cutoffs.push(c.as_u64().ok_or("cutoffs are integers")?);
-            }
-            Ok(Request::Tdc {
-                app: decode_app(v)?,
-                cutoffs,
-            })
-        }
-        "simulate" => Ok(Request::Simulate {
-            app: decode_app(v)?,
-            fabric: decode_fabric(v)?,
-            cutoff: need_u64(v, "cutoff")?,
-            faults: decode_faults(v)?,
-            strategy: decode_strategy(v)?,
-        }),
-        "submit" => {
-            let job = v.get("job").ok_or("submit needs a \"job\" object")?;
-            let job = decode_request_value(job)?;
-            if !job.spec().queueable {
-                return Err(format!("verb {:?} is not queueable", job.endpoint()));
-            }
-            Ok(Request::Submit { job: Box::new(job) })
-        }
-        "poll" => Ok(Request::Poll {
-            id: need_u64(v, "id")?,
-        }),
-        "fetch" => Ok(Request::Fetch {
-            id: need_u64(v, "id")?,
-        }),
-        "cancel" => Ok(Request::Cancel {
-            id: need_u64(v, "id")?,
-        }),
-        "metrics" => Ok(Request::Metrics),
-        "scenario" => {
-            let kind = need_str(v, "kind")?;
-            let kind = ScenarioKind::parse(kind)
-                .ok_or_else(|| format!("unknown scenario kind {kind:?}"))?;
-            let flows = match v.get("flows") {
-                None => None,
-                Some(f) => Some(f.as_u64().ok_or("flows is not an integer")? as usize),
-            };
-            let bytes = match v.get("bytes") {
-                None => None,
-                Some(b) => Some(b.as_u64().ok_or("bytes is not an integer")?),
-            };
-            let credits = match v.get("credits") {
-                None => None,
-                Some(c) => Some(c.as_u64().ok_or("credits is not an integer")? as u32),
-            };
-            Ok(Request::Scenario {
-                kind,
-                nodes: need_usize(v, "nodes")?,
-                flows,
-                bytes,
-                seed: need_u64(v, "seed")?,
-                fabric: decode_fabric(v)?,
-                strategy: decode_strategy(v)?,
-                credits,
-            })
-        }
-        other => Err(format!("unknown request type {other:?}")),
-    }
+    decode(text).map(|(req, _, _)| req)
 }
 
 /// Decodes one response frame in either envelope, reporting which one it
 /// used.
 pub fn decode_response_versioned(text: &str) -> Result<(Response, WireVersion), String> {
-    let v = json::parse(text)?;
-    let version = wire_version(&v)?;
-    Ok((decode_response_value(&v)?, version))
+    decode(text).map(|(resp, version, _)| (resp, version))
 }
 
 /// Decodes one response frame (either envelope).
 pub fn decode_response(text: &str) -> Result<Response, String> {
-    decode_response_versioned(text).map(|(resp, _)| resp)
-}
-
-fn decode_response_value(v: &JsonValue) -> Result<Response, String> {
-    match need_str(v, "type")? {
-        "health" => Ok(Response::Health {
-            workers: need_usize(v, "workers")?,
-            queue: need_usize(v, "queue")?,
-        }),
-        "stats" => {
-            let hits = v.get("strategy_hits").ok_or("stats needs strategy_hits")?;
-            let mut strategy_hits = [0u64; 3];
-            for (s, slot) in Strategy::ALL.iter().zip(strategy_hits.iter_mut()) {
-                *slot = need_u64(hits, s.as_str())?;
-            }
-            let sc = v.get("scenario_hits").ok_or("stats needs scenario_hits")?;
-            let mut scenario_hits = [0u64; 5];
-            for (k, slot) in ScenarioKind::ALL.iter().zip(scenario_hits.iter_mut()) {
-                *slot = need_u64(sc, k.as_str())?;
-            }
-            let job_obj = v.get("jobs").ok_or("stats needs jobs")?;
-            let jobs = JobTotals {
-                submitted: need_u64(job_obj, "submitted")?,
-                completed: need_u64(job_obj, "completed")?,
-                failed: need_u64(job_obj, "failed")?,
-                cancelled: need_u64(job_obj, "cancelled")?,
-                retried: need_u64(job_obj, "retried")?,
-            };
-            let lat_arr = v
-                .get("latency")
-                .and_then(JsonValue::as_arr)
-                .ok_or("stats needs a \"latency\" array")?;
-            let mut latency = Vec::with_capacity(lat_arr.len());
-            for row in lat_arr {
-                latency.push(VerbLatency {
-                    verb: need_str(row, "verb")?.to_string(),
-                    count: need_u64(row, "count")?,
-                    p50_ns: need_u64(row, "p50_ns")?,
-                    p95_ns: need_u64(row, "p95_ns")?,
-                    p99_ns: need_u64(row, "p99_ns")?,
-                });
-            }
-            Ok(Response::Stats {
-                requests: need_u64(v, "requests")?,
-                shed: need_u64(v, "shed")?,
-                cache_hits: need_u64(v, "cache_hits")?,
-                cache_misses: need_u64(v, "cache_misses")?,
-                cache_evictions: need_u64(v, "cache_evictions")?,
-                cache_entries: need_u64(v, "cache_entries")?,
-                cache_bytes: need_u64(v, "cache_bytes")?,
-                sim_events: need_u64(v, "sim_events")?,
-                sim_events_per_sec: need_u64(v, "sim_events_per_sec")?,
-                strategy_hits,
-                scenario_hits,
-                graphs: need_u64(v, "graphs")?,
-                fabrics: need_u64(v, "fabrics")?,
-                jobs,
-                latency,
-            })
-        }
-        "metrics" => {
-            let verb_arr = v
-                .get("verbs")
-                .and_then(JsonValue::as_arr)
-                .ok_or("metrics needs a \"verbs\" array")?;
-            let mut verbs = Vec::with_capacity(verb_arr.len());
-            for row in verb_arr {
-                verbs.push(VerbWindow {
-                    verb: need_str(row, "verb")?.to_string(),
-                    count: need_u64(row, "count")?,
-                    ok: need_u64(row, "ok")?,
-                    busy: need_u64(row, "busy")?,
-                    errors: need_u64(row, "errors")?,
-                    p50_ns: need_u64(row, "p50_ns")?,
-                    p95_ns: need_u64(row, "p95_ns")?,
-                    p99_ns: need_u64(row, "p99_ns")?,
-                });
-            }
-            Ok(Response::Metrics {
-                window_ns: need_u64(v, "window_ns")?,
-                shards: need_u64(v, "shards")?,
-                queue_depth: need_u64(v, "queue_depth")?,
-                cache_hits: need_u64(v, "cache_hits")?,
-                cache_misses: need_u64(v, "cache_misses")?,
-                jobs_pending: need_u64(v, "jobs_pending")?,
-                jobs_retried: need_u64(v, "jobs_retried")?,
-                hot_keys: need_u64(v, "hot_keys")?,
-                verbs,
-            })
-        }
-        "provisioned" => Ok(Response::Provisioned {
-            n: need_usize(v, "n")?,
-            blocks: need_usize(v, "blocks")?,
-            total_block_ports: need_usize(v, "total_block_ports")?,
-            circuit_ports: need_usize(v, "circuit_ports")?,
-            ports_per_node: need_f64(v, "ports_per_node")?,
-            max_switch_hops: need_usize(v, "max_switch_hops")?,
-        }),
-        "cost" => Ok(Response::CostReport {
-            hfast: need_f64(v, "hfast")?,
-            fat_tree: need_f64(v, "fat_tree")?,
-            ratio: need_f64(v, "ratio")?,
-            hfast_wins: need_bool(v, "hfast_wins")?,
-            hfast_ports_per_node: need_f64(v, "hfast_ports_per_node")?,
-            fat_tree_ports_per_node: need_usize(v, "fat_tree_ports_per_node")?,
-        }),
-        "tdc" => {
-            let arr = v
-                .get("rows")
-                .and_then(JsonValue::as_arr)
-                .ok_or("tdc response needs \"rows\"")?;
-            let mut rows = Vec::with_capacity(arr.len());
-            for r in arr {
-                rows.push(TdcRow {
-                    cutoff: need_u64(r, "cutoff")?,
-                    max: need_usize(r, "max")?,
-                    min: need_usize(r, "min")?,
-                    avg: need_f64(r, "avg")?,
-                    median: need_usize(r, "median")?,
-                });
-            }
-            Ok(Response::TdcReport { rows })
-        }
-        "sim" => Ok(Response::SimReport {
-            completed: need_usize(v, "completed")?,
-            unrouted: need_usize(v, "unrouted")?,
-            abandoned: need_usize(v, "abandoned")?,
-            delivered_bytes: need_u64(v, "delivered_bytes")?,
-            max_latency_ns: need_u64(v, "max_latency_ns")?,
-            makespan_ns: need_u64(v, "makespan_ns")?,
-            total_retries: need_u64(v, "total_retries")?,
-            reprovisions: need_usize(v, "reprovisions")?,
-        }),
-        "scenario" => Ok(Response::ScenarioReport {
-            flows: need_usize(v, "flows")?,
-            completed: need_usize(v, "completed")?,
-            unrouted: need_usize(v, "unrouted")?,
-            makespan_ns: need_u64(v, "makespan_ns")?,
-            p95_latency_ns: need_u64(v, "p95_latency_ns")?,
-            trees: need_usize(v, "trees")?,
-            deepest: need_usize(v, "deepest")?,
-            stall_ns: need_u64(v, "stall_ns")?,
-            spread: need_f64(v, "spread")?,
-            off_root_victims: need_usize(v, "off_root_victims")?,
-            max_over_mean: need_f64(v, "max_over_mean")?,
-            gini: need_f64(v, "gini")?,
-        }),
-        "job" => Ok(Response::JobAccepted {
-            id: need_u64(v, "id")?,
-        }),
-        "job_status" => {
-            let state = JobState::parse(need_str(v, "state")?)
-                .ok_or_else(|| "unknown job state".to_string())?;
-            let message = match v.get("message") {
-                None => None,
-                Some(m) => Some(m.as_str().ok_or("message is a string")?.to_string()),
-            };
-            Ok(Response::JobStatus {
-                id: need_u64(v, "id")?,
-                state,
-                attempts: need_u64(v, "attempts")? as u32,
-                message,
-            })
-        }
-        "busy" => Ok(Response::Busy),
-        "ok" => Ok(Response::Ok),
-        "error" => Ok(Response::Error {
-            message: need_str(v, "message")?.to_string(),
-        }),
-        other => Err(format!("unknown response type {other:?}")),
-    }
+    decode(text).map(|(resp, _, _)| resp)
 }
 
 /// FNV-1a hash of a canonical request encoding — the response-cache key.
@@ -1661,236 +1297,6 @@ pub fn request_key(canonical: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn request_round_trips() {
-        let reqs = vec![
-            Request::Health,
-            Request::Stats,
-            Request::Shutdown,
-            Request::DebugPanic,
-            Request::Provision {
-                app: AppSpec::Named {
-                    name: "GTC".into(),
-                    procs: 64,
-                },
-                block_ports: 16,
-                cutoff: 2048,
-                strategy: None,
-            },
-            Request::Provision {
-                app: AppSpec::Named {
-                    name: "GTC".into(),
-                    procs: 64,
-                },
-                block_ports: 16,
-                cutoff: 2048,
-                strategy: Some(Strategy::BffCircuit),
-            },
-            Request::Cost {
-                app: AppSpec::Inline {
-                    n: 4,
-                    edges: vec![(0, 1, 4096, 2, 4096), (2, 3, 100, 1, 100)],
-                },
-                block_ports: 8,
-                cutoff: 0,
-            },
-            Request::Tdc {
-                app: AppSpec::Named {
-                    name: "Cactus".into(),
-                    procs: 64,
-                },
-                cutoffs: vec![0, 2048, 1 << 20],
-            },
-            Request::Simulate {
-                app: AppSpec::Named {
-                    name: "LBMHD".into(),
-                    procs: 64,
-                },
-                fabric: FabricSpec::Torus { dims: (4, 4, 4) },
-                cutoff: 2048,
-                faults: Some(FaultSpec {
-                    seed: 7,
-                    count: 2,
-                    window: (0, 500_000),
-                    downtime_ns: Some(100_000),
-                }),
-                strategy: None,
-            },
-            Request::Simulate {
-                app: AppSpec::Named {
-                    name: "LBMHD".into(),
-                    procs: 64,
-                },
-                fabric: FabricSpec::Hfast,
-                cutoff: 2048,
-                faults: None,
-                strategy: Some(Strategy::DemandDecomp),
-            },
-            Request::Submit {
-                job: Box::new(Request::Simulate {
-                    app: AppSpec::Named {
-                        name: "GTC".into(),
-                        procs: 64,
-                    },
-                    fabric: FabricSpec::Hfast,
-                    cutoff: 2048,
-                    faults: None,
-                    strategy: None,
-                }),
-            },
-            Request::Poll { id: 7 },
-            Request::Fetch { id: (3 << 40) | 9 },
-            Request::Cancel { id: 0 },
-            Request::Metrics,
-            Request::Scenario {
-                kind: ScenarioKind::Incast,
-                nodes: 64,
-                flows: None,
-                bytes: None,
-                seed: 0xC0DE,
-                fabric: FabricSpec::FatTree { ports: 8 },
-                strategy: None,
-                credits: None,
-            },
-            Request::Scenario {
-                kind: ScenarioKind::MultiTenant,
-                nodes: 32,
-                flows: Some(96),
-                bytes: Some(128 << 10),
-                seed: 7,
-                fabric: FabricSpec::Hfast,
-                strategy: Some(Strategy::DemandDecomp),
-                credits: Some(2),
-            },
-        ];
-        for req in reqs {
-            let enc = encode_request(&req);
-            let dec = decode_request(&enc).expect("canonical encoding decodes");
-            assert_eq!(dec, req, "round trip changed {enc}");
-            assert_eq!(encode_request(&dec), enc, "re-encoding not canonical");
-        }
-    }
-
-    #[test]
-    fn response_round_trips() {
-        let resps = vec![
-            Response::Health {
-                workers: 4,
-                queue: 64,
-            },
-            Response::Busy,
-            Response::Ok,
-            Response::Error {
-                message: "bad \"app\"\nline".into(),
-            },
-            Response::TdcReport {
-                rows: vec![TdcRow {
-                    cutoff: 2048,
-                    max: 6,
-                    min: 3,
-                    avg: 5.25,
-                    median: 5,
-                }],
-            },
-            Response::Stats {
-                requests: 10,
-                shed: 1,
-                cache_hits: 4,
-                cache_misses: 6,
-                cache_evictions: 0,
-                cache_entries: 6,
-                cache_bytes: 1234,
-                sim_events: 99,
-                sim_events_per_sec: 1_000_000,
-                strategy_hits: [3, 2, 1],
-                scenario_hits: [5, 0, 1, 2, 3],
-                graphs: 5,
-                fabrics: 2,
-                jobs: JobTotals {
-                    submitted: 4,
-                    completed: 2,
-                    failed: 1,
-                    cancelled: 1,
-                    retried: 3,
-                },
-                latency: vec![
-                    VerbLatency {
-                        verb: "health".into(),
-                        count: 3,
-                        p50_ns: 100,
-                        p95_ns: 200,
-                        p99_ns: 300,
-                    },
-                    VerbLatency {
-                        verb: "simulate".into(),
-                        count: 0,
-                        p50_ns: 0,
-                        p95_ns: 0,
-                        p99_ns: 0,
-                    },
-                ],
-            },
-            Response::Metrics {
-                window_ns: 10_000_000_000,
-                shards: 2,
-                queue_depth: 3,
-                cache_hits: 40,
-                cache_misses: 12,
-                jobs_pending: 1,
-                jobs_retried: 2,
-                hot_keys: 1,
-                verbs: vec![VerbWindow {
-                    verb: "provision".into(),
-                    count: 9,
-                    ok: 8,
-                    busy: 1,
-                    errors: 0,
-                    p50_ns: 1_000,
-                    p95_ns: 2_000,
-                    p99_ns: 4_000,
-                }],
-            },
-            Response::ScenarioReport {
-                flows: 126,
-                completed: 126,
-                unrouted: 0,
-                makespan_ns: 4_230_590,
-                p95_latency_ns: 3_000_000,
-                trees: 5,
-                deepest: 5,
-                stall_ns: 500_414_029,
-                spread: 22.75,
-                off_root_victims: 228,
-                max_over_mean: 51.75,
-                gini: 0.8125,
-            },
-            Response::JobAccepted { id: (1 << 40) | 12 },
-            Response::JobStatus {
-                id: 12,
-                state: JobState::Running,
-                attempts: 2,
-                message: None,
-            },
-            Response::JobStatus {
-                id: 13,
-                state: JobState::Failed,
-                attempts: 4,
-                message: Some("panicked: \"boom\"".into()),
-            },
-        ];
-        for resp in resps {
-            let enc = encode_response(&resp);
-            let dec = decode_response(&enc).expect("canonical encoding decodes");
-            assert_eq!(dec, resp, "round trip changed {enc}");
-            // The v2 wrap of the same body must round-trip too, and report
-            // its version.
-            let v2 = envelope_v2(&enc);
-            let (dec2, ver) = decode_response_versioned(&v2).expect("v2 decodes");
-            assert_eq!(dec2, resp);
-            assert_eq!(ver, WireVersion::V2);
-        }
-    }
 
     /// Strategy-less requests must encode to exactly the pre-strategy wire
     /// bytes: these literals are pinned from before the `strategy` field
@@ -1966,6 +1372,30 @@ mod tests {
         // v3 does not exist yet; refusing it beats misreading it as v1.
         assert!(decode_request(r#"{"v":3,"type":"health"}"#).is_err());
         assert!(decode_request(r#"{"v":2,"type":"warp"}"#).is_err());
+        // A member's type is its range: 2^32 + 1 credits is an error that
+        // names the member, not a silently narrowed one-slot run — and
+        // likewise for a job's attempt count on the way back.
+        let scenario = |credits: &str| {
+            decode_request(&format!(
+                r#"{{"type":"scenario","kind":"incast","nodes":8,"seed":1,"fabric":{{"kind":"hfast"}},"credits":{credits}}}"#
+            ))
+        };
+        assert!(scenario("4294967295").is_ok());
+        for hostile in ["4294967297", "-1", "1.5", "1e400", "null", "\"2\""] {
+            let err = scenario(hostile).expect_err("out of range");
+            assert!(err.contains("\"credits\""), "{hostile}: {err}");
+        }
+        let err =
+            decode_response(r#"{"type":"job_status","id":1,"state":"done","attempts":4294967296}"#)
+                .expect_err("out of range");
+        assert!(err.contains("\"attempts\""), "{err}");
+        // Errors name the member at every level of nesting.
+        let err = decode_request(r#"{"type":"cost","app":{"name":"GTC"},"block_ports":1}"#)
+            .expect_err("no procs");
+        assert!(
+            err.contains("\"app\"") && err.contains("\"procs\""),
+            "{err}"
+        );
     }
 
     /// The v2 envelope is the v1 body with a leading `"v":2` member: same
@@ -2225,9 +1655,19 @@ mod tests {
                 "debug_panic"
             ]
         );
+        // Every row's name is a tag some `Request` variant was declared
+        // with, and a bare-tag frame that decodes lands back on its row
+        // (`tests/wire_golden.rs` holds the variants with members to the
+        // same rule, row by row).
+        for (i, spec) in VERBS.iter().enumerate() {
+            match decode_request(&format!("{{\"type\":\"{}\"}}", spec.name)) {
+                Ok(req) => assert_eq!(req.verb_index(), i),
+                Err(e) => assert!(e.starts_with("missing field"), "{}: {e}", spec.name),
+            }
+        }
         let poll = Request::Poll { id: 1 };
         assert_eq!(poll.endpoint(), "poll");
-        assert_eq!(ENDPOINTS[poll.endpoint_index()], "poll");
+        assert_eq!(ENDPOINTS[poll.verb_index()], "poll");
         assert!(!poll.cacheable());
         let scenario = Request::Scenario {
             kind: ScenarioKind::Bursty,

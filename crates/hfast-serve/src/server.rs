@@ -51,7 +51,7 @@ use crate::handlers::execute;
 use crate::jobs::{Fetched, JobQueue};
 use crate::protocol::{
     decode_request_traced, encode_request, encode_response, request_key, Request, Response,
-    VerbLatency, VerbWindow, WireVersion, ENDPOINTS,
+    VerbLatency, VerbWindow, ENDPOINTS,
 };
 use crate::registry::Registry;
 
@@ -219,7 +219,7 @@ fn verb_latency_rows(shared: &Shared) -> Vec<VerbLatency> {
 }
 
 fn route_request(shared: &Shared, req: Request) -> Routed {
-    shared.obs.record_request(req.endpoint_index());
+    shared.obs.record_request(req.verb_index());
     match req {
         Request::Health => Routed::Immediate(
             encode_response(&Response::Health {
@@ -446,7 +446,7 @@ fn serve_frame(shared: &Shared, stream: &mut TcpStream, conn_id: usize, payload:
     let (encoded, outcome, cache_hit, t_parsed) = match decode_request_traced(payload) {
         Ok((req, version, trace_ctx)) => {
             ctx = trace_ctx;
-            verb_idx = Some(req.endpoint_index());
+            verb_idx = Some(req.verb_index());
             let t_parsed = shared.now_ns();
             let (body, hit) = match route_request(shared, req) {
                 Routed::Immediate(encoded, hit) => (encoded, hit),
@@ -473,11 +473,7 @@ fn serve_frame(shared: &Shared, stream: &mut TcpStream, conn_id: usize, payload:
             // queue always carry the canonical v1 body, so v1 and v2
             // clients share every cached entry. Responses never carry
             // trace context — it flows request-ward only.
-            let body = match version {
-                WireVersion::V1 => body,
-                WireVersion::V2 => crate::protocol::envelope_v2(&body),
-            };
-            (body, outcome, hit, t_parsed)
+            (version.wrap(body), outcome, hit, t_parsed)
         }
         Err(message) => {
             shared.obs.errors.inc();

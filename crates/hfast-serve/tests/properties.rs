@@ -382,17 +382,26 @@ fn malformed_frames_are_structured_errors_and_leave_the_server_serving() {
 
     // Valid frame, garbage payload: structured error, connection usable.
     let mut stream = TcpStream::connect(addr).expect("connect");
+    // The nesting bombs are a few KB that used to recurse the parser off
+    // the end of this connection thread's stack, aborting the daemon.
+    let array_bomb = "[".repeat(100_000);
+    let object_bomb = "{\"a\":".repeat(100_000);
     for bad in [
         "",
         "not json at all",
         "{\"type\":\"no_such_endpoint\"}",
         "[1,2,3]",
+        &array_bomb,
+        &object_bomb,
     ] {
         write_frame(&mut stream, bad).expect("write survives");
         let reply = read_frame(&mut stream).expect("call survives");
         match decode_response(&reply) {
             Ok(Response::Error { message }) => assert!(!message.is_empty()),
-            other => panic!("payload {bad:?} should yield Error, got {other:?}"),
+            other => panic!(
+                "payload {:?}… should yield Error, got {other:?}",
+                &bad[..bad.len().min(32)]
+            ),
         }
     }
     // The same connection still serves real requests afterwards.

@@ -4,8 +4,17 @@
 //! crate registry unreachable — has never had a *parser* to check that
 //! what we emit actually parses. The Perfetto exporter's round-trip
 //! property test closes that loop: export, [`parse`], and walk the tree.
-//! Recursive descent, full escape handling, no allocation tricks; this is
-//! a test-and-tooling parser, not a hot path.
+//! Recursive descent, full escape handling, no allocation tricks.
+//!
+//! The same parser reads every `hfast-serve` frame and journal line, so
+//! it is bounded against hostile input: containers nested deeper than
+//! [`MAX_DEPTH`] are an error, not a stack overflow.
+
+/// Deepest container nesting [`parse`] accepts. Recursion depth follows
+/// input depth, and a frame of `[` bytes costs its sender nothing, so the
+/// bound is fixed here and not left to the thread's stack size; 64 is
+/// ten times what any document this workspace emits nests.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value. Object keys keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,7 +69,8 @@ impl JsonValue {
     /// The number as `u64`, if this is a non-negative integral number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, which is out of range.
+            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -73,7 +83,7 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
     let bytes = input.as_bytes();
     let mut p = Parser { bytes, pos: 0 };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != bytes.len() {
         return Err(format!("trailing data at byte {}", p.pos));
@@ -115,10 +125,15 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
+    /// Parses one value with `depth` containers open around it.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -141,7 +156,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue, String> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -155,7 +170,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(depth)?;
             pairs.push((key, val));
             self.skip_ws();
             match self.bump() {
@@ -172,7 +187,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
+    fn array(&mut self, depth: usize) -> Result<JsonValue, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -182,7 +197,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -356,8 +371,32 @@ mod tests {
         assert!(parse("nul").is_err());
     }
 
+    /// Depth is bounded by a constant, not by the stack: a million open
+    /// brackets (arrays, objects, or both) is an error like any other.
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        for text in [
+            nest("[", "]", MAX_DEPTH + 1),
+            nest("{\"a\":", "}", MAX_DEPTH + 1),
+            nest("[{\"a\":", "}]", 500_000),
+            "[".repeat(1_000_000),
+            "{\"a\":".repeat(1_000_000),
+        ] {
+            let err = parse(&text).expect_err("too deep");
+            assert!(err.starts_with("nesting deeper than 64"), "{err}");
+        }
+        // Siblings do not accumulate depth.
+        assert!(parse(&format!("[{}[]]", "[],".repeat(1000))).is_ok());
+    }
+
     #[test]
     fn u64_extraction() {
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
         assert_eq!(parse("7").unwrap().as_u64(), Some(7));
         assert_eq!(parse("7.5").unwrap().as_u64(), None);
         assert_eq!(parse("-7").unwrap().as_u64(), None);
