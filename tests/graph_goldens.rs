@@ -3,9 +3,15 @@
 //! `Provisioning::digest` depends on the order `neighbors` yields peers in.
 //! These constants were recorded on the dense `n × n` store; the sorted-row
 //! store must reproduce every one of them.
+//!
+//! The per-cell profile digests pin what the IPM profiler records (call
+//! entries, overflow, both volume matrices) so that a change to the
+//! profiler's table or to the runtime's message matching shows here before
+//! it reaches a graph.
 
 use hfast::apps::{all_apps, profile_app, STUDY_SIZES};
 use hfast::core::{ProvisionConfig, Strategy};
+use hfast::ipm::CommProfile;
 use hfast::netsim::{Scenario, ScenarioKind};
 use hfast::topology::generators::{
     complete_graph, hypercube_graph, mesh3d_graph, ring_graph, torus3d_graph,
@@ -58,12 +64,78 @@ const APP_HASHES: &[(&str, u64)] = &[
     ("PARATEC P=256 wire", 0x5226dd4f34732010),
 ];
 
+/// `(app P=procs steady|merged, profile_digest)` for each app and study
+/// size: what the profiler itself recorded, before any graph is built.
+/// Only SuperLU has traffic outside its `"steady"` region.
+const APP_PROFILE_DIGESTS: &[(&str, u64)] = &[
+    ("Cactus P=64 steady", 0x1d13aae2354044fc),
+    ("Cactus P=64 merged", 0x1d13aae2354044fc),
+    ("Cactus P=256 steady", 0x38b45d14ab683077),
+    ("Cactus P=256 merged", 0x38b45d14ab683077),
+    ("LBMHD P=64 steady", 0x39550d96a1639b3e),
+    ("LBMHD P=64 merged", 0x39550d96a1639b3e),
+    ("LBMHD P=256 steady", 0x13146bbb44ed9362),
+    ("LBMHD P=256 merged", 0x13146bbb44ed9362),
+    ("GTC P=64 steady", 0x30dfe2161dbc63e3),
+    ("GTC P=64 merged", 0x30dfe2161dbc63e3),
+    ("GTC P=256 steady", 0xe8241ec39bf02a24),
+    ("GTC P=256 merged", 0xe8241ec39bf02a24),
+    ("SuperLU P=64 steady", 0xbf0f40c020a0c206),
+    ("SuperLU P=64 merged", 0x9d909b635fae4832),
+    ("SuperLU P=256 steady", 0xd1ff2d543f6c3903),
+    ("SuperLU P=256 merged", 0xb5d192a0764cd745),
+    ("PMEMD P=64 steady", 0xd6af4c9eb8a2744d),
+    ("PMEMD P=64 merged", 0xd6af4c9eb8a2744d),
+    ("PMEMD P=256 steady", 0x324fefb7ea9cbfac),
+    ("PMEMD P=256 merged", 0x324fefb7ea9cbfac),
+    ("PARATEC P=64 steady", 0xf67bd8bfb833fd02),
+    ("PARATEC P=64 merged", 0xf67bd8bfb833fd02),
+    ("PARATEC P=256 steady", 0xd34cdb8617d19edc),
+    ("PARATEC P=256 merged", 0xd34cdb8617d19edc),
+];
+
+/// FNV-1a over the schedule-independent content of a profile: its size,
+/// `overflow`, every entry's (kind, bytes, count) and every active cell of
+/// both volume matrices. The `*_ns` fields are wall-clock and left out.
+fn profile_digest(p: &CommProfile) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut put = |word: u64| {
+        for byte in word.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    put(p.size as u64);
+    put(p.overflow);
+    for e in &p.entries {
+        for byte in e.kind.mpi_name().bytes() {
+            put(u64::from(byte));
+        }
+        put(e.bytes);
+        put(e.stats.count);
+    }
+    for volume in [&p.api_volume, &p.wire_volume] {
+        put(volume.len() as u64);
+        for (idx, stat) in volume.iter().enumerate() {
+            if stat.is_active() {
+                put(idx as u64);
+                put(stat.bytes);
+                put(stat.count);
+                put(stat.max_msg);
+            }
+        }
+    }
+    h
+}
+
 #[test]
 fn app_graph_content_hashes() {
     let mut got = Vec::new();
+    let mut digests = Vec::new();
     for app in &all_apps() {
         for procs in STUDY_SIZES {
-            let steady = profile_app(app.as_ref(), procs).expect("profiles").steady;
+            let outcome = profile_app(app.as_ref(), procs).expect("profiles");
+            let steady = &outcome.steady;
             let name = app.name();
             got.push((
                 format!("{name} P={procs}"),
@@ -73,9 +145,15 @@ fn app_graph_content_hashes() {
                 format!("{name} P={procs} wire"),
                 steady.wire_graph().content_hash(),
             ));
+            digests.push((format!("{name} P={procs} steady"), profile_digest(steady)));
+            digests.push((
+                format!("{name} P={procs} merged"),
+                profile_digest(&outcome.merged),
+            ));
         }
     }
     check("app content_hash", &got, APP_HASHES);
+    check("app profile digest", &digests, APP_PROFILE_DIGESTS);
 }
 
 fn regular_graphs() -> Vec<(&'static str, CommGraph)> {
