@@ -1,11 +1,13 @@
-//! Fixed-footprint open-addressing hash table for call statistics.
+//! Bounded-footprint open-addressing hash table for call statistics.
 //!
 //! IPM's design point (paper §3.1) is a *fixed memory footprint* profile: one
 //! hash table entry per unique set of call arguments `(region, call, buffer
-//! size, partner)`, updated in O(1) per call, never growing during the run.
-//! This module reimplements that structure: linear-probe open addressing over
-//! a power-of-two slot array, with an overflow counter instead of resizing so
-//! the memory bound is hard.
+//! size, partner)`, updated in O(1) per call, never growing past a bound
+//! during the run. This module reimplements that structure with an overflow
+//! counter instead of unbounded growth, so the memory bound is hard — but a
+//! rank pays only for the signatures it actually records: entries live in a
+//! dense vector, and a linear-probe index of `u32` positions into it doubles
+//! as entries arrive, up to twice the capacity.
 
 /// Key identifying one unique call signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,18 +81,18 @@ impl CallStats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Slot {
-    key: CallKey,
-    stats: CallStats,
-}
+/// Slots in a fresh table's index; it doubles from here as entries arrive.
+const INITIAL_INDEX: usize = 16;
 
-/// Fixed-capacity open-addressing table from [`CallKey`] to [`CallStats`].
+/// Bounded open-addressing table from [`CallKey`] to [`CallStats`].
 #[derive(Debug, Clone)]
 pub struct CallTable {
-    slots: Vec<Option<Slot>>,
-    mask: usize,
-    len: usize,
+    /// Linear-probe index over `entries`: 0 is an empty slot, `i` is
+    /// `entries[i - 1]`. A power of two, kept at most half full.
+    index: Vec<u32>,
+    /// Stored signatures in insertion order; never longer than `capacity`.
+    entries: Vec<(CallKey, CallStats)>,
+    capacity: usize,
     /// Calls dropped because the table was full (IPM reports rather than
     /// grows; a non-zero value flags an undersized profile).
     overflow: u64,
@@ -100,13 +102,22 @@ impl CallTable {
     /// IPM's default table size.
     pub const DEFAULT_CAPACITY: usize = 8192;
 
-    /// Creates a table with capacity rounded up to a power of two.
+    /// Creates a table bounded at `capacity` signatures, rounded up to a
+    /// power of two. Nothing is reserved for the bound up front.
+    ///
+    /// # Panics
+    ///
+    /// If the rounded capacity does not fit the `u32` index.
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(8).next_power_of_two();
+        let capacity = capacity.max(8).next_power_of_two();
+        assert!(
+            capacity < u32::MAX as usize,
+            "call table capacity {capacity} exceeds the u32 index"
+        );
         CallTable {
-            slots: vec![None; cap],
-            mask: cap - 1,
-            len: 0,
+            index: vec![0; INITIAL_INDEX.min(2 * capacity)],
+            entries: Vec::new(),
+            capacity,
             overflow: 0,
         }
     }
@@ -114,19 +125,19 @@ impl CallTable {
     /// Number of distinct call signatures stored.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True if no signatures are stored.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
-    /// Slot capacity (fixed for the lifetime of the table).
+    /// Maximum number of signatures (fixed for the lifetime of the table).
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Number of observations dropped due to a full table.
@@ -139,46 +150,60 @@ impl CallTable {
     ///
     /// O(1) amortized; if the table is full and the key is new, the
     /// observation is counted in [`overflow`](Self::overflow) and dropped —
-    /// the footprint never grows.
+    /// the footprint never passes the bound.
     pub fn record(&mut self, key: CallKey, elapsed_ns: u64) {
-        let mut idx = (key.hash() as usize) & self.mask;
-        for _ in 0..self.slots.len() {
-            match &mut self.slots[idx] {
-                Some(slot) if slot.key == key => {
-                    slot.stats.record(elapsed_ns);
-                    return;
-                }
-                Some(_) => idx = (idx + 1) & self.mask,
-                empty @ None => {
-                    let mut stats = CallStats::default();
-                    stats.record(elapsed_ns);
-                    *empty = Some(Slot { key, stats });
-                    self.len += 1;
-                    return;
-                }
-            }
+        let mut slot = self.probe(&key);
+        if let Some(pos) = self.index[slot].checked_sub(1) {
+            self.entries[pos as usize].1.record(elapsed_ns);
+            return;
         }
-        self.overflow += 1;
+        if self.entries.len() == self.capacity {
+            self.overflow += 1;
+            return;
+        }
+        if 2 * (self.entries.len() + 1) > self.index.len() {
+            self.grow();
+            slot = self.probe(&key);
+        }
+        let mut stats = CallStats::default();
+        stats.record(elapsed_ns);
+        self.entries.push((key, stats));
+        // `new` bounds `capacity`, and so every position, below `u32::MAX`.
+        self.index[slot] = self.entries.len() as u32;
     }
 
     /// Looks up the statistics for a key.
     pub fn get(&self, key: &CallKey) -> Option<&CallStats> {
-        let mut idx = (key.hash() as usize) & self.mask;
-        for _ in 0..self.slots.len() {
-            match &self.slots[idx] {
-                Some(slot) if slot.key == *key => return Some(&slot.stats),
-                Some(_) => idx = (idx + 1) & self.mask,
-                None => return None,
-            }
-        }
-        None
+        let pos = self.index[self.probe(key)].checked_sub(1)?;
+        Some(&self.entries[pos as usize].1)
     }
 
     /// Iterates over all stored (key, stats) pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&CallKey, &CallStats)> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.as_ref().map(|slot| (&slot.key, &slot.stats)))
+        self.entries.iter().map(|(key, stats)| (key, stats))
+    }
+
+    /// The index slot holding `key`, or the empty slot where it would go.
+    /// Terminates because the index is never more than half full.
+    fn probe(&self, key: &CallKey) -> usize {
+        let mask = self.index.len() - 1;
+        let mut slot = (key.hash() as usize) & mask;
+        loop {
+            match self.index[slot] {
+                0 => return slot,
+                pos if self.entries[pos as usize - 1].0 == *key => return slot,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Doubles the index and re-inserts every entry.
+    fn grow(&mut self) {
+        self.index = vec![0; 2 * self.index.len()];
+        for pos in 0..self.entries.len() {
+            let slot = self.probe(&self.entries[pos].0);
+            self.index[slot] = pos as u32 + 1;
+        }
     }
 }
 
@@ -237,6 +262,27 @@ mod tests {
         let mut peers: Vec<u32> = t.iter().map(|(k, _)| k.peer).collect();
         peers.sort_unstable();
         assert_eq!(peers, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn growth_keeps_every_entry_and_stops_at_the_bound() {
+        let mut t = CallTable::new(CallTable::DEFAULT_CAPACITY);
+        let n = CallTable::DEFAULT_CAPACITY as u32;
+        for round in 0..2u64 {
+            for i in 0..n {
+                t.record(key((i % 23) as u8, i, u64::from(i) * 8), round);
+            }
+        }
+        assert_eq!(t.len(), CallTable::DEFAULT_CAPACITY);
+        assert_eq!(t.overflow(), 0);
+        assert_eq!(t.iter().count(), t.len());
+        for i in 0..n {
+            let s = t.get(&key((i % 23) as u8, i, u64::from(i) * 8)).unwrap();
+            assert_eq!((s.count, s.min_ns, s.max_ns), (2, 0, 1), "key {i}");
+        }
+        t.record(key(0, n, 0), 1);
+        assert_eq!((t.len(), t.overflow()), (CallTable::DEFAULT_CAPACITY, 1));
+        assert!(t.get(&key(0, n, 0)).is_none());
     }
 
     #[test]

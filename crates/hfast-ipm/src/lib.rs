@@ -3,7 +3,7 @@
 //! A reimplementation of the profiling methodology of the paper's §3.1: the
 //! Integrated Performance Monitoring (IPM) layer, which interposes on the
 //! MPI API boundary (the PMPI name-shifted interface) and accumulates call
-//! statistics in a fixed-footprint hash table keyed on each call's unique
+//! statistics in a bounded-footprint hash table keyed on each call's unique
 //! argument signature — call type, buffer size, partner — plus named code
 //! regions so steady-state behaviour can be separated from initialization.
 //!

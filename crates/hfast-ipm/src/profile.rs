@@ -114,10 +114,12 @@ impl RankState {
 /// [`CommHook`] and extract a [`CommProfile`] after the
 /// run.
 ///
-/// Fixed memory footprint per rank (one [`CallTable`] plus dense volume
-/// rows); per-event cost is one uncontended mutex acquisition and an O(1)
-/// hash-table update, mirroring IPM's "low overhead … fixed memory
-/// footprint" design (paper §3.1).
+/// Bounded memory footprint per rank, mirroring IPM's "low overhead … fixed
+/// memory footprint" design (paper §3.1): one [`CallTable`], which never
+/// holds more than its capacity in signatures but allocates only for those
+/// a rank records, plus dense `size`-long volume rows per region. Per-event
+/// cost is one uncontended mutex acquisition and an O(1) hash-table update;
+/// extracting a profile walks the stored signatures, not the bound.
 pub struct IpmProfiler {
     size: usize,
     ranks: Vec<Mutex<RankState>>,

@@ -21,6 +21,11 @@ use hfast_topology::EdgeStat;
 use crate::hashtable::CallStats;
 use crate::profile::{CommProfile, ProfileEntry, KINDS};
 
+/// Largest world size a profile may declare. The volume matrices are dense,
+/// `size²` cells each, so [`from_text`] must bound `size` before allocating
+/// them; this is also the largest world `hfast-analyze capture` profiles.
+pub const MAX_PROFILE_SIZE: usize = 4096;
+
 /// Errors from parsing a serialized profile.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
@@ -129,8 +134,12 @@ pub fn from_text(text: &str) -> Result<CommProfile, TraceError> {
                     return Err(bad()); // a second header would drop volumes
                 }
                 let n: usize = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-                api = Some(vec![EdgeStat::default(); n * n]);
-                wire = Some(vec![EdgeStat::default(); n * n]);
+                let cells = Some(n)
+                    .filter(|&n| n <= MAX_PROFILE_SIZE)
+                    .and_then(|n| n.checked_mul(n))
+                    .ok_or_else(bad)?;
+                api = Some(vec![EdgeStat::default(); cells]);
+                wire = Some(vec![EdgeStat::default(); cells]);
                 size = Some(n);
             }
             Some("overflow") => {
@@ -272,6 +281,24 @@ mod tests {
     fn duplicate_size_header_rejected() {
         let text = "hfast-ipm-profile v1\nsize 2\napivol 0 1 8 1 8\nsize 2\nend\n";
         assert!(matches!(from_text(text), Err(TraceError::BadLine { .. })));
+    }
+
+    #[test]
+    fn oversized_world_rejected_before_allocating() {
+        // 100 000² cells would abort the process allocating 240 GB; 2³²
+        // squared wraps to 0 cells on a 64-bit `usize`.
+        for size in ["100000", "4294967296"] {
+            let text = format!("hfast-ipm-profile v1\nsize {size}\nend\n");
+            assert_eq!(
+                from_text(&text),
+                Err(TraceError::BadLine {
+                    line_no: 2,
+                    content: format!("size {size}"),
+                })
+            );
+        }
+        let largest = format!("hfast-ipm-profile v1\nsize {MAX_PROFILE_SIZE}\nend\n");
+        assert_eq!(from_text(&largest).unwrap().size, MAX_PROFILE_SIZE);
     }
 
     #[test]

@@ -29,7 +29,6 @@ impl Comm {
         let root = group.rank_at(0)?;
         let reduced = self.reduce_impl(group, root, payload, op)?;
         let result = self.bcast_impl(group, root, reduced)?;
-        self.collective_count += 1;
         self.emit(CallKind::Allreduce, Scope::Api, None, bytes, None, t0);
         Ok(result)
     }

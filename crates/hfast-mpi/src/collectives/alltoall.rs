@@ -53,7 +53,6 @@ impl Comm {
             blocks[from_idx] = Some(env.payload);
         }
 
-        self.collective_count += 1;
         self.emit(CallKind::Alltoall, Scope::Api, None, block_bytes, None, t0);
         Ok(blocks
             .into_iter()

@@ -33,7 +33,6 @@ impl Comm {
             self.recv_transport(SrcSel::Rank(from), TagSel::Tag(tag))?;
             k += 1;
         }
-        self.collective_count += 1;
         self.emit(CallKind::Barrier, Scope::Api, None, 0, None, t0);
         Ok(())
     }

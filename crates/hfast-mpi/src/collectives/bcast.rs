@@ -30,7 +30,6 @@ impl Comm {
         let t0 = self.now_ns();
         let data = self.bcast_impl(group, root, payload)?;
         let bytes = data.len();
-        self.collective_count += 1;
         self.emit(CallKind::Bcast, Scope::Api, Some(root), bytes, None, t0);
         Ok(data)
     }

@@ -58,7 +58,6 @@ impl Comm {
             None
         };
 
-        self.collective_count += 1;
         self.emit(CallKind::Gather, Scope::Api, Some(root), bytes, None, t0);
         Ok(out)
     }

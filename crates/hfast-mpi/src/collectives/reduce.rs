@@ -36,7 +36,6 @@ impl Comm {
         let t0 = self.now_ns();
         let bytes = payload.len();
         let out = self.reduce_impl(group, root, payload, op)?;
-        self.collective_count += 1;
         self.emit(CallKind::Reduce, Scope::Api, Some(root), bytes, None, t0);
         Ok(out)
     }

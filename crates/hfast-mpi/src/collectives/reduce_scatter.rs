@@ -49,7 +49,6 @@ impl Comm {
             }
         }
 
-        self.collective_count += 1;
         self.emit(CallKind::ReduceScatter, Scope::Api, None, bytes, None, t0);
         Ok(mine.expect("own block reduced"))
     }

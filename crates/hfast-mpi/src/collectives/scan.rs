@@ -45,7 +45,6 @@ impl Comm {
             k += 1;
         }
 
-        self.collective_count += 1;
         self.emit(CallKind::Scan, Scope::Api, None, bytes, None, t0);
         Ok(acc)
     }

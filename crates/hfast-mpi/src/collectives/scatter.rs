@@ -56,7 +56,6 @@ impl Comm {
         };
 
         let bytes = mine.len();
-        self.collective_count += 1;
         self.emit(CallKind::Scatter, Scope::Api, Some(root), bytes, None, t0);
         Ok(mine)
     }

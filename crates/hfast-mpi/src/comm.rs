@@ -1,6 +1,5 @@
 //! The per-rank communicator: point-to-point operations and completion calls.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -8,7 +7,7 @@ use crate::chan::{Receiver, RecvTimeoutError, Sender};
 use crate::error::{MpiError, Result};
 use crate::hook::{CallKind, CommEvent, CommHook, Scope};
 use crate::message::{Envelope, Payload};
-use crate::request::{RecvHandle, Request, RequestTable};
+use crate::request::{Matcher, RecvHandle, Request};
 use crate::trace::CommTrace;
 use crate::{Rank, Tag};
 
@@ -72,18 +71,13 @@ pub struct Comm {
     size: usize,
     txs: Arc<Vec<Sender<Envelope>>>,
     rx: Receiver<Envelope>,
-    /// Messages received but not yet matched by any receive.
-    unexpected: VecDeque<Envelope>,
-    /// Posted nonblocking receives.
-    pub(crate) table: RequestTable,
+    /// Posted receives and unexpected messages.
+    matcher: Matcher,
     hook: Arc<dyn CommHook>,
     epoch: Instant,
     timeout: Duration,
     /// Causal tracing state, present only when a recorder is attached.
     trace: Option<CommTrace>,
-    /// Per-rank counter of collective invocations, used for debugging and
-    /// round-tag construction sanity checks.
-    pub(crate) collective_count: u64,
 }
 
 impl Comm {
@@ -103,13 +97,11 @@ impl Comm {
             size,
             txs,
             rx,
-            unexpected: VecDeque::new(),
-            table: RequestTable::default(),
+            matcher: Matcher::default(),
             hook,
             epoch,
             timeout,
             trace,
-            collective_count: 0,
         }
     }
 
@@ -230,58 +222,38 @@ impl Comm {
         }
     }
 
-    /// Pumps one envelope off the wire, delivering to posted receives first.
-    ///
-    /// Returns the envelope if it matched neither a posted receive nor was
-    /// queued (i.e. the caller's selectors accepted it).
-    fn pump_one(
-        &mut self,
-        accept: impl Fn(&Envelope) -> bool,
-        waiting_for: &dyn Fn() -> String,
-    ) -> Result<Option<Envelope>> {
-        let env = match self.rx.recv_timeout(self.timeout) {
-            Ok(env) => env,
-            Err(RecvTimeoutError::Timeout) => {
-                return Err(MpiError::Timeout {
-                    rank: self.rank,
-                    waiting_for: waiting_for(),
-                })
+    /// Blocks for one envelope off the wire and hands it to the matcher.
+    fn pump_one(&mut self, waiting_for: &dyn Fn() -> String) -> Result<()> {
+        match self.rx.recv_timeout(self.timeout) {
+            Ok(env) => {
+                self.matcher.arrive(env);
+                Ok(())
             }
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(MpiError::Disconnected {
-                    rank: self.rank,
-                    peer: self.rank,
-                })
-            }
-        };
-        // Posted receives take priority: they were posted earlier than the
-        // caller's current blocking operation.
-        if self.table.try_match(&env) {
-            return Ok(None);
+            Err(RecvTimeoutError::Timeout) => Err(MpiError::Timeout {
+                rank: self.rank,
+                waiting_for: waiting_for(),
+            }),
+            Err(RecvTimeoutError::Disconnected) => Err(MpiError::Disconnected {
+                rank: self.rank,
+                peer: self.rank,
+            }),
         }
-        if accept(&env) {
-            return Ok(Some(env));
-        }
-        self.unexpected.push_back(env);
-        Ok(None)
     }
 
-    /// Blocking matched receive at the transport layer.
+    /// Blocking matched receive at the transport layer: posted like an
+    /// `irecv`, so receives posted earlier keep their priority, and
+    /// withdrawn if the wait fails.
     pub(crate) fn recv_raw(&mut self, src: SrcSel, tag: TagSel) -> Result<Envelope> {
-        if let Some(pos) = self
-            .unexpected
-            .iter()
-            .position(|e| src.accepts(e.src) && tag.accepts(e.tag))
-        {
-            return Ok(self.unexpected.remove(pos).expect("position valid"));
-        }
+        let handle = self.matcher.post(src, tag);
         let me = self.rank;
+        let waiting = move || format!("recv(src={src:?}, tag={tag:?}) on rank {me}");
         loop {
-            let waiting = move || format!("recv(src={src:?}, tag={tag:?}) on rank {me}");
-            if let Some(env) =
-                self.pump_one(|e| src.accepts(e.src) && tag.accepts(e.tag), &waiting)?
-            {
+            if let Some(env) = self.matcher.take(handle) {
                 return Ok(env);
+            }
+            if let Err(e) = self.pump_one(&waiting) {
+                self.matcher.cancel(handle);
+                return Err(e);
             }
         }
     }
@@ -405,17 +377,7 @@ impl Comm {
             self.check_rank(r)?;
         }
         let t0 = self.now_ns();
-        let handle = self.table.post(src, tag);
-        // An already-queued unexpected message may satisfy this receive.
-        if let Some(pos) = self
-            .unexpected
-            .iter()
-            .position(|e| src.accepts(e.src) && tag.accepts(e.tag))
-        {
-            let env = self.unexpected.remove(pos).expect("position valid");
-            let consumed = self.table.try_match(&env);
-            debug_assert!(consumed, "freshly posted receive must accept");
-        }
+        let handle = self.matcher.post(src, tag);
         let peer = match src {
             SrcSel::Rank(r) => Some(r),
             SrcSel::Any => None,
@@ -475,17 +437,16 @@ impl Comm {
 
     fn resolve_recv(&mut self, handle: RecvHandle) -> Result<Envelope> {
         loop {
-            if let Some(env) = self.table.complete(handle) {
+            if let Some(env) = self.matcher.take(handle) {
                 return Ok(env);
             }
-            if !self.table.is_complete(handle) && self.table.describe(handle).is_none() {
+            let Some(desc) = self.matcher.describe(handle) else {
                 return Err(MpiError::StaleRequest);
-            }
+            };
             let me = self.rank;
-            let desc = self.table.describe(handle);
             let waiting = move || format!("wait(irecv {desc:?}) on rank {me}");
             // Nothing matched yet: pump the wire.
-            self.pump_one(|_| false, &waiting)?;
+            self.pump_one(&waiting)?;
         }
     }
 
@@ -549,27 +510,26 @@ impl Comm {
         loop {
             // Send requests are complete by construction; also check matched
             // receives.
-            let mut ready: Option<usize> = None;
+            let mut ready: Option<(usize, Option<Envelope>)> = None;
             for (i, req) in requests.iter().enumerate() {
                 match req {
                     Request::Send(_) => {
-                        ready = Some(i);
+                        ready = Some((i, None));
                         break;
                     }
                     Request::Recv(h) => {
-                        if self.table.is_complete(*h) {
-                            ready = Some(i);
+                        if let Some(env) = self.matcher.take(*h) {
+                            ready = Some((i, Some(env)));
                             break;
                         }
                     }
                 }
             }
-            if let Some(i) = ready {
-                let req = requests.remove(i);
-                let out = match req {
-                    Request::Send(status) => (i, status, None),
-                    Request::Recv(handle) => {
-                        let env = self.table.complete(handle).expect("checked complete");
+            if let Some((i, env)) = ready {
+                let out = match (requests.remove(i), env) {
+                    (Request::Send(status), _) => (i, status, None),
+                    (Request::Recv(_), env) => {
+                        let env = env.expect("taken above");
                         self.trace_recv("wait", t0, &env);
                         (
                             i,
@@ -588,7 +548,7 @@ impl Comm {
             let me = self.rank;
             let n = requests.len();
             let waiting = move || format!("waitany over {n} requests on rank {me}");
-            self.pump_one(|_| false, &waiting)?;
+            self.pump_one(&waiting)?;
         }
     }
 
@@ -600,17 +560,11 @@ impl Comm {
         request: Request,
     ) -> Result<std::result::Result<(Status, Option<Payload>), Request>> {
         let t0 = self.now_ns();
-        // Drain anything already on the wire without blocking.
-        while let Ok(env) = self.rx.try_recv() {
-            if !self.table.try_match(&env) {
-                self.unexpected.push_back(env);
-            }
-        }
+        self.drain_nonblocking();
         let out = match request {
             Request::Send(status) => Ok((status, None)),
-            Request::Recv(handle) => {
-                if self.table.is_complete(handle) {
-                    let env = self.table.complete(handle).expect("checked complete");
+            Request::Recv(handle) => match self.matcher.take(handle) {
+                Some(env) => {
                     self.trace_recv("wait", t0, &env);
                     Ok((
                         Status {
@@ -620,30 +574,19 @@ impl Comm {
                         },
                         Some(env.payload),
                     ))
-                } else {
-                    Err(Request::Recv(handle))
                 }
-            }
+                None => Err(Request::Recv(handle)),
+            },
         };
         self.emit(CallKind::Test, Scope::Api, None, 0, None, t0);
         Ok(out)
     }
 
     /// First queued unexpected message matching the selectors, as a status
-    /// (probe support; does not consume the message). Collective-tagged
-    /// envelopes are internal runtime traffic (user sends reject the
-    /// reserved namespace), so an `ANY_TAG` probe must not see them —
-    /// e.g. a peer's barrier token arriving early.
+    /// (probe support; does not consume the message). An `ANY_TAG` probe
+    /// never sees the runtime's collective-tagged traffic.
     pub(crate) fn peek_unexpected(&self, src: SrcSel, tag: TagSel) -> Option<Status> {
-        self.unexpected
-            .iter()
-            .filter(|e| !(tag == TagSel::Any && e.tag.is_collective()))
-            .find(|e| src.accepts(e.src) && tag.accepts(e.tag))
-            .map(|e| Status {
-                source: e.src,
-                tag: e.tag,
-                bytes: e.payload.len(),
-            })
+        self.matcher.peek(src, tag)
     }
 
     /// Pumps one envelope off the wire without accepting it for the caller
@@ -651,27 +594,24 @@ impl Comm {
     pub(crate) fn pump_for_probe(&mut self, src: SrcSel, tag: TagSel) -> Result<()> {
         let me = self.rank;
         let waiting = move || format!("probe(src={src:?}, tag={tag:?}) on rank {me}");
-        self.pump_one(|_| false, &waiting)?;
-        Ok(())
+        self.pump_one(&waiting)
     }
 
     /// Drains everything already on the wire without blocking.
     pub(crate) fn drain_nonblocking(&mut self) {
         while let Ok(env) = self.rx.try_recv() {
-            if !self.table.try_match(&env) {
-                self.unexpected.push_back(env);
-            }
+            self.matcher.arrive(env);
         }
     }
 
     /// Number of posted-but-uncompleted receives (diagnostics).
     pub fn outstanding_recvs(&self) -> usize {
-        self.table.outstanding()
+        self.matcher.outstanding()
     }
 
     /// Number of unexpected (arrived, unmatched) messages (diagnostics).
     pub fn unexpected_depth(&self) -> usize {
-        self.unexpected.len()
+        self.matcher.unexpected_depth()
     }
 }
 
@@ -680,7 +620,7 @@ impl std::fmt::Debug for Comm {
         f.debug_struct("Comm")
             .field("rank", &self.rank)
             .field("size", &self.size)
-            .field("unexpected", &self.unexpected.len())
+            .field("unexpected", &self.matcher.unexpected_depth())
             .finish()
     }
 }

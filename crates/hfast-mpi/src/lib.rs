@@ -51,6 +51,8 @@ pub mod comm;
 pub mod error;
 pub mod group;
 pub mod hook;
+#[cfg(test)]
+mod matching_oracle;
 pub mod message;
 pub mod obs;
 pub mod probe;

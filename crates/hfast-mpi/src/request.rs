@@ -1,7 +1,10 @@
-//! Nonblocking request handles and the per-communicator request table.
+//! Nonblocking request handles and the per-communicator message matcher.
+
+use std::collections::BTreeMap;
 
 use crate::comm::{SrcSel, Status, TagSel};
 use crate::message::Envelope;
+use crate::Rank;
 
 /// Handle to an outstanding nonblocking operation.
 ///
@@ -13,119 +16,181 @@ pub enum Request {
     /// bound, so standard-mode sends complete locally at post time — the
     /// request only carries the status for `wait` to report.
     Send(Status),
-    /// A pending receive, indexed into the communicator's request table.
+    /// A pending receive, indexed into the communicator's matcher.
     Recv(RecvHandle),
 }
 
-/// Opaque index of a posted receive in the request table.
+/// Opaque handle of a posted receive: its source key and posting number.
+/// Posting numbers are never reused, so a completed handle stays stale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvHandle(pub(crate) usize);
-
-/// A posted, not-yet-matched receive.
-#[derive(Debug)]
-pub(crate) struct PendingRecv {
-    pub src: SrcSel,
-    pub tag: TagSel,
-    /// Filled when a matching envelope is delivered.
-    pub matched: Option<Envelope>,
-    /// Posting order, used for MPI-conforming match priority.
-    pub seq: u64,
+pub struct RecvHandle {
+    src: Rank,
+    seq: u64,
 }
 
-/// Table of posted receives for one communicator.
+/// Source key under which `ANY_SOURCE` receives wait; no rank reaches it.
+const ANY_SOURCE: Rank = Rank::MAX;
+
+/// One rank's message matching: posted receives on one side, unexpected
+/// envelopes on the other, both indexed by source.
 ///
-/// Slots are reused after completion; posting order is tracked with a
-/// monotonically increasing sequence number so that matching respects MPI's
-/// non-overtaking rule between identical (source, tag) pairs.
+/// Four ordering rules hold, each MPI's:
+///
+/// 1. An arriving envelope goes to the earliest-posted receive that accepts
+///    it. A blocking receive is posted like any other when it starts, so
+///    receives posted before it win.
+/// 2. No overtaking per source: envelopes from one source are matched in
+///    arrival order, receives naming one source in posting order.
+/// 3. An `ANY_SOURCE` receive or probe takes the earliest-arrived
+///    acceptable envelope.
+/// 4. An `ANY_TAG` probe skips collective-tagged envelopes: they are the
+///    runtime's internal traffic (user sends reject the reserved namespace),
+///    e.g. a peer's barrier token arriving early.
+///
+/// No unexpected envelope is ever acceptable to a waiting receive, since
+/// each is offered to the waiting receives when it arrives and to each new
+/// receive when it is posted. Heap is proportional to the receives and
+/// envelopes in flight: the three maps hold only live entries.
 #[derive(Debug, Default)]
-pub(crate) struct RequestTable {
-    slots: Vec<Option<PendingRecv>>,
-    free: Vec<usize>,
+pub(crate) struct Matcher {
     next_seq: u64,
+    /// Unmatched receives keyed `(source, seq)`, `ANY_SOURCE` ones under
+    /// [`ANY_SOURCE`]: each source's receives form one range in posting
+    /// order.
+    waiting: BTreeMap<(Rank, u64), TagSel>,
+    /// Matched receives not yet taken, by seq.
+    matched: BTreeMap<u64, Envelope>,
+    /// Envelopes no receive has accepted yet, keyed `(source, arrival)`:
+    /// each source's envelopes form one range in arrival order.
+    unexpected: BTreeMap<(Rank, u64), Envelope>,
+    next_arrival: u64,
 }
 
-impl RequestTable {
-    /// Posts a new pending receive, returning its handle.
+impl Matcher {
+    /// Posts a receive, matching it at once to the earliest-arrived
+    /// acceptable unexpected envelope if there is one.
     pub fn post(&mut self, src: SrcSel, tag: TagSel) -> RecvHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let pending = PendingRecv {
-            src,
-            tag,
-            matched: None,
+        let handle = RecvHandle {
+            src: match src {
+                SrcSel::Rank(r) => r,
+                SrcSel::Any => ANY_SOURCE,
+            },
             seq,
         };
-        if let Some(idx) = self.free.pop() {
-            debug_assert!(self.slots[idx].is_none());
-            self.slots[idx] = Some(pending);
-            RecvHandle(idx)
-        } else {
-            self.slots.push(Some(pending));
-            RecvHandle(self.slots.len() - 1)
-        }
-    }
-
-    /// Attempts to match an incoming envelope against posted receives.
-    ///
-    /// Chooses the *earliest-posted* unmatched receive whose selectors accept
-    /// the envelope. Returns `true` if the envelope was consumed.
-    pub fn try_match(&mut self, env: &Envelope) -> bool {
-        let mut best: Option<(u64, usize)> = None;
-        for (idx, slot) in self.slots.iter().enumerate() {
-            if let Some(p) = slot {
-                if p.matched.is_none()
-                    && p.src.accepts(env.src)
-                    && p.tag.accepts(env.tag)
-                    && best.is_none_or(|(seq, _)| p.seq < seq)
-                {
-                    best = Some((p.seq, idx));
-                }
+        match self
+            .find_unexpected(src, |e| tag.accepts(e.tag))
+            .and_then(|key| self.unexpected.remove(&key))
+        {
+            Some(env) => {
+                self.matched.insert(seq, env);
+            }
+            None => {
+                self.waiting.insert((handle.src, seq), tag);
             }
         }
-        if let Some((_, idx)) = best {
-            self.slots[idx]
-                .as_mut()
-                .expect("matched slot occupied")
-                .matched = Some(env.clone());
-            true
-        } else {
-            false
+        handle
+    }
+
+    /// Delivers an envelope off the wire to the earliest-posted receive that
+    /// accepts it, or queues it as unexpected.
+    pub fn arrive(&mut self, env: Envelope) {
+        let first = |src: Rank| {
+            self.waiting
+                .range((src, 0)..=(src, u64::MAX))
+                .find(|(_, tag)| tag.accepts(env.tag))
+                .map(|(&key, _)| key)
+        };
+        let winner = match (first(env.src), first(ANY_SOURCE)) {
+            (Some(named), Some(any)) => Some(if named.1 < any.1 { named } else { any }),
+            (named, any) => named.or(any),
+        };
+        match winner {
+            Some(key) => {
+                self.waiting.remove(&key);
+                self.matched.insert(key.1, env);
+            }
+            None => {
+                self.unexpected.insert((env.src, self.next_arrival), env);
+                self.next_arrival += 1;
+            }
         }
     }
 
-    /// True if the handle's receive has been matched.
-    pub fn is_complete(&self, h: RecvHandle) -> bool {
-        self.slots
-            .get(h.0)
-            .and_then(|s| s.as_ref())
-            .is_some_and(|p| p.matched.is_some())
+    /// Takes the matched envelope of a completed receive, after which the
+    /// handle is stale. `None` while the receive is pending and for a stale
+    /// handle; [`describe`](Self::describe) tells the two apart. One lookup
+    /// among the matched-but-untaken receives, so polling a long request
+    /// list (`waitany`) stays cheap.
+    pub fn take(&mut self, h: RecvHandle) -> Option<Envelope> {
+        self.matched.remove(&h.seq)
     }
 
-    /// Takes the matched envelope for a completed receive and frees the slot.
-    ///
-    /// Returns `None` if the receive is incomplete or the handle is stale.
-    pub fn complete(&mut self, h: RecvHandle) -> Option<Envelope> {
-        let slot = self.slots.get_mut(h.0)?;
-        let done = slot.as_ref().is_some_and(|p| p.matched.is_some());
-        if !done {
-            return None;
-        }
-        let pending = slot.take().expect("checked occupied");
-        self.free.push(h.0);
-        pending.matched
+    /// Withdraws a still-unmatched receive (a blocking receive whose wait
+    /// failed) so it cannot claim a later envelope.
+    pub fn cancel(&mut self, h: RecvHandle) {
+        self.waiting.remove(&(h.src, h.seq));
     }
 
-    /// Selectors of a still-pending receive (for timeout diagnostics).
+    /// Status of the earliest-arrived unexpected envelope the selectors
+    /// accept (probe support; the envelope stays queued). An `ANY_TAG`
+    /// probe never sees collective-tagged envelopes.
+    pub fn peek(&self, src: SrcSel, tag: TagSel) -> Option<Status> {
+        let key = self.find_unexpected(src, |e| match tag {
+            TagSel::Any => !e.tag.is_collective(),
+            TagSel::Tag(t) => t == e.tag,
+        })?;
+        let env = &self.unexpected[&key];
+        Some(Status {
+            source: env.src,
+            tag: env.tag,
+            bytes: env.payload.len(),
+        })
+    }
+
+    /// Selectors of a still-unmatched receive (for timeout diagnostics);
+    /// `None` once it is matched, taken or cancelled.
     pub fn describe(&self, h: RecvHandle) -> Option<(SrcSel, TagSel)> {
-        self.slots
-            .get(h.0)
-            .and_then(|s| s.as_ref())
-            .map(|p| (p.src, p.tag))
+        let tag = *self.waiting.get(&(h.src, h.seq))?;
+        let src = if h.src == ANY_SOURCE {
+            SrcSel::Any
+        } else {
+            SrcSel::Rank(h.src)
+        };
+        Some((src, tag))
     }
 
     /// Number of posted-but-uncompleted receives.
     pub fn outstanding(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.waiting.len() + self.matched.len()
+    }
+
+    /// Number of unexpected (arrived, unmatched) envelopes.
+    pub fn unexpected_depth(&self) -> usize {
+        self.unexpected.len()
+    }
+
+    /// Key of the earliest-arrived unexpected envelope from `src` that
+    /// `accepts` admits.
+    fn find_unexpected(
+        &self,
+        src: SrcSel,
+        accepts: impl Fn(&Envelope) -> bool,
+    ) -> Option<(Rank, u64)> {
+        match src {
+            SrcSel::Rank(r) => self
+                .unexpected
+                .range((r, 0)..=(r, u64::MAX))
+                .find(|(_, e)| accepts(e))
+                .map(|(&key, _)| key),
+            SrcSel::Any => self
+                .unexpected
+                .iter()
+                .filter(|(_, e)| accepts(e))
+                .min_by_key(|(&(_, arrival), _)| arrival)
+                .map(|(&key, _)| key),
+        }
     }
 }
 
@@ -140,60 +205,83 @@ mod tests {
     }
 
     #[test]
-    fn post_match_complete_cycle() {
-        let mut t = RequestTable::default();
-        let h = t.post(SrcSel::Rank(2), TagSel::Tag(Tag(7)));
-        assert!(!t.is_complete(h));
-        assert!(!t.try_match(&env(1, 7)), "wrong source must not match");
-        assert!(!t.try_match(&env(2, 8)), "wrong tag must not match");
-        assert!(t.try_match(&env(2, 7)));
-        assert!(t.is_complete(h));
-        let e = t.complete(h).unwrap();
-        assert_eq!(e.src, 2);
-        assert_eq!(t.outstanding(), 0);
+    fn post_match_take_cycle() {
+        let mut m = Matcher::default();
+        let h = m.post(SrcSel::Rank(2), TagSel::Tag(Tag(7)));
+        m.arrive(env(1, 7));
+        m.arrive(env(2, 8));
+        assert!(m.take(h).is_none(), "wrong source or tag must not match");
+        assert_eq!(m.unexpected_depth(), 2);
+        m.arrive(env(2, 7));
+        assert_eq!(m.take(h).unwrap().src, 2);
+        assert_eq!(m.outstanding(), 0);
+        assert!(m.take(h).is_none() && m.describe(h).is_none(), "stale");
     }
 
     #[test]
     fn match_priority_is_posting_order() {
-        let mut t = RequestTable::default();
-        let h1 = t.post(SrcSel::Any, TagSel::Any);
-        let h2 = t.post(SrcSel::Any, TagSel::Any);
-        assert!(t.try_match(&env(0, 1)));
-        assert!(t.is_complete(h1), "earliest-posted receive matches first");
-        assert!(!t.is_complete(h2));
-        assert!(t.try_match(&env(0, 2)));
-        assert!(t.is_complete(h2));
+        let mut m = Matcher::default();
+        let named = m.post(SrcSel::Rank(0), TagSel::Any);
+        let any = m.post(SrcSel::Any, TagSel::Any);
+        let later = m.post(SrcSel::Rank(0), TagSel::Any);
+        m.arrive(env(0, 1));
+        m.arrive(env(0, 2));
+        m.arrive(env(0, 3));
+        let mut tag = |h| m.take(h).unwrap().tag.0;
+        assert_eq!([tag(named), tag(any), tag(later)], [1, 2, 3]);
     }
 
     #[test]
-    fn slot_reuse_does_not_confuse_handles() {
-        let mut t = RequestTable::default();
-        let h1 = t.post(SrcSel::Rank(0), TagSel::Tag(Tag(1)));
-        assert!(t.try_match(&env(0, 1)));
-        assert!(t.complete(h1).is_some());
-        // Reuses slot 0 with a *later* sequence number.
-        let h2 = t.post(SrcSel::Rank(0), TagSel::Tag(Tag(2)));
-        assert_eq!(h1.0, h2.0, "slot is reused");
-        assert!(!t.is_complete(h2));
-        assert!(t.complete(h2).is_none(), "incomplete receive yields None");
+    fn any_source_takes_earliest_arrival() {
+        let mut m = Matcher::default();
+        m.arrive(env(5, 1));
+        m.arrive(env(3, 1));
+        m.arrive(env(4, 2));
+        let h = m.post(SrcSel::Any, TagSel::Tag(Tag(1)));
+        assert_eq!(m.take(h).unwrap().src, 5);
+        let h = m.post(SrcSel::Any, TagSel::Any);
+        assert_eq!(m.take(h).unwrap().src, 3);
+        assert_eq!(m.unexpected_depth(), 1);
     }
 
     #[test]
-    fn any_source_any_tag() {
-        let mut t = RequestTable::default();
-        let h = t.post(SrcSel::Any, TagSel::Any);
-        assert!(t.try_match(&env(5, 99)));
-        let e = t.complete(h).unwrap();
-        assert_eq!(e.src, 5);
-        assert_eq!(e.tag, Tag(99));
+    fn completed_handles_stay_stale() {
+        let mut m = Matcher::default();
+        let h1 = m.post(SrcSel::Rank(0), TagSel::Tag(Tag(1)));
+        m.arrive(env(0, 1));
+        assert!(m.take(h1).is_some());
+        let h2 = m.post(SrcSel::Rank(0), TagSel::Tag(Tag(2)));
+        assert_ne!(h1, h2, "posting numbers are not reused");
+        assert!(m.take(h2).is_none(), "pending receive yields None");
+        assert!(m.describe(h2).is_some(), "and is still described");
+        assert!(m.take(h1).is_none() && m.describe(h1).is_none(), "stale");
+    }
+
+    #[test]
+    fn cancel_withdraws_a_waiting_receive() {
+        let mut m = Matcher::default();
+        let h = m.post(SrcSel::Rank(1), TagSel::Any);
+        m.cancel(h);
+        assert_eq!(m.outstanding(), 0);
+        m.arrive(env(1, 9));
+        assert_eq!(m.unexpected_depth(), 1, "nobody is waiting any more");
+    }
+
+    #[test]
+    fn any_tag_peek_skips_collective_envelopes() {
+        let mut m = Matcher::default();
+        m.arrive(env(0, Tag::COLLECTIVE_BASE | 1));
+        assert_eq!(m.peek(SrcSel::Any, TagSel::Any), None);
+        let internal = TagSel::Tag(Tag(Tag::COLLECTIVE_BASE | 1));
+        assert_eq!(m.peek(SrcSel::Rank(0), internal).unwrap().source, 0);
+        m.arrive(env(1, 4));
+        assert_eq!(m.peek(SrcSel::Any, TagSel::Any).unwrap().tag, Tag(4));
     }
 
     #[test]
     fn describe_reports_selectors() {
-        let mut t = RequestTable::default();
-        let h = t.post(SrcSel::Rank(3), TagSel::Any);
-        let (s, g) = t.describe(h).unwrap();
-        assert_eq!(s, SrcSel::Rank(3));
-        assert_eq!(g, TagSel::Any);
+        let mut m = Matcher::default();
+        let h = m.post(SrcSel::Rank(3), TagSel::Any);
+        assert_eq!(m.describe(h), Some((SrcSel::Rank(3), TagSel::Any)));
     }
 }

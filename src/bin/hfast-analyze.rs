@@ -15,6 +15,7 @@ use hfast::apps::{all_apps, profile_app};
 use hfast::core::{
     classify, ClassifyConfig, CostComparison, CostModel, PaperLinear, ProvisionConfig, Provisioner,
 };
+use hfast::ipm::trace::MAX_PROFILE_SIZE;
 use hfast::ipm::{from_text, render, to_text};
 use hfast::topology::render_ascii;
 
@@ -44,8 +45,8 @@ fn main() -> ExitCode {
                 eprintln!("invalid processor count {procs:?}");
                 return ExitCode::from(2);
             };
-            if procs == 0 || procs > 4096 {
-                eprintln!("processor count must be between 1 and 4096, got {procs}");
+            if procs == 0 || procs > MAX_PROFILE_SIZE {
+                eprintln!("processor count must be between 1 and {MAX_PROFILE_SIZE}, got {procs}");
                 return ExitCode::from(2);
             }
             let Some(app) = all_apps()
