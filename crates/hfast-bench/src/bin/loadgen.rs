@@ -13,11 +13,12 @@
 //! same load is routed client-side over the shards with consistent
 //! hashing — the digest must match the single-node run.
 //!
-//! With `--soak SECS`, the fixed-length run becomes a wall-clock soak:
-//! sustained load while a monitor polls the `metrics` verb and asserts
-//! SLOs (zero byte divergence, rolling p99 under the `--p99-ms`
-//! ceiling); `--timeline PATH` writes the poll-by-poll JSONL record.
-//! Exit status reports the SLO verdict.
+//! With `--soak SECS`, the fixed-length run becomes a wall-clock soak
+//! (`hfast_serve::soak`): the loaders cycle the paper-app pool in order
+//! (`--seed` does not apply) while a monitor polls the `metrics` verb and
+//! asserts SLOs (zero byte divergence, no lost loader connection, rolling
+//! p99 under the `--p99-ms` ceiling); `--timeline PATH` writes the
+//! poll-by-poll JSONL record. Exit status reports the SLO verdict.
 //!
 //! The report ends with a deterministic digest over every response byte:
 //! two runs with the same seed against any healthy daemon — 1 worker or
@@ -26,7 +27,8 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use hfast_bench::{loadgen, soak};
+use hfast_bench::loadgen;
+use hfast_serve::soak;
 use hfast_serve::{start, Client, Request, ServerConfig};
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
@@ -60,10 +62,10 @@ fn run() -> Result<(), String> {
         if fleet.is_some() {
             return Err("--soak targets one address; point it at a fleet router".into());
         }
+        let pool = loadgen::request_pool(config.procs);
         let mut config = soak::SoakConfig {
             duration: Duration::from_secs(secs.max(1)),
             connections: config.connections,
-            seed: config.seed,
             ..soak::SoakConfig::default()
         };
         if let Some(ms) = parse_flag::<u64>(&args, "--p99-ms")? {
@@ -83,7 +85,7 @@ fn run() -> Result<(), String> {
             config.connections,
             config.p99_ceiling_ns as f64 / 1e6
         );
-        let report = soak::run_soak(&addr, &config);
+        let report = soak::run_soak(&addr, &pool, &config);
         println!("{}", report.render());
         if let Some(path) = parse_flag::<String>(&args, "--timeline")? {
             let mut doc = report.timeline.join("\n");

@@ -19,10 +19,8 @@ pub mod loadgen;
 pub mod measure;
 pub mod paper;
 pub mod render;
-pub mod soak;
 
 pub use harness::Harness;
 pub use loadgen::{LoadConfig, LoadReport};
 pub use measure::{measure_app, measure_cells, AppRow};
 pub use paper::PAPER_TABLE3;
-pub use soak::{run_soak, SoakConfig, SoakReport};

@@ -1,4 +1,5 @@
-//! `hfast-fleet`: supervise N `hfast-serve` shards behind one router.
+//! `hfast-fleet`: supervise N `hfast-serve` shards behind one router,
+//! and drive the fleet's end-to-end checks.
 //!
 //! ```text
 //! hfast-fleet --shards N [--addr A] [--journal-dir D]
@@ -8,77 +9,70 @@
 //!
 //! hfast-fleet --shard ADDR [--journal PATH]
 //!     one shard: bind ADDR (retrying through a restart window), print
-//!     `READY ADDR`, serve until drained.
+//!     `READY ADDR`, serve until drained. Config comes from the
+//!     `HFAST_SERVE_*` environment; spans go to `HFAST_TRACE` on drain.
 //!
 //! hfast-fleet --smoke
-//!     self-contained fleet check (what verify.sh runs):
-//!       1. single-node baseline — every pool response recorded;
-//!       2. 2-shard fleet behind a router — fixed-length run must be
-//!          byte-identical (digest match) with zero busy/error/drop;
-//!       3. durable jobs with distinct payloads submitted until *both*
-//!          shards own at least one, shard 0 rolling-restarted mid-load,
-//!          load keeps answering baseline bytes, every job still
-//!          completes and fetches byte-identical results.
-//!     Exits non-zero on any violation.
-//!
 //! hfast-fleet --soak [--secs N] [--timeline PATH]
-//!     wall-clock soak monitor over a 2-shard fleet: sustained
-//!     mixed-verb load for N seconds (default 20) while a monitor polls
-//!     the router's `metrics` verb, shard 0 is rolling-restarted
-//!     mid-soak, and the run must hold its SLOs — zero byte divergence,
-//!     zero refused responses, zero journal loss (every durable job
-//!     completes with byte-identical results), rolling p99 under the
-//!     `HFAST_SOAK_P99_MS` ceiling (default 500). `--timeline` writes
-//!     the poll-by-poll JSONL telemetry record. Exits non-zero on any
-//!     SLO violation.
+//!     one drill, two lengths (what verify.sh runs):
+//!       1. single-node baseline — every pool response and job result;
+//!       2. 2-shard journaled fleet behind a router — 12 pool cycles
+//!          must answer the baseline bytes;
+//!       3. durable jobs submitted until every shard owns one, then the
+//!          soak monitor (`hfast_serve::soak`) loads the router while
+//!          shard 0 is rolling-restarted halfway through: zero diverged,
+//!          refused or lost-connection responses, rolling p99 under
+//!          `HFAST_SOAK_P99_MS` (default 500), every job fetching its
+//!          baseline bytes.
+//!     `--smoke` soaks for 4 s; `--soak` for N s (default 20), and
+//!     `--timeline` writes the poll-by-poll JSONL record. Exits non-zero
+//!     on any violation.
+//!
+//! hfast-fleet --capture DIR
+//!     live trace capture: two shards with per-process `HFAST_TRACE`
+//!     sinks, the router in-process with its own recorder, a tracing
+//!     `FleetClient` driving the pool through it; stitches client,
+//!     router and shard spans into `DIR/fleet.json` and exits non-zero
+//!     unless every request is ONE connected causal tree (one root, zero
+//!     orphans).
+//!
+//! hfast-fleet --stitch OUT.json IN.jsonl [IN.jsonl ...]
+//!     merge per-process JSONL span files into one validated Perfetto
+//!     document, one process group per input (pass client, router,
+//!     shard order for a stable layout).
 //! ```
 //!
-//! The supervisor re-executes its own binary (`current_exe`) for shard
-//! processes, so one artifact deploys the whole fleet.
+//! Shard processes are re-executions of this binary (`current_exe`), so
+//! one artifact deploys the whole fleet.
 
 use std::io::Write as _;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hfast_serve::fleet::unwrap_job_id;
+use hfast_serve::soak::{run_soak, SoakConfig};
 use hfast_serve::{
-    start, start_fleet, AppSpec, Client, FabricSpec, FleetConfig, JobState, Request, Response,
-    ServerConfig,
+    start, start_fleet, AppSpec, Client, FabricSpec, FleetClient, FleetHandle, JobState, Request,
+    Response, ServerConfig,
 };
+use hfast_trace::{render_jsonl, stitch, trace_tree, TraceRecorder};
 
-/// How long shard binds and readiness probes retry before giving up.
+/// How long shard binds, readiness probes and job completion wait.
 const STARTUP_WINDOW: Duration = Duration::from_secs(10);
+
+/// Pool cycles the fleet must answer with the single node's bytes.
+const DIGEST_REPS: usize = 12;
+
+/// How long `--smoke` soaks across the rolling restart.
+const SMOKE_SECS: u64 = 4;
 
 fn parse_flag(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Binds with retries so a restarted shard can reclaim its old address
-/// while the previous incarnation's socket finishes closing.
-fn start_shard_server(
-    addr: &str,
-    journal: Option<PathBuf>,
-) -> Result<hfast_serve::ServerHandle, String> {
-    let mut config = ServerConfig::from_env();
-    if journal.is_some() {
-        config.journal = journal;
-    }
-    let deadline = Instant::now() + STARTUP_WINDOW;
-    loop {
-        match start(addr, config.clone()) {
-            Ok(server) => return Ok(server),
-            Err(e) if Instant::now() < deadline => {
-                eprintln!("hfast-fleet shard {addr}: bind retry ({e})");
-                std::thread::sleep(Duration::from_millis(100));
-            }
-            Err(e) => return Err(format!("bind {addr}: {e}")),
-        }
-    }
 }
 
 fn run_shard(addr: &str, journal: Option<PathBuf>) -> Result<(), String> {
@@ -87,10 +81,26 @@ fn run_shard(addr: &str, journal: Option<PathBuf>) -> Result<(), String> {
     std::panic::set_hook(Box::new(|info| {
         eprintln!("hfast-fleet shard: worker panic contained ({info})");
     }));
-    let server = start_shard_server(addr, journal)?;
+    let mut config = ServerConfig::from_env();
+    if journal.is_some() {
+        config.journal = journal;
+    }
+    // Bind with retries so a restarted shard can reclaim its old address
+    // while the previous incarnation's socket finishes closing.
+    let deadline = Instant::now() + STARTUP_WINDOW;
+    let server = loop {
+        match start(addr, config.clone()) {
+            Ok(server) => break server,
+            Err(e) if Instant::now() < deadline => {
+                eprintln!("hfast-fleet shard {addr}: bind retry ({e})");
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            Err(e) => return Err(format!("bind {addr}: {e}")),
+        }
+    };
     println!("READY {}", server.local_addr());
     let _ = std::io::stdout().flush();
-    server.join();
+    server.join(); // exports spans to the HFAST_TRACE sink, if any
     eprintln!("hfast-fleet shard {addr}: drained");
     Ok(())
 }
@@ -110,17 +120,6 @@ fn reserve_ports(n: usize) -> Result<Vec<String>, String> {
     Ok(addrs)
 }
 
-fn spawn_shard(addr: &str, journal: &Path) -> Result<Child, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    Command::new(exe)
-        .args(["--shard", addr, "--journal"])
-        .arg(journal)
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .map_err(|e| format!("spawn shard {addr}: {e}"))
-}
-
 /// Polls a shard's health endpoint until it answers.
 fn await_ready(addr: &str) -> Result<(), String> {
     let deadline = Instant::now() + STARTUP_WINDOW;
@@ -137,45 +136,126 @@ fn await_ready(addr: &str) -> Result<(), String> {
     }
 }
 
+/// Shard processes of this binary. Shard `i` owns `DIR/shard-i.jsonl`:
+/// its job journal, or — for a trace capture — its span sink, since
+/// `HFAST_TRACE` is read once per process.
+struct Shards {
+    addrs: Vec<String>,
+    files: Vec<PathBuf>,
+    traced: bool,
+    children: Vec<Child>,
+}
+
+impl Shards {
+    /// Spawns `n` shards on reserved loopback ports and waits until each
+    /// answers health.
+    fn up(n: usize, dir: &Path, traced: bool) -> Result<Shards, String> {
+        let mut shards = Shards {
+            addrs: reserve_ports(n)?,
+            files: (0..n)
+                .map(|i| dir.join(format!("shard-{i}.jsonl")))
+                .collect(),
+            traced,
+            children: Vec::new(),
+        };
+        for i in 0..n {
+            let child = shards.spawn(i)?;
+            shards.children.push(child);
+        }
+        for addr in &shards.addrs {
+            await_ready(addr)?;
+        }
+        Ok(shards)
+    }
+
+    fn spawn(&self, i: usize) -> Result<Child, String> {
+        let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+        let mut cmd = Command::new(exe);
+        cmd.args(["--shard", &self.addrs[i]]);
+        if self.traced {
+            cmd.env("HFAST_TRACE", &self.files[i]);
+        } else {
+            cmd.arg("--journal").arg(&self.files[i]);
+        }
+        cmd.stdout(Stdio::null())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .map_err(|e| format!("spawn shard {}: {e}", self.addrs[i]))
+    }
+
+    /// Drains shard `i` and starts it again on the same address and file.
+    fn roll(&mut self, i: usize) -> Result<(), String> {
+        let mut direct = Client::connect(&self.addrs[i]).map_err(|e| e.to_string())?;
+        direct
+            .call(&Request::Shutdown)
+            .map_err(|e| format!("shard {i} drain: {e}"))?;
+        let _ = self.children[i].wait();
+        self.children[i] = self.spawn(i)?;
+        await_ready(&self.addrs[i])
+    }
+
+    /// Waits for every shard to exit, as they do once a `shutdown` has
+    /// fanned out to them; a failed exit is an error.
+    fn wait(mut self) -> Result<(), String> {
+        for mut child in std::mem::take(&mut self.children) {
+            let status = child.wait().map_err(|e| format!("shard wait: {e}"))?;
+            if !status.success() {
+                return Err(format!("shard exited with {status}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Drains the fleet through `router` and waits for every shard.
+    fn down(self, router: FleetHandle) -> Result<(), String> {
+        let mut c = Client::connect(router.local_addr()).map_err(|e| e.to_string())?;
+        c.call(&Request::Shutdown).map_err(|e| e.to_string())?;
+        router.join();
+        self.wait()
+    }
+}
+
+impl Drop for Shards {
+    /// A check that failed part-way leaves no shard process behind.
+    fn drop(&mut self) {
+        for child in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 fn run_supervisor(shards: usize, addr: &str, journal_dir: &Path) -> Result<(), String> {
     std::fs::create_dir_all(journal_dir).map_err(|e| format!("journal dir: {e}"))?;
-    let shard_addrs = reserve_ports(shards)?;
-    let mut children = Vec::new();
-    for (i, shard_addr) in shard_addrs.iter().enumerate() {
-        children.push(spawn_shard(
-            shard_addr,
-            &journal_dir.join(format!("shard-{i}.jsonl")),
-        )?);
-    }
-    for shard_addr in &shard_addrs {
-        await_ready(shard_addr)?;
-    }
-    let router = start_fleet(addr, &shard_addrs, FleetConfig::default())
-        .map_err(|e| format!("router bind {addr}: {e}"))?;
+    let shards = Shards::up(shards, journal_dir, false)?;
+    let router =
+        start_fleet(addr, &shards.addrs, None).map_err(|e| format!("router bind {addr}: {e}"))?;
     println!("READY {}", router.local_addr());
     let _ = std::io::stdout().flush();
     router.join(); // a client's `shutdown` fans out to the shards first
-    for mut child in children {
-        let _ = child.wait();
-    }
+    shards.wait()?;
     eprintln!("hfast-fleet: drained");
     Ok(())
 }
 
 // ---------------------------------------------------------------------
-// Smoke mode
+// Smoke and soak
 // ---------------------------------------------------------------------
 
-/// The closed-loop request pool: cacheable compute verbs only, so every
-/// response is a pure function of the request and any two correct
-/// serving topologies answer byte-identical text.
-fn smoke_pool() -> Vec<Request> {
-    let ring = |n: usize| AppSpec::Inline {
+/// A ring of `n` ranks, each sending 64 KiB to its successor.
+fn ring(n: usize) -> AppSpec {
+    AppSpec::Inline {
         n,
         edges: (0..n)
             .map(|i| (i, (i + 1) % n, 64 * 1024, 16, 4096))
             .collect(),
-    };
+    }
+}
+
+/// The closed-loop request pool: cacheable compute verbs only, so every
+/// response is a pure function of the request and any two correct
+/// serving topologies answer byte-identical text.
+fn pool() -> Vec<Request> {
     let mut pool = Vec::new();
     for n in [6usize, 8, 10, 12] {
         pool.push(Request::Provision {
@@ -204,16 +284,10 @@ fn smoke_pool() -> Vec<Request> {
     pool
 }
 
-/// Distinct simulate payloads for the durable-job phase: their request
-/// keys spread over the hash ring, so submitting down the list covers
-/// every shard — in particular the one the smoke restarts.
+/// Distinct simulate payloads for the durable jobs: their request keys
+/// spread over the hash ring, so submitting down the list covers every
+/// shard — in particular the one the drill restarts.
 fn job_candidates() -> Vec<Request> {
-    let ring = |n: usize| AppSpec::Inline {
-        n,
-        edges: (0..n)
-            .map(|i| (i, (i + 1) % n, 64 * 1024, 16, 4096))
-            .collect(),
-    };
     let mut v = Vec::new();
     for n in [6usize, 8, 10, 12] {
         for cutoff in [2048, 4096] {
@@ -229,229 +303,85 @@ fn job_candidates() -> Vec<Request> {
     v
 }
 
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// What one daemon answers: the byte oracle for everything the fleet
+/// serves.
+struct Baseline {
+    pool: Vec<Request>,
+    answers: Vec<String>,
+    jobs: Vec<(Request, String)>,
 }
 
-const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Runs `reps` pool cycles through one connection, returning the digest
-/// over all response bytes and counting busy/error responses.
-fn run_load(
-    addr: &str,
-    pool: &[Request],
-    reps: usize,
-) -> Result<(u64, Vec<String>, u64, u64), String> {
-    let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut digest = FNV_SEED;
-    let mut first_cycle = Vec::new();
-    let (mut busy, mut errors) = (0u64, 0u64);
-    for rep in 0..reps {
-        for req in pool {
-            let (resp, text) = client
-                .call_text(req)
-                .map_err(|e| format!("load call: {e}"))?;
-            match resp {
-                Response::Busy => busy += 1,
-                Response::Error { .. } => errors += 1,
-                _ => {}
+impl Baseline {
+    fn record() -> Result<Baseline, String> {
+        let single =
+            start("127.0.0.1:0", ServerConfig::default()).map_err(|e| format!("bind: {e}"))?;
+        let mut c = Client::connect(single.local_addr()).map_err(|e| e.to_string())?;
+        let mut answer = |req: &Request| match c.call_text(req) {
+            Ok((Response::Busy | Response::Error { .. }, text)) => {
+                Err(format!("baseline {} refused: {text}", req.endpoint()))
             }
-            digest = fnv_fold(digest, text.as_bytes());
-            if rep == 0 {
-                first_cycle.push(text);
-            }
-        }
+            Ok((_, text)) => Ok(text),
+            Err(e) => Err(format!("baseline call: {e}")),
+        };
+        let pool = pool();
+        let answers = pool.iter().map(&mut answer).collect::<Result<_, _>>()?;
+        let jobs = job_candidates()
+            .into_iter()
+            .map(|req| answer(&req).map(|text| (req, text)))
+            .collect::<Result<_, _>>()?;
+        c.call(&Request::Shutdown).map_err(|e| e.to_string())?;
+        single.join();
+        Ok(Baseline {
+            pool,
+            answers,
+            jobs,
+        })
     }
-    Ok((digest, first_cycle, busy, errors))
 }
 
-fn smoke() -> Result<(), String> {
-    std::panic::set_hook(Box::new(|info| {
-        eprintln!("hfast-fleet smoke: worker panic contained ({info})");
-    }));
-    let dir = std::env::temp_dir().join(format!("hfast-fleet-smoke-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).map_err(|e| format!("smoke dir: {e}"))?;
-    let pool = smoke_pool();
-    const REPS: usize = 12;
-
-    // -- Phase 1: single-node baseline ---------------------------------
-    let single = start("127.0.0.1:0", ServerConfig::default()).map_err(|e| format!("bind: {e}"))?;
-    let single_addr = single.local_addr().to_string();
-    let (base_digest, base_cycle, busy, errors) = run_load(&single_addr, &pool, REPS)?;
-    if busy != 0 || errors != 0 {
-        return Err(format!(
-            "baseline run shed or errored: {busy} busy, {errors} errors"
-        ));
-    }
-    // Baseline job results: what each fetched job must later return.
-    let candidates = job_candidates();
-    let mut c = Client::connect(&single_addr).map_err(|e| e.to_string())?;
-    let mut job_baselines = Vec::new();
-    for req in &candidates {
-        let (_, text) = c.call_text(req).map_err(|e| e.to_string())?;
-        job_baselines.push(text);
-    }
-    c.call(&Request::Shutdown).map_err(|e| e.to_string())?;
-    single.join();
-    eprintln!(
-        "smoke: baseline digest {base_digest:#018x} over {} responses",
-        REPS * pool.len()
-    );
-
-    // -- Phase 2: 2-shard fleet, digest must match ----------------------
-    let shard_addrs = reserve_ports(2)?;
-    let journals: Vec<PathBuf> = (0..2)
-        .map(|i| dir.join(format!("shard-{i}.jsonl")))
-        .collect();
-    let mut children: Vec<Child> = Vec::new();
-    for (addr, journal) in shard_addrs.iter().zip(&journals) {
-        children.push(spawn_shard(addr, journal)?);
-    }
-    for addr in &shard_addrs {
-        await_ready(addr)?;
-    }
-    let router = start_fleet("127.0.0.1:0", &shard_addrs, FleetConfig::default())
-        .map_err(|e| format!("router: {e}"))?;
-    let router_addr = router.local_addr().to_string();
-    let (fleet_digest, _, busy, errors) = run_load(&router_addr, &pool, REPS)?;
-    if busy != 0 || errors != 0 {
-        return Err(format!(
-            "fleet run shed or errored: {busy} busy, {errors} errors"
-        ));
-    }
-    if fleet_digest != base_digest {
-        return Err(format!(
-            "fleet digest {fleet_digest:#018x} != single-node {base_digest:#018x}"
-        ));
-    }
-    eprintln!("smoke: 2-shard fleet digest matches single node");
-
-    // -- Phase 3: durable jobs + rolling restart of shard 0 mid-load ----
-    // Submit distinct payloads until both shards own at least one job —
-    // otherwise restarting shard 0 would not actually exercise the
-    // "jobs survive the restart" claim. The router's global job ids
-    // encode the owning shard, so coverage is checked, not assumed.
-    let mut jobs_client = Client::connect(&router_addr).map_err(|e| e.to_string())?;
-    let mut jobs: Vec<(u64, &String)> = Vec::new(); // (global id, expected bytes)
-    let mut owned = [false; 2];
-    for (req, expect) in candidates.iter().zip(&job_baselines) {
-        if jobs.len() >= 4 && owned[0] && owned[1] {
+/// Submits baseline jobs until at least four are in and every shard owns
+/// one, so rolling shard 0 puts durable jobs at stake. Global job ids
+/// name the owning shard, so coverage is checked, not assumed.
+fn submit_on_every_shard<'a>(
+    client: &mut Client,
+    base: &'a Baseline,
+    shards: usize,
+) -> Result<Vec<(u64, &'a str)>, String> {
+    let mut owned = vec![false; shards];
+    let mut jobs = Vec::new();
+    for (req, expect) in &base.jobs {
+        if jobs.len() >= 4 && owned.iter().all(|&o| o) {
             break;
         }
-        match jobs_client
-            .call(&Request::Submit {
-                job: Box::new(req.clone()),
-            })
-            .map_err(|e| format!("submit: {e}"))?
-        {
+        let submit = Request::Submit {
+            job: Box::new(req.clone()),
+        };
+        match client.call(&submit).map_err(|e| format!("submit: {e}"))? {
             Response::JobAccepted { id } => {
                 let (shard, _) = unwrap_job_id(id);
-                if shard >= owned.len() {
-                    return Err(format!("job {id} names shard {shard} in a 2-shard fleet"));
-                }
-                owned[shard] = true;
-                jobs.push((id, expect));
+                *owned
+                    .get_mut(shard)
+                    .ok_or_else(|| format!("job {id} names shard {shard} of {shards}"))? = true;
+                jobs.push((id, expect.as_str()));
             }
             other => return Err(format!("submit: unexpected {other:?}")),
         }
     }
-    if !(owned[0] && owned[1]) {
-        return Err(format!(
-            "job keys covered only shards {owned:?}; widen job_candidates() so the \
-             restarted shard owns at least one durable job"
-        ));
+    if owned.iter().all(|&o| o) {
+        Ok(jobs)
+    } else {
+        Err(format!(
+            "job keys covered only shards {owned:?}; widen job_candidates()"
+        ))
     }
+}
 
-    let stop = AtomicBool::new(false);
-    let served = AtomicU64::new(0);
-    let mismatches = AtomicU64::new(0);
-    let refused = AtomicU64::new(0);
-    let load_err = std::sync::Mutex::new(None::<String>);
-    std::thread::scope(|s| -> Result<(), String> {
-        let loader = s.spawn(|| {
-            let mut client = match Client::connect(&router_addr) {
-                Ok(c) => c,
-                Err(e) => {
-                    *load_err.lock().unwrap() = Some(format!("loader connect: {e}"));
-                    return;
-                }
-            };
-            'outer: while !stop.load(Ordering::Relaxed) {
-                for (req, expect) in pool.iter().zip(&base_cycle) {
-                    match client.call_text(req) {
-                        Ok((resp, text)) => {
-                            if matches!(resp, Response::Busy | Response::Error { .. }) {
-                                refused.fetch_add(1, Ordering::Relaxed);
-                            } else if &text != expect {
-                                mismatches.fetch_add(1, Ordering::Relaxed);
-                            }
-                            served.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => {
-                            *load_err.lock().unwrap() = Some(format!("loader call: {e}"));
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-        });
-
-        // Let the loader get going, then roll shard 0.
-        let wait_served = |target: u64, what: &str| -> Result<(), String> {
-            let deadline = Instant::now() + STARTUP_WINDOW;
-            while served.load(Ordering::Relaxed) < target {
-                if load_err.lock().unwrap().is_some() || Instant::now() >= deadline {
-                    stop.store(true, Ordering::Relaxed);
-                    return Err(format!(
-                        "loader stalled {what}: {:?}",
-                        load_err.lock().unwrap().clone()
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Ok(())
-        };
-        wait_served(50, "before restart")?;
-        let mut direct = Client::connect(&shard_addrs[0]).map_err(|e| e.to_string())?;
-        direct
-            .call(&Request::Shutdown)
-            .map_err(|e| format!("shard 0 drain: {e}"))?;
-        let _ = children[0].wait();
-        eprintln!("smoke: shard 0 drained mid-load, restarting");
-        children[0] = spawn_shard(&shard_addrs[0], &journals[0])?;
-        await_ready(&shard_addrs[0])?;
-        let after_restart = served.load(Ordering::Relaxed);
-        wait_served(after_restart + 50, "after restart")?;
-        stop.store(true, Ordering::Relaxed);
-        loader.join().map_err(|_| "loader panicked".to_string())?;
-        Ok(())
-    })?;
-    if let Some(e) = load_err.lock().unwrap().clone() {
-        return Err(e);
-    }
-    if mismatches.load(Ordering::Relaxed) != 0 || refused.load(Ordering::Relaxed) != 0 {
-        return Err(format!(
-            "rolling restart surfaced {} mismatched and {} refused responses over {}",
-            mismatches.load(Ordering::Relaxed),
-            refused.load(Ordering::Relaxed),
-            served.load(Ordering::Relaxed),
-        ));
-    }
-    eprintln!(
-        "smoke: rolling restart invisible across {} responses",
-        served.load(Ordering::Relaxed)
-    );
-
-    // Every accepted job must complete and fetch the baseline bytes.
+/// Every job completes and fetches its baseline bytes.
+fn check_jobs(client: &mut Client, jobs: &[(u64, &str)]) -> Result<(), String> {
     let deadline = Instant::now() + STARTUP_WINDOW;
-    for &(id, expect) in &jobs {
+    for &(id, expect) in jobs {
         loop {
-            match jobs_client.call(&Request::Poll { id }) {
+            match client.call(&Request::Poll { id }) {
                 Ok(Response::JobStatus {
                     state: JobState::Done,
                     ..
@@ -460,56 +390,19 @@ fn smoke() -> Result<(), String> {
                     state: JobState::Failed,
                     message,
                     ..
-                }) => {
-                    return Err(format!("job {id} failed: {message:?}"));
-                }
+                }) => return Err(format!("job {id} failed: {message:?}")),
                 Ok(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
                 other => return Err(format!("job {id} never finished: {other:?}")),
             }
         }
-        let (_, text) = jobs_client
+        let (_, text) = client
             .call_text(&Request::Fetch { id })
             .map_err(|e| format!("fetch {id}: {e}"))?;
-        if &text != expect {
-            return Err(format!(
-                "job {id} result differs from the synchronous bytes"
-            ));
+        if text != expect {
+            return Err(format!("job {id} result differs from the baseline bytes"));
         }
     }
-    eprintln!(
-        "smoke: {} durable jobs survived the restart across both shards",
-        jobs.len()
-    );
-
-    // -- Teardown -------------------------------------------------------
-    let mut c = Client::connect(&router_addr).map_err(|e| e.to_string())?;
-    c.call(&Request::Shutdown).map_err(|e| e.to_string())?;
-    router.join();
-    for mut child in children {
-        let _ = child.wait();
-    }
-    let _ = std::fs::remove_dir_all(&dir);
     Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Soak mode
-// ---------------------------------------------------------------------
-
-/// Worst rolling p99 a `metrics` snapshot reports over the soak pool's
-/// compute verbs (rows that served nothing don't count).
-fn snapshot_p99(resp: &Response) -> u64 {
-    let Response::Metrics { verbs, .. } = resp else {
-        return 0;
-    };
-    verbs
-        .iter()
-        .filter(|row| {
-            matches!(row.verb.as_str(), "provision" | "cost" | "tdc" | "simulate") && row.count > 0
-        })
-        .map(|row| row.p99_ns)
-        .max()
-        .unwrap_or(0)
 }
 
 /// Rolling p99 ceiling, milliseconds: `HFAST_SOAK_P99_MS` or a bound
@@ -522,258 +415,211 @@ fn soak_p99_ceiling_ns() -> u64 {
         .saturating_mul(1_000_000)
 }
 
-fn soak(secs: u64, timeline_path: Option<PathBuf>) -> Result<(), String> {
-    std::panic::set_hook(Box::new(|info| {
-        eprintln!("hfast-fleet soak: worker panic contained ({info})");
-    }));
-    let dir = std::env::temp_dir().join(format!("hfast-fleet-soak-{}", std::process::id()));
+/// `--smoke` and `--soak`: see the module docs.
+fn drill(name: &str, secs: u64, timeline: Option<PathBuf>) -> Result<(), String> {
+    let dir = std::env::temp_dir().join(format!("hfast-fleet-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).map_err(|e| format!("soak dir: {e}"))?;
-    let pool = smoke_pool();
-    let p99_ceiling_ns = soak_p99_ceiling_ns();
+    std::fs::create_dir_all(&dir).map_err(|e| format!("{name} dir: {e}"))?;
+    let base = Baseline::record()?;
 
-    // Baseline bytes from a throwaway single node: the byte oracle for
-    // every response the fleet serves during the soak.
-    let single = start("127.0.0.1:0", ServerConfig::default()).map_err(|e| format!("bind: {e}"))?;
-    let single_addr = single.local_addr().to_string();
-    let (_, base_cycle, busy, errors) = run_load(&single_addr, &pool, 1)?;
-    if busy != 0 || errors != 0 {
-        return Err(format!(
-            "baseline shed or errored: {busy} busy, {errors} errors"
-        ));
-    }
-    let candidates = job_candidates();
-    let mut c = Client::connect(&single_addr).map_err(|e| e.to_string())?;
-    let mut job_baselines = Vec::new();
-    for req in &candidates {
-        let (_, text) = c.call_text(req).map_err(|e| e.to_string())?;
-        job_baselines.push(text);
-    }
-    c.call(&Request::Shutdown).map_err(|e| e.to_string())?;
-    single.join();
-
-    // The fleet under soak: two journaled shards behind a router.
-    let shard_addrs = reserve_ports(2)?;
-    let journals: Vec<PathBuf> = (0..2)
-        .map(|i| dir.join(format!("shard-{i}.jsonl")))
-        .collect();
-    let mut children: Vec<Child> = Vec::new();
-    for (addr, journal) in shard_addrs.iter().zip(&journals) {
-        children.push(spawn_shard(addr, journal)?);
-    }
-    for addr in &shard_addrs {
-        await_ready(addr)?;
-    }
-    let router = start_fleet("127.0.0.1:0", &shard_addrs, FleetConfig::default())
-        .map_err(|e| format!("router: {e}"))?;
+    let mut shards = Shards::up(2, &dir, false)?;
+    let router =
+        start_fleet("127.0.0.1:0", &shards.addrs, None).map_err(|e| format!("router: {e}"))?;
     let router_addr = router.local_addr().to_string();
-
-    // Durable jobs on both shards before the load starts — the restart
-    // must cost none of them.
-    let mut jobs_client = Client::connect(&router_addr).map_err(|e| e.to_string())?;
-    let mut jobs: Vec<(u64, &String)> = Vec::new();
-    let mut owned = [false; 2];
-    for (req, expect) in candidates.iter().zip(&job_baselines) {
-        if jobs.len() >= 4 && owned[0] && owned[1] {
-            break;
-        }
-        match jobs_client
-            .call(&Request::Submit {
-                job: Box::new(req.clone()),
-            })
-            .map_err(|e| format!("submit: {e}"))?
-        {
-            Response::JobAccepted { id } => {
-                let (shard, _) = unwrap_job_id(id);
-                owned[shard.min(1)] = true;
-                jobs.push((id, expect));
-            }
-            other => return Err(format!("submit: unexpected {other:?}")),
-        }
-    }
-    if !(owned[0] && owned[1]) {
-        return Err(format!("job keys covered only shards {owned:?}"));
-    }
-
-    let stop = AtomicBool::new(false);
-    let served = AtomicU64::new(0);
-    let mismatches = AtomicU64::new(0);
-    let refused = AtomicU64::new(0);
-    let load_err = std::sync::Mutex::new(None::<String>);
-    let started = Instant::now();
-    let deadline = started + Duration::from_secs(secs.max(1));
-    let restart_at = started + Duration::from_secs(secs.max(1) / 2);
-
-    let (timeline, polls, worst_p99) = std::thread::scope(|s| -> Result<_, String> {
-        for conn in 0..2usize {
-            let (pool, base_cycle, router_addr) = (&pool, &base_cycle, &router_addr);
-            let (stop, served, mismatches, refused, load_err) =
-                (&stop, &served, &mismatches, &refused, &load_err);
-            s.spawn(move || {
-                let mut client = match Client::connect(router_addr) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        *load_err.lock().unwrap() = Some(format!("loader {conn} connect: {e}"));
-                        return;
-                    }
-                };
-                'outer: while !stop.load(Ordering::Relaxed) {
-                    for (req, expect) in pool.iter().zip(base_cycle) {
-                        match client.call_text(req) {
-                            Ok((resp, text)) => {
-                                if matches!(resp, Response::Busy | Response::Error { .. }) {
-                                    refused.fetch_add(1, Ordering::Relaxed);
-                                } else if &text != expect {
-                                    mismatches.fetch_add(1, Ordering::Relaxed);
-                                }
-                                served.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => {
-                                *load_err.lock().unwrap() =
-                                    Some(format!("loader {conn} call: {e}"));
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-            });
-        }
-
-        // Monitor: poll the router's rolling metrics, record the JSONL
-        // timeline, and roll shard 0 once the soak is halfway through.
-        let mut monitor = Client::connect(&router_addr).map_err(|e| e.to_string())?;
-        let mut timeline: Vec<String> = Vec::new();
-        let mut polls = 0u64;
-        let mut worst_p99 = 0u64;
-        let mut restarted = false;
-        while Instant::now() < deadline {
-            std::thread::sleep(
-                Duration::from_millis(250).min(deadline.saturating_duration_since(Instant::now())),
-            );
-            if let Some(e) = load_err.lock().unwrap().clone() {
-                stop.store(true, Ordering::Relaxed);
-                return Err(format!("loader died mid-soak: {e}"));
-            }
-            if !restarted && Instant::now() >= restart_at {
-                restarted = true;
-                let before = served.load(Ordering::Relaxed);
-                let mut direct = Client::connect(&shard_addrs[0]).map_err(|e| e.to_string())?;
-                direct
-                    .call(&Request::Shutdown)
-                    .map_err(|e| format!("shard 0 drain: {e}"))?;
-                let _ = children[0].wait();
-                children[0] = spawn_shard(&shard_addrs[0], &journals[0])?;
-                await_ready(&shard_addrs[0])?;
-                eprintln!(
-                    "soak: shard 0 rolled at {:.1}s ({before} responses in)",
-                    started.elapsed().as_secs_f64()
-                );
-            }
-            let (resp, raw) = monitor
-                .call_text(&Request::Metrics)
-                .map_err(|e| format!("metrics poll: {e}"))?;
-            polls += 1;
-            worst_p99 = worst_p99.max(snapshot_p99(&resp));
-            timeline.push(
-                hfast_obs::JsonObj::new()
-                    .u64("t_ms", started.elapsed().as_millis() as u64)
-                    .u64("served", served.load(Ordering::Relaxed))
-                    .u64("restarted", u64::from(restarted))
-                    .raw("metrics", &raw)
-                    .finish(),
-            );
-        }
-        stop.store(true, Ordering::Relaxed);
-        if !restarted {
-            return Err("soak ended before the rolling restart fired".into());
-        }
-        Ok((timeline, polls, worst_p99))
-    })?;
-    if let Some(e) = load_err.lock().unwrap().clone() {
-        return Err(e);
-    }
-
-    // SLO: the restart and the sustained load were invisible.
-    let served = served.load(Ordering::Relaxed);
-    let mismatches = mismatches.load(Ordering::Relaxed);
-    let refused = refused.load(Ordering::Relaxed);
-    if mismatches != 0 || refused != 0 {
-        return Err(format!(
-            "soak surfaced {mismatches} diverged and {refused} refused responses over {served}"
-        ));
-    }
-    if polls == 0 {
-        return Err("monitor landed zero metrics polls".into());
-    }
-    if worst_p99 > p99_ceiling_ns {
-        return Err(format!(
-            "rolling p99 {:.1} ms breached the {:.1} ms ceiling",
-            worst_p99 as f64 / 1e6,
-            p99_ceiling_ns as f64 / 1e6
-        ));
-    }
-
-    // SLO: zero journal loss — every pre-soak durable job completes
-    // across the restart and fetches its baseline bytes.
-    let job_deadline = Instant::now() + STARTUP_WINDOW;
-    for &(id, expect) in &jobs {
-        loop {
-            match jobs_client.call(&Request::Poll { id }) {
-                Ok(Response::JobStatus {
-                    state: JobState::Done,
-                    ..
-                }) => break,
-                Ok(Response::JobStatus {
-                    state: JobState::Failed,
-                    message,
-                    ..
-                }) => return Err(format!("job {id} failed: {message:?}")),
-                Ok(_) if Instant::now() < job_deadline => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                other => return Err(format!("job {id} never finished: {other:?}")),
+    let mut client = Client::connect(&router_addr).map_err(|e| e.to_string())?;
+    for _ in 0..DIGEST_REPS {
+        for (req, want) in base.pool.iter().zip(&base.answers) {
+            let (_, text) = client
+                .call_text(req)
+                .map_err(|e| format!("fleet call: {e}"))?;
+            if &text != want {
+                return Err(format!(
+                    "fleet answered a {} request unlike the single node",
+                    req.endpoint()
+                ));
             }
         }
-        let (_, text) = jobs_client
-            .call_text(&Request::Fetch { id })
-            .map_err(|e| format!("fetch {id}: {e}"))?;
-        if &text != expect {
-            return Err(format!("job {id} result differs from the baseline bytes"));
-        }
-    }
-
-    if let Some(path) = &timeline_path {
-        let mut doc = timeline.join("\n");
-        doc.push('\n');
-        std::fs::write(path, doc).map_err(|e| format!("write {}: {e}", path.display()))?;
-        eprintln!("soak: telemetry timeline -> {}", path.display());
     }
     eprintln!(
-        "soak: {served} responses, {polls} polls, worst p99 {:.3} ms, {} jobs intact",
-        worst_p99 as f64 / 1e6,
+        "{name}: 2-shard fleet answered the single node's bytes {} times",
+        DIGEST_REPS * base.pool.len()
+    );
+
+    let jobs = submit_on_every_shard(&mut client, &base, shards.addrs.len())?;
+    let config = SoakConfig {
+        duration: Duration::from_secs(secs.max(1)),
+        poll_interval: Duration::from_millis(250),
+        connections: 2,
+        p99_ceiling_ns: soak_p99_ceiling_ns(),
+    };
+    let started = Instant::now();
+    let (report, rolled) = std::thread::scope(|s| {
+        let roll = s.spawn(|| {
+            std::thread::sleep(config.duration / 2);
+            shards.roll(0)?;
+            eprintln!(
+                "{name}: shard 0 rolled, serving again at {:.1} s",
+                started.elapsed().as_secs_f64()
+            );
+            Ok(Instant::now())
+        });
+        let report = run_soak(&router_addr, &base.pool, &config);
+        let ended = Instant::now();
+        let rolled = match roll.join() {
+            Ok(Ok(back)) if back < ended => Ok(()),
+            Ok(Ok(_)) => Err("the soak ended before shard 0 was back".to_string()),
+            Ok(Err(e)) => Err(e),
+            Err(_) => Err("the roll thread panicked".to_string()),
+        };
+        (report, rolled)
+    });
+    rolled?;
+    if !report.passed() {
+        return Err(format!(
+            "SLO violations: {}",
+            report.slo_violations.join("; ")
+        ));
+    }
+    let refused = report.busy + report.errors;
+    if refused != 0 {
+        return Err(format!(
+            "rolling restart surfaced {refused} refused responses over {}",
+            report.served
+        ));
+    }
+    check_jobs(&mut client, &jobs)?;
+    if let Some(path) = &timeline {
+        let mut doc = report.timeline.join("\n");
+        doc.push('\n');
+        std::fs::write(path, doc).map_err(|e| format!("write {}: {e}", path.display()))?;
+        eprintln!("{name}: telemetry timeline -> {}", path.display());
+    }
+    eprintln!(
+        "{name}: {} responses, {} polls, worst p99 {:.3} ms, {} jobs intact across the restart",
+        report.served,
+        report.polls,
+        report.worst_p99_ns as f64 / 1e6,
         jobs.len()
     );
 
-    let mut c = Client::connect(&router_addr).map_err(|e| e.to_string())?;
-    c.call(&Request::Shutdown).map_err(|e| e.to_string())?;
-    router.join();
-    for mut child in children {
-        let _ = child.wait();
-    }
+    shards.down(router)?;
     let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }
 
+// ---------------------------------------------------------------------
+// Trace capture and stitching
+// ---------------------------------------------------------------------
+
+/// Reads each span file and merges them into one validated document.
+fn stitch_files(out: &Path, inputs: &[String]) -> Result<(), String> {
+    let mut docs = Vec::with_capacity(inputs.len());
+    for path in inputs {
+        docs.push(std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?);
+    }
+    let refs: Vec<&str> = docs.iter().map(String::as_str).collect();
+    let (doc, stats) = stitch(&refs)?;
+    std::fs::write(out, &doc).map_err(|e| format!("write {}: {e}", out.display()))?;
+    eprintln!(
+        "stitch: {} processes, {} spans, {} roots, {} orphans -> {}",
+        stats.processes,
+        stats.spans,
+        stats.roots,
+        stats.orphans,
+        out.display()
+    );
+    Ok(())
+}
+
+fn capture(dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("capture dir: {e}"))?;
+    let shards = Shards::up(2, dir, true)?;
+    let router_rec = Arc::new(TraceRecorder::new());
+    let router = start_fleet("127.0.0.1:0", &shards.addrs, Some(Arc::clone(&router_rec)))
+        .map_err(|e| format!("router: {e}"))?;
+
+    // Tracing client: every call originates a root span and threads the
+    // context through the router to whichever shard owns the key.
+    let client_rec = Arc::new(TraceRecorder::new());
+    let mut client = FleetClient::connect(&[router.local_addr().to_string()])
+        .with_trace(Arc::clone(&client_rec));
+    let pool = pool();
+    for req in &pool {
+        match client.call(req).map_err(|e| format!("traced call: {e}"))? {
+            Response::Error { message } => return Err(format!("traced call errored: {message}")),
+            Response::Busy => return Err("traced call shed".into()),
+            _ => {}
+        }
+    }
+    // The shards export their spans as they drain.
+    shards.down(router)?;
+
+    let client_path = dir.join("client.jsonl");
+    let router_path = dir.join("router.jsonl");
+    std::fs::write(&client_path, render_jsonl("client", &client_rec.snapshot()))
+        .map_err(|e| format!("write client spans: {e}"))?;
+    std::fs::write(&router_path, render_jsonl("router", &router_rec.snapshot()))
+        .map_err(|e| format!("write router spans: {e}"))?;
+    let mut inputs = vec![
+        client_path.display().to_string(),
+        router_path.display().to_string(),
+    ];
+    inputs.extend((0..2).map(|i| dir.join(format!("shard-{i}.jsonl")).display().to_string()));
+    let out = dir.join("fleet.json");
+    stitch_files(&out, &inputs)?;
+
+    // Every traced request must render as one connected causal tree: a
+    // single client root transitively parenting the router and shard
+    // worker spans.
+    let doc = std::fs::read_to_string(&out).map_err(|e| e.to_string())?;
+    for trace_id in 1..=pool.len() as u64 {
+        let tree = trace_tree(&doc, trace_id)?;
+        if tree.spans < 3 {
+            return Err(format!(
+                "trace {trace_id}: only {} spans — expected client, router and shard coverage",
+                tree.spans
+            ));
+        }
+        if tree.roots != 1 || tree.orphans != 0 {
+            return Err(format!(
+                "trace {trace_id}: {} roots, {} orphans over {} spans — not one connected tree",
+                tree.roots, tree.orphans, tree.spans
+            ));
+        }
+    }
+    eprintln!(
+        "capture: {} traces each form one connected tree in {}",
+        pool.len(),
+        out.display()
+    );
+    Ok(())
+}
+
+const USAGE: &str = "usage: hfast-fleet --shards N [--addr A] [--journal-dir D] \
+    | --shard ADDR [--journal P] | --smoke | --soak [--secs N] [--timeline P] \
+    | --capture DIR | --stitch OUT.json IN.jsonl...";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let done = if args.iter().any(|a| a == "--smoke") {
-        smoke().map(|()| println!("hfast-fleet smoke: ok"))
+        drill("smoke", SMOKE_SECS, None).map(|()| println!("hfast-fleet smoke: ok"))
     } else if args.iter().any(|a| a == "--soak") {
         let secs = parse_flag(&args, "--secs")
             .and_then(|s| s.parse::<u64>().ok())
             .unwrap_or(20);
-        soak(secs, parse_flag(&args, "--timeline").map(PathBuf::from))
-            .map(|()| println!("hfast-fleet soak: ok"))
+        drill(
+            "soak",
+            secs,
+            parse_flag(&args, "--timeline").map(PathBuf::from),
+        )
+        .map(|()| println!("hfast-fleet soak: ok"))
+    } else if let Some(dir) = parse_flag(&args, "--capture") {
+        capture(Path::new(&dir)).map(|()| println!("hfast-fleet capture: ok"))
+    } else if let Some(i) = args.iter().position(|a| a == "--stitch") {
+        match &args[i + 1..] {
+            [out, inputs @ ..] if !inputs.is_empty() => stitch_files(Path::new(out), inputs),
+            _ => Err(USAGE.into()),
+        }
     } else if let Some(addr) = parse_flag(&args, "--shard") {
         run_shard(&addr, parse_flag(&args, "--journal").map(PathBuf::from))
     } else if let Some(shards) = parse_flag(&args, "--shards") {
@@ -788,7 +634,7 @@ fn main() -> ExitCode {
             _ => Err("--shards wants a positive integer".into()),
         }
     } else {
-        Err("usage: hfast-fleet --shards N [--addr A] [--journal-dir D] | --shard ADDR [--journal P] | --smoke | --soak [--secs N] [--timeline P]".into())
+        Err(USAGE.into())
     };
     match done {
         Ok(()) => ExitCode::SUCCESS,

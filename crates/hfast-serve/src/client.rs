@@ -6,16 +6,17 @@
 //! which the server's per-connection ordering guarantee is defined.
 //!
 //! [`FleetClient`] speaks to a *set* of daemons: it routes each request
-//! over the same consistent-hash ring the fleet router uses, fails over
-//! to replica shards on transport errors (sound for cacheable verbs,
-//! which are pure functions of the request), and pins job verbs to the
-//! shard that owns the job — all behind the same `call` surface.
+//! over a consistent-hash ring, fails over to replica shards on
+//! transport errors or `busy` (sound for cacheable verbs, which are pure
+//! functions of the request), and pins job verbs to the shard that owns
+//! the job — all behind the same `call` surface. It is the fleet's only
+//! routing code: the `start_fleet` router forwards through it too.
 //!
 //! Errors are typed by *where* they happened so failover can key off the
 //! variant: [`ClientError::Transport`] (retry another replica),
 //! [`ClientError::Protocol`] (a bug, never retried), and
-//! [`ClientError::Server`] (the fleet gave up after the server kept
-//! refusing).
+//! [`ClientError::Server`] (a pinned job verb gave up after its shard
+//! kept refusing).
 
 use std::io;
 use std::net::TcpStream;
@@ -24,11 +25,13 @@ use std::time::{Duration, Instant};
 
 use hfast_trace::{client_span_id, TraceContext, TraceRecorder, Track};
 
-use crate::fleet::{unwrap_job_id, wrap_job_id, HashRing, DEFAULT_VNODES};
+use crate::fleet::{
+    aggregate_metrics, aggregate_stats, unwrap_job_id, wrap_job_id, HashRing, DEFAULT_VNODES,
+};
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::protocol::{
-    decode_response, encode_request, encode_request_versioned, envelope_traced, request_key,
-    strip_envelope, Request, Response, WireVersion,
+    decode_response, encode_request, encode_request_versioned, encode_response, envelope_traced,
+    request_key, strip_envelope, Request, Response, WireVersion,
 };
 
 /// Why a call failed, by layer.
@@ -102,8 +105,8 @@ impl Client {
         Ok(Client { stream })
     }
 
-    /// One frame out, one frame in. Crate-internal: the fleet router and
-    /// the traced fleet client relay pre-encoded envelopes through it.
+    /// One frame out, one frame in. Crate-internal: the traced fleet
+    /// client relays pre-encoded envelopes through it.
     pub(crate) fn exchange(&mut self, payload: &str) -> Result<String, ClientError> {
         write_frame(&mut self.stream, payload)?;
         Ok(read_frame(&mut self.stream)?)
@@ -165,8 +168,11 @@ const RETRY_PAUSE: Duration = Duration::from_millis(50);
 /// Cacheable verbs route by consistent hash of their canonical encoding
 /// and fail over to replica shards on transport errors or `Busy` (sound:
 /// they are pure functions of the request, so any shard computes the
-/// same bytes). Job verbs pin to the shard that owns the job id and
-/// retry it through restart windows. `shutdown` fans out to every shard.
+/// same bytes); when every reachable shard shed, the answer is `Busy`.
+/// Job verbs pin to the shard that owns the job id and retry it through
+/// restart windows. `stats` and `metrics` merge every reachable shard's
+/// answer; `shutdown` fans out to every shard. The `start_fleet` router
+/// forwards through this same type, so there is one routing path.
 pub struct FleetClient {
     addrs: Vec<String>,
     ring: HashRing,
@@ -180,9 +186,6 @@ pub struct FleetClient {
     /// Monotone per-client call counter: it is both the trace id and the
     /// low bits of the root span id.
     seq: u64,
-    /// Trace context for the call in flight, consumed by
-    /// [`call_shard`](FleetClient::call_shard) on every hop of the call.
-    active_ctx: Option<TraceContext>,
 }
 
 impl FleetClient {
@@ -190,6 +193,9 @@ impl FleetClient {
     /// every participant must use the same order).
     ///
     /// Connections are opened lazily, so this never fails.
+    ///
+    /// # Panics
+    /// When `addrs` is empty.
     pub fn connect(addrs: &[String]) -> FleetClient {
         let mut conns = Vec::new();
         conns.resize_with(addrs.len(), || None);
@@ -200,7 +206,6 @@ impl FleetClient {
             trace: None,
             epoch: Instant::now(),
             seq: 0,
-            active_ctx: None,
         }
     }
 
@@ -223,11 +228,11 @@ impl FleetClient {
         &mut self,
         shard: usize,
         req: &Request,
+        ctx: Option<TraceContext>,
     ) -> Result<(Response, String), ClientError> {
         if self.conns[shard].is_none() {
             self.conns[shard] = Some(Client::connect(&self.addrs[shard])?);
         }
-        let ctx = self.active_ctx;
         let conn = self.conns[shard].as_mut().expect("just connected");
         let out = match ctx {
             None => conn.call_text(req),
@@ -252,29 +257,37 @@ impl FleetClient {
 
     /// Failover path for pure requests: owner first, then ring-order
     /// replicas, skipping shards that are unreachable or shedding.
-    fn call_pure(&mut self, req: &Request, key: u64) -> Result<(Response, String), ClientError> {
-        let order = self.ring.route(key);
-        let mut last: Option<ClientError> = None;
-        for shard in order {
-            match self.call_shard(shard, req) {
-                Ok((Response::Busy, _)) => {
-                    last = Some(ClientError::Server(format!("shard {shard} is shedding")));
-                }
+    fn call_pure(
+        &mut self,
+        req: &Request,
+        ctx: Option<TraceContext>,
+    ) -> Result<(Response, String), ClientError> {
+        let mut shed: Option<String> = None;
+        let mut unreachable: Option<ClientError> = None;
+        for shard in self.ring.route(request_key(&encode_request(req))) {
+            match self.call_shard(shard, req, ctx) {
+                Ok((Response::Busy, raw)) => shed = Some(raw),
                 Ok(out) => return Ok(out),
-                Err(e) if e.is_transport() => last = Some(e),
+                Err(e) if e.is_transport() => unreachable = Some(e),
                 Err(e) => return Err(e),
             }
         }
-        Err(last.unwrap_or(ClientError::Server("no shards configured".into())))
+        // Every reachable shard shed: `busy` is the honest fleet-wide
+        // answer. A transport error means no shard was reachable at all.
+        match shed {
+            Some(raw) => Ok((Response::Busy, raw)),
+            None => Err(unreachable.expect("a ring routes to at least one shard")),
+        }
     }
 
     /// Shard-pinned path for job verbs: stateful, so failover to a
     /// different shard is wrong — instead retry the owner through its
-    /// restart window.
+    /// restart window. The response's job id comes back fleet-global.
     fn call_pinned(
         &mut self,
         shard: usize,
         req: &Request,
+        ctx: Option<TraceContext>,
     ) -> Result<(Response, String), ClientError> {
         if shard >= self.addrs.len() {
             return Err(ClientError::Protocol(format!(
@@ -287,46 +300,18 @@ impl FleetClient {
             if attempt > 0 {
                 std::thread::sleep(RETRY_PAUSE);
             }
-            match self.call_shard(shard, req) {
+            match self.call_shard(shard, req, ctx) {
                 Ok((Response::Busy, _)) => {
                     last = Some(ClientError::Server(format!(
                         "shard {shard} still shedding after {attempt} retries"
                     )));
                 }
-                Ok(out) => return Ok(out),
+                Ok((resp, raw)) => return Ok(globalize(resp, raw, shard)),
                 Err(e) if e.is_transport() => last = Some(e),
                 Err(e) => return Err(e),
             }
         }
         Err(last.unwrap_or(ClientError::Server("no retry budget".into())))
-    }
-
-    /// Rewrites shard-local job ids in a response to fleet-global ids.
-    fn globalize(resp: Response, raw: String, shard: usize) -> (Response, String) {
-        match resp {
-            Response::JobAccepted { id } => {
-                let global = wrap_job_id(shard, id);
-                let resp = Response::JobAccepted { id: global };
-                let raw = crate::protocol::encode_response(&resp);
-                (resp, raw)
-            }
-            Response::JobStatus {
-                id,
-                state,
-                attempts,
-                message,
-            } => {
-                let resp = Response::JobStatus {
-                    id: wrap_job_id(shard, id),
-                    state,
-                    attempts,
-                    message,
-                };
-                let raw = crate::protocol::encode_response(&resp);
-                (resp, raw)
-            }
-            other => (other, raw),
-        }
     }
 
     /// Sends a request to the fleet and blocks for its response,
@@ -338,18 +323,19 @@ impl FleetClient {
     /// ([`ClientError::Server`]).
     pub fn call_text(&mut self, req: &Request) -> Result<(Response, String), ClientError> {
         let Some(trace) = self.trace.clone() else {
-            return self.dispatch(req);
+            return self.forward(req, None);
         };
         self.seq += 1;
         let seq = self.seq;
         let root = client_span_id(seq);
-        self.active_ctx = Some(TraceContext {
-            trace_id: seq,
-            parent_id: root,
-        });
         let t0 = self.now_ns();
-        let out = self.dispatch(req);
-        self.active_ctx = None;
+        let out = self.forward(
+            req,
+            Some(TraceContext {
+                trace_id: seq,
+                parent_id: root,
+            }),
+        );
         let t1 = self.now_ns();
         trace.record_span(
             Track::Client,
@@ -363,73 +349,64 @@ impl FleetClient {
         out
     }
 
-    /// Routing core behind [`call_text`](FleetClient::call_text); the
-    /// wrapper owns span bookkeeping, this owns shard selection.
-    fn dispatch(&mut self, req: &Request) -> Result<(Response, String), ClientError> {
+    /// The routing core: picks shards for `req` and stamps `ctx` on every
+    /// shard hop. [`call_text`](FleetClient::call_text) originates root
+    /// contexts; the router passes the context it received, deepened by
+    /// its own span.
+    pub(crate) fn forward(
+        &mut self,
+        req: &Request,
+        ctx: Option<TraceContext>,
+    ) -> Result<(Response, String), ClientError> {
         match req {
             // Liveness of the fleet = any reachable shard.
             Request::Health => {
                 let mut last: Option<ClientError> = None;
                 for shard in 0..self.addrs.len() {
-                    match self.call_shard(shard, req) {
+                    match self.call_shard(shard, req, ctx) {
                         Ok(out) => return Ok(out),
                         Err(e) => last = Some(e),
                     }
                 }
                 Err(last.unwrap_or(ClientError::Server("no shards configured".into())))
             }
-            // Fleet stats = sum over *reachable* shards: a shard that is
-            // down or mid-restart is skipped (matching the router), and
-            // only an all-shards failure surfaces as an error.
-            Request::Stats => {
+            // Fleet stats and the rolling SLO snapshot merge *reachable*
+            // shards: a shard that is down or mid-restart is skipped, and
+            // only an all-shards failure surfaces as an error. Counts sum;
+            // quantiles take the per-shard max as a conservative bound.
+            Request::Stats | Request::Metrics => {
                 let mut parts = Vec::new();
                 let mut last: Option<ClientError> = None;
                 for shard in 0..self.addrs.len() {
-                    match self.call_shard(shard, req) {
+                    match self.call_shard(shard, req, ctx) {
                         Ok((resp, _)) => parts.push(resp),
                         Err(e) => last = Some(e),
                     }
                 }
-                let resp = crate::fleet::aggregate_stats(&parts).ok_or_else(|| {
-                    last.unwrap_or_else(|| ClientError::Server("no stats to aggregate".into()))
+                let merged = match req {
+                    Request::Stats => aggregate_stats(&parts),
+                    _ => aggregate_metrics(&parts),
+                };
+                let resp = merged.ok_or_else(|| {
+                    last.unwrap_or_else(|| {
+                        ClientError::Server(format!("no shard answered {}", req.endpoint()))
+                    })
                 })?;
-                let raw = crate::protocol::encode_response(&resp);
-                Ok((resp, raw))
-            }
-            // Rolling SLO snapshot = merge over reachable shards: counts
-            // and gauges sum, quantiles take the per-shard max as a
-            // conservative fleet-level bound.
-            Request::Metrics => {
-                let mut parts = Vec::new();
-                let mut last: Option<ClientError> = None;
-                for shard in 0..self.addrs.len() {
-                    match self.call_shard(shard, req) {
-                        Ok((resp, _)) => parts.push(resp),
-                        Err(e) => last = Some(e),
-                    }
-                }
-                let resp = crate::fleet::aggregate_metrics(&parts).ok_or_else(|| {
-                    last.unwrap_or_else(|| ClientError::Server("no metrics to aggregate".into()))
-                })?;
-                let raw = crate::protocol::encode_response(&resp);
+                let raw = encode_response(&resp);
                 Ok((resp, raw))
             }
             // Shutdown fans out; the fleet is down when every shard
             // acknowledged (or was already gone).
             Request::Shutdown => {
                 for shard in 0..self.addrs.len() {
-                    let _ = self.call_shard(shard, req);
+                    let _ = self.call_shard(shard, req, ctx);
                 }
-                let resp = Response::Ok;
-                let raw = crate::protocol::encode_response(&resp);
-                Ok((resp, raw))
+                Ok((Response::Ok, encode_response(&Response::Ok)))
             }
             // Jobs live on the shard that owns the inner request's key.
             Request::Submit { job } => {
-                let key = request_key(&encode_request(job));
-                let shard = self.ring.shard_for(key);
-                let (resp, raw) = self.call_pinned(shard, req)?;
-                Ok(Self::globalize(resp, raw, shard))
+                let shard = self.ring.shard_for(request_key(&encode_request(job)));
+                self.call_pinned(shard, req, ctx)
             }
             Request::Poll { id } | Request::Fetch { id } | Request::Cancel { id } => {
                 let (shard, local) = unwrap_job_id(*id);
@@ -438,15 +415,11 @@ impl FleetClient {
                     Request::Fetch { .. } => Request::Fetch { id: local },
                     _ => Request::Cancel { id: local },
                 };
-                let (resp, raw) = self.call_pinned(shard, &local_req)?;
-                Ok(Self::globalize(resp, raw, shard))
+                self.call_pinned(shard, &local_req, ctx)
             }
             // Compute verbs (cacheable or the deterministic panic probe):
             // pure functions of the request, so key-routed with failover.
-            req => {
-                let key = request_key(&encode_request(req));
-                self.call_pure(req, key)
-            }
+            req => self.call_pure(req, ctx),
         }
     }
 
@@ -457,4 +430,27 @@ impl FleetClient {
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         self.call_text(req).map(|(resp, _)| resp)
     }
+}
+
+/// Rewrites a shard-local job id in a response to the fleet-global id.
+fn globalize(resp: Response, raw: String, shard: usize) -> (Response, String) {
+    let resp = match resp {
+        Response::JobAccepted { id } => Response::JobAccepted {
+            id: wrap_job_id(shard, id),
+        },
+        Response::JobStatus {
+            id,
+            state,
+            attempts,
+            message,
+        } => Response::JobStatus {
+            id: wrap_job_id(shard, id),
+            state,
+            attempts,
+            message,
+        },
+        other => return (other, raw),
+    };
+    let raw = encode_response(&resp);
+    (resp, raw)
 }

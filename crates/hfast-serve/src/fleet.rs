@@ -3,34 +3,44 @@
 //!
 //! ## The ring
 //!
-//! [`HashRing`] places `vnodes` points per shard on a `u64` ring; a
+//! `HashRing` places `vnodes` points per shard on a `u64` ring; a
 //! request key (FNV-1a of its canonical v1 encoding, the same key the
 //! response cache uses) is owned by the first point clockwise. Points
 //! are hashed from the *shard index* (`"shard-3/vnode-17"`), not the
-//! address, so a [`crate::FleetClient`] and a router fronting the same
-//! shard list agree on ownership without exchanging ring state — and
-//! re-addressing a shard (rolling restart on a new port) does not move
-//! keys.
+//! address, so every participant fronting the same shard list agrees on
+//! ownership without exchanging ring state — and re-addressing a shard
+//! (rolling restart on a new port) does not move keys.
+//!
+//! ## One routing path
+//!
+//! [`crate::FleetClient`] is the only routing code. The router below
+//! holds one per connection and forwards every verb through it, adding
+//! only what a shared front door needs: it answers `health` itself, puts
+//! a hot-key cache in front of cacheable verbs, overlays that cache and
+//! the hot-key gauge on the merged `metrics`, sets its own drain flag on
+//! `shutdown`, and records its span between client and shard.
 //!
 //! ## Failover
 //!
 //! Cacheable verbs are pure functions of their canonical encoding, so
 //! when the owner shard is unreachable or shedding, the request is
 //! retried on the next *distinct* shard in ring order — any shard
-//! computes byte-identical responses. Job verbs are stateful (the job
-//! lives in one shard's journal), so they never fail over: they retry
-//! the owning shard through its restart window instead.
+//! computes byte-identical responses. When at least one shard was
+//! reachable and every reachable shard shed, the answer is `busy`; only
+//! when no shard was reachable is it a transport error. Job verbs are
+//! stateful (the job lives in one shard's journal), so they never fail
+//! over: they retry the owning shard through its restart window instead.
 //!
 //! ## Job ids
 //!
 //! Shards allocate job ids locally; the fleet namespaces them as
 //! `(shard_index << 40) | local_id` — still below 2^53, so the id
-//! survives JSON number transport. [`wrap_job_id`] / [`unwrap_job_id`]
+//! survives JSON number transport. `wrap_job_id` / [`unwrap_job_id`]
 //! are the whole scheme.
 //!
 //! ## Hot keys
 //!
-//! The router counts key frequencies ([`HotKeys`]); once a key crosses
+//! The router counts key frequencies (`HotKeys`); once a key crosses
 //! the threshold its responses are admitted to a router-level sharded
 //! LRU ([`ResponseCache`]) and served without touching a shard. Only
 //! canonical v1 bodies of successful responses are cached, so a hit is
@@ -46,27 +56,27 @@ use std::time::{Duration, Instant};
 use hfast_trace::{router_span_id, TraceContext, TraceRecorder, Track};
 
 use crate::cache::ResponseCache;
-use crate::client::{Client, ClientError};
+use crate::client::{ClientError, FleetClient};
 use crate::frame::{write_frame, FrameError, FramePoll, FrameReader};
 use crate::protocol::{
-    decode_request_traced, decode_response, encode_request, encode_response, envelope_traced,
-    request_key, strip_envelope, JobTotals, Request, Response, VerbLatency,
+    decode_request_traced, encode_request, encode_response, request_key, JobTotals, Request,
+    Response, VerbLatency,
 };
 
 /// Bits reserved for the shard-local job id; the shard index lives above
 /// them. `40 + log2(shards) < 53` keeps ids JSON-number-safe.
-pub const JOB_SHARD_SHIFT: u32 = 40;
+pub(crate) const JOB_SHARD_SHIFT: u32 = 40;
 
-/// Default virtual nodes per shard — enough to keep the keyspace split
-/// within a few percent of even at small shard counts.
-pub const DEFAULT_VNODES: usize = 32;
+/// Virtual nodes per shard — enough to keep the keyspace split within a
+/// few percent of even at small shard counts.
+pub(crate) const DEFAULT_VNODES: usize = 32;
 
 /// Namespaces a shard-local job id as a fleet-global one. Total: a
 /// `local` past 2^40 keeps its low 40 bits — aliasing inside its own
 /// shard's namespace, never into another's — and a `shard` past 2^13
 /// still round-trips through [`unwrap_job_id`] but no longer through a
 /// JSON number.
-pub fn wrap_job_id(shard: usize, local: u64) -> u64 {
+pub(crate) fn wrap_job_id(shard: usize, local: u64) -> u64 {
     ((shard as u64) << JOB_SHARD_SHIFT) | (local & ((1u64 << JOB_SHARD_SHIFT) - 1))
 }
 
@@ -80,7 +90,7 @@ pub fn unwrap_job_id(global: u64) -> (usize, u64) {
 
 /// A consistent-hash ring over shard *indexes*.
 #[derive(Debug, Clone)]
-pub struct HashRing {
+pub(crate) struct HashRing {
     /// Sorted (point, shard) pairs.
     points: Vec<(u64, usize)>,
     shards: usize,
@@ -91,7 +101,7 @@ impl HashRing {
     ///
     /// # Panics
     /// When `shards` or `vnodes` is zero.
-    pub fn new(shards: usize, vnodes: usize) -> HashRing {
+    pub(crate) fn new(shards: usize, vnodes: usize) -> HashRing {
         assert!(shards > 0, "a ring needs at least one shard");
         assert!(vnodes > 0, "a ring needs at least one point per shard");
         let mut points = Vec::with_capacity(shards * vnodes);
@@ -104,20 +114,15 @@ impl HashRing {
         HashRing { points, shards }
     }
 
-    /// The shard count this ring was built for.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// The shard owning `key`: first ring point clockwise from it.
-    pub fn shard_for(&self, key: u64) -> usize {
+    pub(crate) fn shard_for(&self, key: u64) -> usize {
         let idx = self.points.partition_point(|&(p, _)| p < key);
         self.points[idx % self.points.len()].1
     }
 
     /// Every shard in preference order for `key`: the owner first, then
     /// each further shard in the order its first point appears clockwise.
-    pub fn route(&self, key: u64) -> Vec<usize> {
+    pub(crate) fn route(&self, key: u64) -> Vec<usize> {
         let start = self.points.partition_point(|&(p, _)| p < key);
         let mut order = Vec::with_capacity(self.shards);
         for i in 0..self.points.len() {
@@ -134,7 +139,7 @@ impl HashRing {
 }
 
 /// Frequency-threshold hot-key detector with a bounded table.
-pub struct HotKeys {
+pub(crate) struct HotKeys {
     threshold: u32,
     cap: usize,
     counts: Mutex<std::collections::HashMap<u64, u32>>,
@@ -144,7 +149,7 @@ impl HotKeys {
     /// Keys seen at least `threshold` times count as hot; the table
     /// tracks at most `cap` keys (then resets — a coarse decay that also
     /// bounds memory).
-    pub fn new(threshold: u32, cap: usize) -> HotKeys {
+    pub(crate) fn new(threshold: u32, cap: usize) -> HotKeys {
         HotKeys {
             threshold: threshold.max(1),
             cap: cap.max(1),
@@ -153,7 +158,7 @@ impl HotKeys {
     }
 
     /// Records one sighting of `key`; true once the key is hot.
-    pub fn touch(&self, key: u64) -> bool {
+    pub(crate) fn touch(&self, key: u64) -> bool {
         let mut counts = self.counts.lock().expect("hot-key table poisoned");
         if counts.len() >= self.cap && !counts.contains_key(&key) {
             counts.clear();
@@ -165,7 +170,7 @@ impl HotKeys {
 
     /// Keys currently at or past the hot threshold — the `metrics`
     /// gauge. Resets with the table's coarse decay.
-    pub fn hot_count(&self) -> usize {
+    pub(crate) fn hot_count(&self) -> usize {
         let counts = self.counts.lock().expect("hot-key table poisoned");
         counts.values().filter(|&&c| c >= self.threshold).count()
     }
@@ -191,7 +196,7 @@ fn merge_latency(into: &mut Vec<VerbLatency>, rows: &[VerbLatency]) {
 /// Sums per-shard stats into one fleet-wide [`Response::Stats`].
 ///
 /// Returns `None` when `parts` holds no stats response.
-pub fn aggregate_stats(parts: &[Response]) -> Option<Response> {
+pub(crate) fn aggregate_stats(parts: &[Response]) -> Option<Response> {
     let mut requests = 0u64;
     let mut shed = 0u64;
     let mut cache_hits = 0u64;
@@ -279,7 +284,7 @@ pub fn aggregate_stats(parts: &[Response]) -> Option<Response> {
 /// [`merge_latency`] for why exact merging is off the table).
 ///
 /// Returns `None` when `parts` holds no metrics response.
-pub fn aggregate_metrics(parts: &[Response]) -> Option<Response> {
+pub(crate) fn aggregate_metrics(parts: &[Response]) -> Option<Response> {
     let mut window_ns = 0u64;
     let mut shards = 0u64;
     let mut queue_depth = 0u64;
@@ -342,51 +347,19 @@ pub fn aggregate_metrics(parts: &[Response]) -> Option<Response> {
     })
 }
 
-/// Router knobs.
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// Virtual nodes per shard on the ring.
-    pub vnodes: usize,
-    /// Sightings before a key counts as hot (and gets router-cached).
-    pub hot_threshold: u32,
-    /// Hot-key table capacity.
-    pub hot_cap: usize,
-    /// Router response-cache byte budget.
-    pub cache_bytes: usize,
-    /// Router response-cache shard count.
-    pub cache_shards: usize,
-    /// Same-shard retries for job verbs (rides out a rolling restart).
-    pub stateful_retries: usize,
-    /// Pause between same-shard retries.
-    pub retry_pause: Duration,
-    /// Span recorder for router-side child spans. Injected by the
-    /// embedding process (never probed from the environment — the
-    /// process owns the export and the sink), so `Default` is `None`
-    /// and [`FleetHandle::join`] deliberately does not export.
-    pub trace: Option<Arc<TraceRecorder>>,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            vnodes: DEFAULT_VNODES,
-            hot_threshold: 4,
-            hot_cap: 64 << 10,
-            cache_bytes: 4 << 20,
-            cache_shards: 8,
-            stateful_retries: 40,
-            retry_pause: Duration::from_millis(50),
-            trace: None,
-        }
-    }
-}
+/// Sightings before a key counts as hot (and gets router-cached).
+const HOT_THRESHOLD: u32 = 4;
+/// Hot-key table capacity.
+const HOT_CAP: usize = 64 << 10;
+/// Router response-cache byte budget.
+const CACHE_BYTES: usize = 4 << 20;
+/// Router response-cache shard count.
+const CACHE_SHARDS: usize = 8;
 
 struct RouterShared {
     shard_addrs: Vec<String>,
-    ring: HashRing,
     hot: HotKeys,
     cache: ResponseCache,
-    config: FleetConfig,
     shutdown: AtomicBool,
     trace: Option<Arc<TraceRecorder>>,
     epoch: Instant,
@@ -407,268 +380,70 @@ impl RouterShared {
     }
 }
 
-/// Per-connection pool of upstream shard connections.
-struct Upstreams {
-    conns: Vec<Option<Client>>,
-}
-
-impl Upstreams {
-    fn new(n: usize) -> Upstreams {
-        let mut conns = Vec::new();
-        conns.resize_with(n, || None);
-        Upstreams { conns }
-    }
-
-    /// One canonical-v1 exchange with `shard`; reconnects lazily and
-    /// forgets broken connections. With a trace context the payload
-    /// rides the traced v2 envelope out and the reply is stripped back
-    /// to canonical v1 text, so callers (router cache, digests) never
-    /// see tracing on the bytes.
-    fn exchange(
-        &mut self,
-        shared: &RouterShared,
-        shard: usize,
-        payload: &str,
-        ctx: Option<TraceContext>,
-    ) -> Result<String, ClientError> {
-        if self.conns[shard].is_none() {
-            self.conns[shard] = Some(Client::connect(&shared.shard_addrs[shard])?);
-        }
-        let conn = self.conns[shard].as_mut().expect("just connected");
-        let out = match ctx {
-            None => conn.exchange(payload),
-            Some(c) => conn
-                .exchange(&envelope_traced(payload, c))
-                .map(|raw| strip_envelope(&raw)),
-        };
-        if matches!(out, Err(ClientError::Transport(_))) {
-            self.conns[shard] = None;
-        }
-        out
-    }
-
-    /// Same-shard retry loop for stateful (job) verbs.
-    fn exchange_pinned(
-        &mut self,
-        shared: &RouterShared,
-        shard: usize,
-        payload: &str,
-        ctx: Option<TraceContext>,
-    ) -> Result<String, ClientError> {
-        let mut last: Option<ClientError> = None;
-        for attempt in 0..shared.config.stateful_retries.max(1) {
-            if attempt > 0 {
-                thread::sleep(shared.config.retry_pause);
-            }
-            match self.exchange(shared, shard, payload, ctx) {
-                Ok(raw) => {
-                    if decode_response(&raw).is_ok_and(|r| matches!(r, Response::Busy)) {
-                        last = Some(ClientError::Server(format!(
-                            "shard {shard} shedding a pinned verb"
-                        )));
-                        continue;
-                    }
-                    return Ok(raw);
-                }
-                Err(e) if e.is_transport() => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.unwrap_or(ClientError::Server("no retry budget".into())))
-    }
-
-    /// Owner-then-replicas failover for pure verbs.
-    fn exchange_pure(
-        &mut self,
-        shared: &RouterShared,
-        key: u64,
-        payload: &str,
-        ctx: Option<TraceContext>,
-    ) -> Result<String, ClientError> {
-        let mut last: Option<ClientError> = None;
-        for shard in shared.ring.route(key) {
-            match self.exchange(shared, shard, payload, ctx) {
-                Ok(raw) => {
-                    // Busy from a draining/overloaded shard: a replica can
-                    // answer the same bytes, so keep going.
-                    if decode_response(&raw).is_ok_and(|r| matches!(r, Response::Busy)) {
-                        last = Some(ClientError::Server(format!("shard {shard} is shedding")));
-                        continue;
-                    }
-                    return Ok(raw);
-                }
-                Err(e) if e.is_transport() => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        match last {
-            // Every shard shed: Busy is the honest fleet-wide answer.
-            Some(ClientError::Server(_)) => Ok(encode_response(&Response::Busy)),
-            Some(e) => Err(e),
-            None => Err(ClientError::Server("no shards configured".into())),
-        }
+/// The canonical v1 text answering a forwarded call.
+fn reply(out: Result<(Response, String), ClientError>) -> String {
+    match out {
+        Ok((_, raw)) => raw,
+        Err(e) => encode_response(&Response::Error {
+            message: format!("fleet: {e}"),
+        }),
     }
 }
 
-/// Routes one decoded request, returning the canonical v1 response text.
-/// A trace context rides every upstream hop of the request.
+/// Answers one decoded request, forwarding through `fleet` with `ctx`
+/// riding every shard hop.
 fn route(
     shared: &RouterShared,
-    ups: &mut Upstreams,
-    req: Request,
+    fleet: &mut FleetClient,
+    req: &Request,
     ctx: Option<TraceContext>,
 ) -> String {
-    let err = |e: &ClientError| {
-        encode_response(&Response::Error {
-            message: format!("fleet: {e}"),
-        })
-    };
-    match &req {
+    match req {
         // The router answers health itself: it is the liveness surface of
         // the fleet (shards report theirs through stats).
         Request::Health => encode_response(&Response::Health {
             workers: shared.shard_addrs.len(),
             queue: 0,
         }),
-        Request::Stats => {
-            let payload = encode_request(&Request::Stats);
-            let mut parts = Vec::new();
-            for shard in 0..shared.shard_addrs.len() {
-                if let Ok(raw) = ups.exchange(shared, shard, &payload, ctx) {
-                    if let Ok(resp) = decode_response(&raw) {
-                        parts.push(resp);
-                    }
-                }
-            }
-            match aggregate_stats(&parts) {
-                Some(resp) => encode_response(&resp),
-                None => encode_response(&Response::Error {
-                    message: "fleet: no shard answered stats".into(),
-                }),
-            }
-        }
         // Fleet metrics = shard merge plus the router's own overlay: its
-        // hot-key cache hits never reached a shard, and the hot-key
-        // gauge only exists here.
-        Request::Metrics => {
-            let payload = encode_request(&Request::Metrics);
-            let mut parts = Vec::new();
-            for shard in 0..shared.shard_addrs.len() {
-                if let Ok(raw) = ups.exchange(shared, shard, &payload, ctx) {
-                    if let Ok(resp) = decode_response(&raw) {
-                        parts.push(resp);
-                    }
-                }
+        // hot-key cache hits never reached a shard, and the hot-key gauge
+        // only exists here.
+        Request::Metrics => reply(fleet.forward(req, ctx).map(|(mut resp, _)| {
+            if let Response::Metrics {
+                cache_hits,
+                cache_misses,
+                hot_keys,
+                ..
+            } = &mut resp
+            {
+                let c = shared.cache.stats();
+                *cache_hits += c.hits;
+                *cache_misses += c.misses;
+                *hot_keys = shared.hot.hot_count() as u64;
             }
-            match aggregate_metrics(&parts) {
-                Some(Response::Metrics {
-                    window_ns,
-                    shards,
-                    queue_depth,
-                    cache_hits,
-                    cache_misses,
-                    jobs_pending,
-                    jobs_retried,
-                    hot_keys: _,
-                    verbs,
-                }) => {
-                    let c = shared.cache.stats();
-                    encode_response(&Response::Metrics {
-                        window_ns,
-                        shards,
-                        queue_depth,
-                        cache_hits: cache_hits + c.hits,
-                        cache_misses: cache_misses + c.misses,
-                        jobs_pending,
-                        jobs_retried,
-                        hot_keys: shared.hot.hot_count() as u64,
-                        verbs,
-                    })
-                }
-                Some(resp) => encode_response(&resp),
-                None => encode_response(&Response::Error {
-                    message: "fleet: no shard answered metrics".into(),
-                }),
-            }
-        }
+            let raw = encode_response(&resp);
+            (resp, raw)
+        })),
         Request::Shutdown => {
-            let payload = encode_request(&Request::Shutdown);
-            for shard in 0..shared.shard_addrs.len() {
-                let _ = ups.exchange(shared, shard, &payload, ctx);
-            }
+            let out = fleet.forward(req, ctx);
             shared.shutdown.store(true, Ordering::Relaxed);
-            encode_response(&Response::Ok)
+            reply(out)
         }
-        Request::Submit { job } => {
-            let shard = shared.ring.shard_for(request_key(&encode_request(job)));
-            match ups.exchange_pinned(shared, shard, &encode_request(&req), ctx) {
-                Ok(raw) => match decode_response(&raw) {
-                    Ok(Response::JobAccepted { id }) => encode_response(&Response::JobAccepted {
-                        id: wrap_job_id(shard, id),
-                    }),
-                    Ok(_) => raw,
-                    Err(e) => encode_response(&Response::Error {
-                        message: format!("fleet: shard answered garbage: {e}"),
-                    }),
-                },
-                Err(e) => err(&e),
-            }
-        }
-        Request::Poll { id } | Request::Fetch { id } | Request::Cancel { id } => {
-            let (shard, local) = unwrap_job_id(*id);
-            if shard >= shared.shard_addrs.len() {
-                return encode_response(&Response::Error {
-                    message: format!(
-                        "job id names shard {shard}, fleet has {}",
-                        shared.shard_addrs.len()
-                    ),
-                });
-            }
-            let local_req = match &req {
-                Request::Poll { .. } => Request::Poll { id: local },
-                Request::Fetch { .. } => Request::Fetch { id: local },
-                _ => Request::Cancel { id: local },
-            };
-            match ups.exchange_pinned(shared, shard, &encode_request(&local_req), ctx) {
-                Ok(raw) => match decode_response(&raw) {
-                    Ok(Response::JobStatus {
-                        id,
-                        state,
-                        attempts,
-                        message,
-                    }) => encode_response(&Response::JobStatus {
-                        id: wrap_job_id(shard, id),
-                        state,
-                        attempts,
-                        message,
-                    }),
-                    _ => raw,
-                },
-                Err(e) => err(&e),
-            }
-        }
-        // Compute verbs: pure, so key-routed with failover and (when hot
-        // and cacheable) served from the router cache.
         _ => {
-            let payload = encode_request(&req);
-            let key = request_key(&payload);
-            let cache_worthy = req.cacheable() && shared.hot.touch(key);
-            if cache_worthy {
-                if let Some(hit) = shared.cache.get(key) {
-                    return hit;
+            let hot = req
+                .cacheable()
+                .then(|| request_key(&encode_request(req)))
+                .filter(|&key| shared.hot.touch(key));
+            if let Some(hit) = hot.and_then(|key| shared.cache.get(key)) {
+                return hit;
+            }
+            let out = fleet.forward(req, ctx);
+            if let (Some(key), Ok((resp, raw))) = (hot, &out) {
+                if !matches!(resp, Response::Error { .. } | Response::Busy) {
+                    shared.cache.put(key, raw);
                 }
             }
-            match ups.exchange_pure(shared, key, &payload, ctx) {
-                Ok(raw) => {
-                    let cacheable_body = decode_response(&raw)
-                        .is_ok_and(|r| !matches!(r, Response::Error { .. } | Response::Busy));
-                    if cache_worthy && cacheable_body {
-                        shared.cache.put(key, &raw);
-                    }
-                    raw
-                }
-                Err(e) => err(&e),
-            }
+            reply(out)
         }
     }
 }
@@ -681,14 +456,13 @@ fn router_connection(shared: &RouterShared, mut stream: TcpStream, conn_id: usiz
         return;
     }
     let _ = stream.set_nodelay(true);
-    let mut ups = Upstreams::new(shared.shard_addrs.len());
+    let mut fleet = FleetClient::connect(&shared.shard_addrs);
     let mut reader = FrameReader::new();
     loop {
         match reader.poll(&mut stream) {
             Ok(FramePoll::Frame(payload)) => {
                 let body = match decode_request_traced(&payload) {
                     Ok((req, version, ctx)) => {
-                        let verb = req.endpoint();
                         let t0 = shared.now_ns();
                         // With a recorder, the router interposes its own
                         // span: record a child of the inbound context and
@@ -703,11 +477,11 @@ fn router_connection(shared: &RouterShared, mut stream: TcpStream, conn_id: usiz
                             }
                             _ => (ctx, None),
                         };
-                        let body = route(shared, &mut ups, req, fwd);
+                        let body = route(shared, &mut fleet, &req, fwd);
                         if let (Some(trace), Some((c, span))) = (&shared.trace, span) {
                             trace.record_span(
                                 Track::Router(conn_id),
-                                verb,
+                                req.endpoint(),
                                 t0,
                                 shared.now_ns().saturating_sub(t0).max(1),
                                 span,
@@ -743,8 +517,7 @@ fn router_connection(shared: &RouterShared, mut stream: TcpStream, conn_id: usiz
 /// A running fleet router.
 pub struct FleetHandle {
     addr: SocketAddr,
-    shared: Arc<RouterShared>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
 }
 
 impl FleetHandle {
@@ -753,85 +526,78 @@ impl FleetHandle {
         self.addr
     }
 
-    /// Begins drain without forwarding shutdown to the shards (the
-    /// `shutdown` *request* does forward) — used for router-only
-    /// restarts.
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-    }
-
-    /// Blocks until the acceptor and every connection thread exit.
-    pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+    /// Blocks until the acceptor and every connection thread exit, which
+    /// they do once a client's `shutdown` has fanned out to the shards.
+    pub fn join(self) {
+        let _ = self.acceptor.join();
     }
 }
 
 /// Binds `addr` and starts a router fronting `shard_addrs` (index order
 /// must match every other participant's).
 ///
+/// `trace` receives the router's child spans. The embedding process owns
+/// the recorder and its export — the router never probes the
+/// environment — so [`FleetHandle::join`] writes nothing.
+///
 /// # Errors
-/// Propagates the bind failure.
+/// Propagates the bind failure; an empty `shard_addrs` is `InvalidInput`.
 pub fn start_fleet(
     addr: &str,
     shard_addrs: &[String],
-    config: FleetConfig,
+    trace: Option<Arc<TraceRecorder>>,
 ) -> io::Result<FleetHandle> {
+    if shard_addrs.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "a fleet needs at least one shard",
+        ));
+    }
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(RouterShared {
-        ring: HashRing::new(shard_addrs.len(), config.vnodes),
-        hot: HotKeys::new(config.hot_threshold, config.hot_cap),
-        cache: ResponseCache::new(config.cache_shards, config.cache_bytes),
         shard_addrs: shard_addrs.to_vec(),
-        trace: config.trace.clone(),
-        config,
+        hot: HotKeys::new(HOT_THRESHOLD, HOT_CAP),
+        cache: ResponseCache::new(CACHE_SHARDS, CACHE_BYTES),
         shutdown: AtomicBool::new(false),
+        trace,
         epoch: Instant::now(),
         span_counter: AtomicU64::new(1),
     });
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        thread::Builder::new()
-            .name("hfast-fleet-acceptor".into())
-            .spawn(move || {
-                let mut conns: Vec<JoinHandle<()>> = Vec::new();
-                let mut conn_id = 0usize;
-                while !shared.draining() {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let id = conn_id;
-                            conn_id += 1;
-                            let shared = Arc::clone(&shared);
-                            conns.push(
-                                thread::Builder::new()
-                                    .name(format!("hfast-fleet-conn-{id}"))
-                                    .spawn(move || router_connection(&shared, stream, id))
-                                    .expect("spawn router connection thread"),
-                            );
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(5));
-                            if conns.len() > 64 {
-                                conns.retain(|h| !h.is_finished());
-                            }
-                        }
-                        Err(_) => thread::sleep(Duration::from_millis(5)),
+    let acceptor = thread::Builder::new()
+        .name("hfast-fleet-acceptor".into())
+        .spawn(move || {
+            let mut conns: Vec<JoinHandle<()>> = Vec::new();
+            let mut conn_id = 0usize;
+            while !shared.draining() {
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        let id = conn_id;
+                        conn_id += 1;
+                        let shared = Arc::clone(&shared);
+                        conns.push(
+                            thread::Builder::new()
+                                .name(format!("hfast-fleet-conn-{id}"))
+                                .spawn(move || router_connection(&shared, stream, id))
+                                .expect("spawn router connection thread"),
+                        );
                     }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        thread::sleep(Duration::from_millis(5));
+                        if conns.len() > 64 {
+                            conns.retain(|h| !h.is_finished());
+                        }
+                    }
+                    Err(_) => thread::sleep(Duration::from_millis(5)),
                 }
-                for conn in conns {
-                    let _ = conn.join();
-                }
-            })
-            .expect("spawn fleet acceptor")
-    };
-    Ok(FleetHandle {
-        addr,
-        shared,
-        acceptor: Some(acceptor),
-    })
+            }
+            for conn in conns {
+                let _ = conn.join();
+            }
+        })
+        .expect("spawn fleet acceptor");
+    Ok(FleetHandle { addr, acceptor })
 }
 
 #[cfg(test)]

@@ -29,9 +29,11 @@
 //!   canonical (cache keys, journal entries); a `{"v":2,...}` envelope
 //!   is detected per frame and answered in kind.
 //! - **Fleet scale-out** ([`fleet`]): consistent-hash sharding across
-//!   daemon processes, reachable either client-side ([`FleetClient`])
-//!   or through the `start_fleet` router and the `hfast-fleet`
+//!   daemon processes through one routing path, [`FleetClient`], used
+//!   directly or behind the `start_fleet` router and the `hfast-fleet`
 //!   supervisor (rolling restarts, journaled shards).
+//! - **Soak monitor** ([`soak`]): sustained load with live SLO checks
+//!   against the `metrics` verb, for a daemon or a fleet.
 //!
 //! ```no_run
 //! use hfast_serve::{start, Client, Request, Response, ServerConfig};
@@ -63,12 +65,11 @@ pub mod jobs;
 pub mod protocol;
 pub mod registry;
 pub mod server;
+pub mod soak;
 
 pub use cache::{CacheStats, ResponseCache};
 pub use client::{Client, ClientError, FleetClient};
-pub use fleet::{
-    aggregate_metrics, aggregate_stats, start_fleet, FleetConfig, FleetHandle, HashRing,
-};
+pub use fleet::{start_fleet, FleetHandle};
 pub use frame::{read_frame, write_frame, FrameError, FramePoll, FrameReader, MAX_FRAME_BYTES};
 pub use handlers::execute;
 pub use hfast_core::Strategy;

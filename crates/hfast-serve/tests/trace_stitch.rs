@@ -3,10 +3,10 @@
 //! client root span transitively parenting the router child and the
 //! shard worker spans, with zero orphans.
 //!
-//! The heavy lifting runs in the `fleet_trace --capture` binary (the
-//! per-shard `HFAST_TRACE` sink is probed once per process, so the
-//! capture needs real subprocesses); this test drives it and then
-//! re-validates the stitched document independently.
+//! The heavy lifting runs in `hfast-fleet --capture` (the per-shard
+//! `HFAST_TRACE` sink is probed once per process, so the capture needs
+//! real subprocesses); this test drives it and then re-validates the
+//! stitched document independently.
 
 use std::process::Command;
 
@@ -17,13 +17,13 @@ fn two_shard_capture_stitches_into_one_tree_per_request() {
     let dir = std::env::temp_dir().join(format!("hfast-trace-stitch-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let out = Command::new(env!("CARGO_BIN_EXE_fleet_trace"))
+    let out = Command::new(env!("CARGO_BIN_EXE_hfast-fleet"))
         .arg("--capture")
         .arg(&dir)
         .env_remove("HFAST_TRACE") // the capture sets per-process sinks itself
         .env_remove("HFAST_OBS")
         .output()
-        .expect("run fleet_trace --capture");
+        .expect("run hfast-fleet --capture");
     assert!(
         out.status.success(),
         "capture failed:\n{}",

@@ -119,7 +119,8 @@ pub fn write_to_env_sink(document: &str) {
 /// Exports a process's spans to the `HFAST_TRACE` destination in the
 /// format its extension asks for: a path ending in `.jsonl` gets the
 /// [`stitch::render_jsonl`] interchange (for cross-process stitching by
-/// `fleet_trace`), anything else the single-process Perfetto document.
+/// `hfast-fleet --stitch`), anything else the single-process Perfetto
+/// document.
 /// No-op when tracing is disabled.
 pub fn export_to_env_sink(process: &str, spans: &[span::SpanRecord]) {
     if !enabled() {

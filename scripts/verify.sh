@@ -56,23 +56,25 @@ smoke congestion_lab cargo run --release -q -p hfast-bench --bin congestion_lab 
 # panic-isolation probe, stats) and drained; exits non-zero on any
 # mismatch, unexercised cache, or a hung drain.
 smoke serve_self_test cargo run --release -q -p hfast-serve -- --self-test
-# Fleet smoke: two shard processes behind the consistent-hash router plus
-# a supervisor; exits non-zero unless the 2-shard digest is byte-identical
-# to the single node, a mid-run rolling restart of one shard is invisible
-# to clients (zero drops, zero mismatches), and every journaled job
-# submitted before the restart is fetchable after it.
+# Fleet smoke (~5 s wall): two journaled shard processes behind the
+# consistent-hash router; exits non-zero unless the fleet answers the
+# single node's bytes, a rolling restart of shard 0 under a 4 s soak is
+# invisible to clients (zero mismatched, zero refused, no lost loader
+# connection), and every journaled job submitted before the restart
+# fetches its baseline bytes after it.
 smoke fleet_smoke cargo run --release -q -p hfast-serve --bin hfast-fleet -- --smoke
 # Trace-plane smoke: capture a live 2-shard fleet with per-process span
 # sinks, stitch client + router + shards into one Perfetto document, and
 # exit non-zero unless every traced request forms exactly one connected
 # causal tree (one root, zero orphans).
-smoke fleet_trace cargo run --release -q -p hfast-serve --bin fleet_trace -- --capture \
+smoke fleet_trace cargo run --release -q -p hfast-serve --bin hfast-fleet -- --capture \
   "${TMPDIR:-/tmp}/hfast-verify-trace"
-# Soak smoke (~30 s wall): sustained mixed-verb load over a 2-shard fleet
-# while a monitor polls the rolling `metrics` windows and shard 0 is
-# rolling-restarted mid-soak; exits non-zero on any SLO violation — byte
-# divergence, refused responses, a breached p99 ceiling, or a durable job
-# lost across the restart.
+# Soak smoke (~25 s wall): the fleet smoke's drill with a 20 s soak —
+# sustained mixed-verb load while the monitor polls the rolling `metrics`
+# windows and shard 0 is rolling-restarted halfway; exits non-zero on any
+# SLO violation — byte divergence, refused responses, a lost loader
+# connection, a breached p99 ceiling, or a durable job lost across the
+# restart.
 smoke fleet_soak cargo run --release -q -p hfast-serve --bin hfast-fleet -- --soak --secs 20
 # Benchmark-package smoke: `benchmark/` is a standalone package (own
 # lockfile, invisible to the workspace build above), so a change to the
