@@ -8,15 +8,24 @@
 //! entries, overflow, both volume matrices) so that a change to the
 //! profiler's table or to the runtime's message matching shows here before
 //! it reaches a graph.
+//!
+//! The complete-512 digests and the `circuits_changed` counts pin the
+//! provisioning layer's bookkeeping on its densest input: the structure
+//! built and rebuilt, the order the crossbar reports its circuits in, and
+//! the two places that count circuits moved between two crossbars.
 
 use hfast::apps::{all_apps, profile_app, STUDY_SIZES};
-use hfast::core::{ProvisionConfig, Strategy};
+use hfast::core::{
+    hfast_fault_impact, seeded_failures, Endpoint, GraphDelta, ProvisionConfig, Provisioning,
+    ReconfigEngine, Strategy,
+};
 use hfast::ipm::CommProfile;
 use hfast::netsim::{Scenario, ScenarioKind};
 use hfast::topology::generators::{
     complete_graph, hypercube_graph, mesh3d_graph, ring_graph, torus3d_graph,
 };
 use hfast::topology::{CommGraph, EdgeStat};
+use hfast_par::Rng64;
 
 /// Compares a computed `(label, value)` table with its golden, printing
 /// the whole computed table on a mismatch so a deliberate change can be
@@ -286,6 +295,62 @@ const DIGESTS: &[(&str, u64)] = &[
     ("complete demand_decomp", 0xb4737f32b5535a35),
 ];
 
+/// Complete-512 (130,816 circuits' worth of demand) per strategy: the
+/// `provision` digest, an FNV-1a digest of its `circuit.circuits()`
+/// sequence, and the digest after `reprovision` on [`grow_one_percent`].
+const COMPLETE_512_DIGESTS: &[(&str, u64)] = &[
+    ("complete-512 paper_linear", 0xaed4e7b99162de45),
+    ("complete-512 paper_linear circuits", 0x694cc2177aef6625),
+    ("complete-512 paper_linear reprovision", 0xaed4e7b99162de45),
+    ("complete-512 bff_circuit", 0xafb07707d49bf388),
+    ("complete-512 bff_circuit circuits", 0x21ae585cd2ba79b5),
+    ("complete-512 bff_circuit reprovision", 0x4b52d978c9e489c4),
+    ("complete-512 demand_decomp", 0xfbfc96f9b7ef9a30),
+    ("complete-512 demand_decomp circuits", 0x023f9654f3886b2d),
+    ("complete-512 demand_decomp reprovision", 0x888e73857aace120),
+];
+
+/// Adds one more 1 MiB message on `edge_count / 100` seeded pairs — on a
+/// complete graph every pair already exists, so only weights move — and
+/// notes each in the delta.
+fn grow_one_percent(graph: &mut CommGraph, seed: u64) -> GraphDelta {
+    let mut rng = Rng64::new(seed);
+    let n = graph.n();
+    let mut delta = GraphDelta::new();
+    for _ in 0..graph.edge_count() / 100 {
+        let (a, b) = (rng.range(0, n), rng.range(0, n));
+        if a != b {
+            graph.add_message(a, b, 1 << 20);
+            delta.note(a, b, *graph.edge(a, b));
+        }
+    }
+    delta
+}
+
+/// FNV-1a over the crossbar's circuits in the order `circuits()` yields
+/// them: ascending lower end, nodes before block ports.
+fn circuits_digest(prov: &Provisioning) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut put = |word: u64| {
+        for byte in word.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (a, b) in prov.circuit.circuits() {
+        for e in [a, b] {
+            match e {
+                Endpoint::Node(v) => put(v as u64),
+                Endpoint::BlockPort { block, port } => {
+                    put(1 << 63 | block as u64);
+                    put(port as u64);
+                }
+            }
+        }
+    }
+    h
+}
+
 #[test]
 fn provisioning_digests() {
     let mut got = Vec::new();
@@ -299,4 +364,56 @@ fn provisioning_digests() {
         }
     }
     check("provisioning digest", &got, DIGESTS);
+
+    let mut got = Vec::new();
+    for strategy in Strategy::ALL {
+        let mut g = complete_graph(512, 300 << 10);
+        let provisioner = strategy.provisioner();
+        let prov = provisioner.provision(&g, ProvisionConfig::default());
+        prov.validate(&g).expect("valid");
+        got.push((format!("complete-512 {strategy}"), prov.digest()));
+        got.push((
+            format!("complete-512 {strategy} circuits"),
+            circuits_digest(&prov),
+        ));
+        let delta = grow_one_percent(&mut g, 0x5eed_0512);
+        let grown = provisioner.reprovision(prov, &g, &delta).provisioning;
+        grown.validate(&g).expect("valid after reprovision");
+        got.push((
+            format!("complete-512 {strategy} reprovision"),
+            grown.digest(),
+        ));
+    }
+    check("complete-512 digest", &got, COMPLETE_512_DIGESTS);
+}
+
+/// `circuits_changed` of a full-rebuild adaptation step and of a fault
+/// re-provisioning: each is a symmetric difference of two crossbars.
+const CIRCUITS_CHANGED: &[(&str, u64)] = &[
+    ("bff_circuit mesh -> hypercube-64 step", 272),
+    ("torus-64 four failures", 384),
+];
+
+#[test]
+fn circuits_changed_counts() {
+    let mut engine = ReconfigEngine::builder(64, ProvisionConfig::default())
+        .strategy(Strategy::BffCircuit)
+        .build();
+    let step = engine.observe_and_adapt(&hypercube_graph(64, 300 << 10));
+    let fault = hfast_fault_impact(
+        &torus3d_graph((4, 4, 4), 300 << 10),
+        ProvisionConfig::default(),
+        &seeded_failures(4, 64, 29),
+    );
+    let got = vec![
+        (
+            "bff_circuit mesh -> hypercube-64 step".to_string(),
+            step.circuits_changed as u64,
+        ),
+        (
+            "torus-64 four failures".to_string(),
+            fault.circuits_changed as u64,
+        ),
+    ];
+    check("circuits_changed", &got, CIRCUITS_CHANGED);
 }
