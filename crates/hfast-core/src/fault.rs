@@ -208,9 +208,7 @@ pub fn hfast_fault_impact(
         .collect();
     let after = Clustered::new(alive_clusters).provision(&surviving, config);
 
-    let old: std::collections::BTreeSet<_> = before.circuit.circuits().collect();
-    let new: std::collections::BTreeSet<_> = after.circuit.circuits().collect();
-    let changed = old.symmetric_difference(&new).count();
+    let changed = before.circuit.circuits_changed(&after.circuit);
 
     // Check every surviving above-cutoff pair still routes.
     let degraded = surviving

@@ -55,6 +55,8 @@ pub mod provisioner;
 pub mod reconfig;
 pub mod smp;
 pub mod switch;
+#[cfg(test)]
+mod switch_oracle;
 
 pub use anneal::{optimize_clusters, AnnealOutcome};
 pub use bdp::{InterconnectSpec, TABLE1_SYSTEMS, TARGET_BDP_BYTES};

@@ -197,6 +197,13 @@ pub trait Provisioner: Send + Sync {
     /// The default recomputes from scratch, which is always correct;
     /// strategies override it when they can do better (see
     /// [`PaperLinear`]'s O(changed-edges) path).
+    ///
+    /// The matching strategies ([`BffCircuit`], [`DemandDecomp`]) keep the
+    /// default on purpose. Their clustering is one greedy pass over the
+    /// global weight order, so one changed weight can re-marry a chain of
+    /// pairs reaching anywhere in the graph: an exact update is not
+    /// O(changed edges), and an approximate one yields a different
+    /// provisioning than `provision` on the same graph.
     fn reprovision(
         &self,
         prev: Provisioning,
@@ -501,14 +508,18 @@ impl Provisioner for ScratchOnly {
     }
 }
 
-/// The above-cutoff demand pairs as `(bytes, a, b)` with `a < b`, in pair
-/// order — what the matching strategies schedule.
+/// The above-cutoff demand pairs as `(bytes, a, b)` with `a < b`,
+/// heaviest first with the endpoints breaking ties — the order the
+/// matching strategies schedule them in. Pairs are distinct, so the order
+/// is total and an unstable sort is deterministic.
 fn demand_pairs(graph: &CommGraph, cutoff: u64) -> Vec<(u64, usize, usize)> {
-    graph
+    let mut pairs: Vec<_> = graph
         .edges()
         .filter(|(_, _, e)| e.max_msg >= cutoff)
         .map(|(a, b, e)| (e.bytes, a, b))
-        .collect()
+        .collect();
+    pairs.sort_unstable_by_key(|&(w, a, b)| (std::cmp::Reverse(w), a, b));
+    pairs
 }
 
 /// Stable-matching / best-fit-first circuit scheduling (arXiv 1712.06634's
@@ -516,6 +527,12 @@ fn demand_pairs(graph: &CommGraph, cutoff: u64) -> Vec<(u64, usize, usize)> {
 /// marry unmatched endpoints, so each heavy pair shares one chain (its edge
 /// becomes an intra-cluster hop, the 2-traversal minimum) instead of
 /// spending two external crossbar ports.
+///
+/// `reprovision` rebuilds from scratch (`full_rebuild = true`): one changed
+/// weight can move the pair ahead of it in the global order, unmarry its
+/// partners and re-marry theirs in turn, so no update bounded by the delta
+/// reproduces what `provision` would build (see
+/// [`Provisioner::reprovision`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BffCircuit;
 
@@ -529,10 +546,8 @@ impl Provisioner for BffCircuit {
         // Heaviest-first, endpoints as deterministic tie-breakers: this is
         // the greedy maximal matching that 2-approximates max-weight
         // matching — the "best fit first" step of the BFF schedule.
-        let mut edges = demand_pairs(graph, config.cutoff);
-        edges.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
         let mut partner = vec![usize::MAX; n];
-        for &(_, a, b) in &edges {
+        for (_, a, b) in demand_pairs(graph, config.cutoff) {
             if partner[a] == usize::MAX && partner[b] == usize::MAX {
                 partner[a] = b;
                 partner[b] = a;
@@ -559,6 +574,11 @@ impl Provisioner for BffCircuit {
 /// pairs each round matches into clusters bounded by chain capacity. Heavy
 /// mutually-communicating groups coalesce onto shared chains; sparse
 /// traffic stays per-node.
+///
+/// `reprovision` rebuilds from scratch (`full_rebuild = true`) for the same
+/// reason as [`BffCircuit`]: each round is a greedy matching over the
+/// global weight order, and a changed weight can reshape every later
+/// match and every cluster the capacity bound then admits.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DemandDecomp;
 
@@ -573,6 +593,9 @@ impl Provisioner for DemandDecomp {
     fn provision(&self, graph: &CommGraph, config: ProvisionConfig) -> Provisioning {
         let n = graph.n();
         let cap = (config.block_ports / 4).max(2);
+        // Every round walks the residual heaviest first. A round only
+        // zeroes the entries it matches and skips zeros, so the order of the
+        // non-zero entries, all a round reads, holds for every round.
         let mut residual = demand_pairs(graph, config.cutoff);
         // Union-find over nodes; cluster size capped so a chain stays short.
         let mut parent: Vec<usize> = (0..n).collect();
@@ -585,7 +608,6 @@ impl Provisioner for DemandDecomp {
             v
         }
         for _ in 0..DECOMP_ROUNDS {
-            residual.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
             let mut matched = vec![false; n];
             for entry in residual.iter_mut() {
                 let (w, a, b) = *entry;

@@ -303,12 +303,10 @@ impl ReconfigEngine {
             self.current = prev;
             (0, None)
         } else {
-            let old_circuits: std::collections::BTreeSet<_> = prev.circuit.circuits().collect();
+            let before = prev.circuit.clone();
             let out = self.provisioner.reprovision(prev, &self.observed, delta);
             let changed = if out.full_rebuild {
-                let new_circuits: std::collections::BTreeSet<_> =
-                    out.provisioning.circuit.circuits().collect();
-                old_circuits.symmetric_difference(&new_circuits).count()
+                before.circuits_changed(&out.provisioning.circuit)
             } else {
                 out.edges_touched
             };

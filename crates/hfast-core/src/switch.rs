@@ -54,12 +54,57 @@ impl std::error::Error for SwitchError {}
 /// patch panel"). It adds no per-message latency beyond propagation, but
 /// reconfiguration takes milliseconds, during which no traffic may be in
 /// flight on the affected light paths.
+///
+/// Every port is a slot holding its peer: one per node id and one per
+/// `(block, port)`, grown on demand up to the largest id patched, so a
+/// lookup, a patch and a teardown are O(1) and a whole-crossbar pass is
+/// one walk over the slots. Ids are expected to be dense (node ranks and
+/// block-pool indices), since storage follows the largest one; a block id
+/// from 2^38 or a port from 2^24 up panics.
 #[derive(Debug, Clone, Default)]
 pub struct CircuitSwitch {
-    /// Symmetric pairing of endpoints.
-    circuits: std::collections::BTreeMap<Endpoint, Endpoint>,
+    /// Peer of `Node(v)` at `nodes[v]`, packed (see [`pack`]).
+    nodes: Vec<u64>,
+    /// Peer of `BlockPort { block, port }` at `ports[block << port_bits |
+    /// port]`, packed: every block spans the same power-of-two run of slots.
+    ports: Vec<u64>,
+    /// Log2 of the slots per block; widened when a higher port is patched.
+    port_bits: u32,
+    /// Occupied slots (2× circuits).
+    ports_in_use: usize,
     /// Number of reconfiguration operations performed (connect/disconnect).
     reconfigurations: u64,
+}
+
+/// Slot value of an unpatched port.
+const FREE: u64 = u64::MAX;
+/// Bits of a packed block-port peer that hold the port.
+const PACKED_PORT_BITS: u32 = 24;
+
+/// A peer as a slot stores it, independent of the slot layout: nodes even,
+/// block ports odd.
+fn pack(e: Endpoint) -> u64 {
+    match e {
+        Endpoint::Node(v) => (v as u64) << 1,
+        Endpoint::BlockPort { block, port } => {
+            ((block as u64) << PACKED_PORT_BITS | port as u64) << 1 | 1
+        }
+    }
+}
+
+fn unpack(slot: u64) -> Option<Endpoint> {
+    if slot == FREE {
+        return None;
+    }
+    let id = slot >> 1;
+    Some(if slot & 1 == 0 {
+        Endpoint::Node(id as usize)
+    } else {
+        Endpoint::BlockPort {
+            block: (id >> PACKED_PORT_BITS) as usize,
+            port: (id & ((1 << PACKED_PORT_BITS) - 1)) as usize,
+        }
+    })
 }
 
 impl CircuitSwitch {
@@ -72,48 +117,133 @@ impl CircuitSwitch {
         Self::default()
     }
 
+    /// Where `e`'s slot sits, if storage reaches it: `(is_port, index)`
+    /// into `ports` or `nodes`.
+    fn locate(&self, e: Endpoint) -> Option<(bool, usize)> {
+        match e {
+            Endpoint::Node(v) => (v < self.nodes.len()).then_some((false, v)),
+            Endpoint::BlockPort { block, port } => {
+                let reached =
+                    port >> self.port_bits == 0 && block < self.ports.len() >> self.port_bits;
+                reached.then_some((true, block << self.port_bits | port))
+            }
+        }
+    }
+
+    /// The packed peer in `e`'s slot, if storage reaches it.
+    fn slot(&self, e: Endpoint) -> Option<u64> {
+        let (is_port, index) = self.locate(e)?;
+        Some(if is_port {
+            self.ports[index]
+        } else {
+            self.nodes[index]
+        })
+    }
+
+    fn slot_mut(&mut self, e: Endpoint) -> Option<&mut u64> {
+        let (is_port, index) = self.locate(e)?;
+        Some(if is_port {
+            &mut self.ports[index]
+        } else {
+            &mut self.nodes[index]
+        })
+    }
+
+    /// `e`'s slot, growing storage to reach it.
+    fn reach(&mut self, e: Endpoint) -> &mut u64 {
+        match e {
+            Endpoint::Node(v) => {
+                if v >= self.nodes.len() {
+                    self.nodes.resize(v + 1, FREE);
+                }
+            }
+            Endpoint::BlockPort { block, port } => {
+                assert!(
+                    block >> (62 - PACKED_PORT_BITS) == 0 && port >> PACKED_PORT_BITS == 0,
+                    "{e} is beyond the crossbar's id range"
+                );
+                if port >> self.port_bits != 0 {
+                    self.widen(port.ilog2() + 1);
+                }
+                let len = (block + 1) << self.port_bits;
+                if len > self.ports.len() {
+                    self.ports.resize(len, FREE);
+                }
+            }
+        }
+        self.slot_mut(e)
+            .expect("storage was just grown to reach it")
+    }
+
+    /// Re-lays the block-port slots out with `2^port_bits` per block.
+    fn widen(&mut self, port_bits: u32) {
+        let old = std::mem::replace(&mut self.port_bits, port_bits);
+        let blocks = self.ports.len() >> old;
+        let mut ports = vec![FREE; blocks << port_bits];
+        for (block, run) in self.ports.chunks_exact(1 << old).enumerate() {
+            ports[block << port_bits..][..run.len()].copy_from_slice(run);
+        }
+        self.ports = ports;
+    }
+
+    /// Every occupied slot as `(endpoint, peer)`: nodes ascending, then
+    /// `(block, port)` ascending — `Endpoint`'s own order.
+    fn slots(&self) -> impl Iterator<Item = (Endpoint, Endpoint)> + '_ {
+        let nodes = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(v, &peer)| Some((Endpoint::Node(v), unpack(peer)?)));
+        let mask = (1 << self.port_bits) - 1;
+        let ports = self.ports.iter().enumerate().filter_map(move |(i, &peer)| {
+            let (block, port) = (i >> self.port_bits, i & mask);
+            Some((Endpoint::BlockPort { block, port }, unpack(peer)?))
+        });
+        nodes.chain(ports)
+    }
+
     /// Patches a bidirectional circuit between two endpoints.
     pub fn connect(&mut self, a: Endpoint, b: Endpoint) -> Result<(), SwitchError> {
         if a == b {
             return Err(SwitchError::SelfLoop(a));
         }
-        if self.circuits.contains_key(&a) {
+        if self.peer(a).is_some() {
             return Err(SwitchError::EndpointBusy(a));
         }
-        if self.circuits.contains_key(&b) {
+        if self.peer(b).is_some() {
             return Err(SwitchError::EndpointBusy(b));
         }
-        self.circuits.insert(a, b);
-        self.circuits.insert(b, a);
+        *self.reach(a) = pack(b);
+        *self.reach(b) = pack(a);
+        self.ports_in_use += 2;
         self.reconfigurations += 1;
         Ok(())
     }
 
     /// Tears down the circuit at an endpoint, returning its former peer.
     pub fn disconnect(&mut self, a: Endpoint) -> Result<Endpoint, SwitchError> {
-        let b = self
-            .circuits
-            .remove(&a)
-            .ok_or(SwitchError::NotConnected(a))?;
-        let back = self.circuits.remove(&b);
-        debug_assert_eq!(back, Some(a), "pairing invariant");
+        let b = self.peer(a).ok_or(SwitchError::NotConnected(a))?;
+        for e in [a, b] {
+            *self.slot_mut(e).expect("a patched endpoint has a slot") = FREE;
+        }
+        self.ports_in_use -= 2;
         self.reconfigurations += 1;
         Ok(b)
     }
 
     /// The endpoint a given endpoint is patched to, if any.
     pub fn peer(&self, a: Endpoint) -> Option<Endpoint> {
-        self.circuits.get(&a).copied()
+        unpack(self.slot(a)?)
     }
 
     /// Number of active circuits.
     pub fn circuit_count(&self) -> usize {
-        self.circuits.len() / 2
+        self.ports_in_use / 2
     }
 
     /// Number of ports in use (2× circuits).
     pub fn ports_in_use(&self) -> usize {
-        self.circuits.len()
+        self.ports_in_use
     }
 
     /// Total reconfiguration operations so far.
@@ -126,19 +256,32 @@ impl CircuitSwitch {
         self.reconfigurations * Self::RECONFIG_LATENCY_NS
     }
 
-    /// Iterates over circuits (each pair reported once, ordered ends).
+    /// Iterates over circuits, each pair reported once as `(lower, higher)`,
+    /// ascending by the lower end in [`Endpoint`]'s order (nodes first,
+    /// then block ports by block and port).
     pub fn circuits(&self) -> impl Iterator<Item = (Endpoint, Endpoint)> + '_ {
-        self.circuits
-            .iter()
-            .filter(|(a, b)| a < b)
-            .map(|(&a, &b)| (a, b))
+        self.slots().filter(|(a, b)| a < b)
     }
 
-    /// Verifies the symmetric-pairing invariant.
+    /// Verifies the symmetric-pairing invariant, and that the port count
+    /// matches the occupied slots.
     pub fn is_consistent(&self) -> bool {
-        self.circuits
-            .iter()
-            .all(|(a, b)| self.circuits.get(b) == Some(a))
+        let mut occupied = 0;
+        self.slots().all(|(a, b)| {
+            occupied += 1;
+            self.slot(b) == Some(pack(a))
+        }) && occupied == self.ports_in_use
+    }
+
+    /// Circuits present in exactly one of `self` and `other`: the mirrors
+    /// that move going from one crossbar state to the other.
+    pub(crate) fn circuits_changed(&self, other: &CircuitSwitch) -> usize {
+        let only_in = |x: &Self, y: &Self| {
+            x.circuits()
+                .filter(|&(a, b)| y.slot(a) != Some(pack(b)))
+                .count()
+        };
+        only_in(self, other) + only_in(other, self)
     }
 }
 
@@ -253,6 +396,34 @@ mod tests {
         assert_eq!(
             cs.reconfiguration_time_ns(),
             2 * CircuitSwitch::RECONFIG_LATENCY_NS
+        );
+    }
+
+    #[test]
+    fn is_consistent_catches_a_one_sided_patch_and_a_miscount() {
+        let mut cs = CircuitSwitch::new();
+        cs.connect(N0, B0P0).unwrap();
+        cs.connect(N1, Endpoint::BlockPort { block: 3, port: 5 })
+            .unwrap();
+        assert!(cs.is_consistent());
+        let mut one_sided = cs.clone();
+        *one_sided.reach(N0) = pack(N1);
+        assert!(!one_sided.is_consistent());
+        let mut miscounted = cs;
+        miscounted.ports_in_use += 2;
+        assert!(!miscounted.is_consistent());
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the crossbar's id range")]
+    fn port_id_past_the_packed_range_rejected() {
+        let mut cs = CircuitSwitch::new();
+        let _ = cs.connect(
+            N0,
+            Endpoint::BlockPort {
+                block: 0,
+                port: 1 << 24,
+            },
         );
     }
 

@@ -5,9 +5,10 @@
 //! seconds in the tier-1 profile, which holds the sweep, the provisioner
 //! and `validate` to O(edges).
 
-use hfast::core::{PaperLinear, ProvisionConfig, Provisioner};
-use hfast::topology::generators::{balanced_dims3, torus3d_graph};
+use hfast::core::{GraphDelta, PaperLinear, ProvisionConfig, Provisioner, Strategy};
+use hfast::topology::generators::{balanced_dims3, complete_graph, torus3d_graph};
 use hfast::topology::{tdc_sweep, PAPER_CUTOFFS};
+use hfast_par::Rng64;
 
 #[test]
 fn torus_at_64k_tasks_sweeps_provisions_and_validates() {
@@ -27,4 +28,40 @@ fn torus_at_64k_tasks_sweeps_provisions_and_validates() {
     assert_eq!(prov.total_blocks(), P, "TDC 6 < 15: one block per node");
     assert!(prov.clusters.iter().all(|c| c.blocks.len() == 1));
     assert_eq!(prov.edge_circuits.len(), 3 * P);
+}
+
+/// The dense-degree twin of the torus above: a complete graph at P = 512
+/// has 130,816 edges at TDC 511, so each node's chain spans 37 blocks and
+/// every strategy patches or shares one circuit per edge. `validate` and
+/// `reprovision` have to stay O(edges) for this to finish in tier-1 time.
+#[test]
+fn complete_512_provisions_validates_and_reprovisions_under_every_strategy() {
+    const P: usize = 512;
+    const EDGES: usize = P * (P - 1) / 2;
+    for strategy in Strategy::ALL {
+        let mut graph = complete_graph(P, 300 << 10);
+        assert_eq!(graph.edge_count(), EDGES);
+        let provisioner = strategy.provisioner();
+        let prov = provisioner.provision(&graph, ProvisionConfig::default());
+        prov.validate(&graph)
+            .unwrap_or_else(|e| panic!("{strategy}: {e}"));
+        assert_eq!(prov.edge_circuits.len() + prov.intra_edges.len(), EDGES);
+
+        // One more 1 MiB message on 1 % as many seeded pairs as there are
+        // edges.
+        let mut rng = Rng64::new(0xc0_0512);
+        let mut delta = GraphDelta::new();
+        for _ in 0..EDGES / 100 {
+            let (a, b) = (rng.range(0, P), rng.range(0, P));
+            if a != b {
+                graph.add_message(a, b, 1 << 20);
+                delta.note(a, b, *graph.edge(a, b));
+            }
+        }
+        let grown = provisioner.reprovision(prov, &graph, &delta).provisioning;
+        grown
+            .validate(&graph)
+            .unwrap_or_else(|e| panic!("{strategy} after reprovision: {e}"));
+        assert_eq!(grown.edge_circuits.len() + grown.intra_edges.len(), EDGES);
+    }
 }
