@@ -1,0 +1,547 @@
+//! `paper` — prints one table, figure or extension experiment of the
+//! reproduction, measured next to the paper's published values where the
+//! paper gives numbers.
+//!
+//! ```text
+//! paper <section>
+//! ```
+//!
+//! The sections are listed in [`SECTIONS`]; no argument or an unknown name
+//! prints them and exits 2. `experiments` runs the whole suite with its
+//! PASS/MISS shape checks and exits 1 if any check misses.
+
+use std::process::ExitCode;
+
+use hfast_apps::meta::TABLE2;
+use hfast_apps::{all_apps, Cactus, Gtc, Lbmhd, Paratec, Pmemd, SuperLu, STUDY_SIZES};
+use hfast_bench::figures::app_figure;
+use hfast_bench::paper::{paper_call_mix, paper_row};
+use hfast_bench::render::{cdf_line, table3_header, table3_rows};
+use hfast_bench::{measure_app, measure_cells};
+use hfast_core::bdp::TABLE1_SYSTEMS;
+use hfast_core::cost::AnalyticHfast;
+use hfast_core::{
+    classify, hfast_fault_impact, localize, seeded_failures, torus_fault_impact, ClassifyConfig,
+    Clustered, CostComparison, CostModel, FatTree, PaperLinear, ProvisionConfig, Provisioner,
+    SmpAssignment,
+};
+use hfast_ipm::format_bytes;
+use hfast_netsim::engine::PathCache;
+use hfast_netsim::{traffic, FatTreeFabric, HfastFabric, Simulation, TorusFabric};
+use hfast_topology::generators::{balanced_dims3, mesh3d_graph};
+use hfast_topology::{tdc, BufferHistogram, CommGraph, BDP_CUTOFF};
+
+/// Every section, in the order the usage lists them: the paper's tables
+/// and figures, then the §2.5 taxonomy, the §5.3 cost analysis, the
+/// extension experiments, and the full sweep with its shape checks.
+const SECTIONS: &[(&str, fn())] = &[
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("classify", classify_apps),
+    ("cost_model", cost_model),
+    ("smp", smp),
+    ("faults", faults),
+    ("netsim_compare", netsim_compare),
+    ("experiments", experiments),
+];
+
+fn usage() -> ExitCode {
+    let names: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+    eprintln!("usage: paper <section>\nsections: {}", names.join(" "));
+    ExitCode::from(2)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [name] = args.as_slice() else {
+        return usage();
+    };
+    match SECTIONS.iter().find(|(section, _)| section == name) {
+        Some((_, run)) => {
+            run();
+            ExitCode::SUCCESS
+        }
+        None => usage(),
+    }
+}
+
+/// Paper Table 1: bandwidth-delay products for leading interconnects.
+fn table1() {
+    println!("== Table 1: bandwidth-delay products ==\n");
+    println!(
+        "{:<22} {:<18} {:>10} {:>12} {:>8} {:>8}",
+        "System", "Technology", "Latency", "Bandwidth", "BDP", "N1/2"
+    );
+    println!("{}", "-".repeat(84));
+    for s in TABLE1_SYSTEMS {
+        println!(
+            "{:<22} {:<18} {:>8.1}us {:>9.1}GB/s {:>8} {:>8}",
+            s.system,
+            s.technology,
+            s.mpi_latency_us,
+            s.peak_bandwidth_gbs,
+            format_bytes(s.bdp_bytes() as u64),
+            format_bytes(s.n_half_bytes() as u64),
+        );
+    }
+    println!(
+        "\nBest BDP ≈ 2 KB → the paper's circuit-worthiness threshold \
+         (messages below it cannot saturate a dedicated circuit)."
+    );
+}
+
+/// Paper Table 2: the studied applications.
+fn table2() {
+    println!("== Table 2: scientific applications examined ==\n");
+    println!(
+        "{:<9} {:>7}  {:<16} {:<48} {:<14}",
+        "Name", "Lines", "Discipline", "Problem and Method", "Structure"
+    );
+    println!("{}", "-".repeat(100));
+    for m in TABLE2 {
+        println!(
+            "{:<9} {:>7}  {:<16} {:<48} {:<14}",
+            m.name, m.lines, m.discipline, m.problem, m.structure
+        );
+    }
+}
+
+/// Paper Table 3: per-application communication summary at P = 64 and
+/// 256, measured vs published.
+fn table3() {
+    println!("== Table 3: summary of code characteristics ==\n");
+    print!("{}", table3_header());
+    for app in all_apps() {
+        for &procs in &STUDY_SIZES {
+            let row = measure_app(app.as_ref(), procs);
+            let paper = paper_row(row.name, procs);
+            print!("{}", table3_rows(&row, paper.as_ref()));
+        }
+        println!();
+    }
+    println!(
+        "(FCN utilization defined as avgTDC@2KB/(P−1); the paper's SuperLU \
+         P=256 row reports 25%, inconsistent with its own TDC column — see \
+         EXPERIMENTS.md.)"
+    );
+}
+
+/// Paper Figure 1's worked example: 6 nodes on active switch blocks of
+/// size 4, with routes for node1→node2 (one block) and node1→node6 (two
+/// blocks).
+fn fig1() {
+    println!("== Figure 1: HFAST layout example (6 nodes, blocks of 4) ==\n");
+    let mut g = CommGraph::new(6);
+    g.add_message(0, 1, 1 << 20); // node1 ↔ node2 in the paper's 1-indexing
+    g.add_message(0, 5, 1 << 20); // node1 ↔ node6
+    let clustering = vec![vec![0, 1, 2], vec![3, 4, 5]];
+    let prov = Clustered::new(clustering).provision(
+        &g,
+        ProvisionConfig {
+            block_ports: 4,
+            cutoff: 2048,
+        },
+    );
+    prov.validate(&g).expect("valid provisioning");
+
+    println!("switch blocks allocated: {}", prov.total_blocks());
+    println!("circuit ports in use:    {}\n", prov.circuit_ports_used());
+    println!("circuits patched (endpoint ↔ endpoint):");
+    for (a, b) in prov.circuit.circuits() {
+        println!("  {a} ↔ {b}");
+    }
+    let r01 = prov.route(0, 1).expect("routed");
+    println!(
+        "\nnode1 → node2: {} circuit traversals, {} active switch hop(s)  (paper: 2 / 1)",
+        r01.circuit_traversals, r01.switch_hops
+    );
+    let r05 = prov.route(0, 5).expect("routed");
+    println!(
+        "node1 → node6: {} circuit traversals, {} active switch hop(s)  (paper: 3 / 2)",
+        r05.circuit_traversals, r05.switch_hops
+    );
+}
+
+/// Paper Figure 2: relative number of MPI communication calls per code,
+/// measured vs published.
+fn fig2() {
+    println!("== Figure 2: relative number of MPI calls per code ==\n");
+    for app in all_apps() {
+        let row = measure_app(app.as_ref(), 64);
+        println!("{}:", row.name);
+        let paper = paper_call_mix(row.name);
+        for (kind, pct) in row.steady.call_mix() {
+            if pct < 0.05 {
+                continue;
+            }
+            let published = paper
+                .iter()
+                .find(|(name, _)| *name == kind.mpi_name())
+                .map(|(_, p)| format!("{p:>5.1}%"))
+                .unwrap_or_else(|| "    —".into());
+            println!(
+                "  {:<18} measured {:>5.1}%   paper {}",
+                kind.mpi_name(),
+                pct,
+                published
+            );
+        }
+        println!();
+    }
+}
+
+/// Paper Figure 3: cumulative buffer-size distribution of collective
+/// communication across all six codes.
+fn fig3() {
+    println!("== Figure 3: collective buffer sizes, all codes ==\n");
+    let mut combined = BufferHistogram::new();
+    for app in all_apps() {
+        let row = measure_app(app.as_ref(), 64);
+        combined.merge(&row.steady.collective_buffer_histogram());
+    }
+    println!("cumulative distribution (log-scaled x, 1B → max):");
+    println!("  [{}]", cdf_line(&combined.cdf(), 60));
+    for mark in [100u64, 2048, 1 << 20] {
+        println!(
+            "  ≤ {:>6}: {:>5.1}% of collective calls",
+            format_bytes(mark),
+            100.0 * combined.fraction_at_or_below(mark)
+        );
+    }
+    println!(
+        "\npaper: ~90% of collective payloads ≤ 2 KB, ~half < 100 B → a \
+         low-bandwidth tree network suffices for collectives."
+    );
+    let at_2k = combined.fraction_at_or_below(2048);
+    assert!(at_2k > 0.85, "Figure 3 shape: {at_2k}");
+}
+
+/// Paper Figure 4: cumulative point-to-point buffer-size distribution per
+/// code.
+fn fig4() {
+    println!("== Figure 4: PTP buffer sizes per code ==\n");
+    for app in all_apps() {
+        let row = measure_app(app.as_ref(), 64);
+        let hist = row.steady.ptp_buffer_histogram();
+        println!(
+            "{} (median {}):",
+            row.name,
+            format_bytes(hist.median().unwrap_or(0))
+        );
+        println!("  [{}]", cdf_line(&hist.cdf(), 60));
+        println!(
+            "  ≤ 2KB: {:>5.1}%   ≤ 100KB: {:>5.1}%\n",
+            100.0 * hist.fraction_at_or_below(2048),
+            100.0 * hist.fraction_at_or_below(100 << 10)
+        );
+    }
+}
+
+/// Paper Figures 5-10: volume matrix and TDC-vs-cutoff curves, one
+/// application each.
+fn fig5() {
+    print!("{}", app_figure(&Gtc::default(), 5));
+}
+
+fn fig6() {
+    print!("{}", app_figure(&Cactus::default(), 6));
+}
+
+fn fig7() {
+    print!("{}", app_figure(&Lbmhd::default(), 7));
+}
+
+fn fig8() {
+    print!("{}", app_figure(&SuperLu::default(), 8));
+}
+
+fn fig9() {
+    print!("{}", app_figure(&Pmemd::default(), 9));
+}
+
+fn fig10() {
+    print!("{}", app_figure(&Paratec::default(), 10));
+}
+
+/// The §2.5 taxonomy: classify each application into cases i-iv.
+fn classify_apps() {
+    println!("== §2.5 application classification (measured at P = 64/256) ==\n");
+    // Paper's verdicts: Cactus→i, LBMHD→ii, GTC→iii, SuperLU→iii,
+    // PMEMD→iii, PARATEC→iv.
+    let paper = [
+        ("Cactus", "case i"),
+        ("LBMHD", "case ii"),
+        ("GTC", "case iii"),
+        ("SuperLU", "case iii"),
+        ("PMEMD", "case iii"),
+        ("PARATEC", "case iv"),
+    ];
+    for app in all_apps() {
+        let procs = 256;
+        let row = measure_app(app.as_ref(), procs);
+        let c = classify(&row.steady.comm_graph(), &ClassifyConfig::default());
+        let expected = paper
+            .iter()
+            .find(|(n, _)| *n == row.name)
+            .map(|(_, v)| *v)
+            .unwrap_or("?");
+        println!(
+            "{:<9} measured {:<9} (paper: {expected})",
+            row.name,
+            c.case.to_string()
+        );
+        println!("          {}", c.rationale);
+        println!("          prescription: {}\n", c.case.prescription());
+    }
+}
+
+/// The §5.3 cost analysis: fat-tree vs HFAST component scaling, the
+/// ultra-scale crossover, and per-application cost comparisons.
+fn cost_model() {
+    let model = CostModel::default();
+    println!("== §5.3 cost model ==\n");
+
+    println!("fat-tree dimensioning (8-port switches, paper's example):");
+    println!(
+        "{:>10} {:>7} {:>12} {:>12}",
+        "P", "layers", "ports/proc", "max hops"
+    );
+    for p in [64usize, 256, 2048, 8192, 65536, 1 << 20] {
+        let ft = FatTree::for_processors(p, 8);
+        println!(
+            "{:>10} {:>7} {:>12} {:>12}",
+            p,
+            ft.layers,
+            ft.ports_per_processor(),
+            ft.max_switch_hops()
+        );
+    }
+
+    println!("\nHFAST vs fat-tree crossover (8-port components):");
+    for tdc in [2usize, 6, 12, 30] {
+        let config = ProvisionConfig {
+            block_ports: 8,
+            cutoff: 2048,
+        };
+        match AnalyticHfast::crossover_p(tdc, config, &model) {
+            Some(p) => println!("  TDC {tdc:>3}: HFAST cheaper from P = {p}"),
+            None => println!("  TDC {tdc:>3}: fat tree always cheaper (case-iv style)"),
+        }
+    }
+
+    println!("\nper-application comparison at P = 64 (16-port blocks):");
+    println!(
+        "{:>9} {:>12} {:>12} {:>7} {:>16}",
+        "code", "HFAST cost", "fat-tree", "ratio", "HFAST ports/node"
+    );
+    for app in all_apps() {
+        let row = measure_app(app.as_ref(), 64);
+        let graph = row.steady.comm_graph();
+        let prov = PaperLinear.provision(&graph, ProvisionConfig::default());
+        let cmp = CostComparison::of(&prov, &model);
+        println!(
+            "{:>9} {:>12.0} {:>12.0} {:>7.2} {:>16.1}",
+            row.name,
+            cmp.hfast,
+            cmp.fat_tree,
+            cmp.ratio(),
+            cmp.hfast_ports_per_node
+        );
+    }
+    println!(
+        "\nshape: packet-switch ports per node are constant for HFAST and \
+         grow with log P for the fat tree; the crossover lands at \
+         ultra-scale P for low-TDC codes and never for PARATEC-class codes."
+    );
+}
+
+/// Extension experiment: SMP-node bandwidth localization (the paper's §5
+/// deferred analysis) across the six applications.
+fn smp() {
+    let procs = 64;
+    let width = 4;
+    println!("== SMP localization at P = {procs}, {width}-way nodes ==\n");
+    println!(
+        "{:>9} {:>12} {:>12} {:>14} {:>16}",
+        "code", "blocked", "localized", "node TDC(max)", "blocks (vs flat)"
+    );
+    for app in all_apps() {
+        let row = measure_app(app.as_ref(), procs);
+        let graph = row.steady.comm_graph();
+        let blocked = SmpAssignment::blocked(procs, width);
+        let best = localize(&graph, width, 3);
+        let folded = best.fold(&graph);
+        let node_tdc = tdc(&folded, BDP_CUTOFF);
+        let node_prov = PaperLinear.provision(&folded, ProvisionConfig::default());
+        let flat_prov = PaperLinear.provision(&graph, ProvisionConfig::default());
+        println!(
+            "{:>9} {:>11.1}% {:>11.1}% {:>14} {:>9} ({:>3})",
+            row.name,
+            100.0 * blocked.locality(&graph),
+            100.0 * best.locality(&graph),
+            node_tdc.max,
+            node_prov.total_blocks(),
+            flat_prov.total_blocks(),
+        );
+    }
+    println!(
+        "\nshape: folding ranks onto SMP nodes divides the switch-block \
+         demand by the node width; localization additionally moves a \
+         workload-dependent share of bytes into shared memory."
+    );
+}
+
+/// Fault-tolerance experiment: node failures on a torus vs HFAST (§1's
+/// qualitative argument, quantified).
+fn faults() {
+    println!("== fault tolerance: torus vs HFAST ==\n");
+    let p = 64;
+    let dims = balanced_dims3(p);
+    let app = mesh3d_graph(dims, 300 << 10);
+    println!(
+        "{:>8} {:>12} {:>12} {:>14} {:>18}",
+        "failed", "unreachable", "max dilation", "hfast degraded", "hfast circuits Δ"
+    );
+    for k in [1usize, 2, 4, 8] {
+        let failed = seeded_failures(k, p, 0x5C05);
+        let torus = torus_fault_impact(dims, &failed);
+        let hfast = hfast_fault_impact(&app, ProvisionConfig::default(), &failed);
+        println!(
+            "{:>8} {:>12} {:>12.2} {:>14} {:>18}",
+            k,
+            torus.unreachable_pairs,
+            torus.max_dilation,
+            hfast.survivors_degraded,
+            hfast.circuits_changed
+        );
+    }
+    println!(
+        "\nshape: the torus pays growing path dilation (and can partition); \
+         HFAST re-provisions and surviving pairs keep dedicated routes."
+    );
+}
+
+/// Extension experiment: replay each application's steady-state traffic on
+/// fat-tree, torus, and HFAST fabrics and compare delivered latency.
+///
+/// Apps are measured and simulated on worker threads (`HFAST_THREADS=1`
+/// forces sequential); rows print in application order either way.
+fn netsim_compare() {
+    println!("== netsim: per-app latency on fat-tree / torus / HFAST ==\n");
+    let procs = 64;
+    println!(
+        "{:>9} {:>14} {:>14} {:>14}   (p50 latency ns)",
+        "code", "fat-tree", "torus", "hfast"
+    );
+    let app_count = all_apps().len();
+    let results = hfast_par::par_map((0..app_count).collect::<Vec<_>>(), |i| {
+        let apps = all_apps();
+        let row = measure_app(apps[i].as_ref(), procs);
+        let graph = row.steady.comm_graph();
+        let flows = traffic::flows_from_graph(&graph, 2048);
+        if flows.is_empty() {
+            return None;
+        }
+        let ft = FatTreeFabric::new(procs, 8).expect("valid shape");
+        let torus = TorusFabric::new(balanced_dims3(procs)).expect("valid shape");
+        let hfast = HfastFabric::new(PaperLinear.provision(&graph, ProvisionConfig::default()));
+        // One path cache per fabric: each app replays the same (src, dst)
+        // pairs many times over, so routes are resolved once.
+        let mut cache = PathCache::new();
+        let s_ft = Simulation::new(&ft)
+            .with_cache(&mut cache)
+            .run(&flows)
+            .stats;
+        cache.clear();
+        let s_to = Simulation::new(&torus)
+            .with_cache(&mut cache)
+            .run(&flows)
+            .stats;
+        cache.clear();
+        let s_hf = Simulation::new(&hfast)
+            .with_cache(&mut cache)
+            .run(&flows)
+            .stats;
+        Some((
+            row.name,
+            s_ft.p50_latency_ns,
+            s_to.p50_latency_ns,
+            s_hf.p50_latency_ns,
+        ))
+    });
+    for (name, ft, torus, hfast) in results.into_iter().flatten() {
+        println!("{name:>9} {ft:>14} {torus:>14} {hfast:>14}");
+    }
+    println!(
+        "\nshape: HFAST tracks the best fabric for low-TDC codes; the \
+         all-to-all codes (PARATEC) favor the fat tree."
+    );
+}
+
+/// Runs the complete reproduction suite and prints a compact summary of
+/// every table and figure — the data source for EXPERIMENTS.md — then
+/// exits 1 if any shape check against the paper misses.
+///
+/// The apps × sizes measurement grid is embarrassingly parallel, so the
+/// cells are profiled on worker threads (`HFAST_THREADS` overrides the
+/// count; `HFAST_THREADS=1` runs sequentially) and printed in grid order —
+/// the output is byte-identical either way.
+fn experiments() {
+    println!("== HFAST reproduction: full experiment sweep ==\n");
+    print!("{}", table3_header());
+    let app_count = all_apps().len();
+    let cells: Vec<(usize, usize)> = (0..app_count)
+        .flat_map(|a| STUDY_SIZES.iter().map(move |&p| (a, p)))
+        .collect();
+    let rows = measure_cells(&cells);
+    let mut checks = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        let procs = row.procs;
+        let paper = paper_row(row.name, procs);
+        print!("{}", table3_rows(row, paper.as_ref()));
+        if let Some(p) = paper {
+            let tdc_match = row.tdc_max == p.tdc_max
+                && (row.tdc_avg - p.tdc_avg).abs() <= p.tdc_avg.max(2.0) * 0.25;
+            checks.push((row.name, procs, "TDC@2k", tdc_match));
+            let mix_match = (row.ptp_pct - p.ptp_pct).abs() < 6.0;
+            checks.push((row.name, procs, "call split", mix_match));
+        }
+        // Unthresholded topology shape notes.
+        let g = row.steady.comm_graph();
+        let uncut = tdc(&g, 0);
+        let cut = tdc(&g, BDP_CUTOFF);
+        println!(
+            "              unthresholded TDC (max,avg) = ({}, {:.1}); cutoff shrinks max by {}",
+            uncut.max,
+            uncut.avg,
+            uncut.max - cut.max
+        );
+        if (i + 1) % STUDY_SIZES.len() == 0 {
+            println!();
+        }
+    }
+    println!("shape checks against the paper:");
+    let mut pass = 0;
+    for (name, procs, what, ok) in &checks {
+        println!(
+            "  {} {name}@{procs} {what}",
+            if *ok { "PASS" } else { "MISS" }
+        );
+        pass += usize::from(*ok);
+    }
+    println!("\n{pass}/{} checks passed", checks.len());
+    if pass < checks.len() {
+        std::process::exit(1);
+    }
+}

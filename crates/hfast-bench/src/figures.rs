@@ -1,4 +1,4 @@
-//! The shared routine behind the `fig5`…`fig10` binaries: volume matrix
+//! The shared routine behind `paper fig5`…`fig10`: volume matrix
 //! plus TDC-versus-cutoff curves for one application.
 
 use hfast_apps::CommKernel;

@@ -1,26 +1,26 @@
-//! # hfast-bench — the experiment harness
+//! # hfast-bench — the paper's tables and figures
 //!
-//! One binary per table and figure of the paper (see DESIGN.md's experiment
-//! index), plus micro-benchmarks of the library itself (a dependency-free
-//! harness, see [`harness`]). Each binary prints the measured reproduction
-//! next to the paper's published values where the paper gives numbers.
+//! One `paper` binary prints every table, figure and extension experiment
+//! of the paper by section name (see DESIGN.md's experiment index), the
+//! measured reproduction next to the paper's published values where the
+//! paper gives numbers. Beside it sit the serving load generator
+//! ([`loadgen`]) and the library-level `--check` smoke binaries. Performance
+//! is measured by the standalone `benchmark/` package, not here.
 //!
-//! Run the full reproduction with:
+//! Run the full reproduction with its shape checks:
 //!
 //! ```text
-//! cargo run --release -p hfast-bench --bin experiments
+//! cargo run --release -p hfast-bench --bin paper -- experiments
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod harness;
 pub mod loadgen;
 pub mod measure;
 pub mod paper;
 pub mod render;
 
-pub use harness::Harness;
 pub use loadgen::{LoadConfig, LoadReport};
 pub use measure::{measure_app, measure_cells, AppRow};
 pub use paper::PAPER_TABLE3;

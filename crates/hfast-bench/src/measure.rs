@@ -29,7 +29,7 @@ pub struct AppRow {
     pub tdc_avg_uncut: f64,
     /// FCN utilization (avg TDC / (P−1)).
     pub fcn_util_pct: f64,
-    /// The steady-state profile behind the row (for figure binaries).
+    /// The steady-state profile behind the row (for the figure sections).
     pub steady: CommProfile,
 }
 

@@ -1,4 +1,4 @@
-//! Terminal rendering helpers shared by the experiment binaries.
+//! Terminal rendering helpers shared by the `paper` sections.
 
 use hfast_ipm::format_bytes;
 use hfast_topology::{tdc_sweep, CommGraph, TdcSummary, PAPER_CUTOFFS};

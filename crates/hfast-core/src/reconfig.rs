@@ -232,11 +232,6 @@ impl ReconfigEngine {
         &self.steps
     }
 
-    /// Changed pairs waiting for the next synchronization point.
-    pub fn pending_changes(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Fraction of `observed`'s above-cutoff bytes whose endpoints have a
     /// dedicated route in the current provisioning.
     pub fn coverage(&self, observed: &CommGraph) -> f64 {
@@ -443,9 +438,9 @@ mod tests {
         engine.observe_and_adapt(&ring);
         // A new heavy chord appears between sync points.
         engine.ingest(3, 19, 1 << 20);
-        assert_eq!(engine.pending_changes(), 1);
+        assert_eq!(engine.pending.len(), 1);
         let (step, scope) = engine.sync();
-        assert_eq!(engine.pending_changes(), 0);
+        assert_eq!(engine.pending.len(), 0);
         assert!(step.edges_touched >= 1);
         assert_eq!(step.strategy, "paper_linear");
         match scope {

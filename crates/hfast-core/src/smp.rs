@@ -50,18 +50,6 @@ impl SmpAssignment {
         }
     }
 
-    /// Validates the per-node occupancy bound.
-    pub fn is_feasible(&self) -> bool {
-        let mut counts = vec![0usize; self.nodes];
-        for &n in &self.node_of {
-            if n >= self.nodes {
-                return false;
-            }
-            counts[n] += 1;
-        }
-        counts.iter().all(|&c| c <= self.ranks_per_node)
-    }
-
     /// Bytes that stay inside shared memory under this placement.
     pub fn localized_bytes(&self, graph: &CommGraph) -> u64 {
         graph
@@ -196,12 +184,24 @@ mod tests {
     use hfast_topology::generators::{mesh3d_graph, ring_graph};
     use hfast_topology::tdc;
 
+    /// Every rank on an existing node, no node over its width.
+    fn feasible(a: &SmpAssignment) -> bool {
+        let mut counts = vec![0usize; a.nodes];
+        for &n in &a.node_of {
+            if n >= a.nodes {
+                return false;
+            }
+            counts[n] += 1;
+        }
+        counts.iter().all(|&c| c <= a.ranks_per_node)
+    }
+
     #[test]
     fn blocked_placement_localizes_ring_traffic() {
         let g = ring_graph(16, 1 << 20);
         let blocked = SmpAssignment::blocked(16, 4);
         let rr = SmpAssignment::round_robin(16, 4);
-        assert!(blocked.is_feasible() && rr.is_feasible());
+        assert!(feasible(&blocked) && feasible(&rr));
         // Blocked: 3 of 4 ring edges per node internal; RR: none.
         assert!(blocked.locality(&g) > 0.7, "{}", blocked.locality(&g));
         assert_eq!(rr.locality(&g), 0.0);
@@ -224,7 +224,7 @@ mod tests {
     fn localize_beats_round_robin_and_matches_blocked_on_rings() {
         let g = ring_graph(32, 1 << 20);
         let found = localize(&g, 4, 4);
-        assert!(found.is_feasible());
+        assert!(feasible(&found));
         let blocked = SmpAssignment::blocked(32, 4);
         assert!(
             found.locality(&g) >= blocked.locality(&g) - 1e-9,
@@ -238,7 +238,7 @@ mod tests {
     fn localize_handles_meshes() {
         let g = mesh3d_graph((4, 4, 4), 300 << 10);
         let found = localize(&g, 8, 3);
-        assert!(found.is_feasible());
+        assert!(feasible(&found));
         let rr = SmpAssignment::round_robin(64, 8);
         assert!(found.locality(&g) > rr.locality(&g));
         // Folding shrinks the provisioning problem 8-fold.

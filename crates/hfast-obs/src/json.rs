@@ -144,20 +144,6 @@ pub fn escape_into(buf: &mut String, s: &str) {
     }
 }
 
-/// Renders `(upper_bound, count)` histogram pairs as a JSON array of
-/// two-element arrays, for use with [`JsonObj::raw`].
-pub fn buckets_to_json(pairs: &[(u64, u64)]) -> String {
-    let mut out = String::from("[");
-    for (i, (bound, count)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{bound},{count}]"));
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,10 +181,8 @@ mod tests {
     }
 
     #[test]
-    fn raw_and_buckets() {
-        let arr = buckets_to_json(&[(7, 2), (1023, 5)]);
-        assert_eq!(arr, "[[7,2],[1023,5]]");
-        let line = JsonObj::new().raw("hist", &arr).finish();
+    fn raw_embeds_verbatim() {
+        let line = JsonObj::new().raw("hist", "[[7,2],[1023,5]]").finish();
         assert_eq!(line, r#"{"hist":[[7,2],[1023,5]]}"#);
     }
 }

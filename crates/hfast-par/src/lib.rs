@@ -6,7 +6,7 @@
 //! harness fan those cells out across cores while keeping every output
 //! **bit-identical** to the sequential run:
 //!
-//! * [`par`] — [`par_map`]/[`par_chunks`] built on [`std::thread::scope`]
+//! * [`par`] — [`par_map`]/[`par_map_range`] built on [`std::thread::scope`]
 //!   (zero dependencies). Results are returned in input order, so callers
 //!   that print or reduce them observe exactly the sequential order no
 //!   matter how the OS schedules the workers. The worker count honours the
@@ -27,5 +27,5 @@ pub mod par;
 pub mod rng;
 
 pub use check::forall;
-pub use par::{par_chunks, par_map, par_map_range, par_map_with, thread_count};
+pub use par::{par_map, par_map_range, par_map_with, thread_count};
 pub use rng::Rng64;

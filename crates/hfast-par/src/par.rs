@@ -1,4 +1,4 @@
-//! Deterministic `par_map`/`par_chunks` on scoped threads.
+//! Deterministic `par_map` on scoped threads.
 //!
 //! The contract that matters for the reproduction: **output order equals
 //! input order**, regardless of thread count or OS scheduling. Workers pull
@@ -122,24 +122,6 @@ where
         .collect()
 }
 
-/// Maps `f` over consecutive chunks of `items` (the last chunk may be
-/// short), returning per-chunk results in chunk order.
-///
-/// `chunk == 0` is treated as `1`. Uses [`thread_count`] workers.
-pub fn par_chunks<T, R, F>(items: &[T], chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    let chunk = chunk.max(1);
-    let ranges: Vec<(usize, usize)> = (0..items.len())
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(items.len())))
-        .collect();
-    par_map(ranges, |(lo, hi)| f(&items[lo..hi]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,23 +150,6 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert_eq!(par_map_with(4, empty, |x| x), Vec::<u32>::new());
         assert_eq!(par_map_with(4, vec![7], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn chunks_cover_everything_in_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let sums = par_chunks(&items, 7, |c| c.iter().sum::<u64>());
-        assert_eq!(sums.len(), 15, "ceil(100/7)");
-        assert_eq!(sums.iter().sum::<u64>(), items.iter().sum::<u64>());
-        // First chunk is exactly 0..7.
-        assert_eq!(sums[0], (0..7).sum::<u64>());
-    }
-
-    #[test]
-    fn zero_chunk_is_clamped() {
-        let items = [1u64, 2, 3];
-        let out = par_chunks(&items, 0, |c| c.len());
-        assert_eq!(out, vec![1, 1, 1]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! input and any worker count, `par_map_with` must return exactly what a
 //! sequential `map` returns, in the same order.
 
-use hfast_par::{forall, par_chunks, par_map_with, Rng64};
+use hfast_par::{forall, par_map_with, Rng64};
 
 #[test]
 fn par_map_equals_sequential_map_for_all_thread_counts() {
@@ -37,26 +37,6 @@ fn par_map_is_deterministic_across_repeated_runs() {
         for r in &runs[1..] {
             assert_eq!(r, &runs[0]);
         }
-    });
-}
-
-#[test]
-fn par_chunks_covers_every_item_in_order() {
-    forall("par_chunks_covers_in_order", 64, |rng| {
-        let items: Vec<u64> = (0..rng.range(1, 300)).map(|_| rng.next_u64()).collect();
-        let chunk = rng.range(1, 40);
-        let sums = par_chunks(&items, chunk, |c: &[u64]| {
-            c.iter().copied().map(u128::from).sum::<u128>()
-        });
-        let total: u128 = sums.iter().sum();
-        assert_eq!(total, items.iter().copied().map(u128::from).sum::<u128>());
-        assert_eq!(sums.len(), items.len().div_ceil(chunk));
-        // Chunk results arrive in input order.
-        let expected: Vec<u128> = items
-            .chunks(chunk)
-            .map(|c| c.iter().copied().map(u128::from).sum())
-            .collect();
-        assert_eq!(sums, expected);
     });
 }
 

@@ -259,94 +259,3 @@ mod tests {
         }
     }
 }
-
-/// Traffic-weighted isotropy in `[0, 1]`.
-///
-/// Degree isotropy ([`isotropy`]) sees only *who* talks; this variant also
-/// asks whether nodes move similar *volumes* — a pattern can be
-/// degree-regular yet concentrate bytes on a few hot nodes (GTC's leaders).
-/// 1.0 means every node sends/receives the same number of bytes.
-pub fn traffic_isotropy(graph: &CommGraph, cutoff: u64) -> f64 {
-    let volumes: Vec<f64> = (0..graph.n())
-        .map(|v| {
-            graph
-                .neighbors_thresholded(v, cutoff)
-                .map(|(_, e)| e.bytes as f64)
-                .sum()
-        })
-        .collect();
-    let n = volumes.len() as f64;
-    if n == 0.0 {
-        return 0.0;
-    }
-    let mean = volumes.iter().sum::<f64>() / n;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    let var = volumes.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / n;
-    (1.0 - var.sqrt() / mean).max(0.0)
-}
-
-/// Per-degree node counts at a cutoff: `result[d]` = how many nodes have
-/// thresholded degree `d`. Useful for seeing max/avg divergence at a glance
-/// (the case-iii signature is a heavy head plus a long thin tail).
-pub fn degree_histogram(graph: &CommGraph, cutoff: u64) -> Vec<usize> {
-    let mut hist = vec![0usize; graph.n().max(1)];
-    for v in 0..graph.n() {
-        hist[graph.degree_thresholded(v, cutoff)] += 1;
-    }
-    while hist.len() > 1 && *hist.last().expect("non-empty") == 0 {
-        hist.pop();
-    }
-    hist
-}
-
-#[cfg(test)]
-mod weighted_tests {
-    use super::*;
-    use crate::generators::{ring_graph, torus3d_graph};
-
-    #[test]
-    fn uniform_traffic_is_isotropic() {
-        let g = torus3d_graph((4, 4, 4), 100_000);
-        assert!((traffic_isotropy(&g, 0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hot_node_lowers_traffic_isotropy_but_not_degree() {
-        // Ring where node 0's two edges are 100x heavier.
-        let mut g = CommGraph::new(8);
-        for v in 0..8usize {
-            let bytes = if v == 0 || v == 7 { 1_000_000 } else { 10_000 };
-            g.add_message(v, (v + 1) % 8, bytes);
-        }
-        let deg_iso = isotropy(&g, 0);
-        let vol_iso = traffic_isotropy(&g, 0);
-        assert!((deg_iso - 1.0).abs() < 1e-12, "degree-regular");
-        assert!(vol_iso < 0.6, "volume-concentrated: {vol_iso}");
-    }
-
-    #[test]
-    fn degree_histogram_shapes() {
-        let ring = ring_graph(8, 1000);
-        assert_eq!(degree_histogram(&ring, 0), vec![0, 0, 8]);
-        // Star: one hub at degree 7, seven leaves at degree 1.
-        let mut star = CommGraph::new(8);
-        for i in 1..8 {
-            star.add_message(0, i, 1000);
-        }
-        let h = degree_histogram(&star, 0);
-        assert_eq!(h[1], 7);
-        assert_eq!(h[7], 1);
-        assert_eq!(h.iter().sum::<usize>(), 8);
-        // Cutoff empties it down to degree 0.
-        assert_eq!(degree_histogram(&star, 1 << 20), vec![8]);
-    }
-
-    #[test]
-    fn empty_graph_metrics() {
-        let g = CommGraph::new(3);
-        assert_eq!(traffic_isotropy(&g, 0), 0.0);
-        assert_eq!(degree_histogram(&g, 0), vec![3]);
-    }
-}

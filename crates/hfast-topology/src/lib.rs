@@ -26,12 +26,10 @@ pub mod tdc;
 
 pub use bisection::{bisection_bytes, fcn_utilization};
 pub use csr::CsrGraph;
-pub use embedding::{
-    degree_histogram, detect_structure, isotropy, traffic_isotropy, StructureClass,
-};
+pub use embedding::{detect_structure, isotropy, StructureClass};
 pub use graph::{CommGraph, EdgeStat};
 pub use histogram::BufferHistogram;
-pub use matrix::{render_ascii, to_csv, to_dot};
+pub use matrix::render_ascii;
 pub use tdc::{
     degrees_sweep, tdc, tdc_sweep, tdc_sweep_csr, TdcSummary, BDP_CUTOFF, PAPER_CUTOFFS,
 };

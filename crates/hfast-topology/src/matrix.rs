@@ -1,8 +1,8 @@
 //! Volume-matrix rendering (the (a) panels of paper Figures 5-10).
 //!
 //! The paper visualizes each application's P×P message-volume matrix as a
-//! heat map. These helpers render the same data as terminal-friendly ASCII
-//! density plots and as CSV for external plotting.
+//! heat map. [`render_ascii`] renders the same data as a terminal-friendly
+//! ASCII density plot.
 
 use crate::graph::CommGraph;
 
@@ -53,22 +53,6 @@ pub fn render_ascii(graph: &CommGraph, downsample: usize) -> String {
     out
 }
 
-/// Exports the byte-volume matrix as CSV (`src,dst,bytes,count,max_msg`),
-/// active edges only, upper triangle (the matrix is symmetric).
-pub fn to_csv(graph: &CommGraph) -> String {
-    let mut out = String::from("src,dst,bytes,count,max_msg\n");
-    let n = graph.n();
-    for a in 0..n {
-        for b in (a + 1)..n {
-            let e = graph.edge(a, b);
-            if e.is_active() {
-                out.push_str(&format!("{a},{b},{},{},{}\n", e.bytes, e.count, e.max_msg));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,61 +91,5 @@ mod tests {
         let g = CommGraph::new(3);
         let art = render_ascii(&g, 1);
         assert!(art.chars().all(|c| c == ' ' || c == '\n'));
-    }
-
-    #[test]
-    fn csv_lists_upper_triangle() {
-        let mut g = CommGraph::new(3);
-        g.add_message(0, 2, 500);
-        g.add_message(1, 0, 100);
-        let csv = to_csv(&g);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "src,dst,bytes,count,max_msg");
-        assert_eq!(lines.len(), 3);
-        assert!(lines.contains(&"0,1,100,1,100"));
-        assert!(lines.contains(&"0,2,500,1,500"));
-    }
-}
-
-/// Exports the communication graph in Graphviz DOT format (undirected,
-/// edges weighted by kilobytes) for external visualization.
-pub fn to_dot(graph: &CommGraph, name: &str) -> String {
-    let mut out = format!("graph \"{name}\" {{\n  node [shape=circle];\n");
-    let n = graph.n();
-    for a in 0..n {
-        for b in (a + 1)..n {
-            let e = graph.edge(a, b);
-            if e.is_active() {
-                out.push_str(&format!(
-                    "  {a} -- {b} [label=\"{}k\", weight={}];\n",
-                    e.bytes / 1024,
-                    (e.bytes / 1024).max(1)
-                ));
-            }
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-    use crate::generators::ring_graph;
-
-    #[test]
-    fn dot_output_is_well_formed() {
-        let g = ring_graph(4, 10_240);
-        let dot = to_dot(&g, "ring");
-        assert!(dot.starts_with("graph \"ring\" {"));
-        assert!(dot.trim_end().ends_with('}'));
-        assert_eq!(dot.matches(" -- ").count(), 4, "one line per edge");
-        assert!(dot.contains("0 -- 1 [label=\"10k\""));
-    }
-
-    #[test]
-    fn empty_graph_dot() {
-        let dot = to_dot(&CommGraph::new(2), "empty");
-        assert_eq!(dot.matches(" -- ").count(), 0);
     }
 }

@@ -21,6 +21,9 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace -q
 cargo test --doc --workspace -q
+# Paper smoke (~2 s): the full experiment sweep; exits non-zero unless every
+# shape check against the paper's Table 3 passes.
+smoke paper_checks cargo run --release -q -p hfast-bench --bin paper -- experiments
 # Fault-replay smoke: exits non-zero unless HFAST beats the fat tree in
 # goodput on every (app, failure-rate) cell.
 smoke faults_replay cargo run --release -q -p hfast-bench --bin faults_replay
