@@ -158,7 +158,7 @@ fn fig1() {
     println!("switch blocks allocated: {}", prov.total_blocks());
     println!("circuit ports in use:    {}\n", prov.circuit_ports_used());
     println!("circuits patched (endpoint ↔ endpoint):");
-    for (a, b) in prov.circuit.circuits() {
+    for (a, b) in prov.circuit().circuits() {
         println!("  {a} ↔ {b}");
     }
     let r01 = prov.route(0, 1).expect("routed");

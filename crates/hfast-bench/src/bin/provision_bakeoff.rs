@@ -79,8 +79,8 @@ fn run_cell(
         .provision(graph, ProvisionConfig::default());
     prov.validate(graph)
         .unwrap_or_else(|e| panic!("{strategy} produced an invalid provisioning: {e}"));
-    let circuits = prov.edge_circuits.len();
-    let wanted = circuits + prov.unprovisioned.len();
+    let circuits = prov.circuit_pairs().count();
+    let wanted = circuits + prov.unprovisioned().len();
     let coverage_pct = if wanted == 0 {
         100.0
     } else {

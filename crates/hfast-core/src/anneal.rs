@@ -17,9 +17,11 @@ use hfast_topology::{CommGraph, CsrGraph};
 
 use crate::provision::ProvisionConfig;
 
-/// SplitMix64 — deterministic, dependency-free randomness for the search.
+/// SplitMix64 — the crate's one source of seeded randomness: this search
+/// and [`crate::seeded_failures`]. It is `hfast_par::Rng64`'s generator,
+/// kept here so the crate needs no runtime dependency on `hfast-par`.
 #[derive(Debug, Clone)]
-struct SplitMix64(u64);
+pub(crate) struct SplitMix64(pub(crate) u64);
 
 impl SplitMix64 {
     fn next_u64(&mut self) -> u64 {
@@ -30,7 +32,8 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    fn below(&mut self, bound: usize) -> usize {
+    /// Uniform draw from `[0, bound)` by modulo (`[0, 1)` for 0).
+    pub(crate) fn below(&mut self, bound: usize) -> usize {
         (self.next_u64() % bound.max(1) as u64) as usize
     }
 

@@ -161,7 +161,7 @@ pub fn hfast_cost(prov: &Provisioning, model: &CostModel) -> f64 {
     // passive circuit switch grows by the same proportion as a full FCN …
     // the cost per port is far less").
     let passive = prov.circuit_ports_used() as f64 * model.circuit_port;
-    let collective = prov.n_nodes as f64 * model.collective_per_node;
+    let collective = prov.n_nodes() as f64 * model.collective_per_node;
     active + passive + collective
 }
 
@@ -182,7 +182,7 @@ impl CostComparison {
     /// Compares a provisioning against the equivalent fat tree built from
     /// switches of the same port count.
     pub fn of(prov: &Provisioning, model: &CostModel) -> Self {
-        let ft = FatTree::for_processors(prov.n_nodes, prov.config.block_ports);
+        let ft = FatTree::for_processors(prov.n_nodes(), prov.config.block_ports);
         CostComparison {
             hfast: hfast_cost(prov, model),
             fat_tree: ft.cost(model),

@@ -9,6 +9,7 @@
 use hfast_topology::generators::torus3d_neighbors;
 use hfast_topology::CommGraph;
 
+use crate::anneal::SplitMix64;
 use crate::provision::ProvisionConfig;
 use crate::provisioner::{Clustered, PaperLinear, Provisioner};
 
@@ -75,16 +76,9 @@ pub fn seeded_failures(k: usize, n: usize, seed: u64) -> Vec<usize> {
     let k = k.min(n);
     let mut pool: Vec<usize> = (0..n).collect();
     let mut picked = Vec::with_capacity(k);
-    let mut state = seed;
-    let mut next = || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut rng = SplitMix64(seed);
     for _ in 0..k {
-        let idx = (next() % pool.len() as u64) as usize;
+        let idx = rng.below(pool.len());
         picked.push(pool.swap_remove(idx));
     }
     picked.sort_unstable();

@@ -66,7 +66,7 @@ pub use cost::{hfast_cost, AnalyticHfast, CostComparison, CostModel, FatTree};
 pub use fault::{hfast_fault_impact, remove_nodes, seeded_failures, torus_fault_impact};
 pub use icn::{embed as icn_embed, IcnConfig, IcnEmbedding, IcnError};
 pub use obs::{ProvisionObs, ReconfigObs};
-pub use provision::{Cluster, EdgeCircuit, ProvisionConfig, Provisioning, Route};
+pub use provision::{ProvisionConfig, Provisioning, Route, Walk};
 pub use provisioner::{
     BffCircuit, Clustered, DemandDecomp, GraphDelta, PaperLinear, Provisioner, ReprovisionOutcome,
     Strategy,

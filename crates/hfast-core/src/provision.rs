@@ -60,27 +60,26 @@ impl ProvisionConfig {
     }
 }
 
-/// A group of nodes sharing a chain of switch blocks.
+/// A group of nodes sharing a chain of switch blocks; its id is its index
+/// in `Provisioning::clusters`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cluster {
-    /// Cluster id.
-    pub id: usize,
+pub(crate) struct Cluster {
     /// Member nodes.
-    pub nodes: Vec<usize>,
+    pub(crate) nodes: Vec<usize>,
     /// Chain of block ids; consecutive blocks are circuit-linked.
-    pub blocks: Vec<usize>,
+    pub(crate) blocks: Vec<usize>,
 }
 
 /// Where a provisioned edge lands: chain positions of the blocks holding the
 /// patched ports on each side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EdgeCircuit {
+pub(crate) struct EdgeCircuit {
     /// Chain position (within the lower endpoint's cluster).
-    pub a_chain_pos: usize,
+    pub(crate) a_chain_pos: usize,
     /// Chain position (within the higher endpoint's cluster).
-    pub b_chain_pos: usize,
+    pub(crate) b_chain_pos: usize,
     /// The patched block ports.
-    pub ports: (Endpoint, Endpoint),
+    pub(crate) ports: (Endpoint, Endpoint),
 }
 
 /// Path cost of a message across the provisioned fabric.
@@ -100,36 +99,88 @@ impl Route {
     }
 }
 
+/// How a message from one node reaches another across a [`Provisioning`]:
+/// the answer of [`Provisioning::walk`], from which both the analytic
+/// [`Route`] and a simulated fabric's link path are read.
+///
+/// A chain span `(cluster, from, to)` walks cluster `cluster`'s block chain
+/// from position `from` to position `to`, one circuit per step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk {
+    /// An endpoint is offline (in no cluster) or not a node.
+    Offline,
+    /// Both nodes hang off one chain: the span runs from the source's
+    /// attachment to the destination's.
+    Chain((usize, usize, usize)),
+    /// The pair has a dedicated circuit.
+    Circuit {
+        /// Along the source's chain, from its attachment to the circuit's
+        /// port.
+        src: (usize, usize, usize),
+        /// The circuit's node pair, lower node first.
+        pair: (usize, usize),
+        /// True when the source is the pair's lower node.
+        forward: bool,
+        /// Along the destination's chain, from the circuit's port to its
+        /// attachment.
+        dst: (usize, usize, usize),
+    },
+    /// No provisioned path: below-cutoff traffic rides the low-bandwidth
+    /// collective network.
+    Tree,
+}
+
+impl Walk {
+    /// The walk's cost, or `None` for an offline or unprovisioned pair.
+    pub fn route(&self) -> Option<Route> {
+        let hops = |(_, from, to): (usize, usize, usize)| from.abs_diff(to);
+        // Up into the first block, across the crossbar once per block
+        // boundary, back down to the node.
+        let (blocks, chain_hops) = match *self {
+            Walk::Chain(span) => (1, hops(span)),
+            Walk::Circuit { src, dst, .. } => (2, hops(src) + hops(dst)),
+            Walk::Offline | Walk::Tree => return None,
+        };
+        Some(Route {
+            circuit_traversals: blocks + 1 + chain_hops,
+            switch_hops: blocks + chain_hops,
+        })
+    }
+}
+
 /// A complete HFAST provisioning: block pool, circuit patches, and the
 /// mapping from the application's communication graph onto them.
+///
+/// The layout is private; callers ask [`walk`](Self::walk) how a pair is
+/// served and read the counts and ledgers through the accessors.
 #[derive(Debug, Clone)]
 pub struct Provisioning {
     /// Parameters used.
-    pub config: ProvisionConfig,
+    pub(crate) config: ProvisionConfig,
     /// Number of compute nodes.
-    pub n_nodes: usize,
+    n_nodes: usize,
     /// Node clusters sharing block chains.
-    pub clusters: Vec<Cluster>,
-    /// Cluster id per node.
-    pub node_cluster: Vec<usize>,
+    pub(crate) clusters: Vec<Cluster>,
+    /// Cluster id per node; `usize::MAX` for an offline node.
+    node_cluster: Vec<usize>,
     /// The block pool.
-    pub blocks: Vec<SwitchBlock>,
+    pub(crate) blocks: Vec<SwitchBlock>,
     /// The circuit-switch state realizing the topology.
-    pub circuit: CircuitSwitch,
+    pub(crate) circuit: CircuitSwitch,
     /// Attachment of each node: (block id, chain position).
-    pub attach: Vec<(usize, usize)>,
+    attach: Vec<(usize, usize)>,
     /// Provisioned inter-cluster edges, keyed `(min, max)`.
-    pub edge_circuits: BTreeMap<(usize, usize), EdgeCircuit>,
+    pub(crate) edge_circuits: BTreeMap<(usize, usize), EdgeCircuit>,
     /// Edges served inside a shared block chain (no dedicated circuit).
-    pub intra_edges: Vec<(usize, usize)>,
+    intra_edges: Vec<(usize, usize)>,
     /// Edges below the cutoff, relegated to the low-bandwidth network.
-    pub unprovisioned: Vec<(usize, usize)>,
+    pub(crate) unprovisioned: Vec<(usize, usize)>,
     /// Block-pool slots released by incremental re-provisioning (see
     /// [`crate::provisioner::Provisioner::reprovision`]): the ids stay in
-    /// [`blocks`](Self::blocks) so every other id remains stable, but they
-    /// hold no ports and are excluded from [`total_blocks`](Self::total_blocks).
-    /// Always empty after a from-scratch build.
-    pub spare_blocks: Vec<usize>,
+    /// `blocks` so every other id remains stable, but they hold no ports
+    /// and are excluded from [`total_blocks`](Self::total_blocks). Always
+    /// empty after a from-scratch build.
+    pub(crate) spare_blocks: Vec<usize>,
 }
 
 /// Provisions `graph` with an explicit node clustering — the shared
@@ -182,114 +233,54 @@ pub(crate) fn build_clustered(
         external[node_cluster[b]] += 1;
     }
 
+    let mut prov = Provisioning {
+        config,
+        n_nodes: n,
+        clusters: Vec::with_capacity(clustering.len()),
+        node_cluster,
+        blocks: Vec::new(),
+        circuit: CircuitSwitch::new(),
+        attach: vec![(usize::MAX, usize::MAX); n],
+        edge_circuits: BTreeMap::new(),
+        intra_edges: intra,
+        unprovisioned: unprov,
+        spare_blocks: Vec::new(),
+    };
     // Build block chains per cluster.
-    let mut blocks: Vec<SwitchBlock> = Vec::new();
-    let mut circuit = CircuitSwitch::new();
-    let mut clusters = Vec::with_capacity(clustering.len());
-    let mut attach = vec![(usize::MAX, usize::MAX); n];
-    for (cid, members) in clustering.into_iter().enumerate() {
-        let b = config.blocks_needed(members.len(), external[cid]);
-        let first = blocks.len();
-        for i in 0..b {
-            blocks.push(SwitchBlock::new(first + i, config.block_ports));
-        }
-        let chain: Vec<usize> = (first..first + b).collect();
-        // Chain links consume one port on each adjacent block.
-        for w in chain.windows(2) {
-            let pa = blocks[w[0]].allocate_port().expect("chain port");
-            let pb = blocks[w[1]].allocate_port().expect("chain port");
-            circuit
-                .connect(
-                    Endpoint::BlockPort {
-                        block: w[0],
-                        port: pa,
-                    },
-                    Endpoint::BlockPort {
-                        block: w[1],
-                        port: pb,
-                    },
-                )
-                .expect("fresh ports cannot collide");
-        }
-        // Attach member nodes, spread across the chain.
-        for (i, &v) in members.iter().enumerate() {
-            let pos = i * chain.len() / members.len().max(1);
-            // The chosen block may be full of chain links in pathological
-            // configs; fall back to scanning.
-            let pos = (0..chain.len())
-                .map(|off| (pos + off) % chain.len())
-                .find(|&p| blocks[chain[p]].free_ports() > 0)
-                .expect("capacity accounted for attachments");
-            let block = chain[pos];
-            let port = blocks[block].allocate_port().expect("checked free");
-            circuit
-                .connect(Endpoint::Node(v), Endpoint::BlockPort { block, port })
-                .expect("fresh ports cannot collide");
-            attach[v] = (block, pos);
-        }
-        clusters.push(Cluster {
-            id: cid,
-            nodes: members,
-            blocks: chain,
+    for (cid, nodes) in clustering.into_iter().enumerate() {
+        let first = prov.blocks.len();
+        let chain = first..first + config.blocks_needed(nodes.len(), external[cid]);
+        let fresh = chain
+            .clone()
+            .map(|id| SwitchBlock::new(id, config.block_ports));
+        prov.blocks.extend(fresh);
+        prov.clusters.push(Cluster {
+            nodes,
+            blocks: chain.collect(),
         });
+        prov.patch_chain(cid);
     }
-
-    // Patch a dedicated circuit per inter-cluster edge, placing each
-    // port as close to its node's attachment block as possible.
-    let allocate_near =
-        |clusters: &[Cluster], blocks: &mut [SwitchBlock], v: usize| -> (usize, usize, usize) {
-            let chain = &clusters[node_cluster[v]].blocks;
-            let home = attach[v].1;
-            // Nearest chain block with a free port; one always exists
-            // because blocks_needed() sized the chain for attachments
-            // plus every external edge endpoint.
-            let pos = (0..chain.len())
-                .filter(|&p| blocks[chain[p]].free_ports() > 0)
-                .min_by_key(|&p| (p as isize - home as isize).unsigned_abs())
-                .expect("capacity accounted for external edges");
-            let block = chain[pos];
-            let port = blocks[block].allocate_port().expect("checked free");
-            (block, port, pos)
-        };
-    // `collect` gathers the circuits and bulk-builds the map from them,
-    // which for input already sorted by `(a, b)` (as `inter` is) costs one
-    // pass rather than a tree search per insert.
-    let edge_circuits: BTreeMap<_, _> = inter
+    // Patch a dedicated circuit per inter-cluster edge. `collect`
+    // bulk-builds the map from them, which for input already sorted by
+    // `(a, b)` (as `inter` is) costs one pass rather than a tree search per
+    // insert.
+    prov.edge_circuits = inter
         .iter()
         .map(|&(a, b)| {
-            let (blk_a, port_a, pos_a) = allocate_near(&clusters, &mut blocks, a);
-            let (blk_b, port_b, pos_b) = allocate_near(&clusters, &mut blocks, b);
-            let ea = Endpoint::BlockPort {
-                block: blk_a,
-                port: port_a,
-            };
-            let eb = Endpoint::BlockPort {
-                block: blk_b,
-                port: port_b,
-            };
-            circuit.connect(ea, eb).expect("fresh ports cannot collide");
+            let (ea, a_chain_pos) = prov.allocate_near(a);
+            let (eb, b_chain_pos) = prov.allocate_near(b);
+            prov.circuit
+                .connect(ea, eb)
+                .expect("fresh ports cannot collide");
             let ec = EdgeCircuit {
-                a_chain_pos: pos_a,
-                b_chain_pos: pos_b,
+                a_chain_pos,
+                b_chain_pos,
                 ports: (ea, eb),
             };
             ((a, b), ec)
         })
         .collect();
 
-    let prov = Provisioning {
-        config,
-        n_nodes: n,
-        clusters,
-        node_cluster,
-        blocks,
-        circuit,
-        attach,
-        edge_circuits,
-        intra_edges: intra,
-        unprovisioned: unprov,
-        spare_blocks: Vec::new(),
-    };
     if hfast_obs::enabled() {
         let obs = crate::obs::provision_obs();
         obs.builds.inc();
@@ -300,6 +291,132 @@ pub(crate) fn build_clustered(
 }
 
 impl Provisioning {
+    /// Wires cluster `cid`'s chain of fresh blocks: one circuit between
+    /// each pair of consecutive blocks, then each member attached to a
+    /// block, spread evenly along the chain.
+    pub(crate) fn patch_chain(&mut self, cid: usize) {
+        let Cluster {
+            nodes,
+            blocks: chain,
+        } = &self.clusters[cid];
+        for w in chain.windows(2) {
+            let [ea, eb] = [w[0], w[1]].map(|block| {
+                let port = self.blocks[block].allocate_port().expect("chain port");
+                Endpoint::BlockPort { block, port }
+            });
+            self.circuit
+                .connect(ea, eb)
+                .expect("fresh ports cannot collide");
+        }
+        for (i, &v) in nodes.iter().enumerate() {
+            // The chosen block may be full of chain links in pathological
+            // configs; fall back to scanning.
+            let start = i * chain.len() / nodes.len();
+            let pos = (0..chain.len())
+                .map(|off| (start + off) % chain.len())
+                .find(|&p| self.blocks[chain[p]].free_ports() > 0)
+                .expect("capacity accounted for attachments");
+            let block = chain[pos];
+            let port = self.blocks[block].allocate_port().expect("checked free");
+            self.circuit
+                .connect(Endpoint::Node(v), Endpoint::BlockPort { block, port })
+                .expect("fresh ports cannot collide");
+            self.attach[v] = (block, pos);
+        }
+    }
+
+    /// Takes a port for one of `v`'s edge circuits on the chain block
+    /// nearest its attachment, returning the port and its chain position.
+    /// Ties go to the lower position, so a chain fills outward from the
+    /// attachment in ascending order.
+    pub(crate) fn allocate_near(&mut self, v: usize) -> (Endpoint, usize) {
+        let chain = &self.clusters[self.node_cluster[v]].blocks;
+        let home = self.attach[v].1;
+        // One always exists: blocks_needed() sized the chain for the
+        // attachments plus every external edge endpoint.
+        let pos = (0..chain.len())
+            .filter(|&p| self.blocks[chain[p]].free_ports() > 0)
+            .min_by_key(|&p| p.abs_diff(home))
+            .expect("capacity accounted for external edges");
+        let block = chain[pos];
+        let port = self.blocks[block].allocate_port().expect("checked free");
+        (Endpoint::BlockPort { block, port }, pos)
+    }
+
+    /// Number of compute nodes.
+    pub fn n_nodes(&self) -> usize {
+        self.n_nodes
+    }
+
+    /// The circuit-switch state realizing the topology.
+    pub fn circuit(&self) -> &CircuitSwitch {
+        &self.circuit
+    }
+
+    /// The cluster node `v` belongs to, or `None` if `v` is offline or not
+    /// a node.
+    pub fn cluster_of(&self, v: usize) -> Option<usize> {
+        self.node_cluster
+            .get(v)
+            .copied()
+            .filter(|&c| c != usize::MAX)
+    }
+
+    /// Blocks in `cluster`'s chain, or `None` if there is no such cluster.
+    /// Cluster ids run from 0 and every cluster has at least one block.
+    pub fn chain_len(&self, cluster: usize) -> Option<usize> {
+        self.clusters.get(cluster).map(|c| c.blocks.len())
+    }
+
+    /// The node pairs `(a, b)`, `a < b`, that have a dedicated circuit, in
+    /// ascending order.
+    pub fn circuit_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.edge_circuits.keys().copied()
+    }
+
+    /// Above-cutoff edges served inside a shared chain, with no dedicated
+    /// circuit.
+    pub fn intra_edges(&self) -> &[(usize, usize)] {
+        &self.intra_edges
+    }
+
+    /// Active edges below the cutoff, left to the low-bandwidth network,
+    /// in ascending order.
+    pub fn unprovisioned(&self) -> &[(usize, usize)] {
+        &self.unprovisioned
+    }
+
+    /// How a message from `src` reaches `dst`: the one routing rule
+    /// [`route`](Self::route), [`max_route`](Self::max_route) and a
+    /// simulated fabric's paths all read. Any two nodes on one chain
+    /// share it; nodes on different chains need a dedicated circuit.
+    /// Allocates nothing.
+    pub fn walk(&self, src: usize, dst: usize) -> Walk {
+        let (Some(cs), Some(cd)) = (self.cluster_of(src), self.cluster_of(dst)) else {
+            return Walk::Offline;
+        };
+        let (home_s, home_d) = (self.attach[src].1, self.attach[dst].1);
+        if cs == cd {
+            return Walk::Chain((cs, home_s, home_d));
+        }
+        let forward = src < dst;
+        let pair = if forward { (src, dst) } else { (dst, src) };
+        let Some(ec) = self.edge_circuits.get(&pair) else {
+            return Walk::Tree;
+        };
+        let (port_s, port_d) = if forward {
+            (ec.a_chain_pos, ec.b_chain_pos)
+        } else {
+            (ec.b_chain_pos, ec.a_chain_pos)
+        };
+        Walk::Circuit {
+            src: (cs, home_s, port_s),
+            pair,
+            forward,
+            dst: (cd, port_d, home_d),
+        }
+    }
+
     /// Number of packet switch blocks consumed (`N_active` in §5.3).
     ///
     /// Spare slots parked by incremental re-provisioning hold no ports and
@@ -332,8 +449,8 @@ impl Provisioning {
         fold(self.config.cutoff);
         fold(self.n_nodes as u64);
         fold(self.total_blocks() as u64);
-        for c in &self.clusters {
-            fold(c.id as u64);
+        for (id, c) in self.clusters.iter().enumerate() {
+            fold(id as u64);
             fold(c.nodes.len() as u64);
             for &v in &c.nodes {
                 fold(v as u64);
@@ -384,61 +501,27 @@ impl Provisioning {
 
     /// Route of a provisioned node pair, or `None` if the pair has no
     /// provisioned path (below-cutoff traffic rides the low-bandwidth
-    /// network).
+    /// network) or is one node.
     pub fn route(&self, a: usize, b: usize) -> Option<Route> {
-        if a == b || a >= self.n_nodes || b >= self.n_nodes {
+        if a == b {
             return None;
         }
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let ca = self.node_cluster[lo];
-        let cb = self.node_cluster[hi];
-        if ca == usize::MAX || cb == usize::MAX {
-            return None; // offline endpoint
-        }
-        if ca == cb {
-            // Same chain: up into the fabric, along the chain, back down —
-            // but only if the pair is actually connected (intra edge) or
-            // simply shares the chain (any pair in a cluster can talk).
-            let pa = self.attach[lo].1;
-            let pb = self.attach[hi].1;
-            let chain_hops = pa.abs_diff(pb);
-            return Some(Route {
-                circuit_traversals: 2 + chain_hops,
-                switch_hops: 1 + chain_hops,
-            });
-        }
-        let ec = self.edge_circuits.get(&(lo, hi))?;
-        let da = self.attach[lo].1.abs_diff(ec.a_chain_pos);
-        let db = self.attach[hi].1.abs_diff(ec.b_chain_pos);
-        Some(Route {
-            circuit_traversals: 3 + da + db,
-            switch_hops: 2 + da + db,
-        })
+        self.walk(a, b).route()
     }
 
-    /// Worst provisioned route in the fabric.
+    /// Worst provisioned route in the fabric: the most switch hops over
+    /// every circuit pair and intra-chain edge (a route's traversals are
+    /// always its hops plus one, so no two maxima differ).
     pub fn max_route(&self) -> Option<Route> {
-        let mut worst: Option<Route> = None;
-        let consider = |worst: &mut Option<Route>, r: Route| {
-            if worst.is_none_or(|w| r.switch_hops > w.switch_hops) {
-                *worst = Some(r);
-            }
-        };
-        for &(a, b) in self.edge_circuits.keys() {
-            if let Some(r) = self.route(a, b) {
-                consider(&mut worst, r);
-            }
-        }
-        for &(a, b) in &self.intra_edges {
-            if let Some(r) = self.route(a, b) {
-                consider(&mut worst, r);
-            }
-        }
-        worst
+        self.circuit_pairs()
+            .chain(self.intra_edges.iter().copied())
+            .filter_map(|(a, b)| self.route(a, b))
+            .max_by_key(|r| r.switch_hops)
     }
 
     /// Structural invariants: every above-cutoff edge is served, circuits
-    /// are consistent, and no block over-allocates. Used by tests.
+    /// are consistent, and no block over-allocates. Tests, the benchmark's
+    /// `core.validate_ms` stage and `provision_bakeoff --check` call it.
     ///
     /// One pass over each structure: `graph.edges()` and
     /// `edge_circuits.keys()` both ascend by `(a, b)`, so the edges that

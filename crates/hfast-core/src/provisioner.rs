@@ -261,10 +261,11 @@ impl Provisioner for PaperLinear {
     /// fills positions in ascending order. So a delta only perturbs the
     /// clusters whose incident edge set changed cutoff status; everything
     /// else is structurally untouched. The rebuild tears down exactly the
-    /// affected chains, resizes them, and re-patches their incident edges
-    /// in the same global sorted order the from-scratch pass uses — the
-    /// `incremental_reprovision_matches_scratch` property test pins the
-    /// structural equivalence.
+    /// affected chains, resizes them, and rewires them and their incident
+    /// edges with the from-scratch pass's own chain patcher and port
+    /// allocator, in the global sorted order that pass uses — so positions
+    /// match scratch by construction, and the
+    /// `incremental_reprovision_matches_scratch` property test checks it.
     fn reprovision(
         &self,
         prev: Provisioning,
@@ -276,14 +277,14 @@ impl Provisioner for PaperLinear {
         // The incremental path leans on per-node clustering invariants;
         // anything else (offline nodes, shared chains, size change) falls
         // back to the always-correct scratch rebuild.
-        let per_node_shape = prev.n_nodes == n
+        let per_node_shape = prev.n_nodes() == n
             && prev.clusters.len() == n
-            && prev.intra_edges.is_empty()
+            && prev.intra_edges().is_empty()
             && prev
                 .clusters
                 .iter()
                 .enumerate()
-                .all(|(cid, c)| c.id == cid && c.nodes.as_slice() == [cid]);
+                .all(|(cid, c)| c.nodes.as_slice() == [cid]);
         if !per_node_shape {
             return Provisioner::reprovision(&ScratchOnly(*self), prev, graph, delta);
         }
@@ -350,15 +351,6 @@ impl Provisioner for PaperLinear {
                 e_fix.insert((v.min(u), v.max(u)));
             }
         }
-        // Far-side endpoints of edges whose other cluster is untouched keep
-        // their port and chain position; remember them before teardown.
-        let mut kept_far: BTreeMap<(usize, usize), EdgeCircuit> = BTreeMap::new();
-        for &pair in &e_fix {
-            if let Some(ec) = p.edge_circuits.get(&pair) {
-                kept_far.insert(pair, *ec);
-            }
-        }
-
         // Tear down: every circuit with an endpoint on an affected chain
         // (chain links, the node attachment, and incident edge circuits).
         for &v in &affected {
@@ -372,57 +364,30 @@ impl Provisioner for PaperLinear {
                 }
             }
         }
-        for &pair in &e_fix {
-            p.edge_circuits.remove(&pair);
-        }
         for &pair in &removed {
             p.edge_circuits.remove(&pair);
         }
 
-        // Rebuild the affected chains exactly as the scratch pass would:
-        // chain links first, then the node attachment at position 0.
+        // Resize the affected chains and rewire them with the scratch
+        // pass's own chain patcher.
         let mut spare = std::mem::take(&mut p.spare_blocks);
         for &v in &affected {
-            let deg = graph.degree_thresholded(v, cutoff);
-            let need = config.blocks_needed(1, deg);
-            let mut chain = std::mem::take(&mut p.clusters[v].blocks);
+            let need = config.blocks_needed(1, graph.degree_thresholded(v, cutoff));
+            let chain = &mut p.clusters[v].blocks;
             while chain.len() > need {
                 spare.push(chain.pop().expect("len checked"));
             }
             while chain.len() < need {
-                let id = spare.pop().unwrap_or_else(|| {
+                chain.push(spare.pop().unwrap_or_else(|| {
                     p.blocks
                         .push(SwitchBlock::new(p.blocks.len(), config.block_ports));
                     p.blocks.len() - 1
-                });
-                chain.push(id);
+                }));
             }
-            for &id in &chain {
+            for &id in chain.iter() {
                 p.blocks[id] = SwitchBlock::new(id, config.block_ports);
             }
-            for w in chain.windows(2) {
-                let pa = p.blocks[w[0]].allocate_port().expect("fresh block");
-                let pb = p.blocks[w[1]].allocate_port().expect("fresh block");
-                p.circuit
-                    .connect(
-                        Endpoint::BlockPort {
-                            block: w[0],
-                            port: pa,
-                        },
-                        Endpoint::BlockPort {
-                            block: w[1],
-                            port: pb,
-                        },
-                    )
-                    .expect("ports were just freed");
-            }
-            let block = chain[0];
-            let port = p.blocks[block].allocate_port().expect("k >= 3");
-            p.circuit
-                .connect(Endpoint::Node(v), Endpoint::BlockPort { block, port })
-                .expect("attachment was just freed");
-            p.attach[v] = (block, 0);
-            p.clusters[v].blocks = chain;
+            p.patch_chain(v);
         }
         for &id in &spare {
             p.blocks[id] = SwitchBlock::new(id, config.block_ports);
@@ -431,30 +396,19 @@ impl Provisioner for PaperLinear {
 
         // Re-patch in global sorted order — the same relative order the
         // scratch pass processes each cluster's incident edges in, which is
-        // what makes the resulting chain positions identical.
+        // what makes the resulting chain positions identical. An end on an
+        // untouched cluster keeps the port and chain position of the
+        // circuit it had (an edge new to the ledger has both ends
+        // affected), and the insert below overwrites that circuit.
         for &(a, b) in &e_fix {
-            let near = |p: &mut Provisioning, v: usize| -> (Endpoint, usize) {
-                let chain = &p.clusters[p.node_cluster[v]].blocks;
-                let home = p.attach[v].1;
-                let pos = (0..chain.len())
-                    .filter(|&i| p.blocks[chain[i]].free_ports() > 0)
-                    .min_by_key(|&i| (i as isize - home as isize).unsigned_abs())
-                    .expect("blocks_needed sized the chain");
-                let block = chain[pos];
-                let port = p.blocks[block].allocate_port().expect("checked free");
-                (Endpoint::BlockPort { block, port }, pos)
+            let kept = p.edge_circuits.get(&(a, b)).copied();
+            let (ea, pos_a) = match kept {
+                Some(ec) if !affected.contains(&a) => (ec.ports.0, ec.a_chain_pos),
+                _ => p.allocate_near(a),
             };
-            let (ea, pos_a) = if affected.contains(&a) {
-                near(&mut p, a)
-            } else {
-                let ec = kept_far[&(a, b)];
-                (ec.ports.0, ec.a_chain_pos)
-            };
-            let (eb, pos_b) = if affected.contains(&b) {
-                near(&mut p, b)
-            } else {
-                let ec = kept_far[&(a, b)];
-                (ec.ports.1, ec.b_chain_pos)
+            let (eb, pos_b) = match kept {
+                Some(ec) if !affected.contains(&b) => (ec.ports.1, ec.b_chain_pos),
+                _ => p.allocate_near(b),
             };
             p.circuit
                 .connect(ea, eb)
@@ -657,8 +611,9 @@ pub struct Clustered {
 }
 
 impl Clustered {
-    /// Wraps an explicit clustering. Nodes in no cluster are treated as
-    /// offline, exactly as `Provisioning::build` did.
+    /// Wraps an explicit clustering. Nodes in no cluster are offline: they
+    /// get no attachment, and every pair they are in walks as
+    /// [`Walk::Offline`](crate::Walk::Offline).
     pub fn new(clusters: Vec<Vec<usize>>) -> Self {
         Clustered { clusters }
     }

@@ -12,11 +12,13 @@
 //!
 //! [`FaultState`] is the runtime side: the engine folds plan events into it
 //! as simulated time advances and fabrics consult it through
-//! [`Fabric::path_avoiding`](crate::Fabric::path_avoiding).
+//! [`Fabric::path_avoiding`].
+
+use hfast_par::Rng64;
 
 use crate::error::NetsimError;
 use crate::fabric::{Fabric, LinkId};
-use crate::traffic::{Flow, SplitMix64};
+use crate::traffic::{below, Flow};
 
 /// The component a [`FaultEvent`] acts on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -121,7 +123,7 @@ impl FaultPlanBuilder {
     /// is given, a matching recovery that much later.
     ///
     /// Which links fail comes from [`hfast_core::seeded_failures`]; *when*
-    /// they fail comes from the same seed through SplitMix64 — so one
+    /// they fail comes from the same seed through `Rng64` — so one
     /// `(seed, count, eligible)` triple defines one reproducible disaster.
     pub fn random_link_failures(
         mut self,
@@ -132,12 +134,16 @@ impl FaultPlanBuilder {
         downtime_ns: Option<u64>,
     ) -> Self {
         let picks = hfast_core::seeded_failures(count, eligible.len(), seed);
-        let mut rng = SplitMix64::new(seed ^ 0xFAB5_C8ED);
+        let mut rng = Rng64::new(seed ^ 0xFAB5_C8ED);
         let (t0, t1) = window;
         let span = t1.saturating_sub(t0);
         for idx in picks {
             let link = eligible[idx];
-            let at = if span == 0 { t0 } else { t0 + rng.below(span) };
+            let at = if span == 0 {
+                t0
+            } else {
+                t0 + below(&mut rng, span)
+            };
             self.events.push(FaultEvent {
                 time_ns: at,
                 action: FaultAction::Fail,

@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hfast_core::{AdaptScope, ProvisionConfig, Provisioning, ReprovisionOutcome, Strategy};
+use hfast_core::{AdaptScope, ProvisionConfig, Provisioning, ReprovisionOutcome, Strategy, Walk};
 use hfast_topology::CommGraph;
 
 use crate::fabric::{Fabric, LinkId, LinkSpec};
@@ -46,8 +46,9 @@ pub struct HfastFabric {
     classes: Vec<LinkClass>,
     /// node → (uplink into attach block, downlink out to the node).
     node_links: Vec<(LinkId, LinkId)>,
-    /// (cluster, lower chain pos) → (link toward higher pos, toward lower).
-    chain_links: BTreeMap<(usize, usize), (LinkId, LinkId)>,
+    /// cluster → per lower chain position, (link toward the higher
+    /// position, link toward the lower).
+    chain_links: Vec<Vec<(LinkId, LinkId)>>,
     /// (a, b) with a < b → (link a→b, link b→a).
     edge_links: BTreeMap<(usize, usize), (LinkId, LinkId)>,
     /// node → (tree uplink, tree downlink) on the collective network.
@@ -81,7 +82,7 @@ impl HfastFabric {
             bandwidth: TREE_BW,
         };
 
-        let n = prov.n_nodes;
+        let n = prov.n_nodes();
         let node_links: Vec<(LinkId, LinkId)> = (0..n)
             .map(|_| {
                 (
@@ -90,28 +91,20 @@ impl HfastFabric {
                 )
             })
             .collect();
-        let mut chain_links = BTreeMap::new();
-        for cluster in &prov.clusters {
-            for pos in 0..cluster.blocks.len().saturating_sub(1) {
-                chain_links.insert(
-                    (cluster.id, pos),
-                    (
-                        push(into_block(), LinkClass::Circuit),
-                        push(into_block(), LinkClass::Circuit),
-                    ),
-                );
-            }
-        }
-        let mut edge_links = BTreeMap::new();
-        for &(a, b) in prov.edge_circuits.keys() {
-            edge_links.insert(
-                (a, b),
-                (
-                    push(into_block(), LinkClass::Circuit),
-                    push(into_block(), LinkClass::Circuit),
-                ),
-            );
-        }
+        let mut circuit_pair = || {
+            (
+                push(into_block(), LinkClass::Circuit),
+                push(into_block(), LinkClass::Circuit),
+            )
+        };
+        let chain_links: Vec<Vec<(LinkId, LinkId)>> = (0..)
+            .map_while(|c| prov.chain_len(c))
+            .map(|len| (1..len).map(|_| circuit_pair()).collect())
+            .collect();
+        let edge_links: BTreeMap<_, _> = prov
+            .circuit_pairs()
+            .map(|pair| (pair, circuit_pair()))
+            .collect();
         let tree_links: Vec<(LinkId, LinkId)> = (0..n)
             .map(|_| (push(tree, LinkClass::Tree), push(tree, LinkClass::Tree)))
             .collect();
@@ -162,37 +155,23 @@ impl HfastFabric {
         let mut clusters = BTreeSet::new();
         for &(a, b) in &outcome.touched_pairs {
             for prov in [&self.prov, new] {
-                for v in [a, b] {
-                    if let Some(&c) = prov.node_cluster.get(v) {
-                        if c != usize::MAX {
-                            clusters.insert(c);
-                        }
-                    }
-                }
+                clusters.extend([a, b].into_iter().filter_map(|v| prov.cluster_of(v)));
             }
         }
         for &c in &clusters {
-            let want = new
-                .clusters
-                .get(c)
-                .map_or(0, |cl| cl.blocks.len().saturating_sub(1));
-            let have = self
-                .chain_links
-                .range((c, 0)..(c + 1, 0))
-                .map(|(&(_, pos), _)| pos + 1)
-                .max()
-                .unwrap_or(0);
-            for pos in want..have {
-                self.chain_links.remove(&(c, pos)); // orphan the link slots
+            let want = new.chain_len(c).map_or(0, |len| len - 1);
+            if self.chain_links.len() <= c {
+                self.chain_links.resize_with(c + 1, Vec::new);
             }
-            for pos in have..want {
-                let fwd = self.push_circuit_link();
-                let back = self.push_circuit_link();
-                self.chain_links.insert((c, pos), (fwd, back));
+            // Shrinking orphans the link slots; growing appends fresh ones.
+            self.chain_links[c].truncate(want);
+            for _ in self.chain_links[c].len()..want {
+                let link_pair = (self.push_circuit_link(), self.push_circuit_link());
+                self.chain_links[c].push(link_pair);
             }
         }
         for &(a, b) in &outcome.touched_pairs {
-            let provisioned = new.edge_circuits.contains_key(&(a, b));
+            let provisioned = matches!(new.walk(a, b), Walk::Circuit { .. });
             let mapped = self.edge_links.contains_key(&(a, b));
             if provisioned && !mapped {
                 let fwd = self.push_circuit_link();
@@ -230,16 +209,13 @@ impl HfastFabric {
         }
     }
 
-    /// Chain links from position `from` to `to` within a cluster.
-    fn chain_walk(&self, cluster: usize, from: usize, to: usize, path: &mut Vec<LinkId>) {
+    /// Chain links along a [`Walk`] span `(cluster, from, to)`.
+    fn chain_walk(&self, (cluster, from, to): (usize, usize, usize), path: &mut Vec<LinkId>) {
+        let links = &self.chain_links[cluster];
         if from <= to {
-            for pos in from..to {
-                path.push(self.chain_links[&(cluster, pos)].0);
-            }
+            path.extend(links[from..to].iter().map(|l| l.0));
         } else {
-            for pos in (to..from).rev() {
-                path.push(self.chain_links[&(cluster, pos)].1);
-            }
+            path.extend(links[to..from].iter().rev().map(|l| l.1));
         }
     }
 }
@@ -250,7 +226,7 @@ impl Fabric for HfastFabric {
     }
 
     fn nodes(&self) -> usize {
-        self.prov.n_nodes
+        self.prov.n_nodes()
     }
 
     fn link_count(&self) -> usize {
@@ -265,42 +241,34 @@ impl Fabric for HfastFabric {
         if src == dst {
             return Some(vec![]);
         }
-        let (lo, hi) = if src < dst { (src, dst) } else { (dst, src) };
-        let ca = self.prov.node_cluster.get(src).copied()?;
-        let cb = self.prov.node_cluster.get(dst).copied()?;
-        if ca == usize::MAX || cb == usize::MAX {
-            return None; // offline node
-        }
-        // Chain walks are bounded by each cluster's chain length; the rest
-        // is the two node fibers plus at most one edge circuit.
-        let cap = 4 + self.prov.clusters[ca].blocks.len() + self.prov.clusters[cb].blocks.len();
-        let mut path = Vec::with_capacity(cap);
+        let walk = self.prov.walk(src, dst);
+        let Some(route) = walk.route() else {
+            // Offline endpoints have no path; any other unprovisioned pair
+            // rides the collective tree.
+            return (walk == Walk::Tree)
+                .then(|| vec![self.tree_links[src].0, self.tree_links[dst].1]);
+        };
+        // One link per crossbar traversal: the node fibers, the chain
+        // steps and any edge circuit.
+        let mut path = Vec::with_capacity(route.circuit_traversals);
         path.push(self.node_links[src].0);
-        if ca == cb {
-            // Along the shared chain.
-            self.chain_walk(
-                ca,
-                self.prov.attach[src].1,
-                self.prov.attach[dst].1,
-                &mut path,
-            );
-            path.push(self.node_links[dst].1);
-            return Some(path);
+        match walk {
+            Walk::Chain(span) => self.chain_walk(span, &mut path),
+            Walk::Circuit {
+                src: out,
+                pair,
+                forward,
+                dst: into,
+            } => {
+                self.chain_walk(out, &mut path);
+                let (fwd, back) = self.edge_links[&pair];
+                path.push(if forward { fwd } else { back });
+                self.chain_walk(into, &mut path);
+            }
+            Walk::Offline | Walk::Tree => {}
         }
-        if let Some(ec) = self.prov.edge_circuits.get(&(lo, hi)) {
-            let (src_pos, dst_pos, edge_link) = if src == lo {
-                (ec.a_chain_pos, ec.b_chain_pos, self.edge_links[&(lo, hi)].0)
-            } else {
-                (ec.b_chain_pos, ec.a_chain_pos, self.edge_links[&(lo, hi)].1)
-            };
-            self.chain_walk(ca, self.prov.attach[src].1, src_pos, &mut path);
-            path.push(edge_link);
-            self.chain_walk(cb, dst_pos, self.prov.attach[dst].1, &mut path);
-            path.push(self.node_links[dst].1);
-            return Some(path);
-        }
-        // No dedicated circuit: ride the collective tree.
-        Some(vec![self.tree_links[src].0, self.tree_links[dst].1])
+        path.push(self.node_links[dst].1);
+        Some(path)
     }
 
     fn switch_hops(&self, src: usize, dst: usize) -> Option<usize> {

@@ -9,7 +9,7 @@
 //! credit mode), and as a [`CommGraph`] so HFAST provisioning sees the
 //! scenario's heavy pairs exactly the way it sees an application's.
 //!
-//! Every generator is seeded through [`SplitMix64`] — one
+//! Every generator is seeded through [`Rng64`] — one
 //! `(kind, nodes, flows, bytes, seed)` tuple defines one reproducible
 //! workload — and emits a **foreground** of heavy flows plus (where the
 //! scenario calls for it) a **background** of small latency-bound flows.
@@ -18,12 +18,13 @@
 //! congestion-tree *victims* in the sense of arXiv 1907.05312, not direct
 //! contenders.
 
+use hfast_par::Rng64;
 use hfast_topology::CommGraph;
 
 use crate::engine::FlowRecord;
 use crate::error::NetsimError;
 use crate::fabric::Fabric;
-use crate::traffic::{Flow, SplitMix64};
+use crate::traffic::{below, Flow};
 
 /// Payload of one background (victim-probe) flow: small enough to stay
 /// under every provisioning cutoff used in this repo, so circuits are
@@ -170,39 +171,39 @@ impl Scenario {
     /// returned list, so `records[i]` in a detailed run lines up with
     /// flow `i` here.
     pub fn flows_with_tenants(&self) -> (Vec<Flow>, Vec<u8>) {
-        let mut rng = SplitMix64::new(self.seed ^ self.kind.salt());
+        let mut rng = Rng64::new(self.seed ^ self.kind.salt());
         let mut flows = Vec::new();
         let mut tenants = Vec::new();
         match self.kind {
             ScenarioKind::Incast => {
-                let hot = rng.below(self.nodes as u64) as usize;
+                let hot = below(&mut rng, self.nodes as u64) as usize;
                 for _ in 0..self.flows {
                     let src = self.pick_not(&mut rng, hot);
                     flows.push(Flow {
                         src,
                         dst: hot,
                         bytes: self.bytes,
-                        start_ns: rng.below(5_000),
+                        start_ns: below(&mut rng, 5_000),
                     });
                     tenants.push(0);
                 }
                 self.background(&mut rng, Some(hot), &mut flows, &mut tenants);
             }
             ScenarioKind::Permutation => {
-                let rot = 1 + rng.below(self.nodes as u64 - 1) as usize;
+                let rot = 1 + below(&mut rng, self.nodes as u64 - 1) as usize;
                 for i in 0..self.flows {
                     let src = i % self.nodes;
                     flows.push(Flow {
                         src,
                         dst: (src + rot) % self.nodes,
                         bytes: self.bytes,
-                        start_ns: rng.below(5_000),
+                        start_ns: below(&mut rng, 5_000),
                     });
                     tenants.push(0);
                 }
             }
             ScenarioKind::HotSpot => {
-                let hot = rng.below(self.nodes as u64) as usize;
+                let hot = below(&mut rng, self.nodes as u64) as usize;
                 for i in 0..self.flows {
                     // Every fourth flow piles onto the hot node; the rest
                     // spread uniformly (and double as victim probes).
@@ -216,7 +217,7 @@ impl Scenario {
                         src,
                         dst,
                         bytes,
-                        start_ns: rng.below(self.spread_ns()),
+                        start_ns: below(&mut rng, self.spread_ns()),
                     });
                     tenants.push(0);
                 }
@@ -231,7 +232,7 @@ impl Scenario {
                         src,
                         dst,
                         bytes: self.bytes,
-                        start_ns: rng.below(5_000),
+                        start_ns: below(&mut rng, 5_000),
                     });
                     tenants.push(0);
                 }
@@ -241,7 +242,7 @@ impl Scenario {
                         src,
                         dst,
                         bytes: BACKGROUND_BYTES,
-                        start_ns: rng.below(self.spread_ns()),
+                        start_ns: below(&mut rng, self.spread_ns()),
                     });
                     tenants.push(1);
                 }
@@ -259,7 +260,7 @@ impl Scenario {
                         src,
                         dst,
                         bytes: if peak { self.bytes } else { BACKGROUND_BYTES },
-                        start_ns: wave as u64 * period + rng.below(50_000),
+                        start_ns: wave as u64 * period + below(&mut rng, 50_000),
                     });
                     tenants.push(0);
                 }
@@ -307,7 +308,7 @@ impl Scenario {
     /// between non-hot pairs, spread across the congested window.
     fn background(
         &self,
-        rng: &mut SplitMix64,
+        rng: &mut Rng64,
         avoid: Option<usize>,
         flows: &mut Vec<Flow>,
         tenants: &mut Vec<u8>,
@@ -324,14 +325,14 @@ impl Scenario {
                 src,
                 dst,
                 bytes: BACKGROUND_BYTES,
-                start_ns: rng.below(self.spread_ns()),
+                start_ns: below(rng, self.spread_ns()),
             });
             tenants.push(0);
         }
     }
 
-    fn pick_not(&self, rng: &mut SplitMix64, avoid: usize) -> usize {
-        let v = rng.below(self.nodes as u64 - 1) as usize;
+    fn pick_not(&self, rng: &mut Rng64, avoid: usize) -> usize {
+        let v = below(rng, self.nodes as u64 - 1) as usize;
         if v >= avoid {
             v + 1
         } else {
@@ -339,12 +340,12 @@ impl Scenario {
         }
     }
 
-    fn pick_pair(&self, rng: &mut SplitMix64) -> (usize, usize) {
-        let src = rng.below(self.nodes as u64) as usize;
+    fn pick_pair(&self, rng: &mut Rng64) -> (usize, usize) {
+        let src = below(rng, self.nodes as u64) as usize;
         (src, self.pick_not(rng, src))
     }
 
-    fn pick_pair_avoiding(&self, rng: &mut SplitMix64, hot: usize) -> (usize, usize) {
+    fn pick_pair_avoiding(&self, rng: &mut Rng64, hot: usize) -> (usize, usize) {
         loop {
             let (src, dst) = self.pick_pair(rng);
             if src != hot && dst != hot {
@@ -354,11 +355,11 @@ impl Scenario {
     }
 
     /// A distinct same-tenant pair (tenant 0 = even nodes, 1 = odd).
-    fn pick_tenant_pair(&self, rng: &mut SplitMix64, tenant: u8) -> (usize, usize) {
+    fn pick_tenant_pair(&self, rng: &mut Rng64, tenant: u8) -> (usize, usize) {
         let pool = (self.nodes + 1 - tenant as usize) / 2;
         assert!(pool >= 2, "tenant {tenant} needs two nodes");
-        let a = rng.below(pool as u64) as usize;
-        let mut b = rng.below(pool as u64 - 1) as usize;
+        let a = below(rng, pool as u64) as usize;
+        let mut b = below(rng, pool as u64 - 1) as usize;
         if b >= a {
             b += 1;
         }

@@ -1,5 +1,6 @@
 //! Workload generation: flows to replay over a fabric.
 
+use hfast_par::Rng64;
 use hfast_topology::CommGraph;
 
 /// One message to inject.
@@ -42,31 +43,12 @@ pub fn flows_from_graph(graph: &CommGraph, cutoff: u64) -> Vec<Flow> {
     flows
 }
 
-/// SplitMix64: a tiny deterministic PRNG so workload generation does not
-/// pull a dependency into the library (rand stays dev-only).
-#[derive(Debug, Clone)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// Seeded generator.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `[0, bound)`.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0);
-        self.next_u64() % bound
-    }
+/// Uniform value in `[0, bound)` by modulo — the mapping every seeded
+/// workload in this crate draws with, so its streams stay pinned
+/// (`Rng64::range` maps differently).
+pub(crate) fn below(rng: &mut Rng64, bound: u64) -> u64 {
+    assert!(bound > 0);
+    rng.next_u64() % bound
 }
 
 /// Uniform-random traffic: `count` flows of `bytes` each between random
@@ -79,11 +61,11 @@ pub fn uniform_random(
     seed: u64,
 ) -> Vec<Flow> {
     assert!(nodes >= 2, "need at least two nodes");
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = Rng64::new(seed);
     (0..count)
         .map(|_| {
-            let src = rng.below(nodes as u64) as usize;
-            let mut dst = rng.below(nodes as u64 - 1) as usize;
+            let src = below(&mut rng, nodes as u64) as usize;
+            let mut dst = below(&mut rng, nodes as u64 - 1) as usize;
             if dst >= src {
                 dst += 1;
             }
@@ -94,7 +76,7 @@ pub fn uniform_random(
                 start_ns: if spread_ns == 0 {
                     0
                 } else {
-                    rng.below(spread_ns)
+                    below(&mut rng, spread_ns)
                 },
             }
         })
@@ -163,9 +145,9 @@ mod tests {
     }
 
     #[test]
-    fn splitmix_spreads() {
-        let mut rng = SplitMix64::new(1);
-        let vals: Vec<u64> = (0..16).map(|_| rng.below(4)).collect();
+    fn below_spreads() {
+        let mut rng = Rng64::new(1);
+        let vals: Vec<u64> = (0..16).map(|_| below(&mut rng, 4)).collect();
         // All four residues appear in a short run.
         for r in 0..4 {
             assert!(vals.contains(&r), "residue {r} missing from {vals:?}");

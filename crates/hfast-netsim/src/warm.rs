@@ -1,6 +1,6 @@
 //! Shared warm route caches for concurrent simulation.
 //!
-//! A [`PathCache`](crate::PathCache) is single-owner: the engine takes it
+//! A [`PathCache`] is single-owner: the engine takes it
 //! `&mut`, so two simultaneous runs cannot share one. That is fine for
 //! scripted experiments but wrong for a serving daemon, where many
 //! connections simulate traffic over the *same* fabric and each fresh

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use hfast_core::{PaperLinear, ProvisionConfig, Provisioner};
+use hfast_core::{Clustered, PaperLinear, ProvisionConfig, Provisioner, Strategy};
 use hfast_netsim::engine::PathCache;
 use hfast_netsim::{
     traffic, transit_links, CreditConfig, EngineObs, Fabric, FatTreeFabric, FaultPlan, Flow,
@@ -480,33 +480,53 @@ fn hfast_fabric_paths_agree_with_provisioning_routes() {
         32,
         |rng| {
             // The fabric's link path and the provisioning's analytic route are
-            // two views of the same wiring: link count must equal
-            // switch_hops + 1 (each switch hop is entered by one link, plus the
-            // final link out to the node).
-            let mut g = CommGraph::new(14);
+            // two readings of one walk: one link per crossbar traversal, and
+            // the same switch hops. Every strategy, plus an explicit
+            // clustering with offline nodes, shared chains and light edges.
+            const N: usize = 14;
+            let mut g = CommGraph::new(N);
             for _ in 0..rng.range(1, 60) {
-                let a = rng.range(0, 14);
-                let b = rng.range(0, 14);
+                let a = rng.range(0, N);
+                let b = rng.range(0, N);
                 if a != b {
-                    g.add_message(a, b, rng.range_u64(2048, 1 << 21));
+                    g.add_message(a, b, rng.range_u64(64, 1 << 21));
                 }
             }
-            let prov = PaperLinear.provision(&g, ProvisionConfig::default());
-            let fabric = HfastFabric::new(prov.clone());
-            for a in 0..14 {
-                for b in 0..14 {
-                    if a == b {
-                        continue;
-                    }
-                    match prov.route(a, b) {
-                        Some(route) => {
-                            let path = fabric.path(a, b).expect("routed pair has a path");
-                            assert_eq!(path.len(), route.switch_hops + 1, "pair ({}, {})", a, b);
-                        }
-                        None => {
-                            // Unrouted pairs fall back to the 2-link tree.
-                            let path = fabric.path(a, b).expect("tree fallback");
-                            assert_eq!(path.len(), 2);
+            let config = ProvisionConfig {
+                block_ports: rng.range(4, 24),
+                cutoff: 2048,
+            };
+            let mut online: Vec<usize> = (0..N).filter(|_| rng.bool(0.8)).collect();
+            rng.shuffle(&mut online);
+            let mut clusters = Vec::new();
+            while !online.is_empty() {
+                let take = rng.range(1, 4).min(online.len());
+                clusters.push(online.split_off(online.len() - take));
+            }
+            let mut provisioners: Vec<Box<dyn Provisioner>> =
+                Strategy::ALL.iter().map(|s| s.provisioner()).collect();
+            provisioners.push(Box::new(Clustered::new(clusters)));
+            for provisioner in provisioners {
+                let prov = provisioner.provision(&g, config);
+                let fabric = HfastFabric::new(prov.clone());
+                for a in 0..N {
+                    for b in (0..N).filter(|&b| b != a) {
+                        let path = fabric.path(a, b);
+                        let at = format!("{} pair ({a}, {b})", provisioner.name());
+                        match prov.route(a, b) {
+                            Some(route) => {
+                                let path = path.expect("routed pair has a path");
+                                assert_eq!(path.len(), route.circuit_traversals, "{at}");
+                                assert_eq!(fabric.switch_hops(a, b), Some(route.switch_hops));
+                            }
+                            None if prov.cluster_of(a).is_some()
+                                && prov.cluster_of(b).is_some() =>
+                            {
+                                let path = path.expect("tree fallback");
+                                assert_eq!(path.len(), 2, "{at}");
+                                assert!(path.iter().all(|&l| fabric.link_class(l) == "tree"));
+                            }
+                            None => assert_eq!(path, None, "{at}: an offline end has no path"),
                         }
                     }
                 }

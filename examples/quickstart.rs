@@ -40,7 +40,7 @@ fn main() {
         "HFAST provisioning: {} switch blocks ({} ports/node), {} circuits",
         prov.total_blocks(),
         prov.block_ports_per_node(),
-        prov.circuit.circuit_count()
+        prov.circuit().circuit_count()
     );
     let route = prov.route(0, 1).expect("neighbours routed");
     println!(

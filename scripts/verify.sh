@@ -21,6 +21,9 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace -q
 cargo test --doc --workspace -q
+# Rustdoc with warnings as errors: a doc link to a private item or a
+# redundant link target fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 # Paper smoke (~2 s): the full experiment sweep; exits non-zero unless every
 # shape check against the paper's Table 3 passes.
 smoke paper_checks cargo run --release -q -p hfast-bench --bin paper -- experiments

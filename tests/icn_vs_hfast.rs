@@ -47,9 +47,9 @@ fn gtc_leaders_overflow_the_icn_but_not_hfast() {
         },
     );
     prov.validate(&g).unwrap();
-    let leader_cluster = &prov.clusters[prov.node_cluster[0]];
+    let leader_cluster = prov.cluster_of(0).expect("leader online");
     assert!(
-        leader_cluster.blocks.len() >= 2,
+        prov.chain_len(leader_cluster) >= Some(2),
         "high-TDC leader gets a block chain"
     );
 }

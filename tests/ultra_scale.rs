@@ -26,8 +26,8 @@ fn torus_at_64k_tasks_sweeps_provisions_and_validates() {
     let prov = PaperLinear.provision(&graph, ProvisionConfig::default());
     prov.validate(&graph).expect("valid at 64k tasks");
     assert_eq!(prov.total_blocks(), P, "TDC 6 < 15: one block per node");
-    assert!(prov.clusters.iter().all(|c| c.blocks.len() == 1));
-    assert_eq!(prov.edge_circuits.len(), 3 * P);
+    assert!((0..P).all(|c| prov.chain_len(c) == Some(1)));
+    assert_eq!(prov.circuit_pairs().count(), 3 * P);
 }
 
 /// The dense-degree twin of the torus above: a complete graph at P = 512
@@ -45,7 +45,10 @@ fn complete_512_provisions_validates_and_reprovisions_under_every_strategy() {
         let prov = provisioner.provision(&graph, ProvisionConfig::default());
         prov.validate(&graph)
             .unwrap_or_else(|e| panic!("{strategy}: {e}"));
-        assert_eq!(prov.edge_circuits.len() + prov.intra_edges.len(), EDGES);
+        assert_eq!(
+            prov.circuit_pairs().count() + prov.intra_edges().len(),
+            EDGES
+        );
 
         // One more 1 MiB message on 1 % as many seeded pairs as there are
         // edges.
@@ -62,6 +65,9 @@ fn complete_512_provisions_validates_and_reprovisions_under_every_strategy() {
         grown
             .validate(&graph)
             .unwrap_or_else(|e| panic!("{strategy} after reprovision: {e}"));
-        assert_eq!(grown.edge_circuits.len() + grown.intra_edges.len(), EDGES);
+        assert_eq!(
+            grown.circuit_pairs().count() + grown.intra_edges().len(),
+            EDGES
+        );
     }
 }
