@@ -11,11 +11,12 @@ use hfast_serve::{
     decode_request, decode_request_versioned, decode_response, decode_response_versioned,
     encode_request, encode_request_versioned, encode_response, encode_response_versioned,
     read_frame, request_key, start, write_frame, AppSpec, Client, FabricSpec, FaultSpec, JobState,
-    JobTotals, Request, Response, ServerConfig, Strategy, TdcRow, VerbLatency, VerbWindow,
-    WireVersion, ENDPOINTS,
+    JobTotals, Request, Response, ScenarioKind, ServerConfig, Strategy, TdcRow, VerbLatency,
+    VerbWindow, WireVersion, ENDPOINTS,
 };
 use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 /// A random integer in the JSON-safe range: the protocol's numbers ride
 /// on JSON, where integers are exact only up to 2^53 (the f64 mantissa).
@@ -497,4 +498,161 @@ fn draining_server_sheds_new_compute_requests() {
         Err(_) => {}
     }
     server.join();
+}
+
+/// A compute request that keeps the daemon's one compute slot busy for
+/// a long while: a credit-mode hot-spot replay of 65 536 flows, measured
+/// at 0.7-0.9 s on a 2-core x86-64 box in debug and release builds.
+fn holder() -> Request {
+    Request::Scenario {
+        kind: ScenarioKind::HotSpot,
+        nodes: 1024,
+        flows: Some(65_536),
+        bytes: None,
+        seed: 7,
+        fabric: FabricSpec::FatTree { ports: 16 },
+        strategy: None,
+        credits: None,
+    }
+}
+
+/// Sends [`holder`] on its own connection and returns that connection
+/// once the daemon has decoded it and started computing.
+fn hold_the_only_slot(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect holder");
+    write_frame(&mut stream, &encode_request(&holder())).expect("send holder");
+    let scenario = ENDPOINTS
+        .iter()
+        .position(|e| *e == "scenario")
+        .expect("scenario verb");
+    let mut probe = Client::connect(addr).expect("connect probe");
+    loop {
+        match probe.call(&Request::Stats).expect("stats") {
+            Response::Stats { latency, .. } if latency[scenario].count == 1 => break,
+            Response::Stats { .. } => std::thread::sleep(Duration::from_millis(5)),
+            other => panic!("expected Stats, got {other:?}"),
+        }
+    }
+    // The count is taken microseconds before the slot; leave a margin
+    // far below the holder's run time.
+    std::thread::sleep(Duration::from_millis(50));
+    stream
+}
+
+fn expect_holder_reply(holder: &mut TcpStream) {
+    match decode_response(&read_frame(holder).expect("holder reply")) {
+        Ok(Response::ScenarioReport { .. }) => {}
+        other => panic!("expected the holder's ScenarioReport, got {other:?}"),
+    }
+}
+
+/// Overload: the one compute slot is held and one more request may
+/// wait. Of four distinct compute requests arriving from four
+/// connections, one waits its turn and is answered; the other three are
+/// shed with `busy`, and `stats` counts all three.
+#[test]
+fn a_request_beyond_the_queue_bound_is_shed_busy() {
+    let server = start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            queue_cap: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let mut holder = hold_the_only_slot(addr);
+    let mut callers: Vec<TcpStream> = (0..4u64)
+        .map(|i| {
+            let mut stream = TcpStream::connect(addr).expect("connect caller");
+            let req = Request::Tdc {
+                app: toy_app(),
+                cutoffs: vec![1000 + i],
+            };
+            write_frame(&mut stream, &encode_request(&req)).expect("send");
+            stream
+        })
+        .collect();
+    let replies: Vec<Response> = callers
+        .iter_mut()
+        .map(|s| decode_response(&read_frame(s).expect("reply")).expect("reply decodes"))
+        .collect();
+    let answered = replies
+        .iter()
+        .filter(|r| matches!(r, Response::TdcReport { .. }))
+        .count();
+    let busy = replies
+        .iter()
+        .filter(|r| matches!(r, Response::Busy))
+        .count();
+    assert_eq!((answered, busy), (1, 3), "replies: {replies:?}");
+    expect_holder_reply(&mut holder);
+    let mut client = Client::connect(addr).expect("connect");
+    match client.call(&Request::Stats).expect("stats") {
+        Response::Stats { shed, .. } => assert_eq!(shed, 3),
+        other => panic!("expected Stats, got {other:?}"),
+    }
+    client.call(&Request::Shutdown).expect("shutdown");
+    server.join();
+}
+
+/// A request still waiting for the compute slot when its deadline
+/// passes is answered with a structured `deadline exceeded` error.
+#[test]
+fn a_request_waiting_past_its_deadline_is_refused() {
+    let server = start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            deadline: Duration::from_millis(50),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let mut holder = hold_the_only_slot(addr);
+    let mut client = Client::connect(addr).expect("connect");
+    match client
+        .call(&Request::Tdc {
+            app: toy_app(),
+            cutoffs: vec![2048],
+        })
+        .expect("answered")
+    {
+        Response::Error { message } => {
+            assert!(message.starts_with("deadline exceeded"), "{message}")
+        }
+        other => panic!("expected a deadline error, got {other:?}"),
+    }
+    expect_holder_reply(&mut holder);
+    client.call(&Request::Shutdown).expect("shutdown");
+    server.join();
+}
+
+/// Drain owes a connection caught mid-frame a bounded grace, not an
+/// unbounded wait: with one client stalled inside a frame, `join`
+/// returns once another client sends `shutdown`.
+#[test]
+fn drain_gives_up_on_a_connection_stalled_mid_frame() {
+    let server = start("127.0.0.1:0", toy_config()).expect("bind");
+    let addr = server.local_addr();
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    stalled.write_all(&100u32.to_be_bytes()).expect("prefix");
+    stalled.write_all(b"a partial").expect("partial payload");
+    // Let the daemon accept the connection and read into the frame.
+    std::thread::sleep(Duration::from_millis(200));
+    Client::connect(addr)
+        .expect("connect")
+        .call(&Request::Shutdown)
+        .expect("shutdown");
+    // Join on a side thread, so that a hang fails the test.
+    let (joined, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = joined.send(());
+    });
+    done.recv_timeout(Duration::from_secs(5))
+        .expect("join hung on a connection stalled mid-frame");
+    drop(stalled);
 }
