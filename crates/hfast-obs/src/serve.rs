@@ -26,9 +26,10 @@ pub struct ServeObs {
     pub in_flight: Gauge,
     /// Highest in-flight level observed.
     pub in_flight_peak: Gauge,
-    /// Requests rejected by admission control (queue full).
+    /// Requests refused a compute permit: `queue_cap` others already
+    /// waiting, or the daemon draining.
     pub shed: Counter,
-    /// Requests dropped because their deadline expired while queued.
+    /// Requests still waiting for a compute permit at their deadline.
     pub expired: Counter,
     /// Structured error responses returned (bad requests, handler
     /// failures); sheds and expiries are counted separately.
@@ -37,9 +38,9 @@ pub struct ServeObs {
     pub panics: Counter,
     /// Connections accepted over the daemon's lifetime.
     pub connections: Counter,
-    /// Nanoseconds each request waited in the admission queue.
+    /// Nanoseconds each compute request waited for a permit.
     pub queue_wait_ns: Histogram,
-    /// Nanoseconds each request spent executing in a worker.
+    /// Nanoseconds each compute request spent executing its handler.
     pub service_ns: Histogram,
 }
 
@@ -80,7 +81,7 @@ impl ServeObs {
     /// Records one end-to-end serve latency against endpoint index `idx`
     /// (parse to response written, measured at the connection). The
     /// aggregate [`service_ns`](Self::service_ns) histogram keeps its
-    /// worker-execute meaning and is recorded separately; out-of-range
+    /// handler-execute meaning and is recorded separately; out-of-range
     /// indices are ignored like [`record_request`](Self::record_request).
     #[inline]
     pub fn record_service(&self, idx: usize, ns: u64) {

@@ -79,7 +79,7 @@ fn run_shard(addr: &str, journal: Option<PathBuf>) -> Result<(), String> {
     // Queued debug_panic probes panic a job worker on purpose; keep the
     // log to one line per contained panic.
     std::panic::set_hook(Box::new(|info| {
-        eprintln!("hfast-fleet shard: worker panic contained ({info})");
+        eprintln!("hfast-fleet shard: handler panic contained ({info})");
     }));
     let mut config = ServerConfig::from_env();
     if journal.is_some() {
@@ -570,7 +570,7 @@ fn capture(dir: &Path) -> Result<(), String> {
 
     // Every traced request must render as one connected causal tree: a
     // single client root transitively parenting the router and shard
-    // worker spans.
+    // request spans.
     let doc = std::fs::read_to_string(&out).map_err(|e| e.to_string())?;
     for trace_id in 1..=pool.len() as u64 {
         let tree = trace_tree(&doc, trace_id)?;

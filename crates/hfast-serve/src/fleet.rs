@@ -47,17 +47,17 @@
 //! byte-identical to a shard round-trip.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 use hfast_trace::{router_span_id, TraceContext, TraceRecorder, Track};
 
 use crate::cache::ResponseCache;
 use crate::client::{ClientError, FleetClient};
-use crate::frame::{write_frame, FrameError, FramePoll, FrameReader};
+use crate::frame::{spawn_acceptor, Service};
 use crate::protocol::{
     decode_request_traced, encode_request, encode_response, request_key, JobTotals, Request,
     Response, VerbLatency,
@@ -367,10 +367,6 @@ struct RouterShared {
 }
 
 impl RouterShared {
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
@@ -448,69 +444,49 @@ fn route(
     }
 }
 
-/// Socket-read tick; drain checks happen at this cadence.
-const TICK: Duration = Duration::from_millis(50);
+impl Service for RouterShared {
+    /// Each connection forwards through its own fleet client.
+    type Conn = FleetClient;
 
-fn router_connection(shared: &RouterShared, mut stream: TcpStream, conn_id: usize) {
-    if stream.set_read_timeout(Some(TICK)).is_err() {
-        return;
+    fn draining(&self) -> bool {
+        self.shutdown.load(Ordering::Relaxed)
     }
-    let _ = stream.set_nodelay(true);
-    let mut fleet = FleetClient::connect(&shared.shard_addrs);
-    let mut reader = FrameReader::new();
-    loop {
-        match reader.poll(&mut stream) {
-            Ok(FramePoll::Frame(payload)) => {
-                let body = match decode_request_traced(&payload) {
-                    Ok((req, version, ctx)) => {
-                        let t0 = shared.now_ns();
-                        // With a recorder, the router interposes its own
-                        // span: record a child of the inbound context and
-                        // forward a deepened context so shard spans
-                        // parent under the router, not the client.
-                        // Without one, the context passes through intact
-                        // and shards parent directly under the client.
-                        let (fwd, span) = match (&shared.trace, ctx) {
-                            (Some(_), Some(c)) => {
-                                let span = shared.next_router_span();
-                                (Some(c.deepen(span)), Some((c, span)))
-                            }
-                            _ => (ctx, None),
-                        };
-                        let body = route(shared, &mut fleet, &req, fwd);
-                        if let (Some(trace), Some((c, span))) = (&shared.trace, span) {
-                            trace.record_span(
-                                Track::Router(conn_id),
-                                req.endpoint(),
-                                t0,
-                                shared.now_ns().saturating_sub(t0).max(1),
-                                span,
-                                c.parent_id,
-                                vec![("trace", c.trace_id)],
-                            );
-                        }
-                        version.wrap(body)
-                    }
-                    Err(message) => encode_response(&Response::Error { message }),
-                };
-                if write_frame(&mut stream, &body).is_err() {
-                    return;
-                }
+
+    fn open(&self) -> FleetClient {
+        FleetClient::connect(&self.shard_addrs)
+    }
+
+    fn answer(&self, fleet: &mut FleetClient, conn_id: usize, payload: &str) -> String {
+        let (req, version, ctx) = match decode_request_traced(payload) {
+            Ok(decoded) => decoded,
+            Err(message) => return encode_response(&Response::Error { message }),
+        };
+        let t0 = self.now_ns();
+        // With a recorder, the router interposes its own span: record a
+        // child of the inbound context and forward a deepened context so
+        // shard spans parent under the router, not the client. Without
+        // one, the context passes through intact and shards parent
+        // directly under the client.
+        let (fwd, span) = match (&self.trace, ctx) {
+            (Some(_), Some(c)) => {
+                let span = self.next_router_span();
+                (Some(c.deepen(span)), Some((c, span)))
             }
-            Ok(FramePoll::Pending) => {
-                if shared.draining() && !reader.mid_frame() {
-                    return;
-                }
-            }
-            Err(FrameError::Eof) | Err(FrameError::Truncated) | Err(FrameError::Io(_)) => return,
-            Err(e @ (FrameError::Oversized(_) | FrameError::NotUtf8)) => {
-                let resp = encode_response(&Response::Error {
-                    message: e.to_string(),
-                });
-                let _ = write_frame(&mut stream, &resp);
-                return;
-            }
+            _ => (ctx, None),
+        };
+        let body = route(self, fleet, &req, fwd);
+        if let (Some(trace), Some((c, span))) = (&self.trace, span) {
+            trace.record_span(
+                Track::Router(conn_id),
+                req.endpoint(),
+                t0,
+                self.now_ns().saturating_sub(t0).max(1),
+                span,
+                c.parent_id,
+                vec![("trace", c.trace_id)],
+            );
         }
+        version.wrap(body)
     }
 }
 
@@ -565,38 +541,7 @@ pub fn start_fleet(
         epoch: Instant::now(),
         span_counter: AtomicU64::new(1),
     });
-    let acceptor = thread::Builder::new()
-        .name("hfast-fleet-acceptor".into())
-        .spawn(move || {
-            let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            let mut conn_id = 0usize;
-            while !shared.draining() {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let id = conn_id;
-                        conn_id += 1;
-                        let shared = Arc::clone(&shared);
-                        conns.push(
-                            thread::Builder::new()
-                                .name(format!("hfast-fleet-conn-{id}"))
-                                .spawn(move || router_connection(&shared, stream, id))
-                                .expect("spawn router connection thread"),
-                        );
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(5));
-                        if conns.len() > 64 {
-                            conns.retain(|h| !h.is_finished());
-                        }
-                    }
-                    Err(_) => thread::sleep(Duration::from_millis(5)),
-                }
-            }
-            for conn in conns {
-                let _ = conn.join();
-            }
-        })
-        .expect("spawn fleet acceptor");
+    let acceptor = spawn_acceptor("hfast-fleet", listener, shared);
     Ok(FleetHandle { addr, acceptor })
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Everything here is a deterministic function of the request plus the
 //! (memoizing, but semantically transparent) [`Registry`] — which is what
-//! makes the response cache sound and worker-count invariance testable.
+//! makes the response cache sound and permit-count invariance testable.
 //! Server-level concerns (health, stats, shutdown, queueing) never reach
 //! this module.
 
@@ -19,11 +19,11 @@ use crate::registry::{Registry, MAX_PROCS};
 
 /// Upper bound on cutoffs per TDC request (keeps one request's work and
 /// response size proportionate to everyone else's).
-pub const MAX_TDC_CUTOFFS: usize = 64;
+pub(crate) const MAX_TDC_CUTOFFS: usize = 64;
 
 /// Upper bound on flows per scenario request (keeps one credit-mode
 /// replay's work proportionate to everyone else's).
-pub const MAX_SCENARIO_FLOWS: usize = 65_536;
+pub(crate) const MAX_SCENARIO_FLOWS: usize = 65_536;
 
 fn err(message: impl Into<String>) -> Response {
     Response::Error {
@@ -119,7 +119,7 @@ fn simulate_for(
 
 /// Handles [`Request::Provision`]: builds the provisioning and reports
 /// its port math. Row handler in [`crate::protocol::VERBS`].
-pub fn provision(req: &Request, reg: &Registry) -> Response {
+pub(crate) fn provision(req: &Request, reg: &Registry) -> Response {
     let Request::Provision {
         app,
         block_ports,
@@ -150,7 +150,7 @@ pub fn provision(req: &Request, reg: &Registry) -> Response {
 
 /// Handles [`Request::Cost`]: provisions with the paper strategy and
 /// compares against an equivalent fat tree.
-pub fn cost(req: &Request, reg: &Registry) -> Response {
+pub(crate) fn cost(req: &Request, reg: &Registry) -> Response {
     let Request::Cost {
         app,
         block_ports,
@@ -177,7 +177,7 @@ pub fn cost(req: &Request, reg: &Registry) -> Response {
 
 /// Handles [`Request::Tdc`]: thresholded-degree sweep over the request's
 /// cutoff list, rows in request order.
-pub fn tdc(req: &Request, reg: &Registry) -> Response {
+pub(crate) fn tdc(req: &Request, reg: &Registry) -> Response {
     let Request::Tdc { app, cutoffs } = req else {
         return wrong_verb(req, "tdc");
     };
@@ -206,7 +206,7 @@ pub fn tdc(req: &Request, reg: &Registry) -> Response {
 
 /// Handles [`Request::Simulate`]: full traffic replay with optional fault
 /// injection on the requested fabric.
-pub fn simulate(req: &Request, reg: &Registry) -> Response {
+pub(crate) fn simulate(req: &Request, reg: &Registry) -> Response {
     let Request::Simulate {
         app,
         fabric,
@@ -231,7 +231,7 @@ pub fn simulate(req: &Request, reg: &Registry) -> Response {
 /// traffic, replays it under credit-based flow control on the requested
 /// fabric (HFAST is provisioned from the scenario's own communication
 /// graph), and folds the trace into its congestion-tree report.
-pub fn scenario(req: &Request, reg: &Registry) -> Response {
+pub(crate) fn scenario(req: &Request, reg: &Registry) -> Response {
     let Request::Scenario {
         kind,
         nodes,
@@ -246,7 +246,7 @@ pub fn scenario(req: &Request, reg: &Registry) -> Response {
         return wrong_verb(req, "scenario");
     };
     // `Scenario::new` and `CreditConfig::credit` assert their invariants;
-    // a network request must fail structurally, never panic a worker.
+    // a network request must fail structurally, never panic a handler.
     if *nodes < 2 || *nodes > MAX_PROCS {
         return err(format!("nodes must be in 2..={MAX_PROCS}, got {nodes}"));
     }
@@ -322,7 +322,7 @@ pub fn scenario(req: &Request, reg: &Registry) -> Response {
 /// Always — this endpoint exists to prove panic isolation (and, queued,
 /// to exercise the job-retry path deterministically). Callers run it
 /// under `catch_unwind`.
-pub fn debug_panic(req: &Request, _reg: &Registry) -> Response {
+pub(crate) fn debug_panic(req: &Request, _reg: &Registry) -> Response {
     if !matches!(req, Request::DebugPanic) {
         return wrong_verb(req, "debug_panic");
     }
@@ -344,9 +344,9 @@ fn wrong_verb(req: &Request, expected: &str) -> Response {
 /// `catch_unwind` and must survive (that is the point of the endpoint).
 pub fn execute(req: &Request, reg: &Registry) -> Response {
     match req.spec().handler {
-        crate::protocol::VerbHandler::Worker(f) => f(req, reg),
+        crate::protocol::VerbHandler::Compute(f) => f(req, reg),
         crate::protocol::VerbHandler::Server => err(format!(
-            "{} is handled by the server, not a worker",
+            "{} is answered by the server, not computed",
             req.endpoint()
         )),
     }
@@ -533,7 +533,7 @@ mod tests {
 
     /// An inline graph is wire input: a task count no real graph has and
     /// an endpoint past `n` are both refused before any graph is built,
-    /// instead of exhausting memory or panicking a worker.
+    /// instead of exhausting memory or panicking a handler.
     #[test]
     fn hostile_inline_graphs_are_structured_errors() {
         let reg = Registry::new();

@@ -7,19 +7,21 @@
 //! clients instead of every caller paying profiling and fabric
 //! construction from scratch.
 //!
-//! The daemon is std-only: `TcpListener` plus a fixed thread pool, a
-//! length-prefixed JSON protocol (the in-repo parser from `hfast-trace`,
+//! The daemon is std-only: `TcpListener` plus one thread per connection,
+//! a length-prefixed JSON protocol (the in-repo parser from `hfast-trace`,
 //! no external dependencies), and production shapes scaled down to
 //! something auditable:
 //!
 //! - **Sharded response cache** ([`ResponseCache`]): cacheable endpoints
 //!   are pure functions of their canonical request encoding, so responses
 //!   are memoized under a byte budget with LRU eviction.
-//! - **Admission control**: a bounded queue ahead of the worker pool;
-//!   overflow sheds with [`Response::Busy`], stale queue entries expire
-//!   against a per-request deadline.
+//! - **Admission control**: a compute request runs on its connection
+//!   thread once it holds one of `workers` counting permits; a request
+//!   that finds `queue_cap` others waiting sheds with [`Response::Busy`],
+//!   and one still waiting at its deadline expires.
 //! - **Panic isolation**: handlers run under `catch_unwind`; a panicking
-//!   request produces a structured error, never a dead worker.
+//!   request produces a structured error and frees its permit, never
+//!   kills a thread.
 //! - **Graceful drain**: shutdown stops accepting, finishes in-flight
 //!   work, then flushes `hfast-obs` metrics and the Perfetto trace.
 //! - **Durable jobs** ([`JobQueue`]): `submit`/`poll`/`fetch`/`cancel`
@@ -56,15 +58,15 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cache;
+mod cache;
 pub mod client;
 pub mod fleet;
-pub mod frame;
-pub mod handlers;
+mod frame;
+mod handlers;
 pub mod jobs;
 pub mod protocol;
-pub mod registry;
-pub mod server;
+mod registry;
+mod server;
 pub mod soak;
 
 pub use cache::{CacheStats, ResponseCache};

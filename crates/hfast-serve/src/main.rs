@@ -120,10 +120,10 @@ fn hostile_round(addr: SocketAddr) -> Result<(), String> {
 }
 
 fn self_test() -> Result<(), String> {
-    // The debug_panic probe panics a worker on purpose; one quiet line
+    // The debug_panic probe panics a handler on purpose; one quiet line
     // beats a full backtrace in the middle of a smoke run.
     std::panic::set_hook(Box::new(|info| {
-        eprintln!("hfast-serve self-test: worker panic contained ({info})");
+        eprintln!("hfast-serve self-test: handler panic contained ({info})");
     }));
     let server =
         start("127.0.0.1:0", ServerConfig::from_env()).map_err(|e| format!("bind: {e}"))?;
@@ -275,8 +275,8 @@ fn self_test() -> Result<(), String> {
         Ok(Response::Error { message }) if message.contains("panicked") => {}
         other => return Err(format!("debug_panic: unexpected {other:?}")),
     }
-    // The worker that just panicked must still answer — and the stats it
-    // reports now carry lifetime per-verb latency quantiles.
+    // The connection whose handler just panicked must still answer — and
+    // the stats it reports now carry lifetime per-verb latency quantiles.
     match client.call(&Request::Stats) {
         Ok(Response::Stats {
             requests,

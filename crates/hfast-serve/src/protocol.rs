@@ -60,9 +60,9 @@
 //!
 //! Every verb is one [`VerbSpec`] row in [`VERBS`]: its wire name,
 //! whether responses are cacheable, whether it may ride the durable job
-//! queue, and how it is handled (in the server's connection thread or by
-//! a pure worker function). [`ENDPOINTS`], the metric labels, the cache
-//! admission test, and worker dispatch are all derived from the table —
+//! queue, and how it is handled (by the server itself or by a pure
+//! compute function). [`ENDPOINTS`], the metric labels, the cache
+//! admission test, and compute dispatch are all derived from the table —
 //! adding a verb is one row plus one variant declaration.
 
 use std::fmt::Write as _;
@@ -643,7 +643,7 @@ wire_enum! {
         },
         /// Begin graceful drain: stop accepting, finish in-flight, exit.
         Shutdown = "shutdown",
-        /// Panic inside a worker (panic-isolation testing only).
+        /// Panic inside a compute handler (panic-isolation testing only).
         DebugPanic = "debug_panic",
         /// Enqueue a queueable request as a durable job; answers
         /// [`Response::JobAccepted`] immediately.
@@ -722,12 +722,13 @@ impl Wire for Box<Request> {
 /// How a verb is executed.
 #[derive(Debug, Clone, Copy)]
 pub enum VerbHandler {
-    /// Answered in the server's connection thread (health, stats, drain,
-    /// job-queue bookkeeping) — never reaches the worker pool.
+    /// Answered by the server itself (health, stats, drain, job-queue
+    /// bookkeeping), without a compute permit.
     Server,
-    /// Executed by this pure function on a compute worker (or a job
-    /// worker when submitted through the queue).
-    Worker(fn(&Request, &Registry) -> Response),
+    /// Computed by this pure function: on the connection thread under a
+    /// compute permit, or on a job worker when submitted through the
+    /// queue.
+    Compute(fn(&Request, &Registry) -> Response),
 }
 
 /// One row of the declarative verb table: everything the server needs to
@@ -766,25 +767,25 @@ pub const VERBS: [VerbSpec; 14] = [
         name: "provision",
         cacheable: true,
         queueable: false,
-        handler: VerbHandler::Worker(crate::handlers::provision),
+        handler: VerbHandler::Compute(crate::handlers::provision),
     },
     VerbSpec {
         name: "cost",
         cacheable: true,
         queueable: false,
-        handler: VerbHandler::Worker(crate::handlers::cost),
+        handler: VerbHandler::Compute(crate::handlers::cost),
     },
     VerbSpec {
         name: "tdc",
         cacheable: true,
         queueable: false,
-        handler: VerbHandler::Worker(crate::handlers::tdc),
+        handler: VerbHandler::Compute(crate::handlers::tdc),
     },
     VerbSpec {
         name: "simulate",
         cacheable: true,
         queueable: true,
-        handler: VerbHandler::Worker(crate::handlers::simulate),
+        handler: VerbHandler::Compute(crate::handlers::simulate),
     },
     VerbSpec {
         name: "shutdown",
@@ -798,7 +799,7 @@ pub const VERBS: [VerbSpec; 14] = [
         // Queueable so the job queue's retry/backoff path has a
         // deterministic failure to exercise.
         queueable: true,
-        handler: VerbHandler::Worker(crate::handlers::debug_panic),
+        handler: VerbHandler::Compute(crate::handlers::debug_panic),
     },
     VerbSpec {
         name: "submit",
@@ -836,7 +837,7 @@ pub const VERBS: [VerbSpec; 14] = [
         // the report is a pure function of the request.
         cacheable: true,
         queueable: false,
-        handler: VerbHandler::Worker(crate::handlers::scenario),
+        handler: VerbHandler::Compute(crate::handlers::scenario),
     },
 ];
 
@@ -954,9 +955,9 @@ wire_enum! {
     pub enum Response {
         /// Liveness acknowledgement.
         Health = "health" ("ok": true) {
-            /// Compute worker count.
+            /// Compute permits (a router: its shard count).
             workers: usize,
-            /// Admission queue capacity.
+            /// Requests that may wait for a permit before `busy`.
             queue: usize,
         },
         /// Server counters; numbers move between calls, so never cached.
@@ -1125,7 +1126,9 @@ wire_enum! {
             /// order.
             verbs: Vec<VerbWindow>,
         },
-        /// Load shed: the admission queue was full. Retry later.
+        /// Load shed: too many requests already wait for a compute
+        /// permit, the job queue is full, or the daemon drains. Retry
+        /// later.
         Busy = "busy",
         /// Acknowledgement (shutdown).
         Ok = "ok",
@@ -1690,7 +1693,7 @@ mod tests {
         assert_eq!(queueable, ["simulate", "debug_panic"]);
         // Cacheable rows never include the stateful job verbs.
         for spec in VERBS.iter().filter(|s| s.cacheable) {
-            assert!(matches!(spec.handler, VerbHandler::Worker(_)));
+            assert!(matches!(spec.handler, VerbHandler::Compute(_)));
         }
     }
 }

@@ -23,23 +23,23 @@ use crate::protocol::{AppSpec, FabricSpec};
 
 /// Sanity bound on profiling scale: the six kernels spawn one thread per
 /// rank, so an unbounded `procs` would let one request exhaust the host.
-pub const MAX_PROCS: usize = 1024;
+pub(crate) const MAX_PROCS: usize = 1024;
 
 /// Sanity bound on an inline graph's task count. An empty graph costs one
 /// row header per task (1.5 MB here), so a few bytes of request can never
 /// ask the daemon for more than that; 65 536 is the paper's ultra-scale
 /// tier.
-pub const MAX_INLINE_TASKS: usize = 1 << 16;
+pub(crate) const MAX_INLINE_TASKS: usize = 1 << 16;
 
 type GraphResult = Result<Arc<CommGraph>, String>;
 
 /// A fabric built for one (app, fabric-spec, cutoff) key, with the warm
 /// shared route cache every simulate request on that key reuses.
-pub struct FabricEntry {
+pub(crate) struct FabricEntry {
     /// The fabric (immutable; `Fabric: Sync` by trait contract).
-    pub fabric: Box<dyn Fabric + Send>,
+    pub(crate) fabric: Box<dyn Fabric + Send>,
     /// Warm routes shared by concurrent runs over this fabric.
-    pub warm: SharedPathCache,
+    pub(crate) warm: SharedPathCache,
 }
 
 type FabricResult = Result<Arc<FabricEntry>, String>;
@@ -52,7 +52,7 @@ pub struct Registry {
     /// Engine observability every simulate request records into; the
     /// `stats` verb reports simulator event counts and loop throughput
     /// from here. Wall-clock feeds only the throughput gauge, never
-    /// simulated results, so responses stay byte-identical across worker
+    /// simulated results, so responses stay byte-identical across permit
     /// counts.
     sim_obs: EngineObs,
     /// Provisioner executions per strategy, in [`Strategy::ALL`] order.
@@ -94,12 +94,12 @@ impl Registry {
     }
 
     /// The engine observability sink shared by every simulate run.
-    pub fn sim_obs(&self) -> &EngineObs {
+    pub(crate) fn sim_obs(&self) -> &EngineObs {
         &self.sim_obs
     }
 
     /// Records one provisioner execution under `strategy`.
-    pub fn note_strategy(&self, strategy: Strategy) {
+    pub(crate) fn note_strategy(&self, strategy: Strategy) {
         let idx = Strategy::ALL
             .iter()
             .position(|s| *s == strategy)
@@ -109,14 +109,14 @@ impl Registry {
 
     /// How many memoized (graph, fabric) entries are resident — reported
     /// by the stats verb so operators can watch registry growth.
-    pub fn entry_counts(&self) -> (u64, u64) {
+    pub(crate) fn entry_counts(&self) -> (u64, u64) {
         let graphs = self.graphs.lock().expect("graphs poisoned").len() as u64;
         let fabrics = self.fabrics.lock().expect("fabrics poisoned").len() as u64;
         (graphs, fabrics)
     }
 
     /// Per-strategy execution counts, in [`Strategy::ALL`] order.
-    pub fn strategy_hits(&self) -> [u64; 3] {
+    pub(crate) fn strategy_hits(&self) -> [u64; 3] {
         [
             self.strategy_hits[0].load(Ordering::Relaxed),
             self.strategy_hits[1].load(Ordering::Relaxed),
@@ -125,7 +125,7 @@ impl Registry {
     }
 
     /// Records one scenario replay of `kind`.
-    pub fn note_scenario(&self, kind: ScenarioKind) {
+    pub(crate) fn note_scenario(&self, kind: ScenarioKind) {
         let idx = ScenarioKind::ALL
             .iter()
             .position(|k| *k == kind)
@@ -134,7 +134,7 @@ impl Registry {
     }
 
     /// Per-kind scenario replay counts, in [`ScenarioKind::ALL`] order.
-    pub fn scenario_hits(&self) -> [u64; 5] {
+    pub(crate) fn scenario_hits(&self) -> [u64; 5] {
         let mut out = [0u64; 5];
         for (slot, counter) in out.iter_mut().zip(self.scenario_hits.iter()) {
             *slot = counter.load(Ordering::Relaxed);
@@ -146,7 +146,7 @@ impl Registry {
     /// (they arrive straight off the wire) and materialize directly
     /// (cheap), named apps profile once per (name, procs) and every later
     /// request — concurrent or not — reuses the result.
-    pub fn graph(&self, app: &AppSpec) -> GraphResult {
+    pub(crate) fn graph(&self, app: &AppSpec) -> GraphResult {
         match app {
             AppSpec::Inline { n, edges } => {
                 if !(1..=MAX_INLINE_TASKS).contains(n) {
@@ -174,7 +174,7 @@ impl Registry {
     /// identical to a profiled one shares the same entry; the provisioner
     /// strategy is part of the key, so two strategies on one graph never
     /// share a (differently provisioned) fabric.
-    pub fn fabric(
+    pub(crate) fn fabric(
         &self,
         graph: &Arc<CommGraph>,
         spec: FabricSpec,

@@ -1,43 +1,45 @@
-//! The daemon: acceptor, connection threads, admission queue, worker pool.
+//! The daemon: connection threads that compute under a counting permit.
 //!
 //! ## Thread model
 //!
-//! One non-blocking acceptor polls for connections and its shutdown flag.
-//! Each connection gets a thread that reads frames under a short socket
-//! timeout (so drain can interrupt an idle read), parses, and answers
-//! cheap requests — health, stats, shutdown, cache hits — in place.
-//! Compute requests go through the bounded admission queue to a fixed
-//! worker pool; a full queue sheds the request with [`Response::Busy`]
-//! instead of letting latency grow without bound. Workers run handlers
-//! under `catch_unwind`, so a panicking request costs one structured
-//! error, not a worker.
+//! The acceptor and the per-connection frame loop are the ones the fleet
+//! router uses too: a nonblocking acceptor, one thread per connection
+//! reading frames under a 50 ms tick so that drain can interrupt an idle
+//! read. The thread that decodes a request answers it. Health, stats,
+//! metrics, shutdown, job bookkeeping and cache hits answer at once. A
+//! compute request first takes one of [`ServerConfig::workers`] permits.
+//! While none is free it waits, for at most [`ServerConfig::deadline`];
+//! a request that finds [`ServerConfig::queue_cap`] others already
+//! waiting is shed with [`Response::Busy`] instead of letting latency
+//! grow without bound. Handlers run under `catch_unwind`, so a panicking
+//! request costs one structured error, and its permit is released as it
+//! unwinds. Only the durable job queue has worker threads of its own.
 //!
-//! ## Why cache hits bypass the queue
+//! ## Why cache hits skip the permit
 //!
-//! Cacheable responses are pure functions of the request, so a hit can be
-//! served from the connection thread without consuming worker capacity —
-//! and because *every* response is either a cache hit or computed by a
-//! deterministic handler, the bytes a client sees are independent of the
-//! worker count. The integration suite pins that down (same seed, 1 vs 8
-//! workers, byte-identical digests).
+//! Cacheable responses are pure functions of the request, so a hit is
+//! served without consuming compute capacity — and because *every*
+//! response is either a cache hit or computed by a deterministic handler,
+//! the bytes a client sees are independent of the permit count. The
+//! integration suite pins that down (same seed, 1 vs 8 permits,
+//! byte-identical digests).
 //!
 //! ## Drain
 //!
-//! `Shutdown` (the request or [`ServerHandle::shutdown`]) flips one flag.
-//! The acceptor stops accepting, idle connections close at their next
-//! timeout tick, mid-frame connections get a bounded grace to finish,
-//! queued work is completed by the workers before they exit, and
+//! `Shutdown` (the request or [`ServerHandle::shutdown`]) closes the
+//! permits, which is the one drain flag. The acceptor stops accepting,
+//! idle connections close at their next tick, mid-frame connections get
+//! a bounded grace to finish, new compute requests answer `busy` while
+//! those already waiting for a permit are still served, and
 //! [`ServerHandle::join`] then flushes the observability export and the
 //! Perfetto trace.
 
-use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -46,7 +48,7 @@ use hfast_obs::{Outcome, ServeObs, SlidingWindow};
 use hfast_trace::{server_span_id, TraceContext, TraceRecorder, Track};
 
 use crate::cache::ResponseCache;
-use crate::frame::{write_frame, FrameError, FramePoll, FrameReader};
+use crate::frame::{spawn_acceptor, Service};
 use crate::handlers::execute;
 use crate::jobs::{Fetched, JobQueue};
 use crate::protocol::{
@@ -55,9 +57,6 @@ use crate::protocol::{
 };
 use crate::registry::Registry;
 
-/// How often blocked reads and waits wake up to check the shutdown flag.
-const TICK: Duration = Duration::from_millis(50);
-
 /// Ring slots in the `metrics` sliding window.
 const WINDOW_BUCKETS: usize = 10;
 
@@ -65,28 +64,27 @@ const WINDOW_BUCKETS: usize = 10;
 /// stats over the last ten seconds in bounded memory.
 const WINDOW_BUCKET_NS: u64 = 1_000_000_000;
 
-/// Timeout ticks granted to a connection caught mid-frame at drain time
-/// (~1 s) before the server stops waiting for the rest of the frame.
-const DRAIN_GRACE_TICKS: u32 = 20;
-
 /// Serving knobs; every field has an `HFAST_SERVE_*` environment override.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Compute worker threads (`HFAST_SERVE_WORKERS`).
+    /// Compute permits: how many requests compute at once, each on its
+    /// own connection thread (`HFAST_SERVE_WORKERS`).
     pub workers: usize,
-    /// Admission queue capacity before load-shedding (`HFAST_SERVE_QUEUE`).
+    /// Requests that may wait for a compute permit; one more is shed
+    /// with `busy` (`HFAST_SERVE_QUEUE`).
     pub queue_cap: usize,
     /// Response-cache byte budget (`HFAST_SERVE_CACHE_BYTES`).
     pub cache_bytes: usize,
     /// Response-cache shard count (`HFAST_SERVE_SHARDS`).
     pub cache_shards: usize,
-    /// Per-request queue deadline (`HFAST_SERVE_DEADLINE_MS`).
+    /// How long a request may wait for a compute permit
+    /// (`HFAST_SERVE_DEADLINE_MS`).
     pub deadline: Duration,
-    /// Job worker threads for the durable queue
+    /// Worker threads of the durable job queue
     /// (`HFAST_SERVE_JOB_WORKERS`).
     pub job_workers: usize,
-    /// Job-journal path (`HFAST_SERVE_JOURNAL`); `None` keeps the queue
-    /// in memory only.
+    /// Path of the durable queue's journal (`HFAST_SERVE_JOURNAL`);
+    /// `None` keeps the queue in memory only.
     pub journal: Option<PathBuf>,
     /// Retry policy for panicking job attempts.
     pub job_retry: RetryPolicy,
@@ -139,27 +137,109 @@ impl ServerConfig {
     }
 }
 
-/// One queued compute request.
-struct Job {
-    request: Request,
-    /// Cache key when the request is cacheable.
-    key: Option<u64>,
-    enqueued: Instant,
-    deadline: Instant,
-    /// Encoded response goes back to the connection thread here.
-    reply: mpsc::Sender<String>,
+/// Counting permits for compute: at most `limit` requests hold one at
+/// a time and at most `queue_cap` more wait for one. Closing the permits
+/// is the daemon's drain flag.
+struct Permits {
+    limit: usize,
+    queue_cap: usize,
+    closed: AtomicBool,
+    state: Mutex<PermitCounts>,
+    freed: Condvar,
 }
 
-/// State shared by the acceptor, connection threads, and workers.
+#[derive(Default)]
+struct PermitCounts {
+    held: usize,
+    waiting: usize,
+}
+
+/// Why a compute request got no permit.
+#[derive(Debug, PartialEq)]
+enum Refusal {
+    /// The daemon drains, or `queue_cap` requests already wait.
+    Busy,
+    /// Still waiting at its deadline.
+    Expired,
+}
+
+/// A held permit; dropping it, unwinding included, frees it.
+struct Permit<'a>(&'a Permits);
+
+impl Permits {
+    fn new(limit: usize, queue_cap: usize) -> Permits {
+        Permits {
+            limit,
+            queue_cap,
+            closed: AtomicBool::new(false),
+            state: Mutex::new(PermitCounts::default()),
+            freed: Condvar::new(),
+        }
+    }
+
+    fn close(&self) {
+        self.closed.store(true, Ordering::Relaxed);
+    }
+
+    fn closed(&self) -> bool {
+        self.closed.load(Ordering::Relaxed)
+    }
+
+    /// Requests waiting for a permit.
+    fn waiting(&self) -> usize {
+        self.state.lock().expect("permits poisoned").waiting
+    }
+
+    /// Takes a permit, waiting for one until `deadline`. `admitted` runs
+    /// once the request is let in to hold or wait. Requests that already
+    /// wait when the permits close are still let through.
+    fn acquire(&self, deadline: Instant, admitted: impl FnOnce()) -> Result<Permit<'_>, Refusal> {
+        let mut counts = self.state.lock().expect("permits poisoned");
+        if self.closed() || (counts.held >= self.limit && counts.waiting >= self.queue_cap) {
+            return Err(Refusal::Busy);
+        }
+        admitted();
+        counts.waiting += 1;
+        while counts.held >= self.limit {
+            let now = Instant::now();
+            if now >= deadline {
+                counts.waiting -= 1;
+                return Err(Refusal::Expired);
+            }
+            counts = self
+                .freed
+                .wait_timeout(counts, deadline - now)
+                .expect("permits poisoned")
+                .0;
+        }
+        counts.waiting -= 1;
+        counts.held += 1;
+        Ok(Permit(self))
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        // Never panic here: this runs while a handler's panic unwinds.
+        // Every update of the counts is one step, so a poisoned lock
+        // still guards valid counts.
+        self.0
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .held -= 1;
+        self.0.freed.notify_one();
+    }
+}
+
+/// State shared by the acceptor and the connection threads.
 struct Shared {
     config: ServerConfig,
     registry: Registry,
     cache: ResponseCache,
     obs: ServeObs,
-    queue: Mutex<VecDeque<Job>>,
-    queue_cond: Condvar,
+    permits: Permits,
     jobs: JobQueue,
-    shutdown: AtomicBool,
     trace: Option<TraceRecorder>,
     epoch: Instant,
     span_counter: AtomicU64,
@@ -171,13 +251,8 @@ struct Shared {
 }
 
 impl Shared {
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
     fn begin_drain(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        self.queue_cond.notify_all();
+        self.permits.close();
         self.jobs.drain();
     }
 
@@ -188,14 +263,6 @@ impl Shared {
     fn next_span(&self) -> u64 {
         server_span_id(self.span_counter.fetch_add(1, Ordering::Relaxed))
     }
-}
-
-/// Outcome of the connection-thread fast path for one request.
-enum Routed {
-    /// Answer now with these encoded bytes (`bool` = response cache hit).
-    Immediate(String, bool),
-    /// Queued; await the worker's reply on this receiver.
-    Queued(mpsc::Receiver<String>),
 }
 
 /// One lifetime-latency row per `ENDPOINTS` entry, in table order, for
@@ -218,40 +285,36 @@ fn verb_latency_rows(shared: &Shared) -> Vec<VerbLatency> {
         .collect()
 }
 
-fn route_request(shared: &Shared, req: Request) -> Routed {
+/// Answers one decoded request with its canonical v1 body (`bool` =
+/// response cache hit).
+fn route_request(shared: &Shared, req: Request) -> (String, bool) {
     shared.obs.record_request(req.verb_index());
-    match req {
-        Request::Health => Routed::Immediate(
-            encode_response(&Response::Health {
-                workers: shared.config.workers,
-                queue: shared.config.queue_cap,
-            }),
-            false,
-        ),
+    let resp = match req {
+        Request::Health => Response::Health {
+            workers: shared.config.workers,
+            queue: shared.config.queue_cap,
+        },
         Request::Stats => {
             let c = shared.cache.stats();
             let sim = shared.registry.sim_obs();
             let (graphs, fabrics) = shared.registry.entry_counts();
-            Routed::Immediate(
-                encode_response(&Response::Stats {
-                    requests: shared.obs.total_requests(),
-                    shed: shared.obs.shed.get(),
-                    cache_hits: c.hits,
-                    cache_misses: c.misses,
-                    cache_evictions: c.evictions,
-                    cache_entries: c.entries,
-                    cache_bytes: c.bytes,
-                    sim_events: sim.events.get(),
-                    sim_events_per_sec: sim.events_per_sec.get(),
-                    strategy_hits: shared.registry.strategy_hits(),
-                    scenario_hits: shared.registry.scenario_hits(),
-                    graphs,
-                    fabrics,
-                    jobs: shared.jobs.totals(),
-                    latency: verb_latency_rows(shared),
-                }),
-                false,
-            )
+            Response::Stats {
+                requests: shared.obs.total_requests(),
+                shed: shared.obs.shed.get(),
+                cache_hits: c.hits,
+                cache_misses: c.misses,
+                cache_evictions: c.evictions,
+                cache_entries: c.entries,
+                cache_bytes: c.bytes,
+                sim_events: sim.events.get(),
+                sim_events_per_sec: sim.events_per_sec.get(),
+                strategy_hits: shared.registry.strategy_hits(),
+                scenario_hits: shared.registry.scenario_hits(),
+                graphs,
+                fabrics,
+                jobs: shared.jobs.totals(),
+                latency: verb_latency_rows(shared),
+            }
         }
         Request::Metrics => {
             let c = shared.cache.stats();
@@ -271,24 +334,21 @@ fn route_request(shared: &Shared, req: Request) -> Routed {
                     p99_ns: l.p99_ns,
                 })
                 .collect();
-            Routed::Immediate(
-                encode_response(&Response::Metrics {
-                    window_ns: snap.window_ns,
-                    shards: 1,
-                    queue_depth: shared.queue.lock().expect("queue poisoned").len() as u64,
-                    cache_hits: c.hits,
-                    cache_misses: c.misses,
-                    jobs_pending: shared.jobs.pending() as u64,
-                    jobs_retried: totals.retried,
-                    hot_keys: 0,
-                    verbs,
-                }),
-                false,
-            )
+            Response::Metrics {
+                window_ns: snap.window_ns,
+                shards: 1,
+                queue_depth: shared.permits.waiting() as u64,
+                cache_hits: c.hits,
+                cache_misses: c.misses,
+                jobs_pending: shared.jobs.pending() as u64,
+                jobs_retried: totals.retried,
+                hot_keys: 0,
+                verbs,
+            }
         }
         Request::Shutdown => {
             shared.begin_drain();
-            Routed::Immediate(encode_response(&Response::Ok), false)
+            Response::Ok
         }
         Request::Submit { job } => {
             let resp = match shared.jobs.submit(*job) {
@@ -298,329 +358,196 @@ fn route_request(shared: &Shared, req: Request) -> Routed {
             if matches!(resp, Response::Busy) {
                 shared.obs.shed.inc();
             }
-            if matches!(resp, Response::Error { .. }) {
-                shared.obs.errors.inc();
-            }
-            Routed::Immediate(encode_response(&resp), false)
+            count_error(shared, resp)
         }
-        Request::Poll { id } => {
-            let resp = shared.jobs.poll(id);
-            if matches!(resp, Response::Error { .. }) {
-                shared.obs.errors.inc();
-            }
-            Routed::Immediate(encode_response(&resp), false)
-        }
-        Request::Fetch { id } => Routed::Immediate(
-            match shared.jobs.fetch(id) {
-                // Pass-through of the stored canonical text: a fetched
-                // result is byte-identical to the synchronous response.
-                Fetched::Ready(text) => text,
-                Fetched::Status(resp) => {
-                    if matches!(resp, Response::Error { .. }) {
-                        shared.obs.errors.inc();
-                    }
-                    encode_response(&resp)
-                }
-            },
-            false,
-        ),
-        Request::Cancel { id } => {
-            let resp = shared.jobs.cancel(id);
-            if matches!(resp, Response::Error { .. }) {
-                shared.obs.errors.inc();
-            }
-            Routed::Immediate(encode_response(&resp), false)
-        }
+        Request::Poll { id } => count_error(shared, shared.jobs.poll(id)),
+        Request::Fetch { id } => match shared.jobs.fetch(id) {
+            // Pass-through of the stored canonical text: a fetched result
+            // is byte-identical to the synchronous response.
+            Fetched::Ready(text) => return (text, false),
+            Fetched::Status(resp) => count_error(shared, resp),
+        },
+        Request::Cancel { id } => count_error(shared, shared.jobs.cancel(id)),
         req => {
             let key = if req.cacheable() {
                 let key = request_key(&encode_request(&req));
                 if let Some(hit) = shared.cache.get(key) {
-                    return Routed::Immediate(hit, true);
+                    return (hit, true);
                 }
                 Some(key)
             } else {
                 None
             };
-            let (tx, rx) = mpsc::channel();
-            let now = Instant::now();
-            let job = Job {
-                request: req,
-                key,
-                enqueued: now,
-                deadline: now + shared.config.deadline,
-                reply: tx,
-            };
-            {
-                let mut queue = shared.queue.lock().expect("queue poisoned");
-                // Checked under the queue lock: workers only exit after
-                // observing (empty, draining) under this same lock, so a
-                // job admitted here is guaranteed a worker.
-                if shared.draining() || queue.len() >= shared.config.queue_cap {
-                    drop(queue);
-                    shared.obs.shed.inc();
-                    return Routed::Immediate(encode_response(&Response::Busy), false);
-                }
-                queue.push_back(job);
-            }
-            shared.obs.request_admitted();
-            shared.queue_cond.notify_one();
-            Routed::Queued(rx)
+            return (compute(shared, &req, key), false);
         }
-    }
+    };
+    (encode_response(&resp), false)
 }
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut queue = shared.queue.lock().expect("queue poisoned");
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break Some(job);
-                }
-                if shared.draining() {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .queue_cond
-                    .wait_timeout(queue, TICK)
-                    .expect("queue poisoned");
-                queue = guard;
-            }
-        };
-        let Some(job) = job else { return };
-        let now = Instant::now();
-        shared
-            .obs
-            .queue_wait_ns
-            .record(now.duration_since(job.enqueued).as_nanos() as u64);
-        let response = if now > job.deadline {
-            shared.obs.expired.inc();
-            Response::Error {
-                message: format!(
-                    "deadline exceeded after {} ms in queue",
-                    now.duration_since(job.enqueued).as_millis()
-                ),
-            }
-        } else {
+/// Counts `resp` in `errors` when it is one.
+fn count_error(shared: &Shared, resp: Response) -> Response {
+    if matches!(resp, Response::Error { .. }) {
+        shared.obs.errors.inc();
+    }
+    resp
+}
+
+/// Computes `req` on the calling connection thread under a permit and
+/// caches a successful answer under `key`.
+fn compute(shared: &Shared, req: &Request, key: Option<u64>) -> String {
+    let enqueued = Instant::now();
+    let acquired = shared
+        .permits
+        .acquire(enqueued + shared.config.deadline, || {
+            shared.obs.request_admitted()
+        });
+    if let Err(Refusal::Busy) = acquired {
+        shared.obs.shed.inc();
+        return encode_response(&Response::Busy);
+    }
+    let waited = enqueued.elapsed();
+    shared.obs.queue_wait_ns.record(waited.as_nanos() as u64);
+    let response = match acquired {
+        Ok(permit) => {
             let started = Instant::now();
-            let outcome =
-                catch_unwind(AssertUnwindSafe(|| execute(&job.request, &shared.registry)));
+            // The permit moves into the unwind boundary, so a panicking
+            // handler frees it as it unwinds.
+            let outcome = catch_unwind(AssertUnwindSafe(move || {
+                let _permit = permit;
+                execute(req, &shared.registry)
+            }));
             shared
                 .obs
                 .service_ns
                 .record(started.elapsed().as_nanos() as u64);
-            match outcome {
-                Ok(resp) => resp,
-                Err(_) => {
-                    shared.obs.panics.inc();
-                    Response::Error {
-                        message: format!(
-                            "handler for {} panicked; worker recovered",
-                            job.request.endpoint()
-                        ),
-                    }
+            outcome.unwrap_or_else(|_| {
+                shared.obs.panics.inc();
+                Response::Error {
+                    message: format!("handler for {} panicked; worker recovered", req.endpoint()),
                 }
+            })
+        }
+        Err(_) => {
+            shared.obs.expired.inc();
+            Response::Error {
+                message: format!("deadline exceeded after {} ms in queue", waited.as_millis()),
             }
-        };
-        if matches!(response, Response::Error { .. }) {
-            shared.obs.errors.inc();
-        }
-        let encoded = encode_response(&response);
-        if let (Some(key), false) = (job.key, matches!(response, Response::Error { .. })) {
-            shared.cache.put(key, &encoded);
-        }
-        // A send error means the connection died while waiting; the
-        // response is simply dropped.
-        let _ = job.reply.send(encoded);
-        shared.obs.request_done();
-    }
-}
-
-/// Serves one request payload end to end; returns false when the
-/// connection should close (write failure).
-fn serve_frame(shared: &Shared, stream: &mut TcpStream, conn_id: usize, payload: &str) -> bool {
-    let t_start = shared.now_ns();
-    let root_span = shared.next_span();
-    let mut ctx: Option<TraceContext> = None;
-    let mut verb_idx: Option<usize> = None;
-    let (encoded, outcome, cache_hit, t_parsed) = match decode_request_traced(payload) {
-        Ok((req, version, trace_ctx)) => {
-            ctx = trace_ctx;
-            verb_idx = Some(req.verb_index());
-            let t_parsed = shared.now_ns();
-            let (body, hit) = match route_request(shared, req) {
-                Routed::Immediate(encoded, hit) => (encoded, hit),
-                Routed::Queued(rx) => {
-                    let encoded = rx.recv().unwrap_or_else(|_| {
-                        encode_response(&Response::Error {
-                            message: "worker dropped the request during drain".into(),
-                        })
-                    });
-                    (encoded, false)
-                }
-            };
-            // Classify the outcome from the canonical v1 body prefix —
-            // cheaper than re-decoding and exact because the body is
-            // canonical (fixed field order, no whitespace).
-            let outcome = if body.starts_with("{\"type\":\"busy\"") {
-                Outcome::Busy
-            } else if body.starts_with("{\"type\":\"error\"") {
-                Outcome::Error
-            } else {
-                Outcome::Ok
-            };
-            // Answer in the envelope the request arrived in: cache and
-            // queue always carry the canonical v1 body, so v1 and v2
-            // clients share every cached entry. Responses never carry
-            // trace context — it flows request-ward only.
-            (version.wrap(body), outcome, hit, t_parsed)
-        }
-        Err(message) => {
-            shared.obs.errors.inc();
-            (
-                encode_response(&Response::Error { message }),
-                Outcome::Error,
-                false,
-                shared.now_ns(),
-            )
         }
     };
-    let t_done = shared.now_ns();
-    let ok = write_frame(stream, &encoded).is_ok();
-    if let Some(idx) = verb_idx {
-        let latency = t_done.saturating_sub(t_start);
-        shared.obs.record_service(idx, latency);
-        shared.window.record(t_done, idx, latency, outcome);
+    let response = count_error(shared, response);
+    let encoded = encode_response(&response);
+    if let (Some(key), false) = (key, matches!(response, Response::Error { .. })) {
+        shared.cache.put(key, &encoded);
     }
-    if let Some(trace) = &shared.trace {
-        let track = Track::Server(conn_id);
-        // A request that arrived with trace context parents its span tree
-        // under the remote caller's span so the stitcher can render the
-        // whole fleet request as one causal tree; the trace id rides along
-        // on every span as a plain field.
-        let (remote_parent, trace_id) = match ctx {
-            Some(c) => (c.parent_id, Some(c.trace_id)),
-            None => (0, None),
-        };
-        let tag = |mut fields: Vec<(&'static str, u64)>| {
-            if let Some(id) = trace_id {
-                fields.push(("trace", id));
-            }
-            fields
-        };
-        trace.record_span(
-            track,
-            "request",
-            t_start,
-            shared.now_ns().saturating_sub(t_start),
-            root_span,
-            remote_parent,
-            tag(vec![("cache_hit", cache_hit as u64)]),
-        );
-        trace.record_span(
-            track,
-            "parse",
-            t_start,
-            t_parsed.saturating_sub(t_start),
-            shared.next_span(),
-            root_span,
-            tag(vec![("bytes", payload.len() as u64)]),
-        );
-        trace.record_span(
-            track,
-            "execute",
-            t_parsed,
-            t_done.saturating_sub(t_parsed),
-            shared.next_span(),
-            root_span,
-            tag(vec![]),
-        );
-        trace.record_span(
-            track,
-            "respond",
-            t_done,
-            shared.now_ns().saturating_sub(t_done),
-            shared.next_span(),
-            root_span,
-            tag(vec![("bytes", encoded.len() as u64), ("ok", ok as u64)]),
-        );
-    }
-    ok
+    shared.obs.request_done();
+    encoded
 }
 
-fn connection_loop(shared: &Shared, mut stream: TcpStream, conn_id: usize) {
-    if stream.set_read_timeout(Some(TICK)).is_err() {
-        return;
-    }
-    // Responses are small; waiting for more bytes to coalesce only adds
-    // round-trip latency.
-    let _ = stream.set_nodelay(true);
-    shared.obs.connections.inc();
-    let mut reader = FrameReader::new();
-    let mut grace = 0u32;
-    loop {
-        match reader.poll(&mut stream) {
-            Ok(FramePoll::Frame(payload)) => {
-                grace = 0;
-                if !serve_frame(shared, &mut stream, conn_id, &payload) {
-                    return;
-                }
-            }
-            Ok(FramePoll::Pending) => {
-                if shared.draining() {
-                    if !reader.mid_frame() {
-                        return; // idle connection: drain closes it now
-                    }
-                    grace += 1;
-                    if grace > DRAIN_GRACE_TICKS {
-                        return; // mid-frame but the rest never came
-                    }
-                }
-            }
-            Err(FrameError::Eof) | Err(FrameError::Truncated) | Err(FrameError::Io(_)) => return,
-            Err(e @ (FrameError::Oversized(_) | FrameError::NotUtf8)) => {
-                // Structured refusal, then close: the stream position is
-                // undefined past a bad frame.
-                shared.obs.errors.inc();
-                let resp = encode_response(&Response::Error {
-                    message: e.to_string(),
-                });
-                let _ = write_frame(&mut stream, &resp);
-                return;
-            }
-        }
-    }
-}
+impl Service for Shared {
+    type Conn = ();
 
-fn acceptor_loop(shared: Arc<Shared>, listener: TcpListener) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    let mut conn_id = 0usize;
-    while !shared.draining() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let id = conn_id;
-                conn_id += 1;
-                let shared = Arc::clone(&shared);
-                conns.push(
-                    thread::Builder::new()
-                        .name(format!("hfast-serve-conn-{id}"))
-                        .spawn(move || connection_loop(&shared, stream, id))
-                        .expect("spawn connection thread"),
-                );
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-                // Occasionally reap finished connection threads so a
-                // long-lived daemon does not accumulate handles.
-                if conns.len() > 64 {
-                    conns.retain(|h| !h.is_finished());
-                }
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
-        }
+    fn draining(&self) -> bool {
+        self.permits.closed()
     }
-    for conn in conns {
-        let _ = conn.join();
+
+    fn open(&self) {
+        self.obs.connections.inc();
+    }
+
+    fn refused(&self) {
+        self.obs.errors.inc();
+    }
+
+    /// Serves one request payload end to end: metrics, the `metrics`
+    /// window and, with a recorder, the request's span tree.
+    fn answer(&self, _: &mut (), conn_id: usize, payload: &str) -> String {
+        let t_start = self.now_ns();
+        let root_span = self.next_span();
+        let mut ctx: Option<TraceContext> = None;
+        let mut verb_idx: Option<usize> = None;
+        let (encoded, outcome, cache_hit, t_parsed) = match decode_request_traced(payload) {
+            Ok((req, version, trace_ctx)) => {
+                ctx = trace_ctx;
+                verb_idx = Some(req.verb_index());
+                let t_parsed = self.now_ns();
+                let (body, hit) = route_request(self, req);
+                // Classify the outcome from the canonical v1 body prefix —
+                // cheaper than re-decoding and exact because the body is
+                // canonical (fixed field order, no whitespace).
+                let outcome = if body.starts_with("{\"type\":\"busy\"") {
+                    Outcome::Busy
+                } else if body.starts_with("{\"type\":\"error\"") {
+                    Outcome::Error
+                } else {
+                    Outcome::Ok
+                };
+                // Answer in the envelope the request arrived in: the cache
+                // always carries the canonical v1 body, so v1 and v2
+                // clients share every cached entry. Responses never carry
+                // trace context — it flows request-ward only.
+                (version.wrap(body), outcome, hit, t_parsed)
+            }
+            Err(message) => {
+                self.obs.errors.inc();
+                (
+                    encode_response(&Response::Error { message }),
+                    Outcome::Error,
+                    false,
+                    self.now_ns(),
+                )
+            }
+        };
+        let t_done = self.now_ns();
+        if let Some(idx) = verb_idx {
+            let latency = t_done.saturating_sub(t_start);
+            self.obs.record_service(idx, latency);
+            self.window.record(t_done, idx, latency, outcome);
+        }
+        if let Some(trace) = &self.trace {
+            let track = Track::Server(conn_id);
+            // A request that arrived with trace context parents its span
+            // tree under the remote caller's span so the stitcher can
+            // render the whole fleet request as one causal tree; the
+            // trace id rides along on every span as a plain field.
+            let (remote_parent, trace_id) = match ctx {
+                Some(c) => (c.parent_id, Some(c.trace_id)),
+                None => (0, None),
+            };
+            let tag = |mut fields: Vec<(&'static str, u64)>| {
+                if let Some(id) = trace_id {
+                    fields.push(("trace", id));
+                }
+                fields
+            };
+            trace.record_span(
+                track,
+                "request",
+                t_start,
+                t_done.saturating_sub(t_start),
+                root_span,
+                remote_parent,
+                tag(vec![("cache_hit", cache_hit as u64)]),
+            );
+            trace.record_span(
+                track,
+                "parse",
+                t_start,
+                t_parsed.saturating_sub(t_start),
+                self.next_span(),
+                root_span,
+                tag(vec![("bytes", payload.len() as u64)]),
+            );
+            trace.record_span(
+                track,
+                "execute",
+                t_parsed,
+                t_done.saturating_sub(t_parsed),
+                self.next_span(),
+                root_span,
+                tag(vec![]),
+            );
+        }
+        encoded
     }
 }
 
@@ -628,8 +555,8 @@ fn acceptor_loop(shared: Arc<Shared>, listener: TcpListener) {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
+    job_workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -645,16 +572,15 @@ impl ServerHandle {
     }
 
     /// Blocks until drain completes — every connection closed, every
-    /// queued request answered — then flushes the `HFAST_OBS` summary and
-    /// the `HFAST_TRACE` Perfetto document. Call [`shutdown`] first (or
-    /// let a client send the `shutdown` request) or this blocks forever.
+    /// admitted request answered — then flushes the `HFAST_OBS` summary
+    /// and the `HFAST_TRACE` Perfetto document. Call [`shutdown`] first
+    /// (or let a client send the `shutdown` request) or this blocks
+    /// forever.
     ///
     /// [`shutdown`]: ServerHandle::shutdown
-    pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
+    pub fn join(self) {
+        let _ = self.acceptor.join();
+        for worker in self.job_workers {
             let _ = worker.join();
         }
         self.shared.obs.export();
@@ -681,45 +607,126 @@ pub fn start(addr: &str, config: ServerConfig) -> io::Result<ServerHandle> {
         cache: ResponseCache::new(config.cache_shards, config.cache_bytes),
         registry: Registry::new(),
         obs: ServeObs::new(&ENDPOINTS),
-        queue: Mutex::new(VecDeque::new()),
-        queue_cond: Condvar::new(),
+        permits: Permits::new(config.workers, config.queue_cap),
         jobs,
-        shutdown: AtomicBool::new(false),
         trace: hfast_trace::enabled().then(TraceRecorder::new),
         epoch: Instant::now(),
         span_counter: AtomicU64::new(1),
         window: SlidingWindow::new(ENDPOINTS.len(), WINDOW_BUCKETS, WINDOW_BUCKET_NS),
         config,
     });
-    let mut workers: Vec<JoinHandle<()>> = (0..shared.config.workers)
+    let job_workers = (0..shared.config.job_workers)
         .map(|i| {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
-                .name(format!("hfast-serve-worker-{i}"))
-                .spawn(move || worker_loop(&shared))
-                .expect("spawn worker thread")
-        })
-        .collect();
-    for i in 0..shared.config.job_workers {
-        let shared = Arc::clone(&shared);
-        workers.push(
-            thread::Builder::new()
                 .name(format!("hfast-serve-job-{i}"))
                 .spawn(move || shared.jobs.run_worker(&shared.registry))
-                .expect("spawn job worker thread"),
-        );
-    }
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        thread::Builder::new()
-            .name("hfast-serve-acceptor".into())
-            .spawn(move || acceptor_loop(shared, listener))
-            .expect("spawn acceptor thread")
-    };
+                .expect("spawn job worker thread")
+        })
+        .collect();
+    let acceptor = spawn_acceptor("hfast-serve", listener, Arc::clone(&shared));
     Ok(ServerHandle {
         addr,
         shared,
-        acceptor: Some(acceptor),
-        workers,
+        acceptor,
+        job_workers,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The far-off deadline of a request that should never expire.
+    fn later() -> Instant {
+        Instant::now() + Duration::from_secs(3600)
+    }
+
+    /// Spins until `n` requests wait — a state, not a timing, so no race.
+    fn await_waiting(permits: &Permits, n: usize) {
+        while permits.waiting() != n {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn limit_holders_at_once() {
+        let permits = Permits::new(3, 0);
+        let held: Vec<Permit> = (0..3)
+            .map(|_| permits.acquire(later(), || {}).expect("a free permit"))
+            .collect();
+        assert_eq!(
+            permits.acquire(later(), || {}).err(),
+            Some(Refusal::Busy),
+            "a fourth holder with no room to wait"
+        );
+        drop(held);
+        assert!(permits.acquire(later(), || {}).is_ok(), "freed on drop");
+    }
+
+    #[test]
+    fn a_waiter_beyond_the_queue_bound_is_refused() {
+        let permits = Permits::new(1, 1);
+        let holder = permits.acquire(later(), || {}).expect("a free permit");
+        thread::scope(|s| {
+            let waiter = s.spawn(|| permits.acquire(later(), || {}).map(drop));
+            await_waiting(&permits, 1);
+            let mut admitted = false;
+            assert_eq!(
+                permits.acquire(later(), || admitted = true).err(),
+                Some(Refusal::Busy)
+            );
+            assert!(!admitted, "a refused request is never admitted");
+            drop(holder);
+            assert_eq!(waiter.join().expect("waiter"), Ok(()));
+        });
+        assert_eq!(permits.waiting(), 0);
+    }
+
+    #[test]
+    fn a_waiter_past_its_deadline_expires() {
+        let permits = Permits::new(1, 4);
+        let _holder = permits.acquire(later(), || {}).expect("a free permit");
+        let mut admitted = false;
+        assert_eq!(
+            permits.acquire(Instant::now(), || admitted = true).err(),
+            Some(Refusal::Expired)
+        );
+        assert!(admitted, "an expired request was admitted to wait");
+        assert_eq!(permits.waiting(), 0, "the expired waiter left the count");
+    }
+
+    #[test]
+    fn drain_refuses_new_requests_but_lets_waiters_through() {
+        let permits = Permits::new(1, 4);
+        let holder = permits.acquire(later(), || {}).expect("a free permit");
+        thread::scope(|s| {
+            let waiter = s.spawn(|| permits.acquire(later(), || {}).map(drop));
+            await_waiting(&permits, 1);
+            permits.close();
+            assert!(permits.closed());
+            assert_eq!(permits.acquire(later(), || {}).err(), Some(Refusal::Busy));
+            drop(holder);
+            assert_eq!(waiter.join().expect("waiter"), Ok(()));
+        });
+        assert_eq!(
+            permits.acquire(later(), || {}).err(),
+            Some(Refusal::Busy),
+            "a free permit is still refused while draining"
+        );
+    }
+
+    #[test]
+    fn a_guard_dropped_while_unwinding_frees_its_permit() {
+        let permits = Permits::new(1, 0);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _permit = permits.acquire(later(), || {}).expect("a free permit");
+            panic!("handler panics while holding the permit");
+        }));
+        assert!(unwound.is_err());
+        assert!(
+            permits.acquire(later(), || {}).is_ok(),
+            "the unwound guard freed its permit"
+        );
+    }
 }

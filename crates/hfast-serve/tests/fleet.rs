@@ -6,7 +6,8 @@
 //! replicas when the owning shard is down, and journaled jobs must
 //! survive a shard restart with zero loss.
 
-use std::net::TcpListener;
+use std::io::Write as _;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -513,4 +514,27 @@ fn a_fleet_whose_reachable_shards_all_shed_answers_busy() {
         Err(e) if e.is_transport() => {}
         other => panic!("an unreachable fleet: expected a transport error, got {other:?}"),
     }
+}
+
+/// The router owes a connection caught mid-frame the same bounded drain
+/// grace as a daemon: with one client stalled inside a frame, `join`
+/// returns once another client sends `shutdown`.
+#[test]
+fn router_drain_gives_up_on_a_connection_stalled_mid_frame() {
+    let (handles, addrs) = start_shards(1, &ServerConfig::default());
+    let router = start_router(&addrs);
+    let mut stalled = TcpStream::connect(router.local_addr()).expect("connect router");
+    stalled.write_all(&100u32.to_be_bytes()).expect("prefix");
+    stalled.write_all(b"a partial").expect("partial payload");
+    // Let the router accept the connection and read into the frame.
+    std::thread::sleep(Duration::from_millis(200));
+    // Stop and join on a side thread, so that a hang fails the test.
+    let (joined, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        stop_router(router, handles);
+        let _ = joined.send(());
+    });
+    done.recv_timeout(Duration::from_secs(5))
+        .expect("router join hung on a connection stalled mid-frame");
+    drop(stalled);
 }

@@ -38,7 +38,7 @@ pub fn engine_span_id(counter: u64) -> u64 {
 }
 
 /// Span id for the `counter`-th span allocated by a serving daemon
-/// (request / parse / execute / respond spans). Disjoint from engine ids
+/// (request / parse / execute spans). Disjoint from engine ids
 /// (bit 63 unset) and from rank ids (ranks would need to exceed 2³⁰).
 #[inline]
 pub fn server_span_id(counter: u64) -> u64 {

@@ -3,13 +3,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Runs one smoke quietly; on failure names it (and its command and exit
-# code) before the script exits non-zero, so a red verify says which of
-# the smokes broke.
+# Runs one smoke quietly under a 600 s wall-clock bound; on failure names
+# it (and its command and exit code) before the script exits non-zero, so
+# a red verify says which of the smokes broke, and a hung one (a drain
+# that never finishes) says it timed out instead of hanging verify.
 smoke() {
   local name="$1" code=0
   shift
-  "$@" > /dev/null || code=$?
+  timeout 600 "$@" > /dev/null || code=$?
+  if [ "$code" -eq 124 ]; then
+    echo "verify: TIMED OUT smoke '$name' after 600 s: $*" >&2
+    exit "$code"
+  fi
   if [ "$code" -ne 0 ]; then
     echo "verify: FAILED smoke '$name' (exit $code): $*" >&2
     exit "$code"
