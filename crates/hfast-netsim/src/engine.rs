@@ -102,20 +102,19 @@ impl Hasher for PairHasher {
 /// Internally the cache is an interned slot table: each pair owns a `u32`
 /// slot whose route lives in one flat link arena (`offs`/`lens` spans
 /// into `links`) and whose freshness is a per-slot state byte.
-/// [`invalidate_link`], [`invalidate_node`] and [`invalidate_pairs`] evict
-/// routes in place — one indexed store per evicted slot — and the slot
-/// stays allocated, so the next resolution of that pair recomputes it. A
-/// run only ever *adds* primary routes to a cache: detours taken around
-/// mid-run faults live in the run's own arena, so a cache handed to a
-/// fault run stays exact for a fault-free run afterwards.
+/// [`invalidate_pairs`] evicts routes in place — one indexed store per
+/// evicted slot — and the slot stays allocated, so the next resolution of
+/// that pair recomputes it. A run only ever *adds* primary routes to a
+/// cache: detours taken around mid-run faults live in the run's own arena,
+/// and the run evicts what a fault cuts from its own slot table, so a
+/// cache handed to a fault run stays exact for a fault-free run
+/// afterwards.
 ///
-/// [`invalidate_link`]: PathCache::invalidate_link
-/// [`invalidate_node`]: PathCache::invalidate_node
 /// [`invalidate_pairs`]: PathCache::invalidate_pairs
 #[derive(Debug, Default, Clone)]
 pub struct PathCache {
     slot_of_pair: HashMap<u64, u32, PairHashBuilder>,
-    /// Slot → its (src, dst) pair, densely iterable for node invalidation.
+    /// Slot → its (src, dst) pair.
     pairs: Vec<(u32, u32)>,
     /// Slot → start of its route span in `links`.
     offs: Vec<u32>,
@@ -163,39 +162,6 @@ impl PathCache {
             return None;
         }
         Some(self.path(slot as usize))
-    }
-
-    /// Marks every cached route crossing `link` stale, returning how many
-    /// routes were evicted. O(cached pairs) over the dense slot table, one
-    /// indexed store per eviction.
-    pub fn invalidate_link(&mut self, link: LinkId) -> usize {
-        self.invalidate_where(|_, path| path.is_some_and(|p| p.contains(&link)))
-    }
-
-    /// Marks every cached route with `node` as an endpoint or crossing any
-    /// of its `incident` links stale, returning how many routes were
-    /// evicted.
-    pub fn invalidate_node(&mut self, node: usize, incident: &[LinkId]) -> usize {
-        let node = node as u32;
-        self.invalidate_where(|(src, dst), path| {
-            let crosses = |p: &[LinkId]| p.iter().any(|l| incident.contains(l));
-            src == node || dst == node || path.is_some_and(crosses)
-        })
-    }
-
-    /// Marks stale every fresh slot whose pair and route `touches` accepts.
-    fn invalidate_where(
-        &mut self,
-        touches: impl Fn((u32, u32), Option<&[LinkId]>) -> bool,
-    ) -> usize {
-        let mut evicted = 0;
-        for slot in 0..self.pairs.len() {
-            if self.state[slot] & STALE_BIT == 0 && touches(self.pairs[slot], self.path(slot)) {
-                self.state[slot] |= STALE_BIT;
-                evicted += 1;
-            }
-        }
-        evicted
     }
 
     /// Marks the cached routes for exactly the given (src, dst) pairs stale
@@ -393,6 +359,14 @@ impl<'a> RouteView<'a> {
             Some(base) if slot < self.base_len => (base, slot),
             _ => (self.own, slot - self.base_len),
         }
+    }
+
+    /// The `(src, dst)` pair a view slot routes.
+    #[inline]
+    fn pair(&self, slot: usize) -> (usize, usize) {
+        let (cache, local) = self.locate(slot);
+        let (src, dst) = cache.pairs[local];
+        (src as usize, dst as usize)
     }
 
     /// Number of view slots (the bound the run's slot tables are sized to).
@@ -756,13 +730,14 @@ impl<'a> Simulation<'a> {
             retry: self.retry,
             interval: self.reprovision_interval_ns,
             threads: self.threads.unwrap_or_else(engine_threads),
+            detailed: self.detailed,
             obs,
             trace: self.trace,
             congestion: self.congestion,
         });
         SimOutput {
             stats,
-            records: self.detailed.then_some(records),
+            records,
             reprovisions,
             perf,
         }
@@ -778,12 +753,18 @@ struct Setup<'a> {
     retry: RetryPolicy,
     interval: Option<u64>,
     threads: usize,
+    detailed: bool,
     obs: Option<&'a EngineObs>,
     trace: Option<&'a TraceRecorder>,
     congestion: CreditConfig,
 }
 
-type Output = (RunStats, Vec<FlowRecord>, Vec<ReconfigStep>, LoopPerf);
+type Output = (
+    RunStats,
+    Option<Vec<FlowRecord>>,
+    Vec<ReconfigStep>,
+    LoopPerf,
+);
 
 /// Picks the driver's type parameters from what the run can observe —
 /// link-id range, bandwidth and payload uniformity, attached
@@ -1053,7 +1034,8 @@ pub(crate) trait Probe {
     /// Events still pending after the one being processed.
     fn pending(&mut self, events: usize);
     /// The loop is done: hand over everything still held, and the flow
-    /// lifecycles read off `records`.
+    /// lifecycles read off `records` (built whenever a recorder is
+    /// attached, empty otherwise).
     fn finish(&mut self, flows: &[Flow], records: &[FlowRecord]);
 }
 
@@ -1300,9 +1282,10 @@ struct Control<'a> {
     /// Sync-point spacing; `None` disables mid-run re-provisioning.
     interval: Option<u64>,
     reprovisions: Vec<ReconfigStep>,
-    /// Distinct pairs with byte weights, for circuit-coverage snapshots
-    /// around each re-provisioning round (built at the first sync point).
-    pair_weight: Option<Vec<((usize, usize), u64)>>,
+    /// The run's distinct route slots with the byte weight of their
+    /// flows, for circuit-coverage snapshots around each re-provisioning
+    /// round (built at the first sync point).
+    slot_weight: Option<Vec<(usize, u64)>>,
 }
 
 enum Pending {
@@ -1322,30 +1305,121 @@ impl Control<'_> {
     fn has_next(&self) -> bool {
         self.pos < self.plan.len() || self.pending.is_some()
     }
+}
 
-    /// Byte-weighted share of pairs that currently have a route.
-    fn coverage(&mut self, fabric: &dyn Fabric, flows: &[Flow]) -> f64 {
-        let weights = self.pair_weight.get_or_insert_with(|| {
-            let mut acc = std::collections::BTreeMap::new();
-            for f in flows {
-                let w = acc.entry((f.src, f.dst)).or_insert(0u64);
-                *w = w.saturating_add(f.bytes);
-            }
-            acc.into_iter().collect()
+/// Each distinct slot of `slots` (one per flow) with the saturating sum of
+/// its flows' bytes, ascending by slot. A view slot is one pair, so these
+/// are the run's pairs and their byte weights.
+fn slot_weights(flows: &[Flow], slots: &[usize]) -> Vec<(usize, u64)> {
+    let mut weights: Vec<(usize, u64)> = slots
+        .iter()
+        .zip(flows)
+        .map(|(&s, f)| (s, f.bytes))
+        .collect();
+    weights.sort_unstable_by_key(|&(slot, _)| slot);
+    weights.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 = kept.1.saturating_add(next.1);
+        }
+        same
+    });
+    weights
+}
+
+/// "No entry" in a [`FaultIndex`] detour chain.
+const NIL: u32 = u32::MAX;
+
+/// Which route slots a failure can cut: an inverted index from each link
+/// to the slots whose span crosses it, and from each node to the slots
+/// whose pair ends at it.
+///
+/// A run builds it at its first failure, from the spans it has interned,
+/// and [`Driver::resolve`] adds every detour it interns afterwards; a
+/// fault-free run never builds it. Entries are never removed. A slot
+/// whose span moved off a link keeps its old entry there, and a slot can
+/// be listed twice, because [`Driver::evict`] re-tests every candidate
+/// against the slot's current span and state: an outdated entry costs
+/// one test and changes nothing.
+///
+/// What the build finds is one CSR table keyed by link, then by node, at
+/// four bytes an entry. Detours go on per-link chains through one
+/// `(slot, next)` array, newest first, so listing one is a push per link.
+struct FaultIndex {
+    /// Key `k`'s built entries are `slots[off[k]..off[k + 1]]`; link `l`
+    /// is key `l`, node `n` is key `links + n`.
+    off: Vec<u32>,
+    slots: Vec<u32>,
+    /// Per link, the newest cell of its chain in `detours` (or [`NIL`]).
+    detour_head: Vec<u32>,
+    /// `(slot, next cell)` for every detour entry.
+    detours: Vec<(u32, u32)>,
+}
+
+impl FaultIndex {
+    /// An empty index: count every entry's key, then [`allocate`], then
+    /// [`place`] every entry.
+    ///
+    /// [`allocate`]: FaultIndex::allocate
+    /// [`place`]: FaultIndex::place
+    fn new(links: usize, nodes: usize) -> Self {
+        FaultIndex {
+            off: vec![0; links + nodes + 1],
+            slots: Vec::new(),
+            detour_head: vec![NIL; links],
+            detours: Vec::new(),
+        }
+    }
+
+    fn count(&mut self, key: usize) {
+        self.off[key] += 1;
+    }
+
+    /// Running totals make `off[k]` the end of key `k`; placing each
+    /// key's entries downwards leaves it at the key's start.
+    fn allocate(&mut self) {
+        let mut end = 0;
+        for o in &mut self.off {
+            end += *o;
+            *o = end;
+        }
+        self.slots = vec![0; end as usize];
+    }
+
+    fn place(&mut self, key: usize, slot: u32) {
+        self.off[key] -= 1;
+        self.slots[self.off[key] as usize] = slot;
+    }
+
+    /// Lists `slot` under every link of its new `span`.
+    fn add_detour(&mut self, slot: usize, span: &[LinkId]) {
+        for &link in span {
+            let head = &mut self.detour_head[link];
+            self.detours.push((slot as u32, *head));
+            *head = (self.detours.len() - 1) as u32;
+        }
+    }
+
+    /// The slots the build listed under key `key`.
+    fn built(&self, key: usize) -> impl Iterator<Item = usize> + '_ {
+        let (lo, hi) = (self.off[key] as usize, self.off[key + 1] as usize);
+        self.slots[lo..hi].iter().map(|&slot| slot as usize)
+    }
+
+    /// Every slot listed under `link`.
+    fn on_link(&self, link: LinkId) -> impl Iterator<Item = usize> + '_ {
+        let mut cell = self.detour_head[link];
+        let detours = std::iter::from_fn(move || {
+            let &(slot, next) = self.detours.get(cell as usize)?;
+            cell = next;
+            Some(slot as usize)
         });
-        // u128 totals: a sum of u64 weights cannot overflow them.
-        let (mut covered, mut total) = (0u128, 0u128);
-        for &((s, d), w) in weights.iter() {
-            total += u128::from(w);
-            if fabric.path_avoiding(s, d, &self.fault).is_some() {
-                covered += u128::from(w);
-            }
-        }
-        if total == 0 {
-            1.0
-        } else {
-            covered as f64 / total as f64
-        }
+        self.built(link).chain(detours)
+    }
+
+    /// Every slot listed under `node`.
+    fn at_node(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        self.built(self.detour_head.len() + node)
     }
 }
 
@@ -1397,7 +1471,11 @@ pub(crate) struct Driver<'a, E, S, P, M> {
     seeds: Vec<(u64, u32, u32)>,
     seed_pos: usize,
     events: u64,
-    // Per-flow record columns.
+    /// Whether the caller reads per-flow records.
+    detailed: bool,
+    // Per-flow record columns. The last three are only allocated under a
+    // non-empty fault plan; without one no flow fails, and they read as
+    // all zero.
     ends: Vec<Option<u64>>,
     /// Arena span `(offset, length)` of the route the flow was last
     /// admitted on.
@@ -1412,6 +1490,9 @@ pub(crate) struct Driver<'a, E, S, P, M> {
     /// Links whose down bit is set; zero lets admissions skip the
     /// blocked-route scan.
     down_links: usize,
+    /// Built at the first failure; `None` for the whole of a fault-free
+    /// run.
+    index: Option<FaultIndex>,
     ctl: Control<'a>,
     /// Cached [`Control::next_time`].
     ctl_t: u64,
@@ -1425,6 +1506,8 @@ where
         debug_assert!(links.len() < E::MAX_LINKS, "link ids fit beside the flag");
         let n = s.flows.len();
         let slots = s.routes.slot_count();
+        let faulted = !s.plan.is_empty();
+        let fault_col = |len| if faulted { len } else { 0 };
         let mut d = Driver {
             fabric: s.fabric,
             flows: s.flows,
@@ -1439,14 +1522,16 @@ where
             seeds: Vec::with_capacity(n),
             seed_pos: 0,
             events: 0,
+            detailed: s.detailed,
             ends: vec![None; n],
             route: vec![(0, 0); n],
-            retries: vec![0; n],
-            abandoned: vec![false; n],
-            first_fail: vec![None; n],
+            retries: vec![0; fault_col(n)],
+            abandoned: vec![false; fault_col(n)],
+            first_fail: vec![None; fault_col(n)],
             slot_span: vec![(0, 0); slots],
             slot_state: vec![UNSEEN_BIT; slots],
             down_links: 0,
+            index: None,
             ctl: Control {
                 plan: s.plan,
                 pos: 0,
@@ -1454,7 +1539,7 @@ where
                 fault: FaultState::healthy(s.fabric),
                 interval: s.interval,
                 reprovisions: Vec::new(),
-                pair_weight: None,
+                slot_weight: None,
             },
             ctl_t: u64::MAX,
         };
@@ -1465,7 +1550,6 @@ where
         // flow is seeded. Without one the primary route is final:
         // unroutable flows and self-deliveries settle here, and a model
         // whose admission is its first event skips `admit` altogether.
-        let faulted = !s.plan.is_empty();
         let direct = Self::ADMIT_IS_EVENT && !faulted;
         for (i, f) in s.flows.iter().enumerate() {
             let slot = s.routes.slots[i];
@@ -1489,9 +1573,9 @@ where
                 d.seeds.push((f.start_ns, i as u32, tag));
             }
         }
-        // (start, flow) order: flow order within a timestamp. The tag
-        // rides along without influencing it (flows are unique).
-        d.seeds.sort_unstable();
+        // Seeds were pushed in flow order, so a stable sort by start is
+        // (start, flow) order: flow order within a timestamp.
+        sort_by_start(&mut d.seeds);
         d
     }
 
@@ -1514,19 +1598,30 @@ where
             events: self.events,
             loop_ns: t_loop.elapsed().as_nanos() as u64,
         };
-        let records: Vec<FlowRecord> = (0..self.flows.len())
-            .map(|i| FlowRecord {
-                flow: i,
-                start_ns: self.flows[i].start_ns,
-                end_ns: self.ends[i],
-                hops: self.ends[i].map_or(0, |_| self.route[i].1 as usize),
-                retries: self.retries[i],
-                abandoned: self.abandoned[i],
-            })
-            .collect();
-        self.probe.finish(self.flows, &records);
-        let link_busy_ns: Vec<u64> = self.links.iter().map(|l| l.busy_ns).collect();
-        let stats = RunStats::from_records(self.flows, &records, &link_busy_ns);
+        // Records exist only for a caller who reads them: a detailed run,
+        // or a recorder that turns them into flow spans.
+        let records = (self.detailed || self.probe.trace().is_some()).then(|| {
+            (0..self.flows.len())
+                .map(|i| FlowRecord {
+                    flow: i,
+                    start_ns: self.flows[i].start_ns,
+                    end_ns: self.ends[i],
+                    hops: self.ends[i].map_or(0, |_| self.route[i].1 as usize),
+                    retries: self.retries.get(i).copied().unwrap_or(0),
+                    abandoned: self.abandoned.get(i).copied().unwrap_or(false),
+                })
+                .collect::<Vec<_>>()
+        });
+        self.probe
+            .finish(self.flows, records.as_deref().unwrap_or_default());
+        let stats = RunStats::from_columns(
+            self.flows,
+            &self.ends,
+            &self.route,
+            &self.retries,
+            &self.abandoned,
+            self.links.iter().map(|l| l.busy_ns).max().unwrap_or(0),
+        );
         if let Some(obs) = self.probe.obs() {
             obs.runs.inc();
             obs.flows.add(self.flows.len() as u64);
@@ -1538,6 +1633,7 @@ where
                 obs.flow_bytes.record(f.bytes);
             }
         }
+        let records = records.filter(|_| self.detailed);
         (stats, records, self.ctl.reprovisions, perf)
     }
 
@@ -1611,7 +1707,7 @@ where
                 return Resolution::Unreachable;
             }
             let (off, len) = self.slot_span[slot];
-            let span = &self.arena[off as usize..(off + len) as usize];
+            let span = self.span(slot);
             if self.down_links == 0 || !span.iter().any(|c| self.links[c.link()].is_down()) {
                 return Resolution::Route(off, len);
             }
@@ -1621,6 +1717,9 @@ where
         match self.fabric.path_avoiding(f.src, f.dst, &self.ctl.fault) {
             Some(route) => {
                 let (off, len) = self.intern(&route);
+                if let Some(index) = &mut self.index {
+                    index.add_detour(slot, &route);
+                }
                 self.slot_span[slot] = (off, len);
                 self.slot_state[slot] = if any_down { DIRTY_BIT } else { 0 };
                 Resolution::Route(off, len)
@@ -1687,7 +1786,7 @@ where
     #[inline(always)]
     pub(crate) fn deliver(&mut self, flow: u32, end: u64) {
         self.ends[flow as usize] = Some(end);
-        if let Some(t0) = self.first_fail[flow as usize] {
+        if let Some(&Some(t0)) = self.first_fail.get(flow as usize) {
             if let Some(obs) = self.probe.obs() {
                 obs.reroute_latency_ns.record(end.saturating_sub(t0));
             }
@@ -1762,11 +1861,84 @@ where
 
     /// Marks stale every fresh route that crosses one of the `dead` links
     /// or (node faults) has `node` as an endpoint, returning how many
-    /// were evicted.
+    /// were evicted. Only the slots the [`FaultIndex`] lists under those
+    /// components are tested; the first failure of a run builds it.
     fn evict(&mut self, dead: &[LinkId], node: Option<usize>) -> usize {
+        #[cfg(test)]
+        let scanned = self.evict_scan(dead, node);
+        let index = match self.index.take() {
+            Some(index) => index,
+            None => self.build_index(),
+        };
+        let on_links = dead.iter().flat_map(|&l| index.on_link(l));
+        let at_node = node.into_iter().flat_map(|n| index.at_node(n));
         let mut evicted = 0;
+        for slot in on_links.chain(at_node) {
+            if self.cut_by(slot, dead, node) {
+                self.slot_state[slot] |= STALE_BIT;
+                evicted += 1;
+            }
+        }
+        self.index = Some(index);
+        #[cfg(test)]
+        assert!(
+            (evicted, &self.slot_state) == (scanned.0, &scanned.1),
+            "index eviction of {dead:?} / {node:?} differs from the full scan"
+        );
+        evicted
+    }
+
+    /// True if `slot` holds a fresh route that crosses one of the `dead`
+    /// links or has `node` as an endpoint.
+    fn cut_by(&self, slot: usize, dead: &[LinkId], node: Option<usize>) -> bool {
+        if self.slot_state[slot] & (STALE_BIT | UNSEEN_BIT) != 0 {
+            return false;
+        }
+        let ends_at = |n: usize| {
+            let (src, dst) = self.routes.pair(slot);
+            src == n || dst == n
+        };
+        node.is_some_and(ends_at) || self.span(slot).iter().any(|c| dead.contains(&c.link()))
+    }
+
+    /// The index over every slot this run uses.
+    #[cold]
+    fn build_index(&self) -> FaultIndex {
+        let mut index = FaultIndex::new(self.links.len(), self.fabric.nodes());
+        self.index_entries(|key, _| index.count(key));
+        index.allocate();
+        self.index_entries(|key, slot| index.place(key, slot));
+        index
+    }
+
+    /// Every `(key, slot)` entry of the [`FaultIndex`]: for each slot this
+    /// run uses, each link of its span and each end of its pair.
+    fn index_entries(&self, mut list: impl FnMut(usize, u32)) {
+        let links = self.links.len();
         for slot in 0..self.slot_state.len() {
-            if self.slot_state[slot] & (STALE_BIT | UNSEEN_BIT) != 0 {
+            if self.slot_state[slot] & UNSEEN_BIT != 0 {
+                continue;
+            }
+            for c in self.span(slot) {
+                list(c.link(), slot as u32);
+            }
+            let (src, dst) = self.routes.pair(slot);
+            list(links + src, slot as u32);
+            if dst != src {
+                list(links + dst, slot as u32);
+            }
+        }
+    }
+
+    /// The full-scan eviction the [`FaultIndex`] replaced, kept as its
+    /// oracle: every slot tested, on a copy of the state table. Returns
+    /// the evicted count and the table as the scan leaves it.
+    #[cfg(test)]
+    fn evict_scan(&self, dead: &[LinkId], node: Option<usize>) -> (usize, Vec<u8>) {
+        let mut state = self.slot_state.clone();
+        let mut evicted = 0;
+        for (slot, bits) in state.iter_mut().enumerate() {
+            if *bits & (STALE_BIT | UNSEEN_BIT) != 0 {
                 continue;
             }
             let (off, len) = self.slot_span[slot];
@@ -1780,11 +1952,11 @@ where
                     .iter()
                     .any(|c| dead.contains(&c.link()));
             if touches {
-                self.slot_state[slot] |= STALE_BIT;
+                *bits |= STALE_BIT;
                 evicted += 1;
             }
         }
-        evicted
+        (evicted, state)
     }
 
     /// Brings `link`'s down bit in line with the fault state, telling the
@@ -1810,7 +1982,7 @@ where
         if batch.is_empty() {
             return; // everything already recovered on its own
         }
-        let coverage = self.ctl.coverage(self.fabric, self.flows);
+        let coverage = self.coverage();
         let circuits = [("failed_circuits", batch.len() as u64)];
         self.probe
             .instant(Track::Reconfig, "sync_point", now, 0, &circuits);
@@ -1831,7 +2003,7 @@ where
                 *state |= STALE_BIT;
             }
         }
-        let cov_after = self.ctl.coverage(self.fabric, self.flows);
+        let cov_after = self.coverage();
         if let Some(tr) = self.probe.trace() {
             // The batch occupied the crossbar from its sync point until
             // now; span ids continue past the flow id range so both stay
@@ -1865,6 +2037,56 @@ where
         if !self.repairable().is_empty() {
             self.book_sync(now);
         }
+    }
+
+    /// Byte-weighted share of the run's pairs that have a route right now.
+    ///
+    /// A pair whose current span and both endpoints are up counts as
+    /// covered without a search: that span is a route [`Fabric::path`] or
+    /// [`Fabric::path_avoiding`] returned for the pair, and the
+    /// `path_avoiding` contract makes the search succeed whenever one of
+    /// those is up. Only pairs something cut are searched.
+    fn coverage(&mut self) -> f64 {
+        let weights = self
+            .ctl
+            .slot_weight
+            .take()
+            .unwrap_or_else(|| slot_weights(self.flows, &self.routes.slots));
+        // u128 totals: a sum of u64 weights cannot overflow them.
+        let (mut covered, mut total) = (0u128, 0u128);
+        for &(slot, w) in &weights {
+            total += u128::from(w);
+            let (src, dst) = self.routes.pair(slot);
+            let fault = &self.ctl.fault;
+            let up = self.slot_state[slot] & NOROUTE_BIT == 0
+                && fault.node_up(src)
+                && fault.node_up(dst)
+                && !self
+                    .span(slot)
+                    .iter()
+                    .any(|c| self.links[c.link()].is_down());
+            #[cfg(test)]
+            assert!(
+                !up || self.fabric.path_avoiding(src, dst, fault).is_some(),
+                "path_avoiding found no route for ({src}, {dst}) while its span is up"
+            );
+            if up || self.fabric.path_avoiding(src, dst, fault).is_some() {
+                covered += u128::from(w);
+            }
+        }
+        self.ctl.slot_weight = Some(weights);
+        if total == 0 {
+            1.0
+        } else {
+            covered as f64 / total as f64
+        }
+    }
+
+    /// The arena cells of `slot`'s current span.
+    #[inline]
+    fn span(&self, slot: usize) -> &[E] {
+        let (off, len) = self.slot_span[slot];
+        &self.arena[off as usize..(off + len) as usize]
     }
 
     /// Failed circuits a repatch can bring back, ascending.
@@ -2047,6 +2269,37 @@ impl<E: ArenaEntry, S: Ser, P: Probe> Driver<'_, E, S, P, IdealFifo> {
     }
 }
 
+/// Sorts `seeds` by start time, stably, as a least-significant-digit
+/// radix sort over the start's bytes. Seeds are pushed in flow order, so
+/// the result is `(start, flow)` order. A byte every start shares (the
+/// high bytes of any realistic timeline) costs no pass.
+fn sort_by_start(seeds: &mut Vec<(u64, u32, u32)>) {
+    let (any, all) = seeds
+        .iter()
+        .fold((0, u64::MAX), |(any, all), s| (any | s.0, all & s.0));
+    let mut out = Vec::new();
+    for shift in (0..64).step_by(8) {
+        if (any ^ all) >> shift & 0xff == 0 {
+            continue;
+        }
+        let digit = |t: u64| (t >> shift) as u8 as usize;
+        let mut at = [0usize; 256];
+        for s in seeds.iter() {
+            at[digit(s.0)] += 1;
+        }
+        let mut start = 0;
+        for a in &mut at {
+            (*a, start) = (start, start + *a);
+        }
+        out.resize(seeds.len(), (0, 0, 0));
+        for &s in seeds.iter() {
+            out[at[digit(s.0)]] = s;
+            at[digit(s.0)] += 1;
+        }
+        std::mem::swap(seeds, &mut out);
+    }
+}
+
 /// One row per flow for the recorder's engine lane: a `flow` span, or the
 /// terminal instant of a flow that never arrived. Its span id
 /// (`engine_span_id(index + 1)`) is what every hop row of the run names
@@ -2078,6 +2331,11 @@ fn flow_rows(flows: &[Flow], records: &[FlowRecord]) -> Vec<FlowRow> {
 mod tests {
     use super::*;
     use crate::fabric::{LinkId, LinkSpec};
+    use crate::{FatTreeFabric, HfastFabric, TorusFabric};
+    use hfast_core::{PaperLinear, ProvisionConfig, Provisioner};
+    use hfast_par::{forall, Rng64};
+    use hfast_topology::CommGraph;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Two nodes joined by one link each way.
     struct Wire;
@@ -2107,6 +2365,34 @@ mod tests {
         }
         fn incident_links(&self, node: usize) -> Vec<LinkId> {
             vec![node]
+        }
+    }
+
+    /// [`Wire`] with repatchable circuits that outlive their endpoints: a
+    /// node fault takes no link down, so only the endpoint test sees it.
+    struct LooseWire;
+
+    impl Fabric for LooseWire {
+        fn name(&self) -> &str {
+            "loose-wire"
+        }
+        fn nodes(&self) -> usize {
+            2
+        }
+        fn link_count(&self) -> usize {
+            2
+        }
+        fn link(&self, id: LinkId) -> LinkSpec {
+            Wire.link(id)
+        }
+        fn path(&self, src: usize, dst: usize) -> Option<Vec<LinkId>> {
+            Wire.path(src, dst)
+        }
+        fn reprovisionable(&self, _: LinkId) -> bool {
+            true
+        }
+        fn supports_reprovision(&self) -> bool {
+            true
         }
     }
 
@@ -2243,25 +2529,116 @@ mod tests {
         assert_eq!(out.stats.completed, 10);
     }
 
+    /// A small fabric of each family, HFAST provisioned for a random
+    /// graph, or one of the two-node wires, whose routes to a node need
+    /// not cross the links that die with it.
+    fn small_fabric(rng: &mut Rng64) -> Box<dyn Fabric> {
+        match rng.range(0, 5) {
+            0 => Box::new(Wire),
+            1 => Box::new(LooseWire),
+            2 => Box::new(TorusFabric::new((3, 3, 2)).expect("valid shape")),
+            3 => Box::new(FatTreeFabric::new(16, 4).expect("valid shape")),
+            _ => {
+                let mut g = CommGraph::new(12);
+                for _ in 0..rng.range(4, 30) {
+                    let (a, b) = (rng.range(0, 12), rng.range(0, 12));
+                    if a != b {
+                        g.add_message(a, b, rng.range_u64(2048, 1 << 20));
+                    }
+                }
+                let prov = PaperLinear.provision(&g, ProvisionConfig::default());
+                Box::new(HfastFabric::new(prov))
+            }
+        }
+    }
+
+    fn random_flows(rng: &mut Rng64, nodes: usize) -> Vec<Flow> {
+        (0..rng.range(1, 80))
+            .map(|_| {
+                let start = rng.range_u64(0, 400_000);
+                flow(
+                    rng.range(0, nodes),
+                    rng.range(0, nodes),
+                    rng.range_u64(1, 1 << 16),
+                    start,
+                )
+            })
+            .collect()
+    }
+
+    /// `Driver::evict` checks the index against the full scan it replaced
+    /// after every failure of a test build: the evicted count and the
+    /// whole slot-state table must agree. This drives that check over
+    /// random fabrics, link and node faults with and without recovery,
+    /// both link models, HFAST repatching and warm snapshots whose slots
+    /// the run never touches. `Driver::coverage` checks the
+    /// `path_avoiding` contract it relies on at every sync point of the
+    /// same runs.
     #[test]
-    fn targeted_invalidation_recomputes_on_next_index() {
-        let mut cache = PathCache::new();
-        let flows = [flow(0, 1, 64, 0), flow(1, 0, 64, 0)];
-        Simulation::new(&Wire).with_cache(&mut cache).run(&flows);
-        assert_eq!(cache.cached(0, 1), Some(Some(&[0usize][..])));
-        assert_eq!(cache.invalidate_link(0), 1, "only 0→1 crosses link 0");
-        assert_eq!(cache.cached(0, 1), None, "stale entries read as absent");
-        assert_eq!(cache.cached(1, 0), Some(Some(&[1usize][..])));
-        assert_eq!(
-            cache.invalidate_node(0, &[0]),
-            1,
-            "only the still-fresh 1→0 entry is left to evict"
-        );
-        // A fresh run repopulates the stale slots in place.
-        let again = Simulation::new(&Wire).with_cache(&mut cache).run(&flows);
-        assert_eq!(again.stats.completed, 2);
-        assert_eq!(cache.cached(0, 1), Some(Some(&[0usize][..])));
-        assert_eq!(cache.len(), 2, "slots reused, not reallocated");
+    fn index_eviction_matches_the_full_scan() {
+        let evictions = AtomicU64::new(0);
+        forall("index_eviction_matches_the_full_scan", 96, |rng| {
+            let fabric = small_fabric(rng);
+            let fabric = fabric.as_ref();
+            let nodes = fabric.nodes();
+            let flows = random_flows(rng, nodes);
+            let mut plan = FaultPlan::builder();
+            for _ in 0..rng.range(1, 8) {
+                let (at, link) = (rng.range_u64(0, 400_000), rng.range(0, fabric.link_count()));
+                plan = plan.fail_link(at, link);
+                if rng.range(0, 2) == 0 {
+                    plan = plan.recover_link(at + rng.range_u64(1, 200_000), link);
+                }
+            }
+            if rng.range(0, 2) == 0 {
+                let (at, node) = (rng.range_u64(0, 400_000), rng.range(0, nodes));
+                plan = plan
+                    .fail_node(at, node)
+                    .recover_node(at + rng.range_u64(1, 300_000), node);
+            }
+            let plan = plan.build(fabric).expect("ids come from the fabric");
+            let mut warm = PathCache::new();
+            Simulation::new(fabric)
+                .with_cache(&mut warm)
+                .run(&random_flows(rng, nodes));
+            let obs = EngineObs::new();
+            let retry = RetryPolicy {
+                max_attempts: 3,
+                base_backoff_ns: 10_000,
+                max_backoff_ns: 50_000,
+            };
+            let mut sim = Simulation::new(fabric)
+                .with_faults(&plan)
+                .with_retry(retry)
+                .with_obs(&obs);
+            if rng.range(0, 2) == 0 {
+                sim = sim.with_snapshot(&warm);
+            }
+            if rng.range(0, 2) == 0 {
+                sim = sim.with_reprovision(50_000);
+            }
+            if rng.range(0, 2) == 0 {
+                sim = sim.with_congestion(CreditConfig::credit(rng.range(1, 3) as u32));
+            }
+            sim.run(&flows);
+            evictions.fetch_add(obs.cache_evictions.get(), Ordering::Relaxed);
+        });
+        assert!(evictions.into_inner() > 0, "the cases evicted something");
+    }
+
+    #[test]
+    fn radix_seed_sort_equals_the_comparison_sort() {
+        forall("radix_seed_sort_equals_the_comparison_sort", 128, |rng| {
+            // Key widths from one shared value to every byte in play.
+            let mask = [0, 0xff, 0xf_ffff, u64::MAX][rng.range(0, 4)];
+            let mut seeds: Vec<(u64, u32, u32)> = (0..rng.range(0, 300))
+                .map(|flow| (rng.next_u64() & mask, flow as u32, rng.next_u64() as u32))
+                .collect();
+            let mut expected = seeds.clone();
+            expected.sort_unstable_by_key(|&(t, flow, _)| (t, flow));
+            sort_by_start(&mut seeds);
+            assert_eq!(seeds, expected);
+        });
     }
 
     #[test]

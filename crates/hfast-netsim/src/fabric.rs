@@ -66,6 +66,12 @@ pub trait Fabric: Sync {
     /// Fabrics with path diversity (torus detours, HFAST tree fallback)
     /// override this with a real search.
     ///
+    /// Contract: the result is `Some` whenever both endpoints are up and
+    /// some route this method or [`path`] has returned for the pair is
+    /// fully up in `state`. The engine's circuit-coverage snapshot relies
+    /// on it: it counts a pair whose current route is up as covered
+    /// without searching.
+    ///
     /// [`path`]: Fabric::path
     fn path_avoiding(
         &self,

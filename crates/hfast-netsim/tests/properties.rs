@@ -5,8 +5,9 @@ use std::collections::HashMap;
 use hfast_core::{Clustered, PaperLinear, ProvisionConfig, Provisioner, Strategy};
 use hfast_netsim::engine::PathCache;
 use hfast_netsim::{
-    traffic, transit_links, CreditConfig, EngineObs, Fabric, FatTreeFabric, FaultPlan, Flow,
-    HfastFabric, RetryPolicy, SharedPathCache, Simulation, TorusFabric,
+    traffic, transit_links, CreditConfig, EngineObs, Fabric, FatTreeFabric, FaultAction,
+    FaultEvent, FaultPlan, FaultState, FaultTarget, Flow, HfastFabric, LinkId, RetryPolicy,
+    SharedPathCache, Simulation, TorusFabric,
 };
 use hfast_obs::Val;
 use hfast_par::{forall, Rng64};
@@ -319,61 +320,63 @@ fn empty_fault_plan_is_bit_identical_to_no_plan() {
     });
 }
 
+/// The `Fabric::path_avoiding` contract the engine's coverage snapshot
+/// relies on, on all three fabrics: while both endpoints are up, a pair
+/// one of whose known routes (from `path` or an earlier `path_avoiding`)
+/// is fully up gets a route, and a route it gets is fully up.
 #[test]
-fn targeted_invalidation_equals_full_clear() {
-    // Satellite: after invalidate_link / invalidate_node, re-running a
-    // replay through the surgically-evicted cache must match a run through
-    // a fully cleared cache bit-for-bit, and every surviving cached entry
-    // must still equal a fresh route computation.
-    forall("targeted_invalidation_equals_full_clear", 48, |rng| {
-        let (fabric, n) = any_fabric(rng);
-        let fabric = fabric.as_ref();
-        let fs = flows(rng, n, 60);
-
-        let mut targeted = PathCache::new();
-        Simulation::new(fabric).with_cache(&mut targeted).run(&fs);
-        let mut cleared = targeted.clone();
-
-        // Evict around a random link and a random node, both ways.
-        let link = rng.range(0, fabric.link_count());
-        let node = rng.range(0, n);
-        targeted.invalidate_link(link);
-        targeted.invalidate_node(node, &fabric.incident_links(node));
-        cleared.clear();
-
-        // Surviving entries agree with fresh computation for every pair.
-        for src in 0..n {
-            for dst in 0..n {
-                if let Some(entry) = targeted.cached(src, dst) {
-                    let fresh = fabric.path(src, dst);
-                    assert_eq!(
-                        entry,
-                        fresh.as_deref(),
-                        "stale survivor for pair ({src}, {dst})"
-                    );
-                    // Anything touching the invalidated components is gone.
-                    if let Some(path) = entry {
-                        assert!(!path.contains(&link), "({src}, {dst}) kept link {link}");
+fn path_avoiding_finds_a_route_while_a_known_one_is_up() {
+    forall(
+        "path_avoiding_finds_a_route_while_a_known_one_is_up",
+        48,
+        |rng| {
+            let (fabric, n) = any_fabric(rng);
+            let fabric = fabric.as_ref();
+            let pairs: Vec<(usize, usize)> = (0..24)
+                .map(|_| (rng.range(0, n), rng.range(0, n)))
+                .collect();
+            let mut known: Vec<Vec<Vec<LinkId>>> = pairs
+                .iter()
+                .map(|&(s, d)| fabric.path(s, d).into_iter().collect())
+                .collect();
+            let mut state = FaultState::healthy(fabric);
+            for _ in 0..16 {
+                let target = if rng.range(0, 4) == 0 {
+                    FaultTarget::Node(rng.range(0, n))
+                } else {
+                    FaultTarget::Link(rng.range(0, fabric.link_count()))
+                };
+                let action = if rng.range(0, 3) == 0 {
+                    FaultAction::Recover
+                } else {
+                    FaultAction::Fail
+                };
+                let time_ns = 0;
+                state.apply(
+                    fabric,
+                    FaultEvent {
+                        time_ns,
+                        action,
+                        target,
+                    },
+                );
+                if rng.range(0, 4) == 0 {
+                    state.repatch_link(rng.range(0, fabric.link_count()));
+                }
+                for (&(s, d), routes) in pairs.iter().zip(&mut known) {
+                    let found = fabric.path_avoiding(s, d, &state);
+                    let ends_up = state.node_up(s) && state.node_up(d);
+                    if ends_up && routes.iter().any(|r| !state.blocks(r)) {
+                        assert!(found.is_some(), "({s}, {d}) lost a route that is up");
                     }
-                    assert!(
-                        src != node && dst != node,
-                        "({src}, {dst}) kept node {node}"
-                    );
+                    if let Some(route) = found {
+                        assert!(!state.blocks(&route), "({s}, {d}) got a cut route");
+                        routes.push(route);
+                    }
                 }
             }
-        }
-
-        // And a replay through either cache is bit-identical.
-        let a = Simulation::new(fabric)
-            .with_cache(&mut targeted)
-            .detailed()
-            .run(&fs);
-        let b = Simulation::new(fabric)
-            .with_cache(&mut cleared)
-            .detailed()
-            .run(&fs);
-        assert_eq!(a, b, "targeted eviction diverged from full clear");
-    });
+        },
+    );
 }
 
 #[test]
