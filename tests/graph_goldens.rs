@@ -19,16 +19,22 @@
 //! `HfastFabric` link ids a replay resolves, and the paths left by an
 //! incremental `adapt`. The `optimize_clusters` digests pin the annealer's
 //! random stream.
+//!
+//! The torus-2048 and crowded-cluster pins reach what complete-512 cannot:
+//! `PaperLinear`'s incremental path growing, shrinking and reusing chains,
+//! and shared chains whose attachments crowd them, so that the
+//! nearest-free-port tie rule and `patch_chain`'s fallback both decide
+//! where ports land.
 
 use hfast::apps::{all_apps, profile_app, STUDY_SIZES};
 use hfast::core::{
-    cluster_nodes, hfast_fault_impact, optimize_clusters, seeded_failures, Endpoint, GraphDelta,
-    PaperLinear, ProvisionConfig, Provisioner, Provisioning, ReconfigEngine, Strategy,
+    cluster_nodes, hfast_fault_impact, optimize_clusters, seeded_failures, Clustered, Endpoint,
+    GraphDelta, PaperLinear, ProvisionConfig, Provisioner, Provisioning, ReconfigEngine, Strategy,
 };
 use hfast::ipm::CommProfile;
 use hfast::netsim::{Fabric, HfastFabric, Scenario, ScenarioKind};
 use hfast::topology::generators::{
-    complete_graph, hypercube_graph, mesh3d_graph, ring_graph, torus3d_graph,
+    balanced_dims3, complete_graph, hypercube_graph, mesh3d_graph, ring_graph, torus3d_graph,
 };
 use hfast::topology::{CommGraph, EdgeStat};
 use hfast_par::Rng64;
@@ -598,4 +604,240 @@ fn anneal_digests() {
         })
         .collect();
     check("optimize_clusters digest", &got, ANNEAL_DIGESTS);
+}
+
+/// `PaperLinear`'s incremental `reprovision` on torus-2048 over three
+/// deltas, each step's `(digest, circuits digest, edges touched, blocks,
+/// routes)`: a 1 % random-pair delta that loads two hubs past one block,
+/// a fresh window that drops those chords below the cutoff (the hub
+/// chains shrink and park spare blocks), and a delta growing three other
+/// hubs to three blocks (reusing the spares). The routes word is
+/// [`route_digest`]'s fold over every touched pair and every pair from a
+/// hub of the run.
+const TORUS_2048_REPROVISION: &[(&str, u64)] = &[
+    ("torus-2048 grow", 0x35e4813405d97b1b),
+    ("torus-2048 grow circuits", 0xe24aedd0027d6a11),
+    ("torus-2048 grow edges touched", 571),
+    ("torus-2048 grow blocks", 2050),
+    ("torus-2048 grow routes", 0xd2e703aa593f653d),
+    ("torus-2048 drop", 0x38d4c1039628261a),
+    ("torus-2048 drop circuits", 0x5892a1c1d6ee5f85),
+    ("torus-2048 drop edges touched", 571),
+    ("torus-2048 drop blocks", 2048),
+    ("torus-2048 drop routes", 0x34208394e648778d),
+    ("torus-2048 regrow", 0xb11d4a3dabde6bb9),
+    ("torus-2048 regrow circuits", 0xed637bc2c4a390fe),
+    ("torus-2048 regrow edges touched", 510),
+    ("torus-2048 regrow blocks", 2054),
+    ("torus-2048 regrow routes", 0x51811ae89cbc0d45),
+];
+
+#[test]
+fn torus_2048_incremental_reprovision_steps() {
+    const MSG: u64 = 300 << 10;
+    let config = ProvisionConfig::default();
+    let torus = torus3d_graph(balanced_dims3(2048), MSG);
+    let n = torus.n();
+    let mut rng = Rng64::new(0x2048_0035);
+    let first_hubs = [rng.range(0, n), rng.range(0, n)];
+    let other_hubs = [rng.range(0, n), rng.range(0, n), rng.range(0, n)];
+    let hubs: Vec<usize> = first_hubs.iter().chain(&other_hubs).copied().collect();
+
+    // Step 1: 1 % as many seeded pairs as there are edges, half of them
+    // leaving one of the first two hubs.
+    let mut grown = torus.clone();
+    let mut delta = GraphDelta::new();
+    let mut chords = Vec::new();
+    for _ in 0..torus.edge_count() / 100 {
+        let a = if rng.bool(0.5) {
+            *rng.pick(&first_hubs)
+        } else {
+            rng.range(0, n)
+        };
+        let b = rng.range(0, n);
+        if a != b {
+            grown.add_message(a, b, 1 << 20);
+            delta.note(a, b, *grown.edge(a, b));
+            chords.push((a, b));
+        }
+    }
+    // Step 2: a fresh window in which those chords carry only small
+    // messages.
+    let mut dropped = torus.clone();
+    for &(a, b) in &chords {
+        dropped.add_message(a, b, 64);
+    }
+    let drop_delta = GraphDelta::diff(&grown, &dropped);
+    // Step 3: three other hubs take 25 new partners each.
+    let mut regrown = dropped.clone();
+    let mut regrow_delta = GraphDelta::new();
+    for &hub in &other_hubs {
+        for _ in 0..25 {
+            let b = rng.range(0, n);
+            if b != hub {
+                regrown.add_message(hub, b, 1 << 20);
+                regrow_delta.note(hub, b, *regrown.edge(hub, b));
+            }
+        }
+    }
+
+    let mut prov = PaperLinear.provision(&torus, config);
+    let mut got = Vec::new();
+    let steps = [
+        ("grow", &grown, &delta),
+        ("drop", &dropped, &drop_delta),
+        ("regrow", &regrown, &regrow_delta),
+    ];
+    for (step, graph, delta) in steps {
+        let out = PaperLinear.reprovision(prov, graph, delta);
+        assert!(!out.full_rebuild, "{step} stays incremental");
+        out.provisioning
+            .validate(graph)
+            .unwrap_or_else(|e| panic!("{step}: {e}"));
+        let p = &out.provisioning;
+        let mut words = Vec::new();
+        let pairs = out
+            .touched_pairs
+            .iter()
+            .copied()
+            .chain(hubs.iter().flat_map(|&a| (0..n).map(move |b| (a, b))));
+        for (a, b) in pairs {
+            match p.route(a, b) {
+                None => words.push(u64::MAX),
+                Some(r) => words.extend([r.circuit_traversals as u64, r.switch_hops as u64]),
+            }
+        }
+        got.push((format!("torus-2048 {step}"), p.digest()));
+        got.push((format!("torus-2048 {step} circuits"), circuits_digest(p)));
+        got.push((
+            format!("torus-2048 {step} edges touched"),
+            out.edges_touched as u64,
+        ));
+        got.push((format!("torus-2048 {step} blocks"), p.total_blocks() as u64));
+        got.push((format!("torus-2048 {step} routes"), fnv(words)));
+        prov = out.provisioning;
+    }
+    check("torus-2048 reprovision", &got, TORUS_2048_REPROVISION);
+}
+
+/// A seeded clustering of `0..n`: about a fifth of the nodes offline, the
+/// rest in clusters of 3 to 8 members in shuffled order.
+fn crowded_clustering(n: usize, seed: u64) -> Vec<Vec<usize>> {
+    let mut rng = Rng64::new(seed);
+    let mut nodes: Vec<usize> = (0..n).collect();
+    rng.shuffle(&mut nodes);
+    let mut rest = &nodes[..n - n / 5];
+    let mut clusters = Vec::new();
+    while !rest.is_empty() {
+        let k = rng.range(3, 9).min(rest.len());
+        clusters.push(rest[..k].to_vec());
+        rest = &rest[k..];
+    }
+    clusters
+}
+
+/// 96 nodes, 400 seeded pairs of mixed message sizes: some pairs stay
+/// below the cutoff, some repeat.
+fn mixed_random_graph() -> CommGraph {
+    let mut rng = Rng64::new(0x96_0035);
+    let mut g = CommGraph::new(96);
+    for _ in 0..400 {
+        let (a, b) = (rng.range(0, 96), rng.range(0, 96));
+        if a != b {
+            g.add_message(a, b, *rng.pick(&[64, 4 << 10, 1 << 20]));
+        }
+    }
+    g
+}
+
+/// `Clustered` provisionings whose attachments crowd their chains: the
+/// `(digest, circuits digest, route digest)` per (graph, block ports,
+/// clustering seed).
+const CROWDED_CLUSTER_DIGESTS: &[(&str, u64)] = &[
+    ("torus k=4 seed 1", 0xbf2b3bd73789b606),
+    ("torus k=4 seed 1 circuits", 0x6e0384181acd47bf),
+    ("torus k=4 seed 1 routes", 0x496527ba3f13eca5),
+    ("torus k=4 seed 2", 0xb8ae48af6560a8e3),
+    ("torus k=4 seed 2 circuits", 0xf3adcbcf33eda356),
+    ("torus k=4 seed 2 routes", 0xa5c6aa9e5f2c4f15),
+    ("torus k=16 seed 1", 0x7f43998a99e69d24),
+    ("torus k=16 seed 1 circuits", 0x10220dd188179879),
+    ("torus k=16 seed 1 routes", 0x4367bf603a70b595),
+    ("torus k=16 seed 2", 0xfb05d53a0157dd68),
+    ("torus k=16 seed 2 circuits", 0x62da3aa482114aa0),
+    ("torus k=16 seed 2 routes", 0xaa07eed8403d3185),
+    ("mesh k=4 seed 1", 0xadbe6eab381bb8d2),
+    ("mesh k=4 seed 1 circuits", 0x03f1ac752e6bbb02),
+    ("mesh k=4 seed 1 routes", 0x9dc58e87646c5455),
+    ("mesh k=4 seed 2", 0x4f20abd4cb48526f),
+    ("mesh k=4 seed 2 circuits", 0x457ff212313edb73),
+    ("mesh k=4 seed 2 routes", 0xf34c6ec77e0632e5),
+    ("mesh k=16 seed 1", 0xd1adcb5a5004e3c5),
+    ("mesh k=16 seed 1 circuits", 0xfc4651bb0cb79409),
+    ("mesh k=16 seed 1 routes", 0x9637d3fcb39a69e5),
+    ("mesh k=16 seed 2", 0x99e8bbb12dc56d93),
+    ("mesh k=16 seed 2 circuits", 0xcda190c580e015a9),
+    ("mesh k=16 seed 2 routes", 0x7d953c8bb12685f5),
+    ("hypercube k=4 seed 1", 0x9f07da52cdb244c7),
+    ("hypercube k=4 seed 1 circuits", 0xb394fffb8d12aff0),
+    ("hypercube k=4 seed 1 routes", 0x8f125585486319d5),
+    ("hypercube k=4 seed 2", 0xfe690e25fb5e5b91),
+    ("hypercube k=4 seed 2 circuits", 0x50377f65d7b99949),
+    ("hypercube k=4 seed 2 routes", 0xab65ebdea2173715),
+    ("hypercube k=16 seed 1", 0x827842d57bac2a24),
+    ("hypercube k=16 seed 1 circuits", 0x1bd8f5bb30e4eca5),
+    ("hypercube k=16 seed 1 routes", 0x549f727ebc9c8b85),
+    ("hypercube k=16 seed 2", 0xa20b673b6a093cea),
+    ("hypercube k=16 seed 2 circuits", 0x205faf8ca9adddf2),
+    ("hypercube k=16 seed 2 routes", 0x375bffefb2609d05),
+    ("complete k=4 seed 1", 0x0727448df269fb94),
+    ("complete k=4 seed 1 circuits", 0x2fc4b15000a025b9),
+    ("complete k=4 seed 1 routes", 0x1b1fa2ee0635e4b5),
+    ("complete k=4 seed 2", 0x48c583b761d6bd3d),
+    ("complete k=4 seed 2 circuits", 0x10d78a061daae902),
+    ("complete k=4 seed 2 routes", 0xea73cf0cf61ce8a5),
+    ("complete k=16 seed 1", 0x4d39a55693007b5d),
+    ("complete k=16 seed 1 circuits", 0xf37cb93f2e0372a1),
+    ("complete k=16 seed 1 routes", 0x791d24ebc14d9365),
+    ("complete k=16 seed 2", 0x833e43647eb5822e),
+    ("complete k=16 seed 2 circuits", 0xb3578071bf10ce5b),
+    ("complete k=16 seed 2 routes", 0xaf81ab90cb78f4d5),
+    ("mixed-96 k=4 seed 1", 0xdd2e98e8f9b3fd9e),
+    ("mixed-96 k=4 seed 1 circuits", 0xf832e9ab9968df70),
+    ("mixed-96 k=4 seed 1 routes", 0x40e7b700d6f9a7e5),
+    ("mixed-96 k=4 seed 2", 0x5f106dba4ce6b578),
+    ("mixed-96 k=4 seed 2 circuits", 0xc4fedceeb0cf9142),
+    ("mixed-96 k=4 seed 2 routes", 0x9cce5e1e8b71ffd5),
+    ("mixed-96 k=16 seed 1", 0x601c752313c15aad),
+    ("mixed-96 k=16 seed 1 circuits", 0x692767206ae9bdd2),
+    ("mixed-96 k=16 seed 1 routes", 0x36deb3fcd5a23b65),
+    ("mixed-96 k=16 seed 2", 0x18e3e6a3d178436b),
+    ("mixed-96 k=16 seed 2 circuits", 0xf5987a021a623ec4),
+    ("mixed-96 k=16 seed 2 routes", 0x4d060af756a46d85),
+];
+
+#[test]
+fn crowded_clustered_digests() {
+    let mut graphs = regular_graphs();
+    graphs.push(("mixed-96", mixed_random_graph()));
+    let mut got = Vec::new();
+    for (name, g) in &graphs {
+        for block_ports in [4, 16] {
+            for seed in [1, 2] {
+                let config = ProvisionConfig {
+                    block_ports,
+                    ..ProvisionConfig::default()
+                };
+                let clusters = crowded_clustering(g.n(), seed);
+                let prov = Clustered::new(clusters).provision(g, config);
+                prov.validate(g)
+                    .unwrap_or_else(|e| panic!("{name} k={block_ports} seed {seed}: {e}"));
+                let label = format!("{name} k={block_ports} seed {seed}");
+                got.push((label.clone(), prov.digest()));
+                got.push((format!("{label} circuits"), circuits_digest(&prov)));
+                got.push((format!("{label} routes"), route_digest(&prov, g.n())));
+            }
+        }
+    }
+    check("crowded clustered digest", &got, CROWDED_CLUSTER_DIGESTS);
 }
