@@ -10,11 +10,9 @@
 //! in [`crate::clique`], producing the same [`Provisioning`] structure with
 //! shared blocks.
 
-use std::collections::BTreeMap;
-
 use hfast_topology::CommGraph;
 
-use crate::switch::{CircuitSwitch, Endpoint, SwitchBlock};
+use crate::switch::{pack, unpack, CircuitSwitch, Endpoint, SwitchBlock};
 
 /// Provisioning parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,16 +68,133 @@ pub(crate) struct Cluster {
     pub(crate) blocks: Vec<usize>,
 }
 
-/// Where a provisioned edge lands: chain positions of the blocks holding the
-/// patched ports on each side.
+/// A provisioned edge as the circuit ledger stores it, in 32 bytes: the
+/// node pair, where its circuit lands on each side's chain, and the two
+/// patched block ports. Side 0 is the lower node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EdgeCircuit {
-    /// Chain position (within the lower endpoint's cluster).
-    pub(crate) a_chain_pos: usize,
-    /// Chain position (within the higher endpoint's cluster).
-    pub(crate) b_chain_pos: usize,
-    /// The patched block ports.
-    pub(crate) ports: (Endpoint, Endpoint),
+    /// The node pair, lower node first; the ledger ascends by it.
+    pub(crate) pair: [u32; 2],
+    /// Chain position, within each side's cluster, of the block holding
+    /// that side's patched port.
+    pub(crate) pos: [u32; 2],
+    /// The patched block ports, [`pack`]ed as the crossbar stores them.
+    pub(crate) ports: [u64; 2],
+}
+
+/// Narrows a node id or chain position to the ledger's width.
+fn narrow(x: usize) -> u32 {
+    u32::try_from(x).expect("node ids and chain positions fit in u32")
+}
+
+impl EdgeCircuit {
+    /// The circuit for `pair` patched at `ends`, each a port and its chain
+    /// position.
+    pub(crate) fn new((a, b): (usize, usize), ends: [(Endpoint, usize); 2]) -> Self {
+        EdgeCircuit {
+            pair: [narrow(a), narrow(b)],
+            pos: ends.map(|(_, pos)| narrow(pos)),
+            ports: ends.map(|(port, _)| pack(port)),
+        }
+    }
+
+    /// The node pair, lower node first.
+    pub(crate) fn pair(&self) -> (usize, usize) {
+        (self.pair[0] as usize, self.pair[1] as usize)
+    }
+
+    /// Side `side`'s patched port and its chain position.
+    pub(crate) fn end(&self, side: usize) -> (Endpoint, usize) {
+        let port = unpack(self.ports[side]).expect("a ledger port is patched");
+        (port, self.pos[side] as usize)
+    }
+}
+
+/// Where the nearest block with a free port lies on either side of every
+/// chain position, for one provisioning pass: two union-find forests over
+/// chain positions, one searching right and one left, keyed by block id.
+///
+/// A link points from a position to one nearer the search's end with every
+/// block strictly between full, so a search follows links to the first
+/// block with a free port and then points the path at it. Blocks only fill
+/// within a pass, so a link never goes stale; a block that filled since the
+/// last search is linked past when a search reaches it. A chain a pass
+/// rebuilds must be [`reset`](Self::reset) first: its blocks may have
+/// come from other chains, and their old links name other positions.
+#[derive(Debug, Default)]
+pub(crate) struct FreeIndex {
+    /// Per block: a position at or right of its own; `len` is off the end.
+    right: Vec<u32>,
+    /// Per block: a mirrored position, `len - 1 - p`, at or right of its
+    /// own; `len` is off the left end.
+    left: Vec<u32>,
+}
+
+impl FreeIndex {
+    /// Starts `chain` fresh: every position its own root.
+    pub(crate) fn reset(&mut self, chain: &[usize]) {
+        let len = chain.len();
+        for (p, &block) in chain.iter().enumerate() {
+            if block >= self.right.len() {
+                self.right.resize(block + 1, 0);
+                self.left.resize(block + 1, 0);
+            }
+            self.right[block] = narrow(p);
+            self.left[block] = narrow(len - 1 - p);
+        }
+    }
+
+    /// The position nearest `home` on `chain` whose block has a free port,
+    /// ties to the lower position, or `None` when every block is full.
+    fn nearest(&mut self, blocks: &[SwitchBlock], chain: &[usize], home: usize) -> Option<usize> {
+        let len = chain.len();
+        let right = skip_full(&mut self.right, blocks, chain, |c| c, home);
+        let left = skip_full(
+            &mut self.left,
+            blocks,
+            chain,
+            |c| len - 1 - c,
+            len - 1 - home,
+        );
+        let right = (right < len).then_some(right);
+        let left = (left < len).then(|| len - 1 - left);
+        match (left, right) {
+            (Some(l), Some(r)) => Some(if home - l <= r - home { l } else { r }),
+            (l, r) => l.or(r),
+        }
+    }
+}
+
+/// One direction of a [`FreeIndex`] search from code `from`: code `c`
+/// names chain position `pos(c)`, and `chain.len()` is off the end. Returns
+/// the first code at or past `from` whose block has a free port, and
+/// compresses the path to it.
+fn skip_full(
+    links: &mut [u32],
+    blocks: &[SwitchBlock],
+    chain: &[usize],
+    pos: impl Fn(usize) -> usize,
+    from: usize,
+) -> usize {
+    let end = chain.len();
+    let mut root = from;
+    while root < end {
+        let block = chain[pos(root)];
+        let next = links[block] as usize;
+        if next != root {
+            root = next;
+        } else if blocks[block].free_ports() > 0 {
+            break;
+        } else {
+            links[block] = narrow(root + 1);
+            root += 1;
+        }
+    }
+    let mut c = from;
+    while c != root {
+        c = std::mem::replace(&mut links[chain[pos(c)]], narrow(root)) as usize;
+    }
+    root
 }
 
 /// Path cost of a message across the provisioned fabric.
@@ -169,8 +284,8 @@ pub struct Provisioning {
     pub(crate) circuit: CircuitSwitch,
     /// Attachment of each node: (block id, chain position).
     attach: Vec<(usize, usize)>,
-    /// Provisioned inter-cluster edges, keyed `(min, max)`.
-    pub(crate) edge_circuits: BTreeMap<(usize, usize), EdgeCircuit>,
+    /// Provisioned inter-cluster edges, strictly ascending by pair.
+    pub(crate) edge_circuits: Vec<EdgeCircuit>,
     /// Edges served inside a shared block chain (no dedicated circuit).
     intra_edges: Vec<(usize, usize)>,
     /// Edges below the cutoff, relegated to the low-bandwidth network.
@@ -241,12 +356,13 @@ pub(crate) fn build_clustered(
         blocks: Vec::new(),
         circuit: CircuitSwitch::new(),
         attach: vec![(usize::MAX, usize::MAX); n],
-        edge_circuits: BTreeMap::new(),
+        edge_circuits: Vec::new(),
         intra_edges: intra,
         unprovisioned: unprov,
         spare_blocks: Vec::new(),
     };
     // Build block chains per cluster.
+    let mut free = FreeIndex::default();
     for (cid, nodes) in clustering.into_iter().enumerate() {
         let first = prov.blocks.len();
         let chain = first..first + config.blocks_needed(nodes.len(), external[cid]);
@@ -258,26 +374,19 @@ pub(crate) fn build_clustered(
             nodes,
             blocks: chain.collect(),
         });
+        free.reset(&prov.clusters[cid].blocks);
         prov.patch_chain(cid);
     }
-    // Patch a dedicated circuit per inter-cluster edge. `collect`
-    // bulk-builds the map from them, which for input already sorted by
-    // `(a, b)` (as `inter` is) costs one pass rather than a tree search per
-    // insert.
+    // Patch a dedicated circuit per inter-cluster edge. `inter` ascends by
+    // `(a, b)`, so the ledger comes out sorted.
     prov.edge_circuits = inter
         .iter()
         .map(|&(a, b)| {
-            let (ea, a_chain_pos) = prov.allocate_near(a);
-            let (eb, b_chain_pos) = prov.allocate_near(b);
+            let ends = [a, b].map(|v| prov.allocate_near(&mut free, v));
             prov.circuit
-                .connect(ea, eb)
+                .connect(ends[0].0, ends[1].0)
                 .expect("fresh ports cannot collide");
-            let ec = EdgeCircuit {
-                a_chain_pos,
-                b_chain_pos,
-                ports: (ea, eb),
-            };
-            ((a, b), ec)
+            EdgeCircuit::new((a, b), ends)
         })
         .collect();
 
@@ -288,6 +397,33 @@ pub(crate) fn build_clustered(
         obs.circuits.record(prov.edge_circuits.len() as u64);
     }
     prov
+}
+
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a prime.
+const FNV_PRIME: u64 = 0x1000_0000_01b3;
+/// `FNV_PRIME^k` for `k` in `0..=8`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// Folds `v`'s eight little-endian bytes into FNV-1a state `h`. Xoring a
+/// zero byte changes nothing, so the run of high zero bytes collapses into
+/// one multiply by `FNV_PRIME^run`: small values cost one or two steps.
+fn fnv_word(mut h: u64, v: u64) -> u64 {
+    let bytes = 8 - (v.leading_zeros() / 8) as usize;
+    for byte in &v.to_le_bytes()[..bytes] {
+        h ^= u64::from(*byte);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h.wrapping_mul(FNV_PRIME_POW[8 - bytes])
 }
 
 impl Provisioning {
@@ -328,19 +464,50 @@ impl Provisioning {
     /// Takes a port for one of `v`'s edge circuits on the chain block
     /// nearest its attachment, returning the port and its chain position.
     /// Ties go to the lower position, so a chain fills outward from the
-    /// attachment in ascending order.
-    pub(crate) fn allocate_near(&mut self, v: usize) -> (Endpoint, usize) {
+    /// attachment in ascending order. `free` must have been reset for
+    /// `v`'s chain in this pass.
+    pub(crate) fn allocate_near(&mut self, free: &mut FreeIndex, v: usize) -> (Endpoint, usize) {
+        #[cfg(test)]
+        let scanned = self.nearest_free_scan(v);
         let chain = &self.clusters[self.node_cluster[v]].blocks;
-        let home = self.attach[v].1;
         // One always exists: blocks_needed() sized the chain for the
         // attachments plus every external edge endpoint.
+        let pos = free
+            .nearest(&self.blocks, chain, self.attach[v].1)
+            .expect("capacity accounted for external edges");
+        let block = chain[pos];
+        #[cfg(test)]
+        assert_eq!(
+            (block, pos),
+            scanned,
+            "the free index and the chain scan disagree for node {v}"
+        );
+        let port = self.blocks[block].allocate_port().expect("checked free");
+        (Endpoint::BlockPort { block, port }, pos)
+    }
+
+    /// The block and chain position [`allocate_near`](Self::allocate_near)
+    /// must pick, found by scanning `v`'s whole chain: the oracle its
+    /// index is checked against in test builds.
+    #[cfg(test)]
+    fn nearest_free_scan(&self, v: usize) -> (usize, usize) {
+        let chain = &self.clusters[self.node_cluster[v]].blocks;
+        let home = self.attach[v].1;
         let pos = (0..chain.len())
             .filter(|&p| self.blocks[chain[p]].free_ports() > 0)
             .min_by_key(|&p| p.abs_diff(home))
             .expect("capacity accounted for external edges");
-        let block = chain[pos];
-        let port = self.blocks[block].allocate_port().expect("checked free");
-        (Endpoint::BlockPort { block, port }, pos)
+        (chain[pos], pos)
+    }
+
+    /// The ledger entry of `pair`, lower node first, if it has a circuit.
+    pub(crate) fn circuit_of(&self, (a, b): (usize, usize)) -> Option<&EdgeCircuit> {
+        let key = [u32::try_from(a).ok()?, u32::try_from(b).ok()?];
+        let i = self
+            .edge_circuits
+            .binary_search_by_key(&key, |ec| ec.pair)
+            .ok()?;
+        Some(&self.edge_circuits[i])
     }
 
     /// Number of compute nodes.
@@ -371,7 +538,7 @@ impl Provisioning {
     /// The node pairs `(a, b)`, `a < b`, that have a dedicated circuit, in
     /// ascending order.
     pub fn circuit_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.edge_circuits.keys().copied()
+        self.edge_circuits.iter().map(EdgeCircuit::pair)
     }
 
     /// Above-cutoff edges served inside a shared chain, with no dedicated
@@ -401,13 +568,14 @@ impl Provisioning {
         }
         let forward = src < dst;
         let pair = if forward { (src, dst) } else { (dst, src) };
-        let Some(ec) = self.edge_circuits.get(&pair) else {
+        let Some(ec) = self.circuit_of(pair) else {
             return Walk::Tree;
         };
+        let [pos_lo, pos_hi] = ec.pos.map(|p| p as usize);
         let (port_s, port_d) = if forward {
-            (ec.a_chain_pos, ec.b_chain_pos)
+            (pos_lo, pos_hi)
         } else {
-            (ec.b_chain_pos, ec.a_chain_pos)
+            (pos_hi, pos_lo)
         };
         Walk::Circuit {
             src: (cs, home_s, port_s),
@@ -430,15 +598,10 @@ impl Provisioning {
     /// same digest route identically; the bake-off pins `PaperLinear`
     /// digests against pre-trait goldens with it.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        let ep = |e: &Endpoint| -> u64 {
-            match *e {
+        let mut h = FNV_OFFSET;
+        let mut fold = |v: u64| h = fnv_word(h, v);
+        let ep = |packed: u64| -> u64 {
+            match unpack(packed).expect("a ledger port is patched") {
                 Endpoint::Node(v) => (v as u64) << 1,
                 Endpoint::BlockPort { block, port } => {
                     ((block as u64) << 17 | port as u64) << 1 | 1
@@ -464,13 +627,13 @@ impl Provisioning {
         for b in &self.blocks {
             fold(b.allocated_ports() as u64);
         }
-        for (&(a, b), ec) in &self.edge_circuits {
-            fold(a as u64);
-            fold(b as u64);
-            fold(ec.a_chain_pos as u64);
-            fold(ec.b_chain_pos as u64);
-            fold(ep(&ec.ports.0));
-            fold(ep(&ec.ports.1));
+        for ec in &self.edge_circuits {
+            for word in ec.pair.into_iter().chain(ec.pos) {
+                fold(word.into());
+            }
+            for packed in ec.ports {
+                fold(ep(packed));
+            }
         }
         for &(a, b) in &self.intra_edges {
             fold(a as u64);
@@ -523,10 +686,12 @@ impl Provisioning {
     /// are consistent, and no block over-allocates. Tests, the benchmark's
     /// `core.validate_ms` stage and `provision_bakeoff --check` call it.
     ///
-    /// One pass over each structure: `graph.edges()` and
-    /// `edge_circuits.keys()` both ascend by `(a, b)`, so the edges that
-    /// need a dedicated circuit are matched against the patched ones in a
-    /// merge walk. The first edge with none is reported.
+    /// One pass over each structure: the circuit ledger must ascend
+    /// strictly by `(a, b)` with `a < b` (the first entry that does not is
+    /// named), which is what [`walk`](Self::walk)'s binary search relies
+    /// on; `graph.edges()` ascends the same way, so the edges that need a
+    /// dedicated circuit are matched against the patched ones in a merge
+    /// walk. The first edge with none is reported.
     pub fn validate(&self, graph: &CommGraph) -> Result<(), String> {
         if !self.circuit.is_consistent() {
             return Err("circuit pairing inconsistent".into());
@@ -536,7 +701,22 @@ impl Provisioning {
                 return Err(format!("block {} over-allocated", b.id));
             }
         }
-        let mut patched = self.edge_circuits.keys().peekable();
+        let mut last: Option<[u32; 2]> = None;
+        for (i, ec) in self.edge_circuits.iter().enumerate() {
+            let [a, b] = ec.pair;
+            if a >= b {
+                return Err(format!(
+                    "circuit ledger entry {i} ({a},{b}) is not lower node first"
+                ));
+            }
+            if let Some([la, lb]) = last.filter(|&l| l >= ec.pair) {
+                return Err(format!(
+                    "circuit ledger entry {i} ({a},{b}) does not ascend past ({la},{lb})"
+                ));
+            }
+            last = Some(ec.pair);
+        }
+        let mut patched = self.circuit_pairs().peekable();
         for (a, b, e) in graph.edges() {
             if e.max_msg < self.config.cutoff {
                 continue;
@@ -548,8 +728,8 @@ impl Provisioning {
             if ca == cb {
                 continue; // a shared chain serves every pair on it (see `route`)
             }
-            while patched.next_if(|&&pair| pair < (a, b)).is_some() {}
-            if patched.next_if_eq(&&(a, b)).is_none() {
+            while patched.next_if(|&pair| pair < (a, b)).is_some() {}
+            if patched.next_if_eq(&(a, b)).is_none() {
                 return Err(format!("edge ({a},{b}) above cutoff but unrouted"));
             }
         }
@@ -569,7 +749,8 @@ impl Provisioning {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::provisioner::{Clustered, PaperLinear, Provisioner};
+    use crate::provisioner::{Clustered, GraphDelta, PaperLinear, Provisioner};
+    use hfast_par::{forall, Rng64};
     use hfast_topology::generators::{complete_graph, mesh3d_graph, ring_graph};
 
     fn per_node(graph: &CommGraph, config: ProvisionConfig) -> Provisioning {
@@ -737,7 +918,8 @@ mod tests {
     fn validate_names_the_first_unrouted_edge_in_graph_order() {
         let (g, mut p) = ring_with_chords();
         for pair in [(5, 6), (4, 10), (1, 7)] {
-            assert!(p.edge_circuits.remove(&pair).is_some(), "{pair:?} patched");
+            let i = p.edge_circuits.iter().position(|ec| ec.pair() == pair);
+            p.edge_circuits.remove(i.expect("patched"));
         }
         assert_eq!(
             p.validate(&g),
@@ -748,10 +930,155 @@ mod tests {
     #[test]
     fn validate_ignores_circuits_for_pairs_the_graph_lacks() {
         let (g, mut p) = ring_with_chords();
-        let spare = p.edge_circuits[&(1, 7)];
-        p.edge_circuits.insert((0, 5), spare);
-        p.edge_circuits.insert((2, 9), spare);
+        let spare = *p.circuit_of((1, 7)).expect("patched");
+        for pair in [[0, 5], [2, 9]] {
+            let i = p.edge_circuits.partition_point(|ec| ec.pair < pair);
+            p.edge_circuits.insert(i, EdgeCircuit { pair, ..spare });
+        }
         p.validate(&g).unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_a_ledger_out_of_order() {
+        let (g, mut p) = ring_with_chords();
+        let i = p.edge_circuits.iter().position(|ec| ec.pair == [1, 7]);
+        let i = i.expect("patched");
+        p.edge_circuits.swap(i, i + 1);
+        assert_eq!(
+            p.validate(&g),
+            Err("circuit ledger entry 4 (1,7) does not ascend past (2,3)".to_string())
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_duplicated_ledger_entry() {
+        let (g, mut p) = ring_with_chords();
+        let dup = p.edge_circuits[5];
+        p.edge_circuits.insert(5, dup);
+        assert_eq!(
+            p.validate(&g),
+            Err("circuit ledger entry 6 (3,4) does not ascend past (3,4)".to_string())
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_ledger_pair_upper_node_first() {
+        let (g, mut p) = ring_with_chords();
+        p.edge_circuits[0].pair = [1, 0];
+        assert_eq!(
+            p.validate(&g),
+            Err("circuit ledger entry 0 (1,0) is not lower node first".to_string())
+        );
+    }
+
+    /// A seeded clustering of `0..n` with up to a quarter of the nodes
+    /// offline and the rest in clusters of 1 to 8 members, shuffled.
+    fn random_clustering(rng: &mut Rng64, n: usize) -> Vec<Vec<usize>> {
+        let mut nodes: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut nodes);
+        let mut rest = &nodes[..n - rng.range(0, n / 4 + 1)];
+        let mut clusters = Vec::new();
+        while !rest.is_empty() {
+            let k = rng.range(1, 9).min(rest.len());
+            clusters.push(rest[..k].to_vec());
+            rest = &rest[k..];
+        }
+        clusters
+    }
+
+    /// A ring on `n` nodes plus `chords`, each `(a, b, message bytes)`.
+    fn ring_plus(n: usize, chords: &[(usize, usize, u64)]) -> CommGraph {
+        let mut g = ring_graph(n, 1 << 20);
+        for &(a, b, bytes) in chords {
+            g.add_message(a, b, bytes);
+        }
+        g
+    }
+
+    /// `allocate_near` asserts in test builds that its index picks the
+    /// block and position the chain scan picks. These cases drive it
+    /// through shared chains crowded by attachments, and through
+    /// `PaperLinear` reprovision sequences that grow, shrink and reuse
+    /// chains; each result must also validate, and each incremental step
+    /// route every pair as a scratch provisioning does.
+    #[test]
+    fn free_index_picks_what_the_scan_picks() {
+        forall("free_index_picks_what_the_scan_picks", 48, |rng| {
+            let n = rng.range(8, 64);
+            let config = cfg(*rng.pick(&[3, 4, 5, 8, 16]));
+            let mut chords = Vec::new();
+            for _ in 0..rng.range(0, 3 * n) {
+                let (a, b) = (rng.range(0, n), rng.range(0, n));
+                if a != b {
+                    chords.push((a, b, *rng.pick(&[64, 1 << 20])));
+                }
+            }
+            let g = ring_plus(n, &chords);
+            let clustered = build(&g, config, random_clustering(rng, n));
+            clustered.validate(&g).unwrap();
+
+            let mut graph = g;
+            let mut prov = per_node(&graph, config);
+            for _ in 0..4 {
+                // A fresh window: some chords turn light or vanish, a hub
+                // gains partners.
+                for _ in 0..rng.range(0, 4) {
+                    if !chords.is_empty() {
+                        let i = rng.range(0, chords.len());
+                        if rng.bool(0.5) {
+                            chords[i].2 = 64;
+                        } else {
+                            chords.swap_remove(i);
+                        }
+                    }
+                }
+                let hub = rng.range(0, n);
+                for _ in 0..rng.range(0, 12) {
+                    let b = rng.range(0, n);
+                    if b != hub {
+                        chords.push((hub, b, 1 << 20));
+                    }
+                }
+                let next = ring_plus(n, &chords);
+                let delta = GraphDelta::diff(&graph, &next);
+                let out = PaperLinear.reprovision(prov, &next, &delta);
+                out.provisioning.validate(&next).unwrap();
+                let scratch = per_node(&next, config);
+                assert!(out.provisioning.circuit_pairs().eq(scratch.circuit_pairs()));
+                for a in 0..n {
+                    for b in 0..n {
+                        assert_eq!(out.provisioning.route(a, b), scratch.route(a, b));
+                    }
+                }
+                (graph, prov) = (next, out.provisioning);
+            }
+        });
+    }
+
+    #[test]
+    fn zero_run_fold_equals_bytewise_fnv() {
+        let bytewise = |mut h: u64, v: u64| {
+            for byte in v.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+            h
+        };
+        let mut words = vec![0, 1, 0xff, 0x100, u64::MAX];
+        for k in 0..64 {
+            words.extend([1 << k, (1 << k) - 1]);
+        }
+        for v in words {
+            for h in [FNV_OFFSET, 0, u64::MAX] {
+                assert_eq!(fnv_word(h, v), bytewise(h, v), "h {h:#x}, v {v:#x}");
+            }
+        }
+        forall("zero_run_fold_equals_bytewise_fnv", 256, |rng| {
+            let h = rng.next_u64();
+            // Random widths, so every run length of high zero bytes shows.
+            let v = rng.next_u64() >> rng.range(0, 64);
+            assert_eq!(fnv_word(h, v), bytewise(h, v), "h {h:#x}, v {v:#x}");
+        });
     }
 
     #[test]

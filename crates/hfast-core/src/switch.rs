@@ -82,8 +82,8 @@ const FREE: u64 = u64::MAX;
 const PACKED_PORT_BITS: u32 = 24;
 
 /// A peer as a slot stores it, independent of the slot layout: nodes even,
-/// block ports odd.
-fn pack(e: Endpoint) -> u64 {
+/// block ports odd. The provisioning ledger stores its ports this way too.
+pub(crate) fn pack(e: Endpoint) -> u64 {
     match e {
         Endpoint::Node(v) => (v as u64) << 1,
         Endpoint::BlockPort { block, port } => {
@@ -92,7 +92,8 @@ fn pack(e: Endpoint) -> u64 {
     }
 }
 
-fn unpack(slot: u64) -> Option<Endpoint> {
+/// The endpoint a [`pack`]ed word names, or `None` for an unpatched slot.
+pub(crate) fn unpack(slot: u64) -> Option<Endpoint> {
     if slot == FREE {
         return None;
     }

@@ -3,7 +3,8 @@
 //! matrix of `EdgeStat`s and a few MB as sorted rows, so this test cannot
 //! even allocate unless a graph costs O(P·TDC); it also has to finish in
 //! seconds in the tier-1 profile, which holds the sweep, the provisioner
-//! and `validate` to O(edges).
+//! and `validate` to O(edges), and an incremental `reprovision` to the
+//! chains its delta touches.
 
 use hfast::core::{GraphDelta, PaperLinear, ProvisionConfig, Provisioner, Strategy};
 use hfast::topology::generators::{balanced_dims3, complete_graph, torus3d_graph};
@@ -28,6 +29,37 @@ fn torus_at_64k_tasks_sweeps_provisions_and_validates() {
     assert_eq!(prov.total_blocks(), P, "TDC 6 < 15: one block per node");
     assert!((0..P).all(|c| prov.chain_len(c) == Some(1)));
     assert_eq!(prov.circuit_pairs().count(), 3 * P);
+
+    // One more 1 MiB message on 1 % as many seeded pairs as there are
+    // edges: new chords, so the incremental path re-patches the chains
+    // they touch and must land every circuit where a scratch build does.
+    let mut grown = graph;
+    let mut rng = Rng64::new(0x6_5536);
+    let mut delta = GraphDelta::new();
+    for _ in 0..grown.edge_count() / 100 {
+        let (a, b) = (rng.range(0, P), rng.range(0, P));
+        if a != b {
+            grown.add_message(a, b, 1 << 20);
+            delta.note(a, b, *grown.edge(a, b));
+        }
+    }
+    let out = PaperLinear.reprovision(prov, &grown, &delta);
+    assert!(!out.full_rebuild, "a 1 % delta stays incremental");
+    out.provisioning
+        .validate(&grown)
+        .expect("valid after reprovision");
+    let scratch = PaperLinear.provision(&grown, ProvisionConfig::default());
+    assert!(out.provisioning.circuit_pairs().eq(scratch.circuit_pairs()));
+    assert!(!out.touched_pairs.is_empty());
+    for &(a, b) in &out.touched_pairs {
+        for (src, dst) in [(a, b), (b, a)] {
+            assert_eq!(
+                out.provisioning.route(src, dst),
+                scratch.route(src, dst),
+                "route {src} -> {dst}"
+            );
+        }
+    }
 }
 
 /// The dense-degree twin of the torus above: a complete graph at P = 512
