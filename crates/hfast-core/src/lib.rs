@@ -21,7 +21,7 @@
 //! * [`smp`] — SMP-node bandwidth localization (§5's deferred analysis).
 //! * [`cost`] — fat-tree versus HFAST cost models and comparisons.
 //! * [`classify`](mod@classify) — the §2.5 case i-iv application taxonomy.
-//! * [`reconfig`] — runtime topology adaptation at synchronization points.
+//! * [`reconfig`] — the outcome of one crossbar reconfiguration.
 //! * [`fault`] — node-failure impact, mesh/torus versus HFAST.
 //!
 //! ```
@@ -65,12 +65,12 @@ pub use clique::cluster_nodes;
 pub use cost::{hfast_cost, AnalyticHfast, CostComparison, CostModel, FatTree};
 pub use fault::{hfast_fault_impact, remove_nodes, seeded_failures, torus_fault_impact};
 pub use icn::{embed as icn_embed, IcnConfig, IcnEmbedding, IcnError};
-pub use obs::{ProvisionObs, ReconfigObs};
+pub use obs::ProvisionObs;
 pub use provision::{ProvisionConfig, Provisioning, Route, Walk};
 pub use provisioner::{
     BffCircuit, Clustered, DemandDecomp, GraphDelta, PaperLinear, Provisioner, ReprovisionOutcome,
     Strategy,
 };
-pub use reconfig::{AdaptScope, ReconfigBuilder, ReconfigEngine, ReconfigStep};
+pub use reconfig::ReconfigStep;
 pub use smp::{localize, SmpAssignment};
 pub use switch::{CircuitSwitch, Endpoint, SwitchBlock, SwitchError};

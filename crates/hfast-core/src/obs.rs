@@ -1,74 +1,9 @@
-//! Provisioning and reconfiguration observability.
+//! Provisioning observability.
 //!
-//! [`ReconfigObs`] records one timeline event per synchronization point —
-//! coverage before/after and circuits changed, exactly the quantities §2.3
-//! says the runtime accumulates — stamped with the *sync-point index* as its
-//! logical timestamp, so the timeline is deterministic and replayable.
 //! [`ProvisionObs`] counts provisioning builds process-wide when `HFAST_OBS`
 //! is on.
 
-use hfast_obs::{Counter, Histogram, JsonObj, ToJsonl, Tracer, Val};
-
-use crate::reconfig::ReconfigStep;
-
-/// Per-engine reconfiguration observability.
-#[derive(Debug, Clone, Default)]
-pub struct ReconfigObs {
-    /// Synchronization points observed.
-    pub adapts: Counter,
-    /// Total circuits torn down or newly patched across all steps.
-    pub circuits_changed: Counter,
-    /// One `sync_point` event per adaptation, `t_ns` = sync-point index.
-    pub timeline: Tracer,
-}
-
-impl ReconfigObs {
-    /// A fresh instance.
-    pub fn new() -> Self {
-        ReconfigObs::default()
-    }
-
-    /// Records one adaptation at sync point `index`.
-    pub fn record_step(&self, index: u64, step: &ReconfigStep) {
-        self.adapts.inc();
-        self.circuits_changed.add(step.circuits_changed as u64);
-        self.timeline.record_at(
-            index,
-            step.reconfig_time_ns,
-            "sync_point",
-            vec![
-                ("coverage_before", Val::F(step.coverage_before)),
-                ("coverage_after", Val::F(step.coverage_after)),
-                ("circuits_changed", Val::U(step.circuits_changed as u64)),
-            ],
-        );
-    }
-
-    /// One-line JSON summary.
-    pub fn summary_jsonl(&self) -> String {
-        JsonObj::new()
-            .str("event", "reconfig_summary")
-            .u64("adapts", self.adapts.get())
-            .u64("circuits_changed", self.circuits_changed.get())
-            .u64("timeline_events", self.timeline.len() as u64)
-            .u64("timeline_dropped", self.timeline.dropped())
-            .finish()
-    }
-
-    /// Exports the summary plus the coverage timeline to the `HFAST_OBS`
-    /// sink.
-    pub fn export(&self) {
-        let mut lines = vec![self.summary_jsonl()];
-        lines.extend(self.timeline.jsonl_lines());
-        hfast_obs::emit_lines(lines);
-    }
-}
-
-impl ToJsonl for ReconfigObs {
-    fn to_jsonl(&self) -> String {
-        self.summary_jsonl()
-    }
-}
+use hfast_obs::{Counter, Histogram, JsonObj, ToJsonl};
 
 /// Process-wide provisioning counters (active when `HFAST_OBS` is on).
 #[derive(Debug, Default)]
@@ -111,34 +46,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reconfig_timeline_carries_coverage() {
-        let obs = ReconfigObs::new();
-        let step = ReconfigStep {
-            coverage_before: 0.25,
-            coverage_after: 1.0,
-            circuits_changed: 12,
-            reconfig_time_ns: 5_000_000,
-            strategy: "paper_linear",
-            edges_touched: 12,
-        };
-        obs.record_step(0, &step);
-        obs.record_step(1, &step);
-        assert_eq!(obs.adapts.get(), 2);
-        assert_eq!(obs.circuits_changed.get(), 24);
-        let evs = obs.timeline.snapshot();
-        assert_eq!(evs[0].t_ns, 0);
-        assert_eq!(evs[1].t_ns, 1);
-        let line = evs[0].to_jsonl();
-        assert!(line.contains(r#""coverage_before":0.25"#));
-        assert!(line.contains(r#""circuits_changed":12"#));
-    }
-
-    #[test]
-    fn summaries_are_wellformed() {
-        let obs = ReconfigObs::new();
-        assert!(obs
-            .to_jsonl()
-            .starts_with(r#"{"event":"reconfig_summary","adapts":0"#));
+    fn summary_is_wellformed() {
         let p = ProvisionObs::default();
         p.builds.inc();
         p.blocks.record(64);

@@ -276,7 +276,7 @@ impl CircuitSwitch {
 
     /// Circuits present in exactly one of `self` and `other`: the mirrors
     /// that move going from one crossbar state to the other.
-    pub(crate) fn circuits_changed(&self, other: &CircuitSwitch) -> usize {
+    pub fn circuits_changed(&self, other: &CircuitSwitch) -> usize {
         let only_in = |x: &Self, y: &Self| {
             x.circuits()
                 .filter(|&(a, b)| y.slot(a) != Some(pack(b)))

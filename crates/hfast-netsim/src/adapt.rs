@@ -3,14 +3,17 @@
 //!
 //! §2.3 of the paper sketches a runtime that measures traffic between
 //! synchronization points and repatches the MEMS crossbar to match.
-//! [`AdaptiveReplay`] is that loop over the simulator: each call to
-//! [`window`](AdaptiveReplay::window) replays one bulk-synchronous phase
-//! on the current fabric, folds the observed per-pair traffic into the
-//! communication graph, asks the configured [`Provisioner`] strategy for
-//! an **incremental** re-provisioning over the delta, applies it to the
-//! live [`HfastFabric`], and invalidates exactly the cached routes the
-//! outcome touched. Strategies that cannot adapt incrementally fall back
-//! to a full rebuild (and a full cache clear) transparently.
+//! [`AdaptiveReplay`] is that runtime over the simulator, and the one
+//! driver that changes a live fabric at a sync point. Every adaptation
+//! goes through [`adapt`](AdaptiveReplay::adapt): the observed
+//! communication graph replaces the running view, the configured
+//! [`Provisioner`] strategy re-provisions **incrementally** over the
+//! difference, the outcome is applied to the live [`HfastFabric`], and
+//! exactly the cached routes it touched are evicted. Strategies that
+//! cannot adapt incrementally fall back to a full rebuild (and a full
+//! cache clear) transparently. [`window`](AdaptiveReplay::window) replays
+//! one bulk-synchronous phase on the current fabric, then adapts to that
+//! phase's traffic folded into the view.
 //!
 //! ```
 //! use hfast_core::{ProvisionConfig, Strategy};
@@ -25,14 +28,14 @@
 //!     .build();
 //! let report = replay.window(&flows_from_graph(&g, 2048));
 //! assert_eq!(report.stats.unrouted, 0);
-//! assert_eq!(report.edges_touched, 0); // traffic matched the forecast
+//! assert_eq!(report.step.edges_touched, 0); // traffic matched the forecast
 //! ```
 
-use hfast_core::{AdaptScope, GraphDelta, ProvisionConfig, Provisioner, Strategy};
+use hfast_core::{GraphDelta, ProvisionConfig, Provisioner, ReconfigStep, Strategy};
 use hfast_topology::CommGraph;
 
 use crate::engine::{PathCache, Simulation};
-use crate::hfast::HfastFabric;
+use crate::hfast::{AdaptScope, HfastFabric};
 use crate::stats::RunStats;
 use crate::traffic::Flow;
 
@@ -56,6 +59,8 @@ impl AdaptiveReplayBuilder {
 
     /// Seeds the initial provisioning from a traffic forecast instead of
     /// an empty graph (which would start every pair on the slow tree).
+    /// §2.3's "densely-packed 3D mesh" start is
+    /// `initial_graph(&mesh3d_graph(balanced_dims3(n), cutoff))`.
     pub fn initial_graph(mut self, graph: &CommGraph) -> Self {
         self.initial = graph.clone();
         self
@@ -73,39 +78,36 @@ impl AdaptiveReplayBuilder {
             fabric,
             cache: PathCache::new(),
             provisioner,
+            config: self.config,
             observed: self.initial,
-            windows: 0,
         }
     }
 }
 
 /// What one synchronization window did: replay stats plus the
-/// re-provisioning work it triggered.
+/// reconfiguration step it triggered.
 #[derive(Debug, Clone)]
 pub struct WindowReport {
     /// Simulation stats for the window's flows.
     pub stats: RunStats,
-    /// Strategy that handled the sync point.
-    pub strategy: &'static str,
-    /// Edges whose circuit-worthiness status the delta changed.
-    pub edges_touched: usize,
-    /// True if the strategy recomputed the provisioning from scratch.
-    pub full_rebuild: bool,
-    /// Cached routes evicted by the adaptation.
-    pub routes_evicted: usize,
+    /// The adaptation at the window's closing sync point.
+    pub step: ReconfigStep,
 }
 
 /// Windowed sync-point replay with online incremental re-provisioning.
 ///
 /// Construct with [`AdaptiveReplay::builder`]; drive with
-/// [`window`](AdaptiveReplay::window) once per bulk-synchronous phase.
+/// [`window`](AdaptiveReplay::window) once per bulk-synchronous phase, or
+/// with [`adapt`](AdaptiveReplay::adapt) when the observation is already a
+/// graph.
 #[derive(Debug)]
 pub struct AdaptiveReplay {
     fabric: HfastFabric,
     cache: PathCache,
     provisioner: Box<dyn Provisioner>,
+    config: ProvisionConfig,
+    /// The running view of the application's traffic.
     observed: CommGraph,
-    windows: usize,
 }
 
 impl AdaptiveReplay {
@@ -124,18 +126,29 @@ impl AdaptiveReplay {
         &self.fabric
     }
 
-    /// The strategy handling sync points.
-    pub fn strategy_name(&self) -> &'static str {
-        self.provisioner.name()
-    }
-
-    /// Synchronization windows replayed so far.
-    pub fn windows(&self) -> usize {
-        self.windows
+    /// Fraction of `observed`'s above-cutoff bytes whose endpoints have a
+    /// dedicated route on the live fabric (1.0 when there are none).
+    pub fn coverage(&self, observed: &CommGraph) -> f64 {
+        let prov = self.fabric.provisioning();
+        let (mut covered, mut total) = (0u64, 0u64);
+        for (a, b, e) in observed.edges() {
+            if e.max_msg < self.config.cutoff {
+                continue;
+            }
+            total += e.bytes;
+            if prov.route(a, b).is_some() {
+                covered += e.bytes;
+            }
+        }
+        if total == 0 {
+            1.0
+        } else {
+            covered as f64 / total as f64
+        }
     }
 
     /// Replays one window of flows on the current fabric, then adapts the
-    /// provisioning to the traffic actually observed.
+    /// provisioning to the view with the window's traffic folded in.
     ///
     /// The flows run against routes provisioned from *previous* windows —
     /// exactly the runtime's position at a sync point — and the fabric the
@@ -146,44 +159,51 @@ impl AdaptiveReplay {
             .with_cache(&mut self.cache)
             .run(flows)
             .stats;
-        self.windows += 1;
-
-        // Fold the window's traffic into the observed communication graph.
         let mut next = self.observed.clone();
         for f in flows {
             next.add_message(f.src, f.dst, f.bytes);
         }
-        let delta = GraphDelta::diff(&self.observed, &next);
-        self.observed = next;
-        if delta.is_empty() {
-            return WindowReport {
-                stats,
-                strategy: self.provisioner.name(),
-                edges_touched: 0,
-                full_rebuild: false,
-                routes_evicted: 0,
-            };
-        }
+        let step = self.adapt(&next);
+        WindowReport { stats, step }
+    }
 
+    /// Synchronization point: `observed` replaces the running view, the
+    /// strategy re-provisions over the difference, and the live fabric and
+    /// route cache follow.
+    ///
+    /// `circuits_changed` is the crossbar diff on a full rebuild and the
+    /// re-patched edge count when incremental; coverage is of `observed`
+    /// before and after. An observation equal to the view is free: the
+    /// strategy is not consulted and nothing moves.
+    pub fn adapt(&mut self, observed: &CommGraph) -> ReconfigStep {
+        let delta = GraphDelta::diff(&self.observed, observed);
+        self.observed = observed.clone();
+        let coverage_before = self.coverage(&self.observed);
+        if delta.is_empty() {
+            let name = self.provisioner.name();
+            return ReconfigStep::new(name, coverage_before, coverage_before, 0, 0);
+        }
         let prev = self.fabric.provisioning().clone();
         let out = self.provisioner.reprovision(prev, &self.observed, &delta);
-        let (strategy, edges_touched, full_rebuild) =
-            (out.strategy, out.edges_touched, out.full_rebuild);
-        let routes_evicted = match self.fabric.adapt(&out) {
-            AdaptScope::Full => {
-                let evicted = self.cache.len();
-                self.cache.clear();
-                evicted
-            }
-            AdaptScope::Pairs(pairs) => self.cache.invalidate_pairs(&pairs),
+        let circuits_changed = if out.full_rebuild {
+            let before = self.fabric.provisioning().circuit();
+            before.circuits_changed(out.provisioning.circuit())
+        } else {
+            out.edges_touched
         };
-        WindowReport {
-            stats,
-            strategy,
-            edges_touched,
-            full_rebuild,
-            routes_evicted,
+        match self.fabric.adapt(&out) {
+            AdaptScope::Full => self.cache.clear(),
+            AdaptScope::Pairs(pairs) => {
+                self.cache.invalidate_pairs(&pairs);
+            }
         }
+        ReconfigStep::new(
+            out.strategy,
+            coverage_before,
+            self.coverage(&self.observed),
+            circuits_changed,
+            out.edges_touched,
+        )
     }
 }
 
@@ -192,39 +212,54 @@ mod tests {
     use super::*;
     use crate::fabric::Fabric;
     use crate::traffic::flows_from_graph;
-    use hfast_topology::generators::ring_graph;
+    use hfast_core::CircuitSwitch;
+    use hfast_topology::generators::{balanced_dims3, mesh3d_graph, ring_graph};
+
+    fn cfg() -> ProvisionConfig {
+        ProvisionConfig::default()
+    }
+
+    /// §2.3's start: the fabric provisioned for a densely packed 3D mesh.
+    fn initial_mesh(n: usize) -> AdaptiveReplay {
+        AdaptiveReplay::builder(n, cfg())
+            .initial_graph(&mesh3d_graph(balanced_dims3(n), cfg().cutoff))
+            .build()
+    }
+
+    fn chord(a: usize, b: usize) -> Flow {
+        Flow {
+            src: a,
+            dst: b,
+            bytes: 1 << 20,
+            start_ns: 0,
+        }
+    }
 
     /// A drifting workload: each window's phase adds one fresh chord. The
     /// driver must keep adapting incrementally — never a full rebuild
-    /// under PaperLinear — and each new chord must ride a circuit by the
-    /// window after it first appears.
+    /// under PaperLinear, so the route cache is never flushed — and each
+    /// new chord must ride a circuit by the window after it first appears.
     #[test]
     fn drifting_chords_adapt_incrementally() {
         let n = 32;
         let base = ring_graph(n, 1 << 20);
-        let mut replay = AdaptiveReplay::builder(n, ProvisionConfig::default())
+        let mut replay = AdaptiveReplay::builder(n, cfg())
             .initial_graph(&base)
             .build();
 
         for w in 0..4 {
             let (a, b) = (w, (w + n / 2) % n);
             let mut flows = flows_from_graph(&base, 2048);
-            flows.push(Flow {
-                src: a,
-                dst: b,
-                bytes: 1 << 20,
-                start_ns: 0,
-            });
+            flows.push(chord(a, b));
             let report = replay.window(&flows);
             assert_eq!(report.stats.unrouted, 0);
-            assert!(!report.full_rebuild, "paper heuristic adapts in place");
-            assert!(report.edges_touched >= 1, "the chord is new traffic");
+            assert!(!replay.cache.is_empty(), "paper heuristic adapts in place");
+            assert_eq!(report.step.strategy, "paper_linear");
+            assert!(report.step.edges_touched >= 1, "the chord is new traffic");
             // Next window: the chord now rides a dedicated circuit.
             let path = replay.fabric().path(a, b).unwrap();
             assert_eq!(path.len(), 3, "window {w} chord got a circuit");
         }
-        assert_eq!(replay.windows(), 4);
-        assert_eq!(replay.strategy_name(), "paper_linear");
     }
 
     /// Strategies without a native incremental path still work through
@@ -233,21 +268,16 @@ mod tests {
     fn scratch_strategies_fall_back_to_full_rebuild() {
         let n = 16;
         let base = ring_graph(n, 1 << 20);
-        let mut replay = AdaptiveReplay::builder(n, ProvisionConfig::default())
+        let mut replay = AdaptiveReplay::builder(n, cfg())
             .strategy(Strategy::BffCircuit)
             .initial_graph(&base)
             .build();
         let mut flows = flows_from_graph(&base, 2048);
-        flows.push(Flow {
-            src: 2,
-            dst: 9,
-            bytes: 1 << 20,
-            start_ns: 0,
-        });
+        flows.push(chord(2, 9));
         let report = replay.window(&flows);
         assert_eq!(report.stats.unrouted, 0);
-        assert!(report.full_rebuild);
-        assert_eq!(report.strategy, "bff_circuit");
+        assert!(replay.cache.is_empty(), "a full rebuild flushes the cache");
+        assert_eq!(report.step.strategy, "bff_circuit");
         // The rebuilt fabric routes the new pair off the slow tree (BFF
         // may even marry the two onto one shared chain).
         let p = replay.fabric().path(2, 9).unwrap();
@@ -257,6 +287,126 @@ mod tests {
         // paying the full cost the incremental path avoids.
         let second = replay.window(&flows);
         assert_eq!(second.stats.unrouted, 0);
-        assert!(second.full_rebuild);
+        assert!(replay.cache.is_empty());
+    }
+
+    /// A chord that disappears at a sync point loses its circuit: its
+    /// pair falls back to the tree and its cached route is evicted, while
+    /// a pair the removal did not touch keeps its exact cached links.
+    #[test]
+    fn removed_chord_falls_back_and_evicts_only_its_route() {
+        let n = 16;
+        let ring = ring_graph(n, 1 << 20);
+        let mut with_chord = ring.clone();
+        with_chord.add_message(3, 11, 1 << 20);
+        let mut replay = AdaptiveReplay::builder(n, cfg())
+            .initial_graph(&with_chord)
+            .build();
+        let mut flows = flows_from_graph(&ring, 2048);
+        flows.push(chord(3, 11));
+        replay.window(&flows);
+        let chord_path = replay.fabric().path(3, 11).unwrap();
+        assert_eq!(chord_path.len(), 3, "the chord rides a circuit");
+        assert_eq!(replay.cache.cached(3, 11), Some(Some(&chord_path[..])));
+        let stable = replay.fabric().path(6, 7).unwrap();
+        assert_eq!(replay.cache.cached(6, 7), Some(Some(&stable[..])));
+
+        let step = replay.adapt(&ring);
+        assert!(step.edges_touched >= 1, "the chord's circuit came down");
+        assert!(!replay.cache.is_empty(), "removal stays incremental");
+        let fallback = replay.fabric().path(3, 11).unwrap();
+        assert_eq!(fallback.len(), 2);
+        assert_eq!(replay.fabric().link_class(fallback[0]), "tree");
+        assert_eq!(replay.cache.cached(3, 11), None, "chord route evicted");
+        assert_eq!(replay.cache.cached(6, 7), Some(Some(&stable[..])));
+        assert_eq!(replay.fabric().path(6, 7).unwrap(), stable);
+    }
+
+    #[test]
+    fn initial_mesh_covers_mesh_traffic() {
+        let replay = initial_mesh(64);
+        let observed = mesh3d_graph((4, 4, 4), 300 << 10);
+        assert!(
+            (replay.coverage(&observed) - 1.0).abs() < 1e-12,
+            "a mesh application needs no adaptation"
+        );
+    }
+
+    #[test]
+    fn empty_observation_is_fully_covered() {
+        assert_eq!(initial_mesh(8).coverage(&CommGraph::new(8)), 1.0);
+    }
+
+    #[test]
+    fn scattered_pattern_starts_uncovered_then_adapts() {
+        // LBMHD-like scattered partners do not match the default mesh.
+        let n = 64;
+        let mut observed = CommGraph::new(n);
+        for v in 0..n {
+            for j in [11usize, 17, 23] {
+                observed.add_message(v, (v + j) % n, 800 << 10);
+            }
+        }
+        let mut replay = initial_mesh(n);
+        let before = replay.coverage(&observed);
+        assert!(
+            before < 0.5,
+            "mesh default misses scattered traffic: {before}"
+        );
+        let step = replay.adapt(&observed);
+        assert_eq!(step.coverage_before, before);
+        assert!((step.coverage_after - 1.0).abs() < 1e-12);
+        assert!(step.circuits_changed > 0);
+        assert_eq!(step.reconfig_time_ns, CircuitSwitch::RECONFIG_LATENCY_NS);
+        assert_eq!(step.strategy, "paper_linear");
+        assert!(step.edges_touched > 0);
+    }
+
+    #[test]
+    fn stable_pattern_converges_to_zero_changes() {
+        let observed = ring_graph(32, 1 << 20);
+        let mut replay = initial_mesh(32);
+        replay.adapt(&observed);
+        let second = replay.adapt(&observed);
+        assert_eq!(second.circuits_changed, 0, "fixed point reached");
+        assert_eq!(second.reconfig_time_ns, 0);
+        assert_eq!(second.edges_touched, 0);
+        assert!((second.coverage_before - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn every_strategy_adapts_to_full_coverage() {
+        let n = 16;
+        let ring = ring_graph(n, 1 << 20);
+        for s in Strategy::ALL {
+            let mut replay = AdaptiveReplay::builder(n, cfg())
+                .strategy(s)
+                .initial_graph(&mesh3d_graph(balanced_dims3(n), cfg().cutoff))
+                .build();
+            let step = replay.adapt(&ring);
+            assert_eq!(step.strategy, s.as_str());
+            assert!(
+                (step.coverage_after - 1.0).abs() < 1e-12,
+                "{s} covers a ring"
+            );
+            replay.fabric().provisioning().validate(&ring).unwrap();
+        }
+    }
+
+    #[test]
+    fn adaptation_tracks_phase_changes() {
+        // Phase 1: ring. Phase 2: shifted pattern. Both adapt to full
+        // coverage; the second adaptation changes circuits again.
+        let n = 16;
+        let mut replay = initial_mesh(n);
+        let s1 = replay.adapt(&ring_graph(n, 1 << 20));
+        assert!((s1.coverage_after - 1.0).abs() < 1e-12);
+        let mut shifted = CommGraph::new(n);
+        for v in 0..n {
+            shifted.add_message(v, (v + 5) % n, 1 << 20);
+        }
+        let s2 = replay.adapt(&shifted);
+        assert!(s2.circuits_changed > 0);
+        assert!((s2.coverage_after - 1.0).abs() < 1e-12);
     }
 }

@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hfast_core::{AdaptScope, ProvisionConfig, Provisioning, ReprovisionOutcome, Strategy, Walk};
+use hfast_core::{ProvisionConfig, Provisioning, ReprovisionOutcome, Strategy, Walk};
 use hfast_topology::CommGraph;
 
 use crate::fabric::{Fabric, LinkId, LinkSpec};
@@ -33,6 +33,19 @@ enum LinkClass {
     Circuit,
     /// The fixed low-bandwidth collective tree.
     Tree,
+}
+
+/// How much cached routing state an [`HfastFabric::adapt`] invalidated:
+/// everything, or just the listed node pairs (the payoff of an incremental
+/// [`Provisioner::reprovision`](hfast_core::Provisioner::reprovision) — a
+/// [`PathCache`](crate::engine::PathCache) can evict exactly these pairs
+/// instead of flushing).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AdaptScope {
+    /// The provisioning was rebuilt from scratch; all routes may differ.
+    Full,
+    /// Only these `(min, max)` pairs' routes may differ.
+    Pairs(Vec<(usize, usize)>),
 }
 
 /// An HFAST fabric instantiated from a provisioning.

@@ -63,7 +63,7 @@ pub use faultplan::{
     transit_links, FaultAction, FaultEvent, FaultPlan, FaultPlanBuilder, FaultState, FaultTarget,
     RetryPolicy,
 };
-pub use hfast::HfastFabric;
+pub use hfast::{AdaptScope, HfastFabric};
 pub use obs::EngineObs;
 pub use scenario::{Scenario, ScenarioKind, TenantSlowdown};
 pub use stats::RunStats;

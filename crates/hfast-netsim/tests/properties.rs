@@ -2,7 +2,9 @@
 
 use std::collections::HashMap;
 
-use hfast_core::{Clustered, PaperLinear, ProvisionConfig, Provisioner, Strategy};
+use hfast_core::{
+    torus_fault_impact, Clustered, PaperLinear, ProvisionConfig, Provisioner, Strategy,
+};
 use hfast_netsim::engine::PathCache;
 use hfast_netsim::{
     traffic, transit_links, CreditConfig, EngineObs, Fabric, FatTreeFabric, FaultAction,
@@ -377,6 +379,75 @@ fn path_avoiding_finds_a_route_while_a_known_one_is_up() {
             }
         },
     );
+}
+
+/// The analytic torus fault model and the simulator's detour routing
+/// answer one question twice: with the same routers dead,
+/// `hfast_core::torus_fault_impact`'s BFS and `TorusFabric::path_avoiding`
+/// must agree on the unreachable surviving pairs and on every pair's
+/// dilation over its healthy dimension-order route.
+#[test]
+fn torus_fault_impact_matches_path_avoiding() {
+    const DIMS: [(usize, usize, usize); 8] = [
+        (4, 4, 4),
+        (1, 1, 8),
+        (3, 3, 3),
+        (2, 4, 4),
+        (5, 3, 2),
+        (1, 6, 6),
+        (2, 2, 2),
+        (8, 1, 1),
+    ];
+    forall("torus_fault_impact_matches_path_avoiding", 48, |rng| {
+        let dims = DIMS[rng.range(0, DIMS.len())];
+        let fabric = TorusFabric::new(dims).expect("valid shape");
+        let n = fabric.nodes();
+        let mut failed: Vec<usize> = (0..rng.range(0, n / 3 + 1))
+            .map(|_| rng.range(0, n))
+            .collect();
+        failed.sort_unstable();
+        failed.dedup();
+        let mut state = FaultState::healthy(&fabric);
+        for &node in &failed {
+            state.apply(
+                &fabric,
+                FaultEvent {
+                    time_ns: 0,
+                    action: FaultAction::Fail,
+                    target: FaultTarget::Node(node),
+                },
+            );
+        }
+        let (mut unreachable, mut dil_sum, mut dil_count, mut dil_max) = (0, 0.0, 0, 0.0f64);
+        for a in (0..n).filter(|&a| state.node_up(a)) {
+            for b in (a + 1..n).filter(|&b| state.node_up(b)) {
+                let healthy = fabric.path(a, b).expect("a torus routes every pair");
+                match fabric.path_avoiding(a, b, &state) {
+                    None => unreachable += 1,
+                    Some(detour) => {
+                        let dil = detour.len() as f64 / healthy.len() as f64;
+                        dil_sum += dil;
+                        dil_count += 1;
+                        dil_max = dil_max.max(dil);
+                    }
+                }
+            }
+        }
+        let (avg, max) = if dil_count == 0 {
+            (1.0, 1.0)
+        } else {
+            (dil_sum / f64::from(dil_count), dil_max)
+        };
+        let report = torus_fault_impact(dims, &failed);
+        let at = format!("{dims:?} with routers {failed:?} dead");
+        assert_eq!(report.unreachable_pairs, unreachable, "unreachable, {at}");
+        assert_eq!(report.max_dilation, max, "max dilation, {at}");
+        assert!(
+            (report.avg_dilation - avg).abs() < 1e-12,
+            "avg dilation {} vs simulated {avg}, {at}",
+            report.avg_dilation
+        );
+    });
 }
 
 #[test]

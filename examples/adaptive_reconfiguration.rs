@@ -7,11 +7,16 @@
 //! ```
 
 use hfast::apps::{profile_app, Gtc, Lbmhd};
-use hfast::core::{ProvisionConfig, ReconfigEngine};
+use hfast::core::ProvisionConfig;
+use hfast::netsim::AdaptiveReplay;
+use hfast::topology::generators::{balanced_dims3, mesh3d_graph};
 
 fn main() {
     let procs = 64;
-    let mut engine = ReconfigEngine::initial_mesh(procs, ProvisionConfig::default());
+    let config = ProvisionConfig::default();
+    let mut replay = AdaptiveReplay::builder(procs, config)
+        .initial_graph(&mesh3d_graph(balanced_dims3(procs), config.cutoff))
+        .build();
     println!("initial provisioning: densely packed 3D mesh for {procs} nodes\n");
 
     // Phase 1: LBMHD — scattered 12-partner pattern, nothing like a mesh.
@@ -19,9 +24,9 @@ fn main() {
     let observed = lbmhd.steady.comm_graph();
     println!(
         "phase 1 (LBMHD): {:.0}% of hot traffic rides dedicated circuits before adapting",
-        100.0 * engine.coverage(&observed)
+        100.0 * replay.coverage(&observed)
     );
-    let step = engine.observe_and_adapt(&observed);
+    let step = replay.adapt(&observed);
     println!(
         "  adapted: {} circuits changed, {:.1} ms of switch reconfiguration, coverage → {:.0}%\n",
         step.circuits_changed,
@@ -34,9 +39,9 @@ fn main() {
     let observed = gtc.steady.comm_graph();
     println!(
         "phase 2 (GTC): coverage before adapting {:.0}%",
-        100.0 * engine.coverage(&observed)
+        100.0 * replay.coverage(&observed)
     );
-    let step = engine.observe_and_adapt(&observed);
+    let step = replay.adapt(&observed);
     println!(
         "  adapted: {} circuits changed, coverage → {:.0}%",
         step.circuits_changed,
@@ -44,7 +49,7 @@ fn main() {
     );
 
     // Phase 3: GTC again — a stable pattern converges to zero changes.
-    let step = engine.observe_and_adapt(&observed);
+    let step = replay.adapt(&observed);
     println!(
         "phase 3 (GTC steady): {} circuits changed (fixed point reached)",
         step.circuits_changed

@@ -29,10 +29,10 @@
 use hfast::apps::{all_apps, profile_app, STUDY_SIZES};
 use hfast::core::{
     cluster_nodes, hfast_fault_impact, optimize_clusters, seeded_failures, Clustered, Endpoint,
-    GraphDelta, PaperLinear, ProvisionConfig, Provisioner, Provisioning, ReconfigEngine, Strategy,
+    GraphDelta, PaperLinear, ProvisionConfig, Provisioner, Provisioning, Strategy,
 };
 use hfast::ipm::CommProfile;
-use hfast::netsim::{Fabric, HfastFabric, Scenario, ScenarioKind};
+use hfast::netsim::{AdaptiveReplay, Fabric, HfastFabric, Scenario, ScenarioKind};
 use hfast::topology::generators::{
     balanced_dims3, complete_graph, hypercube_graph, mesh3d_graph, ring_graph, torus3d_graph,
 };
@@ -408,10 +408,12 @@ const CIRCUITS_CHANGED: &[(&str, u64)] = &[
 
 #[test]
 fn circuits_changed_counts() {
-    let mut engine = ReconfigEngine::builder(64, ProvisionConfig::default())
+    let config = ProvisionConfig::default();
+    let mut replay = AdaptiveReplay::builder(64, config)
         .strategy(Strategy::BffCircuit)
+        .initial_graph(&mesh3d_graph(balanced_dims3(64), config.cutoff))
         .build();
-    let step = engine.observe_and_adapt(&hypercube_graph(64, 300 << 10));
+    let step = replay.adapt(&hypercube_graph(64, 300 << 10));
     let fault = hfast_fault_impact(
         &torus3d_graph((4, 4, 4), 300 << 10),
         ProvisionConfig::default(),
