@@ -449,6 +449,24 @@ fn obs_digest(obs: &EngineObs) -> u64 {
     h
 }
 
+/// FNV-1a over the two per-event histograms an attached [`EngineObs`]
+/// fills: bucket counts, count and sum of `queue_wait_ns`, then of
+/// `queue_occupancy`. The histogram half of [`obs_digest`], hashed from
+/// a fresh basis.
+fn hist_digest(obs: &EngineObs) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x100000001b3);
+    };
+    for hist in [&obs.queue_wait_ns, &obs.queue_occupancy] {
+        hist.bucket_counts().into_iter().for_each(&mut mix);
+        mix(hist.count());
+        mix(hist.sum());
+    }
+    h
+}
+
 // Timeline and histogram goldens, frozen on the per-event recording path
 // (one `Tracer::record_at` and two `Histogram::record`s per hop) before
 // the probe started buffering: the constants must never change.
@@ -480,6 +498,7 @@ fn golden_torus_faulted_obs_stream() {
             let faults = faults.iter().filter(|e| e.name != "link_busy").count();
             assert_eq!(faults, if capacity == 64 { 0 } else { 8 });
             assert_eq!(obs_digest(&obs), golden, "capacity={capacity}");
+            assert_eq!(hist_digest(&obs), 0x13ccee24c58ae741, "capacity={capacity}");
             if traced {
                 assert_eq!(span_digest(&rec), 0xf063deb63b6cc5e9);
             }
@@ -525,6 +544,7 @@ fn golden_credit_hfast_reprovision_obs_stream() {
         assert!(names.contains(&kind), "no {kind} event on the timeline");
     }
     assert_eq!(obs_digest(&obs), 0x5a99c0b1c7ee5b41);
+    assert_eq!(hist_digest(&obs), 0x6bc64aaae858712b);
     assert_eq!(span_digest(&rec), 0xa323f0db59b904d8, "span stream");
 }
 
@@ -544,5 +564,6 @@ fn golden_fattree_alltoall_obs_stream() {
         assert_eq!(digest(&out), 0x77fc692a8b8f1a26, "threads={threads}");
         assert!(obs.timeline.dropped() > 0, "the ring overflows");
         assert_eq!(obs_digest(&obs), 0xfff5f94c6a010d92, "threads={threads}");
+        assert_eq!(hist_digest(&obs), 0x1f4440facfbb724c, "threads={threads}");
     }
 }
