@@ -4,11 +4,10 @@
 //! feeds), bare and with `EngineObs` + a fresh `TraceRecorder` attached.
 //! The outputs must be byte-identical across thread counts, attaching
 //! telemetry must not move them, and what the telemetry recorded — the
-//! span stream, the obs timeline (with its eviction count) and the
-//! per-event histograms — must be identical across thread counts too.
-//! On any divergence it names the scenario, the thread count, *which*
-//! stream broke (output / spans / timeline / histogram) and the expected
-//! and observed digests, then exits non-zero.
+//! span stream and the per-event histograms — must be identical across
+//! thread counts too. On any divergence it names the scenario, the
+//! thread count, *which* stream broke (output / spans / histogram) and
+//! the expected and observed digests, then exits non-zero.
 //!
 //! Scenarios cover every way the one driver runs: the 20k-flow static
 //! suite the bench measures (where the conservative-parallel executor
@@ -46,12 +45,12 @@ fn fail(scenario: &str, threads: usize, stream: &str, expected: u64, got: u64) -
     std::process::exit(1);
 }
 
-const STREAMS: [&str; 4] = ["output", "spans", "timeline", "histogram"];
+const STREAMS: [&str; 3] = ["output", "spans", "histogram"];
 
 /// Digests of everything one instrumented run leaves behind, in
 /// [`STREAMS`] order.
-fn observe(scenario: &str, threads: usize, sim: Simulation<'_>, flows: &[Flow]) -> [u64; 4] {
-    let obs = EngineObs::with_timeline_capacity(4096);
+fn observe(scenario: &str, threads: usize, sim: Simulation<'_>, flows: &[Flow]) -> [u64; 3] {
+    let obs = EngineObs::new();
     let rec = TraceRecorder::new();
     let out = sim.with_obs(&obs).with_trace(&rec).run(flows);
     let spans = rec.snapshot();
@@ -65,10 +64,9 @@ fn observe(scenario: &str, threads: usize, sim: Simulation<'_>, flows: &[Flow]) 
             spans.len() as u64,
         );
     }
-    let timeline = stream_digest(obs.timeline.snapshot()) ^ obs.timeline.dropped();
     let hists = [&obs.queue_wait_ns, &obs.queue_occupancy];
     let histogram = stream_digest(hists.map(|h| (h.bucket_counts(), h.count(), h.sum())));
-    [out.digest(), stream_digest(spans), timeline, histogram]
+    [out.digest(), stream_digest(spans), histogram]
 }
 
 /// Runs `sim` over `flows` at both thread counts, bare and instrumented,
@@ -83,7 +81,7 @@ fn check<'a>(name: &str, flows: &[Flow], sim: impl Fn(usize) -> Simulation<'a>) 
     // eight threads are the streams at one.
     let one = observe(name, 1, sim(1), flows);
     let eight = observe(name, 8, sim(8), flows);
-    let expected = [seq.digest(), one[1], one[2], one[3]];
+    let expected = [seq.digest(), one[1], one[2]];
     for (threads, got) in [(1, one), (8, eight)] {
         for ((stream, want), got) in STREAMS.iter().zip(expected).zip(got) {
             if want != got {
@@ -91,11 +89,8 @@ fn check<'a>(name: &str, flows: &[Flow], sim: impl Fn(usize) -> Simulation<'a>) 
             }
         }
     }
-    let [output, spans, timeline, _] = expected;
-    println!(
-        "{name}: threads 1 == 8, digest {output:#018x}, spans {spans:#018x}, \
-         timeline {timeline:#018x}"
-    );
+    let [output, spans, _] = expected;
+    println!("{name}: threads 1 == 8, digest {output:#018x}, spans {spans:#018x}");
     seq
 }
 

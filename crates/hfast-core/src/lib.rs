@@ -49,7 +49,6 @@ pub mod clique;
 pub mod cost;
 pub mod fault;
 pub mod icn;
-pub mod obs;
 pub mod provision;
 pub mod provisioner;
 pub mod reconfig;
@@ -65,7 +64,6 @@ pub use clique::cluster_nodes;
 pub use cost::{hfast_cost, AnalyticHfast, CostComparison, CostModel, FatTree};
 pub use fault::{hfast_fault_impact, remove_nodes, seeded_failures, torus_fault_impact};
 pub use icn::{embed as icn_embed, IcnConfig, IcnEmbedding, IcnError};
-pub use obs::ProvisionObs;
 pub use provision::{ProvisionConfig, Provisioning, Route, Walk};
 pub use provisioner::{
     BffCircuit, Clustered, DemandDecomp, GraphDelta, PaperLinear, Provisioner, ReprovisionOutcome,

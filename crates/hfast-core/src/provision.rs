@@ -389,13 +389,6 @@ pub(crate) fn build_clustered(
             EdgeCircuit::new((a, b), ends)
         })
         .collect();
-
-    if hfast_obs::enabled() {
-        let obs = crate::obs::provision_obs();
-        obs.builds.inc();
-        obs.blocks.record(prov.total_blocks() as u64);
-        obs.circuits.record(prov.edge_circuits.len() as u64);
-    }
     prov
 }
 

@@ -577,7 +577,7 @@ pub struct Simulation<'a> {
 
 impl<'a> Simulation<'a> {
     /// A run over `fabric` with default settings: private path cache, no
-    /// per-flow records, observability per `HFAST_OBS`, no faults.
+    /// per-flow records, no instruments, no faults.
     pub fn new(fabric: &'a dyn Fabric) -> Self {
         Simulation {
             fabric,
@@ -629,8 +629,7 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Records engine counters, histograms, and the per-link busy
-    /// timeline into `obs` (overrides the `HFAST_OBS`-gated global sink).
+    /// Records engine counters, gauges and histograms into `obs`.
     pub fn with_obs(mut self, obs: &'a EngineObs) -> Self {
         self.obs = Some(obs);
         self
@@ -713,15 +712,12 @@ impl<'a> Simulation<'a> {
     /// identical [`SimOutput`]s regardless of cache reuse, attached
     /// observability, or thread count.
     pub fn run(self, flows: &[Flow]) -> SimOutput {
-        let obs = self
-            .obs
-            .or_else(|| hfast_obs::enabled().then(crate::obs::global));
         let mut overlay = PathCache::new();
         let (base, own) = match (self.cache, self.snapshot) {
             (Some(cache), _) => (None, cache),
             (None, snapshot) => (snapshot, &mut overlay),
         };
-        let routes = RouteView::index(base, own, self.fabric, flows, obs);
+        let routes = RouteView::index(base, own, self.fabric, flows, self.obs);
         let (stats, records, reprovisions, perf) = launch(&Setup {
             fabric: self.fabric,
             flows,
@@ -731,7 +727,7 @@ impl<'a> Simulation<'a> {
             interval: self.reprovision_interval_ns,
             threads: self.threads.unwrap_or_else(engine_threads),
             detailed: self.detailed,
-            obs,
+            obs: self.obs,
             trace: self.trace,
             congestion: self.congestion,
         });
@@ -1008,7 +1004,7 @@ impl Ser for MemoSer<'_> {
 /// The two per-event hooks, [`hop`](Probe::hop) and
 /// [`pending`](Probe::pending), take `&mut self` and never reach a shared
 /// sink: a probe keeps what they report in memory of its own and hands it
-/// over in [`timeline`](Probe::timeline) and [`finish`](Probe::finish).
+/// over in [`finish`](Probe::finish).
 pub(crate) trait Probe {
     /// The attached counters, for the rare paths that bump one.
     fn obs(&self) -> Option<&EngineObs>;
@@ -1025,9 +1021,6 @@ pub(crate) trait Probe {
         parent: u64,
         fields: &[(&'static str, u64)],
     );
-    /// A fault-plan or re-provisioning event (`kind`, on link or node
-    /// `id`) for the obs timeline, after every hop reported before it.
-    fn timeline(&mut self, t: u64, kind: &'static str, id: usize);
     /// `flow` occupies `link` for `ser` ns from `start`, having waited
     /// `wait` ns for it.
     fn hop(&mut self, link: usize, flow: u32, wait: u64, start: u64, ser: u64);
@@ -1051,8 +1044,6 @@ impl Probe for () {
     #[inline(always)]
     fn instant(&self, _: Track, _: &'static str, _: u64, _: u64, _: &[(&'static str, u64)]) {}
     #[inline(always)]
-    fn timeline(&mut self, _: u64, _: &'static str, _: usize) {}
-    #[inline(always)]
     fn hop(&mut self, _: usize, _: u32, _: u64, _: u64, _: u64) {}
     #[inline(always)]
     fn pending(&mut self, _: usize) {}
@@ -1063,37 +1054,18 @@ impl Probe for () {
 /// The instruments a [`Simulation`] can attach, and the run's per-event
 /// telemetry on its way to them.
 ///
-/// A hop costs one 32-byte [`HopRow`] store and two plain histogram
-/// increments here; the shared sinks — the obs timeline's mutex-guarded
-/// ring, its atomic histograms, the recorder's mutex-guarded span list —
-/// are written in batches, one lock each:
-///
-/// - the **obs timeline** is a bounded ring ordered by *record* time and
-///   shared with the fault events, so rows not yet on it are flushed
-///   before every direct write ([`Probe::timeline`]) and at the end —
-///   ring contents and eviction count come out exactly as if every hop
-///   had been pushed when it happened;
-/// - the **histograms** are order-free and merge once, at the end;
-/// - the **recorder** sorts its snapshot and tells a `hop` from every
-///   other span by name, so it takes the rows whole, once, at the end.
+/// A hop costs two plain histogram increments here, plus one 32-byte
+/// [`HopRow`] store when a recorder is attached; the shared sinks — the
+/// obs histograms' atomics and the recorder's mutex-guarded span list —
+/// are written once, at the end. The histograms are order-free, and the
+/// recorder sorts its snapshot and tells a `hop` from every other span by
+/// name, so neither needs the rows sooner.
 struct Instruments<'a> {
     obs: Option<&'a EngineObs>,
     trace: Option<&'a TraceRecorder>,
-    /// One row per link crossing, in event order: all of the run's with a
-    /// recorder attached (it wants every one), else only those the
-    /// timeline has not seen.
+    /// One row per link crossing, in event order, for the recorder; never
+    /// grown without one.
     hops: Vec<HopRow>,
-    /// `hops[..on_timeline]` are already on the obs timeline.
-    on_timeline: usize,
-    /// Rows dropped off the front of `hops` since the last flush: hops
-    /// that happened, but which the ring would have evicted again before
-    /// anyone could read them.
-    skipped: u64,
-    /// Rows worth keeping when `hops` is cut back, which happens at twice
-    /// as many: the ring's capacity with no recorder attached — so an
-    /// obs-only run holds a bounded buffer however long it runs —
-    /// `usize::MAX` with one.
-    keep: usize,
     /// Per-hop queueing delays, for [`EngineObs::queue_wait_ns`].
     wait: HistBuf,
     /// Pending-event counts, for [`EngineObs::queue_occupancy`].
@@ -1102,40 +1074,12 @@ struct Instruments<'a> {
 
 impl<'a> Instruments<'a> {
     fn new(obs: Option<&'a EngineObs>, trace: Option<&'a TraceRecorder>) -> Self {
-        let keep = match (obs, trace) {
-            (Some(obs), None) => obs.timeline.capacity(),
-            _ => usize::MAX,
-        };
         Instruments {
             obs,
             trace,
             hops: Vec::new(),
-            on_timeline: 0,
-            skipped: 0,
-            keep,
             wait: HistBuf::default(),
             occupancy: HistBuf::default(),
-        }
-    }
-
-    /// Drops the rows only a ring of more than its capacity could still
-    /// show. Obs-only, so none of `hops` is on the timeline yet.
-    #[cold]
-    fn trim(&mut self) {
-        let excess = self.hops.len() - self.keep;
-        self.hops.drain(..excess);
-        self.skipped += excess as u64;
-    }
-
-    /// Brings the obs timeline up to date with the hops reported so far.
-    fn flush_timeline(&mut self) {
-        let Some(obs) = self.obs else { return };
-        obs.link_busy_rows(self.skipped, &self.hops[self.on_timeline..]);
-        self.skipped = 0;
-        if self.trace.is_some() {
-            self.on_timeline = self.hops.len();
-        } else {
-            self.hops.clear();
         }
     }
 }
@@ -1159,24 +1103,17 @@ impl Probe for Instruments<'_> {
             tr.record_span(track, name, t, 0, 0, parent, fields.to_vec());
         }
     }
-    fn timeline(&mut self, t: u64, kind: &'static str, id: usize) {
-        if let Some(obs) = self.obs {
-            self.flush_timeline();
-            obs.fault_event(t, kind, id);
-        }
-    }
     #[inline(always)]
     fn hop(&mut self, link: usize, flow: u32, wait: u64, start: u64, ser: u64) {
         self.wait.record(wait);
-        self.hops.push(HopRow {
-            link: link as u32,
-            flow,
-            wait,
-            start,
-            ser,
-        });
-        if self.hops.len() / 2 >= self.keep {
-            self.trim();
+        if self.trace.is_some() {
+            self.hops.push(HopRow {
+                link: link as u32,
+                flow,
+                wait,
+                start,
+                ser,
+            });
         }
     }
     #[inline(always)]
@@ -1184,7 +1121,6 @@ impl Probe for Instruments<'_> {
         self.occupancy.record(events as u64);
     }
     fn finish(&mut self, flows: &[Flow], records: &[FlowRecord]) {
-        self.flush_timeline();
         if let Some(obs) = self.obs {
             self.wait.merge_into(&obs.queue_wait_ns);
             self.occupancy.merge_into(&obs.queue_occupancy);
@@ -1838,7 +1774,6 @@ where
                 obs.recoveries.inc();
             }
         }
-        self.probe.timeline(now, name, id);
         // Fault instants: link events annotate the link's own track; node
         // events land on the engine track.
         let (track, field) = match node {
@@ -2031,7 +1966,6 @@ where
             obs.reprovisions.inc();
             obs.repatched_links.add(batch.len() as u64);
         }
-        self.probe.timeline(now, "reprovision", batch.len());
         // Circuits that failed during the repatch window get their own
         // round.
         if !self.repairable().is_empty() {
@@ -2520,7 +2454,6 @@ mod tests {
         assert_eq!(obs.events.get(), 10, "one hop per flow");
         assert_eq!(obs.unrouted.get(), 0);
         assert_eq!(obs.flow_bytes.count(), 10);
-        assert_eq!(obs.timeline.len(), 10);
         // Nine flows queued behind the first; waits are multiples of the
         // 64-byte serialization time.
         assert_eq!(obs.queue_wait_ns.count(), 10);

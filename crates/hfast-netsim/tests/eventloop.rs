@@ -15,7 +15,6 @@ use hfast_netsim::{
     HfastFabric, PathCache, RetryPolicy, Scenario, ScenarioKind, SimOutput, Simulation,
     TorusFabric,
 };
-use hfast_obs::Val;
 use hfast_par::{forall, Rng64};
 use hfast_topology::CommGraph;
 use hfast_trace::{TraceRecorder, Track};
@@ -417,42 +416,9 @@ fn golden_torus_faulted_span_stream() {
     assert_eq!(span_digest(&rec), 0xf063deb63b6cc5e9);
 }
 
-/// FNV-1a over what an attached [`EngineObs`] retains of a run's
-/// per-event stream: the timeline ring in ring order (name, start,
-/// duration, every field), its eviction count, and the contents of the
-/// two per-event histograms. Pins the *order* of the timeline and the
-/// ring's drop arithmetic, which no sum over `link_busy` durations sees.
-fn obs_digest(obs: &EngineObs) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for ev in obs.timeline.snapshot() {
-        ev.name.bytes().for_each(|b| mix(u64::from(b)));
-        mix(ev.t_ns);
-        mix(ev.dur_ns);
-        for (k, v) in &ev.fields {
-            k.bytes().for_each(|b| mix(u64::from(b)));
-            match v {
-                Val::U(u) => mix(*u),
-                other => panic!("simulator timelines carry unsigned fields, got {other:?}"),
-            }
-        }
-    }
-    mix(obs.timeline.dropped());
-    for hist in [&obs.queue_wait_ns, &obs.queue_occupancy] {
-        hist.bucket_counts().into_iter().for_each(&mut mix);
-        mix(hist.count());
-        mix(hist.sum());
-    }
-    h
-}
-
 /// FNV-1a over the two per-event histograms an attached [`EngineObs`]
 /// fills: bucket counts, count and sum of `queue_wait_ns`, then of
-/// `queue_occupancy`. The histogram half of [`obs_digest`], hashed from
-/// a fresh basis.
+/// `queue_occupancy`.
 fn hist_digest(obs: &EngineObs) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     let mut mix = |v: u64| {
@@ -467,41 +433,27 @@ fn hist_digest(obs: &EngineObs) -> u64 {
     h
 }
 
-// Timeline and histogram goldens, frozen on the per-event recording path
-// (one `Tracer::record_at` and two `Histogram::record`s per hop) before
-// the probe started buffering: the constants must never change.
+// Histogram goldens: the constants must never change.
 
 #[test]
 fn golden_torus_faulted_obs_stream() {
-    // The run leaves 413 timeline events. A 64-event ring wraps six
-    // times and keeps only `link_busy`; a 384-event ring still overflows
-    // and keeps all eight `link_fail` / `link_recover` events where they
-    // fell between the occupancies.
     let (torus, fs, plan) = faulted_torus();
-    for (capacity, golden) in [(64, 0xd7221c2f71ffa8e5u64), (384, 0x1fff6b5181775b4b)] {
-        // The obs stream is the same whether or not a recorder shares
-        // the run.
-        for traced in [false, true] {
-            let obs = EngineObs::with_timeline_capacity(capacity);
-            let rec = TraceRecorder::new();
-            let sim = Simulation::new(&torus)
-                .with_faults(&plan)
-                .with_retry(RetryPolicy::default())
-                .with_obs(&obs)
-                .detailed();
-            let sim = if traced { sim.with_trace(&rec) } else { sim };
-            let out = sim.run(&fs);
-            assert_eq!(digest(&out), 0xe3be6145e07f0fef, "obs never moves output");
-            assert_eq!(obs.timeline.len(), capacity);
-            assert_eq!(obs.timeline.dropped(), 413 - capacity as u64);
-            let faults = obs.timeline.snapshot();
-            let faults = faults.iter().filter(|e| e.name != "link_busy").count();
-            assert_eq!(faults, if capacity == 64 { 0 } else { 8 });
-            assert_eq!(obs_digest(&obs), golden, "capacity={capacity}");
-            assert_eq!(hist_digest(&obs), 0x13ccee24c58ae741, "capacity={capacity}");
-            if traced {
-                assert_eq!(span_digest(&rec), 0xf063deb63b6cc5e9);
-            }
+    // The obs stream is the same whether or not a recorder shares the
+    // run.
+    for traced in [false, true] {
+        let obs = EngineObs::new();
+        let rec = TraceRecorder::new();
+        let sim = Simulation::new(&torus)
+            .with_faults(&plan)
+            .with_retry(RetryPolicy::default())
+            .with_obs(&obs)
+            .detailed();
+        let sim = if traced { sim.with_trace(&rec) } else { sim };
+        let out = sim.run(&fs);
+        assert_eq!(digest(&out), 0xe3be6145e07f0fef, "obs never moves output");
+        assert_eq!(hist_digest(&obs), 0x13ccee24c58ae741, "traced={traced}");
+        if traced {
+            assert_eq!(span_digest(&rec), 0xf063deb63b6cc5e9);
         }
     }
 }
@@ -509,8 +461,7 @@ fn golden_torus_faulted_obs_stream() {
 #[test]
 fn golden_credit_hfast_reprovision_obs_stream() {
     // Credit buffers, two circuits failing under an incast, and the
-    // mid-run repatch: every kind of timeline event in one ring that
-    // retains them all.
+    // mid-run repatch: every kind of engine event in one run.
     let scenario = Scenario::preset(ScenarioKind::Incast, 32, 5);
     let flows = scenario.generate();
     let hfast = HfastFabric::provisioned(
@@ -527,7 +478,7 @@ fn golden_credit_hfast_reprovision_obs_stream() {
         outage = outage.fail_link(10_000 * (i as u64 + 1), l);
     }
     let outage = outage.build(&hfast).unwrap();
-    let obs = EngineObs::with_timeline_capacity(1 << 16);
+    let obs = EngineObs::new();
     let rec = TraceRecorder::new();
     let out = Simulation::new(&hfast)
         .with_congestion(CreditConfig::credit(2))
@@ -538,12 +489,10 @@ fn golden_credit_hfast_reprovision_obs_stream() {
         .detailed()
         .run(&flows);
     assert_eq!(out.stats.completed, flows.len());
-    assert_eq!(obs.timeline.dropped(), 0, "the ring holds the whole run");
-    let names: Vec<&str> = obs.timeline.snapshot().iter().map(|e| e.name).collect();
-    for kind in ["link_busy", "link_fail", "reprovision"] {
-        assert!(names.contains(&kind), "no {kind} event on the timeline");
+    let names: Vec<&str> = rec.snapshot().iter().map(|s| s.name).collect();
+    for kind in ["hop", "link_fail", "reprovision"] {
+        assert!(names.contains(&kind), "no {kind} span in the recorder");
     }
-    assert_eq!(obs_digest(&obs), 0x5a99c0b1c7ee5b41);
     assert_eq!(hist_digest(&obs), 0x6bc64aaae858712b);
     assert_eq!(span_digest(&rec), 0xa323f0db59b904d8, "span stream");
 }
@@ -555,15 +504,13 @@ fn golden_fattree_alltoall_obs_stream() {
     let ft = FatTreeFabric::new(32, 8).unwrap();
     let fs = traffic::alltoall(32, 4096);
     for threads in [1, 2] {
-        let obs = EngineObs::with_timeline_capacity(1024);
+        let obs = EngineObs::new();
         let out = Simulation::new(&ft)
             .with_threads(threads)
             .with_obs(&obs)
             .detailed()
             .run(&fs);
         assert_eq!(digest(&out), 0x77fc692a8b8f1a26, "threads={threads}");
-        assert!(obs.timeline.dropped() > 0, "the ring overflows");
-        assert_eq!(obs_digest(&obs), 0xfff5f94c6a010d92, "threads={threads}");
         assert_eq!(hist_digest(&obs), 0x1f4440facfbb724c, "threads={threads}");
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the discrete-event simulator and fabrics.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use hfast_core::{
     torus_fault_impact, Clustered, PaperLinear, ProvisionConfig, Provisioner, Strategy,
@@ -11,7 +11,6 @@ use hfast_netsim::{
     FaultEvent, FaultPlan, FaultState, FaultTarget, Flow, HfastFabric, LinkId, RetryPolicy,
     SharedPathCache, Simulation, TorusFabric,
 };
-use hfast_obs::Val;
 use hfast_par::{forall, Rng64};
 use hfast_topology::CommGraph;
 use hfast_trace::{export, parse, validate, TraceRecorder, Track};
@@ -650,46 +649,46 @@ fn attached_trace_never_changes_results() {
 }
 
 #[test]
-fn hop_spans_reconcile_with_engine_obs() {
-    // Satellite: the two observability layers are independent recordings
-    // of the same event loop, so per-link busy time folded from `hop`
-    // spans must equal the sum of the EngineObs `link_busy` timeline —
-    // link for link, nanosecond for nanosecond.
-    forall("hop_spans_reconcile_with_engine_obs", 32, |rng| {
+fn hop_spans_match_the_closed_form_busy_time() {
+    // An oracle that shares no engine code: on a fault-free fabric every
+    // flow crosses each link of `fabric.path(src, dst)` once, for that
+    // link's serialization time of its payload. So per-link busy time
+    // folded from the recorder's `hop` spans is a sum over the flows'
+    // paths, and the hop spans are exactly the samples the obs
+    // queue-wait histogram took.
+    forall("hop_spans_match_the_closed_form_busy_time", 32, |rng| {
         let (fabric, n) = any_fabric(rng);
         let fabric = fabric.as_ref();
         let fs = flows(rng, n, 50);
-        let obs = EngineObs::with_timeline_capacity(1 << 16);
+        let obs = EngineObs::new();
         let rec = TraceRecorder::new();
         Simulation::new(fabric)
             .with_obs(&obs)
             .with_trace(&rec)
             .run(&fs);
-        assert_eq!(obs.timeline.dropped(), 0, "ring too small for this test");
 
-        let mut from_obs: HashMap<u64, u64> = HashMap::new();
-        for ev in obs.timeline.snapshot() {
-            if ev.name == "link_busy" {
-                let link = ev
-                    .fields
-                    .iter()
-                    .find_map(|(k, v)| match (k, v) {
-                        (&"link", Val::U(l)) => Some(*l),
-                        _ => None,
-                    })
-                    .expect("link_busy carries a link id");
-                *from_obs.entry(link).or_default() += ev.dur_ns;
+        let mut expected: BTreeMap<usize, u64> = BTreeMap::new();
+        for f in &fs {
+            for l in fabric.path(f.src, f.dst).unwrap_or_default() {
+                *expected.entry(l).or_default() += fabric.link(l).serialize_ns(f.bytes);
             }
         }
-        let mut from_spans: HashMap<u64, u64> = HashMap::new();
+        let (mut busy, mut hops, mut wait) = (BTreeMap::new(), 0u64, 0u64);
         for s in rec.snapshot() {
-            if let Track::Link(l) = s.track {
-                if s.name == "hop" {
-                    *from_spans.entry(l as u64).or_default() += s.dur_ns;
-                }
+            if let (Track::Link(l), "hop") = (s.track, s.name) {
+                *busy.entry(l).or_default() += s.dur_ns;
+                hops += 1;
+                let w = s.fields.iter().find(|(k, _)| *k == "wait");
+                wait = wait.wrapping_add(w.expect("a hop carries its wait").1);
             }
         }
-        assert_eq!(from_obs, from_spans, "span busy sums diverged from obs");
+        assert_eq!(busy, expected, "hop busy time diverged from the paths");
+        assert_eq!(hops, obs.queue_wait_ns.count(), "one wait sample per hop");
+        assert_eq!(
+            wait,
+            obs.queue_wait_ns.sum(),
+            "hop waits sum to the histogram's"
+        );
     });
 }
 
@@ -841,18 +840,19 @@ fn faulted_credit_runs_retry_and_stay_deterministic() {
 #[test]
 fn credit_runs_record_per_event_observability() {
     let (torus, fs, plan) = credit_outage();
-    let run = |obs: Option<&EngineObs>| {
+    let run = |instruments: Option<(&EngineObs, &TraceRecorder)>| {
         let sim = Simulation::new(&torus)
             .with_congestion(CreditConfig::credit(2))
             .with_faults(&plan)
             .detailed();
-        match obs {
-            Some(obs) => sim.with_obs(obs).run(&fs),
+        match instruments {
+            Some((obs, rec)) => sim.with_obs(obs).with_trace(rec).run(&fs),
             None => sim.run(&fs),
         }
     };
-    let obs = EngineObs::with_timeline_capacity(1 << 16);
-    let out = run(Some(&obs));
+    let obs = EngineObs::new();
+    let rec = TraceRecorder::new();
+    let out = run(Some((&obs, &rec)));
     assert_eq!(out, run(None), "observability never changes results");
     assert_eq!(obs.faults.get(), 4);
     assert_eq!(obs.recoveries.get(), 4);
@@ -862,10 +862,10 @@ fn credit_runs_record_per_event_observability() {
     assert!(obs.flow_kills.get() >= obs.retries.get());
     assert!(obs.queue_wait_ns.count() > 0, "one sample per hop");
     assert_eq!(obs.queue_occupancy.count(), obs.events.get() - 8);
-    let busy = obs.timeline.snapshot();
-    let hops = busy.iter().filter(|e| e.name == "link_busy").count() as u64;
+    let spans = rec.snapshot();
+    let hops = spans.iter().filter(|s| s.name == "hop").count() as u64;
     assert_eq!(hops, obs.queue_wait_ns.count(), "one busy interval per hop");
-    assert!(busy.iter().any(|e| e.name == "link_fail"));
+    assert!(spans.iter().any(|s| s.name == "link_fail"));
 }
 
 /// Simulated time saturates at `u64::MAX` instead of overflowing: payloads

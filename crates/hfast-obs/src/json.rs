@@ -1,7 +1,7 @@
 //! The single JSON Lines emission path.
 //!
 //! Report structs across the workspace (`RunStats`, the fault reports,
-//! `ReconfigStep`, bench rows, trace events) all serialize through
+//! `ReconfigStep`, bench rows, the trace exports) all serialize through
 //! [`JsonObj`], so escaping and number formatting are written once. The
 //! [`ToJsonl`] trait is the shared contract: one struct, one line of JSON,
 //! no trailing newline.

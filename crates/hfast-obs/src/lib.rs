@@ -3,10 +3,11 @@
 //! The paper's premise is that interconnects should be provisioned from
 //! *measured* communication behaviour (IPM profiles feeding the HFAST
 //! provisioner, §2–3). This crate applies the same discipline to our own
-//! runtime, simulator, and reconfiguration engine: cheap always-compiled
-//! primitives — [`Counter`], [`Gauge`], log-bucketed [`Histogram`]s, and a
-//! bounded ring-buffer [`Tracer`] with monotonic timestamps — plus one
-//! shared JSON Lines emission path ([`ToJsonl`] / [`sink`]).
+//! runtime, simulator and daemon: cheap always-compiled fixed-footprint
+//! primitives — [`Counter`], [`Gauge`], log-bucketed [`Histogram`]s and a
+//! [`SlidingWindow`] — plus one shared JSON Lines emission path
+//! ([`ToJsonl`] / [`sink`]). Event streams (spans, instants, per-link
+//! occupancy) are `hfast-trace`'s `TraceRecorder`, not this crate's.
 //!
 //! ## The `HFAST_OBS` switch
 //!
@@ -26,23 +27,23 @@
 //!
 //! ## Determinism
 //!
-//! Counters and histograms are deterministic for a deterministic workload.
-//! Trace *ordering* is deterministic under `HFAST_THREADS=1`; subsystems
-//! that have a logical clock (the simulator's virtual time, the reconfig
-//! engine's synchronization points) stamp events with it via
-//! [`Tracer::record_at`], making their timelines fully reproducible.
+//! Counters and histograms are deterministic for a deterministic workload:
+//! they are order-free, so what they read after a run does not depend on
+//! how its events interleaved across threads.
 //!
 //! ```
-//! use hfast_obs::{Counter, Histogram, ToJsonl, Tracer, Val};
+//! use hfast_obs::{Counter, Histogram, JsonObj};
 //!
 //! let sends = Counter::new();
 //! sends.inc();
 //! let sizes = Histogram::new();
 //! sizes.record(4096);
-//! let tracer = Tracer::new(16);
-//! tracer.record_at(7, 0, "sync_point", vec![("coverage", Val::F(0.5))]);
-//! let line = tracer.snapshot()[0].to_jsonl();
-//! assert!(line.contains("\"event\":\"sync_point\""));
+//! let line = JsonObj::new()
+//!     .str("event", "summary")
+//!     .u64("sends", sends.get())
+//!     .u64("size_p50", sizes.quantile_bound(0.5))
+//!     .finish();
+//! assert_eq!(line, r#"{"event":"summary","sends":1,"size_p50":8191}"#);
 //! ```
 
 #![warn(missing_docs)]
@@ -52,7 +53,6 @@ pub mod hist;
 pub mod json;
 pub mod serve;
 pub mod sink;
-pub mod trace;
 pub mod window;
 
 pub use counter::{Counter, Gauge};
@@ -60,7 +60,6 @@ pub use hist::Histogram;
 pub use json::{JsonObj, ToJsonl};
 pub use serve::ServeObs;
 pub use sink::{emit, emit_lines, Sink};
-pub use trace::{Span, TraceEvent, Tracer, Val};
 pub use window::{LaneStats, Outcome, SlidingWindow, WindowSnapshot};
 
 use std::sync::atomic::{AtomicU8, Ordering};

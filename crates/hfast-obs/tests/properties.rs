@@ -1,7 +1,7 @@
 //! Property tests for the observability primitives.
 
 use hfast_obs::hist::{bucket_bound, bucket_index, BUCKETS};
-use hfast_obs::{Histogram, ToJsonl, Tracer, Val};
+use hfast_obs::Histogram;
 use hfast_par::forall;
 
 #[test]
@@ -69,45 +69,5 @@ fn histogram_quantile_bound_is_an_upper_bound() {
                 "q={q}: bound {bound} below exact quantile {exact}"
             );
         }
-    });
-}
-
-#[test]
-fn tracer_is_concurrency_safe_and_bounded() {
-    forall("tracer_bounded_under_threads", 16, |rng| {
-        let cap = rng.range(1, 64);
-        let writers = rng.range(1, 5);
-        let per_writer = rng.range(0, 200) as u64;
-        let t = Tracer::new(cap);
-        std::thread::scope(|s| {
-            for w in 0..writers {
-                let t = &t;
-                s.spawn(move || {
-                    for i in 0..per_writer {
-                        t.record_at(i, 0, "tick", vec![("writer", Val::U(w as u64))]);
-                    }
-                });
-            }
-        });
-        let total = writers as u64 * per_writer;
-        assert_eq!(t.len() as u64 + t.dropped(), total);
-        assert!(t.len() <= cap);
-    });
-}
-
-#[test]
-fn trace_event_jsonl_roundtrips_field_order() {
-    forall("trace_event_jsonl_shape", 32, |rng| {
-        let t_ns = rng.next_u64() >> 1;
-        let ev = hfast_obs::TraceEvent {
-            t_ns,
-            dur_ns: 0,
-            name: "e",
-            fields: vec![("a", Val::U(rng.next_u64() >> 1))],
-        };
-        let line = ev.to_jsonl();
-        assert!(line.starts_with(r#"{"event":"e","t_ns":"#));
-        assert!(line.ends_with('}'));
-        assert_eq!(line.matches('{').count(), 1);
     });
 }
