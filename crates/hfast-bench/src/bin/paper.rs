@@ -7,17 +7,18 @@
 //! ```
 //!
 //! The sections are listed in [`SECTIONS`]; no argument or an unknown name
-//! prints them and exits 2. `experiments` runs the whole suite with its
-//! PASS/MISS shape checks and exits 1 if any check misses.
+//! prints them and exits 2. `experiments` measures the Table 3 grid, prints
+//! a PASS/MISS verdict for every row of the claims ledger
+//! (`hfast_bench::paper::CLAIMS`) and exits 1 if any row misses.
 
 use std::process::ExitCode;
 
 use hfast_apps::meta::TABLE2;
 use hfast_apps::{all_apps, Cactus, Gtc, Lbmhd, Paratec, Pmemd, SuperLu, STUDY_SIZES};
 use hfast_bench::figures::app_figure;
-use hfast_bench::paper::{paper_call_mix, paper_row};
+use hfast_bench::measure_app;
+use hfast_bench::paper::{check_claims, measure_grid, published, Quantity, Value, ALL_CODES};
 use hfast_bench::render::{cdf_line, table3_header, table3_rows};
-use hfast_bench::{measure_app, measure_cells};
 use hfast_core::bdp::TABLE1_SYSTEMS;
 use hfast_core::cost::AnalyticHfast;
 use hfast_core::{
@@ -33,7 +34,7 @@ use hfast_topology::{tdc, BufferHistogram, CommGraph, BDP_CUTOFF};
 
 /// Every section, in the order the usage lists them: the paper's tables
 /// and figures, then the §2.5 taxonomy, the §5.3 cost analysis, the
-/// extension experiments, and the full sweep with its shape checks.
+/// extension experiments, and the full sweep with the ledger's verdicts.
 const SECTIONS: &[(&str, fn())] = &[
     ("table1", table1),
     ("table2", table2),
@@ -124,16 +125,16 @@ fn table3() {
     print!("{}", table3_header());
     for app in all_apps() {
         for &procs in &STUDY_SIZES {
-            let row = measure_app(app.as_ref(), procs);
-            let paper = paper_row(row.name, procs);
-            print!("{}", table3_rows(&row, paper.as_ref()));
+            print!("{}", table3_rows(&measure_app(app.as_ref(), procs)));
         }
         println!();
     }
+    let superlu_fcn = published("SuperLU", 256, Quantity::FcnUtil).expect("Table 3 row");
     println!(
         "(FCN utilization defined as avgTDC@2KB/(P−1); the paper's SuperLU \
-         P=256 row reports 25%, inconsistent with its own TDC column — see \
-         EXPERIMENTS.md.)"
+         P=256 row reports {:.0}%, inconsistent with its own TDC column — see \
+         EXPERIMENTS.md.)",
+        superlu_fcn.num()
     );
 }
 
@@ -180,15 +181,12 @@ fn fig2() {
     for app in all_apps() {
         let row = measure_app(app.as_ref(), 64);
         println!("{}:", row.name);
-        let paper = paper_call_mix(row.name);
         for (kind, pct) in row.steady.call_mix() {
             if pct < 0.05 {
                 continue;
             }
-            let published = paper
-                .iter()
-                .find(|(name, _)| *name == kind.mpi_name())
-                .map(|(_, p)| format!("{p:>5.1}%"))
+            let published = published(row.name, 64, Quantity::CallShare(kind))
+                .map(|p| format!("{:>5.1}%", p.num()))
                 .unwrap_or_else(|| "    —".into());
             println!(
                 "  {:<18} measured {:>5.1}%   paper {}",
@@ -219,12 +217,12 @@ fn fig3() {
             100.0 * combined.fraction_at_or_below(mark)
         );
     }
+    let at_2k = published(ALL_CODES, 64, Quantity::CollectivesAtOrBelow(2048));
     println!(
-        "\npaper: ~90% of collective payloads ≤ 2 KB, ~half < 100 B → a \
-         low-bandwidth tree network suffices for collectives."
+        "\npaper: ~{:.0}% of collective payloads ≤ 2 KB, ~half < 100 B → a \
+         low-bandwidth tree network suffices for collectives.",
+        at_2k.expect("Figure 3 row").num()
     );
-    let at_2k = combined.fraction_at_or_below(2048);
-    assert!(at_2k > 0.85, "Figure 3 shape: {at_2k}");
 }
 
 /// Paper Figure 4: cumulative point-to-point buffer-size distribution per
@@ -276,26 +274,15 @@ fn fig10() {
 
 /// The §2.5 taxonomy: classify each application into cases i-iv.
 fn classify_apps() {
-    println!("== §2.5 application classification (measured at P = 64/256) ==\n");
-    // Paper's verdicts: Cactus→i, LBMHD→ii, GTC→iii, SuperLU→iii,
-    // PMEMD→iii, PARATEC→iv.
-    let paper = [
-        ("Cactus", "case i"),
-        ("LBMHD", "case ii"),
-        ("GTC", "case iii"),
-        ("SuperLU", "case iii"),
-        ("PMEMD", "case iii"),
-        ("PARATEC", "case iv"),
-    ];
+    let procs = 256;
+    println!("== §2.5 application classification (measured at P = {procs}) ==\n");
     for app in all_apps() {
-        let procs = 256;
         let row = measure_app(app.as_ref(), procs);
         let c = classify(&row.steady.comm_graph(), &ClassifyConfig::default());
-        let expected = paper
-            .iter()
-            .find(|(n, _)| *n == row.name)
-            .map(|(_, v)| *v)
-            .unwrap_or("?");
+        let expected = match published(row.name, procs, Quantity::Case) {
+            Some(Value::Case(case)) => case.to_string(),
+            _ => "?".into(),
+        };
         println!(
             "{:<9} measured {:<9} (paper: {expected})",
             row.name,
@@ -489,9 +476,10 @@ fn netsim_compare() {
     );
 }
 
-/// Runs the complete reproduction suite and prints a compact summary of
-/// every table and figure — the data source for EXPERIMENTS.md — then
-/// exits 1 if any shape check against the paper misses.
+/// Runs the complete reproduction suite — the Table 3 grid, each cell
+/// measured once — and prints it with every row of the claims ledger as
+/// PASS or MISS (the data source for EXPERIMENTS.md), then exits 1 if any
+/// row misses.
 ///
 /// The apps × sizes measurement grid is embarrassingly parallel, so the
 /// cells are profiled on worker threads (`HFAST_THREADS` overrides the
@@ -500,48 +488,31 @@ fn netsim_compare() {
 fn experiments() {
     println!("== HFAST reproduction: full experiment sweep ==\n");
     print!("{}", table3_header());
-    let app_count = all_apps().len();
-    let cells: Vec<(usize, usize)> = (0..app_count)
-        .flat_map(|a| STUDY_SIZES.iter().map(move |&p| (a, p)))
-        .collect();
-    let rows = measure_cells(&cells);
-    let mut checks = Vec::new();
+    let rows = measure_grid();
     for (i, row) in rows.iter().enumerate() {
-        let procs = row.procs;
-        let paper = paper_row(row.name, procs);
-        print!("{}", table3_rows(row, paper.as_ref()));
-        if let Some(p) = paper {
-            let tdc_match = row.tdc_max == p.tdc_max
-                && (row.tdc_avg - p.tdc_avg).abs() <= p.tdc_avg.max(2.0) * 0.25;
-            checks.push((row.name, procs, "TDC@2k", tdc_match));
-            let mix_match = (row.ptp_pct - p.ptp_pct).abs() < 6.0;
-            checks.push((row.name, procs, "call split", mix_match));
-        }
-        // Unthresholded topology shape notes.
-        let g = row.steady.comm_graph();
-        let uncut = tdc(&g, 0);
-        let cut = tdc(&g, BDP_CUTOFF);
+        print!("{}", table3_rows(row));
         println!(
             "              unthresholded TDC (max,avg) = ({}, {:.1}); cutoff shrinks max by {}",
-            uncut.max,
-            uncut.avg,
-            uncut.max - cut.max
+            row.tdc_max_uncut,
+            row.tdc_avg_uncut,
+            row.tdc_max_uncut - row.tdc_max
         );
         if (i + 1) % STUDY_SIZES.len() == 0 {
             println!();
         }
     }
-    println!("shape checks against the paper:");
-    let mut pass = 0;
-    for (name, procs, what, ok) in &checks {
-        println!(
-            "  {} {name}@{procs} {what}",
-            if *ok { "PASS" } else { "MISS" }
-        );
-        pass += usize::from(*ok);
+    let verdicts = check_claims(&rows);
+    println!("claims against the paper (hfast_bench::paper::CLAIMS):");
+    let mut held = 0;
+    for (i, v) in verdicts.iter().enumerate() {
+        if i > 0 && v.claim.section != verdicts[i - 1].claim.section {
+            println!();
+        }
+        println!("  {} {v}", if v.holds() { "PASS" } else { "MISS" });
+        held += usize::from(v.holds());
     }
-    println!("\n{pass}/{} checks passed", checks.len());
-    if pass < checks.len() {
+    println!("\n{held}/{} claims hold", verdicts.len());
+    if held < verdicts.len() {
         std::process::exit(1);
     }
 }

@@ -3,11 +3,13 @@
 //! One `paper` binary prints every table, figure and extension experiment
 //! of the paper by section name (see DESIGN.md's experiment index), the
 //! measured reproduction next to the paper's published values where the
-//! paper gives numbers. Beside it sit the serving load generator
+//! paper gives numbers. Those values live once, in the claims ledger
+//! ([`paper::CLAIMS`]): `paper experiments` prints a PASS/MISS verdict per
+//! row and the tier-1 test `tests/claims.rs` asserts every row. Beside it sit the serving load generator
 //! ([`loadgen`]) and the library-level `--check` smoke binaries. Performance
 //! is measured by the standalone `benchmark/` package, not here.
 //!
-//! Run the full reproduction with its shape checks:
+//! Run the full reproduction with its ledger verdicts:
 //!
 //! ```text
 //! cargo run --release -p hfast-bench --bin paper -- experiments
@@ -23,4 +25,3 @@ pub mod render;
 
 pub use loadgen::{LoadConfig, LoadReport};
 pub use measure::{measure_app, measure_cells, AppRow};
-pub use paper::PAPER_TABLE3;

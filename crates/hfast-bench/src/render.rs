@@ -4,37 +4,51 @@ use hfast_ipm::format_bytes;
 use hfast_topology::{tdc_sweep, CommGraph, TdcSummary, PAPER_CUTOFFS};
 
 use crate::measure::AppRow;
-use crate::paper::PaperRow;
+use crate::paper::{published, TABLE3_COLUMNS};
 
-/// Renders a measured-vs-paper Table 3 row pair.
-pub fn table3_rows(measured: &AppRow, paper: Option<&PaperRow>) -> String {
-    let mut out = format!(
-        "{:<8} {:>4}  measured  {:>5.1}% {:>8} {:>6.1}% {:>6} {:>6},{:<7.1} {:>5.0}%\n",
-        measured.name,
-        measured.procs,
-        measured.ptp_pct,
-        format_bytes(measured.median_ptp),
-        measured.col_pct,
-        format_bytes(measured.median_col),
-        measured.tdc_max,
-        measured.tdc_avg,
-        measured.fcn_util_pct,
+/// Renders a cell's measured Table 3 line and, where the claims ledger has
+/// the cell, the published line under it.
+pub fn table3_rows(measured: &AppRow) -> String {
+    let (name, procs) = (measured.name, measured.procs);
+    let mut out = table3_line(
+        name,
+        procs,
+        "measured",
+        &[
+            measured.ptp_pct,
+            measured.median_ptp as f64,
+            measured.col_pct,
+            measured.median_col as f64,
+            measured.tdc_max as f64,
+            measured.tdc_avg,
+            measured.fcn_util_pct,
+        ],
     );
-    if let Some(p) = paper {
-        out.push_str(&format!(
-            "{:<8} {:>4}  paper     {:>5.1}% {:>8} {:>6.1}% {:>6} {:>6},{:<7.1} {:>5.0}%\n",
-            p.name,
-            p.procs,
-            p.ptp_pct,
-            format_bytes(p.median_ptp),
-            p.col_pct,
-            format_bytes(p.median_col),
-            p.tdc_max,
-            p.tdc_avg,
-            p.fcn_util_pct,
-        ));
+    let paper: Option<Vec<f64>> = TABLE3_COLUMNS
+        .iter()
+        .map(|&q| published(name, procs, q).map(|v| v.num()))
+        .collect();
+    if let Some(paper) = paper {
+        out.push_str(&table3_line(name, procs, "paper", &paper));
     }
     out
+}
+
+/// One Table 3 line; `v` holds [`TABLE3_COLUMNS`] in order.
+fn table3_line(name: &str, procs: usize, source: &str, v: &[f64]) -> String {
+    format!(
+        "{:<8} {:>4}  {:<10}{:>5.1}% {:>8} {:>6.1}% {:>6} {:>6},{:<7.1} {:>5.0}%\n",
+        name,
+        procs,
+        source,
+        v[0],
+        format_bytes(v[1] as u64),
+        v[2],
+        format_bytes(v[3] as u64),
+        v[4] as usize,
+        v[5],
+        v[6],
+    )
 }
 
 /// Header matching [`table3_rows`].

@@ -29,8 +29,8 @@ cargo test --doc --workspace -q
 # Rustdoc with warnings as errors: a doc link to a private item or a
 # redundant link target fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
-# Paper smoke (~2 s): the full experiment sweep; exits non-zero unless every
-# shape check against the paper's Table 3 passes.
+# Paper smoke (~5 s): the full experiment sweep; exits non-zero unless every
+# row of the claims ledger (hfast_bench::paper::CLAIMS) holds.
 smoke paper_checks cargo run --release -q -p hfast-bench --bin paper -- experiments
 # Fault-replay smoke: exits non-zero unless HFAST beats the fat tree in
 # goodput on every (app, failure-rate) cell.
