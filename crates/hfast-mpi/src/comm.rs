@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::chan::{Receiver, RecvTimeoutError, Sender};
+use crate::chan::{recv_wait, Receiver, RecvTimeoutError, Sender};
 use crate::error::{MpiError, Result};
 use crate::hook::{CallKind, CommEvent, CommHook, Scope};
 use crate::message::{Envelope, Payload};
@@ -224,7 +224,7 @@ impl Comm {
 
     /// Blocks for one envelope off the wire and hands it to the matcher.
     fn pump_one(&mut self, waiting_for: &dyn Fn() -> String) -> Result<()> {
-        match self.rx.recv_timeout(self.timeout) {
+        match recv_wait(&self.rx, self.timeout) {
             Ok(env) => {
                 self.matcher.arrive(env);
                 Ok(())

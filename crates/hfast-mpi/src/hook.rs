@@ -6,8 +6,6 @@
 //! interface): the profiler sees call kind, buffer size, partner, and timing,
 //! without the runtime knowing anything about profiling.
 
-use std::sync::Mutex;
-
 use crate::{Rank, Tag};
 
 /// Which API entry point produced an event.
@@ -262,12 +260,14 @@ impl CommHook for NullHook {
     fn on_event(&self, _event: &CommEvent) {}
 }
 
-/// A hook that records every event; intended for tests and small traces.
+/// A hook that records every event, for the runtime's own tests.
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct RecordingHook {
-    events: Mutex<Vec<CommEvent>>,
+pub(crate) struct RecordingHook {
+    events: std::sync::Mutex<Vec<CommEvent>>,
 }
 
+#[cfg(test)]
 impl RecordingHook {
     /// Creates an empty recorder.
     pub fn new() -> Self {
@@ -292,6 +292,7 @@ impl RecordingHook {
     }
 }
 
+#[cfg(test)]
 impl CommHook for RecordingHook {
     fn on_event(&self, event: &CommEvent) {
         self.events

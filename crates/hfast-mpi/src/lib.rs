@@ -65,7 +65,7 @@ pub use bytes::Bytes;
 pub use comm::{Comm, SrcSel, Status, TagSel};
 pub use error::{MpiError, Result};
 pub use group::Group;
-pub use hook::{CallKind, CommEvent, CommHook, MultiHook, NullHook, RecordingHook, Scope};
+pub use hook::{CallKind, CommEvent, CommHook, MultiHook, NullHook, Scope};
 pub use message::{Payload, ReduceOp};
 pub use obs::{RankObs, WorldObs};
 pub use request::Request;
