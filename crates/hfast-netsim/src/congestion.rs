@@ -55,8 +55,8 @@
 //! — the event queue simply runs dry — and the wedged flows come back
 //! undelivered.
 //!
-//! Credit runs are sequential: identical inputs produce identical outputs
-//! regardless of `HFAST_THREADS`.
+//! Credit runs are deterministic: identical inputs produce identical
+//! outputs.
 
 use std::collections::VecDeque;
 
@@ -419,9 +419,8 @@ mod tests {
         let b = Simulation::new(&torus)
             .with_congestion(CreditConfig::credit(2))
             .detailed()
-            .with_threads(8)
             .run(&flows);
-        assert_eq!(a, b, "credit loop ignores thread counts");
+        assert_eq!(a, b, "repeated credit runs are identical");
     }
 
     #[test]

@@ -15,12 +15,7 @@
 //!
 //! Instrumentation (`Probe`), the serialization lookup (`Ser`) and
 //! the arena cell width are type parameters, so the uninstrumented
-//! uniform-payload loop pays for none of them. Ideal, fault-free runs can
-//! additionally execute conservative lookahead windows in parallel
-//! (`HFAST_THREADS` / [`Simulation::with_threads`]) while preserving the
-//! deterministic `(time, class, push order)` total order, so any thread
-//! count produces byte-identical [`SimOutput`]s — the invariant every
-//! release asserts.
+//! uniform-payload loop pays for none of them.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -35,10 +30,6 @@ use crate::obs::{EngineObs, HistBuf};
 use crate::queue::{CalendarQueue, Ev, TieClass};
 use crate::stats::RunStats;
 use crate::traffic::Flow;
-
-/// Batch size below which a drained lookahead window is executed inline:
-/// fanning a handful of events out to workers costs more than the events.
-const PAR_BATCH_MIN: usize = 64;
 
 /// Per-slot state: fresh entries have no bits set; [`STALE_BIT`] marks an
 /// entry whose route must be re-derived; [`NOROUTE_BIT`] caches the "this
@@ -502,19 +493,6 @@ impl SimOutput {
     }
 }
 
-/// Worker count for the lookahead-window executor: an explicitly set
-/// `HFAST_THREADS` wins; unset (or 1) keeps the plain sequential loop.
-/// Unlike [`hfast_par::thread_count`] this does **not** fall back to the
-/// machine's available parallelism — windowed execution is an opt-in, so
-/// default runs stay on the fastest single-thread path.
-fn engine_threads() -> usize {
-    std::env::var("HFAST_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
 /// Builder for one simulation run — the single entry point for every
 /// link model, with or without faults.
 ///
@@ -571,7 +549,6 @@ pub struct Simulation<'a> {
     faults: Option<&'a FaultPlan>,
     retry: RetryPolicy,
     reprovision_interval_ns: Option<u64>,
-    threads: Option<usize>,
     congestion: CreditConfig,
 }
 
@@ -589,7 +566,6 @@ impl<'a> Simulation<'a> {
             faults: None,
             retry: RetryPolicy::default(),
             reprovision_interval_ns: None,
-            threads: None,
             congestion: CreditConfig::default(),
         }
     }
@@ -659,16 +635,10 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Executes conservative lookahead windows on `threads` workers
-    /// (overriding `HFAST_THREADS`). `1` is the plain sequential loop.
-    /// Results are byte-identical for every thread count — the windowed
-    /// executor preserves the `(time, push order)` total order
-    /// (property-tested) — so this only trades wall-clock for cores. The
-    /// windows need ideal links whose state no control event can change
-    /// under them: runs with a non-empty fault plan or credit flow
-    /// control are always sequential.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+    /// Does nothing: every run executes the one sequential loop. Kept
+    /// only because the benchmark package still calls it; it goes when
+    /// that call does.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -709,8 +679,8 @@ impl<'a> Simulation<'a> {
     /// Runs the simulation.
     ///
     /// The event loop is fully deterministic: identical inputs produce
-    /// identical [`SimOutput`]s regardless of cache reuse, attached
-    /// observability, or thread count.
+    /// identical [`SimOutput`]s regardless of cache reuse or attached
+    /// observability.
     pub fn run(self, flows: &[Flow]) -> SimOutput {
         let mut overlay = PathCache::new();
         let (base, own) = match (self.cache, self.snapshot) {
@@ -725,7 +695,6 @@ impl<'a> Simulation<'a> {
             plan: self.faults.map_or(&[], FaultPlan::events),
             retry: self.retry,
             interval: self.reprovision_interval_ns,
-            threads: self.threads.unwrap_or_else(engine_threads),
             detailed: self.detailed,
             obs: self.obs,
             trace: self.trace,
@@ -748,7 +717,6 @@ struct Setup<'a> {
     plan: &'a [FaultEvent],
     retry: RetryPolicy,
     interval: Option<u64>,
-    threads: usize,
     detailed: bool,
     obs: Option<&'a EngineObs>,
     trace: Option<&'a TraceRecorder>,
@@ -825,19 +793,11 @@ fn pick_model<E: ArenaEntry, S: Ser, P: Probe>(
 ) -> Output {
     match s.congestion.mode {
         CongestionMode::Ideal => {
-            let d = Driver::<E, S, P, _>::new(s, links, ser, probe, IdealFifo);
-            // Lookahead windows replay each link's FIFO off the event
-            // loop, so they need links no control event or credit stall
-            // can touch mid-batch: ideal model, empty plan.
-            if s.threads > 1 && s.plan.is_empty() {
-                d.execute(|d| d.run_windows(s.threads))
-            } else {
-                d.execute(Driver::run)
-            }
+            Driver::<E, S, P, _>::new(s, links, ser, probe, IdealFifo).execute()
         }
         CongestionMode::Credit => {
             let model = CreditBuffers::new(s.congestion.credits, links.len(), s.flows.len());
-            Driver::<E, S, P, _>::new(s, links, ser, probe, model).execute(Driver::run)
+            Driver::<E, S, P, _>::new(s, links, ser, probe, model).execute()
         }
     }
 }
@@ -864,7 +824,7 @@ const UNSEEN_BIT: u8 = 8;
 /// their arena-cache footprint with `u16` cells, while bigger fabrics fall
 /// back to `u32`. The driver is generic over the cell, so both widths run
 /// identical event math.
-pub(crate) trait ArenaEntry: Copy + Send + Sync + 'static {
+pub(crate) trait ArenaEntry: Copy + 'static {
     /// Largest representable link id (the flag claims the top bit).
     const MAX_LINKS: usize;
     fn from_link(link: usize) -> Self;
@@ -951,15 +911,9 @@ fn serialize(bw_bits: u64, bytes: u64) -> u64 {
 /// the cheap representations cost nothing per event: under a scalar the
 /// ideal loop body compiles down to the merged pop, one arena load, one
 /// link claim, and one push, with no per-flow memory traffic at all.
-pub(crate) trait Ser: Sync {
-    /// Serialization time of `flow` on a link of bandwidth `bw_bits`,
-    /// without touching any memo (callable from parallel workers).
-    fn peek(&self, flow: u32, bw_bits: u64) -> u64;
-
-    #[inline(always)]
-    fn of(&mut self, flow: u32, bw_bits: u64) -> u64 {
-        self.peek(flow, bw_bits)
-    }
+pub(crate) trait Ser {
+    /// Serialization time of `flow` on a link of bandwidth `bw_bits`.
+    fn of(&mut self, flow: u32, bw_bits: u64) -> u64;
 }
 
 /// Uniform bandwidth and payload: one scalar, zero per-event lookups.
@@ -967,7 +921,7 @@ struct ScalarSer(u64);
 
 impl Ser for ScalarSer {
     #[inline(always)]
-    fn peek(&self, _: u32, _: u64) -> u64 {
+    fn of(&mut self, _: u32, _: u64) -> u64 {
         self.0
     }
 }
@@ -980,16 +934,11 @@ struct MemoSer<'a>(&'a [Flow], Vec<(u64, u64)>);
 
 impl Ser for MemoSer<'_> {
     #[inline(always)]
-    fn peek(&self, flow: u32, bw_bits: u64) -> u64 {
-        match self.1[flow as usize] {
+    fn of(&mut self, flow: u32, bw_bits: u64) -> u64 {
+        let ser = match self.1[flow as usize] {
             (bw, ser) if bw == bw_bits => ser,
             _ => serialize(bw_bits, self.0[flow as usize].bytes),
-        }
-    }
-
-    #[inline(always)]
-    fn of(&mut self, flow: u32, bw_bits: u64) -> u64 {
-        let ser = self.peek(flow, bw_bits);
+        };
         self.1[flow as usize] = (bw_bits, ser);
         ser
     }
@@ -1188,7 +1137,17 @@ impl<E: ArenaEntry, S: Ser, P: Probe> LinkModel for Driver<'_, E, S, P, IdealFif
         }
         let ser = self.ser.of(ev.flow, lh.bw_bits);
         let start = claim(&mut lh.free_at, ev.t, ser);
-        self.cross(ev, cell, start, ser);
+        lh.busy_ns = lh.busy_ns.saturating_add(ser);
+        // The header clears this link after the fixed latency; the tail
+        // follows one serialization time behind.
+        let header_out = start.saturating_add(lh.lat);
+        self.probe
+            .hop(cell.link(), ev.flow, start - ev.t, start, ser);
+        if !cell.is_last() {
+            self.q.push(header_out, ev.flow, ev.tag + 1);
+        } else {
+            self.deliver(ev.flow, header_out.saturating_add(ser));
+        }
     }
 
     /// Nothing to do: flows in flight discover the outage when their
@@ -1525,11 +1484,11 @@ where
         (off, path.len() as u32)
     }
 
-    /// Runs `body` (one of the loop executors) under the wall clock, then
-    /// the shared epilogue: records, flow spans, stats, obs counters.
-    fn execute(mut self, body: impl FnOnce(&mut Self)) -> Output {
+    /// Runs [`Driver::run`] under the wall clock, then the shared
+    /// epilogue: records, flow spans, stats, obs counters.
+    fn execute(mut self) -> Output {
         let t_loop = std::time::Instant::now();
-        body(&mut self);
+        self.run();
         let perf = LoopPerf {
             events: self.events,
             loop_ns: t_loop.elapsed().as_nanos() as u64,
@@ -1573,8 +1532,8 @@ where
         (stats, records, self.ctl.reprovisions, perf)
     }
 
-    /// The sequential loop: a three-way merge of the flow queue, the
-    /// sorted seed stream, and the control schedule. The queue yields
+    /// The event loop: a three-way merge of the flow queue, the sorted
+    /// seed stream, and the control schedule. The queue yields
     /// only while its head is strictly earlier than both other heads, so
     /// at one timestamp control events run first, then seed admissions,
     /// then queued events in push order — the `(time, class, seq)` total
@@ -2040,169 +1999,6 @@ where
     }
 }
 
-/// One parallel worker's output in [`Driver::run_windows`]: the group's
-/// link, the link's final `free_at`, and `(start, ser)` per event in
-/// drain order.
-type GroupResult = (usize, u64, Vec<(u64, u64)>);
-
-impl<E: ArenaEntry, S: Ser, P: Probe> Driver<'_, E, S, P, IdealFifo> {
-    /// The header of `ev`'s flow crosses `cell`'s link from `start`, the
-    /// claim already made: account the occupancy, report the hop, and
-    /// schedule the next arrival or the delivery.
-    #[inline(always)]
-    fn cross(&mut self, ev: Ev, cell: E, start: u64, ser: u64) {
-        let lh = &mut self.links[cell.link()];
-        lh.busy_ns = lh.busy_ns.saturating_add(ser);
-        // The header clears this link after the fixed latency; the tail
-        // follows one serialization time behind.
-        let header_out = start.saturating_add(lh.lat);
-        self.probe
-            .hop(cell.link(), ev.flow, start - ev.t, start, ser);
-        if !cell.is_last() {
-            self.q.push(header_out, ev.flow, ev.tag + 1);
-        } else {
-            self.deliver(ev.flow, header_out.saturating_add(ser));
-        }
-    }
-
-    /// The conservative-parallelism executor for ideal, fault-free runs.
-    ///
-    /// Events are drained in `(time, insertion)` order into a batch while
-    /// each event's timestamp stays below the running lookahead bound
-    /// `W = min over drained events of (time + latency(link(event)))`.
-    ///
-    /// Why every drained batch is safe to execute out of order across
-    /// links:
-    ///
-    /// 1. Every batch event's time is `< W`: events pop in nondecreasing
-    ///    time, and for any members `j`, `k`: if `k` drained first, the
-    ///    bound including `k` already gated `j`'s admission (`t_j < W ≤
-    ///    t_k + lat_k`); if `k` drained after `j`, then `t_j ≤ t_k < t_k
-    ///    + lat_k`.
-    /// 2. Every successor lands at `start + latency ≥ time + latency ≥
-    ///    W`, so no event scheduled *by* the batch can belong *in* the
-    ///    batch — the sequential loop would also have processed the
-    ///    entire batch before any successor.
-    /// 3. Within the batch, only same-link events interact (through the
-    ///    link's `free_at`); grouping by link preserves the drain order,
-    ///    so each link's FIFO claims replay exactly the sequential order
-    ///    — through the same [`claim`] the sequential loop calls.
-    /// 4. Successors are pushed during the merge in batch order — the
-    ///    same order the sequential loop would have pushed them — and the
-    ///    stable queue breaks timestamp ties by push order, so the
-    ///    *(time, insertion)* total order, and with it every downstream
-    ///    tie-break, is byte-identical.
-    ///
-    /// (Once timestamps saturate at `u64::MAX` the bound stops advancing
-    /// and batches degenerate to one event — still the sequential order.)
-    ///
-    /// Probe hooks fire at merge time in batch order, so instrumented
-    /// streams are also identical across thread counts. Batches smaller
-    /// than [`PAR_BATCH_MIN`] execute inline; the fan-out only engages on
-    /// bursts (all-to-alls, incasts) where per-link groups carry real
-    /// work.
-    fn run_windows(&mut self, threads: usize) {
-        // Drained events with their arena cells, in pop order.
-        let mut batch: Vec<(Ev, E)> = Vec::new();
-        // (start, ser) per batch event, filled by the per-link groups.
-        let mut rows: Vec<(u64, u64)> = Vec::new();
-        // link -> group index for the current batch; reset after each.
-        let mut link_group: Vec<u32> = vec![u32::MAX; self.links.len()];
-        let mut groups: Vec<Vec<u32>> = Vec::new();
-
-        loop {
-            batch.clear();
-            let mut bound = u64::MAX;
-            loop {
-                // Merged head of the seed stream and the calendar queue;
-                // seeds win timestamp ties.
-                let seed = self.seeds.get(self.seed_pos);
-                let seed = seed.map(|&(t, flow, tag)| Ev { t, flow, tag });
-                let queued = self.q.peek_time();
-                let take_seed = seed.is_some_and(|s| queued.is_none_or(|t| s.t <= t));
-                let head = if take_seed { seed.map(|s| s.t) } else { queued };
-                match head {
-                    Some(t) if batch.is_empty() || t < bound => {}
-                    _ => break,
-                }
-                let ev = if take_seed {
-                    self.seed_pos += 1;
-                    seed.expect("take_seed implies a seed")
-                } else {
-                    self.q.pop().expect("peeked event pops")
-                };
-                let cell = self.arena[ev.tag as usize];
-                bound = bound.min(ev.t.saturating_add(self.links[cell.link()].lat));
-                batch.push((ev, cell));
-            }
-            if batch.is_empty() {
-                break;
-            }
-            let k = batch.len();
-            self.events += k as u64;
-
-            rows.clear();
-            if k < PAR_BATCH_MIN {
-                for &(ev, cell) in &batch {
-                    let lh = &mut self.links[cell.link()];
-                    let ser = self.ser.of(ev.flow, lh.bw_bits);
-                    rows.push((claim(&mut lh.free_at, ev.t, ser), ser));
-                }
-            } else {
-                // Group by link, preserving drain order within each group.
-                groups.clear();
-                for (i, &(_, cell)) in batch.iter().enumerate() {
-                    let g = &mut link_group[cell.link()];
-                    if *g == u32::MAX {
-                        *g = groups.len() as u32;
-                        groups.push(Vec::new());
-                    }
-                    groups[*g as usize].push(i as u32);
-                }
-                // Each link's FIFO replays independently on a worker.
-                // Workers read the serialization memo but never write it
-                // (a pure recompute on miss costs the same either way and
-                // keeps the fan-out free of shared mutable state).
-                let (batch, groups, links, ser) = (&batch, &groups, &self.links, &self.ser);
-                let results: Vec<GroupResult> =
-                    hfast_par::par_map_range(threads, groups.len(), |gi| {
-                        let link = batch[groups[gi][0] as usize].1.link();
-                        let lh = links[link];
-                        let mut free = lh.free_at;
-                        let claims = groups[gi].iter().map(|&bi| {
-                            let ev = batch[bi as usize].0;
-                            let ser = ser.peek(ev.flow, lh.bw_bits);
-                            (claim(&mut free, ev.t, ser), ser)
-                        });
-                        let out = claims.collect();
-                        (link, free, out)
-                    });
-                rows.resize(k, (0, 0));
-                for (group, (link, free, out)) in groups.iter().zip(results) {
-                    self.links[link].free_at = free;
-                    link_group[link] = u32::MAX;
-                    for (&bi, row) in group.iter().zip(out) {
-                        rows[bi as usize] = row;
-                    }
-                }
-            }
-
-            // Merge in batch (= sequential) order: busy accounting,
-            // delivery times, probe hooks, and successor pushes (whose
-            // order is the stable queue's tie-break).
-            for (i, (&(ev, cell), &(start, ser))) in batch.iter().zip(&rows).enumerate() {
-                // The pending-event count the sequential loop would observe
-                // after consuming this event: the still-undrained remainder
-                // of the batch plus the unconsumed seed tail plus everything
-                // scheduled so far.
-                let undrained = k - i - 1 + self.seeds.len() - self.seed_pos;
-                self.probe.pending(self.q.len() + undrained);
-                self.cross(ev, cell, start, ser);
-            }
-        }
-    }
-}
-
 /// Sorts `seeds` by start time, stably, as a least-significant-digit
 /// radix sort over the start's bytes. Seeds are pushed in flow order, so
 /// the result is `(start, flow)` order. A byte every start shares (the
@@ -2394,24 +2190,6 @@ mod tests {
         let b = Simulation::new(&Wire).run(&flows);
         assert_eq!(a, b);
         assert!(a.records.is_none(), "no records unless detailed()");
-    }
-
-    #[test]
-    fn thread_counts_are_byte_identical() {
-        let flows: Vec<Flow> = (0..200)
-            .map(|i| flow(i % 2, (i + 1) % 2, 64 + i as u64, (i as u64 % 5) * 40))
-            .collect();
-        let seq = Simulation::new(&Wire)
-            .detailed()
-            .with_threads(1)
-            .run(&flows);
-        for threads in [2, 8] {
-            let par = Simulation::new(&Wire)
-                .detailed()
-                .with_threads(threads)
-                .run(&flows);
-            assert_eq!(seq, par, "threads={threads}");
-        }
     }
 
     #[test]

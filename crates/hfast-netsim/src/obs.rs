@@ -2,8 +2,8 @@
 //! runs.
 //!
 //! An [`EngineObs`] records only what a run attaches it to
-//! (`.with_obs(&obs)`). Everything in it is order-free, so what it reads
-//! after a run is the same at every thread count. The per-event stream —
+//! (`.with_obs(&obs)`). Everything in it is order-free, so runs on
+//! several threads may share one. The per-event stream —
 //! one `hop` span per link crossing, fault instants, `stall` and
 //! `reprovision` spans — is the attached
 //! [`TraceRecorder`](hfast_trace::TraceRecorder)'s.

@@ -18,13 +18,11 @@
 //! Ordering contract (property-tested against `BinaryHeap` in this
 //! module): entries dequeue by ascending `(time, class, push order)`. The
 //! queue is **stable**, so push order stands in for the sequence numbers
-//! a heap would need — the sequential loop pushes successors in pop
-//! order and the parallel executor pushes them in batch order, which is
-//! the same order. `class` comes from the [`TieClass`] type parameter:
-//! the ideal link model schedules one kind of event and orders purely by
-//! time; the credit model needs re-admissions ahead of service
-//! completions at equal timestamps, which is one bit derived from the
-//! tag.
+//! a heap would need — the loop pushes successors in pop order. `class`
+//! comes from the [`TieClass`] type parameter: the ideal link model
+//! schedules one kind of event and orders purely by time; the credit
+//! model needs re-admissions ahead of service completions at equal
+//! timestamps, which is one bit derived from the tag.
 //!
 //! Bucket sizing is fixed (see [`CalendarQueue::new`]): seed admissions
 //! never enter the queue, so its live set is the in-flight flows whatever
@@ -165,7 +163,7 @@ impl<C: TieClass> CalendarQueue<C> {
     }
 
     /// Timestamp of the next event without dequeuing it.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn peek_time(&mut self) -> Option<u64> {
         self.head().map(|e| e.t)
     }

@@ -10,8 +10,8 @@
 //! nothing the plain run does not, and its peak heap stays within a few
 //! KB of the plain run's however many hops it takes.
 //!
-//! Counters are per thread — the simulator runs on the calling thread at
-//! `with_threads(1)` — so the tests here cannot disturb each other.
+//! Counters are per thread — the simulator runs on the calling thread —
+//! so the tests here cannot disturb each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -99,9 +99,9 @@ fn ring_flows(hops: usize, count: usize) -> (TorusFabric, Vec<Flow>, PathCache) 
     (ring, flows, cache)
 }
 
-/// The run every measurement makes: warm routes, the sequential loop.
+/// The run every measurement makes: warm routes.
 fn sim<'a>(ring: &'a TorusFabric, cache: &'a mut PathCache) -> Simulation<'a> {
-    Simulation::new(ring).with_cache(cache).with_threads(1)
+    Simulation::new(ring).with_cache(cache)
 }
 
 #[test]

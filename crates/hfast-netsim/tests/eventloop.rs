@@ -1,13 +1,13 @@
 //! Event-loop rewrite anchors: golden output digests frozen on the
-//! pre-rewrite (`BinaryHeap`) engine, plus thread-count and warm-cache
+//! pre-rewrite (`BinaryHeap`) engine, plus warm-cache and telemetry
 //! equivalence properties.
 //!
 //! The golden constants below were produced by the heap-based engine
 //! before the calendar-queue rewrite and must never change: any diff in
 //! any digest means the rewrite altered simulated results, not just
-//! performance. The property tests then pin the new degrees of freedom —
-//! `HFAST_THREADS` and route-cache reuse — to the same byte-for-byte
-//! output.
+//! performance. The property tests then pin the degrees of freedom that
+//! must not matter — route-cache reuse and attached telemetry — to the
+//! same byte-for-byte output.
 
 use hfast_core::{PaperLinear, ProvisionConfig, Provisioner, Strategy};
 use hfast_netsim::{
@@ -106,85 +106,19 @@ fn golden_hfast_reprovision() {
     assert_eq!(digest(&out), 0x2342ee1d8b9b75c8);
 }
 
-/// The conservative-parallel executor must be indistinguishable from the
-/// sequential loop on arbitrary fabrics and traffic, for every thread
-/// count.
-#[test]
-fn threads_equivalent_on_random_scenarios() {
-    forall("eventloop_threads_equivalent", 24, |rng| {
-        let nodes = rng.range(4, 48);
-        let fabric: Box<dyn Fabric> = if rng.bool(0.5) {
-            Box::new(TorusFabric::new((nodes, rng.range(1, 4), 1)).unwrap())
-        } else {
-            Box::new(FatTreeFabric::new(nodes.next_power_of_two(), 8).unwrap())
-        };
-        let n = fabric.nodes();
-        let flows = seeded_flows(rng.range_u64(0, u64::MAX), n, rng.range(1, 400));
-        let d1 = digest(
-            &Simulation::new(&*fabric)
-                .detailed()
-                .with_threads(1)
-                .run(&flows),
-        );
-        for threads in [2, 8] {
-            let dt = digest(
-                &Simulation::new(&*fabric)
-                    .detailed()
-                    .with_threads(threads)
-                    .run(&flows),
-            );
-            assert_eq!(d1, dt, "threads={threads} diverged from sequential");
-        }
-    });
-}
-
-/// Fault runs are defined to execute sequentially regardless of the
-/// requested thread count: `with_threads` must be a no-op on them.
-#[test]
-fn threads_are_inert_on_fault_runs() {
-    let torus = TorusFabric::new((4, 4, 1)).unwrap();
-    let fs = seeded_flows(21, 16, 150);
-    let eligible = transit_links(&torus, &fs);
-    let plan = FaultPlan::builder()
-        .random_link_failures(0xACE, 3, &eligible, (0, 300_000), Some(100_000))
-        .build(&torus)
-        .unwrap();
-    let base = digest(
-        &Simulation::new(&torus)
-            .with_faults(&plan)
-            .with_retry(RetryPolicy::default())
-            .detailed()
-            .run(&fs),
-    );
-    for threads in [2, 8] {
-        let d = digest(
-            &Simulation::new(&torus)
-                .with_faults(&plan)
-                .with_retry(RetryPolicy::default())
-                .with_threads(threads)
-                .detailed()
-                .run(&fs),
-        );
-        assert_eq!(base, d);
-    }
-}
-
 /// `CongestionMode::Ideal` is the default link model: an explicit
 /// `.with_congestion(CreditConfig::default())` changes nothing, so every
-/// golden digest must reproduce bit-for-bit — including under different
-/// thread counts and with faults attached.
+/// golden digest must reproduce bit-for-bit — including with faults
+/// attached, and on the 20k-flow torus the benchmark replays.
 #[test]
 fn ideal_congestion_mode_reproduces_the_goldens() {
     let torus = TorusFabric::new((4, 4, 2)).unwrap();
     let fs = seeded_flows(7, 32, 300);
-    for threads in [1, 8] {
-        let out = Simulation::new(&torus)
-            .with_congestion(CreditConfig::default())
-            .with_threads(threads)
-            .detailed()
-            .run(&fs);
-        assert_eq!(digest(&out), 0xabbcd0e7dc7f40df, "threads={threads}");
-    }
+    let out = Simulation::new(&torus)
+        .with_congestion(CreditConfig::default())
+        .detailed()
+        .run(&fs);
+    assert_eq!(digest(&out), 0xabbcd0e7dc7f40df);
 
     let ft = FatTreeFabric::new(32, 8).unwrap();
     let fs = traffic::alltoall(32, 4096);
@@ -209,11 +143,19 @@ fn ideal_congestion_mode_reproduces_the_goldens() {
         .detailed()
         .run(&fs);
     assert_eq!(digest(&out), 0xe3be6145e07f0fef, "ideal + faults");
+
+    let torus = TorusFabric::new((8, 8, 8)).unwrap();
+    let many = traffic::uniform_random(512, 20_000, 4096, 1_000_000, 42);
+    let plain = Simulation::new(&torus).detailed().run(&many);
+    let ideal = Simulation::new(&torus)
+        .with_congestion(CreditConfig::default())
+        .detailed()
+        .run(&many);
+    assert_eq!(digest(&plain), digest(&ideal), "ideal vs plain, 20k flows");
 }
 
-/// Credit-mode runs are sequential and seeded: any fabric, any
-/// traffic, any buffer depth — repeated replays and every thread count
-/// produce identical bytes.
+/// Credit-mode runs are seeded: any fabric, any traffic, any buffer
+/// depth — repeated replays produce identical bytes.
 #[test]
 fn credit_mode_is_deterministic_on_random_scenarios() {
     forall("congestion_credit_determinism", 12, |rng| {
@@ -233,22 +175,21 @@ fn credit_mode_is_deterministic_on_random_scenarios() {
                 .detailed()
                 .run(&flows),
         );
-        for threads in [1, 8] {
-            let d = digest(
-                &Simulation::new(&*fabric)
-                    .with_congestion(cfg)
-                    .with_threads(threads)
-                    .detailed()
-                    .run(&flows),
-            );
-            assert_eq!(base, d, "credits={credits} threads={threads}");
-        }
+        let again = digest(
+            &Simulation::new(&*fabric)
+                .with_congestion(cfg)
+                .detailed()
+                .run(&flows),
+        );
+        assert_eq!(base, again, "credits={credits}");
     });
 }
 
 /// Warm cache reuse, cold routing, and instrumented runs all produce the
 /// same bytes: the route cache and observability are performance and
-/// visibility features, never semantic ones.
+/// visibility features, never semantic ones. The random tori carry an
+/// [`EngineObs`]; the credit + faults + repatch HFAST run, every kind of
+/// engine event at once, carries both instruments.
 #[test]
 fn warm_cache_and_obs_runs_are_byte_identical() {
     forall("eventloop_warm_cache_identity", 12, |rng| {
@@ -281,6 +222,15 @@ fn warm_cache_and_obs_runs_are_byte_identical() {
         assert_eq!(cold, instrumented, "cold vs instrumented run");
         assert!(obs.events.get() > 0 || flows.is_empty());
     });
+
+    let (hfast, flows, outage) = credit_outage_hfast();
+    let sim = || credit_outage_sim(&hfast, &outage);
+    let bare = sim().run(&flows);
+    let obs = EngineObs::new();
+    let rec = TraceRecorder::new();
+    let instrumented = sim().with_obs(&obs).with_trace(&rec).run(&flows);
+    assert_eq!(bare, instrumented, "instruments moved a credit outage run");
+    assert_eq!(rec.len(), rec.snapshot().len());
 }
 
 /// 15→1 incast of 64 KiB messages: the scenario that forms a congestion
@@ -458,12 +408,10 @@ fn golden_torus_faulted_obs_stream() {
     }
 }
 
-#[test]
-fn golden_credit_hfast_reprovision_obs_stream() {
-    // Credit buffers, two circuits failing under an incast, and the
-    // mid-run repatch: every kind of engine event in one run.
+/// An incast provisioned onto HFAST, and a plan failing two of its
+/// circuits under load.
+fn credit_outage_hfast() -> (HfastFabric, Vec<Flow>, FaultPlan) {
     let scenario = Scenario::preset(ScenarioKind::Incast, 32, 5);
-    let flows = scenario.generate();
     let hfast = HfastFabric::provisioned(
         &scenario.comm_graph(),
         ProvisionConfig::default(),
@@ -478,15 +426,27 @@ fn golden_credit_hfast_reprovision_obs_stream() {
         outage = outage.fail_link(10_000 * (i as u64 + 1), l);
     }
     let outage = outage.build(&hfast).unwrap();
+    (hfast, scenario.generate(), outage)
+}
+
+/// Credit buffers, the outage, and the mid-run repatch that brings the
+/// circuits back: every kind of engine event in one run.
+fn credit_outage_sim<'a>(hfast: &'a HfastFabric, outage: &'a FaultPlan) -> Simulation<'a> {
+    Simulation::new(hfast)
+        .with_congestion(CreditConfig::credit(2))
+        .with_faults(outage)
+        .with_reprovision(100_000)
+        .detailed()
+}
+
+#[test]
+fn golden_credit_hfast_reprovision_obs_stream() {
+    let (hfast, flows, outage) = credit_outage_hfast();
     let obs = EngineObs::new();
     let rec = TraceRecorder::new();
-    let out = Simulation::new(&hfast)
-        .with_congestion(CreditConfig::credit(2))
-        .with_faults(&outage)
-        .with_reprovision(100_000)
+    let out = credit_outage_sim(&hfast, &outage)
         .with_obs(&obs)
         .with_trace(&rec)
-        .detailed()
         .run(&flows);
     assert_eq!(out.stats.completed, flows.len());
     let names: Vec<&str> = rec.snapshot().iter().map(|s| s.name).collect();
@@ -499,18 +459,11 @@ fn golden_credit_hfast_reprovision_obs_stream() {
 
 #[test]
 fn golden_fattree_alltoall_obs_stream() {
-    // Same-timestamp bursts through the sequential loop and the
-    // lookahead windows: one stream, whatever the thread count.
+    // Same-timestamp bursts.
     let ft = FatTreeFabric::new(32, 8).unwrap();
     let fs = traffic::alltoall(32, 4096);
-    for threads in [1, 2] {
-        let obs = EngineObs::new();
-        let out = Simulation::new(&ft)
-            .with_threads(threads)
-            .with_obs(&obs)
-            .detailed()
-            .run(&fs);
-        assert_eq!(digest(&out), 0x77fc692a8b8f1a26, "threads={threads}");
-        assert_eq!(hist_digest(&obs), 0x1f4440facfbb724c, "threads={threads}");
-    }
+    let obs = EngineObs::new();
+    let out = Simulation::new(&ft).with_obs(&obs).detailed().run(&fs);
+    assert_eq!(digest(&out), 0x77fc692a8b8f1a26);
+    assert_eq!(hist_digest(&obs), 0x1f4440facfbb724c);
 }

@@ -1,48 +1,18 @@
 //! Integration tests for the runtime fault subsystem: a seeded fault
-//! replay must be bit-stable across worker thread counts (`HFAST_THREADS`)
-//! and across repeated same-seed runs, and HFAST's mid-run re-provisioning
-//! must actually repair failed circuits.
-
-use std::sync::Mutex;
+//! replay must be bit-stable across repeated same-seed runs, and HFAST's
+//! mid-run re-provisioning must actually repair failed circuits.
 
 use hfast_core::{PaperLinear, ProvisionConfig, Provisioner};
 use hfast_netsim::engine::PathCache;
 use hfast_netsim::{
     traffic, transit_links, CreditConfig, Fabric, FatTreeFabric, FaultPlan, Flow, HfastFabric,
-    RetryPolicy, SimOutput, Simulation, TorusFabric,
+    RetryPolicy, Simulation, TorusFabric,
 };
 use hfast_topology::CommGraph;
 
-/// Serializes tests that flip `HFAST_THREADS` — the variable is
-/// process-global and the test harness runs tests concurrently.
-static THREAD_ENV: Mutex<()> = Mutex::new(());
-
-/// Runs `f` once per thread-count setting and asserts every output equals
-/// the first (sequential) one.
-fn assert_stable_across_threads<F: Fn() -> SimOutput>(label: &str, f: F) -> SimOutput {
-    let _guard = THREAD_ENV.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("HFAST_THREADS").ok();
-    std::env::set_var("HFAST_THREADS", "1");
-    let sequential = f();
-    for threads in ["2", "8"] {
-        std::env::set_var("HFAST_THREADS", threads);
-        let parallel = f();
-        assert_eq!(
-            sequential, parallel,
-            "{label}: HFAST_THREADS=1 vs ={threads} diverged"
-        );
-    }
-    match prev {
-        Some(v) => std::env::set_var("HFAST_THREADS", v),
-        None => std::env::remove_var("HFAST_THREADS"),
-    }
-    sequential
-}
-
 #[test]
 fn torus_fault_replay_is_thread_count_invariant() {
-    // 64 nodes and 300 flows, replayed at HFAST_THREADS = 1, 2 and 8:
-    // fault runs are sequential whatever the variable says.
+    // 64 nodes and 300 flows under link and router outages.
     let fabric = TorusFabric::new((4, 4, 4)).expect("valid shape");
     let flows = traffic::uniform_random(64, 300, 1 << 16, 1_000_000, 7);
     let eligible = transit_links(&fabric, &flows);
@@ -57,13 +27,11 @@ fn torus_fault_replay_is_thread_count_invariant() {
         .build(&fabric)
         .expect("valid plan");
 
-    let out = assert_stable_across_threads("torus replay", || {
-        Simulation::new(&fabric)
-            .with_faults(&plan)
-            .with_retry(RetryPolicy::default())
-            .detailed()
-            .run(&flows)
-    });
+    let out = Simulation::new(&fabric)
+        .with_faults(&plan)
+        .with_retry(RetryPolicy::default())
+        .detailed()
+        .run(&flows);
     // Faults with recovery plus retries: everything is eventually
     // delivered (the torus reroutes, and downed links come back).
     assert_eq!(out.stats.completed + out.stats.unrouted, flows.len());
@@ -119,13 +87,11 @@ fn hfast_with_two_dead_circuits() -> (HfastFabric, Vec<Flow>, FaultPlan) {
 fn hfast_reprovision_repairs_failed_circuits() {
     let (fabric, flows, plan) = hfast_with_two_dead_circuits();
 
-    let out = assert_stable_across_threads("hfast repatch", || {
-        Simulation::new(&fabric)
-            .with_faults(&plan)
-            .with_reprovision(5_000_000)
-            .detailed()
-            .run(&flows)
-    });
+    let out = Simulation::new(&fabric)
+        .with_faults(&plan)
+        .with_reprovision(5_000_000)
+        .detailed()
+        .run(&flows);
     assert!(
         !out.reprovisions.is_empty(),
         "failed circuits must trigger a re-provisioning round"

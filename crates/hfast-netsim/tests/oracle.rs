@@ -7,8 +7,7 @@
 //! float division per event, no arenas, no caches, no seed merging (it
 //! used to live in the netsim bench as the "pr5 replica") — and the
 //! differential test compares it flow by flow against
-//! [`Simulation::run`] on random fabrics, flows, and thread counts. The
-//! credit model has no second implementation to diff against, so it is
+//! [`Simulation::run`] on random fabrics and flows. The credit model has no second implementation to diff against, so it is
 //! held to the invariants any correct implementation must satisfy.
 
 use std::cmp::Reverse;
@@ -103,19 +102,10 @@ fn ideal_model_matches_the_naive_reference() {
         let fabric = small_fabric(rng);
         let flows = small_flows(rng, fabric.nodes());
         let (ends, events) = naive_cut_through(fabric.as_ref(), &flows);
-        for threads in [1, 2] {
-            let out = Simulation::new(fabric.as_ref())
-                .with_threads(threads)
-                .detailed()
-                .run(&flows);
-            assert_eq!(out.perf.events, events, "event count, threads={threads}");
-            for (r, end) in out.records().iter().zip(&ends) {
-                assert_eq!(
-                    r.end_ns, *end,
-                    "flow {} diverged, threads={threads}",
-                    r.flow
-                );
-            }
+        let out = Simulation::new(fabric.as_ref()).detailed().run(&flows);
+        assert_eq!(out.perf.events, events, "event count");
+        for (r, end) in out.records().iter().zip(&ends) {
+            assert_eq!(r.end_ns, *end, "flow {} diverged", r.flow);
         }
     });
 }

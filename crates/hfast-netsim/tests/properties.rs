@@ -884,30 +884,23 @@ fn simulated_time_saturates_instead_of_overflowing() {
     let giants: Vec<Flow> = (1..4).map(|src| flow(src, u64::MAX, 0)).collect();
     let late = vec![flow(1, 4096, 0), flow(2, 4096, u64::MAX - 1)];
     for congestion in [CreditConfig::default(), CreditConfig::credit(1)] {
-        for threads in [1, 2] {
-            let obs = EngineObs::new();
-            let rec = TraceRecorder::new();
-            let sim = || {
-                Simulation::new(&ft)
-                    .with_congestion(congestion)
-                    .with_threads(threads)
-                    .detailed()
-            };
-            let out = sim().run(&giants);
-            assert_eq!(out.stats.completed, 3, "{congestion:?}");
-            assert_eq!(out.stats.makespan_ns, u64::MAX, "pinned at the ceiling");
-            assert_eq!(out.stats.delivered_bytes, u64::MAX);
-            assert_eq!(out, sim().with_obs(&obs).with_trace(&rec).run(&giants));
+        let obs = EngineObs::new();
+        let rec = TraceRecorder::new();
+        let sim = || Simulation::new(&ft).with_congestion(congestion).detailed();
+        let out = sim().run(&giants);
+        assert_eq!(out.stats.completed, 3, "{congestion:?}");
+        assert_eq!(out.stats.makespan_ns, u64::MAX, "pinned at the ceiling");
+        assert_eq!(out.stats.delivered_bytes, u64::MAX);
+        assert_eq!(out, sim().with_obs(&obs).with_trace(&rec).run(&giants));
 
-            let out = sim().run(&late);
-            assert_eq!(out.stats.completed, 2, "{congestion:?}");
-            assert_eq!(out.records()[1].end_ns, Some(u64::MAX));
-            assert!(
-                out.records()[0].end_ns < Some(1 << 20),
-                "untouched by the ceiling"
-            );
-            assert_eq!(out, sim().with_obs(&obs).with_trace(&rec).run(&late));
-        }
+        let out = sim().run(&late);
+        assert_eq!(out.stats.completed, 2, "{congestion:?}");
+        assert_eq!(out.records()[1].end_ns, Some(u64::MAX));
+        assert!(
+            out.records()[0].end_ns < Some(1 << 20),
+            "untouched by the ceiling"
+        );
+        assert_eq!(out, sim().with_obs(&obs).with_trace(&rec).run(&late));
     }
     // Retry backoffs and sync points saturate the same way.
     let torus = TorusFabric::new((4, 1, 1)).expect("valid shape");

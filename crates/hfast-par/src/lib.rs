@@ -6,13 +6,14 @@
 //! harness fan those cells out across cores while keeping every output
 //! **bit-identical** to the sequential run:
 //!
-//! * [`par`] — [`par_map`]/[`par_map_range`] built on [`std::thread::scope`]
+//! * [`par`] — [`par_map`]/[`par_map_with`] built on [`std::thread::scope`]
 //!   (zero dependencies). Results are returned in input order, so callers
 //!   that print or reduce them observe exactly the sequential order no
 //!   matter how the OS schedules the workers. The worker count honours the
-//!   `HFAST_THREADS` environment variable and falls back to the machine's
-//!   available parallelism; `HFAST_THREADS=1` is a true sequential path
-//!   (no threads spawned at all).
+//!   `HFAST_THREADS` environment variable (an unparseable value means 1)
+//!   and, when it is unset, falls back to the machine's available
+//!   parallelism; `HFAST_THREADS=1` is a true sequential path (no threads
+//!   spawned at all).
 //! * [`rng`] — a small, seeded, splittable PRNG ([`rng::Rng64`],
 //!   SplitMix64) used by the synthetic workload generator and the property
 //!   tests. Deterministic across platforms and runs.
@@ -27,5 +28,5 @@ pub mod par;
 pub mod rng;
 
 pub use check::forall;
-pub use par::{par_map, par_map_range, par_map_with, thread_count};
+pub use par::{par_map, par_map_with, thread_count};
 pub use rng::Rng64;

@@ -11,10 +11,10 @@ use std::sync::Mutex;
 
 /// Number of worker threads the harness should use.
 ///
-/// `HFAST_THREADS=<n>` forces `n` (minimum 1); unset or unparseable falls
-/// back to [`std::thread::available_parallelism`]. `HFAST_THREADS=1` selects
-/// the sequential path — no threads are spawned and execution order is the
-/// plain left-to-right `map`.
+/// `HFAST_THREADS=<n>` forces `n` (minimum 1) and an unparseable value
+/// means 1; unset falls back to [`std::thread::available_parallelism`].
+/// `HFAST_THREADS=1` selects the sequential path — no threads are spawned
+/// and execution order is the plain left-to-right `map`.
 pub fn thread_count() -> usize {
     match std::env::var("HFAST_THREADS") {
         Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
@@ -81,47 +81,6 @@ where
     par_map_with(thread_count(), items, f)
 }
 
-/// Maps `f` over the index range `0..n` on `threads` workers, returning
-/// results in index order.
-///
-/// Unlike [`par_map_with`] there is no input vector to shuttle through
-/// per-item slots — `f` closes over whatever shared state it needs — so
-/// this is the cheap shape for fan-outs that are invoked repeatedly (the
-/// netsim engine's lookahead windows call it once per large batch).
-/// `threads <= 1` or `n <= 1` runs sequentially on the calling thread.
-pub fn par_map_range<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = f(i);
-                *results[i].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every index produced a result")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,15 +93,6 @@ mod tests {
             let got = par_map_with(threads, items.clone(), |x| x * 3 + 1);
             assert_eq!(got, expected, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn map_range_matches_sequential() {
-        let expected: Vec<usize> = (0..131).map(|i| i * i).collect();
-        for threads in [1, 2, 8] {
-            assert_eq!(par_map_range(threads, 131, |i| i * i), expected);
-        }
-        assert_eq!(par_map_range(4, 0, |i| i), Vec::<usize>::new());
     }
 
     #[test]

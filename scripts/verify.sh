@@ -42,15 +42,6 @@ smoke hotspots cargo run --release -q -p hfast-bench --bin hotspots -- GTC
 # exported document is valid trace-event JSON with one track per rank and
 # per used link and zero orphan recv spans.
 smoke trace_capture cargo run --release -q -p hfast-bench --bin trace_capture
-# Event-loop determinism smoke: every scenario (static 20k-flow suite,
-# all-to-all burst, faulted torus with retries, credit incast, credit +
-# faults + mid-run repatch on HFAST) must produce byte-identical digests
-# under HFAST_THREADS=1 and =8, bare and with EngineObs + a TraceRecorder
-# attached, and the span stream and histograms the instrumented runs
-# leave must match across thread counts too; on divergence it prints
-# scenario, thread count, which stream (output / spans / histogram) and
-# expected-vs-got, and exits non-zero.
-smoke eventloop_smoke cargo run --release -q -p hfast-bench --bin eventloop_smoke
 # Provisioner bake-off smoke: every strategy must produce a valid
 # provisioning on every app cell, paper_linear digests must match the
 # PR-6 goldens (the trait extraction is bit-identical), and credit-mode
