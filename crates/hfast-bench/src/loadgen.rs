@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use hfast_obs::Histogram;
 use hfast_par::rng::Rng64;
-use hfast_serve::{AppSpec, Client, ClientError, FabricSpec, FleetClient, Request, Response};
+use hfast_serve::{AppSpec, Client, FabricSpec, Request, Response};
 
 /// The six paper applications (Table 2 names).
 pub const PAPER_APPS: [&str; 6] = ["Cactus", "LBMHD", "GTC", "SuperLU", "PMEMD", "PARATEC"];
@@ -131,38 +131,8 @@ struct ConnOutcome {
     dropped: usize,
 }
 
-/// Where the load goes: one daemon, or a sharded fleet addressed
-/// client-side (same `call_text` surface either way).
-enum Target<'a> {
-    Single(&'a str),
-    Fleet(&'a [String]),
-}
-
-enum Conn {
-    Single(Client),
-    Fleet(Box<FleetClient>),
-}
-
-impl Target<'_> {
-    fn connect(&self) -> Result<Conn, ClientError> {
-        match self {
-            Target::Single(addr) => Ok(Conn::Single(Client::connect(addr)?)),
-            Target::Fleet(addrs) => Ok(Conn::Fleet(Box::new(FleetClient::connect(addrs)))),
-        }
-    }
-}
-
-impl Conn {
-    fn call_text(&mut self, req: &Request) -> Result<(Response, String), ClientError> {
-        match self {
-            Conn::Single(c) => c.call_text(req),
-            Conn::Fleet(c) => c.call_text(req),
-        }
-    }
-}
-
 fn run_connection(
-    target: &Target<'_>,
+    addr: &str,
     pool: &[Request],
     requests: usize,
     mut rng: Rng64,
@@ -175,7 +145,7 @@ fn run_connection(
         errors: 0,
         dropped: 0,
     };
-    let Ok(mut client) = target.connect() else {
+    let Ok(mut client) = Client::connect(addr) else {
         out.dropped = requests;
         return out;
     };
@@ -203,10 +173,11 @@ fn run_connection(
     out
 }
 
-fn run_target(target: &Target<'_>, config: &LoadConfig) -> LoadReport {
+/// Drives `addr` with the configured closed-loop load and reports.
+pub fn run(addr: &str, config: &LoadConfig) -> LoadReport {
     let pool = request_pool(config.procs);
     if config.warmup {
-        if let Ok(mut warm) = target.connect() {
+        if let Ok(mut warm) = Client::connect(addr) {
             for req in &pool {
                 let _ = warm.call_text(req);
             }
@@ -224,7 +195,7 @@ fn run_target(target: &Target<'_>, config: &LoadConfig) -> LoadReport {
                 );
                 let (pool, hist) = (&pool, &hist);
                 s.spawn(move || {
-                    run_connection(target, pool, config.requests_per_connection, rng, hist)
+                    run_connection(addr, pool, config.requests_per_connection, rng, hist)
                 })
             })
             .collect();
@@ -259,19 +230,6 @@ fn run_target(target: &Target<'_>, config: &LoadConfig) -> LoadReport {
         p95_ns: hist.quantile(0.95),
         p99_ns: hist.quantile(0.99),
     }
-}
-
-/// Drives `addr` with the configured closed-loop load and reports.
-pub fn run(addr: &str, config: &LoadConfig) -> LoadReport {
-    run_target(&Target::Single(addr), config)
-}
-
-/// Drives a fleet of shards through client-side consistent-hash routing
-/// ([`FleetClient`]) with the same closed-loop load. Because every pool
-/// request is cacheable (pure), the digest must equal a single-node
-/// [`run`] with the same config, whatever the shard count.
-pub fn run_fleet(shard_addrs: &[String], config: &LoadConfig) -> LoadReport {
-    run_target(&Target::Fleet(shard_addrs), config)
 }
 
 impl LoadReport {

@@ -11,18 +11,8 @@
 //! timeout so it can poll its shutdown flag, and a timeout mid-frame must
 //! not lose the bytes already consumed. All partial state lives in the
 //! reader, so a `WouldBlock`/`TimedOut` tick is simply retried.
-//!
-//! The daemon and the fleet router serve connections through one accept
-//! loop and one frame loop ([`spawn_acceptor`]); each passes only a
-//! [`Service`] that answers a payload.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
-use std::time::Duration;
-
-use crate::protocol::{encode_response, Response};
 
 /// Upper bound on one frame's payload (1 MiB) — generous for inline
 /// graphs at study sizes, tight enough to bound per-connection memory.
@@ -167,116 +157,6 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     framed.extend_from_slice(bytes);
     w.write_all(&framed)?;
     w.flush()
-}
-
-/// Socket-read tick: how often a connection blocked in a read looks at
-/// the drain flag.
-const TICK: Duration = Duration::from_millis(50);
-
-/// Ticks granted to a connection caught mid-frame at drain time (~1 s)
-/// before the listener stops waiting for the rest of the frame.
-const DRAIN_GRACE_TICKS: u32 = 20;
-
-/// What a listener serves: the daemon or the fleet router.
-pub(crate) trait Service: Send + Sync + 'static {
-    /// Per-connection state.
-    type Conn;
-    /// True once the service drains: stop accepting, close idle
-    /// connections.
-    fn draining(&self) -> bool;
-    /// State for a newly accepted connection.
-    fn open(&self) -> Self::Conn;
-    /// The reply to one request payload on connection `id`.
-    fn answer(&self, conn: &mut Self::Conn, id: usize, payload: &str) -> String;
-    /// Notes a frame refused as oversized or not UTF-8.
-    fn refused(&self) {}
-}
-
-/// Starts the `{name}-acceptor` thread. It accepts on `listener`, which
-/// must be nonblocking, until `service` drains; serves each connection
-/// on its own `{name}-conn-N` thread; and joins them all before it exits.
-pub(crate) fn spawn_acceptor<S: Service>(
-    name: &str,
-    listener: TcpListener,
-    service: Arc<S>,
-) -> JoinHandle<()> {
-    let prefix = name.to_string();
-    thread::Builder::new()
-        .name(format!("{name}-acceptor"))
-        .spawn(move || {
-            let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            let mut next_id = 0usize;
-            while !service.draining() {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let id = next_id;
-                        next_id += 1;
-                        let service = Arc::clone(&service);
-                        conns.push(
-                            thread::Builder::new()
-                                .name(format!("{prefix}-conn-{id}"))
-                                .spawn(move || connection_loop(&*service, stream, id))
-                                .expect("spawn connection thread"),
-                        );
-                    }
-                    Err(_) => {
-                        thread::sleep(Duration::from_millis(5));
-                        // Reap finished connection threads now and then,
-                        // so a long-lived listener does not accumulate
-                        // handles.
-                        if conns.len() > 64 {
-                            conns.retain(|h| !h.is_finished());
-                        }
-                    }
-                }
-            }
-            for conn in conns {
-                let _ = conn.join();
-            }
-        })
-        .expect("spawn acceptor thread")
-}
-
-/// Reads frames under the read tick and writes each one's answer. Drain
-/// closes an idle connection at its next tick and grants one caught
-/// mid-frame [`DRAIN_GRACE_TICKS`] to finish it.
-fn connection_loop<S: Service>(service: &S, mut stream: TcpStream, id: usize) {
-    if stream.set_read_timeout(Some(TICK)).is_err() {
-        return;
-    }
-    // Replies are small; waiting for more bytes to coalesce only adds
-    // round-trip latency.
-    let _ = stream.set_nodelay(true);
-    let mut conn = service.open();
-    let mut reader = FrameReader::new();
-    let mut grace = 0u32;
-    loop {
-        match reader.poll(&mut stream) {
-            Ok(FramePoll::Frame(payload)) => {
-                grace = 0;
-                let reply = service.answer(&mut conn, id, &payload);
-                if write_frame(&mut stream, &reply).is_err() {
-                    return;
-                }
-            }
-            Ok(FramePoll::Pending) if service.draining() => {
-                grace += 1;
-                if !reader.mid_frame() || grace > DRAIN_GRACE_TICKS {
-                    return;
-                }
-            }
-            Ok(FramePoll::Pending) => {}
-            Err(FrameError::Eof | FrameError::Truncated | FrameError::Io(_)) => return,
-            Err(e @ (FrameError::Oversized(_) | FrameError::NotUtf8)) => {
-                // Structured refusal, then close: the stream position is
-                // undefined past a bad frame.
-                service.refused();
-                let message = e.to_string();
-                let _ = write_frame(&mut stream, &encode_response(&Response::Error { message }));
-                return;
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! Everything here is a deterministic function of the request plus the
 //! (memoizing, but semantically transparent) [`Registry`] — which is what
 //! makes the response cache sound and permit-count invariance testable.
-//! Server-level concerns (health, stats, shutdown, queueing) never reach
-//! this module.
+//! Server-level concerns (health, stats, metrics, shutdown, admission)
+//! never reach this module.
 
 use std::sync::Arc;
 
@@ -319,9 +319,8 @@ pub(crate) fn scenario(req: &Request, reg: &Registry) -> Response {
 /// Handles [`Request::DebugPanic`].
 ///
 /// # Panics
-/// Always — this endpoint exists to prove panic isolation (and, queued,
-/// to exercise the job-retry path deterministically). Callers run it
-/// under `catch_unwind`.
+/// Always — this endpoint exists to prove panic isolation. Callers run
+/// it under `catch_unwind`.
 pub(crate) fn debug_panic(req: &Request, _reg: &Registry) -> Response {
     if !matches!(req, Request::DebugPanic) {
         return wrong_verb(req, "debug_panic");

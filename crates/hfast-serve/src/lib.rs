@@ -10,7 +10,9 @@
 //! The daemon is std-only: `TcpListener` plus one thread per connection,
 //! a length-prefixed JSON protocol (the in-repo parser from `hfast-trace`,
 //! no external dependencies), and production shapes scaled down to
-//! something auditable:
+//! something auditable. Every verb is one request and one answer on the
+//! connection that sent it; the worst-case verb times that make a job
+//! queue unnecessary are recorded in EXPERIMENTS.md, "Why synchronous".
 //!
 //! - **Sharded response cache** ([`ResponseCache`]): cacheable endpoints
 //!   are pure functions of their canonical request encoding, so responses
@@ -24,18 +26,9 @@
 //!   kills a thread.
 //! - **Graceful drain**: shutdown stops accepting, finishes in-flight
 //!   work, then flushes `hfast-obs` metrics and the Perfetto trace.
-//! - **Durable jobs** ([`JobQueue`]): `submit`/`poll`/`fetch`/`cancel`
-//!   verbs run long work asynchronously with retry/backoff on panics and
-//!   an optional JSONL journal replayed on restart.
 //! - **Versioned wire protocol**: the untagged v1 encoding stays
-//!   canonical (cache keys, journal entries); a `{"v":2,...}` envelope
-//!   is detected per frame and answered in kind.
-//! - **Fleet scale-out** ([`fleet`]): consistent-hash sharding across
-//!   daemon processes through one routing path, [`FleetClient`], used
-//!   directly or behind the `start_fleet` router and the `hfast-fleet`
-//!   supervisor (rolling restarts, journaled shards).
-//! - **Soak monitor** ([`soak`]): sustained load with live SLO checks
-//!   against the `metrics` verb, for a daemon or a fleet.
+//!   canonical (cache keys); a `{"v":2,...}` envelope is detected per
+//!   frame and answered in kind.
 //!
 //! ```no_run
 //! use hfast_serve::{start, Client, Request, Response, ServerConfig};
@@ -60,29 +53,24 @@
 
 mod cache;
 pub mod client;
-pub mod fleet;
 mod frame;
 mod handlers;
-pub mod jobs;
 pub mod protocol;
 mod registry;
 mod server;
-pub mod soak;
 
 pub use cache::{CacheStats, ResponseCache};
-pub use client::{Client, ClientError, FleetClient};
-pub use fleet::{start_fleet, FleetHandle};
+pub use client::{Client, ClientError};
 pub use frame::{read_frame, write_frame, FrameError, FramePoll, FrameReader, MAX_FRAME_BYTES};
 pub use handlers::execute;
 pub use hfast_core::Strategy;
 pub use hfast_netsim::ScenarioKind;
-pub use jobs::{Fetched, JobQueue};
 pub use protocol::{
     decode_request, decode_request_traced, decode_request_versioned, decode_response,
     decode_response_versioned, encode_request, encode_request_versioned, encode_response,
     encode_response_versioned, envelope_traced, envelope_v2, request_key, strip_envelope, AppSpec,
-    FabricSpec, FaultSpec, JobState, JobTotals, Request, Response, TdcRow, VerbHandler,
-    VerbLatency, VerbSpec, VerbWindow, WireVersion, ENDPOINTS, VERBS,
+    FabricSpec, FaultSpec, Request, Response, TdcRow, VerbHandler, VerbLatency, VerbSpec,
+    VerbWindow, WireVersion, ENDPOINTS, VERBS,
 };
 pub use registry::Registry;
 pub use server::{start, ServerConfig, ServerHandle};

@@ -7,6 +7,10 @@
 //! once: each registry entry is an `Arc<OnceLock<…>>` — the map lock is
 //! held only to clone the entry's `Arc`, and `get_or_init` then blocks
 //! *only* requesters of the same key while the first one computes.
+//!
+//! Fabric keys are client-chosen (every distinct inline graph, cutoff or
+//! strategy is a new key), so the fabric map holds at most
+//! [`MAX_FABRICS`] entries and evicts the least recently used one.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,6 +35,12 @@ pub(crate) const MAX_PROCS: usize = 1024;
 /// tier.
 pub(crate) const MAX_INLINE_TASKS: usize = 1 << 16;
 
+/// Most fabrics the registry keeps resident. Past it the least recently
+/// used entry is dropped from the map; a request still running on it
+/// holds its own `Arc`, so eviction never pulls a fabric out from under
+/// a simulation.
+pub(crate) const MAX_FABRICS: usize = 256;
+
 type GraphResult = Result<Arc<CommGraph>, String>;
 
 /// A fabric built for one (app, fabric-spec, cutoff) key, with the warm
@@ -44,11 +54,45 @@ pub(crate) struct FabricEntry {
 
 type FabricResult = Result<Arc<FabricEntry>, String>;
 
+/// The fabric map: each entry stamped with the lookup that last used it.
+#[derive(Default)]
+struct FabricMap {
+    entries: HashMap<String, (Arc<OnceLock<FabricResult>>, u64)>,
+    /// Lookups so far; an entry's stamp is the value at its last use.
+    clock: u64,
+}
+
+impl FabricMap {
+    /// The slot for `key`, created (evicting the least recently used
+    /// entry when the map is full) if absent.
+    fn entry(&mut self, key: &str) -> Arc<OnceLock<FabricResult>> {
+        self.clock += 1;
+        let clock = self.clock;
+        if let Some((slot, used)) = self.entries.get_mut(key) {
+            *used = clock;
+            return Arc::clone(slot);
+        }
+        if self.entries.len() >= MAX_FABRICS {
+            let oldest = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(k, _)| k.clone())
+                .expect("a full map has entries");
+            self.entries.remove(&oldest);
+        }
+        let slot = Arc::new(OnceLock::new());
+        self.entries
+            .insert(key.to_string(), (Arc::clone(&slot), clock));
+        slot
+    }
+}
+
 /// The server-wide registry of profiled graphs and built fabrics.
 #[derive(Default)]
 pub struct Registry {
     graphs: Mutex<HashMap<String, Arc<OnceLock<GraphResult>>>>,
-    fabrics: Mutex<HashMap<String, Arc<OnceLock<FabricResult>>>>,
+    fabrics: Mutex<FabricMap>,
     /// Engine observability every simulate request records into; the
     /// `stats` verb reports simulator event counts and loop throughput
     /// from here. Wall-clock feeds only the throughput gauge, never
@@ -111,7 +155,7 @@ impl Registry {
     /// by the stats verb so operators can watch registry growth.
     pub(crate) fn entry_counts(&self) -> (u64, u64) {
         let graphs = self.graphs.lock().expect("graphs poisoned").len() as u64;
-        let fabrics = self.fabrics.lock().expect("fabrics poisoned").len() as u64;
+        let fabrics = self.fabrics.lock().expect("fabrics poisoned").entries.len() as u64;
         (graphs, fabrics)
     }
 
@@ -186,7 +230,7 @@ impl Registry {
             "{:016x}\u{1}{spec:?}\u{1}{block_ports}\u{1}{cutoff}\u{1}{strategy}",
             graph.content_hash()
         );
-        let slot = entry(&self.fabrics, &key);
+        let slot = self.fabrics.lock().expect("registry poisoned").entry(&key);
         slot.get_or_init(|| {
             let fabric: Box<dyn Fabric + Send> = match spec {
                 FabricSpec::FatTree { ports } => Box::new(
@@ -325,6 +369,34 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &a2), "same strategy reuses the entry");
         // Memoized rebuilds don't re-count: one execution per strategy.
         assert_eq!(reg.strategy_hits(), [1, 1, 0]);
+    }
+
+    #[test]
+    fn the_fabric_map_is_capped_and_keeps_what_is_in_use() {
+        let reg = Registry::new();
+        let g = reg
+            .graph(&AppSpec::Inline {
+                n: 8,
+                edges: vec![(0, 1, 4096, 1, 4096)],
+            })
+            .unwrap();
+        let torus = FabricSpec::Torus { dims: (2, 2, 2) };
+        // Each cutoff is a distinct key; cutoff 0 is used throughout.
+        let fabric = |cutoff| {
+            reg.fabric(&g, torus, 16, cutoff, Strategy::PaperLinear)
+                .unwrap()
+        };
+        let hot = fabric(0);
+        let first = fabric(1);
+        for cutoff in 2..=(MAX_FABRICS as u64 + 8) {
+            fabric(cutoff);
+            assert!(Arc::ptr_eq(&hot, &fabric(0)), "the hot key stays resident");
+        }
+        assert!(reg.entry_counts().1 <= MAX_FABRICS as u64);
+        // The evicted entry still serves the caller holding it, and a new
+        // request for its key builds afresh.
+        assert_eq!(first.fabric.nodes(), 8);
+        assert!(!Arc::ptr_eq(&first, &fabric(1)), "the cold key was evicted");
     }
 
     #[test]

@@ -2,18 +2,17 @@
 //!
 //! ## Thread model
 //!
-//! The acceptor and the per-connection frame loop are the ones the fleet
-//! router uses too: a nonblocking acceptor, one thread per connection
-//! reading frames under a 50 ms tick so that drain can interrupt an idle
-//! read. The thread that decodes a request answers it. Health, stats,
-//! metrics, shutdown, job bookkeeping and cache hits answer at once. A
+//! A nonblocking acceptor, and one thread per connection reading frames
+//! under a 50 ms tick so that drain can interrupt an idle read. The
+//! thread that decodes a request answers it; there are no other threads.
+//! Health, stats, metrics, shutdown and cache hits answer at once. A
 //! compute request first takes one of [`ServerConfig::workers`] permits.
 //! While none is free it waits, for at most [`ServerConfig::deadline`];
 //! a request that finds [`ServerConfig::queue_cap`] others already
 //! waiting is shed with [`Response::Busy`] instead of letting latency
-//! grow without bound. Handlers run under `catch_unwind`, so a panicking
-//! request costs one structured error, and its permit is released as it
-//! unwinds. Only the durable job queue has worker threads of its own.
+//! grow without bound. Once it holds a permit the handler runs to
+//! completion under `catch_unwind`, so a panicking request costs one
+//! structured error, and its permit is released as it unwinds.
 //!
 //! ## Why cache hits skip the permit
 //!
@@ -35,22 +34,19 @@
 //! Perfetto trace.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use hfast_netsim::RetryPolicy;
 use hfast_obs::{Outcome, ServeObs, SlidingWindow};
 use hfast_trace::{server_span_id, TraceContext, TraceRecorder, Track};
 
 use crate::cache::ResponseCache;
-use crate::frame::{spawn_acceptor, Service};
+use crate::frame::{write_frame, FrameError, FramePoll, FrameReader};
 use crate::handlers::execute;
-use crate::jobs::{Fetched, JobQueue};
 use crate::protocol::{
     decode_request_traced, encode_request, encode_response, request_key, Request, Response,
     VerbLatency, VerbWindow, ENDPOINTS,
@@ -63,6 +59,14 @@ const WINDOW_BUCKETS: usize = 10;
 /// Width of one window slot: one second, so `metrics` reports rolling
 /// stats over the last ten seconds in bounded memory.
 const WINDOW_BUCKET_NS: u64 = 1_000_000_000;
+
+/// Socket-read tick: how often a connection blocked in a read looks at
+/// the drain flag.
+const TICK: Duration = Duration::from_millis(50);
+
+/// Ticks granted to a connection caught mid-frame at drain time (~1 s)
+/// before the daemon stops waiting for the rest of the frame.
+const DRAIN_GRACE_TICKS: u32 = 20;
 
 /// Serving knobs; every field has an `HFAST_SERVE_*` environment override.
 #[derive(Debug, Clone)]
@@ -80,14 +84,6 @@ pub struct ServerConfig {
     /// How long a request may wait for a compute permit
     /// (`HFAST_SERVE_DEADLINE_MS`).
     pub deadline: Duration,
-    /// Worker threads of the durable job queue
-    /// (`HFAST_SERVE_JOB_WORKERS`).
-    pub job_workers: usize,
-    /// Path of the durable queue's journal (`HFAST_SERVE_JOURNAL`);
-    /// `None` keeps the queue in memory only.
-    pub journal: Option<PathBuf>,
-    /// Retry policy for panicking job attempts.
-    pub job_retry: RetryPolicy,
 }
 
 impl Default for ServerConfig {
@@ -98,9 +94,6 @@ impl Default for ServerConfig {
             cache_bytes: 4 << 20,
             cache_shards: 8,
             deadline: Duration::from_millis(10_000),
-            job_workers: 1,
-            journal: None,
-            job_retry: RetryPolicy::default(),
         }
     }
 }
@@ -127,12 +120,6 @@ impl ServerConfig {
                 "HFAST_SERVE_DEADLINE_MS",
                 d.deadline.as_millis() as usize,
             ) as u64),
-            job_workers: env_nonzero("HFAST_SERVE_JOB_WORKERS", d.job_workers),
-            journal: std::env::var("HFAST_SERVE_JOURNAL")
-                .ok()
-                .filter(|v| !v.trim().is_empty())
-                .map(PathBuf::from),
-            job_retry: d.job_retry,
         }
     }
 }
@@ -239,7 +226,6 @@ struct Shared {
     cache: ResponseCache,
     obs: ServeObs,
     permits: Permits,
-    jobs: JobQueue,
     trace: Option<TraceRecorder>,
     epoch: Instant,
     span_counter: AtomicU64,
@@ -251,11 +237,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn begin_drain(&self) {
-        self.permits.close();
-        self.jobs.drain();
-    }
-
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
@@ -312,13 +293,11 @@ fn route_request(shared: &Shared, req: Request) -> (String, bool) {
                 scenario_hits: shared.registry.scenario_hits(),
                 graphs,
                 fabrics,
-                jobs: shared.jobs.totals(),
                 latency: verb_latency_rows(shared),
             }
         }
         Request::Metrics => {
             let c = shared.cache.stats();
-            let totals = shared.jobs.totals();
             let snap = shared.window.snapshot(shared.now_ns());
             let verbs = ENDPOINTS
                 .iter()
@@ -336,38 +315,16 @@ fn route_request(shared: &Shared, req: Request) -> (String, bool) {
                 .collect();
             Response::Metrics {
                 window_ns: snap.window_ns,
-                shards: 1,
                 queue_depth: shared.permits.waiting() as u64,
                 cache_hits: c.hits,
                 cache_misses: c.misses,
-                jobs_pending: shared.jobs.pending() as u64,
-                jobs_retried: totals.retried,
-                hot_keys: 0,
                 verbs,
             }
         }
         Request::Shutdown => {
-            shared.begin_drain();
+            shared.permits.close();
             Response::Ok
         }
-        Request::Submit { job } => {
-            let resp = match shared.jobs.submit(*job) {
-                Ok(id) => Response::JobAccepted { id },
-                Err(resp) => resp,
-            };
-            if matches!(resp, Response::Busy) {
-                shared.obs.shed.inc();
-            }
-            count_error(shared, resp)
-        }
-        Request::Poll { id } => count_error(shared, shared.jobs.poll(id)),
-        Request::Fetch { id } => match shared.jobs.fetch(id) {
-            // Pass-through of the stored canonical text: a fetched result
-            // is byte-identical to the synchronous response.
-            Fetched::Ready(text) => return (text, false),
-            Fetched::Status(resp) => count_error(shared, resp),
-        },
-        Request::Cancel { id } => count_error(shared, shared.jobs.cancel(id)),
         req => {
             let key = if req.cacheable() {
                 let key = request_key(&encode_request(&req));
@@ -382,14 +339,6 @@ fn route_request(shared: &Shared, req: Request) -> (String, bool) {
         }
     };
     (encode_response(&resp), false)
-}
-
-/// Counts `resp` in `errors` when it is one.
-fn count_error(shared: &Shared, resp: Response) -> Response {
-    if matches!(resp, Response::Error { .. }) {
-        shared.obs.errors.inc();
-    }
-    resp
 }
 
 /// Computes `req` on the calling connection thread under a permit and
@@ -434,33 +383,22 @@ fn compute(shared: &Shared, req: &Request, key: Option<u64>) -> String {
             }
         }
     };
-    let response = count_error(shared, response);
+    let failed = matches!(response, Response::Error { .. });
+    if failed {
+        shared.obs.errors.inc();
+    }
     let encoded = encode_response(&response);
-    if let (Some(key), false) = (key, matches!(response, Response::Error { .. })) {
+    if let (Some(key), false) = (key, failed) {
         shared.cache.put(key, &encoded);
     }
     shared.obs.request_done();
     encoded
 }
 
-impl Service for Shared {
-    type Conn = ();
-
-    fn draining(&self) -> bool {
-        self.permits.closed()
-    }
-
-    fn open(&self) {
-        self.obs.connections.inc();
-    }
-
-    fn refused(&self) {
-        self.obs.errors.inc();
-    }
-
+impl Shared {
     /// Serves one request payload end to end: metrics, the `metrics`
     /// window and, with a recorder, the request's span tree.
-    fn answer(&self, _: &mut (), conn_id: usize, payload: &str) -> String {
+    fn answer(&self, conn_id: usize, payload: &str) -> String {
         let t_start = self.now_ns();
         let root_span = self.next_span();
         let mut ctx: Option<TraceContext> = None;
@@ -506,9 +444,8 @@ impl Service for Shared {
         if let Some(trace) = &self.trace {
             let track = Track::Server(conn_id);
             // A request that arrived with trace context parents its span
-            // tree under the remote caller's span so the stitcher can
-            // render the whole fleet request as one causal tree; the
-            // trace id rides along on every span as a plain field.
+            // tree under the remote caller's span; the trace id rides
+            // along on every span as a plain field.
             let (remote_parent, trace_id) = match ctx {
                 Some(c) => (c.parent_id, Some(c.trace_id)),
                 None => (0, None),
@@ -551,12 +488,93 @@ impl Service for Shared {
     }
 }
 
+/// Starts the acceptor thread. It accepts on `listener`, which must be
+/// nonblocking, until the daemon drains; serves each connection on its
+/// own `hfast-serve-conn-N` thread; and joins them all before it exits.
+fn spawn_acceptor(listener: TcpListener, shared: Arc<Shared>) -> JoinHandle<()> {
+    thread::Builder::new()
+        .name("hfast-serve-acceptor".into())
+        .spawn(move || {
+            let mut conns: Vec<JoinHandle<()>> = Vec::new();
+            let mut next_id = 0usize;
+            while !shared.permits.closed() {
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        let id = next_id;
+                        next_id += 1;
+                        let shared = Arc::clone(&shared);
+                        conns.push(
+                            thread::Builder::new()
+                                .name(format!("hfast-serve-conn-{id}"))
+                                .spawn(move || connection_loop(&shared, stream, id))
+                                .expect("spawn connection thread"),
+                        );
+                    }
+                    Err(_) => {
+                        thread::sleep(Duration::from_millis(5));
+                        // Reap finished connection threads now and then,
+                        // so a long-lived daemon does not accumulate
+                        // handles.
+                        if conns.len() > 64 {
+                            conns.retain(|h| !h.is_finished());
+                        }
+                    }
+                }
+            }
+            for conn in conns {
+                let _ = conn.join();
+            }
+        })
+        .expect("spawn acceptor thread")
+}
+
+/// Reads frames under the read tick and writes each one's answer. Drain
+/// closes an idle connection at its next tick and grants one caught
+/// mid-frame [`DRAIN_GRACE_TICKS`] to finish it.
+fn connection_loop(shared: &Shared, mut stream: TcpStream, id: usize) {
+    if stream.set_read_timeout(Some(TICK)).is_err() {
+        return;
+    }
+    // Replies are small; waiting for more bytes to coalesce only adds
+    // round-trip latency.
+    let _ = stream.set_nodelay(true);
+    shared.obs.connections.inc();
+    let mut reader = FrameReader::new();
+    let mut grace = 0u32;
+    loop {
+        match reader.poll(&mut stream) {
+            Ok(FramePoll::Frame(payload)) => {
+                grace = 0;
+                let reply = shared.answer(id, &payload);
+                if write_frame(&mut stream, &reply).is_err() {
+                    return;
+                }
+            }
+            Ok(FramePoll::Pending) if shared.permits.closed() => {
+                grace += 1;
+                if !reader.mid_frame() || grace > DRAIN_GRACE_TICKS {
+                    return;
+                }
+            }
+            Ok(FramePoll::Pending) => {}
+            Err(FrameError::Eof | FrameError::Truncated | FrameError::Io(_)) => return,
+            Err(e @ (FrameError::Oversized(_) | FrameError::NotUtf8)) => {
+                // Structured refusal, then close: the stream position is
+                // undefined past a bad frame.
+                shared.obs.errors.inc();
+                let message = e.to_string();
+                let _ = write_frame(&mut stream, &encode_response(&Response::Error { message }));
+                return;
+            }
+        }
+    }
+}
+
 /// A running daemon.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
-    job_workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -568,7 +586,7 @@ impl ServerHandle {
     /// Begins graceful drain (idempotent; also triggered by the
     /// `shutdown` request).
     pub fn shutdown(&self) {
-        self.shared.begin_drain();
+        self.shared.permits.close();
     }
 
     /// Blocks until drain completes — every connection closed, every
@@ -580,12 +598,9 @@ impl ServerHandle {
     /// [`shutdown`]: ServerHandle::shutdown
     pub fn join(self) {
         let _ = self.acceptor.join();
-        for worker in self.job_workers {
-            let _ = worker.join();
-        }
         self.shared.obs.export();
         if let Some(trace) = &self.shared.trace {
-            hfast_trace::export_to_env_sink("server", &trace.snapshot());
+            hfast_trace::write_to_env_sink(&hfast_trace::export(&trace.snapshot()));
         }
     }
 }
@@ -593,43 +608,27 @@ impl ServerHandle {
 /// Binds `addr` (use port 0 for an ephemeral port) and starts the daemon.
 ///
 /// # Errors
-/// Propagates the bind failure, or a journal open/replay failure when
-/// [`ServerConfig::journal`] is set.
+/// Propagates the bind failure.
 pub fn start(addr: &str, config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let jobs = match &config.journal {
-        Some(path) => JobQueue::with_journal(path, config.job_retry)?,
-        None => JobQueue::new(config.job_retry),
-    };
     let shared = Arc::new(Shared {
         cache: ResponseCache::new(config.cache_shards, config.cache_bytes),
         registry: Registry::new(),
         obs: ServeObs::new(&ENDPOINTS),
         permits: Permits::new(config.workers, config.queue_cap),
-        jobs,
         trace: hfast_trace::enabled().then(TraceRecorder::new),
         epoch: Instant::now(),
         span_counter: AtomicU64::new(1),
         window: SlidingWindow::new(ENDPOINTS.len(), WINDOW_BUCKETS, WINDOW_BUCKET_NS),
         config,
     });
-    let job_workers = (0..shared.config.job_workers)
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name(format!("hfast-serve-job-{i}"))
-                .spawn(move || shared.jobs.run_worker(&shared.registry))
-                .expect("spawn job worker thread")
-        })
-        .collect();
-    let acceptor = spawn_acceptor("hfast-serve", listener, Arc::clone(&shared));
+    let acceptor = spawn_acceptor(listener, Arc::clone(&shared));
     Ok(ServerHandle {
         addr,
         shared,
         acceptor,
-        job_workers,
     })
 }
 

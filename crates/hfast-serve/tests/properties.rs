@@ -10,9 +10,9 @@ use hfast_par::rng::Rng64;
 use hfast_serve::{
     decode_request, decode_request_versioned, decode_response, decode_response_versioned,
     encode_request, encode_request_versioned, encode_response, encode_response_versioned,
-    read_frame, request_key, start, write_frame, AppSpec, Client, FabricSpec, FaultSpec, JobState,
-    JobTotals, Request, Response, ScenarioKind, ServerConfig, Strategy, TdcRow, VerbLatency,
-    VerbWindow, WireVersion, ENDPOINTS,
+    read_frame, request_key, start, write_frame, AppSpec, Client, FabricSpec, FaultSpec, Request,
+    Response, ScenarioKind, ServerConfig, Strategy, TdcRow, VerbLatency, VerbWindow, WireVersion,
+    ENDPOINTS,
 };
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -91,7 +91,7 @@ fn random_simulate(rng: &mut Rng64) -> Request {
 }
 
 fn random_request(rng: &mut Rng64) -> Request {
-    match rng.range(0, 13) {
+    match rng.range(0, 9) {
         0 => Request::Health,
         1 => Request::Stats,
         2 => Request::Provision {
@@ -113,17 +113,7 @@ fn random_request(rng: &mut Rng64) -> Request {
         },
         5 => random_simulate(rng),
         6 => Request::Shutdown,
-        7 => Request::Submit {
-            job: Box::new(if rng.bool(0.8) {
-                random_simulate(rng)
-            } else {
-                Request::DebugPanic
-            }),
-        },
-        8 => Request::Poll { id: u53(rng) },
-        9 => Request::Fetch { id: u53(rng) },
-        10 => Request::Cancel { id: u53(rng) },
-        11 => Request::Metrics,
+        7 => Request::Metrics,
         _ => Request::DebugPanic,
     }
 }
@@ -167,7 +157,7 @@ fn any_request_round_trips_and_is_canonical() {
 #[test]
 fn any_response_round_trips() {
     forall("response codec round-trip", 200, |rng| {
-        let resp = match rng.range(0, 11) {
+        let resp = match rng.range(0, 9) {
             0 => Response::Health {
                 workers: rng.range(1, 64),
                 queue: rng.range(1, 1024),
@@ -186,13 +176,6 @@ fn any_response_round_trips() {
                 scenario_hits: [u53(rng), u53(rng), u53(rng), u53(rng), u53(rng)],
                 graphs: u53(rng),
                 fabrics: u53(rng),
-                jobs: JobTotals {
-                    submitted: u53(rng),
-                    completed: u53(rng),
-                    failed: u53(rng),
-                    cancelled: u53(rng),
-                    retried: u53(rng),
-                },
                 latency: random_verb_latency(rng),
             },
             2 => Response::Provisioned {
@@ -233,15 +216,11 @@ fn any_response_round_trips() {
                 reprovisions: rng.range(0, 64),
             },
             6 => rng.pick(&[Response::Busy, Response::Ok]).clone(),
-            7 if rng.bool(0.5) => Response::Metrics {
+            7 => Response::Metrics {
                 window_ns: u53(rng),
-                shards: u53(rng),
                 queue_depth: u53(rng),
                 cache_hits: u53(rng),
                 cache_misses: u53(rng),
-                jobs_pending: u53(rng),
-                jobs_retried: u53(rng),
-                hot_keys: u53(rng),
                 verbs: (0..rng.range(0, 4))
                     .map(|_| VerbWindow {
                         verb: (*rng.pick(&ENDPOINTS)).to_string(),
@@ -254,21 +233,6 @@ fn any_response_round_trips() {
                         p99_ns: u53(rng),
                     })
                     .collect(),
-            },
-            7 => Response::JobAccepted { id: u53(rng) },
-            8 => Response::JobStatus {
-                id: u53(rng),
-                state: *rng.pick(&[
-                    JobState::Queued,
-                    JobState::Running,
-                    JobState::Done,
-                    JobState::Failed,
-                    JobState::Cancelled,
-                ]),
-                attempts: rng.range(0, 16) as u32,
-                message: rng
-                    .bool(0.5)
-                    .then(|| format!("attempt #{} \"failed\"", rng.range(0, 100))),
             },
             _ => Response::Error {
                 message: format!(

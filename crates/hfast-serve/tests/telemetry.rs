@@ -6,8 +6,7 @@
 
 use std::io::{BufRead as _, BufReader};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::{Child, ChildStderr, Command, Stdio};
 
 use hfast_serve::{
     decode_response, encode_request, encode_request_versioned, envelope_traced, read_frame,
@@ -18,34 +17,38 @@ use hfast_trace::TraceContext;
 struct Daemon {
     child: Child,
     stream: TcpStream,
+    /// Held open so the daemon's closing stderr line has somewhere to go.
+    _stderr: BufReader<ChildStderr>,
 }
 
-/// Spawns one shard daemon with the given telemetry environment and
-/// connects to it, parsing the address from its `READY` line.
+/// Spawns one daemon with the given telemetry environment and connects
+/// to it, parsing the address from its `listening on` line.
 fn spawn_daemon(telemetry: Option<(&str, &str)>) -> Daemon {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_hfast-fleet"));
-    cmd.args(["--shard", "127.0.0.1:0"])
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_hfast-serve"));
+    cmd.arg("127.0.0.1:0")
         .env_remove("HFAST_TRACE")
         .env_remove("HFAST_OBS")
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null());
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped());
     if let Some((trace_sink, obs_sink)) = telemetry {
         cmd.env("HFAST_TRACE", trace_sink)
             .env("HFAST_OBS", obs_sink);
     }
-    let mut child = cmd.spawn().expect("spawn shard daemon");
-    let stdout = child.stdout.take().expect("piped stdout");
+    let mut child = cmd.spawn().expect("spawn daemon");
+    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
     let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("read READY line");
+    stderr.read_line(&mut line).expect("read listening line");
     let addr = line
         .trim()
-        .strip_prefix("READY ")
-        .unwrap_or_else(|| panic!("expected READY line, got {line:?}"))
+        .strip_prefix("hfast-serve listening on ")
+        .unwrap_or_else(|| panic!("expected a listening line, got {line:?}"))
         .to_string();
     let stream = TcpStream::connect(&addr).expect("connect to daemon");
-    Daemon { child, stream }
+    Daemon {
+        child,
+        stream,
+        _stderr: stderr,
+    }
 }
 
 fn exchange(stream: &mut TcpStream, payload: &str) -> String {
@@ -55,7 +58,7 @@ fn exchange(stream: &mut TcpStream, payload: &str) -> String {
 
 /// Requests whose responses are pure functions of the request — these
 /// must answer byte-identically regardless of telemetry, including the
-/// deterministic error paths of the job verbs and the panic probe.
+/// panic probe's deterministic error.
 fn deterministic_pool() -> Vec<Request> {
     let ring = |n: usize| AppSpec::Inline {
         n,
@@ -88,9 +91,6 @@ fn deterministic_pool() -> Vec<Request> {
             strategy: None,
         },
         Request::DebugPanic,
-        Request::Poll { id: 9999 },
-        Request::Fetch { id: 9999 },
-        Request::Cancel { id: 9999 },
     ]
 }
 
@@ -111,7 +111,6 @@ fn mask_timing(resp: Response) -> Response {
             scenario_hits,
             graphs,
             fabrics,
-            jobs,
             mut latency,
             ..
         } => {
@@ -134,19 +133,14 @@ fn mask_timing(resp: Response) -> Response {
                 scenario_hits,
                 graphs,
                 fabrics,
-                jobs,
                 latency,
             }
         }
         Response::Metrics {
             window_ns,
-            shards,
             queue_depth,
             cache_hits,
             cache_misses,
-            jobs_pending,
-            jobs_retried,
-            hot_keys,
             mut verbs,
         } => {
             for row in &mut verbs {
@@ -156,13 +150,9 @@ fn mask_timing(resp: Response) -> Response {
             }
             Response::Metrics {
                 window_ns,
-                shards,
                 queue_depth,
                 cache_hits,
                 cache_misses,
-                jobs_pending,
-                jobs_retried,
-                hot_keys,
                 verbs,
             }
         }
@@ -175,7 +165,7 @@ fn telemetry_on_answers_byte_identically_to_telemetry_off() {
     let dir = std::env::temp_dir().join(format!("hfast-telemetry-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("telemetry dir");
-    let trace_sink = dir.join("trace.jsonl").display().to_string();
+    let trace_sink = dir.join("trace.json").display().to_string();
     let obs_sink = dir.join("obs.jsonl").display().to_string();
 
     let mut off = spawn_daemon(None);
@@ -221,61 +211,16 @@ fn telemetry_on_answers_byte_identically_to_telemetry_off() {
         assert_eq!(a, b, "telemetry changed the {} counters", req.endpoint());
     }
 
-    // A real durable job: accepted with the same id, completes on both,
-    // and fetches byte-identical results.
-    let submit = Request::Submit {
-        job: Box::new(Request::Simulate {
-            app: AppSpec::Inline {
-                n: 6,
-                edges: (0..6)
-                    .map(|i| (i, (i + 1) % 6, 64 * 1024, 16, 4096))
-                    .collect(),
-            },
-            fabric: FabricSpec::Hfast,
-            cutoff: 4096,
-            faults: None,
-            strategy: None,
-        }),
-    };
-    let body = encode_request(&submit);
-    let a = exchange(&mut off.stream, &body);
-    let b = exchange(&mut on.stream, &body);
-    assert_eq!(a, b, "job acceptance differs under telemetry");
-    let id = match decode_response(&a).expect("job accepted") {
-        Response::JobAccepted { id } => id,
-        other => panic!("expected JobAccepted, got {other:?}"),
-    };
-    let await_done = |stream: &mut TcpStream| {
-        let poll = encode_request(&Request::Poll { id });
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let text = exchange(stream, &poll);
-            if text.contains("\"state\":\"done\"") {
-                return;
-            }
-            assert!(Instant::now() < deadline, "job never finished: {text}");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    };
-    await_done(&mut off.stream);
-    await_done(&mut on.stream);
-    let fetch = encode_request(&Request::Fetch { id });
-    let a = exchange(&mut off.stream, &fetch);
-    let b = exchange(&mut on.stream, &fetch);
-    assert_eq!(a, b, "fetched job bytes differ under telemetry");
-
     // Shutdown acknowledges identically; the telemetry-on daemon then
-    // flushes a non-empty span file on drain, the off daemon writes none.
+    // flushes a non-empty Perfetto document on drain.
     let bye = encode_request(&Request::Shutdown);
     let a = exchange(&mut off.stream, &bye);
     let b = exchange(&mut on.stream, &bye);
     assert_eq!(a, b, "shutdown ack differs under telemetry");
     assert!(off.child.wait().expect("off exits").success());
     assert!(on.child.wait().expect("on exits").success());
-    let spans = std::fs::read_to_string(&trace_sink).expect("span sink written");
-    assert!(
-        spans.lines().count() > 1,
-        "telemetry-on daemon exported no spans"
-    );
+    let doc = std::fs::read_to_string(&trace_sink).expect("span sink written");
+    let stats = hfast_trace::validate(&doc).expect("a valid trace document");
+    assert!(stats.events > 0, "telemetry-on daemon exported no spans");
     let _ = std::fs::remove_dir_all(&dir);
 }

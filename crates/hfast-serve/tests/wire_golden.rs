@@ -29,8 +29,8 @@ use hfast_serve::{
     decode_response_versioned, encode_request, encode_request_versioned, encode_response,
     encode_response_versioned, envelope_traced, envelope_v2, read_frame, request_key, start,
     strip_envelope, write_frame, AppSpec, Client, FabricSpec, FaultSpec, FrameError, FramePoll,
-    FrameReader, JobState, JobTotals, Request, Response, ScenarioKind, ServerConfig, Strategy,
-    TdcRow, VerbLatency, VerbWindow, WireVersion, ENDPOINTS, MAX_FRAME_BYTES,
+    FrameReader, Request, Response, ScenarioKind, ServerConfig, Strategy, TdcRow, VerbLatency,
+    VerbWindow, WireVersion, ENDPOINTS, MAX_FRAME_BYTES,
 };
 use hfast_trace::TraceContext;
 
@@ -237,38 +237,6 @@ fn request_rows() -> Vec<(Request, &'static str)> {
             r#"{"type":"simulate","app":{"name":"LBMHD","procs":64},"fabric":{"kind":"hfast"},"cutoff":2048,"strategy":"demand_decomp"}"#,
         ),
         (
-            Request::Submit {
-                job: Box::new(simulate_req()),
-            },
-            r#"{"type":"submit","job":{"type":"simulate","app":{"name":"Cactus","procs":4},"fabric":{"kind":"fattree","ports":8},"cutoff":2048}}"#,
-        ),
-        (
-            Request::Submit {
-                job: Box::new(Request::Simulate {
-                    app: named("GTC", 64),
-                    fabric: FabricSpec::Hfast,
-                    cutoff: 2048,
-                    faults: None,
-                    strategy: None,
-                }),
-            },
-            r#"{"type":"submit","job":{"type":"simulate","app":{"name":"GTC","procs":64},"fabric":{"kind":"hfast"},"cutoff":2048}}"#,
-        ),
-        (
-            Request::Submit {
-                job: Box::new(Request::DebugPanic),
-            },
-            r#"{"type":"submit","job":{"type":"debug_panic"}}"#,
-        ),
-        (Request::Poll { id: 7 }, r#"{"type":"poll","id":7}"#),
-        (Request::Fetch { id: 7 }, r#"{"type":"fetch","id":7}"#),
-        (
-            Request::Fetch { id: (3 << 40) | 9 },
-            r#"{"type":"fetch","id":3298534883337}"#,
-        ),
-        (Request::Cancel { id: 7 }, r#"{"type":"cancel","id":7}"#),
-        (Request::Cancel { id: 0 }, r#"{"type":"cancel","id":0}"#),
-        (
             Request::Scenario {
                 kind: ScenarioKind::Incast,
                 nodes: 64,
@@ -353,13 +321,6 @@ fn stats_resp(latency: Vec<VerbLatency>) -> Response {
         scenario_hits: [5, 0, 1, 2, 3],
         graphs: 5,
         fabrics: 2,
-        jobs: JobTotals {
-            submitted: 4,
-            completed: 2,
-            failed: 1,
-            cancelled: 1,
-            retried: 3,
-        },
         latency,
     }
 }
@@ -367,28 +328,15 @@ fn stats_resp(latency: Vec<VerbLatency>) -> Response {
 fn metrics_resp(verbs: Vec<VerbWindow>) -> Response {
     Response::Metrics {
         window_ns: 10_000_000_000,
-        shards: 2,
         queue_depth: 3,
         cache_hits: 40,
         cache_misses: 12,
-        jobs_pending: 1,
-        jobs_retried: 2,
-        hot_keys: 1,
         verbs,
     }
 }
 
-fn job_status(id: u64, state: JobState, attempts: u32, message: Option<&str>) -> Response {
-    Response::JobStatus {
-        id,
-        state,
-        attempts,
-        message: message.map(str::to_string),
-    }
-}
-
-/// Every `Response` variant, `JobStatus` in every state with and without
-/// its `message`, and the row-carrying responses with and without rows.
+/// Every `Response` variant, and the row-carrying responses with and
+/// without rows.
 fn response_rows() -> Vec<(Response, &'static str)> {
     vec![
         (Response::Busy, r#"{"type":"busy"}"#),
@@ -436,11 +384,11 @@ fn response_rows() -> Vec<(Response, &'static str)> {
                     p99_ns: 0,
                 },
             ]),
-            r#"{"type":"stats","requests":10,"shed":1,"cache_hits":4,"cache_misses":6,"cache_evictions":0,"cache_entries":6,"cache_bytes":1234,"sim_events":99,"sim_events_per_sec":1000000,"strategy_hits":{"paper_linear":3,"bff_circuit":2,"demand_decomp":1},"scenario_hits":{"incast":5,"permutation":0,"hotspot":1,"multi_tenant":2,"bursty":3},"graphs":5,"fabrics":2,"jobs":{"submitted":4,"completed":2,"failed":1,"cancelled":1,"retried":3},"latency":[{"verb":"health","count":3,"p50_ns":100,"p95_ns":200,"p99_ns":300},{"verb":"simulate","count":0,"p50_ns":0,"p95_ns":0,"p99_ns":0}]}"#,
+            r#"{"type":"stats","requests":10,"shed":1,"cache_hits":4,"cache_misses":6,"cache_evictions":0,"cache_entries":6,"cache_bytes":1234,"sim_events":99,"sim_events_per_sec":1000000,"strategy_hits":{"paper_linear":3,"bff_circuit":2,"demand_decomp":1},"scenario_hits":{"incast":5,"permutation":0,"hotspot":1,"multi_tenant":2,"bursty":3},"graphs":5,"fabrics":2,"latency":[{"verb":"health","count":3,"p50_ns":100,"p95_ns":200,"p99_ns":300},{"verb":"simulate","count":0,"p50_ns":0,"p95_ns":0,"p99_ns":0}]}"#,
         ),
         (
             stats_resp(vec![]),
-            r#"{"type":"stats","requests":10,"shed":1,"cache_hits":4,"cache_misses":6,"cache_evictions":0,"cache_entries":6,"cache_bytes":1234,"sim_events":99,"sim_events_per_sec":1000000,"strategy_hits":{"paper_linear":3,"bff_circuit":2,"demand_decomp":1},"scenario_hits":{"incast":5,"permutation":0,"hotspot":1,"multi_tenant":2,"bursty":3},"graphs":5,"fabrics":2,"jobs":{"submitted":4,"completed":2,"failed":1,"cancelled":1,"retried":3},"latency":[]}"#,
+            r#"{"type":"stats","requests":10,"shed":1,"cache_hits":4,"cache_misses":6,"cache_evictions":0,"cache_entries":6,"cache_bytes":1234,"sim_events":99,"sim_events_per_sec":1000000,"strategy_hits":{"paper_linear":3,"bff_circuit":2,"demand_decomp":1},"scenario_hits":{"incast":5,"permutation":0,"hotspot":1,"multi_tenant":2,"bursty":3},"graphs":5,"fabrics":2,"latency":[]}"#,
         ),
         (
             metrics_resp(vec![VerbWindow {
@@ -453,11 +401,11 @@ fn response_rows() -> Vec<(Response, &'static str)> {
                 p95_ns: 2_000,
                 p99_ns: 4_000,
             }]),
-            r#"{"type":"metrics","window_ns":10000000000,"shards":2,"queue_depth":3,"cache_hits":40,"cache_misses":12,"jobs_pending":1,"jobs_retried":2,"hot_keys":1,"verbs":[{"verb":"provision","count":9,"ok":8,"busy":1,"errors":0,"p50_ns":1000,"p95_ns":2000,"p99_ns":4000}]}"#,
+            r#"{"type":"metrics","window_ns":10000000000,"queue_depth":3,"cache_hits":40,"cache_misses":12,"verbs":[{"verb":"provision","count":9,"ok":8,"busy":1,"errors":0,"p50_ns":1000,"p95_ns":2000,"p99_ns":4000}]}"#,
         ),
         (
             metrics_resp(vec![]),
-            r#"{"type":"metrics","window_ns":10000000000,"shards":2,"queue_depth":3,"cache_hits":40,"cache_misses":12,"jobs_pending":1,"jobs_retried":2,"hot_keys":1,"verbs":[]}"#,
+            r#"{"type":"metrics","window_ns":10000000000,"queue_depth":3,"cache_hits":40,"cache_misses":12,"verbs":[]}"#,
         ),
         (
             Response::Provisioned {
@@ -529,38 +477,6 @@ fn response_rows() -> Vec<(Response, &'static str)> {
             },
             r#"{"type":"scenario","flows":126,"completed":126,"unrouted":0,"makespan_ns":4230590,"p95_latency_ns":3000000,"trees":5,"deepest":5,"stall_ns":500414029,"spread":22.75,"off_root_victims":228,"max_over_mean":51.75,"gini":0.8125}"#,
         ),
-        (
-            Response::JobAccepted { id: (1 << 40) | 7 },
-            r#"{"type":"job","id":1099511627783}"#,
-        ),
-        (
-            Response::JobAccepted { id: (1 << 40) | 12 },
-            r#"{"type":"job","id":1099511627788}"#,
-        ),
-        (
-            job_status(7, JobState::Queued, 0, None),
-            r#"{"type":"job_status","id":7,"state":"queued","attempts":0}"#,
-        ),
-        (
-            job_status(12, JobState::Running, 2, None),
-            r#"{"type":"job_status","id":12,"state":"running","attempts":2}"#,
-        ),
-        (
-            job_status(14, JobState::Done, u32::MAX, None),
-            r#"{"type":"job_status","id":14,"state":"done","attempts":4294967295}"#,
-        ),
-        (
-            job_status(7, JobState::Failed, 3, Some("panic")),
-            r#"{"type":"job_status","id":7,"state":"failed","attempts":3,"message":"panic"}"#,
-        ),
-        (
-            job_status(13, JobState::Failed, 4, Some("panicked: \"boom\"")),
-            r#"{"type":"job_status","id":13,"state":"failed","attempts":4,"message":"panicked: \"boom\""}"#,
-        ),
-        (
-            job_status(15, JobState::Cancelled, 0, None),
-            r#"{"type":"job_status","id":15,"state":"cancelled","attempts":0}"#,
-        ),
     ]
 }
 
@@ -625,8 +541,6 @@ fn fixture_table_covers_every_variant_and_optional_member() {
         "tdc",
         "sim",
         "scenario",
-        "job",
-        "job_status",
         "metrics",
         "busy",
         "ok",
@@ -651,7 +565,6 @@ fn fixture_table_covers_every_variant_and_optional_member() {
         ("scenario", "bytes"),
         ("scenario", "strategy"),
         ("scenario", "credits"),
-        ("job_status", "message"),
     ] {
         let key = format!("\"{member}\":");
         let of_message = || all.iter().filter(|b| tag(b) == message);

@@ -6,7 +6,7 @@
 //! property test closes that loop: export, [`parse`], and walk the tree.
 //! Recursive descent, full escape handling, no allocation tricks.
 //!
-//! The same parser reads every `hfast-serve` frame and journal line, so
+//! The same parser reads every `hfast-serve` frame, so
 //! it is bounded against hostile input: containers nested deeper than
 //! [`MAX_DEPTH`] are an error, not a stack overflow.
 

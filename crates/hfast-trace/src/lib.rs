@@ -46,7 +46,6 @@ pub mod flame;
 pub mod json;
 pub mod perfetto;
 pub mod span;
-pub mod stitch;
 
 pub use analyzer::{
     congestion_trees, queue_depth_timeline, rank_hotspots, utilization_spread,
@@ -56,11 +55,9 @@ pub use flame::{aggregate, CallAgg};
 pub use json::{parse, JsonValue};
 pub use perfetto::{export, validate, TraceStats};
 pub use span::{
-    client_span_id, engine_span_id, rank_span_id, router_span_id, server_span_id, FlowEnd, FlowRow,
-    HopRow, SpanContext, SpanRecord, TraceContext, TraceRecorder, Track, CLIENT_SPAN_BASE,
-    ENGINE_SPAN_BASE, ROUTER_SPAN_BASE, SERVER_SPAN_BASE,
+    engine_span_id, rank_span_id, server_span_id, FlowEnd, FlowRow, HopRow, SpanContext,
+    SpanRecord, TraceContext, TraceRecorder, Track, ENGINE_SPAN_BASE, SERVER_SPAN_BASE,
 };
-pub use stitch::{render_jsonl, stitch, trace_tree, StitchStats, TreeStats};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -114,28 +111,6 @@ pub fn write_to_env_sink(document: &str) {
         }
         _ => {}
     }
-}
-
-/// Exports a process's spans to the `HFAST_TRACE` destination in the
-/// format its extension asks for: a path ending in `.jsonl` gets the
-/// [`stitch::render_jsonl`] interchange (for cross-process stitching by
-/// `hfast-fleet --stitch`), anything else the single-process Perfetto
-/// document.
-/// No-op when tracing is disabled.
-pub fn export_to_env_sink(process: &str, spans: &[span::SpanRecord]) {
-    if !enabled() {
-        return;
-    }
-    let wants_jsonl = matches!(
-        std::env::var("HFAST_TRACE").ok().as_deref().map(str::trim),
-        Some(p) if p.ends_with(".jsonl")
-    );
-    let doc = if wants_jsonl {
-        stitch::render_jsonl(process, spans)
-    } else {
-        perfetto::export(spans)
-    };
-    write_to_env_sink(&doc);
 }
 
 #[cfg(test)]

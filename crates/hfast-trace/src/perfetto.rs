@@ -27,8 +27,6 @@ pub fn track_coords(track: Track) -> (u64, u64) {
         Track::Engine => (3, 0),
         Track::Reconfig => (3, 1),
         Track::Server(c) => (4, c as u64),
-        Track::Client => (5, 0),
-        Track::Router(c) => (6, c as u64),
     }
 }
 
@@ -39,8 +37,6 @@ fn track_label(track: Track) -> String {
         Track::Engine => "event loop".to_string(),
         Track::Reconfig => "reconfig".to_string(),
         Track::Server(c) => format!("conn {c}"),
-        Track::Client => "client".to_string(),
-        Track::Router(c) => format!("route {c}"),
     }
 }
 
@@ -49,8 +45,6 @@ fn process_label(pid: u64) -> &'static str {
         1 => "ranks",
         2 => "links",
         4 => "server",
-        5 => "client",
-        6 => "router",
         _ => "engine",
     }
 }

@@ -45,53 +45,20 @@ pub fn server_span_id(counter: u64) -> u64 {
     SERVER_SPAN_BASE | (counter & (SERVER_SPAN_BASE - 1))
 }
 
-/// Bit marking fleet-router span ids; disjoint from the engine, server,
-/// and client bases so the stitcher can tell which process family
-/// allocated an id without any side table.
-pub const ROUTER_SPAN_BASE: u64 = 1 << 61;
-
-/// Bit marking fleet-client root span ids (the origin of a cross-process
-/// trace); disjoint from every other base.
-pub const CLIENT_SPAN_BASE: u64 = 1 << 60;
-
-/// Span id for the `counter`-th span allocated by a fleet router.
-#[inline]
-pub fn router_span_id(counter: u64) -> u64 {
-    ROUTER_SPAN_BASE | (counter & (CLIENT_SPAN_BASE - 1))
-}
-
-/// Span id for the `counter`-th root span originated by a fleet client.
-#[inline]
-pub fn client_span_id(counter: u64) -> u64 {
-    CLIENT_SPAN_BASE | (counter & (CLIENT_SPAN_BASE - 1))
-}
-
-/// The compact causal stamp a fleet request carries across process
-/// boundaries, riding in the v2 wire envelope as
+/// The compact causal stamp a request carries across a process
+/// boundary, riding in the v2 wire envelope as
 /// `{"v":2,"trace":{"id":…,"parent":…},…}`.
 ///
 /// Unlike the in-process [`SpanContext`] there is no Lamport clock: each
-/// process times its own spans on its own monotonic clock, and the
-/// stitcher groups them by process rather than merging clocks. Only
-/// identity (which trace) and causality (which remote span to parent
-/// under) cross the wire.
+/// process times its own spans on its own monotonic clock. Only identity
+/// (which trace) and causality (which remote span to parent under) cross
+/// the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
-    /// Trace this request belongs to (the fleet client's root span id).
+    /// Trace this request belongs to (the caller's root span id).
     pub trace_id: u64,
     /// Span in the sending process the receiver should parent under.
     pub parent_id: u64,
-}
-
-impl TraceContext {
-    /// The context a receiver should forward after recording `span_id`
-    /// as its own child span: same trace, deeper parent.
-    pub fn deepen(&self, span_id: u64) -> Self {
-        TraceContext {
-            trace_id: self.trace_id,
-            parent_id: span_id,
-        }
-    }
 }
 
 /// The causal stamp carried inside a message envelope.
@@ -142,10 +109,6 @@ pub enum Track {
     Reconfig,
     /// One per serving-daemon connection (request lifecycle spans).
     Server(usize),
-    /// The fleet client originating cross-process root spans.
-    Client,
-    /// One per fleet-router client connection (routing spans).
-    Router(usize),
 }
 
 /// One closed span (or instant, when `dur_ns == 0`) on a track.
@@ -413,31 +376,6 @@ mod tests {
         assert_ne!(server_span_id(5), rank_span_id(0, 5));
         assert_eq!(server_span_id(9) & ENGINE_SPAN_BASE, 0);
         assert_eq!(server_span_id(9) & SERVER_SPAN_BASE, SERVER_SPAN_BASE);
-        let all = [
-            rank_span_id(0, 5),
-            engine_span_id(5),
-            server_span_id(5),
-            router_span_id(5),
-            client_span_id(5),
-        ];
-        for (i, &a) in all.iter().enumerate() {
-            for &b in &all[i + 1..] {
-                assert_ne!(a, b, "span id spaces overlap");
-            }
-        }
-        assert_eq!(router_span_id(3) & ROUTER_SPAN_BASE, ROUTER_SPAN_BASE);
-        assert_eq!(client_span_id(3) & CLIENT_SPAN_BASE, CLIENT_SPAN_BASE);
-    }
-
-    #[test]
-    fn trace_context_deepens_without_changing_trace() {
-        let ctx = TraceContext {
-            trace_id: client_span_id(1),
-            parent_id: client_span_id(1),
-        };
-        let next = ctx.deepen(router_span_id(1));
-        assert_eq!(next.trace_id, ctx.trace_id);
-        assert_eq!(next.parent_id, router_span_id(1));
     }
 
     #[test]

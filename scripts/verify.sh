@@ -53,31 +53,13 @@ smoke provision_bakeoff cargo run --release -q -p hfast-bench --bin provision_ba
 # cell, the fat tree shows off-root victims on incast, and ideal mode is
 # byte-identical to the plain loop.
 smoke congestion_lab cargo run --release -q -p hfast-bench --bin congestion_lab -- --check
-# Serving smoke: ephemeral-port daemon exercised across every endpoint
-# (health, provision, cost, tdc, simulate with and without faults, the
-# panic-isolation probe, stats) and drained; exits non-zero on any
-# mismatch, unexercised cache, or a hung drain.
+# Serving smoke: ephemeral-port daemon exercised across its endpoints
+# (health, provision under two strategies, cost, tdc, simulate cold,
+# cached and in the v2 envelope, scenario cold and cached, the
+# debug_panic isolation probe, stats, metrics), then hostile frames, then
+# drained; exits non-zero on any mismatch, unexercised cache, or a hung
+# drain.
 smoke serve_self_test cargo run --release -q -p hfast-serve -- --self-test
-# Fleet smoke (~5 s wall): two journaled shard processes behind the
-# consistent-hash router; exits non-zero unless the fleet answers the
-# single node's bytes, a rolling restart of shard 0 under a 4 s soak is
-# invisible to clients (zero mismatched, zero refused, no lost loader
-# connection), and every journaled job submitted before the restart
-# fetches its baseline bytes after it.
-smoke fleet_smoke cargo run --release -q -p hfast-serve --bin hfast-fleet -- --smoke
-# Trace-plane smoke: capture a live 2-shard fleet with per-process span
-# sinks, stitch client + router + shards into one Perfetto document, and
-# exit non-zero unless every traced request forms exactly one connected
-# causal tree (one root, zero orphans).
-smoke fleet_trace cargo run --release -q -p hfast-serve --bin hfast-fleet -- --capture \
-  "${TMPDIR:-/tmp}/hfast-verify-trace"
-# Soak smoke (~25 s wall): the fleet smoke's drill with a 20 s soak —
-# sustained mixed-verb load while the monitor polls the rolling `metrics`
-# windows and shard 0 is rolling-restarted halfway; exits non-zero on any
-# SLO violation — byte divergence, refused responses, a lost loader
-# connection, a breached p99 ceiling, or a durable job lost across the
-# restart.
-smoke fleet_soak cargo run --release -q -p hfast-serve --bin hfast-fleet -- --soak --secs 20
 # Benchmark-package smoke: `benchmark/` is a standalone package (own
 # lockfile, invisible to the workspace build above), so a change to the
 # "API surface the benchmark calls" (benchmark/README.md) would otherwise

@@ -1,5 +1,5 @@
 //! Pins ahead of the sparse-store rewrite of `CommGraph`: `content_hash`
-//! keys the serve cache, the fabric registry and the journal, and every
+//! keys the serve cache and the fabric registry, and every
 //! `Provisioning::digest` depends on the order `neighbors` yields peers in.
 //! These constants were recorded on the dense `n × n` store; the sorted-row
 //! store must reproduce every one of them.
