@@ -60,8 +60,8 @@ pub use error::NetsimError;
 pub use fabric::{Fabric, LinkId, LinkSpec};
 pub use fattree::FatTreeFabric;
 pub use faultplan::{
-    transit_links, FaultAction, FaultEvent, FaultPlan, FaultPlanBuilder, FaultState, FaultTarget,
-    RetryPolicy,
+    transit_links, transit_links_from, FaultAction, FaultEvent, FaultPlan, FaultPlanBuilder,
+    FaultState, FaultTarget, RetryPolicy,
 };
 pub use hfast::{AdaptScope, HfastFabric};
 pub use obs::EngineObs;

@@ -1,15 +1,15 @@
 //! Property-based tests for the discrete-event simulator and fabrics.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use hfast_core::{
     torus_fault_impact, Clustered, PaperLinear, ProvisionConfig, Provisioner, Strategy,
 };
 use hfast_netsim::engine::PathCache;
 use hfast_netsim::{
-    traffic, transit_links, CreditConfig, EngineObs, Fabric, FatTreeFabric, FaultAction,
-    FaultEvent, FaultPlan, FaultState, FaultTarget, Flow, HfastFabric, LinkId, RetryPolicy,
-    SharedPathCache, Simulation, TorusFabric,
+    traffic, transit_links, transit_links_from, CreditConfig, EngineObs, Fabric, FatTreeFabric,
+    FaultAction, FaultEvent, FaultPlan, FaultState, FaultTarget, Flow, HfastFabric, LinkId,
+    RetryPolicy, SharedPathCache, Simulation, TorusFabric,
 };
 use hfast_par::{forall, Rng64};
 use hfast_topology::CommGraph;
@@ -227,8 +227,9 @@ fn concurrent_snapshot_runs_are_identical() {
 
 #[test]
 fn snapshot_fault_run_matches_private_cache() {
-    // Under faults the snapshot is cloned into the run's own cache; the
-    // replay must still be bit-identical to a fresh private-cache run.
+    // Under faults the run reads the snapshot and keeps its detours in its
+    // own overlay; the replay must still be bit-identical to a fresh
+    // private-cache run.
     forall("snapshot_fault_run_matches_private", 24, |rng| {
         let fabric = TorusFabric::new((4, 4, 1)).expect("valid shape");
         let fs = flows(rng, 16, 40);
@@ -256,6 +257,81 @@ fn snapshot_fault_run_matches_private_cache() {
             .run(&fs);
         assert_eq!(bare, via_snap, "snapshot perturbed a fault replay");
         assert_eq!(snap.len(), before, "fault run mutated the snapshot");
+    });
+}
+
+/// The transit rule as first written: the interior hops of each distinct
+/// pair's `fabric.path`, gathered through `BTreeSet`s.
+fn transit_reference(fabric: &dyn Fabric, flows: &[Flow]) -> Vec<LinkId> {
+    let mut seen = BTreeSet::new();
+    let mut pairs = BTreeSet::new();
+    for f in flows {
+        if f.src != f.dst && pairs.insert((f.src, f.dst)) {
+            if let Some(path) = fabric.path(f.src, f.dst) {
+                if path.len() > 2 {
+                    seen.extend(path[1..path.len() - 1].iter().copied());
+                }
+            }
+        }
+    }
+    seen.into_iter().collect()
+}
+
+#[test]
+fn transit_links_from_routes_match_the_reference() {
+    // The transit set read from resolved routes equals the one routed
+    // from scratch and the reference, whatever the snapshot covers: flows
+    // include self-flows, repeated pairs, pairs the snapshot lacks or
+    // holds stale, and (on an HFAST fabric with offline nodes) pairs with
+    // no route at all.
+    forall("transit_links_from_routes_match_the_reference", 48, |rng| {
+        let (fabric, n) = if rng.bool(0.25) {
+            const N: usize = 14;
+            let mut g = CommGraph::new(N);
+            for _ in 0..rng.range(1, 40) {
+                let a = rng.range(0, N);
+                let b = rng.range(0, N);
+                if a != b {
+                    g.add_message(a, b, rng.range_u64(2048, 1 << 20));
+                }
+            }
+            let online: Vec<usize> = (0..N).filter(|_| rng.bool(0.7)).collect();
+            let clusters = online.chunks(3).map(<[usize]>::to_vec).collect();
+            let prov = Clustered::new(clusters).provision(&g, ProvisionConfig::default());
+            (Box::new(HfastFabric::new(prov)) as Box<dyn Fabric>, N)
+        } else {
+            any_fabric(rng)
+        };
+        let fabric = fabric.as_ref();
+        let mut fs = flows(rng, n, 60);
+        for _ in 0..rng.range(0, 4) {
+            let repeat = fs[rng.range(0, fs.len())];
+            let node = rng.range(0, n);
+            fs.push(repeat);
+            fs.push(Flow {
+                src: node,
+                dst: node,
+                ..repeat
+            });
+        }
+        rng.shuffle(&mut fs);
+        let want = transit_reference(fabric, &fs);
+        assert_eq!(transit_links(fabric, &fs), want, "routed from scratch");
+        let snap = SharedPathCache::new().warm(fabric, &fs[..rng.range(0, fs.len() + 1)]);
+        assert_eq!(
+            transit_links_from(fabric, &snap, &fs),
+            want,
+            "read from a snapshot of {} pairs",
+            snap.len()
+        );
+        let mut stale = (*snap).clone();
+        let evict: Vec<(usize, usize)> = fs.iter().take(5).map(|f| (f.src, f.dst)).collect();
+        stale.invalidate_pairs(&evict);
+        assert_eq!(
+            transit_links_from(fabric, &stale, &fs),
+            want,
+            "read past stale routes"
+        );
     });
 }
 

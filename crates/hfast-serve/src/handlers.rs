@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use hfast_core::{CostComparison, CostModel, ProvisionConfig, Provisioning, Strategy};
 use hfast_netsim::traffic::flows_from_graph;
-use hfast_netsim::{transit_links, CreditConfig, FaultPlan, Scenario, Simulation};
+use hfast_netsim::{transit_links_from, CreditConfig, FaultPlan, Scenario, Simulation};
 use hfast_topology::tdc_sweep;
 use hfast_trace::{congestion_trees, rank_hotspots, utilization_spread, TraceRecorder};
 
@@ -74,8 +74,15 @@ fn simulate_for(
         Err(e) => return err(e),
     };
     let flows = flows_from_graph(&graph, cutoff);
+    let snap = entry.warm.warm(entry.fabric.as_ref(), &flows);
+    let sim = Simulation::new(entry.fabric.as_ref())
+        .with_snapshot(&snap)
+        .with_obs(reg.sim_obs());
     let out = if let Some(spec) = faults {
-        let eligible = transit_links(entry.fabric.as_ref(), &flows);
+        // Fault runs read the snapshot too (detours live in the run's own
+        // overlay), and the links they may fail come from its routes, so
+        // no pair is routed again per request.
+        let eligible = transit_links_from(entry.fabric.as_ref(), &snap, &flows);
         let plan = match FaultPlan::builder()
             .random_link_failures(
                 spec.seed,
@@ -89,21 +96,9 @@ fn simulate_for(
             Ok(p) => p,
             Err(e) => return err(format!("fault plan: {e}")),
         };
-        // Fault runs mutate routes as links fail, so they get a private
-        // cache seeded from the shared snapshot instead of the snapshot
-        // itself.
-        let snap = entry.warm.warm(entry.fabric.as_ref(), &flows);
-        Simulation::new(entry.fabric.as_ref())
-            .with_snapshot(&snap)
-            .with_faults(&plan)
-            .with_obs(reg.sim_obs())
-            .run(&flows)
+        sim.with_faults(&plan).run(&flows)
     } else {
-        let snap = entry.warm.warm(entry.fabric.as_ref(), &flows);
-        Simulation::new(entry.fabric.as_ref())
-            .with_snapshot(&snap)
-            .with_obs(reg.sim_obs())
-            .run(&flows)
+        sim.run(&flows)
     };
     Response::SimReport {
         completed: out.stats.completed,
