@@ -8,8 +8,9 @@
 //! held only to clone the entry's `Arc`, and `get_or_init` then blocks
 //! *only* requesters of the same key while the first one computes.
 //!
-//! Fabric keys are client-chosen (every distinct inline graph, cutoff or
-//! strategy is a new key), so the fabric map holds at most
+//! Keys are client-chosen (every named app × procs is a new graph key;
+//! every distinct inline graph, cutoff or strategy a new fabric key), so
+//! each map is an [`LruMap`] that holds at most [`MAX_GRAPHS`] or
 //! [`MAX_FABRICS`] entries and evicts the least recently used one.
 
 use std::collections::HashMap;
@@ -35,6 +36,11 @@ pub(crate) const MAX_PROCS: usize = 1024;
 /// tier.
 pub(crate) const MAX_INLINE_TASKS: usize = 1 << 16;
 
+/// Most profiled graphs the registry keeps resident: room for the six
+/// paper apps at two scales each. Past it the least recently used graph
+/// is dropped; a request holding it keeps its own `Arc`.
+pub(crate) const MAX_GRAPHS: usize = 12;
+
 /// Most fabrics the registry keeps resident. Past it the least recently
 /// used entry is dropped from the map; a request still running on it
 /// holds its own `Arc`, so eviction never pulls a fabric out from under
@@ -54,25 +60,34 @@ pub(crate) struct FabricEntry {
 
 type FabricResult = Result<Arc<FabricEntry>, String>;
 
-/// The fabric map: each entry stamped with the lookup that last used it.
-#[derive(Default)]
-struct FabricMap {
-    entries: HashMap<String, (Arc<OnceLock<FabricResult>>, u64)>,
+/// A map of memoized slots holding at most `CAP` entries, each stamped
+/// with the lookup that last used it.
+struct LruMap<V, const CAP: usize> {
+    entries: HashMap<String, (Arc<OnceLock<V>>, u64)>,
     /// Lookups so far; an entry's stamp is the value at its last use.
     clock: u64,
 }
 
-impl FabricMap {
+impl<V, const CAP: usize> Default for LruMap<V, CAP> {
+    fn default() -> Self {
+        LruMap {
+            entries: HashMap::new(),
+            clock: 0,
+        }
+    }
+}
+
+impl<V, const CAP: usize> LruMap<V, CAP> {
     /// The slot for `key`, created (evicting the least recently used
     /// entry when the map is full) if absent.
-    fn entry(&mut self, key: &str) -> Arc<OnceLock<FabricResult>> {
+    fn entry(&mut self, key: &str) -> Arc<OnceLock<V>> {
         self.clock += 1;
         let clock = self.clock;
         if let Some((slot, used)) = self.entries.get_mut(key) {
             *used = clock;
             return Arc::clone(slot);
         }
-        if self.entries.len() >= MAX_FABRICS {
+        if self.entries.len() >= CAP {
             let oldest = self
                 .entries
                 .iter()
@@ -91,8 +106,8 @@ impl FabricMap {
 /// The server-wide registry of profiled graphs and built fabrics.
 #[derive(Default)]
 pub struct Registry {
-    graphs: Mutex<HashMap<String, Arc<OnceLock<GraphResult>>>>,
-    fabrics: Mutex<FabricMap>,
+    graphs: Mutex<LruMap<GraphResult, MAX_GRAPHS>>,
+    fabrics: Mutex<LruMap<FabricResult, MAX_FABRICS>>,
     /// Engine observability every simulate request records into; the
     /// `stats` verb reports simulator event counts and loop throughput
     /// from here. Wall-clock feeds only the throughput gauge, never
@@ -107,14 +122,6 @@ pub struct Registry {
     /// order. Cache hits never reach the handler, so these count real
     /// credit-mode replays.
     scenario_hits: [AtomicU64; 5],
-}
-
-fn entry<K: std::hash::Hash + Eq + Clone, V>(
-    map: &Mutex<HashMap<K, Arc<OnceLock<V>>>>,
-    key: &K,
-) -> Arc<OnceLock<V>> {
-    let mut map = map.lock().expect("registry poisoned");
-    Arc::clone(map.entry(key.clone()).or_default())
 }
 
 fn profile_named(name: &str, procs: usize) -> GraphResult {
@@ -154,7 +161,7 @@ impl Registry {
     /// How many memoized (graph, fabric) entries are resident — reported
     /// by the stats verb so operators can watch registry growth.
     pub(crate) fn entry_counts(&self) -> (u64, u64) {
-        let graphs = self.graphs.lock().expect("graphs poisoned").len() as u64;
+        let graphs = self.graphs.lock().expect("graphs poisoned").entries.len() as u64;
         let fabrics = self.fabrics.lock().expect("fabrics poisoned").entries.len() as u64;
         (graphs, fabrics)
     }
@@ -207,7 +214,7 @@ impl Registry {
             }
             AppSpec::Named { name, procs } => {
                 let key = format!("{name}\u{1}{procs}");
-                let slot = entry(&self.graphs, &key);
+                let slot = self.graphs.lock().expect("registry poisoned").entry(&key);
                 slot.get_or_init(|| profile_named(name, *procs)).clone()
             }
         }
@@ -281,7 +288,7 @@ mod tests {
         let g = reg.graph(&spec).unwrap();
         assert_eq!(g.n(), 4);
         assert_eq!(g.edge(0, 1).bytes, 4096);
-        assert!(reg.graphs.lock().unwrap().is_empty());
+        assert!(reg.graphs.lock().unwrap().entries.is_empty());
     }
 
     #[test]
@@ -294,7 +301,7 @@ mod tests {
         let a = reg.graph(&spec).unwrap();
         let b = reg.graph(&spec).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second request reused the profile");
-        assert_eq!(reg.graphs.lock().unwrap().len(), 1);
+        assert_eq!(reg.graphs.lock().unwrap().entries.len(), 1);
     }
 
     #[test]
@@ -397,6 +404,31 @@ mod tests {
         // request for its key builds afresh.
         assert_eq!(first.fabric.nodes(), 8);
         assert!(!Arc::ptr_eq(&first, &fabric(1)), "the cold key was evicted");
+    }
+
+    #[test]
+    fn the_graph_map_is_capped_and_keeps_what_is_in_use() {
+        let reg = Registry::new();
+        let graph = |name: &str, procs| {
+            reg.graph(&AppSpec::Named {
+                name: name.into(),
+                procs,
+            })
+        };
+        let hot = graph("Cactus", 8).unwrap();
+        let first = graph("Cactus", 4).unwrap();
+        // Unknown names are cheap keys: each memoizes its error.
+        for procs in 1..=MAX_GRAPHS + 8 {
+            assert!(graph("NotAnApp", procs).is_err());
+            let again = graph("Cactus", 8).unwrap();
+            assert!(Arc::ptr_eq(&hot, &again), "the hot key stays resident");
+        }
+        assert!(reg.entry_counts().0 <= MAX_GRAPHS as u64);
+        // The evicted graph still serves the caller holding it, and a new
+        // request for its key profiles afresh.
+        assert_eq!(first.n(), 4);
+        let again = graph("Cactus", 4).unwrap();
+        assert!(!Arc::ptr_eq(&first, &again), "the cold key was evicted");
     }
 
     #[test]
