@@ -91,26 +91,6 @@ pub struct LaneStats {
     pub p99_ns: u64,
 }
 
-impl LaneStats {
-    /// Fraction of windowed requests that returned an error (0.0 empty).
-    pub fn error_rate(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.errors as f64 / self.count as f64
-        }
-    }
-
-    /// Fraction of windowed requests that were shed busy (0.0 empty).
-    pub fn busy_rate(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.busy as f64 / self.count as f64
-        }
-    }
-}
-
 /// One snapshot of every lane plus the window geometry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowSnapshot {
@@ -265,8 +245,7 @@ mod tests {
         assert_eq!(snap.lanes[1].busy, 1);
         assert_eq!(snap.lanes[1].errors, 1);
         assert_eq!(snap.lanes[2].count, 0);
-        assert!((snap.lanes[1].error_rate() - 0.5).abs() < 1e-12);
-        assert!((snap.lanes[1].busy_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(snap.lanes[1].count, 2);
         assert!((snap.throughput_rps(0) - 1.0 / 8.0).abs() < 1e-12);
     }
 
