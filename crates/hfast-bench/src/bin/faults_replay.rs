@@ -1,51 +1,12 @@
-//! Fault-replay experiment: seeded link failures during a bulk-synchronous
-//! exchange step, replayed on fat-tree vs HFAST (paper §1's reliability
-//! argument, quantified in goodput).
-//!
-//! For each application and failure rate, the same seed picks which
-//! fraction of each fabric's *transit* links (interior hops actually
-//! carried by the app's traffic — never the endpoint fibers) fail at the
-//! start of the exchange, permanently. The fat tree has one route per
-//! pair: crossing flows burn their retry budget and are abandoned. HFAST
-//! drops affected pairs onto the collective tree, keeps delivering, and
-//! repatches the failed circuits through the MEMS crossbar at the next
-//! synchronization point.
+//! Fault-replay experiment: prints [`hfast_bench::faults::goodput_grid`],
+//! goodput under seeded link failures on fat tree vs HFAST for every
+//! (app, failure-rate) cell.
 //!
 //! Exits non-zero if HFAST fails to deliver strictly more goodput than the
-//! fat tree on any (app, rate) cell.
+//! fat tree on any cell; the tier-1 test `tests/fault_replay.rs` asserts the
+//! same and names the cell.
 
-use hfast_apps::all_apps;
-use hfast_bench::measure_app;
-use hfast_core::{PaperLinear, ProvisionConfig, Provisioner};
-use hfast_netsim::{
-    traffic, transit_links, Fabric, FatTreeFabric, FaultPlan, HfastFabric, RetryPolicy, Simulation,
-};
-
-const PROCS: usize = 64;
-const RATES: [f64; 3] = [0.05, 0.15, 0.30];
-const SEED: u64 = 0x5C05;
-const SYNC_INTERVAL_NS: u64 = 2_000_000;
-
-fn goodput(fabric: &dyn Fabric, flows: &[traffic::Flow], rate: f64, reprovision: bool) -> f64 {
-    let offered: u64 = flows.iter().map(|f| f.bytes).sum();
-    if offered == 0 {
-        return 1.0;
-    }
-    let eligible = transit_links(fabric, flows);
-    let count = ((eligible.len() as f64 * rate).ceil() as usize).max(1);
-    let plan = FaultPlan::builder()
-        .random_link_failures(SEED, count, &eligible, (0, 0), None)
-        .build(fabric)
-        .expect("valid plan");
-    let mut sim = Simulation::new(fabric)
-        .with_faults(&plan)
-        .with_retry(RetryPolicy::default());
-    if reprovision {
-        sim = sim.with_reprovision(SYNC_INTERVAL_NS);
-    }
-    let out = sim.run(flows);
-    out.stats.delivered_bytes as f64 / offered as f64
-}
+use hfast_bench::faults::goodput_grid;
 
 fn main() {
     println!("== fault replay: goodput under seeded link failures ==\n");
@@ -53,27 +14,18 @@ fn main() {
         "{:>9} {:>6} {:>10} {:>10}   (goodput = delivered/offered bytes)",
         "code", "rate", "fat-tree", "hfast"
     );
-    let apps = all_apps();
     let mut violations = 0usize;
     let mut skipped = 0usize;
-    for app in &apps {
-        let row = measure_app(app.as_ref(), PROCS);
-        let graph = row.steady.comm_graph();
-        let flows = traffic::flows_from_graph(&graph, 2048);
-        if flows.is_empty() {
+    for row in goodput_grid() {
+        if row.cells.is_empty() {
             println!(
                 "{:>9}   (no steady-state flows above cutoff, skipped)",
-                row.name
+                row.app
             );
             skipped += 1;
-            continue;
         }
-        let ft = FatTreeFabric::new(PROCS, 8).expect("valid shape");
-        let hf = HfastFabric::new(PaperLinear.provision(&graph, ProvisionConfig::default()));
-        for rate in RATES {
-            let g_ft = goodput(&ft, &flows, rate, false);
-            let g_hf = goodput(&hf, &flows, rate, true);
-            let mark = if g_hf > g_ft {
+        for cell in row.cells {
+            let mark = if cell.hfast > cell.fat_tree {
                 ""
             } else {
                 violations += 1;
@@ -81,7 +33,7 @@ fn main() {
             };
             println!(
                 "{:>9} {:>6.2} {:>10.4} {:>10.4}{mark}",
-                row.name, rate, g_ft, g_hf
+                row.app, cell.rate, cell.fat_tree, cell.hfast
             );
         }
     }

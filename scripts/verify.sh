@@ -32,9 +32,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 # Paper smoke (~5 s): the full experiment sweep; exits non-zero unless every
 # row of the claims ledger (hfast_bench::paper::CLAIMS) holds.
 smoke paper_checks cargo run --release -q -p hfast-bench --bin paper -- experiments
-# Fault-replay smoke: exits non-zero unless HFAST beats the fat tree in
-# goodput on every (app, failure-rate) cell.
-smoke faults_replay cargo run --release -q -p hfast-bench --bin faults_replay
 # Hotspot-analyzer smoke on one app: exits non-zero unless the traced
 # replay's hottest HFAST transit link is circuit-switched.
 smoke hotspots cargo run --release -q -p hfast-bench --bin hotspots -- GTC
