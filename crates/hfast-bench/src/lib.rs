@@ -5,11 +5,13 @@
 //! measured reproduction next to the paper's published values where the
 //! paper gives numbers. Those values live once, in the claims ledger
 //! ([`paper::CLAIMS`]): `paper experiments` prints a PASS/MISS verdict per
-//! row and the tier-1 test `tests/claims.rs` asserts every row. Beside it sit the serving load generator
-//! ([`loadgen`]), the fault-replay goodput grid ([`faults`], asserted by the
-//! tier-1 test `tests/fault_replay.rs`) and the library-level `--check` smoke
-//! binaries. Performance
-//! is measured by the standalone `benchmark/` package, not here.
+//! row and the tier-1 test `tests/claims.rs` asserts every row. Beside it
+//! sit the serving load generator ([`loadgen`]), the fault-replay goodput
+//! grid ([`faults`], asserted by the tier-1 test `tests/fault_replay.rs`),
+//! the congestion lab ([`congestion`], asserted by
+//! `tests/congestion_lab.rs`) and the library-level `--check` smoke
+//! binaries. Performance is measured by the standalone `benchmark/`
+//! package, not here.
 //!
 //! Run the full reproduction with its ledger verdicts:
 //!
@@ -19,6 +21,7 @@
 
 #![warn(missing_docs)]
 
+pub mod congestion;
 pub mod faults;
 pub mod figures;
 pub mod loadgen;

@@ -14,6 +14,7 @@ use std::time::Instant;
 use hfast_obs::Histogram;
 use hfast_par::rng::Rng64;
 use hfast_serve::{AppSpec, Client, FabricSpec, Request, Response};
+use hfast_topology::fnv::{FNV1A, FNV_OFFSET};
 
 /// The six paper applications (Table 2 names).
 pub const PAPER_APPS: [&str; 6] = ["Cactus", "LBMHD", "GTC", "SuperLU", "PMEMD", "PARATEC"];
@@ -73,17 +74,6 @@ pub struct LoadReport {
     pub p95_ns: u64,
     /// 99th-percentile request latency, nanoseconds.
     pub p99_ns: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 /// The deterministic request pool the mix draws from: provision, cost,
@@ -155,7 +145,7 @@ fn run_connection(
         match client.call_text(req) {
             Ok((resp, raw)) => {
                 hist.record(t.elapsed().as_nanos() as u64);
-                out.digest = fnv_fold(out.digest, raw.as_bytes());
+                out.digest = FNV1A.bytes(out.digest, raw.as_bytes());
                 match resp {
                     Response::Busy => out.busy += 1,
                     Response::Error { .. } => out.errors += 1,
@@ -210,7 +200,7 @@ pub fn run(addr: &str, config: &LoadConfig) -> LoadReport {
     let mut digest = FNV_OFFSET;
     let (mut ok, mut busy, mut errors, mut dropped) = (0, 0, 0, 0);
     for o in &outcomes {
-        digest = fnv_fold(digest, &o.digest.to_be_bytes());
+        digest = FNV1A.bytes(digest, &o.digest.to_be_bytes());
         ok += o.ok;
         busy += o.busy;
         errors += o.errors;
@@ -275,8 +265,8 @@ mod tests {
 
     #[test]
     fn fnv_fold_distinguishes_order() {
-        let a = fnv_fold(fnv_fold(FNV_OFFSET, b"one"), b"two");
-        let b = fnv_fold(fnv_fold(FNV_OFFSET, b"two"), b"one");
+        let a = FNV1A.bytes(FNV1A.bytes(FNV_OFFSET, b"one"), b"two");
+        let b = FNV1A.bytes(FNV1A.bytes(FNV_OFFSET, b"two"), b"one");
         assert_ne!(a, b);
     }
 }

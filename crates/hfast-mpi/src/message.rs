@@ -73,12 +73,6 @@ impl Payload {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// True if this payload carries real data.
-    #[inline]
-    pub fn is_data(&self) -> bool {
-        matches!(self, Payload::Data(_))
-    }
 }
 
 /// Elementwise reduction operators over `f64` lanes, mirroring the MPI

@@ -13,10 +13,7 @@ use std::io;
 use std::net::TcpStream;
 
 use crate::frame::{read_frame, write_frame, FrameError};
-use crate::protocol::{
-    decode_response, decode_response_versioned, encode_request, encode_request_versioned, Request,
-    Response, WireVersion,
-};
+use crate::protocol::{decode_response, encode_request, Request, Response};
 
 /// Why a call failed, by layer.
 ///
@@ -77,12 +74,6 @@ impl Client {
         Ok(Client { stream })
     }
 
-    /// One frame out, one frame in.
-    fn exchange(&mut self, payload: &str) -> Result<String, ClientError> {
-        write_frame(&mut self.stream, payload)?;
-        Ok(read_frame(&mut self.stream)?)
-    }
-
     /// Sends a request and blocks for its response.
     ///
     /// # Errors
@@ -99,29 +90,9 @@ impl Client {
     /// # Errors
     /// Transport, framing, or decode failure.
     pub fn call_text(&mut self, req: &Request) -> Result<(Response, String), ClientError> {
-        let raw = self.exchange(&encode_request(req))?;
+        write_frame(&mut self.stream, &encode_request(req))?;
+        let raw = read_frame(&mut self.stream)?;
         let resp = decode_response(&raw).map_err(ClientError::Protocol)?;
         Ok((resp, raw))
-    }
-
-    /// Sends a request in the given wire version and decodes the reply,
-    /// checking the server answered in kind.
-    ///
-    /// # Errors
-    /// Transport, framing, or decode failure; [`ClientError::Protocol`]
-    /// when the reply's envelope version differs from the request's.
-    pub fn call_versioned(
-        &mut self,
-        req: &Request,
-        version: WireVersion,
-    ) -> Result<Response, ClientError> {
-        let raw = self.exchange(&encode_request_versioned(req, version))?;
-        let (resp, got) = decode_response_versioned(&raw).map_err(ClientError::Protocol)?;
-        if got != version {
-            return Err(ClientError::Protocol(format!(
-                "sent {version:?}, server answered {got:?}"
-            )));
-        }
-        Ok(resp)
     }
 }

@@ -26,9 +26,9 @@
 //!   kills a thread.
 //! - **Graceful drain**: shutdown stops accepting, finishes in-flight
 //!   work, then flushes `hfast-obs` metrics and the Perfetto trace.
-//! - **Versioned wire protocol**: the untagged v1 encoding stays
-//!   canonical (cache keys); a `{"v":2,...}` envelope is detected per
-//!   frame and answered in kind.
+//! - **One canonical wire form**: a frame is its bare JSON body, the same
+//!   bytes the cache key hashes; a frame tagged with a `"v"` member is
+//!   refused with a structured error.
 //!
 //! ```no_run
 //! use hfast_serve::{start, Client, Request, Response, ServerConfig};
@@ -66,11 +66,9 @@ pub use handlers::execute;
 pub use hfast_core::Strategy;
 pub use hfast_netsim::ScenarioKind;
 pub use protocol::{
-    decode_request, decode_request_traced, decode_request_versioned, decode_response,
-    decode_response_versioned, encode_request, encode_request_versioned, encode_response,
-    encode_response_versioned, envelope_traced, envelope_v2, request_key, strip_envelope, AppSpec,
+    decode_request, decode_response, encode_request, encode_response, request_key, AppSpec,
     FabricSpec, FaultSpec, Request, Response, TdcRow, VerbHandler, VerbLatency, VerbSpec,
-    VerbWindow, WireVersion, ENDPOINTS, VERBS,
+    VerbWindow, ENDPOINTS, VERBS,
 };
 pub use registry::Registry;
 pub use server::{start, ServerConfig, ServerHandle};

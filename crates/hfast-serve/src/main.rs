@@ -22,7 +22,7 @@ use std::process::ExitCode;
 
 use hfast_serve::{
     decode_response, encode_request, read_frame, start, write_frame, AppSpec, Client, FabricSpec,
-    FrameError, Request, Response, ScenarioKind, ServerConfig, WireVersion,
+    FrameError, Request, Response, ScenarioKind, ServerConfig,
 };
 
 /// The hostile-frame round. Each frame goes out on a fresh connection
@@ -35,6 +35,13 @@ fn hostile_round(addr: SocketAddr) -> Result<(), String> {
     let framed = |payload: &[u8]| [&(payload.len() as u32).to_be_bytes(), payload].concat();
     let golden = encode_request(&Request::Metrics);
     let credits = r#"{"type":"scenario","kind":"incast","nodes":16,"seed":1,"fabric":{"kind":"hfast"},"credits":4294967297}"#;
+    // The retired envelopes: the golden body behind a `"v":2` tag, with
+    // and without a trace member.
+    let v2 = format!("{{\"v\":2,{}", &golden[1..]);
+    let traced = format!(
+        "{{\"v\":2,\"trace\":{{\"id\":\"3\",\"parent\":\"1000000000000003\"}},{}",
+        &golden[1..]
+    );
     // (name, bytes on the wire, the error mentions, the connection survives)
     let mut frames = vec![
         (
@@ -59,6 +66,18 @@ fn hostile_round(addr: SocketAddr) -> Result<(), String> {
             "out-of-range credits".into(),
             framed(credits.as_bytes()),
             "\"credits\"",
+            true,
+        ),
+        (
+            "v2 envelope".into(),
+            framed(v2.as_bytes()),
+            "wire version 2",
+            true,
+        ),
+        (
+            "traced envelope".into(),
+            framed(traced.as_bytes()),
+            "wire version 2",
             true,
         ),
     ];
@@ -195,16 +214,6 @@ fn self_test() -> Result<(), String> {
             ..
         }) if (completed, delivered_bytes) == first => {}
         other => return Err(format!("simulate repeat: unexpected {other:?}")),
-    }
-    // The same cached answer through the v2 envelope: version negotiation
-    // must not change what the daemon computes.
-    match client.call_versioned(&sim, WireVersion::V2) {
-        Ok(Response::SimReport {
-            completed,
-            delivered_bytes,
-            ..
-        }) if (completed, delivered_bytes) == first => {}
-        other => return Err(format!("simulate (v2): unexpected {other:?}")),
     }
     // Adversarial scenario replay under credit flow control: incast on a
     // fat tree must complete every flow and form at least one congestion

@@ -37,22 +37,13 @@
 //! * **Depth.** The parser refuses input nested deeper than
 //!   `hfast_trace::json::MAX_DEPTH` before any of this runs, so decode
 //!   recursion is bounded whatever the peer sends.
+//! * **Envelope.** The body object is the whole frame. A frame with a
+//!   top-level `"v"` member (the retired `{"v":2,…}` envelopes, or a
+//!   version from the future) is refused with an error naming it.
 //!
 //! Only shapes that are not their Rust shape keep a hand-written
 //! `Wire` impl: [`AppSpec`]'s untagged named/inline union,
 //! [`FabricSpec`]'s flat `x`/`y`/`z` and the per-name tallies in `stats`.
-//!
-//! ## Wire versions
-//!
-//! Two envelopes share one body grammar. **v1** is the untagged PR-6/
-//! PR-7 format: the body object *is* the frame
-//! (`{"type":"provision",...}`), and it stays byte-identical forever —
-//! pinned by the wire-golden tests so old clients never break. **v2**
-//! prefixes the same body with a version tag as the first field
-//! (`{"v":2,"type":"provision",...}`). A frame with no `"v"` field is
-//! v1; the server answers every request in the version it arrived in.
-//! Cache keys are always derived from the canonical **v1** body, so both
-//! generations share one cache.
 //!
 //! ## The verb table
 //!
@@ -67,9 +58,9 @@ use std::fmt::Write as _;
 use hfast_core::Strategy;
 use hfast_netsim::ScenarioKind;
 use hfast_obs::json::escape_into;
+use hfast_topology::fnv::{FNV1A, FNV_OFFSET};
 use hfast_topology::{CommGraph, EdgeStat};
 use hfast_trace::json::{self, JsonValue};
-use hfast_trace::TraceContext;
 
 use crate::registry::Registry;
 
@@ -497,26 +488,6 @@ wire_struct! {
         pub window: (u64, u64),
         /// Downtime before automatic recovery; `None` leaves links down.
         pub downtime_ns: Option<u64>,
-    }
-}
-
-/// Which envelope a frame used (and its answer must use).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireVersion {
-    /// Untagged body object — the PR-6/PR-7 format, frozen forever.
-    #[default]
-    V1,
-    /// `{"v":2,...}`-tagged body.
-    V2,
-}
-
-impl WireVersion {
-    /// Puts a canonical v1 body in this version's envelope.
-    pub(crate) fn wrap(self, body: String) -> String {
-        match self {
-            WireVersion::V1 => body,
-            WireVersion::V2 => envelope_v2(&body),
-        }
     }
 }
 
@@ -953,161 +924,45 @@ wire_enum! {
     }
 }
 
-/// Wraps a canonical v1 body in the v2 envelope: the version tag becomes
-/// the object's first field, everything else is byte-identical.
-pub fn envelope_v2(body: &str) -> String {
-    debug_assert!(body.len() > 2 && body.starts_with('{'), "body is an object");
-    let mut out = String::with_capacity(body.len() + 6);
-    out.push_str("{\"v\":2,");
-    out.push_str(&body[1..]);
+fn encode<T: Wire>(msg: &T) -> String {
+    let mut out = String::with_capacity(128);
+    msg.put(&mut out);
     out
 }
 
-/// Wraps a canonical v1 body in the v2 envelope *with* a trace context:
-/// `{"v":2,"trace":{"id":…,"parent":…},` then the body's own fields.
-///
-/// Span ids use more than 53 bits (the id-space tag bits live at 2⁶⁰–2⁶³),
-/// so both fields ride as hex strings — a JSON number would round through
-/// interoperable f64 parsers, including the in-repo one. A frame with no
-/// trace context uses [`envelope_v2`] and stays byte-identical to the
-/// pre-trace v2 format. Responses never carry a context.
-pub fn envelope_traced(body: &str, ctx: TraceContext) -> String {
-    debug_assert!(body.len() > 2 && body.starts_with('{'), "body is an object");
-    format!(
-        "{{\"v\":2,\"trace\":{{\"id\":\"{:x}\",\"parent\":\"{:x}\"}},{}",
-        ctx.trace_id,
-        ctx.parent_id,
-        &body[1..]
-    )
-}
-
-/// Undoes the v2 envelope (traced or not), recovering the canonical v1
-/// body. v1 frames pass through unchanged, so the result is always the
-/// byte-exact v1 encoding — the form cache keys and digests hash.
-pub fn strip_envelope(text: &str) -> String {
-    let Some(rest) = text.strip_prefix("{\"v\":2,") else {
-        return text.to_string();
-    };
-    let rest = match rest.strip_prefix("\"trace\":{") {
-        Some(after) => match after.find('}') {
-            // The trace object is flat, so the first brace closes it;
-            // skip it and the comma separating it from the body fields.
-            Some(i) => after[i + 1..].strip_prefix(',').unwrap_or(&after[i + 1..]),
-            None => rest,
-        },
-        None => rest,
-    };
-    format!("{{{rest}")
-}
-
-fn hex_id(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| format!("trace field {key:?} is not a hex id"))
-}
-
-fn decode_trace(v: &JsonValue, version: WireVersion) -> Result<Option<TraceContext>, String> {
-    let Some(t) = v.get("trace") else {
-        return Ok(None);
-    };
-    if version != WireVersion::V2 {
-        return Err("trace context requires the v2 envelope".into());
-    }
-    Ok(Some(TraceContext {
-        trace_id: hex_id(t, "id")?,
-        parent_id: hex_id(t, "parent")?,
-    }))
-}
-
-/// Reads the envelope version of a parsed frame: no `"v"` field is v1,
-/// `"v":2` is v2, anything else is from the future and refused.
-pub fn wire_version(v: &JsonValue) -> Result<WireVersion, String> {
-    match Wire::get_field(v, "v")? {
-        None::<u64> => Ok(WireVersion::V1),
-        Some(2) => Ok(WireVersion::V2),
-        Some(other) => Err(format!("unsupported wire version {other}")),
-    }
-}
-
-fn encode<T: Wire>(msg: &T, version: WireVersion) -> String {
-    let mut body = String::with_capacity(128);
-    msg.put(&mut body);
-    version.wrap(body)
-}
-
-/// Parses a frame in either envelope and decodes its body, handing back
-/// the parsed tree for callers that read envelope members too.
-fn decode<T: Wire>(text: &str) -> Result<(T, WireVersion, JsonValue), String> {
+/// Parses a frame and decodes its body. A top-level `"v"` member is
+/// refused: the body object is the only envelope.
+fn decode<T: Wire>(text: &str) -> Result<T, String> {
     let v = json::parse(text)?;
-    let version = wire_version(&v)?;
-    Ok((T::get(&v)?, version, v))
+    match Wire::get_field(&v, "v")? {
+        None::<u64> => T::get(&v),
+        Some(version) => Err(format!("field \"v\": unsupported wire version {version}")),
+    }
 }
 
 /// Encodes a request canonically (the encoding is the cache-key basis).
 pub fn encode_request(req: &Request) -> String {
-    encode(req, WireVersion::V1)
-}
-
-/// Encodes a request under the given wire version (v1 is canonical; v2
-/// adds the envelope tag).
-pub fn encode_request_versioned(req: &Request, version: WireVersion) -> String {
-    encode(req, version)
+    encode(req)
 }
 
 /// Encodes a response canonically.
 pub fn encode_response(resp: &Response) -> String {
-    encode(resp, WireVersion::V1)
+    encode(resp)
 }
 
-/// Encodes a response under the given wire version.
-pub fn encode_response_versioned(resp: &Response, version: WireVersion) -> String {
-    encode(resp, version)
-}
-
-/// Decodes one request frame in either envelope, also extracting the
-/// cross-process [`TraceContext`] when the v2 envelope carries one.
-/// A malformed `trace` member is a decode error, not a silent drop.
-pub fn decode_request_traced(
-    text: &str,
-) -> Result<(Request, WireVersion, Option<TraceContext>), String> {
-    let (req, version, v) = decode(text)?;
-    Ok((req, version, decode_trace(&v, version)?))
-}
-
-/// Decodes one request frame in either envelope, reporting which one it
-/// used so the response can answer in kind.
-pub fn decode_request_versioned(text: &str) -> Result<(Request, WireVersion), String> {
-    decode(text).map(|(req, version, _)| (req, version))
-}
-
-/// Decodes one request frame (either envelope; the version is dropped —
-/// use [`decode_request_versioned`] to answer in kind).
+/// Decodes one request frame.
 pub fn decode_request(text: &str) -> Result<Request, String> {
-    decode(text).map(|(req, _, _)| req)
+    decode(text)
 }
 
-/// Decodes one response frame in either envelope, reporting which one it
-/// used.
-pub fn decode_response_versioned(text: &str) -> Result<(Response, WireVersion), String> {
-    decode(text).map(|(resp, version, _)| (resp, version))
-}
-
-/// Decodes one response frame (either envelope).
+/// Decodes one response frame.
 pub fn decode_response(text: &str) -> Result<Response, String> {
-    decode(text).map(|(resp, _, _)| resp)
+    decode(text)
 }
 
 /// FNV-1a hash of a canonical request encoding — the response-cache key.
 pub fn request_key(canonical: &str) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for &b in canonical.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    FNV1A.bytes(FNV_OFFSET, canonical.as_bytes())
 }
 
 #[cfg(test)]
@@ -1185,9 +1040,20 @@ mod tests {
         assert!(decode_request(r#"{"type":"warp"}"#).is_err());
         assert!(decode_request(r#"{"type":"tdc","app":{"name":"GTC"}}"#).is_err());
         assert!(decode_request(r#"{"type":"provision","app":{"n":2,"edges":[[0]]}}"#).is_err());
-        // v3 does not exist yet; refusing it beats misreading it as v1.
-        assert!(decode_request(r#"{"v":3,"type":"health"}"#).is_err());
-        assert!(decode_request(r#"{"v":2,"type":"warp"}"#).is_err());
+        // A version tag is refused, whatever it says: misreading a v2
+        // or future frame as a bare body would answer it untagged.
+        for (frame, version) in [
+            (r#"{"v":3,"type":"health"}"#, "3"),
+            (r#"{"v":2,"type":"health"}"#, "2"),
+        ] {
+            let err = decode_request(frame).expect_err("a tagged frame");
+            assert_eq!(
+                err,
+                format!("field \"v\": unsupported wire version {version}")
+            );
+        }
+        let err = decode_request(r#"{"v":"2","type":"health"}"#).expect_err("a string tag");
+        assert!(err.starts_with("field \"v\""), "{err}");
         // A member's type is its range: 2^32 + 1 credits is an error that
         // names the member, not a silently narrowed one-slot run.
         let scenario = |credits: &str| {
@@ -1207,92 +1073,6 @@ mod tests {
             err.contains("\"app\"") && err.contains("\"procs\""),
             "{err}"
         );
-    }
-
-    /// The v2 envelope is the v1 body with a leading `"v":2` member: same
-    /// canonical field order after the tag, and `decode_request_versioned`
-    /// reports which envelope arrived so the server can answer in kind.
-    #[test]
-    fn v2_envelope_wraps_the_v1_body() {
-        let provision = Request::Provision {
-            app: AppSpec::Named {
-                name: "GTC".into(),
-                procs: 64,
-            },
-            block_ports: 16,
-            cutoff: 2048,
-            strategy: None,
-        };
-        assert_eq!(
-            encode_request_versioned(&provision, WireVersion::V2),
-            r#"{"v":2,"type":"provision","app":{"name":"GTC","procs":64},"block_ports":16,"cutoff":2048}"#
-        );
-        assert_eq!(
-            encode_request_versioned(&provision, WireVersion::V1),
-            encode_request(&provision)
-        );
-        let (dec, ver) =
-            decode_request_versioned(&encode_request_versioned(&provision, WireVersion::V2))
-                .expect("v2 decodes");
-        assert_eq!(dec, provision);
-        assert_eq!(ver, WireVersion::V2);
-        let (dec, ver) = decode_request_versioned(&encode_request(&provision)).expect("v1 decodes");
-        assert_eq!(dec, provision);
-        assert_eq!(ver, WireVersion::V1);
-        // Cache keys are always computed over the canonical v1 body, so a
-        // v2 client shares cached entries with v1 clients.
-        assert_ne!(
-            request_key(&encode_request(&provision)),
-            request_key(&encode_request_versioned(&provision, WireVersion::V2)),
-        );
-        assert_eq!(
-            encode_response_versioned(&Response::Busy, WireVersion::V2),
-            r#"{"v":2,"type":"busy"}"#
-        );
-    }
-
-    /// The traced envelope inserts exactly one `trace` member after the
-    /// version tag; stripping either v2 form recovers the byte-exact v1
-    /// body, and decode surfaces the context without disturbing the
-    /// version report.
-    #[test]
-    fn traced_envelope_round_trips_and_strips() {
-        let body = encode_request(&Request::Health);
-        let ctx = TraceContext {
-            trace_id: 3,
-            parent_id: (1 << 60) | 3,
-        };
-        let framed = envelope_traced(&body, ctx);
-        assert_eq!(
-            framed,
-            r#"{"v":2,"trace":{"id":"3","parent":"1000000000000003"},"type":"health"}"#
-        );
-        let (req, ver, got) = decode_request_traced(&framed).expect("traced frame decodes");
-        assert_eq!(req, Request::Health);
-        assert_eq!(ver, WireVersion::V2);
-        assert_eq!(got, Some(ctx), "span ids above 2^53 survive the wire");
-        // Context-free frames in both envelopes report None.
-        let (_, _, none) = decode_request_traced(&envelope_v2(&body)).unwrap();
-        assert_eq!(none, None);
-        let (_, _, none) = decode_request_traced(&body).unwrap();
-        assert_eq!(none, None);
-        // Stripping any envelope form recovers the canonical v1 body.
-        assert_eq!(strip_envelope(&framed), body);
-        assert_eq!(strip_envelope(&envelope_v2(&body)), body);
-        assert_eq!(strip_envelope(&body), body);
-        // A trace member without the v2 tag, or malformed ids, is refused.
-        assert!(
-            decode_request_traced(r#"{"trace":{"id":"1","parent":"2"},"type":"health"}"#).is_err()
-        );
-        assert!(
-            decode_request_traced(r#"{"v":2,"trace":{"id":7,"parent":"2"},"type":"health"}"#)
-                .is_err(),
-            "numeric ids would round through f64 parsers"
-        );
-        assert!(decode_request_traced(
-            r#"{"v":2,"trace":{"id":"xyz","parent":"2"},"type":"health"}"#
-        )
-        .is_err());
     }
 
     /// The scenario verb pins its wire form, and its cache keys separate

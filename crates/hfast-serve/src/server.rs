@@ -42,14 +42,14 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use hfast_obs::{Outcome, ServeObs, SlidingWindow};
-use hfast_trace::{server_span_id, TraceContext, TraceRecorder, Track};
+use hfast_trace::{server_span_id, TraceRecorder, Track};
 
 use crate::cache::ResponseCache;
 use crate::frame::{write_frame, FrameError, FramePoll, FrameReader};
 use crate::handlers::execute;
 use crate::protocol::{
-    decode_request_traced, encode_request, encode_response, request_key, Request, Response,
-    VerbLatency, VerbWindow, ENDPOINTS,
+    decode_request, encode_request, encode_response, request_key, Request, Response, VerbLatency,
+    VerbWindow, ENDPOINTS,
 };
 use crate::registry::Registry;
 
@@ -266,7 +266,7 @@ fn verb_latency_rows(shared: &Shared) -> Vec<VerbLatency> {
         .collect()
 }
 
-/// Answers one decoded request with its canonical v1 body (`bool` =
+/// Answers one decoded request with its canonical body (`bool` =
 /// response cache hit).
 fn route_request(shared: &Shared, req: Request) -> (String, bool) {
     shared.obs.record_request(req.verb_index());
@@ -401,15 +401,13 @@ impl Shared {
     fn answer(&self, conn_id: usize, payload: &str) -> String {
         let t_start = self.now_ns();
         let root_span = self.next_span();
-        let mut ctx: Option<TraceContext> = None;
         let mut verb_idx: Option<usize> = None;
-        let (encoded, outcome, cache_hit, t_parsed) = match decode_request_traced(payload) {
-            Ok((req, version, trace_ctx)) => {
-                ctx = trace_ctx;
+        let (encoded, outcome, cache_hit, t_parsed) = match decode_request(payload) {
+            Ok(req) => {
                 verb_idx = Some(req.verb_index());
                 let t_parsed = self.now_ns();
                 let (body, hit) = route_request(self, req);
-                // Classify the outcome from the canonical v1 body prefix —
+                // Classify the outcome from the canonical body prefix —
                 // cheaper than re-decoding and exact because the body is
                 // canonical (fixed field order, no whitespace).
                 let outcome = if body.starts_with("{\"type\":\"busy\"") {
@@ -419,11 +417,7 @@ impl Shared {
                 } else {
                     Outcome::Ok
                 };
-                // Answer in the envelope the request arrived in: the cache
-                // always carries the canonical v1 body, so v1 and v2
-                // clients share every cached entry. Responses never carry
-                // trace context — it flows request-ward only.
-                (version.wrap(body), outcome, hit, t_parsed)
+                (body, outcome, hit, t_parsed)
             }
             Err(message) => {
                 self.obs.errors.inc();
@@ -443,27 +437,14 @@ impl Shared {
         }
         if let Some(trace) = &self.trace {
             let track = Track::Server(conn_id);
-            // A request that arrived with trace context parents its span
-            // tree under the remote caller's span; the trace id rides
-            // along on every span as a plain field.
-            let (remote_parent, trace_id) = match ctx {
-                Some(c) => (c.parent_id, Some(c.trace_id)),
-                None => (0, None),
-            };
-            let tag = |mut fields: Vec<(&'static str, u64)>| {
-                if let Some(id) = trace_id {
-                    fields.push(("trace", id));
-                }
-                fields
-            };
             trace.record_span(
                 track,
                 "request",
                 t_start,
                 t_done.saturating_sub(t_start),
                 root_span,
-                remote_parent,
-                tag(vec![("cache_hit", cache_hit as u64)]),
+                0,
+                vec![("cache_hit", cache_hit as u64)],
             );
             trace.record_span(
                 track,
@@ -472,7 +453,7 @@ impl Shared {
                 t_parsed.saturating_sub(t_start),
                 self.next_span(),
                 root_span,
-                tag(vec![("bytes", payload.len() as u64)]),
+                vec![("bytes", payload.len() as u64)],
             );
             trace.record_span(
                 track,
@@ -481,7 +462,7 @@ impl Shared {
                 t_done.saturating_sub(t_parsed),
                 self.next_span(),
                 root_span,
-                tag(vec![]),
+                vec![],
             );
         }
         encoded

@@ -8,11 +8,9 @@
 use hfast_par::check::forall;
 use hfast_par::rng::Rng64;
 use hfast_serve::{
-    decode_request, decode_request_versioned, decode_response, decode_response_versioned,
-    encode_request, encode_request_versioned, encode_response, encode_response_versioned,
-    read_frame, request_key, start, write_frame, AppSpec, Client, FabricSpec, FaultSpec, Request,
-    Response, ScenarioKind, ServerConfig, Strategy, TdcRow, VerbLatency, VerbWindow, WireVersion,
-    ENDPOINTS,
+    decode_request, decode_response, encode_request, encode_response, read_frame, request_key,
+    start, write_frame, AppSpec, Client, FabricSpec, FaultSpec, Request, Response, ScenarioKind,
+    ServerConfig, Strategy, TdcRow, VerbLatency, VerbWindow, ENDPOINTS,
 };
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -141,16 +139,6 @@ fn any_request_round_trips_and_is_canonical() {
         // so the cache key is well-defined.
         assert_eq!(encode_request(&back), text);
         assert_eq!(request_key(&text), request_key(&encode_request(&back)));
-        // The v2 envelope round-trips the same value and reports its
-        // version; the v1 path reports V1.
-        let v2 = encode_request_versioned(&req, WireVersion::V2);
-        let (back2, ver) = decode_request_versioned(&v2).expect("v2 decodes");
-        assert_eq!(back2, req);
-        assert_eq!(ver, WireVersion::V2);
-        assert_eq!(
-            decode_request_versioned(&text).expect("v1 decodes").1,
-            WireVersion::V1
-        );
     });
 }
 
@@ -245,10 +233,6 @@ fn any_response_round_trips() {
         let back = decode_response(&text).expect("encoded response decodes");
         assert_eq!(back, resp);
         assert_eq!(encode_response(&back), text);
-        let v2 = encode_response_versioned(&resp, WireVersion::V2);
-        let (back2, ver) = decode_response_versioned(&v2).expect("v2 decodes");
-        assert_eq!(back2, resp);
-        assert_eq!(ver, WireVersion::V2);
     });
 }
 

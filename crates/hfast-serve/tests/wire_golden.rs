@@ -6,16 +6,17 @@
 //! One fixture table ([`request_rows`], [`response_rows`]) holds a
 //! `(value, pinned v1 bytes)` pair for every `Request` and `Response`
 //! variant with every optional member both present and absent. The
-//! byte-pin, round-trip and envelope tests iterate it, and so does the
-//! mutate-the-golden property: every row is truncated at every offset
-//! and put through seeded span, number and nesting mutations, and the
-//! decoders and the frame reader must answer each with an error or a
-//! self-consistent value — never a panic, never an allocation request
-//! above [`MAX_FRAME_BYTES`].
+//! byte-pin, round-trip and version-refusal tests iterate it, and so
+//! does the mutate-the-golden property: every row is truncated at every
+//! offset and put through seeded span, number and nesting mutations,
+//! and the decoders and the frame reader must answer each with an error
+//! or a self-consistent value — never a panic, never an allocation
+//! request above [`MAX_FRAME_BYTES`].
 //!
-//! Also covers answered-in-kind behaviour over a real socket and the
-//! cross-version cache identity (a v2 request hits the cache entry a v1
-//! request populated, because the cache key is the canonical v1 body).
+//! Also covers the refusal of version-tagged frames: the retired
+//! `{"v":2,…}` envelope, its traced form and a `"v":3` from the future
+//! each draw an error naming the version, from the decoder and over a
+//! real socket, and the connection keeps answering.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -25,14 +26,11 @@ use std::net::TcpStream;
 use hfast_par::check::forall;
 use hfast_par::rng::Rng64;
 use hfast_serve::{
-    decode_request, decode_request_traced, decode_request_versioned, decode_response,
-    decode_response_versioned, encode_request, encode_request_versioned, encode_response,
-    encode_response_versioned, envelope_traced, envelope_v2, read_frame, request_key, start,
-    strip_envelope, write_frame, AppSpec, Client, FabricSpec, FaultSpec, FrameError, FramePoll,
-    FrameReader, Request, Response, ScenarioKind, ServerConfig, Strategy, TdcRow, VerbLatency,
-    VerbWindow, WireVersion, ENDPOINTS, MAX_FRAME_BYTES,
+    decode_request, decode_response, encode_request, encode_response, read_frame, start,
+    write_frame, AppSpec, FabricSpec, FaultSpec, FrameError, FramePoll, FrameReader, Request,
+    Response, ScenarioKind, ServerConfig, Strategy, TdcRow, VerbLatency, VerbWindow, ENDPOINTS,
+    MAX_FRAME_BYTES,
 };
-use hfast_trace::TraceContext;
 
 /// Passes every call through to `System`, noting the largest single
 /// request made on the calling thread so the mutator can bound what a
@@ -484,18 +482,11 @@ fn response_rows() -> Vec<(Response, &'static str)> {
 fn v1_request_bytes_are_pinned() {
     for (req, want) in &request_rows() {
         assert_eq!(&encode_request(req), want, "v1 encoding drifted");
-        // The v2 form is exactly the v1 body behind a version tag.
-        assert_eq!(
-            encode_request_versioned(req, WireVersion::V2),
-            format!("{{\"v\":2,{}", &want[1..]),
-        );
-        // Both decode back, reporting their version, and the decoded
-        // value re-encodes to the same bytes (the cache key is canonical).
-        let (back, v) = decode_request_versioned(want).expect("v1 decodes");
-        assert_eq!((&back, v), (req, WireVersion::V1));
+        // The bytes decode back, and the decoded value re-encodes to the
+        // same bytes (the cache key is canonical).
+        let back = decode_request(want).expect("v1 decodes");
+        assert_eq!(&back, req);
         assert_eq!(&encode_request(&back), want, "re-encoding not canonical");
-        let (back, v) = decode_request_versioned(&envelope_v2(want)).expect("v2 decodes");
-        assert_eq!((&back, v), (req, WireVersion::V2));
     }
 }
 
@@ -503,15 +494,9 @@ fn v1_request_bytes_are_pinned() {
 fn v1_response_bytes_are_pinned() {
     for (resp, want) in &response_rows() {
         assert_eq!(&encode_response(resp), want, "v1 encoding drifted");
-        assert_eq!(
-            encode_response_versioned(resp, WireVersion::V2),
-            format!("{{\"v\":2,{}", &want[1..]),
-        );
-        let (back, v) = decode_response_versioned(want).expect("v1 decodes");
-        assert_eq!((&back, v), (resp, WireVersion::V1));
+        let back = decode_response(want).expect("v1 decodes");
+        assert_eq!(&back, resp);
         assert_eq!(&encode_response(&back), want, "re-encoding not canonical");
-        let (back, v) = decode_response_versioned(&envelope_v2(want)).expect("v2 decodes");
-        assert_eq!((&back, v), (resp, WireVersion::V2));
     }
 }
 
@@ -600,21 +585,60 @@ fn non_finite_floats_encode_as_null() {
     assert!(decode_response(&text).is_err());
 }
 
-/// Every request row also rides the traced envelope: the context comes
-/// back out, and stripping recovers the pinned v1 bytes.
+/// A pinned body behind a version tag: the retired v2 envelope, its
+/// traced form, and a v3 from the future, each with the version its
+/// refusal must name.
+fn tagged(body: &str) -> [(String, u64); 3] {
+    let rest = &body[1..];
+    [
+        (format!("{{\"v\":2,{rest}"), 2),
+        (
+            format!("{{\"v\":2,\"trace\":{{\"id\":\"3\",\"parent\":\"1000000000000003\"}},{rest}"),
+            2,
+        ),
+        (format!("{{\"v\":3,{rest}"), 3),
+    ]
+}
+
+/// The body object is the only envelope: every pinned row behind a
+/// version tag decodes to an error naming the version, as a request and
+/// as a response, so an old v2 peer fails loudly instead of reading
+/// untagged replies.
 #[test]
-fn traced_envelope_carries_every_request_row() {
-    let ctx = TraceContext {
-        trace_id: 3,
-        parent_id: (1 << 60) | 3,
-    };
-    for (req, want) in &request_rows() {
-        let traced = envelope_traced(want, ctx);
-        let (back, version, got) = decode_request_traced(&traced).expect("traced decodes");
-        assert_eq!((&back, version, got), (req, WireVersion::V2, Some(ctx)));
-        assert_eq!(&strip_envelope(&traced), want);
-        assert_eq!(&strip_envelope(&envelope_v2(want)), want);
+fn version_tagged_frames_are_refused_naming_the_version() {
+    let rows = request_rows().into_iter().map(|(_, b)| b);
+    for body in rows.chain(response_rows().into_iter().map(|(_, b)| b)) {
+        for (frame, version) in tagged(body) {
+            let want = format!("field \"v\": unsupported wire version {version}");
+            assert_eq!(decode_request(&frame).as_ref(), Err(&want), "{frame}");
+            assert_eq!(decode_response(&frame).as_ref(), Err(&want), "{frame}");
+        }
     }
+}
+
+/// Over a socket, each tagged frame draws a structured, untagged `error`
+/// reply, and the same connection then answers `health`.
+#[test]
+fn version_tagged_frames_draw_an_error_and_the_connection_survives() {
+    let server = start("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    for (frame, version) in tagged(&encode_request(&cost_req())) {
+        let reply = raw_exchange(&mut stream, &frame);
+        assert_eq!(
+            reply,
+            format!(
+                r#"{{"type":"error","message":"field \"v\": unsupported wire version {version}"}}"#
+            ),
+            "{frame}"
+        );
+        let health = raw_exchange(&mut stream, &encode_request(&Request::Health));
+        assert!(
+            matches!(decode_response(&health), Ok(Response::Health { .. })),
+            "after {frame}: {health}"
+        );
+    }
+    raw_exchange(&mut stream, &encode_request(&Request::Shutdown));
+    server.join();
 }
 
 /// Everything a peer's bytes reach: the frame reader, then both
@@ -630,7 +654,7 @@ fn feed(bytes: &[u8]) {
     match (frame, std::str::from_utf8(bytes)) {
         (Ok(FramePoll::Frame(text)), Ok(sent)) => {
             assert_eq!(text, sent);
-            if let Ok((req, _, _)) = decode_request_traced(&text) {
+            if let Ok(req) = decode_request(&text) {
                 let again = decode_request(&encode_request(&req));
                 assert_eq!(
                     again.as_ref(),
@@ -786,130 +810,4 @@ fn mutated_goldens_never_panic_overallocate_or_decode_inconsistently() {
             }
         }
     }
-}
-
-/// The daemon answers in the version the request arrived in, on the same
-/// connection, interleaved — version is per-frame, not per-connection.
-#[test]
-fn server_answers_in_kind_over_a_socket() {
-    let server = start("127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr().to_string();
-    let mut stream = TcpStream::connect(&addr).expect("connect");
-
-    let req = cost_req();
-    let v1_reply = raw_exchange(&mut stream, &encode_request(&req));
-    assert!(
-        v1_reply.starts_with(r#"{"type":"#),
-        "v1 request must get an untagged v1 reply, got {v1_reply}"
-    );
-
-    let v2_reply = raw_exchange(
-        &mut stream,
-        &encode_request_versioned(&req, WireVersion::V2),
-    );
-    assert!(
-        v2_reply.starts_with(r#"{"v":2,"type":"#),
-        "v2 request must get a v2-tagged reply, got {v2_reply}"
-    );
-    // Same answer modulo the envelope: v2 body == tagged v1 body.
-    assert_eq!(v2_reply, envelope_v2(&v1_reply));
-
-    // Interleave again the other way round — no per-connection latching.
-    let v1_again = raw_exchange(&mut stream, &encode_request(&req));
-    assert_eq!(v1_again, v1_reply);
-
-    // A traced v2 request gets the same v2 reply: trace context flows
-    // request-ward only and never tags the response bytes.
-    let ctx = TraceContext {
-        trace_id: 1,
-        parent_id: (1 << 60) | 1,
-    };
-    let traced_reply = raw_exchange(&mut stream, &envelope_traced(&encode_request(&req), ctx));
-    assert_eq!(
-        traced_reply, v2_reply,
-        "tracing must not change reply bytes"
-    );
-
-    // The typed client checks in-kind answering for us too.
-    let mut client = Client::connect(&addr).expect("connect typed");
-    let typed = client
-        .call_versioned(&req, WireVersion::V2)
-        .expect("typed v2");
-    assert!(matches!(typed, Response::CostReport { .. }));
-
-    client.call(&Request::Shutdown).expect("drain");
-    server.join();
-}
-
-/// The traced envelope is a strict superset of v2: pinned bytes, ids as
-/// hex strings (a numeric id would round through f64 JSON parsers), and
-/// the context-free v2 frame stays byte-for-byte what PR 8 shipped.
-#[test]
-fn traced_envelope_bytes_are_pinned() {
-    let req = cost_req();
-    let body = encode_request(&req);
-    let ctx = TraceContext {
-        trace_id: 3,
-        parent_id: (1 << 60) | 3,
-    };
-    let traced = envelope_traced(&body, ctx);
-    assert_eq!(
-        traced,
-        format!(
-            "{{\"v\":2,\"trace\":{{\"id\":\"3\",\"parent\":\"1000000000000003\"}},{}",
-            &body[1..]
-        ),
-        "traced envelope drifted"
-    );
-    let (back, version, got) = decode_request_traced(&traced).expect("traced decodes");
-    assert_eq!(
-        (back, version, got),
-        (req.clone(), WireVersion::V2, Some(ctx))
-    );
-    assert_eq!(strip_envelope(&traced), body, "strip recovers the v1 body");
-
-    // Without a trace member, the v2 frame is exactly the PR 8 bytes.
-    let plain = encode_request_versioned(&req, WireVersion::V2);
-    assert_eq!(plain, format!("{{\"v\":2,{}", &body[1..]));
-    let (_, _, none) = decode_request_traced(&plain).expect("plain v2 decodes");
-    assert_eq!(none, None, "no trace member, no context");
-    let (_, _, none) = decode_request_traced(&body).expect("v1 decodes");
-    assert_eq!(none, None);
-}
-
-/// v1 and v2 texts hash differently, but the daemon caches by the
-/// canonical v1 body — so a v2 request is a cache hit on the entry a v1
-/// request populated (and vice versa), not a duplicate computation.
-#[test]
-fn cache_is_shared_across_wire_versions() {
-    assert_ne!(
-        request_key(&encode_request(&cost_req())),
-        request_key(&encode_request_versioned(&cost_req(), WireVersion::V2)),
-        "sanity: the raw texts do hash apart",
-    );
-
-    let server = start("127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr().to_string();
-    let mut client = Client::connect(&addr).expect("connect");
-
-    client
-        .call_versioned(&cost_req(), WireVersion::V1)
-        .expect("v1 populates");
-    client
-        .call_versioned(&cost_req(), WireVersion::V2)
-        .expect("v2 hits");
-
-    match client.call(&Request::Stats).expect("stats") {
-        Response::Stats {
-            cache_hits,
-            cache_misses,
-            ..
-        } => {
-            assert_eq!(cache_misses, 1, "one compute for both versions");
-            assert_eq!(cache_hits, 1, "the v2 request must hit the v1 entry");
-        }
-        other => panic!("expected Stats, got {other:?}"),
-    }
-    client.call(&Request::Shutdown).expect("drain");
-    server.join();
 }

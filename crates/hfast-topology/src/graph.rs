@@ -1,5 +1,7 @@
 //! Undirected weighted communication graphs.
 
+use crate::fnv::{FNV1A, FNV_OFFSET};
+
 /// Per-edge traffic statistics between two tasks (both directions summed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EdgeStat {
@@ -217,15 +219,8 @@ impl CommGraph {
     /// ascending, inactive entries skipped — is a compatibility contract:
     /// caches and journals hold these hashes.
     pub fn content_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = FNV_OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut mix = |v: u64| h = FNV1A.word(h, v);
         mix(self.n() as u64);
         for (a, b, e) in self.upper().filter(|(_, _, e)| e.is_active()) {
             mix(a as u64);

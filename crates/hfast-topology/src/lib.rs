@@ -18,6 +18,7 @@
 pub mod bisection;
 pub mod csr;
 pub mod embedding;
+pub mod fnv;
 pub mod generators;
 pub mod graph;
 pub mod histogram;

@@ -56,7 +56,7 @@ pub use json::{parse, JsonValue};
 pub use perfetto::{export, validate, TraceStats};
 pub use span::{
     engine_span_id, rank_span_id, server_span_id, FlowEnd, FlowRow, HopRow, SpanContext,
-    SpanRecord, TraceContext, TraceRecorder, Track, ENGINE_SPAN_BASE, SERVER_SPAN_BASE,
+    SpanRecord, TraceRecorder, Track, ENGINE_SPAN_BASE, SERVER_SPAN_BASE,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -45,22 +45,6 @@ pub fn server_span_id(counter: u64) -> u64 {
     SERVER_SPAN_BASE | (counter & (SERVER_SPAN_BASE - 1))
 }
 
-/// The compact causal stamp a request carries across a process
-/// boundary, riding in the v2 wire envelope as
-/// `{"v":2,"trace":{"id":…,"parent":…},…}`.
-///
-/// Unlike the in-process [`SpanContext`] there is no Lamport clock: each
-/// process times its own spans on its own monotonic clock. Only identity
-/// (which trace) and causality (which remote span to parent under) cross
-/// the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceContext {
-    /// Trace this request belongs to (the caller's root span id).
-    pub trace_id: u64,
-    /// Span in the sending process the receiver should parent under.
-    pub parent_id: u64,
-}
-
 /// The causal stamp carried inside a message envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanContext {

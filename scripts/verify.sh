@@ -44,18 +44,12 @@ smoke trace_capture cargo run --release -q -p hfast-bench --bin trace_capture
 # PR-6 goldens (the trait extraction is bit-identical), and credit-mode
 # replays must deliver every flow (no deadlock under backpressure).
 smoke provision_bakeoff cargo run --release -q -p hfast-bench --bin provision_bakeoff -- --check
-# Congestion-lab smoke: adversarial scenarios x fabrics x strategies under
-# credit flow control; exits non-zero unless HFAST's congestion-tree
-# spread is strictly below the fat tree's on every scenario x strategy
-# cell, the fat tree shows off-root victims on incast, and ideal mode is
-# byte-identical to the plain loop.
-smoke congestion_lab cargo run --release -q -p hfast-bench --bin congestion_lab -- --check
 # Serving smoke: ephemeral-port daemon exercised across its endpoints
-# (health, provision under two strategies, cost, tdc, simulate cold,
-# cached and in the v2 envelope, scenario cold and cached, the
-# debug_panic isolation probe, stats, metrics), then hostile frames, then
-# drained; exits non-zero on any mismatch, unexercised cache, or a hung
-# drain.
+# (health, provision under two strategies, cost, tdc, simulate cold and
+# cached, scenario cold and cached, the debug_panic isolation probe,
+# stats, metrics), then hostile frames (the retired v2 and traced
+# envelopes among them), then drained; exits non-zero on any mismatch,
+# unexercised cache, or a hung drain.
 smoke serve_self_test cargo run --release -q -p hfast-serve -- --self-test
 # Benchmark-package smoke: `benchmark/` is a standalone package (own
 # lockfile, invisible to the workspace build above), so a change to the
