@@ -8,9 +8,9 @@
 use hfast_par::check::forall;
 use hfast_par::rng::Rng64;
 use hfast_serve::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, request_key,
-    start, write_frame, AppSpec, Client, FabricSpec, FaultSpec, Request, Response, ScenarioKind,
-    ServerConfig, Strategy, TdcRow, VerbLatency, VerbWindow, ENDPOINTS,
+    decode_request, decode_response, encode_request, encode_response, execute, read_frame,
+    request_key, start, write_frame, AppSpec, Client, FabricSpec, FaultSpec, Registry, Request,
+    Response, ScenarioKind, ServerConfig, Strategy, TdcRow, VerbLatency, VerbWindow, ENDPOINTS,
 };
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -603,4 +603,41 @@ fn drain_gives_up_on_a_connection_stalled_mid_frame() {
     done.recv_timeout(Duration::from_secs(5))
         .expect("join hung on a connection stalled mid-frame");
     drop(stalled);
+}
+
+/// A fabric the daemon cannot build is refused in words a client can
+/// act on, pinned exactly: a fat tree of 3-port switches, and a torus
+/// with fewer nodes than the app has tasks.
+#[test]
+fn unbuildable_fabrics_are_refused_with_pinned_text() {
+    let reg = Registry::new();
+    let nine_tasks = AppSpec::Inline {
+        n: 9,
+        edges: vec![(0, 8, 4096, 1, 4096)],
+    };
+    for (fabric, text) in [
+        (
+            FabricSpec::FatTree { ports: 3 },
+            "fat tree: fat-tree switches need at least 4 ports, got 3",
+        ),
+        (
+            FabricSpec::Torus { dims: (2, 2, 2) },
+            "torus (2, 2, 2) holds 8 nodes, app needs 9",
+        ),
+    ] {
+        let req = Request::Simulate {
+            app: nine_tasks.clone(),
+            fabric,
+            cutoff: 0,
+            faults: None,
+            strategy: None,
+        };
+        assert_eq!(
+            execute(&req, &reg),
+            Response::Error {
+                message: text.into()
+            },
+            "{fabric:?}"
+        );
+    }
 }
