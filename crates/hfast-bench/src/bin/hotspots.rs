@@ -1,124 +1,52 @@
-//! Congestion hotspot analyzer: fold per-link trace spans into link
-//! rankings per app × fabric and cross-reference against the HFAST
-//! provisioning map.
-//!
-//! Each of the six applications is profiled, its steady-state flows are
-//! replayed on a fat tree and a per-app provisioned HFAST fabric with
-//! causal tracing attached, and the recorded per-link `hop` spans are
-//! folded by [`hfast_trace::rank_hotspots`] into busy-time / queueing
-//! rankings. On HFAST, every transit link (node fibers excluded — they
-//! carry all of a node's traffic by construction) is classified through
-//! [`HfastFabric::link_class`]; the paper's provisioning argument predicts
-//! that measured congestion lands on the circuit-switched links the
-//! provisioner dedicated to the heavy pairs, not on the collective tree.
-//!
-//! Exits non-zero if any app's top HFAST transit hotspot is not a
-//! circuit-switched link.
+//! Prints [`hfast_bench::hotspots`]' link rankings per app × fabric and
+//! exits 1 if an app's hottest HFAST transit link is not a circuit.
+//! `hotspots [APP]` prints only the apps whose name contains `APP`.
 
-use hfast_apps::all_apps;
-use hfast_bench::measure_app;
-use hfast_core::{PaperLinear, ProvisionConfig, Provisioner};
-use hfast_netsim::{traffic, Fabric, FatTreeFabric, HfastFabric, Simulation};
-use hfast_obs::Histogram;
-use hfast_trace::{rank_hotspots, LinkLoad, TraceRecorder, Track};
+use hfast_bench::hotspots::{hotspots, Ranking};
 
-const PROCS: usize = 64;
 const TOP: usize = 5;
 
-/// Replays `flows` on `fabric` with tracing on and returns the hotspot
-/// ranking plus a histogram of per-hop queueing waits.
-fn trace_replay(fabric: &dyn Fabric, flows: &[traffic::Flow]) -> (Vec<LinkLoad>, Histogram) {
-    let rec = TraceRecorder::new();
-    Simulation::new(fabric).with_trace(&rec).run(flows);
-    let spans = rec.snapshot();
-    let waits = Histogram::new();
-    for s in &spans {
-        if matches!(s.track, Track::Link(_)) && s.name == "hop" {
-            if let Some(&(_, w)) = s.fields.iter().find(|(k, _)| *k == "wait") {
-                waits.record(w);
-            }
-        }
-    }
-    (rank_hotspots(&spans), waits)
-}
-
-fn print_ranking(label: &str, loads: &[LinkLoad], class_of: Option<&HfastFabric>) {
+fn print_ranking(label: &str, ranking: &Ranking) {
     println!("  {label}:");
-    for l in loads.iter().take(TOP) {
-        let class = class_of.map_or(String::new(), |hf| format!(" [{}]", hf.link_class(l.link)));
+    for (l, class) in ranking.links.iter().take(TOP) {
+        let class = class.map_or(String::new(), |c| format!(" [{c}]"));
         println!(
             "    link {:>4}{class}: busy {:>9} ns  util {:>5.3}  waited {:>9} ns  \
              msgs {:>4}  peak queue {:>2}",
             l.link, l.busy_ns, l.utilization, l.wait_ns, l.messages, l.peak_queue
         );
     }
+    let [p50, p95, p99] = ranking.wait_ns;
+    println!("    queue wait p50/p95/p99: {p50} / {p95} / {p99} ns");
 }
 
 fn main() {
-    // Optional filter: `hotspots GTC` analyzes one app (verify.sh smoke).
     let only: Option<String> = std::env::args().nth(1).map(|s| s.to_lowercase());
     println!("== congestion hotspots: traced replay, all codes, both fabrics ==\n");
-    let apps = all_apps();
-    let mut violations = 0usize;
-    let mut skipped = 0usize;
-    for app in &apps {
-        if let Some(f) = &only {
-            if !app.name().to_lowercase().contains(f.as_str()) {
-                continue;
-            }
+    let (mut skipped, mut violations) = (0usize, 0usize);
+    for app in hotspots() {
+        if only
+            .as_ref()
+            .is_some_and(|f| !app.app.to_lowercase().contains(f.as_str()))
+        {
+            continue;
         }
-        let row = measure_app(app.as_ref(), PROCS);
-        let graph = row.steady.comm_graph();
-        let flows = traffic::flows_from_graph(&graph, 2048);
-        if flows.is_empty() {
-            println!(
-                "{}: no steady-state flows above cutoff, skipped\n",
-                row.name
-            );
+        if app.flows == 0 {
+            println!("{}: no steady-state flows above cutoff, skipped\n", app.app);
             skipped += 1;
             continue;
         }
-        println!("{} ({} flows):", row.name, flows.len());
-        let ft = FatTreeFabric::new(PROCS, 8).expect("valid shape");
-        let (ft_loads, ft_waits) = trace_replay(&ft, &flows);
-        print_ranking("fat-tree", &ft_loads, None);
-        println!(
-            "    queue wait p50/p95/p99: {} / {} / {} ns",
-            ft_waits.quantile(0.5),
-            ft_waits.quantile(0.95),
-            ft_waits.quantile(0.99)
-        );
-
-        let hf = HfastFabric::new(PaperLinear.provision(&graph, ProvisionConfig::default()));
-        let (hf_loads, hf_waits) = trace_replay(&hf, &flows);
-        // Transit links only: endpoint fibers aggregate a whole node's
-        // traffic and would rank first on any fabric.
-        let transit: Vec<LinkLoad> = hf_loads
-            .iter()
-            .filter(|l| hf.link_class(l.link) != "fiber")
-            .cloned()
-            .collect();
-        print_ranking("hfast (transit)", &transit, Some(&hf));
-        println!(
-            "    queue wait p50/p95/p99: {} / {} / {} ns",
-            hf_waits.quantile(0.5),
-            hf_waits.quantile(0.95),
-            hf_waits.quantile(0.99)
-        );
-        match transit.first() {
-            Some(top) if hf.link_class(top.link) == "circuit" => {
+        println!("{} ({} flows):", app.app, app.flows);
+        print_ranking("fat-tree", &app.fat_tree);
+        print_ranking("hfast (transit)", &app.hfast_transit);
+        match (app.hfast_transit.links.first(), app.violation()) {
+            (None, _) => println!("    -> all traffic node-local (no transit links used)\n"),
+            (Some(_), None) => {
                 println!("    -> hottest transit link is circuit-switched, as provisioned\n");
             }
-            Some(top) => {
+            (Some(_), Some(why)) => {
                 violations += 1;
-                println!(
-                    "    -> FAIL: hottest transit link {} is {} traffic, not a circuit\n",
-                    top.link,
-                    hf.link_class(top.link)
-                );
-            }
-            None => {
-                println!("    -> all traffic node-local (no transit links used)\n");
+                println!("    -> FAIL: {why}\n");
             }
         }
     }

@@ -15,6 +15,7 @@ use std::process::ExitCode;
 
 use hfast_apps::meta::TABLE2;
 use hfast_apps::{all_apps, Cactus, Gtc, Lbmhd, Paratec, Pmemd, SuperLu, STUDY_SIZES};
+use hfast_bench::cell::{cell, PROCS};
 use hfast_bench::figures::app_figure;
 use hfast_bench::measure_app;
 use hfast_bench::paper::{check_claims, measure_grid, published, Quantity, Value, ALL_CODES};
@@ -28,7 +29,7 @@ use hfast_core::{
 };
 use hfast_ipm::format_bytes;
 use hfast_netsim::engine::PathCache;
-use hfast_netsim::{traffic, FatTreeFabric, HfastFabric, Simulation, TorusFabric};
+use hfast_netsim::Simulation;
 use hfast_topology::generators::{balanced_dims3, mesh3d_graph};
 use hfast_topology::{tdc, BufferHistogram, CommGraph, BDP_CUTOFF};
 
@@ -426,46 +427,29 @@ fn faults() {
 /// forces sequential); rows print in application order either way.
 fn netsim_compare() {
     println!("== netsim: per-app latency on fat-tree / torus / HFAST ==\n");
-    let procs = 64;
     println!(
         "{:>9} {:>14} {:>14} {:>14}   (p50 latency ns)",
         "code", "fat-tree", "torus", "hfast"
     );
     let app_count = all_apps().len();
     let results = hfast_par::par_map((0..app_count).collect::<Vec<_>>(), |i| {
-        let apps = all_apps();
-        let row = measure_app(apps[i].as_ref(), procs);
-        let graph = row.steady.comm_graph();
-        let flows = traffic::flows_from_graph(&graph, 2048);
-        if flows.is_empty() {
+        let cell = cell(all_apps()[i].as_ref(), PROCS);
+        if cell.flows.is_empty() {
             return None;
         }
-        let ft = FatTreeFabric::new(procs, 8).expect("valid shape");
-        let torus = TorusFabric::new(balanced_dims3(procs)).expect("valid shape");
-        let hfast = HfastFabric::new(PaperLinear.provision(&graph, ProvisionConfig::default()));
-        // One path cache per fabric: each app replays the same (src, dst)
-        // pairs many times over, so routes are resolved once.
+        // One path cache for the cell, cleared per fabric: each app replays
+        // the same (src, dst) pairs many times over, so routes are resolved
+        // once.
         let mut cache = PathCache::new();
-        let s_ft = Simulation::new(&ft)
-            .with_cache(&mut cache)
-            .run(&flows)
-            .stats;
-        cache.clear();
-        let s_to = Simulation::new(&torus)
-            .with_cache(&mut cache)
-            .run(&flows)
-            .stats;
-        cache.clear();
-        let s_hf = Simulation::new(&hfast)
-            .with_cache(&mut cache)
-            .run(&flows)
-            .stats;
-        Some((
-            row.name,
-            s_ft.p50_latency_ns,
-            s_to.p50_latency_ns,
-            s_hf.p50_latency_ns,
-        ))
+        let [ft, torus, hfast] = cell.fabrics().map(|fabric| {
+            cache.clear();
+            Simulation::new(fabric.as_ref())
+                .with_cache(&mut cache)
+                .run(&cell.flows)
+                .stats
+                .p50_latency_ns
+        });
+        Some((cell.name, ft, torus, hfast))
     });
     for (name, ft, torus, hfast) in results.into_iter().flatten() {
         println!("{name:>9} {ft:>14} {torus:>14} {hfast:>14}");

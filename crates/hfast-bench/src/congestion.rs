@@ -18,10 +18,12 @@
 use hfast_core::{ProvisionConfig, Strategy};
 use hfast_netsim::scenario::tenant_slowdown;
 use hfast_netsim::{
-    traffic, CreditConfig, Fabric, FatTreeFabric, Flow, HfastFabric, Scenario, ScenarioKind,
-    Simulation, TorusFabric,
+    traffic, CreditConfig, Fabric, Flow, HfastFabric, Scenario, ScenarioKind, Simulation,
+    TorusFabric,
 };
 use hfast_trace::{congestion_trees, rank_hotspots, utilization_spread, TraceRecorder};
+
+use crate::cell::{fabric, FAT_TREE};
 
 /// Endpoint universe for every scenario (one pod-rich fat tree's worth).
 pub const NODES: usize = 64;
@@ -182,23 +184,19 @@ fn light_tenant_slowdown(scenario: &Scenario, fabric: &dyn Fabric) -> f64 {
 /// [`Strategy`], under [`CREDITS`]-slot credit flow control.
 pub fn lab() -> Lab {
     let ideal_identity = ideal_identity();
-    let fat = FatTreeFabric::new(NODES, 8).unwrap();
     let rows = ScenarioKind::ALL
         .into_iter()
         .map(|kind| {
             let scenario = Scenario::preset(kind, NODES, SEED);
+            let graph = scenario.comm_graph();
+            let fat = fabric(FAT_TREE, &graph);
             scenario
-                .validate_for(&fat)
+                .validate_for(fat.as_ref())
                 .expect("scenario fits the fat tree");
             let flows = scenario.generate();
-            let fat_tree = run_cell(&fat, &flows);
-            let provisioned = |strategy| {
-                HfastFabric::provisioned(
-                    &scenario.comm_graph(),
-                    ProvisionConfig::default(),
-                    strategy,
-                )
-            };
+            let fat_tree = run_cell(fat.as_ref(), &flows);
+            let provisioned =
+                |strategy| HfastFabric::provisioned(&graph, ProvisionConfig::default(), strategy);
             let hfast = Strategy::ALL
                 .into_iter()
                 .map(|strategy| {
@@ -210,7 +208,7 @@ pub fn lab() -> Lab {
             let light_tenant_slowdown = (kind == ScenarioKind::MultiTenant).then(|| {
                 let hf = provisioned(Strategy::PaperLinear);
                 (
-                    light_tenant_slowdown(&scenario, &fat),
+                    light_tenant_slowdown(&scenario, fat.as_ref()),
                     light_tenant_slowdown(&scenario, &hf),
                 )
             });

@@ -12,15 +12,11 @@
 //! synchronization point.
 
 use hfast_apps::all_apps;
-use hfast_core::{PaperLinear, ProvisionConfig, Provisioner};
-use hfast_netsim::{
-    traffic, transit_links, Fabric, FatTreeFabric, FaultPlan, HfastFabric, RetryPolicy, Simulation,
-};
+use hfast_core::Strategy;
+use hfast_netsim::{transit_links, Fabric, FaultPlan, Flow, RetryPolicy, Simulation};
 
-use crate::measure_app;
+use crate::cell::{cell, PROCS};
 
-/// Ranks every application is profiled at.
-pub const PROCS: usize = 64;
 /// Fractions of each fabric's transit links that fail.
 pub const RATES: [f64; 3] = [0.05, 0.15, 0.30];
 const SEED: u64 = 0x5C05;
@@ -47,7 +43,7 @@ pub struct GoodputRow {
     pub cells: Vec<GoodputCell>,
 }
 
-fn goodput(fabric: &dyn Fabric, flows: &[traffic::Flow], rate: f64, reprovision: bool) -> f64 {
+fn goodput(fabric: &dyn Fabric, flows: &[Flow], rate: f64, reprovision: bool) -> f64 {
     let offered: u64 = flows.iter().map(|f| f.bytes).sum();
     if offered == 0 {
         return 1.0;
@@ -75,27 +71,23 @@ pub fn goodput_grid() -> Vec<GoodputRow> {
     all_apps()
         .iter()
         .map(|app| {
-            let row = measure_app(app.as_ref(), PROCS);
-            let graph = row.steady.comm_graph();
-            let flows = traffic::flows_from_graph(&graph, 2048);
-            if flows.is_empty() {
-                return GoodputRow {
-                    app: row.name,
-                    cells: Vec::new(),
-                };
-            }
-            let ft = FatTreeFabric::new(PROCS, 8).expect("valid shape");
-            let hf = HfastFabric::new(PaperLinear.provision(&graph, ProvisionConfig::default()));
-            let cells = RATES
-                .iter()
-                .map(|&rate| GoodputCell {
-                    rate,
-                    fat_tree: goodput(&ft, &flows, rate, false),
-                    hfast: goodput(&hf, &flows, rate, true),
-                })
-                .collect();
+            let cell = cell(app.as_ref(), PROCS);
+            let cells = if cell.flows.is_empty() {
+                Vec::new()
+            } else {
+                let ft = cell.fat_tree();
+                let hf = cell.hfast(Strategy::PaperLinear);
+                RATES
+                    .iter()
+                    .map(|&rate| GoodputCell {
+                        rate,
+                        fat_tree: goodput(ft.as_ref(), &cell.flows, rate, false),
+                        hfast: goodput(&hf, &cell.flows, rate, true),
+                    })
+                    .collect()
+            };
             GoodputRow {
-                app: row.name,
+                app: cell.name,
                 cells,
             }
         })

@@ -655,8 +655,9 @@ impl Provisioning {
     }
 
     /// Structural invariants: every above-cutoff edge is served, circuits
-    /// are consistent, and no block over-allocates. Tests, the benchmark's
-    /// `core.validate_ms` stage and `provision_bakeoff --check` call it.
+    /// are consistent, and no block over-allocates. Tests (among them the
+    /// bake-off's `tests/provision_bakeoff.rs`), the benchmark's
+    /// `core.validate_ms` stage and the `provision_bakeoff` bin call it.
     ///
     /// One pass over each structure: the circuit ledger must ascend
     /// strictly by `(a, b)` with `a < b` (the first entry that does not is

@@ -10,6 +10,8 @@ use crate::fabric::LinkId;
 /// shapes, and [`FaultPlanBuilder::build`](crate::FaultPlanBuilder::build)
 /// returns it for failure specifications that do not fit the target
 /// fabric — the roles the old `DegradedError` used to cover.
+/// [`FabricSpec::build`](crate::FabricSpec::build) adds
+/// [`NetsimError::TorusTooSmall`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetsimError {
     /// Fat-tree switches need at least 4 ports (2 down, 2 up).
@@ -21,6 +23,15 @@ pub enum NetsimError {
     EmptyFabric {
         /// Which fabric family rejected the shape.
         fabric: &'static str,
+    },
+    /// A torus with fewer nodes than the graph it is built for has tasks.
+    TorusTooSmall {
+        /// The torus dimensions.
+        dims: (usize, usize, usize),
+        /// Nodes the torus holds.
+        nodes: usize,
+        /// Tasks the graph has.
+        needs: usize,
     },
     /// A node id at or beyond the fabric's node count.
     NodeOutOfRange {
@@ -46,6 +57,9 @@ impl std::fmt::Display for NetsimError {
             }
             NetsimError::EmptyFabric { fabric } => {
                 write!(f, "a {fabric} fabric needs at least one node")
+            }
+            NetsimError::TorusTooSmall { dims, nodes, needs } => {
+                write!(f, "torus {dims:?} holds {nodes} nodes, app needs {needs}")
             }
             NetsimError::NodeOutOfRange { node, nodes } => {
                 write!(f, "node {node} out of range (fabric has {nodes} nodes)")

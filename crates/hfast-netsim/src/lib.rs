@@ -57,7 +57,7 @@ pub use adapt::{AdaptiveReplay, AdaptiveReplayBuilder, WindowReport};
 pub use congestion::{CongestionMode, CreditConfig};
 pub use engine::{FlowRecord, LoopPerf, PathCache, SimOutput, Simulation};
 pub use error::NetsimError;
-pub use fabric::{Fabric, LinkId, LinkSpec};
+pub use fabric::{Fabric, FabricSpec, LinkId, LinkSpec};
 pub use fattree::FatTreeFabric;
 pub use faultplan::{
     transit_links, transit_links_from, FaultAction, FaultEvent, FaultPlan, FaultPlanBuilder,

@@ -10,11 +10,11 @@ use std::sync::Arc;
 
 use hfast_core::{CostComparison, CostModel, ProvisionConfig, Provisioning, Strategy};
 use hfast_netsim::traffic::flows_from_graph;
-use hfast_netsim::{transit_links_from, CreditConfig, FaultPlan, Scenario, Simulation};
+use hfast_netsim::{transit_links_from, CreditConfig, FabricSpec, FaultPlan, Scenario, Simulation};
 use hfast_topology::tdc_sweep;
 use hfast_trace::{congestion_trees, rank_hotspots, utilization_spread, TraceRecorder};
 
-use crate::protocol::{AppSpec, FabricSpec, FaultSpec, Request, Response, TdcRow};
+use crate::protocol::{AppSpec, FaultSpec, Request, Response, TdcRow};
 use crate::registry::{Registry, MAX_PROCS};
 
 /// Upper bound on cutoffs per TDC request (keeps one request's work and

@@ -64,11 +64,11 @@ pub use client::{Client, ClientError};
 pub use frame::{read_frame, write_frame, FrameError, FramePoll, FrameReader, MAX_FRAME_BYTES};
 pub use handlers::execute;
 pub use hfast_core::Strategy;
-pub use hfast_netsim::ScenarioKind;
+pub use hfast_netsim::{FabricSpec, ScenarioKind};
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, request_key, AppSpec,
-    FabricSpec, FaultSpec, Request, Response, TdcRow, VerbHandler, VerbLatency, VerbSpec,
-    VerbWindow, ENDPOINTS, VERBS,
+    FaultSpec, Request, Response, TdcRow, VerbHandler, VerbLatency, VerbSpec, VerbWindow,
+    ENDPOINTS, VERBS,
 };
 pub use registry::Registry;
 pub use server::{start, ServerConfig, ServerHandle};

@@ -56,7 +56,7 @@
 use std::fmt::Write as _;
 
 use hfast_core::Strategy;
-use hfast_netsim::ScenarioKind;
+use hfast_netsim::{FabricSpec, ScenarioKind};
 use hfast_obs::json::escape_into;
 use hfast_topology::fnv::{FNV1A, FNV_OFFSET};
 use hfast_topology::{CommGraph, EdgeStat};
@@ -420,23 +420,6 @@ impl Wire for AppSpec {
             })
         }
     }
-}
-
-/// The simulated fabric family for a `simulate` request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FabricSpec {
-    /// A fat tree of `ports`-port switches sized to the app.
-    FatTree {
-        /// Switch port count.
-        ports: usize,
-    },
-    /// A 3D torus of the given dimensions.
-    Torus {
-        /// Dimensions (product must cover the app's task count).
-        dims: (usize, usize, usize),
-    },
-    /// An HFAST fabric provisioned from the app's thresholded graph.
-    Hfast,
 }
 
 /// Tagged by `"kind"`; a torus writes its dimensions flat as `x`/`y`/`z`.

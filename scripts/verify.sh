@@ -32,18 +32,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 # Paper smoke (~5 s): the full experiment sweep; exits non-zero unless every
 # row of the claims ledger (hfast_bench::paper::CLAIMS) holds.
 smoke paper_checks cargo run --release -q -p hfast-bench --bin paper -- experiments
-# Hotspot-analyzer smoke on one app: exits non-zero unless the traced
-# replay's hottest HFAST transit link is circuit-switched.
-smoke hotspots cargo run --release -q -p hfast-bench --bin hotspots -- GTC
-# Trace capture + JSON validation (GTC, P=256): exits non-zero unless the
-# exported document is valid trace-event JSON with one track per rank and
-# per used link and zero orphan recv spans.
-smoke trace_capture cargo run --release -q -p hfast-bench --bin trace_capture
-# Provisioner bake-off smoke: every strategy must produce a valid
-# provisioning on every app cell, paper_linear digests must match the
-# PR-6 goldens (the trait extraction is bit-identical), and credit-mode
-# replays must deliver every flow (no deadlock under backpressure).
-smoke provision_bakeoff cargo run --release -q -p hfast-bench --bin provision_bakeoff -- --check
 # Serving smoke: ephemeral-port daemon exercised across its endpoints
 # (health, provision under two strategies, cost, tdc, simulate cold and
 # cached, scenario cold and cached, the debug_panic isolation probe,
