@@ -441,7 +441,7 @@ fn netsim_compare() {
         // the same (src, dst) pairs many times over, so routes are resolved
         // once.
         let mut cache = PathCache::new();
-        let [ft, torus, hfast] = cell.fabrics().map(|fabric| {
+        let p50s = cell.fabrics().map(|fabric| {
             cache.clear();
             Simulation::new(fabric.as_ref())
                 .with_cache(&mut cache)
@@ -449,15 +449,22 @@ fn netsim_compare() {
                 .stats
                 .p50_latency_ns
         });
-        Some((cell.name, ft, torus, hfast))
+        Some((cell.name, p50s))
     });
-    for (name, ft, torus, hfast) in results.into_iter().flatten() {
+    let mut lowest = Vec::new();
+    for (name, p50s) in results.into_iter().flatten() {
+        let [ft, torus, hfast] = p50s;
         println!("{name:>9} {ft:>14} {torus:>14} {hfast:>14}");
+        let best = *p50s.iter().min().expect("three fabrics");
+        let fabrics: Vec<&str> = ["fat-tree", "torus", "hfast"]
+            .into_iter()
+            .zip(p50s)
+            .filter(|&(_, p50)| p50 == best)
+            .map(|(fabric, _)| fabric)
+            .collect();
+        lowest.push(format!("{name} {}", fabrics.join(" = ")));
     }
-    println!(
-        "\nshape: HFAST tracks the best fabric for low-TDC codes; the \
-         all-to-all codes (PARATEC) favor the fat tree."
-    );
+    println!("\nlowest p50 per code: {}", lowest.join(", "));
 }
 
 /// Runs the complete reproduction suite — the Table 3 grid, each cell

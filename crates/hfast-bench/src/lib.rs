@@ -5,7 +5,7 @@
 //! measured reproduction next to the paper's published values where the
 //! paper gives numbers. Those values live once, in the claims ledger
 //! ([`paper::CLAIMS`]): `paper experiments` prints a PASS/MISS verdict per
-//! row and the tier-1 test `tests/claims.rs` asserts every row. Beside it
+//! row and the tier-1 test `tests/paper_table3.rs` asserts every row. Beside it
 //! sit the serving load generator ([`loadgen`]), the [`cell`] every
 //! traffic replay is built from, and four experiments, each printed by a
 //! bin and asserted by a tier-1 test: [`faults`] (`tests/fault_replay.rs`),

@@ -8,8 +8,9 @@
 //! `all_apps()` defaults at P = 64 and 256, each measured once). `paper
 //! experiments` prints the verdicts, the `table3`, `fig2`, `fig3` and
 //! `classify` sections read their published values through [`published`],
-//! and `tests/claims.rs` asserts every row and diffs EXPERIMENTS.md's
-//! Table 3 block against [`table3_markdown`].
+//! and `tests/paper_table3.rs` (one grid for the whole binary) asserts
+//! every row and diffs EXPERIMENTS.md's Table 3 block against
+//! [`table3_markdown`].
 
 use std::fmt;
 
@@ -504,30 +505,6 @@ struct Cell<'a> {
 /// returning one verdict per row in ledger order. Panics if a row's cell
 /// is not in `grid`.
 pub fn check_claims(grid: &[AppRow]) -> Vec<Verdict> {
-    check_claims_where(grid, |_| true)
-}
-
-/// The `(app index, procs)` cells, for [`measure_cells`], that the rows
-/// `keep` selects read: the row's app at its P, or every app at P for a
-/// claim about [`ALL_CODES`].
-pub fn claim_cells(keep: impl Fn(&Claim) -> bool) -> Vec<(usize, usize)> {
-    let names: Vec<&str> = all_apps().iter().map(|a| a.name()).collect();
-    let mut cells: Vec<(usize, usize)> = CLAIMS
-        .iter()
-        .filter(|c| keep(c))
-        .flat_map(|c| {
-            let reads = |a: &usize| c.app == ALL_CODES || names[*a] == c.app;
-            (0..names.len()).filter(reads).map(|a| (a, c.procs))
-        })
-        .collect();
-    cells.sort_unstable();
-    cells.dedup();
-    cells
-}
-
-/// [`check_claims`] for the rows `keep` selects only, in ledger order;
-/// `grid` needs only their [`claim_cells`].
-pub fn check_claims_where(grid: &[AppRow], keep: impl Fn(&Claim) -> bool) -> Vec<Verdict> {
     let cells: Vec<Cell> = grid
         .iter()
         .map(|row| {
@@ -538,7 +515,6 @@ pub fn check_claims_where(grid: &[AppRow], keep: impl Fn(&Claim) -> bool) -> Vec
         .collect();
     CLAIMS
         .iter()
-        .filter(|c| keep(c))
         .map(|claim| Verdict {
             claim,
             measured: measure(claim, &cells),

@@ -189,6 +189,30 @@ fn every_strategy_validates_on_random_graphs() {
     });
 }
 
+/// Every strategy places every node of the graph in a cluster. `validate`
+/// reads a node in no cluster as offline, so it cannot catch a strategy
+/// that drops nodes; this property does.
+#[test]
+fn every_strategy_places_every_node() {
+    forall("every_strategy_places_every_node", 48, |rng| {
+        let n = rng.range(4, 24);
+        let g = random_graph(rng, n, 160);
+        let config = ProvisionConfig {
+            block_ports: rng.range(4, 24),
+            cutoff: 2048,
+        };
+        for s in Strategy::ALL {
+            let prov = s.provisioner().provision(&g, config);
+            for v in 0..n {
+                assert!(
+                    prov.cluster_of(v).is_some(),
+                    "{s} left node {v} of {n} in no cluster"
+                );
+            }
+        }
+    });
+}
+
 /// The paper heuristic's incremental path must land on the exact structure
 /// a from-scratch pass over the updated graph produces: same block count,
 /// same circuit pairs, same below-cutoff ledger, and the same walk for every

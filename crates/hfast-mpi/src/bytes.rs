@@ -13,26 +13,14 @@ pub struct Bytes(Arc<[u8]>);
 
 impl Bytes {
     /// An empty buffer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Bytes(Arc::from(&[][..]))
     }
 
     /// Length in bytes.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.0.len()
-    }
-
-    /// True if the buffer is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The underlying bytes.
-    #[inline]
-    pub fn as_slice(&self) -> &[u8] {
-        &self.0
     }
 }
 
@@ -107,7 +95,7 @@ mod tests {
     fn clone_shares_storage() {
         let a = Bytes::from(vec![0u8; 1024]);
         let b = a.clone();
-        assert_eq!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
+        assert_eq!(a.as_ptr(), b.as_ptr());
     }
 
     #[test]

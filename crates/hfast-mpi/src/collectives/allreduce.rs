@@ -18,7 +18,7 @@ impl Comm {
     /// Reduce+broadcast works for any group size (recursive doubling would
     /// need power-of-two handling) and keeps the transport flows simple to
     /// reason about for replay; both are O(log n) rounds.
-    pub fn allreduce_in(
+    pub(crate) fn allreduce_in(
         &mut self,
         group: &Group,
         payload: Payload,
@@ -26,9 +26,8 @@ impl Comm {
     ) -> Result<Payload> {
         let t0 = self.now_ns();
         let bytes = payload.len();
-        let root = group.rank_at(0)?;
-        let reduced = self.reduce_impl(group, root, payload, op)?;
-        let result = self.bcast_impl(group, root, reduced)?;
+        let reduced = self.reduce_impl(group, payload, op)?;
+        let result = self.bcast_impl(group, group.rank_at(0)?, reduced)?;
         self.emit(CallKind::Allreduce, Scope::Api, None, bytes, None, t0);
         Ok(result)
     }

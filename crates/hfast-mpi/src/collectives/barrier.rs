@@ -19,7 +19,7 @@ impl Comm {
     /// Dissemination algorithm: ⌈log₂ n⌉ rounds; in round *k* each member
     /// signals the member 2ᵏ ahead and waits for the member 2ᵏ behind. No
     /// member exits before every member has entered.
-    pub fn barrier_in(&mut self, group: &Group) -> Result<()> {
+    pub(crate) fn barrier_in(&mut self, group: &Group) -> Result<()> {
         let t0 = self.now_ns();
         let n = group.len();
         let me = group.index_of(self.rank())?;

@@ -8,16 +8,11 @@ use crate::message::Payload;
 use crate::{Rank, Result};
 
 impl Comm {
-    /// Gather over the whole world (`MPI_Gather`).
+    /// Gather over a group to the member with world rank `root`
+    /// (`MPI_Gather`).
     ///
-    /// Each rank contributes `payload`; the root returns contributions in
-    /// rank order, other ranks return `None`.
-    pub fn gather(&mut self, root: Rank, payload: Payload) -> Result<Option<Vec<Payload>>> {
-        let group = Group::world(self.size());
-        self.gather_in(&group, root, payload)
-    }
-
-    /// Gather over a group to the member with world rank `root`.
+    /// Each member contributes `payload`; the root returns contributions in
+    /// group order, other members return `None`.
     ///
     /// Linear algorithm (each member sends directly to the root), which is
     /// what common MPI implementations use for `MPI_Gather` and what gives
@@ -72,7 +67,7 @@ mod tests {
     fn gather_collects_in_rank_order() {
         let results = World::run(7, |comm| {
             let payload = Payload::from_f64s(&[comm.rank() as f64 * 3.0]);
-            comm.gather(2, payload).unwrap()
+            comm.gather_in(&Group::world(7), 2, payload).unwrap()
         })
         .unwrap();
         let at_root = results[2].as_ref().unwrap();
@@ -104,15 +99,22 @@ mod tests {
 
     #[test]
     fn gather_synthetic_sizes() {
-        let results =
-            World::run(5, |comm| comm.gather(0, Payload::synthetic(100)).unwrap()).unwrap();
+        let results = World::run(5, |comm| {
+            comm.gather_in(&Group::world(5), 0, Payload::synthetic(100))
+                .unwrap()
+        })
+        .unwrap();
         let at_root = results[0].as_ref().unwrap();
         assert!(at_root.iter().all(|p| p.len() == 100));
     }
 
     #[test]
     fn single_member_gather() {
-        let results = World::run(1, |comm| comm.gather(0, Payload::synthetic(9)).unwrap()).unwrap();
+        let results = World::run(1, |comm| {
+            comm.gather_in(&Group::world(1), 0, Payload::synthetic(9))
+                .unwrap()
+        })
+        .unwrap();
         assert_eq!(results[0].as_ref().unwrap().len(), 1);
     }
 }
@@ -128,7 +130,8 @@ mod variable_size_tests {
     fn gather_accepts_variable_contributions() {
         let results = World::run(5, |comm| {
             let bytes = 100 * (comm.rank() + 1);
-            comm.gather(0, Payload::synthetic(bytes)).unwrap()
+            comm.gather_in(&Group::world(5), 0, Payload::synthetic(bytes))
+                .unwrap()
         })
         .unwrap();
         let at_root = results[0].as_ref().unwrap();

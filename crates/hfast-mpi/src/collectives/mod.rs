@@ -1,15 +1,16 @@
 //! Collective operations, built from point-to-point transport.
 //!
 //! Each collective is implemented with a standard algorithm (binomial trees,
-//! dissemination, ring exchange) over the transport layer, and emits exactly
+//! dissemination, a linear gather) over the transport layer, and emits exactly
 //! one API-scope [`CommEvent`](crate::CommEvent) per participating rank — the
 //! same view IPM gets of a real MPI collective. The transport messages the
 //! algorithms generate are emitted as `Transport`-scope events so a network
 //! simulator can replay the actual flows.
 //!
-//! All collectives take a [`Group`](crate::Group); use [`Group::world`](crate::Group::world) for
-//! whole-world operations. Collectives on the same group must be invoked in
-//! the same order by all members (the usual MPI requirement).
+//! `barrier`, `bcast` and `allreduce` run over the whole world; `bcast_in`
+//! and `gather_in` take a [`Group`](crate::Group). Collectives on the same
+//! group must be invoked in the same order by all members (the usual MPI
+//! requirement).
 //!
 //! ## Tag discipline
 //!
@@ -19,20 +20,16 @@
 //! same-operation collectives between the same pair match in order without a
 //! global sequence number.
 
-pub mod allgather;
-pub mod allreduce;
-pub mod alltoall;
-pub mod barrier;
-pub mod bcast;
-pub mod gather;
-pub mod reduce;
-pub mod reduce_scatter;
-pub mod scan;
-pub mod scatter;
+mod allreduce;
+mod barrier;
+mod bcast;
+mod gather;
+mod reduce;
 
 use crate::Tag;
 
-/// Operation identifiers for transport tag construction.
+/// Operation identifiers for transport tag construction. The discriminants
+/// are part of every transport tag, so they stay fixed.
 #[derive(Debug, Clone, Copy)]
 #[repr(u8)]
 pub(crate) enum OpId {
@@ -40,14 +37,6 @@ pub(crate) enum OpId {
     Bcast = 2,
     Reduce = 3,
     Gather = 4,
-    Allgather = 5,
-    Alltoall = 6,
-    Scatter = 7,
-    Scan = 9,
-    /// Reserved for a future direct reduce-scatter algorithm; the current
-    /// implementation reuses the per-block `Reduce` tags.
-    #[allow(dead_code)]
-    ReduceScatter = 8,
 }
 
 /// Builds a reserved-namespace tag for a collective's internal round.

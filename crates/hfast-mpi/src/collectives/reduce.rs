@@ -1,69 +1,38 @@
-//! All-to-one reduction via a binomial tree.
+//! All-to-one reduction via a binomial tree: the first half of
+//! [`allreduce`](crate::Comm::allreduce).
 
 use super::{coll_tag, OpId};
 use crate::comm::{Comm, SrcSel, TagSel};
 use crate::group::Group;
-use crate::hook::{CallKind, Scope};
 use crate::message::{Payload, ReduceOp};
-use crate::{Rank, Result};
+use crate::Result;
 
 impl Comm {
-    /// Reduction over the whole world (`MPI_Reduce`).
-    ///
-    /// Returns `Some(result)` on the root, `None` elsewhere.
-    pub fn reduce(
-        &mut self,
-        root: Rank,
-        payload: Payload,
-        op: ReduceOp,
-    ) -> Result<Option<Payload>> {
-        let group = Group::world(self.size());
-        self.reduce_in(&group, root, payload, op)
-    }
-
-    /// Reduction over a group to the member with world rank `root`.
+    /// Reduces every member's payload to the group's first member, without
+    /// an API event: `allreduce` counts as one call.
     ///
     /// Binomial tree mirror of broadcast: at round *k*, members whose
-    /// virtual rank has bit *k* set send their partial result to the member
-    /// with that bit cleared, which folds it in.
-    pub fn reduce_in(
-        &mut self,
-        group: &Group,
-        root: Rank,
-        payload: Payload,
-        op: ReduceOp,
-    ) -> Result<Option<Payload>> {
-        let t0 = self.now_ns();
-        let bytes = payload.len();
-        let out = self.reduce_impl(group, root, payload, op)?;
-        self.emit(CallKind::Reduce, Scope::Api, Some(root), bytes, None, t0);
-        Ok(out)
-    }
-
-    /// Reduction algorithm without the API-event emission, for reuse inside
-    /// composite collectives.
+    /// group index has bit *k* set send their partial result to the member
+    /// with that bit cleared, which folds it in. Returns `Some(result)` on
+    /// the first member, `None` elsewhere.
     pub(crate) fn reduce_impl(
         &mut self,
         group: &Group,
-        root: Rank,
         payload: Payload,
         op: ReduceOp,
     ) -> Result<Option<Payload>> {
         let n = group.len();
         let me = group.index_of(self.rank())?;
-        let root_idx = group.index_of(root)?;
-        let vrank = (me + n - root_idx) % n;
 
         let mut acc = payload;
         let mut mask = 1usize;
         let mut round = 0u32;
-        let mut is_root_side = true;
         while mask < n {
-            if vrank & mask == 0 {
-                // Potential receiver from vrank | mask.
-                let child_v = vrank | mask;
-                if child_v < n {
-                    let child = group.rank_at((child_v + root_idx) % n)?;
+            if me & mask == 0 {
+                // Potential receiver from me | mask.
+                let child_idx = me | mask;
+                if child_idx < n {
+                    let child = group.rank_at(child_idx)?;
                     let env = self.recv_transport(
                         SrcSel::Rank(child),
                         TagSel::Tag(coll_tag(OpId::Reduce, round)),
@@ -71,44 +40,38 @@ impl Comm {
                     acc = op.combine(&acc, &env.payload)?;
                 }
             } else {
-                // Send partial to parent and exit the combining phase.
-                let parent_v = vrank & !mask;
-                let parent = group.rank_at((parent_v + root_idx) % n)?;
-                self.send_transport(parent, coll_tag(OpId::Reduce, round), acc.clone())?;
-                is_root_side = false;
-                break;
+                // Send the partial to the parent and leave the tree.
+                let parent = group.rank_at(me & !mask)?;
+                self.send_transport(parent, coll_tag(OpId::Reduce, round), acc)?;
+                return Ok(None);
             }
             mask <<= 1;
             round += 1;
         }
-
-        if vrank == 0 {
-            debug_assert!(is_root_side);
-            Ok(Some(acc))
-        } else {
-            Ok(None)
-        }
+        Ok(Some(acc))
     }
 }
 
+/// The reduction tree, driven through `allreduce`: the group's first member
+/// is the tree's root.
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
-    use crate::World;
+    use crate::{MpiError, World, WorldConfig};
 
     #[test]
     fn sum_reduce_to_root0() {
         for size in [1usize, 2, 3, 5, 8, 13] {
             let results = World::run(size, |comm| {
                 let payload = Payload::from_f64s(&[comm.rank() as f64, 1.0]);
-                comm.reduce(0, payload, ReduceOp::Sum).unwrap()
+                comm.allreduce(payload, ReduceOp::Sum).unwrap()
             })
             .unwrap();
             let expected_sum: f64 = (0..size).map(|r| r as f64).sum();
-            let root = results[0].as_ref().unwrap().to_f64s().unwrap();
-            assert_eq!(root, vec![expected_sum, size as f64]);
-            for r in &results[1..] {
-                assert!(r.is_none(), "non-root ranks get None");
+            for r in results {
+                assert_eq!(r.to_f64s().unwrap(), vec![expected_sum, size as f64]);
             }
         }
     }
@@ -116,60 +79,63 @@ mod tests {
     #[test]
     fn max_reduce_to_nonzero_root() {
         let results = World::run(7, |comm| {
+            let group = Group::new(vec![3, 0, 1, 2, 4, 5, 6]).unwrap();
             let payload = Payload::from_f64s(&[(comm.rank() as f64 * 7.0) % 5.0]);
-            comm.reduce(3, payload, ReduceOp::Max).unwrap()
+            comm.allreduce_in(&group, payload, ReduceOp::Max).unwrap()
         })
         .unwrap();
         let expected = (0..7)
             .map(|r| (r as f64 * 7.0) % 5.0)
             .fold(f64::MIN, f64::max);
-        assert_eq!(
-            results[3].as_ref().unwrap().to_f64s().unwrap(),
-            vec![expected]
-        );
-        assert!(results[0].is_none());
+        for r in results {
+            assert_eq!(r.to_f64s().unwrap(), vec![expected]);
+        }
     }
 
     #[test]
     fn synthetic_reduce_preserves_size() {
         let results = World::run(6, |comm| {
-            comm.reduce(0, Payload::synthetic(256), ReduceOp::Sum)
+            comm.allreduce(Payload::synthetic(256), ReduceOp::Sum)
                 .unwrap()
         })
         .unwrap();
-        assert_eq!(results[0], Some(Payload::Synthetic(256)));
+        assert_eq!(results, vec![Payload::Synthetic(256); 6]);
     }
 
     #[test]
     fn reduce_in_subgroup() {
         let results = World::run(8, |comm| {
             if comm.rank() >= 4 {
-                let group = Group::new(vec![4, 5, 6, 7]).unwrap();
+                let group = Group::new(vec![6, 4, 5, 7]).unwrap();
                 let payload = Payload::from_f64s(&[comm.rank() as f64]);
-                comm.reduce_in(&group, 6, payload, ReduceOp::Sum).unwrap()
+                let out = comm.allreduce_in(&group, payload, ReduceOp::Sum);
+                Some(out.unwrap().to_f64s().unwrap())
             } else {
                 None
             }
         })
         .unwrap();
-        assert_eq!(
-            results[6].as_ref().unwrap().to_f64s().unwrap(),
-            vec![4.0 + 5.0 + 6.0 + 7.0]
-        );
-        assert!(results[4].is_none() && results[5].is_none() && results[7].is_none());
+        for r in &results[4..] {
+            assert_eq!(*r, Some(vec![4.0 + 5.0 + 6.0 + 7.0]));
+        }
+        assert!(results[..4].iter().all(Option::is_none));
     }
 
     #[test]
     fn mismatched_lengths_error() {
-        let err = World::run(2, |comm| {
-            let payload = if comm.rank() == 0 {
-                Payload::synthetic(8)
-            } else {
-                Payload::synthetic(16)
-            };
-            comm.reduce(0, payload, ReduceOp::Sum)
-        })
+        // The root detects the mismatch and never broadcasts, so the other
+        // rank's wait ends at the world's timeout.
+        let results = World::run_with(
+            WorldConfig::new(2).timeout(Duration::from_millis(200)),
+            |comm| {
+                let payload = Payload::synthetic(8 * (comm.rank() + 1));
+                comm.allreduce(payload, ReduceOp::Sum)
+            },
+        )
         .unwrap();
-        assert!(err[0].is_err(), "root detects mismatched reduce lengths");
+        assert!(
+            matches!(results[0], Err(MpiError::CollectiveMismatch(_))),
+            "root detects mismatched reduce lengths"
+        );
     }
 }

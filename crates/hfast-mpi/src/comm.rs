@@ -20,21 +20,11 @@ pub enum SrcSel {
     Rank(Rank),
 }
 
-impl SrcSel {
-    /// True if the selector accepts the given source rank.
-    #[inline]
-    pub fn accepts(self, src: Rank) -> bool {
-        match self {
-            SrcSel::Any => true,
-            SrcSel::Rank(r) => r == src,
-        }
-    }
-}
-
 /// Tag selector for receives (`MPI_ANY_TAG` analogue).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TagSel {
-    /// Match any tag.
+    /// Match any application tag; the reserved collective tags are the
+    /// runtime's internal traffic and never match.
     Any,
     /// Match only the given tag.
     Tag(Tag),
@@ -43,9 +33,9 @@ pub enum TagSel {
 impl TagSel {
     /// True if the selector accepts the given tag.
     #[inline]
-    pub fn accepts(self, tag: Tag) -> bool {
+    pub(crate) fn accepts(self, tag: Tag) -> bool {
         match self {
-            TagSel::Any => true,
+            TagSel::Any => !tag.is_collective(),
             TagSel::Tag(t) => t == tag,
         }
     }
@@ -176,7 +166,12 @@ impl Comm {
         let stamp = self.trace.as_ref().map(|t| t.send_stamp());
         let span_id = stamp.as_ref().map_or(0, |s| s.span_id);
         self.txs[dest]
-            .send(Envelope::stamped(self.rank, tag, payload, stamp))
+            .send(Envelope {
+                src: self.rank,
+                tag,
+                payload,
+                stamp,
+            })
             .map_err(|_| MpiError::Disconnected {
                 rank: self.rank,
                 peer: dest,
@@ -315,7 +310,7 @@ impl Comm {
     }
 
     /// Blocking receive with wildcard selectors.
-    pub fn recv_sel(&mut self, src: SrcSel, tag: TagSel) -> Result<(Status, Payload)> {
+    pub(crate) fn recv_sel(&mut self, src: SrcSel, tag: TagSel) -> Result<(Status, Payload)> {
         if let TagSel::Tag(t) = tag {
             self.check_tag(t)?;
         }
@@ -552,58 +547,6 @@ impl Comm {
         }
     }
 
-    /// Nonblocking completion check (`MPI_Test`).
-    ///
-    /// Returns the request back if still pending.
-    pub fn test(
-        &mut self,
-        request: Request,
-    ) -> Result<std::result::Result<(Status, Option<Payload>), Request>> {
-        let t0 = self.now_ns();
-        self.drain_nonblocking();
-        let out = match request {
-            Request::Send(status) => Ok((status, None)),
-            Request::Recv(handle) => match self.matcher.take(handle) {
-                Some(env) => {
-                    self.trace_recv("wait", t0, &env);
-                    Ok((
-                        Status {
-                            source: env.src,
-                            tag: env.tag,
-                            bytes: env.payload.len(),
-                        },
-                        Some(env.payload),
-                    ))
-                }
-                None => Err(Request::Recv(handle)),
-            },
-        };
-        self.emit(CallKind::Test, Scope::Api, None, 0, None, t0);
-        Ok(out)
-    }
-
-    /// First queued unexpected message matching the selectors, as a status
-    /// (probe support; does not consume the message). An `ANY_TAG` probe
-    /// never sees the runtime's collective-tagged traffic.
-    pub(crate) fn peek_unexpected(&self, src: SrcSel, tag: TagSel) -> Option<Status> {
-        self.matcher.peek(src, tag)
-    }
-
-    /// Pumps one envelope off the wire without accepting it for the caller
-    /// (probe support): it is delivered to posted receives or queued.
-    pub(crate) fn pump_for_probe(&mut self, src: SrcSel, tag: TagSel) -> Result<()> {
-        let me = self.rank;
-        let waiting = move || format!("probe(src={src:?}, tag={tag:?}) on rank {me}");
-        self.pump_one(&waiting)
-    }
-
-    /// Drains everything already on the wire without blocking.
-    pub(crate) fn drain_nonblocking(&mut self) {
-        while let Ok(env) = self.rx.try_recv() {
-            self.matcher.arrive(env);
-        }
-    }
-
     /// Number of posted-but-uncompleted receives (diagnostics).
     pub fn outstanding_recvs(&self) -> usize {
         self.matcher.outstanding()
@@ -628,14 +571,12 @@ impl std::fmt::Debug for Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::World;
+    use crate::{World, WorldConfig};
 
     #[test]
     fn selector_accepts() {
-        assert!(SrcSel::Any.accepts(3));
-        assert!(SrcSel::Rank(3).accepts(3));
-        assert!(!SrcSel::Rank(3).accepts(4));
         assert!(TagSel::Any.accepts(Tag(1)));
+        assert!(!TagSel::Any.accepts(Tag(Tag::COLLECTIVE_BASE | 1)));
         assert!(TagSel::Tag(Tag(1)).accepts(Tag(1)));
         assert!(!TagSel::Tag(Tag(1)).accepts(Tag(2)));
     }
@@ -803,25 +744,25 @@ mod tests {
     }
 
     #[test]
-    fn test_polls_without_blocking() {
-        let results = World::run(2, |comm| {
-            if comm.rank() == 0 {
-                let req = comm.irecv(SrcSel::Rank(1), TagSel::Tag(Tag(4)), 8).unwrap();
-                // Poll until complete.
-                let mut req = req;
-                loop {
-                    match comm.test(req).unwrap() {
-                        Ok((status, _)) => return status.bytes,
-                        Err(pending) => req = pending,
-                    }
+    fn any_tag_receive_leaves_collective_traffic_alone() {
+        // Rank 1's ANY_TAG receive is posted before the barrier, so rank 0's
+        // barrier token must pass it by and complete the barrier; only the
+        // application message after it may land there.
+        let results = World::run_with(
+            WorldConfig::new(2).timeout(Duration::from_secs(3)),
+            |comm| -> Result<u32> {
+                if comm.rank() == 0 {
+                    comm.barrier()?;
+                    comm.send(1, Tag(6), Payload::synthetic(48))?;
+                    return Ok(0);
                 }
-            } else {
-                comm.send(0, Tag(4), Payload::synthetic(8)).unwrap();
-                8
-            }
-        })
+                let req = comm.irecv(SrcSel::Rank(0), TagSel::Any, 48)?;
+                comm.barrier()?;
+                Ok(comm.wait(req)?.0.tag.0)
+            },
+        )
         .unwrap();
-        assert_eq!(results, vec![8, 8]);
+        assert_eq!(results, vec![Ok(0), Ok(6)]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub struct Group {
 
 impl Group {
     /// The group of all ranks `0..size`.
-    pub fn world(size: usize) -> Self {
+    pub(crate) fn world(size: usize) -> Self {
         Group {
             members: (0..size).collect(),
         }
@@ -43,24 +43,12 @@ impl Group {
 
     /// Number of members.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.members.len()
     }
 
-    /// True when the group has a single member.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// The members in group order.
-    #[inline]
-    pub fn members(&self) -> &[Rank] {
-        &self.members
-    }
-
     /// Group-local index of a world rank.
-    pub fn index_of(&self, rank: Rank) -> Result<usize> {
+    pub(crate) fn index_of(&self, rank: Rank) -> Result<usize> {
         self.members
             .iter()
             .position(|&m| m == rank)
@@ -68,16 +56,11 @@ impl Group {
     }
 
     /// World rank at a group-local index.
-    pub fn rank_at(&self, index: usize) -> Result<Rank> {
+    pub(crate) fn rank_at(&self, index: usize) -> Result<Rank> {
         self.members
             .get(index)
             .copied()
             .ok_or_else(|| MpiError::InvalidGroup(format!("index {index} out of bounds")))
-    }
-
-    /// True if `rank` is a member.
-    pub fn contains(&self, rank: Rank) -> bool {
-        self.members.contains(&rank)
     }
 }
 
@@ -88,7 +71,7 @@ mod tests {
     #[test]
     fn world_group_is_dense() {
         let g = Group::world(4);
-        assert_eq!(g.members(), &[0, 1, 2, 3]);
+        assert_eq!(g.members, [0, 1, 2, 3]);
         assert_eq!(g.len(), 4);
         assert_eq!(g.index_of(2).unwrap(), 2);
     }
@@ -98,8 +81,6 @@ mod tests {
         let g = Group::new(vec![7, 3, 11]).unwrap();
         assert_eq!(g.index_of(3).unwrap(), 1);
         assert_eq!(g.rank_at(2).unwrap(), 11);
-        assert!(g.contains(7));
-        assert!(!g.contains(0));
     }
 
     #[test]

@@ -10,9 +10,12 @@ use crate::{Rank, Tag};
 
 /// Which API entry point produced an event.
 ///
-/// The variants cover the MPI subset exercised by the six SC'05 study
+/// The variants are IPM's call vocabulary for the six SC'05 study
 /// applications (see paper Figure 2) plus the transport-level sends the
-/// collectives are built from.
+/// collectives are built from. The runtime emits only the kinds its API
+/// has; the others (`Test`, `Reduce`, `Allgather`, `Alltoall`, `Scatter`,
+/// `ReduceScatter`, `Scan`, `Probe`, `Iprobe`) stay because profiles and
+/// traces name calls by these kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CallKind {
     /// Blocking standard-mode send.
@@ -65,7 +68,7 @@ pub enum CallKind {
 
 impl CallKind {
     /// Every variant, in declaration order (so `ALL[k.index()] == k`).
-    pub const ALL: [CallKind; 23] = [
+    pub(crate) const ALL: [CallKind; 23] = [
         CallKind::Send,
         CallKind::Recv,
         CallKind::Isend,
@@ -93,7 +96,7 @@ impl CallKind {
 
     /// Dense index of this variant (for per-kind counter tables).
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
@@ -159,7 +162,7 @@ impl CallKind {
 
     /// True for completion calls (`Wait*`/`Test`).
     #[inline]
-    pub fn is_completion(self) -> bool {
+    pub(crate) fn is_completion(self) -> bool {
         matches!(
             self,
             CallKind::Wait | CallKind::Waitall | CallKind::Waitany | CallKind::Test

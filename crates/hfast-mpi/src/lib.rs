@@ -1,13 +1,14 @@
 //! # hfast-mpi — a threaded message-passing runtime with an MPI-like API
 //!
 //! This crate is the *substrate* beneath the HFAST reproduction: a small,
-//! self-contained message-passing runtime whose API mirrors the subset of MPI
-//! exercised by the six applications studied in the SC'05 paper
-//! (point-to-point blocking and nonblocking operations, completion calls, and
-//! the common collectives).
+//! self-contained message-passing runtime whose API is the subset of MPI the
+//! six application kernels call, and no more: `send`, `recv`, `isend`,
+//! `irecv` and `sendrecv`; `wait`, `waitall` and `waitany`; and the
+//! collectives `barrier`, `bcast` (whole world or over a [`Group`]),
+//! `gather_in` over a group and `allreduce`.
 //!
 //! Ranks execute as OS threads inside [`World::run`]; messages travel over
-//! unbounded mailbox channels ([`chan`]). The runtime exposes a PMPI-style
+//! unbounded mailbox channels. The runtime exposes a PMPI-style
 //! observer boundary
 //! ([`CommHook`]) that fires one [`CommEvent`] per API call, which is exactly
 //! the interposition point the IPM profiling layer of the paper uses — the
@@ -44,33 +45,29 @@
 
 #![warn(missing_docs)]
 
-pub mod bytes;
-pub mod chan;
-pub mod collectives;
-pub mod comm;
-pub mod error;
-pub mod group;
-pub mod hook;
+mod bytes;
+mod chan;
+mod collectives;
+mod comm;
+mod error;
+mod group;
+mod hook;
 #[cfg(test)]
 mod matching_oracle;
-pub mod message;
-pub mod obs;
-pub mod probe;
-pub mod request;
-pub mod runtime;
-pub mod split;
-pub mod trace;
+mod message;
+mod obs;
+mod request;
+mod runtime;
+mod trace;
 
 pub use bytes::Bytes;
 pub use comm::{Comm, SrcSel, Status, TagSel};
 pub use error::{MpiError, Result};
 pub use group::Group;
-pub use hook::{CallKind, CommEvent, CommHook, MultiHook, NullHook, Scope};
+pub use hook::{CallKind, CommEvent, CommHook, MultiHook, Scope};
 pub use message::{Payload, ReduceOp};
-pub use obs::{RankObs, WorldObs};
 pub use request::Request;
 pub use runtime::{World, WorldConfig};
-pub use trace::CommTrace;
 
 /// Index of a process in a [`World`] (0-based, dense).
 pub type Rank = usize;
@@ -82,11 +79,11 @@ pub struct Tag(pub u32);
 
 impl Tag {
     /// Tag namespace reserved for collective-internal transport messages.
-    pub const COLLECTIVE_BASE: u32 = 0x8000_0000;
+    pub(crate) const COLLECTIVE_BASE: u32 = 0x8000_0000;
 
     /// Returns true if this tag lies in the reserved collective namespace.
     #[inline]
-    pub fn is_collective(self) -> bool {
+    pub(crate) fn is_collective(self) -> bool {
         self.0 & Self::COLLECTIVE_BASE != 0
     }
 }

@@ -24,12 +24,6 @@ impl Payload {
         Payload::Synthetic(len)
     }
 
-    /// A payload carrying the given bytes.
-    #[inline]
-    pub fn data(bytes: impl Into<Bytes>) -> Self {
-        Payload::Data(bytes.into())
-    }
-
     /// A payload carrying `values` encoded as little-endian `f64`s.
     pub fn from_f64s(values: &[f64]) -> Self {
         let mut buf = Vec::with_capacity(values.len() * 8);
@@ -157,33 +151,6 @@ pub struct Envelope {
     pub stamp: Option<hfast_trace::SpanContext>,
 }
 
-impl Envelope {
-    /// Creates an unstamped envelope.
-    pub fn new(src: Rank, tag: Tag, payload: Payload) -> Self {
-        Envelope {
-            src,
-            tag,
-            payload,
-            stamp: None,
-        }
-    }
-
-    /// Creates an envelope carrying a causal stamp.
-    pub fn stamped(
-        src: Rank,
-        tag: Tag,
-        payload: Payload,
-        stamp: Option<hfast_trace::SpanContext>,
-    ) -> Self {
-        Envelope {
-            src,
-            tag,
-            payload,
-            stamp,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,7 +158,7 @@ mod tests {
     #[test]
     fn payload_lengths() {
         assert_eq!(Payload::synthetic(1024).len(), 1024);
-        assert_eq!(Payload::data(vec![1u8, 2, 3]).len(), 3);
+        assert_eq!(Payload::Data(Bytes::from(vec![1u8, 2, 3])).len(), 3);
         assert!(Payload::synthetic(0).is_empty());
         assert!(!Payload::synthetic(1).is_empty());
     }

@@ -41,11 +41,13 @@ const ANY_SOURCE: Rank = Rank::MAX;
 ///    receives posted before it win.
 /// 2. No overtaking per source: envelopes from one source are matched in
 ///    arrival order, receives naming one source in posting order.
-/// 3. An `ANY_SOURCE` receive or probe takes the earliest-arrived
-///    acceptable envelope.
-/// 4. An `ANY_TAG` probe skips collective-tagged envelopes: they are the
+/// 3. An `ANY_SOURCE` receive takes the earliest-arrived acceptable
+///    envelope.
+/// 4. An `ANY_TAG` receive skips collective-tagged envelopes: they are the
 ///    runtime's internal traffic (user sends reject the reserved namespace),
-///    e.g. a peer's barrier token arriving early.
+///    e.g. a peer's barrier token arriving while the receive is posted.
+///    [`TagSel::accepts`] holds this rule, so posting and arrival both
+///    apply it.
 ///
 /// No unexpected envelope is ever acceptable to a waiting receive, since
 /// each is offered to the waiting receives when it arrives and to each new
@@ -133,22 +135,6 @@ impl Matcher {
         self.waiting.remove(&(h.src, h.seq));
     }
 
-    /// Status of the earliest-arrived unexpected envelope the selectors
-    /// accept (probe support; the envelope stays queued). An `ANY_TAG`
-    /// probe never sees collective-tagged envelopes.
-    pub fn peek(&self, src: SrcSel, tag: TagSel) -> Option<Status> {
-        let key = self.find_unexpected(src, |e| match tag {
-            TagSel::Any => !e.tag.is_collective(),
-            TagSel::Tag(t) => t == e.tag,
-        })?;
-        let env = &self.unexpected[&key];
-        Some(Status {
-            source: env.src,
-            tag: env.tag,
-            bytes: env.payload.len(),
-        })
-    }
-
     /// Selectors of a still-unmatched receive (for timeout diagnostics);
     /// `None` once it is matched, taken or cancelled.
     pub fn describe(&self, h: RecvHandle) -> Option<(SrcSel, TagSel)> {
@@ -201,7 +187,12 @@ mod tests {
     use crate::Tag;
 
     fn env(src: usize, tag: u32) -> Envelope {
-        Envelope::new(src, Tag(tag), Payload::synthetic(4))
+        Envelope {
+            src,
+            tag: Tag(tag),
+            payload: Payload::synthetic(4),
+            stamp: None,
+        }
     }
 
     #[test]
@@ -268,14 +259,17 @@ mod tests {
     }
 
     #[test]
-    fn any_tag_peek_skips_collective_envelopes() {
+    fn any_tag_receive_skips_collective_envelopes() {
         let mut m = Matcher::default();
+        let waiting = m.post(SrcSel::Any, TagSel::Any);
         m.arrive(env(0, Tag::COLLECTIVE_BASE | 1));
-        assert_eq!(m.peek(SrcSel::Any, TagSel::Any), None);
-        let internal = TagSel::Tag(Tag(Tag::COLLECTIVE_BASE | 1));
-        assert_eq!(m.peek(SrcSel::Rank(0), internal).unwrap().source, 0);
+        assert!(m.take(waiting).is_none(), "arrival passes it by");
+        let posted = m.post(SrcSel::Rank(0), TagSel::Any);
+        assert!(m.take(posted).is_none(), "posting passes it by");
+        let internal = m.post(SrcSel::Rank(0), TagSel::Tag(Tag(Tag::COLLECTIVE_BASE | 1)));
+        assert_eq!(m.take(internal).unwrap().src, 0);
         m.arrive(env(1, 4));
-        assert_eq!(m.peek(SrcSel::Any, TagSel::Any).unwrap().tag, Tag(4));
+        assert_eq!(m.take(waiting).unwrap().tag, Tag(4));
     }
 
     #[test]

@@ -147,25 +147,6 @@ fn gather_preserves_group_order() {
     });
 }
 
-#[test]
-fn alltoall_is_a_transpose() {
-    forall("alltoall_is_a_transpose", 12, |rng| {
-        let size = rng.range(2, 8);
-        let results = World::run(size, move |comm| {
-            let payloads: Vec<Payload> = (0..comm.size())
-                .map(|j| Payload::from_f64s(&[(comm.rank() * 100 + j) as f64]))
-                .collect();
-            comm.alltoall(payloads).unwrap()
-        })
-        .unwrap();
-        for (i, blocks) in results.iter().enumerate() {
-            for (j, b) in blocks.iter().enumerate() {
-                assert_eq!(b.to_f64s().unwrap()[0] as usize, j * 100 + i);
-            }
-        }
-    });
-}
-
 /// A random valid point-to-point schedule: (src, dst, bytes) triples with
 /// src != dst, all inside a `size`-rank world.
 fn random_schedule(rng: &mut Rng64, size: usize) -> Vec<(usize, usize, usize)> {
