@@ -20,7 +20,7 @@ use crate::meta::{lookup, AppMeta};
 use crate::CommKernel;
 
 /// Ghost-face size: Table 3 reports 299-300 KB medians.
-pub const FACE_BYTES: usize = 300 << 10;
+pub(crate) const FACE_BYTES: usize = 300 << 10;
 
 /// The Cactus communication kernel.
 #[derive(Debug, Clone, Copy)]

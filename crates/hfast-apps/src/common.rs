@@ -4,21 +4,21 @@ use hfast_mpi::{Comm, Payload, Request, Result, SrcSel, Tag, TagSel};
 
 /// Tags used by the kernels (one namespace per exchange flavour so repeated
 /// steps cannot cross-match).
-pub mod tags {
+pub(crate) mod tags {
     use hfast_mpi::Tag;
 
     /// Halo/ghost-zone exchanges.
-    pub const HALO: Tag = Tag(100);
+    pub(crate) const HALO: Tag = Tag(100);
     /// Toroidal particle shifts.
-    pub const SHIFT: Tag = Tag(200);
+    pub(crate) const SHIFT: Tag = Tag(200);
     /// Block/panel transfers.
-    pub const BLOCK: Tag = Tag(300);
+    pub(crate) const BLOCK: Tag = Tag(300);
     /// Tiny control messages.
-    pub const CONTROL: Tag = Tag(400);
+    pub(crate) const CONTROL: Tag = Tag(400);
     /// Transpose traffic.
-    pub const TRANSPOSE: Tag = Tag(500);
+    pub(crate) const TRANSPOSE: Tag = Tag(500);
     /// Force/spatial-decomposition exchanges.
-    pub const FORCE: Tag = Tag(600);
+    pub(crate) const FORCE: Tag = Tag(600);
 }
 
 /// A symmetric nonblocking halo exchange with a set of partners:
@@ -30,7 +30,7 @@ pub mod tags {
 /// kernels can reproduce each application's measured call mix (e.g. Cactus
 /// shows both a large `MPI_Wait` slice and a small `MPI_Waitall` slice in
 /// Figure 2).
-pub fn halo_exchange(
+pub(crate) fn halo_exchange(
     comm: &mut Comm,
     partners: &[usize],
     bytes: usize,
@@ -68,7 +68,7 @@ pub fn halo_exchange(
 
 /// Pairwise symmetric exchange where each side both isends and irecvs one
 /// message and completes with per-pair `waitall` (LBMHD's 40/40/20 mix).
-pub fn paired_exchange(
+pub(crate) fn paired_exchange(
     comm: &mut Comm,
     partners: &[usize],
     bytes: usize,
@@ -93,14 +93,14 @@ pub fn paired_exchange(
 }
 
 /// Side-aware wrap-around ring distance between ranks.
-pub fn ring_distance(a: usize, b: usize, n: usize) -> usize {
+pub(crate) fn ring_distance(a: usize, b: usize, n: usize) -> usize {
     let d = a.abs_diff(b);
     d.min(n - d)
 }
 
 /// The 2D process-grid shape used by SuperLU-style kernels: the squarest
 /// `rows × cols = p` factorization.
-pub fn grid2d(p: usize) -> (usize, usize) {
+pub(crate) fn grid2d(p: usize) -> (usize, usize) {
     let mut rows = (p as f64).sqrt() as usize;
     while rows > 1 && !p.is_multiple_of(rows) {
         rows -= 1;

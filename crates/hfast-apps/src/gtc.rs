@@ -23,18 +23,18 @@ use crate::meta::{lookup, AppMeta};
 use crate::CommKernel;
 
 /// Toroidal particle-shift buffer (Table 3: 128 KB median).
-pub const SHIFT_BYTES: usize = 128 << 10;
+pub(crate) const SHIFT_BYTES: usize = 128 << 10;
 /// Charge-deposition gather contribution per rank.
-pub const GATHER_BYTES: usize = 100;
+pub(crate) const GATHER_BYTES: usize = 100;
 /// Full-grid deposition gather issued on every third step — the minority of
 /// collective calls above the 2 KB threshold that gives Figure 3 its tail.
-pub const GRID_GATHER_BYTES: usize = 4096;
+pub(crate) const GRID_GATHER_BYTES: usize = 4096;
 /// Leader-to-leader coordination payload (above the 2 KB cutoff).
-pub const LEADER_BYTES: usize = 4096;
+pub(crate) const LEADER_BYTES: usize = 4096;
 /// Leader-to-leader bookkeeping payload (below the cutoff).
-pub const LEADER_SMALL_BYTES: usize = 512;
+pub(crate) const LEADER_SMALL_BYTES: usize = 512;
 /// Maximum toroidal planes (GTC production runs use 64 planes).
-pub const MAX_PLANES: usize = 64;
+pub(crate) const MAX_PLANES: usize = 64;
 
 /// The GTC communication kernel.
 #[derive(Debug, Clone, Copy)]
@@ -45,12 +45,12 @@ pub struct Gtc {
 
 impl Gtc {
     /// Kernel with an explicit cycle count.
-    pub fn new(cycles: usize) -> Self {
+    pub(crate) fn new(cycles: usize) -> Self {
         Gtc { cycles }
     }
 
     /// Decomposition: (planes, particle domains per plane).
-    pub fn decomposition(procs: usize) -> (usize, usize) {
+    pub(crate) fn decomposition(procs: usize) -> (usize, usize) {
         let planes = procs.min(MAX_PLANES);
         assert!(
             procs.is_multiple_of(planes),

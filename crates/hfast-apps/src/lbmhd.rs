@@ -24,7 +24,7 @@ use crate::CommKernel;
 /// The 12 interpolation-shifted partner offsets on the 2D process grid:
 /// knight-like and long-diagonal displacements (no axis neighbours — the
 /// streaming directions land between grid rows after interpolation).
-pub const OFFSETS: [(isize, isize); 12] = [
+pub(crate) const OFFSETS: [(isize, isize); 12] = [
     (1, 2),
     (2, 1),
     (2, 2),
@@ -55,7 +55,7 @@ impl Lbmhd {
     /// Streaming buffer size; Table 3 reports 811 KB at P = 64 growing to
     /// 848 KB at P = 256 (the aggregated velocity-space payload grows
     /// slightly with the partition count in the paper's weak-scaled runs).
-    pub fn buffer_bytes(procs: usize) -> usize {
+    pub(crate) fn buffer_bytes(procs: usize) -> usize {
         if procs <= 64 {
             811 << 10
         } else if procs >= 256 {

@@ -22,25 +22,25 @@
 //! assert_eq!(tdc.max, 6); // 3D stencil: six faces
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod cactus;
-pub mod common;
-pub mod gtc;
-pub mod lbmhd;
-pub mod meta;
-pub mod paratec;
-pub mod pmemd;
-pub mod runner;
-pub mod superlu;
-pub mod synthetic;
+mod cactus;
+mod common;
+mod gtc;
+mod lbmhd;
+mod meta;
+mod paratec;
+mod pmemd;
+mod runner;
+mod superlu;
+mod synthetic;
 
 pub use cactus::Cactus;
 pub use gtc::Gtc;
 pub use lbmhd::Lbmhd;
-pub use meta::AppMeta;
+pub use meta::{AppMeta, TABLE2};
 pub use paratec::Paratec;
-pub use pmemd::Pmemd;
+pub use pmemd::{Pmemd, HOT_RANK};
 pub use runner::{profile_app, profile_app_with, AppOutcome};
 pub use superlu::SuperLu;
 pub use synthetic::Synthetic;

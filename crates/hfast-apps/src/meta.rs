@@ -62,7 +62,7 @@ pub const TABLE2: [AppMeta; 6] = [
 ];
 
 /// Looks up a Table 2 row by application name.
-pub fn lookup(name: &str) -> Option<AppMeta> {
+pub(crate) fn lookup(name: &str) -> Option<AppMeta> {
     TABLE2.iter().copied().find(|m| m.name == name)
 }
 

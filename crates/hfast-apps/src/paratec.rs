@@ -23,13 +23,13 @@ use crate::meta::{lookup, AppMeta};
 use crate::CommKernel;
 
 /// First-stage transpose block (the uniform 32 KB background of Fig. 10a).
-pub const TRANSPOSE_BYTES: usize = 32 << 10;
+pub(crate) const TRANSPOSE_BYTES: usize = 32 << 10;
 /// Second-stage neighbour exchange (the diagonal band, above 32 KB).
-pub const DIAGONAL_BYTES: usize = 256 << 10;
+pub(crate) const DIAGONAL_BYTES: usize = 256 << 10;
 /// Control/handshake payload (Table 3: 64 B median).
-pub const CONTROL_BYTES: usize = 64;
+pub(crate) const CONTROL_BYTES: usize = 64;
 /// Diagonal reach of the second transpose stage.
-pub const DIAGONAL_REACH: usize = 2;
+pub(crate) const DIAGONAL_REACH: usize = 2;
 
 /// The PARATEC communication kernel.
 #[derive(Debug, Clone, Copy)]

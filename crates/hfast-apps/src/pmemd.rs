@@ -30,9 +30,9 @@ const VOLUME_SCALE: f64 = 758_000.0;
 const DECAY: f64 = 3.51;
 /// Tiny bookkeeping payload for distant partners (Table 3: 72 B median at
 /// P = 256).
-pub const TINY_BYTES: usize = 72;
+pub(crate) const TINY_BYTES: usize = 72;
 /// Reduction payload (Table 3: 768 B median collective buffer).
-pub const COLLECTIVE_BYTES: usize = 768;
+pub(crate) const COLLECTIVE_BYTES: usize = 768;
 /// The rank holding the dense solute region (max TDC = P − 1 thresholded).
 pub const HOT_RANK: usize = 0;
 
@@ -79,7 +79,7 @@ impl Pmemd {
 
     /// Collectives issued per step (reductions of energies/virials); grows
     /// mildly with concurrency to track the paper's 0.9 → 1.4 % share.
-    pub fn collectives_per_step(procs: usize) -> usize {
+    pub(crate) fn collectives_per_step(procs: usize) -> usize {
         (procs / 24).max(2)
     }
 }

@@ -23,11 +23,11 @@ use crate::meta::{lookup, AppMeta};
 use crate::CommKernel;
 
 /// L/U block sizes cycled through panel updates (all above the cutoff).
-pub const BLOCK_BYTES: [usize; 4] = [4 << 10, 8 << 10, 16 << 10, 32 << 10];
+pub(crate) const BLOCK_BYTES: [usize; 4] = [4 << 10, 8 << 10, 16 << 10, 32 << 10];
 /// Row/column broadcast payload (Table 3: 24 B median collective buffer).
-pub const BCAST_BYTES: usize = 24;
+pub(crate) const BCAST_BYTES: usize = 24;
 /// Matrix redistribution chunk during initialization.
-pub const INIT_BYTES: usize = 1 << 20;
+pub(crate) const INIT_BYTES: usize = 1 << 20;
 
 /// The SuperLU communication kernel.
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,13 +39,8 @@ pub struct SuperLu {
 }
 
 impl SuperLu {
-    /// Kernel with an explicit step count.
-    pub fn new(steps: usize) -> Self {
-        SuperLu { steps: Some(steps) }
-    }
-
     /// Tiny bookkeeping message size (Table 3 medians: 64 B / 48 B).
-    pub fn tiny_bytes(procs: usize) -> usize {
+    pub(crate) fn tiny_bytes(procs: usize) -> usize {
         if procs >= 256 {
             48
         } else {
@@ -195,7 +190,7 @@ mod tests {
 
     #[test]
     fn init_traffic_is_excluded_from_steady_state() {
-        let out = profile_app(&SuperLu::new(4), 16).unwrap();
+        let out = profile_app(&SuperLu { steps: Some(4) }, 16).unwrap();
         let steady_max = out.steady.ptp_buffer_histogram().max().unwrap_or(0);
         assert!(steady_max < INIT_BYTES as u64);
         // The merged profile sees the 1 MB redistribution.

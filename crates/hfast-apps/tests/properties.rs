@@ -59,7 +59,7 @@ fn pmemd_message_sizes_are_symmetric_and_monotone() {
             for d in 1..cut.min(procs - 3) {
                 let nearer = Pmemd::message_bytes(procs, src, src + d);
                 let farther = Pmemd::message_bytes(procs, src, src + d + 1);
-                if src + d + 1 != hfast_apps::pmemd::HOT_RANK {
+                if src + d + 1 != hfast_apps::HOT_RANK {
                     assert!(nearer >= farther, "d={d}: {nearer} < {farther}");
                 }
             }

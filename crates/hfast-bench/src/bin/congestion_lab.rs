@@ -1,4 +1,4 @@
-//! Congestion lab: prints [`hfast_bench::congestion::lab`], adversarial
+//! Congestion lab: prints [`hfast_bench::lab`], adversarial
 //! scenarios × fabrics × provisioner strategies under credit-based flow
 //! control.
 //!
@@ -8,13 +8,13 @@
 //! traverse the root link — the paper's headline casualty class), and
 //! the link-utilization spread (max/mean and Gini).
 //!
-//! `--check` exits non-zero on any of the lab's violations
-//! ([`hfast_bench::congestion::Lab::violations`]): an HFAST cell whose
-//! spread is not strictly below the fat tree's, a fat-tree incast with
-//! no off-root victims, or an ideal-mode replay that differs from the
+//! Takes no arguments. Exits 1 on any of the lab's violations
+//! ([`hfast_bench::Lab::violations`]), named on stderr: an HFAST cell
+//! whose spread is not strictly below the fat tree's, a fat-tree incast
+//! with no off-root victims, or an ideal-mode replay that differs from the
 //! plain loop. The tier-1 test `tests/congestion_lab.rs` asserts the same.
 
-use hfast_bench::congestion::{lab, CellMetrics, CREDITS, NODES, SEED};
+use hfast_bench::{lab, CellMetrics, LAB_CREDITS, LAB_NODES, LAB_SEED};
 
 fn print_cell(label: &str, m: &CellMetrics) {
     println!(
@@ -32,9 +32,14 @@ fn print_cell(label: &str, m: &CellMetrics) {
 }
 
 fn main() {
-    let check = std::env::args().skip(1).any(|a| a == "--check");
+    if std::env::args().len() > 1 {
+        eprintln!("usage: congestion_lab");
+        std::process::exit(2);
+    }
     println!("== congestion lab: scenarios x fabrics x strategies ==");
-    println!("   {NODES} nodes, credit flow control ({CREDITS} slot/link), seed {SEED:#x}\n");
+    println!(
+        "   {LAB_NODES} nodes, credit flow control ({LAB_CREDITS} slot/link), seed {LAB_SEED:#x}\n"
+    );
     let lab = lab();
     let (plain, ideal) = lab.ideal_identity;
     if plain == ideal {
@@ -71,25 +76,17 @@ fn main() {
         println!();
     }
 
-    if check {
-        let violations = lab.violations();
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("FAIL: {v}");
-            }
-            std::process::exit(1);
-        }
-        println!(
-            "congestion check: hfast spread < fat-tree on every scenario x strategy cell, \
-             fat-tree incast shows {} off-root victims",
-            lab.incast_fat_tree_off_root()
-        );
-    } else {
-        println!(
-            "shape: the fat tree's shared interior links let one saturated link \
-             stall flows that never touch it, while hfast pins heavy pairs to \
-             dedicated circuits and keeps probe traffic on per-node tree links — \
-             congestion stays at the root instead of spreading."
-        );
+    println!(
+        "shape: the fat tree's shared interior links let one saturated link \
+         stall flows that never touch it, while hfast pins heavy pairs to \
+         dedicated circuits and keeps probe traffic on per-node tree links — \
+         congestion stays at the root instead of spreading."
+    );
+    let violations = lab.violations();
+    for v in &violations {
+        eprintln!("FAIL: {v}");
+    }
+    if !violations.is_empty() {
+        std::process::exit(1);
     }
 }

@@ -1,14 +1,18 @@
-//! Fault-replay experiment: prints [`hfast_bench::faults::goodput_grid`],
+//! Fault-replay experiment: prints [`hfast_bench::goodput_grid`],
 //! goodput under seeded link failures on fat tree vs HFAST for every
 //! (app, failure-rate) cell.
 //!
-//! Exits non-zero if HFAST fails to deliver strictly more goodput than the
+//! Takes no arguments. Exits 1 if HFAST fails to deliver strictly more goodput than the
 //! fat tree on any cell; the tier-1 test `tests/fault_replay.rs` asserts the
 //! same and names the cell.
 
-use hfast_bench::faults::goodput_grid;
+use hfast_bench::goodput_grid;
 
 fn main() {
+    if std::env::args().len() > 1 {
+        eprintln!("usage: faults_replay");
+        std::process::exit(2);
+    }
     println!("== fault replay: goodput under seeded link failures ==\n");
     println!(
         "{:>9} {:>6} {:>10} {:>10}   (goodput = delivered/offered bytes)",

@@ -2,7 +2,7 @@
 //! exits 1 if an app's hottest HFAST transit link is not a circuit.
 //! `hotspots [APP]` prints only the apps whose name contains `APP`.
 
-use hfast_bench::hotspots::{hotspots, Ranking};
+use hfast_bench::{hotspots, Ranking};
 
 const TOP: usize = 5;
 
@@ -21,7 +21,15 @@ fn print_ranking(label: &str, ranking: &Ranking) {
 }
 
 fn main() {
-    let only: Option<String> = std::env::args().nth(1).map(|s| s.to_lowercase());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let only = match args.as_slice() {
+        [] => None,
+        [app] if !app.starts_with('-') => Some(app.to_lowercase()),
+        _ => {
+            eprintln!("usage: hotspots [APP]");
+            std::process::exit(2);
+        }
+    };
     println!("== congestion hotspots: traced replay, all codes, both fabrics ==\n");
     let (mut skipped, mut violations) = (0usize, 0usize);
     for app in hotspots() {

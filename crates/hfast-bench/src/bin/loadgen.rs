@@ -15,35 +15,33 @@
 
 use std::process::ExitCode;
 
-use hfast_bench::loadgen;
+use hfast_bench::{run_load, LoadConfig};
 use hfast_serve::{start, Client, Request, ServerConfig};
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))?
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("bad value for {flag}")),
+const USAGE: &str = "usage: loadgen [--addr HOST:PORT] [--connections N] [--requests N] [--seed S]";
+
+/// Applies the `--flag value` pairs in `args` to `config` and returns the
+/// `--addr` value; an unknown flag, a missing value or an unparseable one
+/// is an error.
+fn parse_args(args: &[String], config: &mut LoadConfig) -> Result<Option<String>, String> {
+    let mut addr = None;
+    for pair in args.chunks(2) {
+        let [flag, value] = pair else {
+            return Err(format!("{} needs a value", pair[0]));
+        };
+        let bad = |_| format!("bad value for {flag}");
+        match flag.as_str() {
+            "--addr" => addr = Some(value.clone()),
+            "--connections" => config.connections = value.parse().map_err(bad)?,
+            "--requests" => config.requests_per_connection = value.parse().map_err(bad)?,
+            "--seed" => config.seed = value.parse().map_err(bad)?,
+            _ => return Err(format!("unknown flag {flag}")),
+        }
     }
+    Ok(addr)
 }
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut config = loadgen::LoadConfig::default();
-    if let Some(n) = parse_flag(&args, "--connections")? {
-        config.connections = n;
-    }
-    if let Some(n) = parse_flag(&args, "--requests")? {
-        config.requests_per_connection = n;
-    }
-    if let Some(s) = parse_flag(&args, "--seed")? {
-        config.seed = s;
-    }
-    let addr: Option<String> = parse_flag(&args, "--addr")?;
-
+fn run(addr: Option<String>, config: &LoadConfig) -> Result<(), String> {
     let (addr, server) = match addr {
         Some(addr) => (addr, None),
         None => {
@@ -56,7 +54,7 @@ fn run() -> Result<(), String> {
         "loadgen: {} connections x {} requests (seed {:#x}) -> {addr}",
         config.connections, config.requests_per_connection, config.seed
     );
-    let report = loadgen::run(&addr, &config);
+    let report = run_load(&addr, config);
     println!("{}", report.render());
     if let Some(server) = server {
         let mut client = Client::connect(&addr).map_err(|e| format!("drain connect: {e}"))?;
@@ -72,11 +70,15 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("loadgen: {e}");
-            ExitCode::FAILURE
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut config = LoadConfig::default();
+    let addr = parse_args(&args, &mut config).unwrap_or_else(|e| {
+        eprintln!("loadgen: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
+    if let Err(e) = run(addr, &config) {
+        eprintln!("loadgen: {e}");
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }

@@ -9,19 +9,18 @@
 //! The sections are listed in [`SECTIONS`]; no argument or an unknown name
 //! prints them and exits 2. `experiments` measures the Table 3 grid, prints
 //! a PASS/MISS verdict for every row of the claims ledger
-//! (`hfast_bench::paper::CLAIMS`) and exits 1 if any row misses.
+//! (`hfast_bench::CLAIMS`) and exits 1 if any row misses.
 
 use std::process::ExitCode;
 
-use hfast_apps::meta::TABLE2;
+use hfast_apps::TABLE2;
 use hfast_apps::{all_apps, Cactus, Gtc, Lbmhd, Paratec, Pmemd, SuperLu, STUDY_SIZES};
-use hfast_bench::cell::{cell, PROCS};
-use hfast_bench::figures::app_figure;
-use hfast_bench::measure_app;
-use hfast_bench::paper::{check_claims, measure_grid, published, Quantity, Value, ALL_CODES};
-use hfast_bench::render::{cdf_line, table3_header, table3_rows};
-use hfast_core::bdp::TABLE1_SYSTEMS;
-use hfast_core::cost::AnalyticHfast;
+use hfast_bench::{
+    app_figure, cdf_line, cell, check_claims, measure_app, measure_grid, published, table3_header,
+    table3_rows, Quantity, Value, ALL_CODES, PROCS,
+};
+use hfast_core::AnalyticHfast;
+use hfast_core::TABLE1_SYSTEMS;
 use hfast_core::{
     classify, hfast_fault_impact, localize, seeded_failures, torus_fault_impact, ClassifyConfig,
     Clustered, CostComparison, CostModel, FatTree, PaperLinear, ProvisionConfig, Provisioner,
@@ -44,12 +43,15 @@ const SECTIONS: &[(&str, fn())] = &[
     ("fig2", fig2),
     ("fig3", fig3),
     ("fig4", fig4),
-    ("fig5", fig5),
-    ("fig6", fig6),
-    ("fig7", fig7),
-    ("fig8", fig8),
-    ("fig9", fig9),
-    ("fig10", fig10),
+    // Figures 5-10: volume matrix and TDC-vs-cutoff curves, one app each.
+    ("fig5", || print!("{}", app_figure(&Gtc::default(), 5))),
+    ("fig6", || print!("{}", app_figure(&Cactus::default(), 6))),
+    ("fig7", || print!("{}", app_figure(&Lbmhd::default(), 7))),
+    ("fig8", || print!("{}", app_figure(&SuperLu::default(), 8))),
+    ("fig9", || print!("{}", app_figure(&Pmemd::default(), 9))),
+    ("fig10", || {
+        print!("{}", app_figure(&Paratec::default(), 10))
+    }),
     ("classify", classify_apps),
     ("cost_model", cost_model),
     ("smp", smp),
@@ -245,32 +247,6 @@ fn fig4() {
             100.0 * hist.fraction_at_or_below(100 << 10)
         );
     }
-}
-
-/// Paper Figures 5-10: volume matrix and TDC-vs-cutoff curves, one
-/// application each.
-fn fig5() {
-    print!("{}", app_figure(&Gtc::default(), 5));
-}
-
-fn fig6() {
-    print!("{}", app_figure(&Cactus::default(), 6));
-}
-
-fn fig7() {
-    print!("{}", app_figure(&Lbmhd::default(), 7));
-}
-
-fn fig8() {
-    print!("{}", app_figure(&SuperLu::default(), 8));
-}
-
-fn fig9() {
-    print!("{}", app_figure(&Pmemd::default(), 9));
-}
-
-fn fig10() {
-    print!("{}", app_figure(&Paratec::default(), 10));
 }
 
 /// The §2.5 taxonomy: classify each application into cases i-iv.

@@ -26,7 +26,7 @@
 //! here. An argument filters the app list by substring.
 
 use hfast_apps::all_apps;
-use hfast_bench::cell::{cell, Cell, PROCS};
+use hfast_bench::{cell, Cell, PROCS};
 use hfast_core::{CostComparison, CostModel, Strategy};
 use hfast_netsim::{CreditConfig, Simulation};
 use hfast_trace::{congestion_trees, rank_hotspots, TraceRecorder};
@@ -94,12 +94,16 @@ fn print_row(strategy: Strategy, cell: &Cell) {
 }
 
 fn main() {
-    let filter: Option<String> = std::env::args().nth(1).map(|s| s.to_lowercase());
-    if filter.as_ref().is_some_and(|f| f.starts_with('-')) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let filter = match args.as_slice() {
+        [] => None,
         // No flags: validation and delivery are tests/provision_bakeoff.rs.
-        eprintln!("usage: provision_bakeoff [APP]");
-        std::process::exit(2);
-    }
+        [app] if !app.starts_with('-') => Some(app.to_lowercase()),
+        _ => {
+            eprintln!("usage: provision_bakeoff [APP]");
+            std::process::exit(2);
+        }
+    };
 
     println!("== provisioner bake-off: apps x strategies at P = {PROCS} ==\n");
     for app in &all_apps() {

@@ -3,7 +3,7 @@
 //! the capture breaks the trace contract. `--trace-out FILE` keeps the
 //! Chrome trace-event / Perfetto JSON document.
 
-use hfast_bench::capture::{capture, PROCS};
+use hfast_bench::{capture, CAPTURE_PROCS};
 use hfast_ipm::format_bytes;
 use hfast_trace::aggregate;
 
@@ -18,7 +18,7 @@ fn main() {
         }
     };
 
-    println!("== causal trace capture: GTC, P = {PROCS} ==\n");
+    println!("== causal trace capture: GTC, P = {CAPTURE_PROCS} ==\n");
     let cap = capture();
     println!("world run: {} rank spans recorded", cap.world_spans);
     let flows = &cap.cell.flows;

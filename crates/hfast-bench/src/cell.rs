@@ -18,7 +18,7 @@ use hfast_topology::{CommGraph, BDP_CUTOFF};
 pub const PROCS: usize = 64;
 
 /// The paper's fat tree (§5.3): 8-port switches, sized to the cell.
-pub const FAT_TREE: FabricSpec = FabricSpec::FatTree { ports: 8 };
+pub(crate) const FAT_TREE: FabricSpec = FabricSpec::FatTree { ports: 8 };
 
 /// One application's traffic at one scale.
 #[derive(Debug, Clone)]
@@ -41,14 +41,14 @@ pub fn cell(app: &dyn CommKernel, procs: usize) -> Cell {
 
 /// `spec` built for `graph`, HFAST provisioned by `PaperLinear` under
 /// the default config.
-pub fn fabric(spec: FabricSpec, graph: &CommGraph) -> Box<dyn Fabric + Send> {
+pub(crate) fn fabric(spec: FabricSpec, graph: &CommGraph) -> Box<dyn Fabric + Send> {
     spec.build(graph, ProvisionConfig::default(), Strategy::PaperLinear)
         .unwrap_or_else(|e| panic!("{spec:?}: {e}"))
 }
 
 impl Cell {
     /// The cell of an already measured graph.
-    pub fn new(name: &'static str, graph: CommGraph) -> Cell {
+    pub(crate) fn new(name: &'static str, graph: CommGraph) -> Cell {
         let flows = traffic::flows_from_graph(&graph, BDP_CUTOFF);
         Cell { name, graph, flows }
     }
@@ -63,7 +63,7 @@ impl Cell {
     }
 
     /// The 8-port fat tree.
-    pub fn fat_tree(&self) -> Box<dyn Fabric + Send> {
+    pub(crate) fn fat_tree(&self) -> Box<dyn Fabric + Send> {
         fabric(FAT_TREE, &self.graph)
     }
 

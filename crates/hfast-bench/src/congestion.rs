@@ -16,7 +16,7 @@
 //! [`CongestionMode::Credit`]: hfast_netsim::CongestionMode::Credit
 
 use hfast_core::{ProvisionConfig, Strategy};
-use hfast_netsim::scenario::tenant_slowdown;
+use hfast_netsim::tenant_slowdown;
 use hfast_netsim::{
     traffic, CreditConfig, Fabric, Flow, HfastFabric, Scenario, ScenarioKind, Simulation,
     TorusFabric,
@@ -26,12 +26,12 @@ use hfast_trace::{congestion_trees, rank_hotspots, utilization_spread, TraceReco
 use crate::cell::{fabric, FAT_TREE};
 
 /// Endpoint universe for every scenario (one pod-rich fat tree's worth).
-pub const NODES: usize = 64;
+pub const LAB_NODES: usize = 64;
 /// One seed defines the whole lab.
-pub const SEED: u64 = 0xC0DE;
+pub const LAB_SEED: u64 = 0xC0DE;
 /// Buffer slots per link: shallow buffers make trees form fast, which is
 /// the point — the lab studies spread, not capacity.
-pub const CREDITS: u32 = 1;
+pub const LAB_CREDITS: u32 = 1;
 
 /// Everything a cell's traced credit-mode replay is judged on.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,25 +107,20 @@ impl Lab {
                 }
             }
         }
-        if self.incast_fat_tree_off_root() == 0 {
+        let incast = self.rows.iter().find(|r| r.kind == ScenarioKind::Incast);
+        if incast.map_or(0, |r| r.fat_tree.off_root) == 0 {
             out.push(
                 "fat-tree incast produced no off-root victims — no congestion tree".to_string(),
             );
         }
         out
     }
-
-    /// Off-root victims of the fat tree's incast cell (0 if absent).
-    pub fn incast_fat_tree_off_root(&self) -> usize {
-        let incast = self.rows.iter().find(|r| r.kind == ScenarioKind::Incast);
-        incast.map_or(0, |r| r.fat_tree.off_root)
-    }
 }
 
 fn run_cell(fabric: &dyn Fabric, flows: &[Flow]) -> CellMetrics {
     let rec = TraceRecorder::new();
     let out = Simulation::new(fabric)
-        .with_congestion(CreditConfig::credit(CREDITS))
+        .with_congestion(CreditConfig::credit(LAB_CREDITS))
         .with_trace(&rec)
         .run(flows);
     let spans = rec.snapshot();
@@ -149,7 +144,7 @@ fn run_cell(fabric: &dyn Fabric, flows: &[Flow]) -> CellMetrics {
 /// eventloop suite pins in full.
 fn ideal_identity() -> (u64, u64) {
     let torus = TorusFabric::new((4, 4, 2)).unwrap();
-    let flows = traffic::uniform_random(32, 2_000, 4096, 500_000, SEED);
+    let flows = traffic::uniform_random(32, 2_000, 4096, 500_000, LAB_SEED);
     let plain = Simulation::new(&torus).detailed().run(&flows).digest();
     let ideal = Simulation::new(&torus)
         .with_congestion(CreditConfig::default())
@@ -165,7 +160,7 @@ fn light_tenant_slowdown(scenario: &Scenario, fabric: &dyn Fabric) -> f64 {
     let (flows, tenants) = scenario.flows_with_tenants();
     let run = |fs: &[Flow]| {
         Simulation::new(fabric)
-            .with_congestion(CreditConfig::credit(CREDITS))
+            .with_congestion(CreditConfig::credit(LAB_CREDITS))
             .detailed()
             .run(fs)
             .records()
@@ -179,15 +174,15 @@ fn light_tenant_slowdown(scenario: &Scenario, fabric: &dyn Fabric) -> f64 {
     tenant_slowdown(&tenants, &shared, &solos)[1].slowdown
 }
 
-/// Runs the grid: every [`ScenarioKind`] preset at [`NODES`] endpoints
-/// and [`SEED`], on an 8-port fat tree and on HFAST provisioned by every
-/// [`Strategy`], under [`CREDITS`]-slot credit flow control.
+/// Runs the grid: every [`ScenarioKind`] preset at [`LAB_NODES`] endpoints
+/// and [`LAB_SEED`], on an 8-port fat tree and on HFAST provisioned by every
+/// [`Strategy`], under [`LAB_CREDITS`]-slot credit flow control.
 pub fn lab() -> Lab {
     let ideal_identity = ideal_identity();
     let rows = ScenarioKind::ALL
         .into_iter()
         .map(|kind| {
-            let scenario = Scenario::preset(kind, NODES, SEED);
+            let scenario = Scenario::preset(kind, LAB_NODES, LAB_SEED);
             let graph = scenario.comm_graph();
             let fat = fabric(FAT_TREE, &graph);
             scenario

@@ -4,12 +4,13 @@
 //! of the paper by section name (see DESIGN.md's experiment index), the
 //! measured reproduction next to the paper's published values where the
 //! paper gives numbers. Those values live once, in the claims ledger
-//! ([`paper::CLAIMS`]): `paper experiments` prints a PASS/MISS verdict per
+//! ([`CLAIMS`]): `paper experiments` prints a PASS/MISS verdict per
 //! row and the tier-1 test `tests/paper_table3.rs` asserts every row. Beside it
-//! sit the serving load generator ([`loadgen`]), the [`cell`] every
+//! sit the serving load generator ([`run_load`]), the [`cell()`] every
 //! traffic replay is built from, and four experiments, each printed by a
-//! bin and asserted by a tier-1 test: [`faults`] (`tests/fault_replay.rs`),
-//! [`congestion`], [`hotspots`] and [`capture`] (`tests/trace_capture.rs`).
+//! bin and asserted by a tier-1 test: [`goodput_grid`]
+//! (`tests/fault_replay.rs`), [`lab`], [`hotspots()`] and [`capture()`]
+//! (`tests/trace_capture.rs`).
 //! Performance is measured by the standalone `benchmark/` package.
 //!
 //! Run the full reproduction with its ledger verdicts:
@@ -18,18 +19,29 @@
 //! cargo run --release -p hfast-bench --bin paper -- experiments
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod capture;
-pub mod cell;
-pub mod congestion;
-pub mod faults;
-pub mod figures;
-pub mod hotspots;
-pub mod loadgen;
-pub mod measure;
-pub mod paper;
-pub mod render;
+mod capture;
+mod cell;
+mod congestion;
+mod faults;
+mod figures;
+mod hotspots;
+mod loadgen;
+mod measure;
+mod paper;
+mod render;
 
-pub use loadgen::{LoadConfig, LoadReport};
-pub use measure::{measure_app, measure_cells, AppRow};
+pub use capture::{capture, Capture, PROCS as CAPTURE_PROCS};
+pub use cell::{cell, Cell, PROCS};
+pub use congestion::{lab, CellMetrics, Lab, ScenarioRow, LAB_CREDITS, LAB_NODES, LAB_SEED};
+pub use faults::{goodput_grid, GoodputCell, GoodputRow, RATES};
+pub use figures::app_figure;
+pub use hotspots::{hotspots, AppHotspots, Ranking};
+pub use loadgen::{run_load, LoadConfig, LoadReport};
+pub use measure::{measure_app, AppRow};
+pub use paper::{
+    check_claims, measure_grid, published, table3_markdown, Check, Claim, Quantity, Stat, Value,
+    Verdict, ALL_CODES, CLAIMS,
+};
+pub use render::{cdf_line, table3_header, table3_rows};

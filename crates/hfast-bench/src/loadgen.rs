@@ -12,12 +12,12 @@
 use std::time::Instant;
 
 use hfast_obs::Histogram;
-use hfast_par::rng::Rng64;
+use hfast_par::Rng64;
 use hfast_serve::{AppSpec, Client, FabricSpec, Request, Response};
-use hfast_topology::fnv::{FNV1A, FNV_OFFSET};
+use hfast_topology::{FNV1A, FNV_OFFSET};
 
 /// The six paper applications (Table 2 names).
-pub const PAPER_APPS: [&str; 6] = ["Cactus", "LBMHD", "GTC", "SuperLU", "PMEMD", "PARATEC"];
+pub(crate) const PAPER_APPS: [&str; 6] = ["Cactus", "LBMHD", "GTC", "SuperLU", "PMEMD", "PARATEC"];
 
 /// Load shape: how many connections, how much work, which seed.
 #[derive(Debug, Clone)]
@@ -80,7 +80,7 @@ pub struct LoadReport {
 /// TDC, and simulate for each paper app at `procs` ranks. Small on
 /// purpose — a sustained mix revisits it, which is what exercises (and
 /// proves out) the daemon's response cache.
-pub fn request_pool(procs: usize) -> Vec<Request> {
+pub(crate) fn request_pool(procs: usize) -> Vec<Request> {
     let mut pool = Vec::new();
     for name in PAPER_APPS {
         let app = AppSpec::Named {
@@ -164,7 +164,7 @@ fn run_connection(
 }
 
 /// Drives `addr` with the configured closed-loop load and reports.
-pub fn run(addr: &str, config: &LoadConfig) -> LoadReport {
+pub fn run_load(addr: &str, config: &LoadConfig) -> LoadReport {
     let pool = request_pool(config.procs);
     if config.warmup {
         if let Ok(mut warm) = Client::connect(addr) {

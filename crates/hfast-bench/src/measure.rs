@@ -66,7 +66,7 @@ pub fn measure_app(app: &dyn CommKernel, procs: usize) -> AppRow {
 /// profile run is independent and internally deterministic, so the output is
 /// byte-identical to measuring the cells one by one (`HFAST_THREADS=1`
 /// forces exactly that).
-pub fn measure_cells(cells: &[(usize, usize)]) -> Vec<AppRow> {
+pub(crate) fn measure_cells(cells: &[(usize, usize)]) -> Vec<AppRow> {
     hfast_par::par_map(cells.to_vec(), |(app_idx, procs)| {
         let apps = hfast_apps::all_apps();
         measure_app(apps[app_idx].as_ref(), procs)

@@ -70,7 +70,7 @@ pub fn table3_header() -> String {
 
 /// Renders a TDC-versus-cutoff sweep (the (b) panels of Figures 5-10) as an
 /// aligned text table with `max` and `avg` series.
-pub fn tdc_sweep_table(graph: &CommGraph, label: &str) -> String {
+pub(crate) fn tdc_sweep_table(graph: &CommGraph, label: &str) -> String {
     let sweep = tdc_sweep(graph, &PAPER_CUTOFFS);
     let mut out = format!("TDC vs cutoff — {label}\n");
     out.push_str(&format!("{:>8} {:>6} {:>8}\n", "cutoff", "max", "avg"));

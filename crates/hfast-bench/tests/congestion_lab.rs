@@ -4,7 +4,7 @@
 //! shows off-root victims, and ideal mode replays byte-identically to
 //! the plain loop.
 
-use hfast_bench::congestion::lab;
+use hfast_bench::lab;
 use hfast_core::Strategy;
 use hfast_netsim::ScenarioKind;
 

@@ -3,7 +3,7 @@
 //! fallback plus circuit repatching) delivers strictly more goodput than
 //! the single-path fat tree on every (app, failure-rate) cell.
 
-use hfast_bench::faults::{goodput_grid, RATES};
+use hfast_bench::{goodput_grid, RATES};
 
 #[test]
 fn hfast_beats_the_fat_tree_on_every_fault_replay_cell() {

@@ -2,7 +2,7 @@
 //! replay, the hottest HFAST transit link is one of the circuits the
 //! provisioner dedicated to the heavy pairs, not the collective tree.
 
-use hfast_bench::hotspots::hotspots;
+use hfast_bench::hotspots;
 
 #[test]
 fn every_apps_hottest_hfast_transit_link_is_a_circuit() {

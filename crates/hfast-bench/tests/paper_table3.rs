@@ -3,14 +3,13 @@
 //! reads it: the Table 3 cells here, then [`claims`] (every row of the
 //! ledger, and EXPERIMENTS.md's rendered Table 3 block), [`classification`]
 //! (the §2.5 and §5.2 verdicts) and [`figures_shape`] (Figures 3-10). The
-//! published values live only in `hfast_bench::paper::CLAIMS`; a miss is
+//! published values live only in `hfast_bench::CLAIMS`; a miss is
 //! named with its section, cell, published value, measured value and
 //! tolerance.
 
 use std::sync::OnceLock;
 
-use hfast_bench::paper::{check_claims, measure_grid, Claim, Quantity, Stat, Verdict, ALL_CODES};
-use hfast_bench::AppRow;
+use hfast_bench::{check_claims, measure_grid, AppRow, Claim, Quantity, Stat, Verdict, ALL_CODES};
 
 /// The twelve Table 3 cells, measured once.
 fn grid() -> &'static [AppRow] {
@@ -152,7 +151,7 @@ fn paratec_256() {
 /// Every row of the ledger holds, and EXPERIMENTS.md's Table 3 block is
 /// the one the ledger renders.
 mod claims {
-    use hfast_bench::paper::table3_markdown;
+    use hfast_bench::table3_markdown;
 
     use super::*;
 

@@ -4,7 +4,7 @@
 //! deadlocks a provisioned fabric).
 
 use hfast_apps::all_apps;
-use hfast_bench::cell::{cell, PROCS};
+use hfast_bench::{cell, PROCS};
 use hfast_core::Strategy;
 use hfast_netsim::{CreditConfig, Simulation};
 

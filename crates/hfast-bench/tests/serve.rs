@@ -4,7 +4,7 @@
 //! hit-rate above 50% on the repeated mix, byte-identical digests across
 //! worker counts, and a clean drain.
 
-use hfast_bench::loadgen::{self, LoadConfig};
+use hfast_bench::{run_load, LoadConfig};
 use hfast_serve::{start, Client, Request, Response, ServerConfig};
 
 fn test_load() -> LoadConfig {
@@ -30,7 +30,7 @@ fn server_config(workers: usize) -> ServerConfig {
 fn digest_with_workers(workers: usize) -> u64 {
     let server = start("127.0.0.1:0", server_config(workers)).expect("bind");
     let addr = server.local_addr().to_string();
-    let report = loadgen::run(&addr, &test_load());
+    let report = run_load(&addr, &test_load());
     assert_eq!(
         report.dropped, 0,
         "dropped responses with {workers} workers"

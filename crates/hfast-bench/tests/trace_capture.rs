@@ -2,7 +2,7 @@
 //! plus HFAST replay in one recorder, exports a document with one track
 //! per rank and per used link, no orphan recv and some linked recvs.
 
-use hfast_bench::capture::capture;
+use hfast_bench::capture;
 
 #[test]
 fn gtc_capture_satisfies_the_trace_contract() {

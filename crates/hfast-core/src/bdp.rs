@@ -69,7 +69,7 @@ pub const TABLE1_SYSTEMS: [InterconnectSpec; 5] = [
 /// The paper's chosen threshold: 2 KB, "the state of the art in current
 /// switch technology and an aggressive goal for future leading-edge switch
 /// technologies".
-pub const TARGET_BDP_BYTES: u64 = 2048;
+pub(crate) const TARGET_BDP_BYTES: u64 = 2048;
 
 #[cfg(test)]
 mod tests {

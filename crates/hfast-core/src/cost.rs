@@ -80,7 +80,7 @@ impl FatTree {
     }
 
     /// Total switch ports in the interconnect.
-    pub fn total_ports(&self) -> usize {
+    pub(crate) fn total_ports(&self) -> usize {
         self.p * self.ports_per_processor()
     }
 
@@ -98,7 +98,7 @@ impl FatTree {
 /// Closed-form HFAST resource estimate for a uniform-degree application at
 /// scales too large to materialize a dense communication graph.
 ///
-/// Matches [`hfast_cost`] exactly for regular topologies where every node
+/// Matches `hfast_cost` exactly for regular topologies where every node
 /// has the same thresholded TDC (verified by tests), which is how the
 /// paper's §5.3 per-node scaling argument is framed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,7 +120,7 @@ impl AnalyticHfast {
     /// Circuit-switch ports in use: 2 per node attachment (node side +
     /// block side) plus 2 per provisioned edge (one block port each side),
     /// with `p·tdc/2` edges.
-    pub fn circuit_ports(&self) -> usize {
+    pub(crate) fn circuit_ports(&self) -> usize {
         2 * self.p + self.p * self.tdc
     }
 
@@ -153,7 +153,7 @@ impl AnalyticHfast {
 }
 
 /// Cost of an HFAST provisioning under a component price model.
-pub fn hfast_cost(prov: &Provisioning, model: &CostModel) -> f64 {
+pub(crate) fn hfast_cost(prov: &Provisioning, model: &CostModel) -> f64 {
     let active = prov.total_block_ports() as f64 * model.packet_port;
     // The passive crossbar provides a port for every patched endpoint
     // (nodes + block ports); it must be sized like an FCN, but at the

@@ -220,7 +220,7 @@ pub fn hfast_fault_impact(
 mod tests {
     use super::*;
     use hfast_topology::generators::{mesh3d_graph, ring_graph};
-    use hfast_topology::tdc::tdc;
+    use hfast_topology::tdc;
 
     #[test]
     fn seeded_failures_are_deterministic_and_distinct() {

@@ -6,27 +6,27 @@
 //! blocks to match each application's *measured* communication topology
 //! instead of paying for a fully connected network.
 //!
-//! * [`bdp`] — bandwidth-delay products and the 2 KB circuit-worthiness
+//! * [`TABLE1_SYSTEMS`] — bandwidth-delay products and the 2 KB circuit-worthiness
 //!   threshold (Table 1).
-//! * [`switch`] — the circuit-switch crossbar and packet-switch block
+//! * [`CircuitSwitch`] — the circuit-switch crossbar and packet-switch block
 //!   component models.
-//! * [`provision`] — the §5.3 linear-time block-assignment algorithm and the
+//! * [`Provisioning`] — the §5.3 linear-time block-assignment algorithm and the
 //!   resulting routed fabric.
-//! * [`clique`] — the clique-aware clustering heuristic the paper proposes
+//! * [`cluster_nodes`] — the clique-aware clustering heuristic the paper proposes
 //!   as future work, which shares blocks inside tightly coupled node groups.
-//! * [`icn`] — the bounded-degree Interconnection Cached Network the paper
+//! * [`icn_embed`] — the bounded-degree Interconnection Cached Network the paper
 //!   compares against (embeds case-ii codes, overflows on case iii).
-//! * [`anneal`] — iterative embedding refinement (§6's adaptive
+//! * [`optimize_clusters`] — iterative embedding refinement (§6's adaptive
 //!   optimization direction).
-//! * [`smp`] — SMP-node bandwidth localization (§5's deferred analysis).
-//! * [`cost`] — fat-tree versus HFAST cost models and comparisons.
-//! * [`classify`](mod@classify) — the §2.5 case i-iv application taxonomy.
-//! * [`reconfig`] — the outcome of one crossbar reconfiguration.
-//! * [`fault`] — node-failure impact, mesh/torus versus HFAST.
+//! * [`localize`] — SMP-node bandwidth localization (§5's deferred analysis).
+//! * [`CostModel`] — fat-tree versus HFAST cost models and comparisons.
+//! * [`classify()`] — the §2.5 case i-iv application taxonomy.
+//! * [`ReconfigStep`] — the outcome of one crossbar reconfiguration.
+//! * [`torus_fault_impact`], [`hfast_fault_impact`] — node-failure impact, mesh/torus versus HFAST.
 //!
 //! ```
 //! use hfast_core::{CostModel, PaperLinear, ProvisionConfig, Provisioner};
-//! use hfast_core::cost::AnalyticHfast;
+//! use hfast_core::AnalyticHfast;
 //! use hfast_topology::generators::mesh3d_graph;
 //!
 //! // A Cactus-like stencil topology at P = 512.
@@ -40,29 +40,32 @@
 //! assert!(crossover.is_some());
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod anneal;
-pub mod bdp;
-pub mod classify;
-pub mod clique;
-pub mod cost;
-pub mod fault;
-pub mod icn;
-pub mod provision;
-pub mod provisioner;
-pub mod reconfig;
-pub mod smp;
-pub mod switch;
+mod anneal;
+mod bdp;
+mod classify;
+mod clique;
+mod cost;
+mod fault;
+mod icn;
+mod provision;
+mod provisioner;
+mod reconfig;
+mod smp;
+mod switch;
 #[cfg(test)]
 mod switch_oracle;
 
 pub use anneal::{optimize_clusters, AnnealOutcome};
-pub use bdp::{InterconnectSpec, TABLE1_SYSTEMS, TARGET_BDP_BYTES};
+pub use bdp::{InterconnectSpec, TABLE1_SYSTEMS};
 pub use classify::{classify, CaseClass, Classification, ClassifyConfig};
 pub use clique::cluster_nodes;
-pub use cost::{hfast_cost, AnalyticHfast, CostComparison, CostModel, FatTree};
-pub use fault::{hfast_fault_impact, remove_nodes, seeded_failures, torus_fault_impact};
+pub use cost::{AnalyticHfast, CostComparison, CostModel, FatTree};
+pub use fault::{
+    hfast_fault_impact, remove_nodes, seeded_failures, torus_fault_impact, HfastFaultReport,
+    MeshFaultReport,
+};
 pub use icn::{embed as icn_embed, IcnConfig, IcnEmbedding, IcnError};
 pub use provision::{ProvisionConfig, Provisioning, Route, Walk};
 pub use provisioner::{
@@ -71,4 +74,4 @@ pub use provisioner::{
 };
 pub use reconfig::ReconfigStep;
 pub use smp::{localize, SmpAssignment};
-pub use switch::{CircuitSwitch, Endpoint, SwitchBlock, SwitchError};
+pub use switch::{CircuitSwitch, Endpoint};

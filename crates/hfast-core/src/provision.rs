@@ -10,8 +10,8 @@
 //! in [`crate::clique`], producing the same [`Provisioning`] structure with
 //! shared blocks.
 
-use hfast_topology::fnv::{Fnv, FNV_OFFSET};
 use hfast_topology::CommGraph;
+use hfast_topology::{Fnv, FNV_OFFSET};
 
 use crate::switch::{pack, unpack, CircuitSwitch, Endpoint, SwitchBlock};
 

@@ -149,13 +149,8 @@ impl GraphDelta {
     }
 
     /// Iterates `((a, b), post-delta stat)` in pair order.
-    pub fn iter(&self) -> impl Iterator<Item = (&(usize, usize), &EdgeStat)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&(usize, usize), &EdgeStat)> {
         self.changes.iter()
-    }
-
-    /// The changed pairs in order.
-    pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.changes.keys().copied()
     }
 }
 
@@ -876,7 +871,7 @@ mod tests {
         let mut after = ring_graph(8, 1 << 20);
         after.add_message(1, 5, 4096);
         let delta = GraphDelta::diff(&before, &after);
-        let pairs: Vec<_> = delta.pairs().collect();
+        let pairs: Vec<_> = delta.iter().map(|(&p, _)| p).collect();
         assert!(pairs.contains(&(0, 4)), "dropped edge noted");
         assert!(pairs.contains(&(1, 5)), "new edge noted");
         assert!(!pairs.contains(&(0, 1)), "unchanged edge not noted");

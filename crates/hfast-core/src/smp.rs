@@ -51,7 +51,7 @@ impl SmpAssignment {
     }
 
     /// Bytes that stay inside shared memory under this placement.
-    pub fn localized_bytes(&self, graph: &CommGraph) -> u64 {
+    pub(crate) fn localized_bytes(&self, graph: &CommGraph) -> u64 {
         graph
             .edges()
             .filter(|&(a, b, _)| self.node_of[a] == self.node_of[b])

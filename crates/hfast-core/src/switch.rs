@@ -26,7 +26,7 @@ impl std::fmt::Display for Endpoint {
 
 /// Errors from circuit-switch operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SwitchError {
+pub(crate) enum SwitchError {
     /// Endpoint already patched to something else.
     EndpointBusy(Endpoint),
     /// Endpoint is not currently patched.
@@ -72,8 +72,6 @@ pub struct CircuitSwitch {
     port_bits: u32,
     /// Occupied slots (2× circuits).
     ports_in_use: usize,
-    /// Number of reconfiguration operations performed (connect/disconnect).
-    reconfigurations: u64,
 }
 
 /// Slot value of an unpatched port.
@@ -114,7 +112,7 @@ impl CircuitSwitch {
     pub const RECONFIG_LATENCY_NS: u64 = 3_000_000;
 
     /// An empty crossbar.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -204,7 +202,7 @@ impl CircuitSwitch {
     }
 
     /// Patches a bidirectional circuit between two endpoints.
-    pub fn connect(&mut self, a: Endpoint, b: Endpoint) -> Result<(), SwitchError> {
+    pub(crate) fn connect(&mut self, a: Endpoint, b: Endpoint) -> Result<(), SwitchError> {
         if a == b {
             return Err(SwitchError::SelfLoop(a));
         }
@@ -217,23 +215,21 @@ impl CircuitSwitch {
         *self.reach(a) = pack(b);
         *self.reach(b) = pack(a);
         self.ports_in_use += 2;
-        self.reconfigurations += 1;
         Ok(())
     }
 
     /// Tears down the circuit at an endpoint, returning its former peer.
-    pub fn disconnect(&mut self, a: Endpoint) -> Result<Endpoint, SwitchError> {
+    pub(crate) fn disconnect(&mut self, a: Endpoint) -> Result<Endpoint, SwitchError> {
         let b = self.peer(a).ok_or(SwitchError::NotConnected(a))?;
         for e in [a, b] {
             *self.slot_mut(e).expect("a patched endpoint has a slot") = FREE;
         }
         self.ports_in_use -= 2;
-        self.reconfigurations += 1;
         Ok(b)
     }
 
     /// The endpoint a given endpoint is patched to, if any.
-    pub fn peer(&self, a: Endpoint) -> Option<Endpoint> {
+    pub(crate) fn peer(&self, a: Endpoint) -> Option<Endpoint> {
         unpack(self.slot(a)?)
     }
 
@@ -243,18 +239,8 @@ impl CircuitSwitch {
     }
 
     /// Number of ports in use (2× circuits).
-    pub fn ports_in_use(&self) -> usize {
+    pub(crate) fn ports_in_use(&self) -> usize {
         self.ports_in_use
-    }
-
-    /// Total reconfiguration operations so far.
-    pub fn reconfigurations(&self) -> u64 {
-        self.reconfigurations
-    }
-
-    /// Cumulative reconfiguration latency in nanoseconds.
-    pub fn reconfiguration_time_ns(&self) -> u64 {
-        self.reconfigurations * Self::RECONFIG_LATENCY_NS
     }
 
     /// Iterates over circuits, each pair reported once as `(lower, higher)`,
@@ -266,7 +252,7 @@ impl CircuitSwitch {
 
     /// Verifies the symmetric-pairing invariant, and that the port count
     /// matches the occupied slots.
-    pub fn is_consistent(&self) -> bool {
+    pub(crate) fn is_consistent(&self) -> bool {
         let mut occupied = 0;
         self.slots().all(|(a, b)| {
             occupied += 1;
@@ -293,7 +279,7 @@ impl CircuitSwitch {
 /// the provisioning layer allocates whole blocks and decides what each port
 /// faces (a node, or another block).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SwitchBlock {
+pub(crate) struct SwitchBlock {
     /// Block id within the pool.
     pub id: usize,
     /// Total ports.
@@ -304,10 +290,10 @@ pub struct SwitchBlock {
 
 impl SwitchBlock {
     /// Per-hop latency contributed by a packet switch (≤ 50 ns per §5.3).
-    pub const HOP_LATENCY_NS: u64 = 50;
+    pub(crate) const HOP_LATENCY_NS: u64 = 50;
 
     /// A fresh block with all ports free.
-    pub fn new(id: usize, ports: usize) -> Self {
+    pub(crate) fn new(id: usize, ports: usize) -> Self {
         assert!(ports >= 2, "a switch block needs at least 2 ports");
         SwitchBlock {
             id,
@@ -317,12 +303,12 @@ impl SwitchBlock {
     }
 
     /// Ports not yet allocated.
-    pub fn free_ports(&self) -> usize {
+    pub(crate) fn free_ports(&self) -> usize {
         self.ports - self.allocated
     }
 
     /// Allocates the next free port, returning its index.
-    pub fn allocate_port(&mut self) -> Option<usize> {
+    pub(crate) fn allocate_port(&mut self) -> Option<usize> {
         if self.allocated < self.ports {
             let idx = self.allocated;
             self.allocated += 1;
@@ -333,7 +319,7 @@ impl SwitchBlock {
     }
 
     /// Number of ports allocated so far.
-    pub fn allocated_ports(&self) -> usize {
+    pub(crate) fn allocated_ports(&self) -> usize {
         self.allocated
     }
 }
@@ -357,7 +343,6 @@ mod tests {
         let peer = cs.disconnect(N0).unwrap();
         assert_eq!(peer, B0P0);
         assert_eq!(cs.circuit_count(), 0);
-        assert_eq!(cs.reconfigurations(), 2);
     }
 
     #[test]
@@ -387,17 +372,6 @@ mod tests {
         cs.connect(Endpoint::Node(2), Endpoint::Node(3)).unwrap();
         let pairs: Vec<_> = cs.circuits().collect();
         assert_eq!(pairs.len(), 2);
-    }
-
-    #[test]
-    fn reconfiguration_time_accumulates() {
-        let mut cs = CircuitSwitch::new();
-        cs.connect(N0, N1).unwrap();
-        cs.disconnect(N0).unwrap();
-        assert_eq!(
-            cs.reconfiguration_time_ns(),
-            2 * CircuitSwitch::RECONFIG_LATENCY_NS
-        );
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! in jumps, ids far past any storage, and few enough ports that
 //! `SelfLoop`, `EndpointBusy` on either side and `NotConnected` all occur)
 //! drive both. After every step the result, the `circuits()` sequence,
-//! `circuit_count`, `ports_in_use`, `reconfigurations` and `is_consistent`
-//! must agree.
+//! `circuit_count`, `ports_in_use` and `is_consistent` must agree.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -22,8 +21,6 @@ use crate::switch::{CircuitSwitch, Endpoint, SwitchError};
 struct TreeSwitch {
     /// Symmetric pairing of endpoints.
     circuits: BTreeMap<Endpoint, Endpoint>,
-    /// Number of reconfiguration operations performed (connect/disconnect).
-    reconfigurations: u64,
 }
 
 impl TreeSwitch {
@@ -39,7 +36,6 @@ impl TreeSwitch {
         }
         self.circuits.insert(a, b);
         self.circuits.insert(b, a);
-        self.reconfigurations += 1;
         Ok(())
     }
 
@@ -50,7 +46,6 @@ impl TreeSwitch {
             .ok_or(SwitchError::NotConnected(a))?;
         let back = self.circuits.remove(&b);
         debug_assert_eq!(back, Some(a), "pairing invariant");
-        self.reconfigurations += 1;
         Ok(b)
     }
 
@@ -165,18 +160,16 @@ fn drive(steps: &[Step]) -> (TreeSwitch, CircuitSwitch) {
         let expected = (
             reference.circuit_count(),
             reference.ports_in_use(),
-            reference.reconfigurations,
             reference.is_consistent(),
         );
         let got = (
             switch.circuit_count(),
             switch.ports_in_use(),
-            switch.reconfigurations(),
             switch.is_consistent(),
         );
         if expected != got {
             fail(
-                "(circuit_count, ports_in_use, reconfigurations, is_consistent)",
+                "(circuit_count, ports_in_use, is_consistent)",
                 &expected,
                 &got,
             );

@@ -1,6 +1,6 @@
 //! Property-based tests for provisioning, clustering, and cost models.
 
-use hfast_core::cost::AnalyticHfast;
+use hfast_core::AnalyticHfast;
 use hfast_core::{
     cluster_nodes, hfast_fault_impact, remove_nodes, Clustered, CostModel, FatTree, GraphDelta,
     PaperLinear, ProvisionConfig, Provisioner, Strategy,

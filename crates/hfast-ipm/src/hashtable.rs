@@ -53,7 +53,7 @@ pub struct CallStats {
 impl CallStats {
     /// Folds one observation into the statistics.
     #[inline]
-    pub fn record(&mut self, elapsed_ns: u64) {
+    pub(crate) fn record(&mut self, elapsed_ns: u64) {
         if self.count == 0 {
             self.min_ns = elapsed_ns;
             self.max_ns = elapsed_ns;
@@ -66,7 +66,7 @@ impl CallStats {
     }
 
     /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &CallStats) {
+    pub(crate) fn merge(&mut self, other: &CallStats) {
         if other.count == 0 {
             return;
         }

@@ -33,18 +33,18 @@
 //! assert_eq!(graph.edge(0, 1).bytes, 4096);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod hashtable;
-pub mod profile;
-pub mod report;
-pub mod trace;
-pub mod windows;
-pub mod workload;
+mod hashtable;
+mod profile;
+mod report;
+mod trace;
+mod windows;
+mod workload;
 
 pub use hashtable::{CallKey, CallStats, CallTable};
 pub use profile::{CommProfile, IpmProfiler, ProfileEntry};
 pub use report::{format_bytes, render};
-pub use trace::{from_text, to_text, TraceError};
+pub use trace::{from_text, to_text, TraceError, MAX_PROFILE_SIZE};
 pub use windows::WindowedTdcHook;
 pub use workload::WorkloadStudy;

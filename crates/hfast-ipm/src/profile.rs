@@ -132,18 +132,13 @@ impl IpmProfiler {
     }
 
     /// Profiler with an explicit per-rank hash-table capacity.
-    pub fn with_capacity(size: usize, capacity: usize) -> Self {
+    pub(crate) fn with_capacity(size: usize, capacity: usize) -> Self {
         IpmProfiler {
             size,
             ranks: (0..size)
                 .map(|_| Mutex::new(RankState::new(size, capacity)))
                 .collect(),
         }
-    }
-
-    /// World size this profiler was built for.
-    pub fn size(&self) -> usize {
-        self.size
     }
 
     /// Enters a named code region on `rank` (IPM's region feature, used in
@@ -295,7 +290,7 @@ pub struct CommProfile {
 
 impl CommProfile {
     /// Call counts per kind, transport events excluded.
-    pub fn call_counts(&self) -> BTreeMap<CallKind, u64> {
+    pub(crate) fn call_counts(&self) -> BTreeMap<CallKind, u64> {
         let mut out = BTreeMap::new();
         for e in &self.entries {
             if !e.kind.is_transport() {

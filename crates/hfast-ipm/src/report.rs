@@ -1,6 +1,6 @@
 //! Human-readable profile reports, in the spirit of IPM's banner output.
 
-use hfast_topology::tdc::{tdc, BDP_CUTOFF};
+use hfast_topology::{tdc, BDP_CUTOFF};
 
 use crate::profile::CommProfile;
 

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use hfast_mpi::{CommEvent, CommHook, Scope};
-use hfast_topology::tdc::TdcSummary;
+use hfast_topology::TdcSummary;
 use hfast_topology::{tdc, CommGraph, EdgeStat};
 use std::sync::Mutex;
 
@@ -40,16 +40,11 @@ impl WindowedTdcHook {
         }
     }
 
-    /// Window length in nanoseconds.
-    pub fn window_ns(&self) -> u64 {
-        self.window_ns
-    }
-
     /// Communication graphs per window, in window order.
     ///
     /// Missing windows (no traffic) are skipped; the returned index is the
     /// window number (start time = index × window length).
-    pub fn graphs(&self) -> Vec<(u64, CommGraph)> {
+    pub(crate) fn graphs(&self) -> Vec<(u64, CommGraph)> {
         let mut merged: BTreeMap<u64, Vec<(usize, usize, EdgeStat)>> = BTreeMap::new();
         for (rank, state) in self.ranks.iter().enumerate() {
             let windows = state.lock().expect("profiler mutex poisoned");

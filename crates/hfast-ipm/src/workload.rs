@@ -7,40 +7,9 @@
 //! topology fits a given interconnect class, and the switch-block demand of
 //! running the whole workload on one HFAST machine.
 
-use hfast_topology::{tdc, BufferHistogram, CommGraph};
+use hfast_topology::{tdc, BufferHistogram};
 
 use crate::profile::CommProfile;
-
-/// Merges another profile of the *same world size* into `self`, summing
-/// call statistics and traffic volumes (e.g. several runs of one code, or
-/// one code's phases).
-impl CommProfile {
-    /// Merges `other` into `self`. Panics if the sizes differ.
-    pub fn merge(&mut self, other: &CommProfile) {
-        assert_eq!(
-            self.size, other.size,
-            "can only merge profiles of equal world size"
-        );
-        for entry in &other.entries {
-            match self
-                .entries
-                .iter_mut()
-                .find(|e| e.kind == entry.kind && e.bytes == entry.bytes)
-            {
-                Some(mine) => mine.stats.merge(&entry.stats),
-                None => self.entries.push(*entry),
-            }
-        }
-        self.entries.sort_by_key(|e| (e.kind, e.bytes));
-        for (mine, theirs) in self.api_volume.iter_mut().zip(&other.api_volume) {
-            mine.merge(theirs);
-        }
-        for (mine, theirs) in self.wire_volume.iter_mut().zip(&other.wire_volume) {
-            mine.merge(theirs);
-        }
-        self.overflow += other.overflow;
-    }
-}
 
 /// A collection of named application profiles analyzed as one workload.
 #[derive(Debug, Clone, Default)]
@@ -67,11 +36,6 @@ impl WorkloadStudy {
     /// True when no profiles were added.
     pub fn is_empty(&self) -> bool {
         self.profiles.is_empty()
-    }
-
-    /// The profiles in insertion order.
-    pub fn profiles(&self) -> impl Iterator<Item = (&str, &CommProfile)> {
-        self.profiles.iter().map(|(n, p)| (n.as_str(), p))
     }
 
     /// Combined collective buffer-size histogram (Figure 3, all codes).
@@ -105,15 +69,6 @@ impl WorkloadStudy {
             .count();
         fit as f64 / self.profiles.len() as f64
     }
-
-    /// Per-code communication graphs, for workload-wide provisioning
-    /// studies (one machine, many jobs).
-    pub fn graphs(&self) -> Vec<(&str, CommGraph)> {
-        self.profiles
-            .iter()
-            .map(|(n, p)| (n.as_str(), p.comm_graph()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -143,36 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counts_and_volumes() {
-        let mut a = sample(4, 1000, 2);
-        let b = sample(4, 1000, 3);
-        let calls_a = a.total_calls();
-        let calls_b = b.total_calls();
-        let vol_a = a.comm_graph().total_bytes();
-        a.merge(&b);
-        assert_eq!(a.total_calls(), calls_a + calls_b);
-        assert_eq!(a.comm_graph().total_bytes(), vol_a * 5 / 2);
-    }
-
-    #[test]
-    fn merge_combines_distinct_buffer_sizes() {
-        let mut a = sample(2, 100, 1);
-        let b = sample(2, 9999, 1);
-        a.merge(&b);
-        let hist = a.ptp_buffer_histogram();
-        assert!(hist.entries().any(|(s, _)| s == 100));
-        assert!(hist.entries().any(|(s, _)| s == 9999));
-    }
-
-    #[test]
-    #[should_panic(expected = "equal world size")]
-    fn merge_size_mismatch_panics() {
-        let mut a = sample(2, 100, 1);
-        let b = sample(4, 100, 1);
-        a.merge(&b);
-    }
-
-    #[test]
     fn study_aggregates_across_codes() {
         let mut study = WorkloadStudy::new();
         study.add("ring-small", sample(6, 512, 2));
@@ -191,7 +116,6 @@ mod tests {
             0.0,
             "uncut, both exceed degree 1"
         );
-        assert_eq!(study.graphs().len(), 2);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use std::collections::BTreeMap;
 
-use hfast_ipm::hashtable::{CallKey, CallTable};
 use hfast_ipm::{from_text, to_text, CommProfile, ProfileEntry};
+use hfast_ipm::{CallKey, CallTable};
 use hfast_mpi::CallKind;
 use hfast_par::{forall, Rng64};
 use hfast_topology::EdgeStat;

@@ -15,7 +15,7 @@
 //! such send pay a futex wake. Which phase delivers a message changes only
 //! timing: each mailbox is FIFO either way, and no result depends on it.
 
-pub use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+pub(crate) use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 
 use std::sync::mpsc::TryRecvError;
 use std::time::{Duration, Instant};
@@ -26,10 +26,10 @@ use std::time::{Duration, Instant};
 /// round gets about three quarters of the saving, and 4, 16 and 64 rounds
 /// are within noise of one another, so the bound is the smallest of those.
 /// A longer bound only adds yields to waits that park anyway.
-pub const YIELD_ROUNDS: u32 = 4;
+pub(crate) const YIELD_ROUNDS: u32 = 4;
 
 /// An unbounded FIFO channel.
-pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
+pub(crate) fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     std::sync::mpsc::channel()
 }
 
@@ -40,7 +40,7 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
 /// returns [`RecvTimeoutError::Timeout`] no earlier than `timeout` after the
 /// call; a mailbox whose senders are all gone returns
 /// [`RecvTimeoutError::Disconnected`] once it is drained.
-pub fn recv_wait<T>(rx: &Receiver<T>, timeout: Duration) -> Result<T, RecvTimeoutError> {
+pub(crate) fn recv_wait<T>(rx: &Receiver<T>, timeout: Duration) -> Result<T, RecvTimeoutError> {
     let start = Instant::now();
     for _ in 0..YIELD_ROUNDS {
         match rx.try_recv() {

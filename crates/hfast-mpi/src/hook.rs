@@ -256,7 +256,7 @@ pub trait CommHook: Send + Sync {
 
 /// A hook that discards all events.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NullHook;
+pub(crate) struct NullHook;
 
 impl CommHook for NullHook {
     #[inline]
@@ -273,24 +273,24 @@ pub(crate) struct RecordingHook {
 #[cfg(test)]
 impl RecordingHook {
     /// Creates an empty recorder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Takes the recorded events, sorted by start time.
-    pub fn take(&self) -> Vec<CommEvent> {
+    pub(crate) fn take(&self) -> Vec<CommEvent> {
         let mut evs = std::mem::take(&mut *self.events.lock().expect("recording hook poisoned"));
         evs.sort_by_key(|e| (e.t_start_ns, e.rank));
         evs
     }
 
     /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.lock().expect("recording hook poisoned").len()
     }
 
     /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

@@ -43,7 +43,7 @@
 //! assert_eq!(results, vec![3, 0, 1, 2]);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod bytes;
 mod chan;

@@ -140,7 +140,7 @@ impl ReduceOp {
 
 /// A message in flight: payload plus routing metadata.
 #[derive(Debug, Clone)]
-pub struct Envelope {
+pub(crate) struct Envelope {
     /// Sending rank.
     pub src: Rank,
     /// Message tag.

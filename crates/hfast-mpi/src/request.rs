@@ -71,7 +71,7 @@ pub(crate) struct Matcher {
 impl Matcher {
     /// Posts a receive, matching it at once to the earliest-arrived
     /// acceptable unexpected envelope if there is one.
-    pub fn post(&mut self, src: SrcSel, tag: TagSel) -> RecvHandle {
+    pub(crate) fn post(&mut self, src: SrcSel, tag: TagSel) -> RecvHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
         let handle = RecvHandle {
@@ -97,7 +97,7 @@ impl Matcher {
 
     /// Delivers an envelope off the wire to the earliest-posted receive that
     /// accepts it, or queues it as unexpected.
-    pub fn arrive(&mut self, env: Envelope) {
+    pub(crate) fn arrive(&mut self, env: Envelope) {
         let first = |src: Rank| {
             self.waiting
                 .range((src, 0)..=(src, u64::MAX))
@@ -125,19 +125,19 @@ impl Matcher {
     /// handle; [`describe`](Self::describe) tells the two apart. One lookup
     /// among the matched-but-untaken receives, so polling a long request
     /// list (`waitany`) stays cheap.
-    pub fn take(&mut self, h: RecvHandle) -> Option<Envelope> {
+    pub(crate) fn take(&mut self, h: RecvHandle) -> Option<Envelope> {
         self.matched.remove(&h.seq)
     }
 
     /// Withdraws a still-unmatched receive (a blocking receive whose wait
     /// failed) so it cannot claim a later envelope.
-    pub fn cancel(&mut self, h: RecvHandle) {
+    pub(crate) fn cancel(&mut self, h: RecvHandle) {
         self.waiting.remove(&(h.src, h.seq));
     }
 
     /// Selectors of a still-unmatched receive (for timeout diagnostics);
     /// `None` once it is matched, taken or cancelled.
-    pub fn describe(&self, h: RecvHandle) -> Option<(SrcSel, TagSel)> {
+    pub(crate) fn describe(&self, h: RecvHandle) -> Option<(SrcSel, TagSel)> {
         let tag = *self.waiting.get(&(h.src, h.seq))?;
         let src = if h.src == ANY_SOURCE {
             SrcSel::Any
@@ -148,12 +148,12 @@ impl Matcher {
     }
 
     /// Number of posted-but-uncompleted receives.
-    pub fn outstanding(&self) -> usize {
+    pub(crate) fn outstanding(&self) -> usize {
         self.waiting.len() + self.matched.len()
     }
 
     /// Number of unexpected (arrived, unmatched) envelopes.
-    pub fn unexpected_depth(&self) -> usize {
+    pub(crate) fn unexpected_depth(&self) -> usize {
         self.unexpected.len()
     }
 

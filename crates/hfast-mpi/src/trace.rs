@@ -21,7 +21,7 @@ use crate::Rank;
 
 /// One rank's tracing state: recorder handle, span-id counter, Lamport
 /// clock.
-pub struct CommTrace {
+pub(crate) struct CommTrace {
     recorder: Arc<TraceRecorder>,
     trace_id: u64,
     rank: Rank,
@@ -31,7 +31,7 @@ pub struct CommTrace {
 
 impl CommTrace {
     /// Tracing state for `rank`, recording into `recorder`.
-    pub fn new(recorder: Arc<TraceRecorder>, trace_id: u64, rank: Rank) -> Self {
+    pub(crate) fn new(recorder: Arc<TraceRecorder>, trace_id: u64, rank: Rank) -> Self {
         CommTrace {
             recorder,
             trace_id,

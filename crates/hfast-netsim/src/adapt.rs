@@ -17,7 +17,7 @@
 //!
 //! ```
 //! use hfast_core::{ProvisionConfig, Strategy};
-//! use hfast_netsim::adapt::AdaptiveReplay;
+//! use hfast_netsim::AdaptiveReplay;
 //! use hfast_netsim::traffic::flows_from_graph;
 //! use hfast_topology::generators::ring_graph;
 //!
@@ -119,11 +119,6 @@ impl AdaptiveReplay {
             strategy: Strategy::PaperLinear,
             initial: CommGraph::new(n),
         }
-    }
-
-    /// The live fabric (adapted to everything observed so far).
-    pub fn fabric(&self) -> &HfastFabric {
-        &self.fabric
     }
 
     /// Fraction of `observed`'s above-cutoff bytes whose endpoints have a
@@ -257,7 +252,7 @@ mod tests {
             assert_eq!(report.step.strategy, "paper_linear");
             assert!(report.step.edges_touched >= 1, "the chord is new traffic");
             // Next window: the chord now rides a dedicated circuit.
-            let path = replay.fabric().path(a, b).unwrap();
+            let path = replay.fabric.path(a, b).unwrap();
             assert_eq!(path.len(), 3, "window {w} chord got a circuit");
         }
     }
@@ -280,8 +275,8 @@ mod tests {
         assert_eq!(report.step.strategy, "bff_circuit");
         // The rebuilt fabric routes the new pair off the slow tree (BFF
         // may even marry the two onto one shared chain).
-        let p = replay.fabric().path(2, 9).unwrap();
-        assert_eq!(replay.fabric().link_class(p[0]), "fiber");
+        let p = replay.fabric.path(2, 9).unwrap();
+        assert_eq!(replay.fabric.link_class(p[0]), "fiber");
         // Another window of identical traffic: the cumulative byte counts
         // still shift, so a scratch strategy rebuilds again — correct but
         // paying the full cost the incremental path avoids.
@@ -305,21 +300,21 @@ mod tests {
         let mut flows = flows_from_graph(&ring, 2048);
         flows.push(chord(3, 11));
         replay.window(&flows);
-        let chord_path = replay.fabric().path(3, 11).unwrap();
+        let chord_path = replay.fabric.path(3, 11).unwrap();
         assert_eq!(chord_path.len(), 3, "the chord rides a circuit");
         assert_eq!(replay.cache.cached(3, 11), Some(Some(&chord_path[..])));
-        let stable = replay.fabric().path(6, 7).unwrap();
+        let stable = replay.fabric.path(6, 7).unwrap();
         assert_eq!(replay.cache.cached(6, 7), Some(Some(&stable[..])));
 
         let step = replay.adapt(&ring);
         assert!(step.edges_touched >= 1, "the chord's circuit came down");
         assert!(!replay.cache.is_empty(), "removal stays incremental");
-        let fallback = replay.fabric().path(3, 11).unwrap();
+        let fallback = replay.fabric.path(3, 11).unwrap();
         assert_eq!(fallback.len(), 2);
-        assert_eq!(replay.fabric().link_class(fallback[0]), "tree");
+        assert_eq!(replay.fabric.link_class(fallback[0]), "tree");
         assert_eq!(replay.cache.cached(3, 11), None, "chord route evicted");
         assert_eq!(replay.cache.cached(6, 7), Some(Some(&stable[..])));
-        assert_eq!(replay.fabric().path(6, 7).unwrap(), stable);
+        assert_eq!(replay.fabric.path(6, 7).unwrap(), stable);
     }
 
     #[test]
@@ -389,7 +384,7 @@ mod tests {
                 (step.coverage_after - 1.0).abs() < 1e-12,
                 "{s} covers a ring"
             );
-            replay.fabric().provisioning().validate(&ring).unwrap();
+            replay.fabric.provisioning().validate(&ring).unwrap();
         }
     }
 

@@ -8,7 +8,7 @@
 //! and meets the fabric's links through one narrow seam, the
 //! `LinkModel`: `IdealFifo` (virtual cut-through over ideal FIFO
 //! links, here) or `CreditBuffers` (finite credit buffers,
-//! [`crate::congestion`]). Nothing selects a "fault loop" or a "lean
+//! `congestion.rs`). Nothing selects a "fault loop" or a "lean
 //! loop": with an empty [`FaultPlan`] the control schedule is empty, no
 //! link ever carries its down bit, and the per-event work is a merged
 //! pop, one arena load, one link claim, and one push.
@@ -147,7 +147,7 @@ impl PathCache {
     /// The current route for a pair: `None` if the pair was never resolved
     /// or its entry is stale, `Some(None)` if the fabric has no route,
     /// `Some(Some(path))` otherwise.
-    pub fn cached(&self, src: usize, dst: usize) -> Option<Option<&[LinkId]>> {
+    pub(crate) fn cached(&self, src: usize, dst: usize) -> Option<Option<&[LinkId]>> {
         let &slot = self.slot_of_pair.get(&pair_key(src, dst))?;
         if self.state[slot as usize] & STALE_BIT != 0 {
             return None;
@@ -430,7 +430,7 @@ pub struct LoopPerf {
 
 impl LoopPerf {
     /// Events per wall-clock second, `0.0` for an instant loop.
-    pub fn events_per_sec(&self) -> f64 {
+    pub(crate) fn events_per_sec(&self) -> f64 {
         if self.loop_ns == 0 {
             0.0
         } else {
@@ -642,7 +642,7 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Selects the link model (see [`crate::congestion`]).
+    /// Selects the link model (see [`CongestionMode`]).
     /// [`CongestionMode::Ideal`] — the default — is virtual cut-through
     /// over ideal FIFO links. [`CongestionMode::Credit`] swaps in
     /// credit-based flow control: finite per-link buffers, head-of-line

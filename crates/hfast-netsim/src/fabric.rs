@@ -24,7 +24,7 @@ pub struct LinkSpec {
 
 impl LinkSpec {
     /// A healthy default cluster link: 1 GB/s, 50 ns switch processing.
-    pub const DEFAULT: LinkSpec = LinkSpec {
+    pub(crate) const DEFAULT: LinkSpec = LinkSpec {
         latency_ns: 50,
         bandwidth: 1.0,
     };

@@ -82,7 +82,7 @@ impl FatTreeFabric {
     }
 
     /// Number of switch levels.
-    pub fn levels(&self) -> usize {
+    pub(crate) fn levels(&self) -> usize {
         self.level_sizes.len()
     }
 

@@ -222,7 +222,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Backoff after `failed_attempts` admissions have failed (1-based).
-    pub fn backoff_ns(&self, failed_attempts: u32) -> u64 {
+    pub(crate) fn backoff_ns(&self, failed_attempts: u32) -> u64 {
         let shift = failed_attempts.saturating_sub(1).min(63);
         self.base_backoff_ns
             .saturating_mul(1u64 << shift)
@@ -231,7 +231,7 @@ impl RetryPolicy {
 
     /// Effective attempt ceiling (the `max_attempts == 0` degenerate case
     /// still admits every flow once).
-    pub fn attempts(&self) -> u32 {
+    pub(crate) fn attempts(&self) -> u32 {
         self.max_attempts.max(1)
     }
 }
@@ -268,13 +268,13 @@ impl FaultState {
     /// True if `link` is usable (neither failed nor blocked by a dead
     /// node).
     #[inline]
-    pub fn link_up(&self, link: LinkId) -> bool {
+    pub(crate) fn link_up(&self, link: LinkId) -> bool {
         self.link_failed.get(link).is_none_or(|&c| c == 0)
             && self.node_blocked.get(link).is_none_or(|&c| c == 0)
     }
 
     /// True if any component is currently down.
-    pub fn any_down(&self) -> bool {
+    pub(crate) fn any_down(&self) -> bool {
         self.node_down.iter().any(|&c| c > 0)
             || self.link_failed.iter().any(|&c| c > 0)
             || self.node_blocked.iter().any(|&c| c > 0)
@@ -288,7 +288,7 @@ impl FaultState {
     /// Links currently down due to an explicit *link* failure (node-caused
     /// outages excluded — a dead node's links cannot be repatched from the
     /// switch side), ascending.
-    pub fn failed_links(&self) -> Vec<LinkId> {
+    pub(crate) fn failed_links(&self) -> Vec<LinkId> {
         self.link_failed
             .iter()
             .enumerate()

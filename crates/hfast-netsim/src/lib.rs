@@ -12,10 +12,10 @@
 //! is deliberately simple — virtual cut-through with ideal FIFO links,
 //! fixed per-link latency + `bytes / bandwidth` serialization: enough to
 //! rank fabrics and expose contention, without modeling virtual channels
-//! or flow control. [`CongestionMode::Credit`] (see [`congestion`]) adds
+//! or flow control. [`CongestionMode::Credit`] (see [`CreditConfig`]) adds
 //! credit-based flow control with finite per-link buffers, so saturation
 //! backs up into upstream links and congestion *trees* form — the
-//! mechanism the scenario generator ([`scenario`]) stresses. DESIGN.md
+//! mechanism the scenario generator ([`Scenario`]) stresses. DESIGN.md
 //! records both substitutions.
 //!
 //! Runtime faults are first-class: a seeded [`FaultPlan`] schedules link
@@ -35,26 +35,26 @@
 //! assert_eq!(stats.completed, flows.len());
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod adapt;
-pub mod congestion;
+mod adapt;
+mod congestion;
 pub mod engine;
-pub mod error;
-pub mod fabric;
-pub mod fattree;
-pub mod faultplan;
-pub mod hfast;
-pub mod obs;
+mod error;
+mod fabric;
+mod fattree;
+mod faultplan;
+mod hfast;
+mod obs;
 mod queue;
-pub mod scenario;
-pub mod stats;
-pub mod torus;
+mod scenario;
+mod stats;
+mod torus;
 pub mod traffic;
-pub mod warm;
+mod warm;
 
 pub use adapt::{AdaptiveReplay, AdaptiveReplayBuilder, WindowReport};
-pub use congestion::{CongestionMode, CreditConfig};
+pub use congestion::{CongestionMode, CreditConfig, DEFAULT_CREDITS};
 pub use engine::{FlowRecord, LoopPerf, PathCache, SimOutput, Simulation};
 pub use error::NetsimError;
 pub use fabric::{Fabric, FabricSpec, LinkId, LinkSpec};
@@ -65,7 +65,7 @@ pub use faultplan::{
 };
 pub use hfast::{AdaptScope, HfastFabric};
 pub use obs::EngineObs;
-pub use scenario::{Scenario, ScenarioKind, TenantSlowdown};
+pub use scenario::{tenant_slowdown, Scenario, ScenarioKind, TenantSlowdown};
 pub use stats::RunStats;
 pub use torus::TorusFabric;
 pub use traffic::Flow;

@@ -8,7 +8,7 @@
 //! `reprovision` spans — is the attached
 //! [`TraceRecorder`](hfast_trace::TraceRecorder)'s.
 
-use hfast_obs::hist::{bucket_index, BUCKETS};
+use hfast_obs::{bucket_index, BUCKETS};
 use hfast_obs::{Counter, Gauge, Histogram};
 
 /// A histogram's worth of observations counted in plain memory: what the

@@ -30,7 +30,7 @@ use crate::traffic::{below, Flow};
 /// under every provisioning cutoff used in this repo, so circuits are
 /// never provisioned *for* the probes — they ride whatever shared
 /// capacity the fabric gives latency-bound traffic.
-pub const BACKGROUND_BYTES: u64 = 1024;
+pub(crate) const BACKGROUND_BYTES: u64 = 1024;
 
 /// The scenario families the generator knows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -72,11 +72,6 @@ impl ScenarioKind {
             ScenarioKind::MultiTenant => "multi_tenant",
             ScenarioKind::Bursty => "bursty",
         }
-    }
-
-    /// Parses [`as_str`](ScenarioKind::as_str) output back.
-    pub fn parse(name: &str) -> Option<ScenarioKind> {
-        ScenarioKind::ALL.into_iter().find(|k| k.as_str() == name)
     }
 
     /// Per-kind salt folded into the user seed so two kinds never share a
@@ -167,7 +162,7 @@ impl Scenario {
     /// 1 is the light latency-sensitive workload).
     ///
     /// Determinism: a pure function of the scenario value. Background
-    /// flows (payload [`BACKGROUND_BYTES`]) follow the foreground in the
+    /// flows (payload `BACKGROUND_BYTES`) follow the foreground in the
     /// returned list, so `records[i]` in a detailed run lines up with
     /// flow `i` here.
     pub fn flows_with_tenants(&self) -> (Vec<Flow>, Vec<u8>) {
@@ -437,10 +432,8 @@ mod tests {
     #[test]
     fn names_round_trip() {
         for kind in ScenarioKind::ALL {
-            assert_eq!(ScenarioKind::parse(kind.as_str()), Some(kind));
             assert_eq!(kind.to_string(), kind.as_str());
         }
-        assert_eq!(ScenarioKind::parse("nope"), None);
     }
 
     #[test]

@@ -29,11 +29,6 @@ impl TorusFabric {
         Ok(TorusFabric { dims, n })
     }
 
-    /// Dimensions.
-    pub fn dims(&self) -> (usize, usize, usize) {
-        self.dims
-    }
-
     /// Link id for leaving `node` in `dir` (0:+x 1:−x 2:+y 3:−y 4:+z 5:−z).
     fn link_id(&self, node: usize, dir: usize) -> LinkId {
         node * DIRS + dir

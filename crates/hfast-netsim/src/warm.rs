@@ -57,23 +57,6 @@ impl SharedPathCache {
         Arc::clone(&self.current.lock().expect("shared cache poisoned"))
     }
 
-    /// Number of routes in the current snapshot.
-    pub fn len(&self) -> usize {
-        self.snapshot().len()
-    }
-
-    /// True when no route has been warmed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Resets to an empty snapshot (required before switching fabrics).
-    /// Runs holding an old snapshot are unaffected.
-    pub fn clear(&self) {
-        let _warm = self.warming.lock().expect("warming lock poisoned");
-        *self.current.lock().expect("shared cache poisoned") = Arc::new(PathCache::new());
-    }
-
     /// Ensures every (src, dst) pair in `flows` is resolved in the
     /// published snapshot, and returns that snapshot.
     ///
@@ -133,7 +116,7 @@ mod tests {
         let torus = TorusFabric::new((4, 4, 1)).unwrap();
         let flows = traffic::alltoall(16, 1 << 10);
         let shared = SharedPathCache::new();
-        assert!(shared.is_empty());
+        assert!(shared.snapshot().is_empty());
         let first = shared.warm(&torus, &flows);
         assert_eq!(first.len(), 16 * 15, "every distinct ordered pair");
         let second = shared.warm(&torus, &flows);
@@ -141,18 +124,6 @@ mod tests {
             Arc::ptr_eq(&first, &second),
             "fully-warm cache republishes nothing"
         );
-    }
-
-    #[test]
-    fn snapshot_survives_clear() {
-        let torus = TorusFabric::new((2, 2, 1)).unwrap();
-        let flows = traffic::alltoall(4, 64);
-        let shared = SharedPathCache::new();
-        shared.warm(&torus, &flows);
-        let old = shared.snapshot();
-        shared.clear();
-        assert!(shared.is_empty());
-        assert_eq!(old.len(), 4 * 3, "readers keep their snapshot");
     }
 
     #[test]
@@ -164,6 +135,6 @@ mod tests {
         let small = shared.warm(&torus, &a);
         let big = shared.warm(&torus, &b);
         assert!(small.len() < big.len());
-        assert_eq!(shared.len(), big.len());
+        assert_eq!(shared.snapshot().len(), big.len());
     }
 }

@@ -57,7 +57,7 @@ pub struct Gauge {
 
 impl Gauge {
     /// A gauge at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Gauge::default()
     }
 
@@ -75,13 +75,13 @@ impl Gauge {
 
     /// Adds one (for level gauges like in-flight request counts).
     #[inline]
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.v.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Subtracts one, saturating at zero even under racing decrements.
     #[inline]
-    pub fn dec(&self) {
+    pub(crate) fn dec(&self) {
         // fetch_update loops only under contention; a level gauge is
         // touched twice per request, so this is never hot.
         let _ = self

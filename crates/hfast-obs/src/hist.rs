@@ -45,7 +45,7 @@ pub fn bucket_index(v: u64) -> usize {
 /// Shared by [`Histogram::quantile`] and the sliding-window aggregator in
 /// [`crate::window`], which sums bucket counts across ring slots before
 /// asking for rolling quantiles — one estimator, one answer.
-pub fn quantile_from_counts(counts: &[u64], q: f64) -> u64 {
+pub(crate) fn quantile_from_counts(counts: &[u64], q: f64) -> u64 {
     let total: u64 = counts.iter().sum();
     if total == 0 {
         return 0;
@@ -124,16 +124,6 @@ impl Histogram {
     /// Sum of observed values (wrapping on overflow).
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Mean observed value, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
     }
 
     /// Snapshot of all bucket counts.
@@ -234,7 +224,6 @@ mod tests {
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 4198);
-        assert!((h.mean() - 4198.0 / 5.0).abs() < 1e-9);
         let counts = h.bucket_counts();
         assert_eq!(counts[0], 1, "one zero");
         assert_eq!(counts[1], 2, "two ones");

@@ -61,28 +61,9 @@ impl JsonObj {
         self
     }
 
-    /// Adds a signed integer field.
-    pub fn i64(mut self, k: &str, v: i64) -> Self {
-        self.key(k);
-        self.buf.push_str(&v.to_string());
-        self
-    }
-
     /// Adds a `usize` field.
     pub fn usize(self, k: &str, v: usize) -> Self {
         self.u64(k, v as u64)
-    }
-
-    /// Adds a float field with shortest-round-trip formatting
-    /// (non-finite values become `null`).
-    pub fn f64(mut self, k: &str, v: f64) -> Self {
-        self.key(k);
-        if v.is_finite() {
-            self.buf.push_str(&format!("{v}"));
-        } else {
-            self.buf.push_str("null");
-        }
-        self
     }
 
     /// Adds a float field with fixed precision (non-finite → `null`).
@@ -153,11 +134,10 @@ mod tests {
         let line = JsonObj::new()
             .str("a", "x")
             .u64("b", 7)
-            .i64("c", -2)
             .bool("d", true)
-            .f64("e", 1.5)
+            .f64_p("e", 1.5, 1)
             .finish();
-        assert_eq!(line, r#"{"a":"x","b":7,"c":-2,"d":true,"e":1.5}"#);
+        assert_eq!(line, r#"{"a":"x","b":7,"d":true,"e":1.5}"#);
     }
 
     #[test]
@@ -169,7 +149,7 @@ mod tests {
     #[test]
     fn non_finite_floats_become_null() {
         let line = JsonObj::new()
-            .f64("nan", f64::NAN)
+            .f64_p("nan", f64::NAN, 2)
             .f64_p("inf", f64::INFINITY, 2)
             .finish();
         assert_eq!(line, r#"{"nan":null,"inf":null}"#);

@@ -6,7 +6,7 @@
 //! runtime, simulator and daemon: cheap always-compiled fixed-footprint
 //! primitives — [`Counter`], [`Gauge`], log-bucketed [`Histogram`]s and a
 //! [`SlidingWindow`] — plus one shared JSON Lines emission path
-//! ([`ToJsonl`] / [`sink`]). Event streams (spans, instants, per-link
+//! ([`ToJsonl`] / [`emit`]). Event streams (spans, instants, per-link
 //! occupancy) are `hfast-trace`'s `TraceRecorder`, not this crate's.
 //!
 //! ## The `HFAST_OBS` switch
@@ -46,20 +46,20 @@
 //! assert_eq!(line, r#"{"event":"summary","sends":1,"size_p50":8191}"#);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod counter;
-pub mod hist;
-pub mod json;
-pub mod serve;
-pub mod sink;
-pub mod window;
+mod counter;
+mod hist;
+mod json;
+mod serve;
+mod sink;
+mod window;
 
 pub use counter::{Counter, Gauge};
-pub use hist::Histogram;
-pub use json::{JsonObj, ToJsonl};
+pub use hist::{bucket_bound, bucket_index, Histogram, BUCKETS};
+pub use json::{escape_into, JsonObj, ToJsonl};
 pub use serve::ServeObs;
-pub use sink::{emit, emit_lines, Sink};
+pub use sink::{emit, emit_lines};
 pub use window::{LaneStats, Outcome, SlidingWindow, WindowSnapshot};
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -85,7 +85,7 @@ pub fn enabled() -> bool {
 }
 
 /// Pure parser behind [`enabled`]: is this `HFAST_OBS` value "on"?
-pub fn switch_is_on(value: Option<&str>) -> bool {
+pub(crate) fn switch_is_on(value: Option<&str>) -> bool {
     match value {
         None => false,
         Some(v) => {

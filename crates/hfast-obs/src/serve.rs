@@ -101,11 +101,6 @@ impl ServeObs {
         self.requests.iter().map(Counter::get).sum()
     }
 
-    /// The endpoint labels, in record-index order.
-    pub fn endpoints(&self) -> &[&'static str] {
-        &self.endpoints
-    }
-
     /// Marks a request admitted (raises the in-flight level and its peak).
     #[inline]
     pub fn request_admitted(&self) {
@@ -122,7 +117,7 @@ impl ServeObs {
     /// The drain-time summary as JSON Lines: one `serve_endpoint` record
     /// per label plus one `serve_summary` record with the aggregate
     /// counters and latency quantiles.
-    pub fn summary_lines(&self) -> Vec<String> {
+    pub(crate) fn summary_lines(&self) -> Vec<String> {
         let mut lines: Vec<String> = self
             .endpoints
             .iter()
@@ -161,7 +156,7 @@ impl ServeObs {
         lines
     }
 
-    /// Exports [`summary_lines`](Self::summary_lines) through the ambient
+    /// Exports `summary_lines` through the ambient
     /// `HFAST_OBS` sink; a no-op when observability is off. Called once on
     /// daemon drain.
     pub fn export(&self) {
@@ -186,7 +181,6 @@ mod tests {
         assert_eq!(obs.requests_for(1), 1);
         assert_eq!(obs.requests_for(7), 0);
         assert_eq!(obs.total_requests(), 3);
-        assert_eq!(obs.endpoints(), &["alpha", "beta"]);
     }
 
     #[test]

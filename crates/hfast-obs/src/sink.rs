@@ -12,7 +12,7 @@ use crate::json::ToJsonl;
 
 /// Resolved export destination.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Sink {
+pub(crate) enum Sink {
     /// Observability is off; exports are dropped.
     Disabled,
     /// JSON Lines to stderr.
@@ -23,7 +23,7 @@ pub enum Sink {
 
 /// Parses an `HFAST_OBS` value into a [`Sink`] (pure; see [`sink`] for the
 /// environment-reading wrapper).
-pub fn parse_sink(value: Option<&str>) -> Sink {
+pub(crate) fn parse_sink(value: Option<&str>) -> Sink {
     if !crate::switch_is_on(value) {
         return Sink::Disabled;
     }
@@ -35,11 +35,11 @@ pub fn parse_sink(value: Option<&str>) -> Sink {
 }
 
 /// The process's export destination per the current environment.
-pub fn sink() -> Sink {
+pub(crate) fn sink() -> Sink {
     parse_sink(std::env::var("HFAST_OBS").ok().as_deref())
 }
 
-/// Writes one line per item to the configured sink. A [`Sink::Disabled`]
+/// Writes one line per item to the configured sink. A `Sink::Disabled`
 /// sink drops everything; I/O errors are reported on stderr and swallowed
 /// (observability must never fail the workload).
 pub fn emit_lines<I>(lines: I)

@@ -100,17 +100,7 @@ pub struct WindowSnapshot {
     pub lanes: Vec<LaneStats>,
 }
 
-impl WindowSnapshot {
-    /// Windowed throughput of one lane in requests per second.
-    pub fn throughput_rps(&self, lane: usize) -> f64 {
-        let count = self.lanes.get(lane).map_or(0, |l| l.count);
-        if self.window_ns == 0 {
-            0.0
-        } else {
-            count as f64 * 1e9 / self.window_ns as f64
-        }
-    }
-}
+impl WindowSnapshot {}
 
 impl SlidingWindow {
     /// A window of `buckets` ring slots of `bucket_ns` each, tracking
@@ -127,12 +117,6 @@ impl SlidingWindow {
             bucket_ns,
             ring: Mutex::new(ring),
         }
-    }
-
-    /// Total width of the window, nanoseconds.
-    pub fn window_ns(&self) -> u64 {
-        let slots = self.ring.lock().expect("window poisoned").len() as u64;
-        slots * self.bucket_ns
     }
 
     /// Records one observation at monotonic time `now_ns` into `lane`.
@@ -246,7 +230,6 @@ mod tests {
         assert_eq!(snap.lanes[1].errors, 1);
         assert_eq!(snap.lanes[2].count, 0);
         assert_eq!(snap.lanes[1].count, 2);
-        assert!((snap.throughput_rps(0) - 1.0 / 8.0).abs() < 1e-12);
     }
 
     #[test]

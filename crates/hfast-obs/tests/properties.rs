@@ -1,7 +1,7 @@
 //! Property tests for the observability primitives.
 
-use hfast_obs::hist::{bucket_bound, bucket_index, BUCKETS};
 use hfast_obs::Histogram;
+use hfast_obs::{bucket_bound, bucket_index, BUCKETS};
 use hfast_par::forall;
 
 #[test]

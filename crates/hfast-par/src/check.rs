@@ -12,7 +12,7 @@
 use crate::rng::Rng64;
 
 /// Default base seed mixed into every property.
-pub const DEFAULT_BASE_SEED: u64 = 0x5EED_CAFE_F00D_D00D;
+pub(crate) const DEFAULT_BASE_SEED: u64 = 0x5EED_CAFE_F00D_D00D;
 
 fn base_seed() -> u64 {
     std::env::var("HFAST_CHECK_SEED")
@@ -31,7 +31,7 @@ fn case_count(requested: usize) -> usize {
 
 /// Seed of case `case` under base seed `base` (exposed so a failing case
 /// can be replayed in isolation).
-pub fn case_seed(base: u64, case: u64) -> u64 {
+pub(crate) fn case_seed(base: u64, case: u64) -> u64 {
     // SplitMix-style mixing keeps neighbouring cases decorrelated.
     Rng64::new(base ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
 }

@@ -15,7 +15,7 @@ use std::sync::Mutex;
 /// means 1; unset falls back to [`std::thread::available_parallelism`].
 /// `HFAST_THREADS=1` selects the sequential path — no threads are spawned
 /// and execution order is the plain left-to-right `map`.
-pub fn thread_count() -> usize {
+pub(crate) fn thread_count() -> usize {
     match std::env::var("HFAST_THREADS") {
         Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
         Err(_) => std::thread::available_parallelism()
@@ -70,7 +70,7 @@ where
         .collect()
 }
 
-/// Maps `f` over `items` on [`thread_count`] workers, returning results in
+/// Maps `f` over `items` on `thread_count()` workers, returning results in
 /// input order.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where

@@ -27,12 +27,6 @@ impl Rng64 {
         z ^ (z >> 31)
     }
 
-    /// A fresh generator whose stream is independent of this one's
-    /// continuation (useful for per-case seeding).
-    pub fn split(&mut self) -> Rng64 {
-        Rng64::new(self.next_u64() ^ 0xA5A5_A5A5_5A5A_5A5A)
-    }
-
     /// Uniform `u64` in `[lo, hi)`. Panics if the range is empty.
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range [{lo}, {hi})");
@@ -129,15 +123,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn split_streams_differ() {
-        let mut r = Rng64::new(1);
-        let mut s = r.split();
-        let a: Vec<u64> = (0..8).map(|_| r.next_u64()).collect();
-        let b: Vec<u64> = (0..8).map(|_| s.next_u64()).collect();
-        assert_ne!(a, b);
     }
 
     #[test]

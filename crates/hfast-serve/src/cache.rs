@@ -122,7 +122,7 @@ impl ResponseCache {
     }
 
     /// Point-in-time statistics across all shards.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         let mut entries = 0u64;
         let mut bytes = 0u64;
         for s in &self.shards {

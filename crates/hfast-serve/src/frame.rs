@@ -76,7 +76,7 @@ impl FrameReader {
 
     /// True when a frame is partially read (drain decisions key on this:
     /// an idle connection can close, a mid-frame one is owed patience).
-    pub fn mid_frame(&self) -> bool {
+    pub(crate) fn mid_frame(&self) -> bool {
         !self.buf.is_empty() || self.target.is_some()
     }
 

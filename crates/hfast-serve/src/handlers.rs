@@ -253,7 +253,7 @@ pub(crate) fn scenario(req: &Request, reg: &Registry) -> Response {
     if bytes.is_some_and(|b| b == 0) {
         return err("bytes must be positive");
     }
-    let credits = credits.unwrap_or(hfast_netsim::congestion::DEFAULT_CREDITS);
+    let credits = credits.unwrap_or(hfast_netsim::DEFAULT_CREDITS);
     if credits == 0 {
         return err("credits must be positive (links need a buffer slot)");
     }

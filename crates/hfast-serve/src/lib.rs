@@ -48,14 +48,14 @@
 //! server.join();
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod cache;
-pub mod client;
+mod client;
 mod frame;
 mod handlers;
-pub mod protocol;
+mod protocol;
 mod registry;
 mod server;
 
@@ -67,8 +67,7 @@ pub use hfast_core::Strategy;
 pub use hfast_netsim::{FabricSpec, ScenarioKind};
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, request_key, AppSpec,
-    FaultSpec, Request, Response, TdcRow, VerbHandler, VerbLatency, VerbSpec, VerbWindow,
-    ENDPOINTS, VERBS,
+    FaultSpec, Request, Response, TdcRow, VerbLatency, VerbWindow, ENDPOINTS,
 };
 pub use registry::Registry;
 pub use server::{start, ServerConfig, ServerHandle};

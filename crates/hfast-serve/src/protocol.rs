@@ -1,7 +1,7 @@
 //! The wire protocol: typed requests and responses, and their canonical
 //! JSON codec.
 //!
-//! Strings are escaped by `hfast_obs::json::escape_into`, floats are
+//! Strings are escaped by `hfast_obs::escape_into`, floats are
 //! rendered with the shortest round-trip `Display` form, and decoding
 //! goes through the in-repo `hfast_trace::json` parser — no external
 //! serialization crates. The encoder is *canonical*: one value has
@@ -35,7 +35,7 @@
 //!   be finite (a non-finite float is *written* as `null`, which does
 //!   not read back).
 //! * **Depth.** The parser refuses input nested deeper than
-//!   `hfast_trace::json::MAX_DEPTH` before any of this runs, so decode
+//!   `hfast_trace::parse`'s `MAX_DEPTH` before any of this runs, so decode
 //!   recursion is bounded whatever the peer sends.
 //! * **Envelope.** The body object is the whole frame. A frame with a
 //!   top-level `"v"` member (the retired `{"v":2,…}` envelopes, or a
@@ -57,10 +57,10 @@ use std::fmt::Write as _;
 
 use hfast_core::Strategy;
 use hfast_netsim::{FabricSpec, ScenarioKind};
-use hfast_obs::json::escape_into;
-use hfast_topology::fnv::{FNV1A, FNV_OFFSET};
+use hfast_obs::escape_into;
 use hfast_topology::{CommGraph, EdgeStat};
-use hfast_trace::json::{self, JsonValue};
+use hfast_topology::{FNV1A, FNV_OFFSET};
+use hfast_trace::JsonValue;
 
 use crate::registry::Registry;
 
@@ -564,7 +564,7 @@ wire_enum! {
 
 /// How a verb is executed.
 #[derive(Debug, Clone, Copy)]
-pub enum VerbHandler {
+pub(crate) enum VerbHandler {
     /// Answered by the server itself (health, stats, metrics, drain),
     /// without a compute permit.
     Server,
@@ -576,7 +576,7 @@ pub enum VerbHandler {
 /// One row of the declarative verb table: everything the server needs to
 /// know about a verb besides its [`Request`] variant declaration.
 #[derive(Debug, Clone, Copy)]
-pub struct VerbSpec {
+pub(crate) struct VerbSpec {
     /// Wire name (`"type"` field) and metric label.
     pub name: &'static str,
     /// True when the response is a pure function of the request and may
@@ -589,7 +589,7 @@ pub struct VerbSpec {
 /// The verb table. Index order is frozen: the first eight rows predate
 /// the table (their metric indexes are pinned by recorded observability),
 /// new verbs append.
-pub const VERBS: [VerbSpec; 10] = [
+pub(crate) const VERBS: [VerbSpec; 10] = [
     VerbSpec {
         name: "health",
         cacheable: false,
@@ -648,7 +648,7 @@ impl Request {
     /// Index of this request's row in [`VERBS`] (and of its label in
     /// [`ENDPOINTS`]) — the only hand-written request-shape match left;
     /// everything else derives from the table or the declaration.
-    pub fn verb_index(&self) -> usize {
+    pub(crate) fn verb_index(&self) -> usize {
         match self {
             Request::Health => 0,
             Request::Stats => 1,
@@ -664,7 +664,7 @@ impl Request {
     }
 
     /// This request's [`VerbSpec`] row.
-    pub fn spec(&self) -> &'static VerbSpec {
+    pub(crate) fn spec(&self) -> &'static VerbSpec {
         &VERBS[self.verb_index()]
     }
 
@@ -680,7 +680,7 @@ impl Request {
     }
 }
 
-/// Metric labels for every endpoint, in [`VERBS`] order.
+/// Metric labels for every endpoint, in `VERBS` order.
 pub const ENDPOINTS: [&str; VERBS.len()] = {
     let mut names = [""; VERBS.len()];
     let mut i = 0;
@@ -793,7 +793,7 @@ wire_enum! {
             /// Built fabrics resident in the registry.
             fabrics: u64,
             /// Lifetime per-verb service-latency quantiles, one row per
-            /// [`VERBS`] entry in table order.
+            /// `VERBS` entry in table order.
             latency: Vec<VerbLatency>,
         },
         /// Provisioning summary for one app graph.
@@ -890,7 +890,7 @@ wire_enum! {
             cache_hits: u64,
             /// Response-cache misses (lifetime).
             cache_misses: u64,
-            /// Rolling per-verb stats, one row per [`VERBS`] entry in table
+            /// Rolling per-verb stats, one row per `VERBS` entry in table
             /// order.
             verbs: Vec<VerbWindow>,
         },
@@ -916,7 +916,7 @@ fn encode<T: Wire>(msg: &T) -> String {
 /// Parses a frame and decodes its body. A top-level `"v"` member is
 /// refused: the body object is the only envelope.
 fn decode<T: Wire>(text: &str) -> Result<T, String> {
-    let v = json::parse(text)?;
+    let v = hfast_trace::parse(text)?;
     match Wire::get_field(&v, "v")? {
         None::<u64> => T::get(&v),
         Some(version) => Err(format!("field \"v\": unsupported wire version {version}")),

@@ -5,8 +5,8 @@
 //! intentionally small-scale (inline graphs, a handful of requests); the
 //! sustained-load version lives in the `hfast-bench` integration suite.
 
-use hfast_par::check::forall;
-use hfast_par::rng::Rng64;
+use hfast_par::forall;
+use hfast_par::Rng64;
 use hfast_serve::{
     decode_request, decode_response, encode_request, encode_response, execute, read_frame,
     request_key, start, write_frame, AppSpec, Client, FabricSpec, FaultSpec, Registry, Request,

@@ -23,8 +23,8 @@ use std::cell::Cell;
 use std::io::Cursor;
 use std::net::TcpStream;
 
-use hfast_par::check::forall;
-use hfast_par::rng::Rng64;
+use hfast_par::forall;
+use hfast_par::Rng64;
 use hfast_serve::{
     decode_request, decode_response, encode_request, encode_response, read_frame, start,
     write_frame, AppSpec, FabricSpec, FaultSpec, FrameError, FramePoll, FrameReader, Request,

@@ -21,7 +21,7 @@ pub fn fcn_utilization(graph: &CommGraph, cutoff: u64) -> f64 {
 ///
 /// `in_upper(v)` assigns each task to a half; the function returns total
 /// bytes on edges whose endpoints land in different halves.
-pub fn bisection_bytes_for(graph: &CommGraph, in_upper: impl Fn(usize) -> bool) -> u64 {
+pub(crate) fn bisection_bytes_for(graph: &CommGraph, in_upper: impl Fn(usize) -> bool) -> u64 {
     let n = graph.n();
     let mut total = 0;
     for a in 0..n {

@@ -59,7 +59,7 @@ impl Fnv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfast_par::check::forall;
+    use hfast_par::forall;
 
     #[test]
     fn zero_run_fold_equals_bytewise_fnv() {

@@ -20,7 +20,7 @@ impl BufferHistogram {
     }
 
     /// Adds `count` calls with the given buffer size.
-    pub fn add(&mut self, bytes: u64, count: u64) {
+    pub(crate) fn add(&mut self, bytes: u64, count: u64) {
         if count > 0 {
             *self.entries.entry(bytes).or_insert(0) += count;
         }
@@ -41,11 +41,6 @@ impl BufferHistogram {
     /// True if no calls were recorded.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Distinct (size, count) pairs in ascending size order.
-    pub fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.entries.iter().map(|(&b, &c)| (b, c))
     }
 
     /// Fraction of calls with buffer size ≤ `bytes` (the y-axis of the
@@ -122,7 +117,7 @@ mod tests {
         h.add(100, 2);
         h.add(2048, 1);
         assert_eq!(h.total(), 6);
-        assert_eq!(h.entries().count(), 2);
+        assert_eq!(h.entries.len(), 2);
     }
 
     #[test]

@@ -13,24 +13,23 @@
 //! (O(P·TDC), the only store), and [`CsrGraph`] freezes one thresholded
 //! slice of it for code that re-reads the same adjacency many times.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod bisection;
-pub mod csr;
-pub mod embedding;
-pub mod fnv;
+mod bisection;
+mod csr;
+mod embedding;
+mod fnv;
 pub mod generators;
-pub mod graph;
-pub mod histogram;
-pub mod matrix;
-pub mod tdc;
+mod graph;
+mod histogram;
+mod matrix;
+mod tdc;
 
 pub use bisection::{bisection_bytes, fcn_utilization};
 pub use csr::CsrGraph;
 pub use embedding::{detect_structure, isotropy, StructureClass};
+pub use fnv::{Fnv, FNV1A, FNV_OFFSET};
 pub use graph::{CommGraph, EdgeStat};
 pub use histogram::BufferHistogram;
 pub use matrix::render_ascii;
-pub use tdc::{
-    degrees_sweep, tdc, tdc_sweep, tdc_sweep_csr, TdcSummary, BDP_CUTOFF, PAPER_CUTOFFS,
-};
+pub use tdc::{tdc, tdc_sweep, tdc_sweep_csr, TdcSummary, BDP_CUTOFF, PAPER_CUTOFFS};

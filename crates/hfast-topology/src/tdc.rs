@@ -48,7 +48,7 @@ pub struct TdcSummary {
 
 impl TdcSummary {
     /// Builds a summary from per-task degrees.
-    pub fn from_degrees(mut degrees: Vec<usize>) -> Self {
+    pub(crate) fn from_degrees(mut degrees: Vec<usize>) -> Self {
         assert!(!degrees.is_empty(), "summary of an empty degree list");
         degrees.sort_unstable();
         let n = degrees.len();
@@ -68,7 +68,7 @@ impl std::fmt::Display for TdcSummary {
 }
 
 /// Per-task thresholded degrees.
-pub fn degrees(graph: &CommGraph, cutoff: u64) -> Vec<usize> {
+pub(crate) fn degrees(graph: &CommGraph, cutoff: u64) -> Vec<usize> {
     (0..graph.n())
         .map(|v| graph.degree_thresholded(v, cutoff))
         .collect()
@@ -122,7 +122,7 @@ fn sweep_kernel(
 /// sorted once; the degrees at all cutoffs then fall out of a single merge
 /// against the sorted cutoff list — `O(E log d + E + n·C)` total versus the
 /// `O(C·E)` of one [`tdc`] rescan per cutoff (`C` cutoffs, max degree `d`).
-pub fn degrees_sweep(csr: &CsrGraph, cutoffs: &[u64]) -> Vec<Vec<usize>> {
+pub(crate) fn degrees_sweep(csr: &CsrGraph, cutoffs: &[u64]) -> Vec<Vec<usize>> {
     sweep_kernel(csr.n(), cutoffs, |v, buf| {
         buf.extend(csr.neighbors_with_stats(v).map(|(_, e)| e.max_msg));
     })
@@ -132,7 +132,7 @@ pub fn degrees_sweep(csr: &CsrGraph, cutoffs: &[u64]) -> Vec<Vec<usize>> {
 /// Figures 5-10.
 ///
 /// Single-pass: sorts each vertex's incident message sizes once and derives
-/// every cutoff's degrees from that ordering (see [`degrees_sweep`]),
+/// every cutoff's degrees from that ordering (see `degrees_sweep`),
 /// reading the graph's rows directly — no CSR snapshot is materialized for
 /// a one-shot sweep. Produces values identical to calling [`tdc`] per
 /// cutoff.

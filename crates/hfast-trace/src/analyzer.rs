@@ -4,9 +4,8 @@
 //! the link began serializing, duration = serialization time, `wait` field
 //! = queueing delay before the link freed up). Folding those intervals per
 //! link yields the congestion picture Jha et al. argue is the diagnosable
-//! unit of interconnect behaviour: busy/wait totals, peak queue depth, and
-//! bucketed utilization/queue-depth timelines, ranked into a hotspot
-//! table.
+//! unit of interconnect behaviour: busy/wait totals, peak queue depth and
+//! utilization, ranked into a hotspot table.
 //!
 //! Credit-mode runs additionally emit `stall` spans (a link's head
 //! blocked, waiting for a credit on the downstream link named by the
@@ -113,71 +112,6 @@ pub fn rank_hotspots(spans: &[SpanRecord]) -> Vec<LinkLoad> {
         .collect();
     loads.sort_by(|a, b| b.busy_ns.cmp(&a.busy_ns).then(a.link.cmp(&b.link)));
     loads
-}
-
-/// Fraction of each of `buckets` equal time slices (over `[0, horizon)`)
-/// that `link` spent serializing. Empty when the link has no hops or the
-/// horizon is zero.
-pub fn utilization_timeline(
-    spans: &[SpanRecord],
-    link: usize,
-    horizon_ns: u64,
-    buckets: usize,
-) -> Vec<f64> {
-    if horizon_ns == 0 || buckets == 0 {
-        return Vec::new();
-    }
-    let mut busy = vec![0u64; buckets];
-    let width = horizon_ns.div_ceil(buckets as u64).max(1);
-    for s in spans {
-        if s.track != Track::Link(link) || !is_hop(s) {
-            continue;
-        }
-        let (start, end) = (s.t_ns, s.t_ns + s.dur_ns);
-        let first = (start / width) as usize;
-        let last = (((end - 1) / width) as usize).min(buckets - 1);
-        for (b, slot) in busy.iter_mut().enumerate().take(last + 1).skip(first) {
-            let b_start = b as u64 * width;
-            let b_end = b_start + width;
-            let overlap = end.min(b_end).saturating_sub(start.max(b_start));
-            *slot += overlap;
-        }
-    }
-    busy.into_iter().map(|b| b as f64 / width as f64).collect()
-}
-
-/// Peak queue depth of `link` within each of `buckets` equal slices of
-/// `[0, horizon)`. A message occupies the queue from its arrival
-/// (`t_ns - wait`) until its serialization ends.
-pub fn queue_depth_timeline(
-    spans: &[SpanRecord],
-    link: usize,
-    horizon_ns: u64,
-    buckets: usize,
-) -> Vec<usize> {
-    if horizon_ns == 0 || buckets == 0 {
-        return Vec::new();
-    }
-    let width = horizon_ns.div_ceil(buckets as u64).max(1);
-    let mut edges: Vec<(u64, i32)> = Vec::new();
-    for s in spans {
-        if s.track != Track::Link(link) || !is_hop(s) {
-            continue;
-        }
-        edges.push((s.t_ns.saturating_sub(wait_of(s)), 1));
-        edges.push((s.t_ns + s.dur_ns, -1));
-    }
-    edges.sort_by_key(|&(t, d)| (t, d));
-    let mut out = vec![0usize; buckets];
-    let mut depth = 0i32;
-    for (t, d) in edges {
-        depth += d;
-        if d > 0 {
-            let b = ((t / width) as usize).min(buckets - 1);
-            out[b] = out[b].max(depth.max(0) as usize);
-        }
-    }
-    out
 }
 
 /// How unevenly busy time is distributed across the links that carried
@@ -395,30 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_timeline_buckets_overlap() {
-        // One 50 ns hop over a 100 ns horizon in 4 buckets of 25 ns.
-        let spans = vec![hop(1, 0, 50, 0)];
-        let tl = utilization_timeline(&spans, 1, 100, 4);
-        assert_eq!(tl.len(), 4);
-        assert!((tl[0] - 1.0).abs() < 1e-12);
-        assert!((tl[1] - 1.0).abs() < 1e-12);
-        assert_eq!(tl[2], 0.0);
-        assert_eq!(tl[3], 0.0);
-        assert!(utilization_timeline(&spans, 2, 100, 4)
-            .iter()
-            .all(|&f| f == 0.0));
-        assert!(utilization_timeline(&spans, 1, 0, 4).is_empty());
-    }
-
-    #[test]
-    fn queue_depth_timeline_places_arrivals() {
-        let spans = vec![hop(1, 10, 10, 10), hop(1, 20, 10, 15)];
-        // Arrivals at 0 and 5; both pending in bucket 0 of [0, 40)/4.
-        let tl = queue_depth_timeline(&spans, 1, 40, 4);
-        assert_eq!(tl[0], 2);
-    }
-
-    #[test]
     fn empty_input_is_empty() {
         assert!(rank_hotspots(&[]).is_empty());
         assert!(congestion_trees(&[]).is_empty());
@@ -458,8 +368,6 @@ mod tests {
         assert_eq!(loads.len(), 1);
         assert_eq!(loads[0].busy_ns, 10, "the 100 ns stall is not busy");
         assert_eq!(loads[0].messages, 1);
-        let tl = utilization_timeline(&spans, 1, 100, 2);
-        assert!(tl[1] < 1e-12, "stall adds nothing to the timeline");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 /// input depth, and a frame of `[` bytes costs its sender nothing, so the
 /// bound is fixed here and not left to the thread's stack size; 64 is
 /// ten times what any document this workspace emits nests.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value. Object keys keep insertion order.
 #[derive(Debug, Clone, PartialEq)]

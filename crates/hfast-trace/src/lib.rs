@@ -10,14 +10,14 @@
 //! tying circuit changes to the flows they reroute. Everything lands in
 //! one [`TraceRecorder`] and pays off twice:
 //!
-//! * [`perfetto::export`] — a Chrome trace-event JSON document (open in
+//! * [`export`] — a Chrome trace-event JSON document (open in
 //!   Perfetto or `chrome://tracing`) with ranks, links, and the
 //!   engine/reconfig control flow as tracks, plus flow arrows on the
-//!   causal edges; [`flame::aggregate`] folds the same spans into
+//!   causal edges; [`aggregate`] folds the same spans into
 //!   flamegraph-style self/total times per call kind.
-//! * [`analyzer`] — per-link congestion folding (busy/wait totals, peak
-//!   queue depth, utilization and queue-depth timelines) behind the
-//!   `hotspots` bin's hotspot ranking.
+//! * [`rank_hotspots`], [`congestion_trees`] — per-link congestion
+//!   folding (busy/wait totals, peak queue depth, utilization, congestion
+//!   trees) behind the `hotspots` bin's hotspot ranking.
 //!
 //! ## The `HFAST_TRACE` switch
 //!
@@ -39,24 +39,24 @@
 //! experiment output stays byte-identical across `HFAST_THREADS` settings
 //! with tracing on or off.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod analyzer;
-pub mod flame;
-pub mod json;
-pub mod perfetto;
-pub mod span;
+mod analyzer;
+mod flame;
+mod json;
+mod perfetto;
+mod span;
 
 pub use analyzer::{
-    congestion_trees, queue_depth_timeline, rank_hotspots, utilization_spread,
-    utilization_timeline, CongestionTree, LinkLoad, UtilizationSpread,
+    congestion_trees, rank_hotspots, utilization_spread, CongestionTree, LinkLoad,
+    UtilizationSpread,
 };
 pub use flame::{aggregate, CallAgg};
 pub use json::{parse, JsonValue};
 pub use perfetto::{export, validate, TraceStats};
 pub use span::{
     engine_span_id, rank_span_id, server_span_id, FlowEnd, FlowRow, HopRow, SpanContext,
-    SpanRecord, TraceRecorder, Track, ENGINE_SPAN_BASE, SERVER_SPAN_BASE,
+    SpanRecord, TraceRecorder, Track,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -82,7 +82,7 @@ pub fn enabled() -> bool {
 }
 
 /// Pure parser behind [`enabled`]: is this `HFAST_TRACE` value "on"?
-pub fn switch_is_on(value: Option<&str>) -> bool {
+pub(crate) fn switch_is_on(value: Option<&str>) -> bool {
     match value {
         None => false,
         Some(v) => {

@@ -20,7 +20,7 @@ use crate::json::{self, JsonValue};
 use crate::span::{SpanRecord, Track};
 
 /// `(pid, tid)` coordinates of a track in the exported document.
-pub fn track_coords(track: Track) -> (u64, u64) {
+pub(crate) fn track_coords(track: Track) -> (u64, u64) {
     match track {
         Track::Rank(r) => (1, r as u64),
         Track::Link(l) => (2, l as u64),

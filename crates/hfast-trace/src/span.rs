@@ -10,16 +10,16 @@
 //! Spans from different subsystems land in one [`TraceRecorder`] keyed by
 //! [`Track`]: rank timelines, per-link timelines, and the engine/reconfig
 //! control tracks. The Perfetto exporter turns each track into a thread
-//! row; the analyzer folds the link tracks into congestion timelines.
+//! row; the analyzer folds the link tracks into per-link congestion totals.
 
 use std::sync::Mutex;
 
 /// Bit marking engine-allocated span ids; rank ids never set it.
-pub const ENGINE_SPAN_BASE: u64 = 1 << 63;
+pub(crate) const ENGINE_SPAN_BASE: u64 = 1 << 63;
 
 /// Bit marking server-allocated span ids (daemon request spans); disjoint
 /// from both the engine bit and the rank id range.
-pub const SERVER_SPAN_BASE: u64 = 1 << 62;
+pub(crate) const SERVER_SPAN_BASE: u64 = 1 << 62;
 
 /// Span id for the `counter`-th span opened by `rank`.
 ///
@@ -65,16 +65,6 @@ impl SpanContext {
             trace_id,
             span_id,
             parent_id: 0,
-            clock,
-        }
-    }
-
-    /// A child of `self` with a fresh span id at logical time `clock`.
-    pub fn child(&self, span_id: u64, clock: u64) -> Self {
-        SpanContext {
-            trace_id: self.trace_id,
-            span_id,
-            parent_id: self.span_id,
             clock,
         }
     }
@@ -266,7 +256,7 @@ impl TraceRecorder {
     }
 
     /// Appends one span record.
-    pub fn record(&self, span: SpanRecord) {
+    pub(crate) fn record(&self, span: SpanRecord) {
         self.lock().spans.push(span);
     }
 
@@ -294,7 +284,7 @@ impl TraceRecorder {
     }
 
     /// Appends one simulator run's link crossings and flow lifecycles —
-    /// equivalent to [`record`](TraceRecorder::record)ing each hop row's
+    /// equivalent to `record`ing each hop row's
     /// span in order and then each flow row's, at the cost of one lock
     /// and no copy.
     pub fn record_engine_block(&self, hops: Vec<HopRow>, flows: Vec<FlowRow>) {
@@ -360,15 +350,6 @@ mod tests {
         assert_ne!(server_span_id(5), rank_span_id(0, 5));
         assert_eq!(server_span_id(9) & ENGINE_SPAN_BASE, 0);
         assert_eq!(server_span_id(9) & SERVER_SPAN_BASE, SERVER_SPAN_BASE);
-    }
-
-    #[test]
-    fn context_child_links_parent() {
-        let root = SpanContext::root(9, rank_span_id(0, 1), 1);
-        let child = root.child(rank_span_id(1, 1), 4);
-        assert_eq!(child.trace_id, 9);
-        assert_eq!(child.parent_id, root.span_id);
-        assert_eq!(child.clock, 4);
     }
 
     #[test]

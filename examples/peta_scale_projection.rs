@@ -6,7 +6,7 @@
 //! cargo run --release --example peta_scale_projection
 //! ```
 
-use hfast::core::cost::AnalyticHfast;
+use hfast::core::AnalyticHfast;
 use hfast::core::{CostModel, FatTree, ProvisionConfig};
 
 fn main() {

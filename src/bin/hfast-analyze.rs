@@ -15,7 +15,7 @@ use hfast::apps::{all_apps, profile_app};
 use hfast::core::{
     classify, ClassifyConfig, CostComparison, CostModel, PaperLinear, ProvisionConfig, Provisioner,
 };
-use hfast::ipm::trace::MAX_PROFILE_SIZE;
+use hfast::ipm::MAX_PROFILE_SIZE;
 use hfast::ipm::{from_text, render, to_text};
 use hfast::topology::render_ascii;
 
