@@ -22,7 +22,7 @@
 //! assert_eq!(tdc.max, 6); // 3D stencil: six faces
 //! ```
 
-#![warn(missing_docs, unreachable_pub)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 
 mod cactus;
 mod common;

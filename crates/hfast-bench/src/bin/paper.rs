@@ -469,7 +469,7 @@ fn experiments() {
         }
     }
     let verdicts = check_claims(&rows);
-    println!("claims against the paper (hfast_bench::paper::CLAIMS):");
+    println!("claims against the paper (hfast_bench::CLAIMS):");
     let mut held = 0;
     for (i, v) in verdicts.iter().enumerate() {
         if i > 0 && v.claim.section != verdicts[i - 1].claim.section {

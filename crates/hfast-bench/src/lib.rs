@@ -19,7 +19,7 @@
 //! cargo run --release -p hfast-bench --bin paper -- experiments
 //! ```
 
-#![warn(missing_docs, unreachable_pub)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 
 mod capture;
 mod cell;

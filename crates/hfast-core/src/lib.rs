@@ -40,7 +40,7 @@
 //! assert!(crossover.is_some());
 //! ```
 
-#![warn(missing_docs, unreachable_pub)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 
 mod anneal;
 mod bdp;

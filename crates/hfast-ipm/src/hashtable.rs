@@ -14,7 +14,7 @@
 pub struct CallKey {
     /// Region id (0 = the default region).
     pub region: u16,
-    /// Call kind, as a small discriminant (see `profile::kind_index`).
+    /// Call kind, as its `CallKind::index` (`CallKind::ALL` inverts it).
     pub kind: u8,
     /// Partner rank, or `u32::MAX` when the call has no single partner.
     pub peer: u32,

@@ -33,7 +33,7 @@
 //! assert_eq!(graph.edge(0, 1).bytes, 4096);
 //! ```
 
-#![warn(missing_docs, unreachable_pub)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 
 mod hashtable;
 mod profile;

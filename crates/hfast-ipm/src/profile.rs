@@ -2,67 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use hfast_mpi::{CallKind, CommEvent, CommHook, Scope};
+use hfast_mpi::{CallKind, CommEvent, CommHook};
 use hfast_topology::{BufferHistogram, CommGraph, EdgeStat};
 use std::sync::Mutex;
 
 use crate::hashtable::{CallKey, CallStats, CallTable};
-
-/// Maps a [`CallKind`] to a stable small discriminant for hash keys.
-pub(crate) fn kind_index(kind: CallKind) -> u8 {
-    match kind {
-        CallKind::Send => 0,
-        CallKind::Recv => 1,
-        CallKind::Isend => 2,
-        CallKind::Irecv => 3,
-        CallKind::Sendrecv => 4,
-        CallKind::Wait => 5,
-        CallKind::Waitall => 6,
-        CallKind::Waitany => 7,
-        CallKind::Test => 8,
-        CallKind::Barrier => 9,
-        CallKind::Bcast => 10,
-        CallKind::Reduce => 11,
-        CallKind::Allreduce => 12,
-        CallKind::Gather => 13,
-        CallKind::Allgather => 14,
-        CallKind::Alltoall => 15,
-        CallKind::Scatter => 16,
-        CallKind::ReduceScatter => 17,
-        CallKind::TransportSend => 18,
-        CallKind::TransportRecv => 19,
-        CallKind::Scan => 20,
-        CallKind::Probe => 21,
-        CallKind::Iprobe => 22,
-    }
-}
-
-/// Inverse of [`kind_index`].
-pub(crate) const KINDS: [CallKind; 23] = [
-    CallKind::Send,
-    CallKind::Recv,
-    CallKind::Isend,
-    CallKind::Irecv,
-    CallKind::Sendrecv,
-    CallKind::Wait,
-    CallKind::Waitall,
-    CallKind::Waitany,
-    CallKind::Test,
-    CallKind::Barrier,
-    CallKind::Bcast,
-    CallKind::Reduce,
-    CallKind::Allreduce,
-    CallKind::Gather,
-    CallKind::Allgather,
-    CallKind::Alltoall,
-    CallKind::Scatter,
-    CallKind::ReduceScatter,
-    CallKind::TransportSend,
-    CallKind::TransportRecv,
-    CallKind::Scan,
-    CallKind::Probe,
-    CallKind::Iprobe,
-];
 
 /// Sentinel for "no single partner" in hash keys.
 const NO_PEER: u32 = u32::MAX;
@@ -74,21 +18,14 @@ struct RankState {
     region_names: Vec<String>,
     /// Stack of active region ids; the top is the current region.
     region_stack: Vec<u16>,
-    /// Directed PTP volumes per region: `[region][peer]`.
-    api_volume: Vec<Vec<EdgeStat>>,
-    /// Directed *wire* volumes per region (PTP sends plus collective
-    /// transport), for replaying actual flows in a network simulator.
-    wire_volume: Vec<Vec<EdgeStat>>,
 }
 
 impl RankState {
-    fn new(size: usize, capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         RankState {
             table: CallTable::new(capacity),
             region_names: vec!["default".to_string()],
             region_stack: vec![0],
-            api_volume: vec![vec![EdgeStat::default(); size]],
-            wire_volume: vec![vec![EdgeStat::default(); size]],
         }
     }
 
@@ -99,13 +36,11 @@ impl RankState {
             .expect("default region always present")
     }
 
-    fn region_id(&mut self, name: &str, size: usize) -> u16 {
+    fn region_id(&mut self, name: &str) -> u16 {
         if let Some(idx) = self.region_names.iter().position(|n| n == name) {
             return idx as u16;
         }
         self.region_names.push(name.to_string());
-        self.api_volume.push(vec![EdgeStat::default(); size]);
-        self.wire_volume.push(vec![EdgeStat::default(); size]);
         (self.region_names.len() - 1) as u16
     }
 }
@@ -117,9 +52,11 @@ impl RankState {
 /// Bounded memory footprint per rank, mirroring IPM's "low overhead … fixed
 /// memory footprint" design (paper §3.1): one [`CallTable`], which never
 /// holds more than its capacity in signatures but allocates only for those
-/// a rank records, plus dense `size`-long volume rows per region. Per-event
-/// cost is one uncontended mutex acquisition and an O(1) hash-table update;
-/// extracting a profile walks the stored signatures, not the bound.
+/// a rank records, and nothing else per call. Per-event cost is one
+/// uncontended mutex acquisition and an O(1) hash-table update; extracting
+/// a profile walks the stored signatures, not the bound, and derives the
+/// directed volumes from them, so a signature the table dropped for
+/// overflow is missing from the volumes too, as in IPM.
 pub struct IpmProfiler {
     size: usize,
     ranks: Vec<Mutex<RankState>>,
@@ -136,7 +73,7 @@ impl IpmProfiler {
         IpmProfiler {
             size,
             ranks: (0..size)
-                .map(|_| Mutex::new(RankState::new(size, capacity)))
+                .map(|_| Mutex::new(RankState::new(capacity)))
                 .collect(),
         }
     }
@@ -145,7 +82,7 @@ impl IpmProfiler {
     /// the paper to exclude SuperLU's initialization traffic). Regions nest.
     pub fn enter_region(&self, rank: usize, name: &str) {
         let mut st = self.ranks[rank].lock().expect("profiler mutex poisoned");
-        let id = st.region_id(name, self.size);
+        let id = st.region_id(name);
         st.region_stack.push(id);
     }
 
@@ -173,9 +110,13 @@ impl IpmProfiler {
 
     fn extract(&self, region: Option<&str>) -> CommProfile {
         let mut entries: BTreeMap<(CallKind, u64), CallStats> = BTreeMap::new();
-        let mut api = vec![EdgeStat::default(); self.size * self.size];
-        let mut wire = vec![EdgeStat::default(); self.size * self.size];
+        let mut api_volume = Vec::new();
+        let mut wire_volume = Vec::new();
         let mut overflow = 0;
+        // [api, wire] volumes the current rank sent, by peer, and the peers
+        // it touched; one row for the whole extract, cleared as it is read.
+        let mut sent = vec![[EdgeStat::default(); 2]; self.size];
+        let mut peers: Vec<usize> = Vec::new();
         for (rank, state) in self.ranks.iter().enumerate() {
             let st = state.lock().expect("profiler mutex poisoned");
             let region_id: Option<u16> = match region {
@@ -189,37 +130,35 @@ impl IpmProfiler {
             };
             overflow += st.table.overflow();
             for (key, stats) in st.table.iter() {
-                if let Some(rid) = region_id {
-                    if key.region != rid {
-                        continue;
-                    }
+                if region_id.is_some_and(|rid| key.region != rid) {
+                    continue;
                 }
-                let kind = KINDS[key.kind as usize];
+                let kind = CallKind::ALL[usize::from(key.kind)];
                 entries.entry((kind, key.bytes)).or_default().merge(stats);
+                if key.peer != NO_PEER && kind.is_outbound() {
+                    let stat = EdgeStat {
+                        bytes: key.bytes * stats.count,
+                        count: stats.count,
+                        max_msg: key.bytes,
+                    };
+                    let peer = key.peer as usize;
+                    let [api, wire] = &mut sent[peer];
+                    if !wire.is_active() {
+                        peers.push(peer);
+                    }
+                    if !kind.is_transport() {
+                        api.merge(&stat);
+                    }
+                    wire.merge(&stat);
+                }
             }
-            for (rid, row) in st.api_volume.iter().enumerate() {
-                if let Some(want) = region_id {
-                    if rid as u16 != want {
-                        continue;
-                    }
+            peers.sort_unstable();
+            for peer in peers.drain(..) {
+                let [api, wire] = std::mem::take(&mut sent[peer]);
+                if api.is_active() {
+                    api_volume.push((rank, peer, api));
                 }
-                for (peer, stat) in row.iter().enumerate() {
-                    if stat.is_active() {
-                        api[rank * self.size + peer].merge(stat);
-                    }
-                }
-            }
-            for (rid, row) in st.wire_volume.iter().enumerate() {
-                if let Some(want) = region_id {
-                    if rid as u16 != want {
-                        continue;
-                    }
-                }
-                for (peer, stat) in row.iter().enumerate() {
-                    if stat.is_active() {
-                        wire[rank * self.size + peer].merge(stat);
-                    }
-                }
+                wire_volume.push((rank, peer, wire));
             }
         }
         CommProfile {
@@ -228,8 +167,8 @@ impl IpmProfiler {
                 .into_iter()
                 .map(|((kind, bytes), stats)| ProfileEntry { kind, bytes, stats })
                 .collect(),
-            api_volume: api,
-            wire_volume: wire,
+            api_volume,
+            wire_volume,
             overflow,
         }
     }
@@ -239,26 +178,13 @@ impl CommHook for IpmProfiler {
     fn on_event(&self, ev: &CommEvent) {
         debug_assert!(ev.rank < self.size, "event from out-of-range rank");
         let mut st = self.ranks[ev.rank].lock().expect("profiler mutex poisoned");
-        let region = st.current_region();
         let key = CallKey {
-            region,
-            kind: kind_index(ev.kind),
+            region: st.current_region(),
+            kind: ev.kind.index() as u8,
             peer: ev.peer.map_or(NO_PEER, |p| p as u32),
             bytes: ev.bytes as u64,
         };
         st.table.record(key, ev.elapsed_ns());
-        if let Some(peer) = ev.peer {
-            let outbound_ptp = ev.scope == Scope::Api && ev.kind.is_outbound();
-            let outbound_wire = ev.kind == CallKind::TransportSend
-                || (ev.scope == Scope::Api && ev.kind.is_outbound());
-            let r = region as usize;
-            if outbound_ptp {
-                st.api_volume[r][peer].add_message(ev.bytes as u64);
-            }
-            if outbound_wire {
-                st.wire_volume[r][peer].add_message(ev.bytes as u64);
-            }
-        }
     }
 }
 
@@ -280,10 +206,12 @@ pub struct CommProfile {
     pub size: usize,
     /// Aggregated (kind, buffer size) statistics.
     pub entries: Vec<ProfileEntry>,
-    /// Directed point-to-point volumes, send-side, row-major `size×size`.
-    pub api_volume: Vec<EdgeStat>,
-    /// Directed wire volumes (PTP plus collective transport), row-major.
-    pub wire_volume: Vec<EdgeStat>,
+    /// Directed point-to-point volumes, send-side: one `(src, dst, stat)`
+    /// per pair that carried traffic, sorted by `(src, dst)`.
+    pub api_volume: Vec<(usize, usize, EdgeStat)>,
+    /// Directed wire volumes (PTP plus collective transport), in the same
+    /// form.
+    pub wire_volume: Vec<(usize, usize, EdgeStat)>,
     /// Observations dropped by full hash tables (0 in a healthy profile).
     pub overflow: u64,
 }
@@ -373,34 +301,20 @@ impl CommProfile {
     /// The undirected point-to-point communication graph (paper §4.4): the
     /// input to all TDC and HFAST provisioning analysis.
     pub fn comm_graph(&self) -> CommGraph {
-        CommGraph::from_directed(self.size, self.directed(&self.api_volume))
+        CommGraph::from_directed(self.size, self.api_volume.iter().copied())
     }
 
     /// The undirected *wire* graph including collective transport flows,
     /// for network simulation replay.
     pub fn wire_graph(&self) -> CommGraph {
-        CommGraph::from_directed(self.size, self.directed(&self.wire_volume))
-    }
-
-    fn directed<'a>(
-        &'a self,
-        volume: &'a [EdgeStat],
-    ) -> impl Iterator<Item = (usize, usize, EdgeStat)> + 'a {
-        let n = self.size;
-        volume.iter().enumerate().filter_map(move |(idx, stat)| {
-            if stat.is_active() {
-                Some((idx / n, idx % n, *stat))
-            } else {
-                None
-            }
-        })
+        CommGraph::from_directed(self.size, self.wire_volume.iter().copied())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfast_mpi::{Payload, ReduceOp, Tag, World, WorldConfig};
+    use hfast_mpi::{Payload, ReduceOp, Scope, Tag, World, WorldConfig};
     use std::sync::Arc;
 
     fn run_profiled<F>(size: usize, f: F) -> (Arc<IpmProfiler>, CommProfile)
@@ -445,15 +359,50 @@ mod tests {
             }
         });
         // Directed volume: only 0→1 and 0→2.
-        assert_eq!(profile.api_volume[1].bytes, 1000);
-        assert_eq!(profile.api_volume[2].bytes, 500);
-        assert_eq!(profile.api_volume[3].bytes, 0);
+        let sent = |bytes| EdgeStat {
+            bytes,
+            count: 1,
+            max_msg: bytes,
+        };
+        assert_eq!(
+            profile.api_volume,
+            vec![(0, 1, sent(1000)), (0, 2, sent(500))]
+        );
         // Undirected graph symmetrizes.
         let g = profile.comm_graph();
         assert_eq!(g.edge(0, 1).bytes, 1000);
         assert_eq!(g.edge(1, 0).bytes, 1000);
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(1), 1);
+    }
+
+    #[test]
+    fn overflowed_signature_is_missing_from_the_volumes() {
+        // Eight signatures fill the smallest table; the ninth is dropped
+        // and, as in IPM, counted nowhere but in `overflow`.
+        let prof = IpmProfiler::with_capacity(2, 8);
+        for bytes in [1, 2, 3, 4, 5, 6, 7, 8, 100] {
+            prof.on_event(&CommEvent {
+                rank: 0,
+                kind: CallKind::Send,
+                scope: Scope::Api,
+                peer: Some(1),
+                bytes,
+                tag: Some(Tag(1)),
+                t_start_ns: 0,
+                t_end_ns: 1,
+            });
+        }
+        let profile = prof.profile();
+        assert_eq!(profile.overflow, 1);
+        assert_eq!(profile.total_calls(), 8);
+        let sent = EdgeStat {
+            bytes: 36,
+            count: 8,
+            max_msg: 8,
+        };
+        assert_eq!(profile.api_volume, vec![(0, 1, sent)]);
+        assert_eq!(profile.wire_volume, profile.api_volume);
     }
 
     #[test]

@@ -15,15 +15,16 @@
 //! end
 //! ```
 
+use std::collections::BTreeMap;
+
 use hfast_mpi::CallKind;
 use hfast_topology::EdgeStat;
 
 use crate::hashtable::CallStats;
-use crate::profile::{CommProfile, ProfileEntry, KINDS};
+use crate::profile::{CommProfile, ProfileEntry};
 
-/// Largest world size a profile may declare. The volume matrices are dense,
-/// `size²` cells each, so [`from_text`] must bound `size` before allocating
-/// them; this is also the largest world `hfast-analyze capture` profiles.
+/// Largest world size a profile may declare, which [`from_text`] checks;
+/// this is also the largest world `hfast-analyze capture` profiles.
 pub const MAX_PROFILE_SIZE: usize = 4096;
 
 /// Errors from parsing a serialized profile.
@@ -60,7 +61,7 @@ impl std::fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 fn kind_from_name(name: &str) -> Option<CallKind> {
-    KINDS.iter().copied().find(|k| k.mpi_name() == name)
+    CallKind::ALL.iter().copied().find(|k| k.mpi_name() == name)
 }
 
 /// Serializes a profile to the v1 text format.
@@ -80,23 +81,17 @@ pub fn to_text(profile: &CommProfile) -> String {
             e.stats.max_ns
         ));
     }
-    let n = profile.size;
-    let dump = |label: &str, vol: &[EdgeStat], out: &mut String| {
-        for (idx, stat) in vol.iter().enumerate() {
-            if stat.is_active() {
-                out.push_str(&format!(
-                    "{label} {} {} {} {} {}\n",
-                    idx / n,
-                    idx % n,
-                    stat.bytes,
-                    stat.count,
-                    stat.max_msg
-                ));
-            }
+    for (label, volume) in [
+        ("apivol", &profile.api_volume),
+        ("wirevol", &profile.wire_volume),
+    ] {
+        for (src, dst, stat) in volume {
+            out.push_str(&format!(
+                "{label} {src} {dst} {} {} {}\n",
+                stat.bytes, stat.count, stat.max_msg
+            ));
         }
-    };
-    dump("apivol", &profile.api_volume, &mut out);
-    dump("wirevol", &profile.wire_volume, &mut out);
+    }
     out.push_str("end\n");
     out
 }
@@ -114,8 +109,9 @@ pub fn from_text(text: &str) -> Result<CommProfile, TraceError> {
     let mut size: Option<usize> = None;
     let mut overflow = 0u64;
     let mut entries = Vec::new();
-    let mut api: Option<Vec<EdgeStat>> = None;
-    let mut wire: Option<Vec<EdgeStat>> = None;
+    // A pair's last line wins; a stat with no messages is no traffic.
+    let mut api: BTreeMap<(usize, usize), EdgeStat> = BTreeMap::new();
+    let mut wire: BTreeMap<(usize, usize), EdgeStat> = BTreeMap::new();
     let mut ended = false;
 
     for (line_no, raw) in lines {
@@ -134,12 +130,9 @@ pub fn from_text(text: &str) -> Result<CommProfile, TraceError> {
                     return Err(bad()); // a second header would drop volumes
                 }
                 let n: usize = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-                let cells = Some(n)
-                    .filter(|&n| n <= MAX_PROFILE_SIZE)
-                    .and_then(|n| n.checked_mul(n))
-                    .ok_or_else(bad)?;
-                api = Some(vec![EdgeStat::default(); cells]);
-                wire = Some(vec![EdgeStat::default(); cells]);
+                if n > MAX_PROFILE_SIZE {
+                    return Err(bad());
+                }
                 size = Some(n);
             }
             Some("overflow") => {
@@ -186,11 +179,11 @@ pub fn from_text(text: &str) -> Result<CommProfile, TraceError> {
                     max_msg: nums[4],
                 };
                 let target = if label == "apivol" {
-                    api.as_mut().expect("size parsed")
+                    &mut api
                 } else {
-                    wire.as_mut().expect("size parsed")
+                    &mut wire
                 };
-                target[src * n + dst] = stat;
+                target.insert((src, dst), stat);
             }
             Some("end") => {
                 ended = true;
@@ -203,11 +196,18 @@ pub fn from_text(text: &str) -> Result<CommProfile, TraceError> {
         return Err(TraceError::Truncated);
     }
     let size = size.ok_or(TraceError::Truncated)?;
+    let triples = |volume: BTreeMap<(usize, usize), EdgeStat>| {
+        volume
+            .into_iter()
+            .filter(|(_, stat)| stat.is_active())
+            .map(|((src, dst), stat)| (src, dst, stat))
+            .collect()
+    };
     Ok(CommProfile {
         size,
         entries,
-        api_volume: api.expect("size parsed"),
-        wire_volume: wire.expect("size parsed"),
+        api_volume: triples(api),
+        wire_volume: triples(wire),
         overflow,
     })
 }
@@ -285,8 +285,7 @@ mod tests {
 
     #[test]
     fn oversized_world_rejected_before_allocating() {
-        // 100 000² cells would abort the process allocating 240 GB; 2³²
-        // squared wraps to 0 cells on a 64-bit `usize`.
+        // Refused at the `size` line, whatever the volume lines say.
         for size in ["100000", "4294967296"] {
             let text = format!("hfast-ipm-profile v1\nsize {size}\nend\n");
             assert_eq!(
@@ -299,6 +298,27 @@ mod tests {
         }
         let largest = format!("hfast-ipm-profile v1\nsize {MAX_PROFILE_SIZE}\nend\n");
         assert_eq!(from_text(&largest).unwrap().size, MAX_PROFILE_SIZE);
+    }
+
+    #[test]
+    fn repeated_volume_line_keeps_the_last() {
+        let text = "hfast-ipm-profile v1\nsize 2\n\
+                    apivol 0 1 8 1 8\napivol 1 0 4 1 4\napivol 0 1 24 2 16\n\
+                    wirevol 1 0 4 1 4\nwirevol 1 0 0 0 0\nend\n";
+        let profile = from_text(text).unwrap();
+        let stat = |bytes, count, max_msg| EdgeStat {
+            bytes,
+            count,
+            max_msg,
+        };
+        assert_eq!(
+            profile.api_volume,
+            vec![(0, 1, stat(24, 2, 16)), (1, 0, stat(4, 1, 4))]
+        );
+        assert!(
+            profile.wire_volume.is_empty(),
+            "a zero line clears the pair"
+        );
     }
 
     #[test]

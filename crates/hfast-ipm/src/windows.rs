@@ -8,9 +8,9 @@
 //! running."
 //!
 //! [`WindowedTdcHook`] bins outbound point-to-point traffic into fixed
-//! wall-clock windows, keeping only a per-window volume row per rank (the
-//! same fixed-footprint discipline as the main profiler), and exposes the
-//! TDC time series plus per-window communication graphs.
+//! wall-clock windows, keeping per rank only the peers each window
+//! actually sent to, and exposes the TDC time series plus per-window
+//! communication graphs.
 
 use std::collections::BTreeMap;
 
@@ -19,8 +19,8 @@ use hfast_topology::TdcSummary;
 use hfast_topology::{tdc, CommGraph, EdgeStat};
 use std::sync::Mutex;
 
-/// Per-rank windowed volumes: window index → directed per-peer stats.
-type RankWindows = BTreeMap<u64, Vec<EdgeStat>>;
+/// Per-rank windowed volumes: (window index, peer) → directed stats.
+type RankWindows = BTreeMap<(u64, usize), EdgeStat>;
 
 /// A [`CommHook`] that accumulates directed PTP volumes per time window.
 pub struct WindowedTdcHook {
@@ -48,13 +48,8 @@ impl WindowedTdcHook {
         let mut merged: BTreeMap<u64, Vec<(usize, usize, EdgeStat)>> = BTreeMap::new();
         for (rank, state) in self.ranks.iter().enumerate() {
             let windows = state.lock().expect("profiler mutex poisoned");
-            for (&w, row) in windows.iter() {
-                let bucket = merged.entry(w).or_default();
-                for (peer, stat) in row.iter().enumerate() {
-                    if stat.is_active() {
-                        bucket.push((rank, peer, *stat));
-                    }
-                }
+            for (&(w, peer), stat) in windows.iter() {
+                merged.entry(w).or_default().push((rank, peer, *stat));
             }
         }
         merged
@@ -100,10 +95,10 @@ impl CommHook for WindowedTdcHook {
         debug_assert!(ev.rank < self.size);
         let window = ev.t_start_ns / self.window_ns;
         let mut state = self.ranks[ev.rank].lock().expect("profiler mutex poisoned");
-        let row = state
-            .entry(window)
-            .or_insert_with(|| vec![EdgeStat::default(); self.size]);
-        row[peer].add_message(ev.bytes as u64);
+        state
+            .entry((window, peer))
+            .or_default()
+            .add_message(ev.bytes as u64);
     }
 }
 

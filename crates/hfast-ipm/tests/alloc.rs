@@ -1,18 +1,22 @@
-//! Footprint guard for the IPM call table.
+//! Footprint guard for the IPM call table and the profiler around it.
 //!
 //! The table's capacity is a bound, not a reservation: a P-rank profile
 //! holds P tables, so a table that pre-paid its 8,192 slots cost 448 KiB a
-//! rank (112 MiB at P = 256) before a single call was recorded. This binary
+//! rank (112 MiB at P = 256) before a single call was recorded. Nor may the
+//! profiler keep anything P long per rank: dense per-peer volume rows cost
+//! 48·P² bytes (50 MB at P = 1024) before the first call. This binary
 //! counts instead of timing: it installs a counting `#[global_allocator]`
 //! (its own test binary, so nothing else pays for it) and bounds the heap a
-//! fresh table takes and what recording a few signatures adds.
+//! fresh table takes, what recording a few signatures adds, and what a
+//! whole profile costs per rank.
 //!
 //! Counters are per thread, so the tests here cannot disturb each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use hfast_ipm::{CallKey, CallTable};
+use hfast_ipm::{CallKey, CallTable, IpmProfiler};
+use hfast_mpi::{CallKind, CommEvent, CommHook, Scope, Tag};
 
 struct Counting;
 
@@ -117,4 +121,57 @@ fn iter_yields_exactly_len_items_up_to_overflow() {
     }
     assert_eq!(table.len(), 64);
     assert_eq!(table.overflow(), 36);
+}
+
+/// Heap peak of profiling a `procs`-rank ring from this thread: the
+/// profiler, three rounds of each rank's isend, recv and wait inside a
+/// `"steady"` region, both extracts and the graph.
+fn ring_profile_peak(procs: usize) -> isize {
+    let event = |rank: usize, kind: CallKind, peer: Option<usize>, bytes: usize| CommEvent {
+        rank,
+        kind,
+        scope: Scope::Api,
+        peer,
+        bytes,
+        tag: peer.map(|_| Tag(1)),
+        t_start_ns: 0,
+        t_end_ns: 1,
+    };
+    let (edges, bytes) = peak_of(|| {
+        let profiler = IpmProfiler::new(procs);
+        for rank in 0..procs {
+            profiler.enter_region(rank, "steady");
+        }
+        for _ in 0..3 {
+            for rank in 0..procs {
+                let right = (rank + 1) % procs;
+                let left = (rank + procs - 1) % procs;
+                profiler.on_event(&event(rank, CallKind::Isend, Some(right), 8192));
+                profiler.on_event(&event(rank, CallKind::Recv, Some(left), 8192));
+                profiler.on_event(&event(rank, CallKind::Wait, None, 0));
+            }
+        }
+        let merged = profiler.profile();
+        let steady = profiler.region_profile("steady");
+        assert_eq!(merged, steady);
+        assert_eq!(steady.api_volume.len(), procs);
+        steady.comm_graph().edge_count()
+    });
+    assert_eq!(edges, procs);
+    bytes
+}
+
+#[test]
+fn profile_footprint_is_linear_in_ranks() {
+    // Measured on x86-64 Linux: 806 B a rank at P = 256 and 805 B at
+    // P = 1024 (825 KB for the whole P = 1024 profile). Two dense volume
+    // rows per region were 96 KiB a rank at P = 1024 for two regions.
+    for procs in [256, 1024] {
+        let bytes = ring_profile_peak(procs);
+        let per_rank = bytes / procs as isize;
+        assert!(
+            per_rank <= 2048,
+            "profiling a {procs}-rank ring peaked at {bytes} B ({per_rank} B a rank)"
+        );
+    }
 }

@@ -68,7 +68,7 @@ pub enum CallKind {
 
 impl CallKind {
     /// Every variant, in declaration order (so `ALL[k.index()] == k`).
-    pub(crate) const ALL: [CallKind; 23] = [
+    pub const ALL: [CallKind; 23] = [
         CallKind::Send,
         CallKind::Recv,
         CallKind::Isend,
@@ -94,9 +94,10 @@ impl CallKind {
         CallKind::TransportRecv,
     ];
 
-    /// Dense index of this variant (for per-kind counter tables).
+    /// Dense index of this variant (for per-kind counter tables and
+    /// profile hash keys).
     #[inline]
-    pub(crate) fn index(self) -> usize {
+    pub fn index(self) -> usize {
         self as usize
     }
 
@@ -187,8 +188,8 @@ impl CallKind {
     }
 
     /// True if the event's `bytes` field reflects outbound traffic
-    /// (used when building the directed volume matrix from send-side events
-    /// only, so that each message is counted exactly once).
+    /// (used when building directed volumes from send-side calls only, so
+    /// that each message is counted exactly once).
     #[inline]
     pub fn is_outbound(self) -> bool {
         matches!(

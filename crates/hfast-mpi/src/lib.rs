@@ -43,7 +43,7 @@
 //! assert_eq!(results, vec![3, 0, 1, 2]);
 //! ```
 
-#![warn(missing_docs, unreachable_pub)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 
 mod bytes;
 mod chan;
@@ -66,7 +66,7 @@ pub use error::{MpiError, Result};
 pub use group::Group;
 pub use hook::{CallKind, CommEvent, CommHook, MultiHook, Scope};
 pub use message::{Payload, ReduceOp};
-pub use request::Request;
+pub use request::{RecvHandle, Request};
 pub use runtime::{World, WorldConfig};
 
 /// Index of a process in a [`World`] (0-based, dense).

@@ -35,7 +35,7 @@
 //! assert_eq!(stats.completed, flows.len());
 //! ```
 
-#![warn(missing_docs, unreachable_pub)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 
 mod adapt;
 mod congestion;

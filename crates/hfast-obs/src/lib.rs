@@ -46,7 +46,7 @@
 //! assert_eq!(line, r#"{"event":"summary","sends":1,"size_p50":8191}"#);
 //! ```
 
-#![warn(missing_docs, unreachable_pub)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 
 mod counter;
 mod hist;

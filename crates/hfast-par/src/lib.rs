@@ -21,7 +21,7 @@
 //!   seeded random cases, failure reporting with the case index and seed so
 //!   a red run can be replayed exactly.
 
-#![warn(missing_docs, unreachable_pub)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 
 mod check;
 mod par;

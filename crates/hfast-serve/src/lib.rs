@@ -48,7 +48,7 @@
 //! server.join();
 //! ```
 
-#![warn(missing_docs, unreachable_pub)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 #![forbid(unsafe_code)]
 
 mod cache;

@@ -1,4 +1,4 @@
-//! Regular-topology detection and isotropy metrics.
+//! Regular-topology detection.
 //!
 //! Paper §2.5 classifies applications by whether their communication pattern
 //! is *isotropic* (topologically regular) and whether it embeds in a fixed
@@ -12,7 +12,6 @@
 //!   without solving general graph isomorphism (which is not known to be
 //!   polynomial). A negative result therefore means "does not embed with the
 //!   natural labeling", a deliberately conservative answer.
-//! * [`isotropy`] — a `[0, 1]` regularity score from degree dispersion.
 
 use crate::generators::{mesh3d_neighbors, torus3d_neighbors};
 use crate::graph::CommGraph;
@@ -140,29 +139,6 @@ pub fn detect_structure(graph: &CommGraph, cutoff: u64) -> StructureClass {
     StructureClass::Irregular
 }
 
-/// Degree-dispersion isotropy score in `[0, 1]`.
-///
-/// 1.0 means every task has the same thresholded degree (a topologically
-/// regular, *isotropic* pattern in the paper's vocabulary); the score falls
-/// with the coefficient of variation of the degree distribution. Graphs with
-/// no edges score 0.
-pub fn isotropy(graph: &CommGraph, cutoff: u64) -> f64 {
-    let degrees: Vec<f64> = (0..graph.n())
-        .map(|v| graph.degree_thresholded(v, cutoff) as f64)
-        .collect();
-    let n = degrees.len() as f64;
-    if n == 0.0 {
-        return 0.0;
-    }
-    let mean = degrees.iter().sum::<f64>() / n;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    let var = degrees.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / n;
-    let cv = var.sqrt() / mean;
-    (1.0 - cv).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,21 +206,6 @@ mod tests {
         }
         assert_eq!(detect_structure(&g, 0), StructureClass::FullyConnected);
         assert_eq!(detect_structure(&g, 2048), StructureClass::Mesh3D(2, 2, 3));
-    }
-
-    #[test]
-    fn isotropy_scores() {
-        assert!((isotropy(&torus3d_graph((4, 4, 4), 100), 0) - 1.0).abs() < 1e-12);
-        let mesh = mesh3d_graph((4, 4, 4), 100);
-        let iso_mesh = isotropy(&mesh, 0);
-        assert!(iso_mesh > 0.7 && iso_mesh < 1.0, "mesh has boundary nodes");
-        // Star graph: extremely anisotropic.
-        let mut star = CommGraph::new(16);
-        for i in 1..16 {
-            star.add_message(0, i, 100);
-        }
-        assert!(isotropy(&star, 0) < 0.2);
-        assert_eq!(isotropy(&CommGraph::new(4), 0), 0.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! (O(P·TDC), the only store), and [`CsrGraph`] freezes one thresholded
 //! slice of it for code that re-reads the same adjacency many times.
 
-#![warn(missing_docs, unreachable_pub)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 
 mod bisection;
 mod csr;
@@ -27,7 +27,7 @@ mod tdc;
 
 pub use bisection::{bisection_bytes, fcn_utilization};
 pub use csr::CsrGraph;
-pub use embedding::{detect_structure, isotropy, StructureClass};
+pub use embedding::{detect_structure, StructureClass};
 pub use fnv::{Fnv, FNV1A, FNV_OFFSET};
 pub use graph::{CommGraph, EdgeStat};
 pub use histogram::BufferHistogram;

@@ -39,7 +39,7 @@
 //! experiment output stays byte-identical across `HFAST_THREADS` settings
 //! with tracing on or off.
 
-#![warn(missing_docs, unreachable_pub)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 
 mod analyzer;
 mod flame;

@@ -30,7 +30,7 @@ cargo test --doc --workspace -q
 # redundant link target fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 # Paper smoke (~5 s): the full experiment sweep; exits non-zero unless every
-# row of the claims ledger (hfast_bench::paper::CLAIMS) holds.
+# row of the claims ledger (hfast_bench::CLAIMS) holds.
 smoke paper_checks cargo run --release -q -p hfast-bench --bin paper -- experiments
 # Serving smoke: ephemeral-port daemon exercised across its endpoints
 # (health, provision under two strategies, cost, tdc, simulate cold and

@@ -15,7 +15,7 @@
 //! * [`trace`] — causal span tracing across ranks and fabric links, Perfetto
 //!   export, and congestion analysis behind the `HFAST_TRACE` switch.
 
-#![warn(missing_docs, unreachable_pub)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 
 pub use hfast_apps as apps;
 pub use hfast_core as core;

@@ -23,13 +23,10 @@ fn fingerprint(p: &CommProfile) -> (CallFingerprint, VolumeFingerprint) {
         .map(|e| (e.kind.mpi_name().to_string(), e.bytes, e.stats.count))
         .collect();
     entries.sort();
-    let n = p.size;
     let volume: Vec<(usize, usize, u64, u64, u64)> = p
         .api_volume
         .iter()
-        .enumerate()
-        .filter(|(_, s)| s.is_active())
-        .map(|(i, s)| (i / n, i % n, s.bytes, s.count, s.max_msg))
+        .map(|&(src, dst, s)| (src, dst, s.bytes, s.count, s.max_msg))
         .collect();
     (entries, volume)
 }

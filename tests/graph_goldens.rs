@@ -116,8 +116,9 @@ const APP_PROFILE_DIGESTS: &[(&str, u64)] = &[
 ];
 
 /// FNV-1a over the schedule-independent content of a profile: its size,
-/// `overflow`, every entry's (kind, bytes, count) and every active cell of
-/// both volume matrices. The `*_ns` fields are wall-clock and left out.
+/// `overflow`, every entry's (kind, bytes, count) and every directed pair
+/// of both volumes, hashed as the cells of a row-major `size × size`
+/// matrix. The `*_ns` fields are wall-clock and left out.
 fn profile_digest(p: &CommProfile) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut put = |word: u64| {
@@ -135,15 +136,15 @@ fn profile_digest(p: &CommProfile) -> u64 {
         put(e.bytes);
         put(e.stats.count);
     }
+    let n = p.size as u64;
     for volume in [&p.api_volume, &p.wire_volume] {
-        put(volume.len() as u64);
-        for (idx, stat) in volume.iter().enumerate() {
-            if stat.is_active() {
-                put(idx as u64);
-                put(stat.bytes);
-                put(stat.count);
-                put(stat.max_msg);
-            }
+        // The words the row-major `size × size` matrices hashed.
+        put(n * n);
+        for &(src, dst, stat) in volume {
+            put(src as u64 * n + dst as u64);
+            put(stat.bytes);
+            put(stat.count);
+            put(stat.max_msg);
         }
     }
     h
