@@ -8,7 +8,8 @@
 //! spaces are disjoint, so the document is one timeline with ranks,
 //! links and the engine as separate tracks. [`Capture::violations`] is
 //! the trace contract, asserted by the tier-1 test
-//! `tests/trace_capture.rs`; the `trace_capture` bin prints the capture.
+//! `tests/trace_capture.rs` and by `paper trace_capture`, which prints
+//! the capture.
 
 use std::sync::Arc;
 
@@ -48,24 +49,24 @@ impl Capture {
         let mut out = Vec::new();
         if stats.rank_tracks != PROCS {
             out.push(format!(
-                "expected {PROCS} rank tracks, got {}",
+                "rank tracks: expected {PROCS}, got {}",
                 stats.rank_tracks
             ));
         }
         if stats.link_tracks != self.used_links || self.used_links == 0 {
             out.push(format!(
-                "expected {} used-link tracks, got {}",
+                "link tracks: expected one per used link ({}), got {}",
                 self.used_links, stats.link_tracks
             ));
         }
         if stats.orphan_recvs != 0 {
             out.push(format!(
-                "{} recv spans without a send parent",
+                "orphan recvs: expected 0, got {}",
                 stats.orphan_recvs
             ));
         }
         if stats.linked_recvs == 0 {
-            out.push("no linked recv spans at all".to_string());
+            out.push("linked recvs: expected some, got 0".to_string());
         }
         out
     }

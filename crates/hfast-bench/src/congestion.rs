@@ -10,8 +10,8 @@
 //! arXiv 1907.05312.
 //!
 //! [`lab`] runs the grid; [`Lab::violations`] is its check, asserted by
-//! the tier-1 test `tests/congestion_lab.rs` and printed by the
-//! `congestion_lab --check` bin.
+//! the tier-1 test `tests/congestion_lab.rs` and by `paper
+//! congestion_lab`, which prints the grid.
 //!
 //! [`CongestionMode::Credit`]: hfast_netsim::CongestionMode::Credit
 
@@ -29,7 +29,8 @@ use crate::cell::{fabric, FAT_TREE};
 pub const LAB_NODES: usize = 64;
 /// One seed defines the whole lab.
 pub const LAB_SEED: u64 = 0xC0DE;
-/// Buffer slots per link: shallow buffers make trees form fast, which is
+/// Buffer slots per link of every credit-mode replay, here and in the
+/// provisioner bake-off: shallow buffers make trees form fast, which is
 /// the point — the lab studies spread, not capacity.
 pub const LAB_CREDITS: u32 = 1;
 
@@ -93,31 +94,30 @@ impl Lab {
         let (plain, ideal) = self.ideal_identity;
         if plain != ideal {
             out.push(format!(
-                "CongestionMode::Ideal diverged from the plain event loop: \
-                 {ideal:#018x} != {plain:#018x}"
+                "ideal identity: expected the plain loop's digest {plain:#018x}, got {ideal:#018x}"
             ));
         }
         for row in &self.rows {
             for (strategy, m) in &row.hfast {
                 if m.spread >= row.fat_tree.spread {
                     out.push(format!(
-                        "{} x {strategy}: hfast spread {:.2} >= fat-tree {:.2}",
-                        row.kind, m.spread, row.fat_tree.spread
+                        "{} x {strategy}: expected hfast spread below the fat tree's {:.2}, got {:.2}",
+                        row.kind, row.fat_tree.spread, m.spread
                     ));
                 }
             }
         }
         let incast = self.rows.iter().find(|r| r.kind == ScenarioKind::Incast);
         if incast.map_or(0, |r| r.fat_tree.off_root) == 0 {
-            out.push(
-                "fat-tree incast produced no off-root victims — no congestion tree".to_string(),
-            );
+            out.push("incast x fat-tree: expected off-root victims, got 0".to_string());
         }
         out
     }
 }
 
-fn run_cell(fabric: &dyn Fabric, flows: &[Flow]) -> CellMetrics {
+/// Replays `flows` on `fabric` traced under [`LAB_CREDITS`]-slot credit
+/// flow control and folds the spans into a cell.
+pub(crate) fn run_cell(fabric: &dyn Fabric, flows: &[Flow]) -> CellMetrics {
     let rec = TraceRecorder::new();
     let out = Simulation::new(fabric)
         .with_congestion(CreditConfig::credit(LAB_CREDITS))

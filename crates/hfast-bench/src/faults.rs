@@ -43,6 +43,31 @@ pub struct GoodputRow {
     pub cells: Vec<GoodputCell>,
 }
 
+impl GoodputRow {
+    /// Every way the row breaks §1's claim, one line each: no cells to
+    /// replay, or a cell where HFAST's goodput is not strictly above the
+    /// fat tree's.
+    pub fn violations(&self) -> Vec<String> {
+        if self.cells.is_empty() {
+            return vec![format!(
+                "{}: expected {} goodput cells, got none (no steady-state flows above the cutoff)",
+                self.app,
+                RATES.len()
+            )];
+        }
+        self.cells
+            .iter()
+            .filter(|c| c.hfast <= c.fat_tree)
+            .map(|c| {
+                format!(
+                    "{} at rate {:.2}: expected HFAST goodput above the fat tree's {:.4}, got {:.4}",
+                    self.app, c.rate, c.fat_tree, c.hfast
+                )
+            })
+            .collect()
+    }
+}
+
 fn goodput(fabric: &dyn Fabric, flows: &[Flow], rate: f64, reprovision: bool) -> f64 {
     let offered: u64 = flows.iter().map(|f| f.bytes).sum();
     if offered == 0 {

@@ -4,11 +4,11 @@
 //! paper's provisioning argument predicts that congestion lands on the
 //! circuits dedicated to the heavy pairs, not on the collective tree:
 //! [`AppHotspots::violation`] is that check, asserted by the tier-1 test
-//! `tests/hotspots.rs`; the `hotspots` bin prints the rankings.
+//! `tests/hotspots.rs`; `paper hotspots` prints the rankings.
 
-use hfast_apps::all_apps;
+use hfast_apps::CommKernel;
 use hfast_core::Strategy;
-use hfast_netsim::{Fabric, Flow, Simulation};
+use hfast_netsim::{Fabric, Flow, HfastFabric, RunStats, Simulation};
 use hfast_obs::Histogram;
 use hfast_trace::{rank_hotspots, LinkLoad, TraceRecorder, Track};
 
@@ -39,13 +39,40 @@ pub struct AppHotspots {
     pub hfast_transit: Ranking,
 }
 
+impl Ranking {
+    /// The hottest link's class, `-` when no link carried traffic.
+    pub fn top_class(&self) -> &'static str {
+        self.links.first().and_then(|(_, c)| *c).unwrap_or("-")
+    }
+
+    /// Circuit links' share of the ranked links' busy time, in percent
+    /// (0 when nothing was busy).
+    pub fn circuit_busy_pct(&self) -> f64 {
+        let busy = |circuit_only: bool| -> u64 {
+            self.links
+                .iter()
+                .filter(|(_, c)| !circuit_only || *c == Some("circuit"))
+                .map(|(l, _)| l.busy_ns)
+                .sum()
+        };
+        match busy(false) {
+            0 => 0.0,
+            total => 100.0 * busy(true) as f64 / total as f64,
+        }
+    }
+}
+
 impl AppHotspots {
-    /// The app and link class when the hottest HFAST transit link is not
-    /// a circuit; `None` when it is, or when no transit link was used.
+    /// The app and what it found when no HFAST transit link carried
+    /// traffic or the hottest one is not a circuit; `None` otherwise.
     pub fn violation(&self) -> Option<String> {
         match self.hfast_transit.links.first() {
+            None => Some(format!(
+                "{}: expected HFAST transit links to carry traffic, got none ({} flows)",
+                self.app, self.flows
+            )),
             Some((top, Some(class))) if *class != "circuit" => Some(format!(
-                "{}: hottest HFAST transit link {} is {class} traffic, not a circuit",
+                "{}: expected a circuit as the hottest HFAST transit link, got link {} [{class}]",
                 self.app, top.link
             )),
             _ => None,
@@ -53,11 +80,12 @@ impl AppHotspots {
     }
 }
 
-/// Replays `flows` on `fabric` with tracing on: every link that carried
-/// traffic, hottest first, and the queueing-wait percentiles.
-fn traced(fabric: &dyn Fabric, flows: &[Flow]) -> (Vec<LinkLoad>, [u64; 3]) {
+/// Replays `flows` on `fabric` with tracing on: the run's stats, every
+/// link that carried traffic, hottest first, and the queueing-wait
+/// percentiles.
+fn traced(fabric: &dyn Fabric, flows: &[Flow]) -> (RunStats, Vec<LinkLoad>, [u64; 3]) {
     let rec = TraceRecorder::new();
-    Simulation::new(fabric).with_trace(&rec).run(flows);
+    let out = Simulation::new(fabric).with_trace(&rec).run(flows);
     let spans = rec.snapshot();
     let waits = Histogram::new();
     for s in &spans {
@@ -68,37 +96,36 @@ fn traced(fabric: &dyn Fabric, flows: &[Flow]) -> (Vec<LinkLoad>, [u64; 3]) {
         }
     }
     let wait_ns = [0.5, 0.95, 0.99].map(|q| waits.quantile(q));
-    (rank_hotspots(&spans), wait_ns)
+    (out.stats, rank_hotspots(&spans), wait_ns)
 }
 
-/// Every app of `all_apps()` at [`PROCS`] ranks, in that order, on the
-/// fat tree and on `PaperLinear` HFAST.
-pub fn hotspots() -> Vec<AppHotspots> {
-    all_apps()
-        .iter()
-        .map(|app| {
-            let cell = cell(app.as_ref(), PROCS);
-            let (loads, wait_ns) = traced(cell.fat_tree().as_ref(), &cell.flows);
-            let fat_tree = Ranking {
-                links: loads.into_iter().map(|l| (l, None)).collect(),
-                wait_ns,
-            };
-            let hf = cell.hfast(Strategy::PaperLinear);
-            let (loads, wait_ns) = traced(&hf, &cell.flows);
-            let transit = loads.into_iter().filter_map(|l| {
-                let class = hf.link_class(l.link);
-                (class != "fiber").then_some((l, Some(class)))
-            });
-            let hfast_transit = Ranking {
-                links: transit.collect(),
-                wait_ns,
-            };
-            AppHotspots {
-                app: cell.name,
-                flows: cell.flows.len(),
-                fat_tree,
-                hfast_transit,
-            }
+/// [`traced`] on `hf`, its endpoint fibers left out and every other link
+/// tagged with its class.
+pub(crate) fn hfast_transit(hf: &HfastFabric, flows: &[Flow]) -> (RunStats, Ranking) {
+    let (stats, loads, wait_ns) = traced(hf, flows);
+    let links = loads
+        .into_iter()
+        .filter_map(|l| {
+            let class = hf.link_class(l.link);
+            (class != "fiber").then_some((l, Some(class)))
         })
-        .collect()
+        .collect();
+    (stats, Ranking { links, wait_ns })
+}
+
+/// `app` at [`PROCS`] ranks on the fat tree and on `PaperLinear` HFAST.
+pub fn hotspots(app: &dyn CommKernel) -> AppHotspots {
+    let cell = cell(app, PROCS);
+    let (_, loads, wait_ns) = traced(cell.fat_tree().as_ref(), &cell.flows);
+    let fat_tree = Ranking {
+        links: loads.into_iter().map(|l| (l, None)).collect(),
+        wait_ns,
+    };
+    let (_, hfast_transit) = hfast_transit(&cell.hfast(Strategy::PaperLinear), &cell.flows);
+    AppHotspots {
+        app: cell.name,
+        flows: cell.flows.len(),
+        fat_tree,
+        hfast_transit,
+    }
 }

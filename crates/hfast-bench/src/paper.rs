@@ -409,38 +409,66 @@ impl Verdict {
             } => (measured - quoted).abs() <= tol,
         }
     }
-}
 
-impl fmt::Display for Verdict {
-    /// `section · cell · quantity: published, measured, tolerance`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// `section · cell · quantity`.
+    fn cell(&self) -> String {
         let c = self.claim;
-        let show = |v| show(c.quantity, v);
-        write!(
-            f,
-            "{} · {} P={} · {}: published {}, measured {}, ",
+        format!(
+            "{} · {} P={} · {}",
             c.section,
             c.app,
             c.procs,
-            label(c.quantity),
-            show(c.published),
-            show(self.measured)
-        )?;
+            label(c.quantity)
+        )
+    }
+
+    /// The row's check against its published value.
+    fn tolerance(&self) -> String {
+        let c = self.claim;
+        let show = |v| show(c.quantity, v);
         match c.check {
-            Exact => write!(f, "exact"),
-            Within(tol, why) => write!(f, "±{} ({why})", show(Value::Num(tol))),
-            AtLeast(slack, why) => write!(
-                f,
+            Exact => "exact".into(),
+            Within(tol, why) => format!("±{} ({why})", show(Value::Num(tol))),
+            AtLeast(slack, why) => format!(
                 "at least {} ({why})",
                 show(Value::Num(c.published.num() - slack))
             ),
-            Deviates { measured, tol, why } => write!(
-                f,
+            Deviates { measured, tol, why } => format!(
                 "deviates: asserts {} ±{} ({why})",
                 show(Value::Num(measured)),
                 show(Value::Num(tol))
             ),
         }
+    }
+
+    /// `None` when the row holds, else its failure line: `section · cell
+    /// · quantity: expected published, tolerance, got measured`.
+    pub fn violation(&self) -> Option<String> {
+        let show = |v| show(self.claim.quantity, v);
+        (!self.holds()).then(|| {
+            format!(
+                "{}: expected {}, {}, got {}",
+                self.cell(),
+                show(self.claim.published),
+                self.tolerance(),
+                show(self.measured)
+            )
+        })
+    }
+}
+
+impl fmt::Display for Verdict {
+    /// `section · cell · quantity: published, measured, tolerance`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let show = |v| show(self.claim.quantity, v);
+        write!(
+            f,
+            "{}: published {}, measured {}, {}",
+            self.cell(),
+            show(self.claim.published),
+            show(self.measured),
+            self.tolerance()
+        )
     }
 }
 
@@ -703,6 +731,10 @@ mod tests {
             miss.to_string(),
             format!("Table 3 · Cactus P=64 · %PTP: published 99.4%, measured 90.0%, ±0.5% ({ALLREDUCE_CADENCE})")
         );
+        assert_eq!(
+            miss.violation(),
+            Some(format!("Table 3 · Cactus P=64 · %PTP: expected 99.4%, ±0.5% ({ALLREDUCE_CADENCE}), got 90.0%"))
+        );
         let case = CLAIMS
             .iter()
             .find(|c| c.quantity == Case)
@@ -717,5 +749,13 @@ mod tests {
             measured: case.published
         }
         .holds());
+        assert_eq!(
+            Verdict {
+                claim: case,
+                measured: case.published
+            }
+            .violation(),
+            None
+        );
     }
 }

@@ -3,13 +3,12 @@
 //! fallback plus circuit repatching) delivers strictly more goodput than
 //! the single-path fat tree on every (app, failure-rate) cell.
 
-use hfast_bench::{goodput_grid, RATES};
+use hfast_bench::{goodput_grid, GoodputRow, RATES};
 
 #[test]
 fn hfast_beats_the_fat_tree_on_every_fault_replay_cell() {
     let grid = goodput_grid();
     assert_eq!(grid.len(), 6, "one row per paper app");
-    let mut losses = Vec::new();
     for row in &grid {
         assert_eq!(
             row.cells.len(),
@@ -17,14 +16,7 @@ fn hfast_beats_the_fat_tree_on_every_fault_replay_cell() {
             "{} has no steady-state flows to replay",
             row.app
         );
-        for cell in &row.cells {
-            if cell.hfast <= cell.fat_tree {
-                losses.push(format!(
-                    "{} at rate {:.2}: HFAST goodput {:.4} <= fat tree {:.4}",
-                    row.app, cell.rate, cell.hfast, cell.fat_tree
-                ));
-            }
-        }
     }
+    let losses: Vec<String> = grid.iter().flat_map(GoodputRow::violations).collect();
     assert!(losses.is_empty(), "{}", losses.join("\n"));
 }

@@ -1,10 +1,12 @@
 //! The `paper` dispatcher: one positional section name, a usage naming
-//! every section on a missing or unknown name, and the cheap sections
-//! printing their headers.
+//! every section on a missing or unknown name, every section refusing an
+//! argument it does not take (its usage on stderr, exit 2, nothing on
+//! stdout, before any work starts, instead of a run with defaults that
+//! looks like a pass), and the cheap sections printing their headers.
 
 use std::process::{Command, Output};
 
-const SECTIONS: [&str; 19] = [
+const SECTIONS: [&str; 24] = [
     "table1",
     "table2",
     "table3",
@@ -23,7 +25,20 @@ const SECTIONS: [&str; 19] = [
     "smp",
     "faults",
     "netsim_compare",
+    "faults_replay",
+    "congestion_lab",
+    "hotspots",
+    "provision_bakeoff",
+    "trace_capture",
     "experiments",
+];
+
+/// The sections that take arguments, with their synopsis; every other
+/// section takes none.
+const SYNOPSES: [(&str, &str); 3] = [
+    ("hotspots", " [APP]"),
+    ("provision_bakeoff", " [APP]"),
+    ("trace_capture", " [--trace-out FILE]"),
 ];
 
 fn paper(args: &[&str]) -> Output {
@@ -31,6 +46,20 @@ fn paper(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("run paper")
+}
+
+/// Asserts that `args` were refused with `usage` and exit 2 before any
+/// output.
+fn assert_refused(args: &[&str], usage: &str) {
+    let out = paper(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr:?}");
+    assert_eq!(stderr, format!("{usage}\n"), "{args:?}");
+    assert!(
+        out.stdout.is_empty(),
+        "{args:?} started work: {:?}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }
 
 #[test]
@@ -48,6 +77,38 @@ fn missing_or_unknown_section_prints_usage_and_exits_2() {
             .collect();
         assert_eq!(listed, SECTIONS, "args {args:?}");
     }
+}
+
+#[test]
+fn every_section_refuses_an_unknown_flag_with_its_usage_and_exit_2() {
+    for section in SECTIONS {
+        let synopsis = SYNOPSES
+            .iter()
+            .find(|(s, _)| *s == section)
+            .map_or("", |(_, synopsis)| synopsis);
+        assert_refused(
+            &[section, "--no-such-flag"],
+            &format!("usage: paper {section}{synopsis}"),
+        );
+    }
+}
+
+#[test]
+fn app_filter_sections_refuse_a_second_argument() {
+    for section in ["hotspots", "provision_bakeoff"] {
+        for args in [&["gtc", "extra"][..], &["nosuchapp"][..]] {
+            let args: Vec<&str> = [section].into_iter().chain(args.iter().copied()).collect();
+            assert_refused(&args, &format!("usage: paper {section} [APP]"));
+        }
+    }
+}
+
+#[test]
+fn trace_capture_refuses_a_trace_out_flag_without_a_path() {
+    assert_refused(
+        &["trace_capture", "--trace-out"],
+        "usage: paper trace_capture [--trace-out FILE]",
+    );
 }
 
 #[test]

@@ -66,14 +66,10 @@ pub const TABLE1_SYSTEMS: [InterconnectSpec; 5] = [
     },
 ];
 
-/// The paper's chosen threshold: 2 KB, "the state of the art in current
-/// switch technology and an aggressive goal for future leading-edge switch
-/// technologies".
-pub(crate) const TARGET_BDP_BYTES: u64 = 2048;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hfast_topology::BDP_CUTOFF;
 
     /// Paper Table 1's BDP column, in bytes (2 KB, 46 KB, 8.4 KB, 2.8 KB,
     /// 3.4 KB).
@@ -99,7 +95,7 @@ mod tests {
             .min_by(|a, b| a.bdp_bytes().total_cmp(&b.bdp_bytes()))
             .unwrap();
         assert_eq!(best.system, "SGI Altix");
-        assert!((best.bdp_bytes() - TARGET_BDP_BYTES as f64).abs() < 100.0);
+        assert!((best.bdp_bytes() - BDP_CUTOFF as f64).abs() < 100.0);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub struct ClassifyConfig {
 impl Default for ClassifyConfig {
     fn default() -> Self {
         ClassifyConfig {
-            cutoff: crate::bdp::TARGET_BDP_BYTES,
+            cutoff: hfast_topology::BDP_CUTOFF,
             low_tdc: 15,
             full_fraction: 0.5,
             divergence: 2.0,

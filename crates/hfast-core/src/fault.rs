@@ -69,7 +69,7 @@ impl hfast_obs::ToJsonl for HfastFaultReport {
 ///
 /// This is the shared sampling primitive behind every seeded fault
 /// scenario: the analytic reports here, `hfast-netsim`'s runtime
-/// `FaultPlan` schedules, and the `faults_replay` sweep all pick failed
+/// `FaultPlan` schedules, and `paper faults_replay` all pick failed
 /// components through it, so "the same seed" means the same components
 /// everywhere.
 pub fn seeded_failures(k: usize, n: usize, seed: u64) -> Vec<usize> {

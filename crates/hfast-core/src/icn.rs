@@ -33,7 +33,7 @@ impl Default for IcnConfig {
     fn default() -> Self {
         IcnConfig {
             block_size: 16,
-            cutoff: crate::bdp::TARGET_BDP_BYTES,
+            cutoff: hfast_topology::BDP_CUTOFF,
         }
     }
 }

@@ -32,7 +32,7 @@ impl Default for ProvisionConfig {
     fn default() -> Self {
         ProvisionConfig {
             block_ports: 16,
-            cutoff: crate::bdp::TARGET_BDP_BYTES,
+            cutoff: hfast_topology::BDP_CUTOFF,
         }
     }
 }
@@ -657,7 +657,7 @@ impl Provisioning {
     /// Structural invariants: every above-cutoff edge is served, circuits
     /// are consistent, and no block over-allocates. Tests (among them the
     /// bake-off's `tests/provision_bakeoff.rs`), the benchmark's
-    /// `core.validate_ms` stage and the `provision_bakeoff` bin call it.
+    /// `core.validate_ms` stage and `paper provision_bakeoff` call it.
     ///
     /// One pass over each structure: the circuit ledger must ascend
     /// strictly by `(a, b)` with `a < b` (the first entry that does not is

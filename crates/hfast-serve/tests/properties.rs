@@ -3,7 +3,7 @@
 //! The socket-driving tests each start a real server on an ephemeral
 //! port, talk to it over TCP, and drain it — nothing is mocked. They are
 //! intentionally small-scale (inline graphs, a handful of requests); the
-//! sustained-load version lives in the `hfast-bench` integration suite.
+//! sustained-load version is `tests/serve.rs`.
 
 use hfast_par::forall;
 use hfast_par::Rng64;

@@ -17,7 +17,7 @@
 //!   flamegraph-style self/total times per call kind.
 //! * [`rank_hotspots`], [`congestion_trees`] — per-link congestion
 //!   folding (busy/wait totals, peak queue depth, utilization, congestion
-//!   trees) behind the `hotspots` bin's hotspot ranking.
+//!   trees) behind `paper hotspots` and `paper congestion_lab`.
 //!
 //! ## The `HFAST_TRACE` switch
 //!

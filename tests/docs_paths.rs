@@ -1,10 +1,12 @@
-//! The library paths and bins the docs cite exist.
+//! The library paths, bins and `paper` sections the docs cite exist.
 //!
 //! Every backticked `hfast_<crate>::<name>` (or `hfast::<crate>::<name>`,
 //! the facade's path to it) in README.md, DESIGN.md and EXPERIMENTS.md
 //! must name a `pub mod` or a root export of that crate, read from its
-//! `lib.rs`; every `--bin X` there must name a bin some package builds.
-//! A failure names the file, the line and the path.
+//! `lib.rs`; every `--bin X` there must name a bin some package builds;
+//! every `paper X` (`paper -- X` on a command line, or a code span
+//! starting `paper X`) must name a section of `paper`'s `SECTIONS` table.
+//! A failure names the file, the line and the path, bin or section.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -110,6 +112,38 @@ fn cited_bins(line: &str) -> Vec<&str> {
         .collect()
 }
 
+/// Every `X` in `paper -- X`, or in a code span starting `paper X`, on
+/// `line`.
+fn cited_sections(line: &str) -> Vec<&str> {
+    let commands = line
+        .match_indices("paper -- ")
+        .map(|(at, _)| &line[at + "paper -- ".len()..]);
+    let spans = line
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter_map(|span| span.strip_prefix("paper "));
+    commands
+        .chain(spans)
+        .map(ident)
+        .filter(|name| !name.is_empty())
+        .collect()
+}
+
+/// The section names `paper`'s `SECTIONS` table lists, read from its
+/// source.
+fn paper_sections(root: &Path) -> BTreeSet<String> {
+    let src = fs::read_to_string(root.join("crates/hfast-bench/src/bin/paper.rs"))
+        .expect("the paper bin's source");
+    let (_, table) = src.split_once("const SECTIONS").expect("a SECTIONS table");
+    let table = &table[..table.find("\n];").expect("the table's end")];
+    table
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("(\""))
+        .map(|l| ident(l).to_string())
+        .collect()
+}
+
 /// The bins of the package at `dir`: `src/bin/*.rs`, `src/main.rs` under
 /// the package name, and `[[bin]]` names in its manifest.
 fn package_bins(dir: &Path, out: &mut BTreeSet<String>) {
@@ -201,6 +235,35 @@ fn every_documented_bin_exists() {
 }
 
 #[test]
+fn every_documented_paper_section_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sections = paper_sections(root);
+    assert!(
+        sections.len() >= 20,
+        "read only {sections:?} from the SECTIONS table"
+    );
+    let mut cited = 0;
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = fs::read_to_string(root.join(doc)).expect("readable doc");
+        for (n, line) in text.lines().enumerate() {
+            for section in cited_sections(line) {
+                cited += 1;
+                if !sections.contains(section) {
+                    missing.push(format!("{doc}:{}: paper {section}", n + 1));
+                }
+            }
+        }
+    }
+    assert!(cited >= 5, "the scan found only {cited} section citations");
+    assert!(
+        missing.is_empty(),
+        "paper has no such sections (known: {sections:?}):\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
 fn the_scans_read_spans_lists_and_flags() {
     let line = "see `hfast_core::CostModel`, `hfast::netsim::{engine, traffic::Flow}` \
                 and hfast_obs::emit outside a span";
@@ -221,6 +284,14 @@ fn the_scans_read_spans_lists_and_flags() {
     assert_eq!(
         cited_bins("cargo run --bin paper; `--bin=hfast-analyze x`"),
         ["paper", "hfast-analyze"]
+    );
+    assert_eq!(
+        cited_sections("run `paper hotspots GTC`, `--bin paper -- <section>` or `paper`"),
+        ["hotspots"]
+    );
+    assert_eq!(
+        cited_sections("cargo run -p hfast-bench --bin paper -- fig5  # `paper smp`"),
+        ["fig5", "smp"]
     );
     let lib = "mod a;\npub mod b;\npub use a::{c, d::E as F};\npub use g::H;\n\
                pub fn i() {}\npub const fn j() {}\n    pub fn nested() {}\n";

@@ -1,7 +1,7 @@
 //! PR-7 regression pins: `PaperLinear` behind the `Provisioner` trait must
 //! match, on every study application's steady-state graph, the PR-6
 //! digests recorded from the pre-trait entry point when the trait was
-//! introduced (the `paper_linear` digests `provision_bakeoff` prints per app).
+//! introduced (the `paper_linear` digests `paper provision_bakeoff` prints per app).
 
 use hfast::apps::{all_apps, profile_app};
 use hfast::core::{PaperLinear, ProvisionConfig, Provisioner};
