@@ -39,30 +39,6 @@ pub struct HfastFaultReport {
     pub blocks_freed: usize,
 }
 
-impl hfast_obs::ToJsonl for MeshFaultReport {
-    fn to_jsonl(&self) -> String {
-        hfast_obs::JsonObj::new()
-            .str("event", "mesh_fault_report")
-            .usize("failed", self.failed)
-            .usize("unreachable_pairs", self.unreachable_pairs)
-            .f64_p("avg_dilation", self.avg_dilation, 4)
-            .f64_p("max_dilation", self.max_dilation, 4)
-            .finish()
-    }
-}
-
-impl hfast_obs::ToJsonl for HfastFaultReport {
-    fn to_jsonl(&self) -> String {
-        hfast_obs::JsonObj::new()
-            .str("event", "hfast_fault_report")
-            .usize("failed", self.failed)
-            .usize("circuits_changed", self.circuits_changed)
-            .bool("survivors_degraded", self.survivors_degraded)
-            .usize("blocks_freed", self.blocks_freed)
-            .finish()
-    }
-}
-
 /// Draws `k` distinct indices from `0..n` deterministically from `seed`
 /// (SplitMix64 over a shrinking candidate pool), returned in ascending
 /// order.

@@ -79,20 +79,6 @@ impl ReconfigStep {
     }
 }
 
-impl hfast_obs::ToJsonl for ReconfigStep {
-    fn to_jsonl(&self) -> String {
-        hfast_obs::JsonObj::new()
-            .str("event", "reconfig_step")
-            .str("strategy", self.strategy)
-            .f64_p("coverage_before", self.coverage_before, 4)
-            .f64_p("coverage_after", self.coverage_after, 4)
-            .usize("circuits_changed", self.circuits_changed)
-            .usize("edges_touched", self.edges_touched)
-            .u64("reconfig_time_ns", self.reconfig_time_ns)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

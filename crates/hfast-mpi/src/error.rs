@@ -40,6 +40,8 @@ pub enum MpiError {
     RankPanic {
         /// The lowest-numbered rank that panicked.
         rank: Rank,
+        /// What it panicked with.
+        message: String,
     },
     /// A group operation referenced a rank that is not a member.
     NotInGroup {
@@ -67,7 +69,7 @@ impl std::fmt::Display for MpiError {
             }
             MpiError::StaleRequest => write!(f, "request already completed"),
             MpiError::CollectiveMismatch(msg) => write!(f, "collective mismatch: {msg}"),
-            MpiError::RankPanic { rank } => write!(f, "rank {rank} panicked"),
+            MpiError::RankPanic { rank, message } => write!(f, "rank {rank} panicked: {message}"),
             MpiError::NotInGroup { rank } => write!(f, "rank {rank} is not a group member"),
             MpiError::InvalidGroup(msg) => write!(f, "invalid group: {msg}"),
         }

@@ -161,15 +161,6 @@ impl CallKind {
         )
     }
 
-    /// True for completion calls (`Wait*`/`Test`).
-    #[inline]
-    pub(crate) fn is_completion(self) -> bool {
-        matches!(
-            self,
-            CallKind::Wait | CallKind::Waitall | CallKind::Waitany | CallKind::Test
-        )
-    }
-
     /// True for the calls the paper counts in the point-to-point bucket:
     /// everything that is neither a collective nor transport-internal.
     ///

@@ -55,7 +55,6 @@ mod hook;
 #[cfg(test)]
 mod matching_oracle;
 mod message;
-mod obs;
 mod request;
 mod runtime;
 mod trace;

@@ -8,9 +8,8 @@ use hfast_trace::TraceRecorder;
 use crate::chan::unbounded;
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::hook::{CommHook, MultiHook, NullHook};
+use crate::hook::{CommHook, NullHook};
 use crate::message::Envelope;
-use crate::obs::WorldObs;
 use crate::trace::CommTrace;
 
 /// Configuration for a [`World`] launch.
@@ -99,25 +98,17 @@ impl World {
     {
         let size = config.size;
         assert!(size > 0, "world size must be positive");
-        // With HFAST_OBS on, an IPM-shaped counter set rides along on the
-        // hook boundary and is exported when the world ends. Counters only —
-        // event timing and rank scheduling are unaffected.
-        let obs = hfast_obs::enabled().then(|| Arc::new(WorldObs::new(size)));
-        let hook: Arc<dyn CommHook> = match &obs {
-            Some(o) => Arc::new(MultiHook::new(vec![
-                Arc::clone(&config.hook),
-                Arc::clone(o) as Arc<dyn CommHook>,
-            ])),
-            None => Arc::clone(&config.hook),
-        };
+        let hook = config.hook;
         // Tracing: a caller-supplied recorder wins; otherwise HFAST_TRACE
-        // attaches one whose Perfetto export goes to the env sink at the
-        // end of the world.
-        let auto_trace = config.trace.is_none() && hfast_trace::enabled();
+        // attaches one whose Perfetto export goes to its sink at the end
+        // of the world.
+        let auto_trace = match config.trace {
+            Some(_) => None,
+            None => hfast_trace::sink(),
+        };
         let trace: Option<Arc<TraceRecorder>> = config
             .trace
-            .clone()
-            .or_else(|| auto_trace.then(|| Arc::new(TraceRecorder::new())));
+            .or_else(|| auto_trace.is_some().then(|| Arc::new(TraceRecorder::new())));
         let rank_trace = |rank: usize| {
             trace
                 .as_ref()
@@ -138,7 +129,8 @@ impl World {
         for _ in 0..size {
             results.push(None);
         }
-        let mut panicked: Vec<usize> = vec![];
+        // (rank, panic message) of every rank that panicked.
+        let mut panicked: Vec<(usize, String)> = vec![];
 
         // Keep rank 0's receiver; hand out the rest.
         let mut rx_iter = rxs.into_iter();
@@ -173,33 +165,40 @@ impl World {
             let r0 = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm0)));
             match r0 {
                 Ok(v) => results[0] = Some(v),
-                Err(_) => panicked.push(0),
+                Err(payload) => panicked.push((0, panic_message(payload))),
             }
             drop(comm0); // release rank 0's channel endpoints
 
             for (rank, handle) in handles {
                 match handle.join() {
                     Ok(v) => results[rank] = Some(v),
-                    Err(_) => panicked.push(rank),
+                    Err(payload) => panicked.push((rank, panic_message(payload))),
                 }
             }
         });
 
-        if let Some(o) = &obs {
-            o.export();
+        if let (Some(sink), Some(rec)) = (&auto_trace, &trace) {
+            sink.write(&hfast_trace::export(&rec.snapshot()), false);
         }
-        if auto_trace {
-            if let Some(rec) = &trace {
-                hfast_trace::write_to_env_sink(&hfast_trace::export(&rec.snapshot()));
-            }
-        }
-        if let Some(&rank) = panicked.iter().min() {
-            return Err(MpiError::RankPanic { rank });
+        if let Some((rank, message)) = panicked.into_iter().min_by_key(|(rank, _)| *rank) {
+            return Err(MpiError::RankPanic { rank, message });
         }
         Ok(results
             .into_iter()
             .map(|r| r.expect("non-panicked rank produced a result"))
             .collect())
+    }
+}
+
+/// The text a rank panicked with: the `&str` or `String` payload of
+/// `panic!`, or a fixed text for any other payload type.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => match payload.downcast_ref::<&str>() {
+            Some(message) => (*message).to_string(),
+            None => "panic payload is not a string".to_string(),
+        },
     }
 }
 
@@ -233,7 +232,14 @@ mod tests {
             },
         )
         .unwrap_err();
-        assert_eq!(err, MpiError::RankPanic { rank: 1 });
+        assert_eq!(
+            err,
+            MpiError::RankPanic {
+                rank: 1,
+                message: "deliberate test panic".to_string()
+            }
+        );
+        assert_eq!(err.to_string(), "rank 1 panicked: deliberate test panic");
     }
 
     #[test]

@@ -108,26 +108,6 @@ fn p50_p95(values: &mut [u64]) -> (u64, u64) {
     (p50, p95)
 }
 
-impl hfast_obs::ToJsonl for RunStats {
-    fn to_jsonl(&self) -> String {
-        hfast_obs::JsonObj::new()
-            .str("event", "run_stats")
-            .usize("completed", self.completed)
-            .usize("unrouted", self.unrouted)
-            .usize("abandoned", self.abandoned)
-            .u64("total_retries", self.total_retries)
-            .u64("delivered_bytes", self.delivered_bytes)
-            .u64("makespan_ns", self.makespan_ns)
-            .u64("p50_latency_ns", self.p50_latency_ns)
-            .u64("p95_latency_ns", self.p95_latency_ns)
-            .u64("max_latency_ns", self.max_latency_ns)
-            .f64_p("avg_hops", self.avg_hops, 3)
-            .f64_p("max_link_utilization", self.max_link_utilization, 4)
-            .f64_p("throughput", self.throughput, 4)
-            .finish()
-    }
-}
-
 impl std::fmt::Display for RunStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

@@ -3,8 +3,8 @@
 //! These are deliberately the cheapest primitives in the crate: a hot loop
 //! (the simulator's event pump, a rank thread's send path) can carry one
 //! `fetch_add` per event without measurable distortion, and the disabled
-//! path skips even that (instrumentation sites branch on
-//! [`crate::enabled`] or on an `Option` of their obs struct).
+//! path skips even that (an instrumentation site branches on an `Option`
+//! of its obs struct).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,16 +1,8 @@
-//! The single JSON Lines emission path.
+//! The one JSON line builder.
 //!
-//! Report structs across the workspace (`RunStats`, the fault reports,
-//! `ReconfigStep`, bench rows, the trace exports) all serialize through
-//! [`JsonObj`], so escaping and number formatting are written once. The
-//! [`ToJsonl`] trait is the shared contract: one struct, one line of JSON,
-//! no trailing newline.
-
-/// Serialize as one line of JSON (an object, no trailing newline).
-pub trait ToJsonl {
-    /// The JSON Lines representation of `self`.
-    fn to_jsonl(&self) -> String;
-}
+//! The daemon's drain summary, the trace export and `hfast-serve`'s wire
+//! encoder all write JSON through [`JsonObj`] and [`escape_into`], so
+//! escaping and number formatting are written once.
 
 /// Incremental builder for one flat JSON object.
 ///
@@ -59,11 +51,6 @@ impl JsonObj {
         self.key(k);
         self.buf.push_str(&v.to_string());
         self
-    }
-
-    /// Adds a `usize` field.
-    pub fn usize(self, k: &str, v: usize) -> Self {
-        self.u64(k, v as u64)
     }
 
     /// Adds a float field with fixed precision (non-finite → `null`).

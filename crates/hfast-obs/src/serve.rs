@@ -10,7 +10,7 @@
 //!
 //! Like every other obs struct in the workspace, collection itself is
 //! always cheap (relaxed atomics); the JSONL *export* on drain goes
-//! through [`crate::sink`] and only fires when `HFAST_OBS` asks for it.
+//! through [`crate::Sink`] and only fires when `HFAST_OBS` asks for it.
 
 use crate::counter::{Counter, Gauge};
 use crate::hist::Histogram;
@@ -156,12 +156,16 @@ impl ServeObs {
         lines
     }
 
-    /// Exports `summary_lines` through the ambient
-    /// `HFAST_OBS` sink; a no-op when observability is off. Called once on
-    /// daemon drain.
+    /// Appends `summary_lines` to the `HFAST_OBS` sink; a no-op when
+    /// `HFAST_OBS` is off. Called once on daemon drain.
     pub fn export(&self) {
-        if crate::enabled() {
-            crate::sink::emit_lines(self.summary_lines());
+        if let Some(sink) = crate::sink("HFAST_OBS") {
+            let mut text = String::new();
+            for line in self.summary_lines() {
+                text.push_str(&line);
+                text.push('\n');
+            }
+            sink.write(&text, true);
         }
     }
 }

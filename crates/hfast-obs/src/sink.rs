@@ -1,90 +1,60 @@
-//! Where exported records go.
+//! Where telemetry output goes: the one parser of the `HFAST_OBS` and
+//! `HFAST_TRACE` values and the one writer.
 //!
-//! The `HFAST_OBS` variable doubles as the sink selector: `1`/`true`/
-//! `stderr` send JSON Lines to stderr, any other non-off value is a file
-//! path to append to. Exports never write to stdout — experiment output
-//! must stay byte-identical whether observability is on or off.
+//! Both variables read the same way: unset, empty or `0` is off; `1`,
+//! `true` or `stderr` sends output to stderr; anything else is a file path
+//! (trimmed). Nothing here writes to stdout — experiment output must stay
+//! byte-identical whether telemetry is on or off.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use crate::json::ToJsonl;
-
-/// Resolved export destination.
+/// The destination a switched-on telemetry variable names.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Sink {
-    /// Observability is off; exports are dropped.
-    Disabled,
-    /// JSON Lines to stderr.
+pub enum Sink {
+    /// Output goes to stderr.
     Stderr,
-    /// JSON Lines appended to a file.
+    /// Output goes to this file.
     File(PathBuf),
 }
 
-/// Parses an `HFAST_OBS` value into a [`Sink`] (pure; see [`sink`] for the
-/// environment-reading wrapper).
-pub(crate) fn parse_sink(value: Option<&str>) -> Sink {
-    if !crate::switch_is_on(value) {
-        return Sink::Disabled;
-    }
-    let v = value.unwrap_or_default().trim();
-    match v {
-        "1" | "true" | "stderr" => Sink::Stderr,
-        path => Sink::File(PathBuf::from(path)),
+/// Parses a telemetry variable's value; `None` means off.
+pub(crate) fn parse_sink(value: Option<&str>) -> Option<Sink> {
+    match value?.trim() {
+        "" | "0" => None,
+        "1" | "true" | "stderr" => Some(Sink::Stderr),
+        path => Some(Sink::File(PathBuf::from(path))),
     }
 }
 
-/// The process's export destination per the current environment.
-pub(crate) fn sink() -> Sink {
-    parse_sink(std::env::var("HFAST_OBS").ok().as_deref())
+/// The sink the environment variable `var` names now; `None` when it is
+/// off. Read once per world or per daemon, not per event.
+pub fn sink(var: &str) -> Option<Sink> {
+    parse_sink(std::env::var(var).ok().as_deref())
 }
 
-/// Writes one line per item to the configured sink. A `Sink::Disabled`
-/// sink drops everything; I/O errors are reported on stderr and swallowed
-/// (observability must never fail the workload).
-pub fn emit_lines<I>(lines: I)
-where
-    I: IntoIterator,
-    I::Item: AsRef<str>,
-{
-    match sink() {
-        Sink::Disabled => {}
-        Sink::Stderr => {
-            let stderr = std::io::stderr();
-            let mut out = stderr.lock();
-            for line in lines {
-                let _ = writeln!(out, "{}", line.as_ref());
-            }
-        }
-        Sink::File(path) => {
-            match std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    let mut buf = String::new();
-                    for line in lines {
-                        buf.push_str(line.as_ref());
-                        buf.push('\n');
-                    }
-                    if let Err(e) = f.write_all(buf.as_bytes()) {
-                        eprintln!("hfast-obs: cannot write {}: {e}", path.display());
-                    }
+impl Sink {
+    /// Writes `text` as is. A file is appended to when `append` (JSON
+    /// Lines accumulate across exports) and overwritten otherwise (a trace
+    /// is one document). I/O errors are reported on stderr and swallowed:
+    /// telemetry must never fail the workload.
+    pub fn write(&self, text: &str, append: bool) {
+        match self {
+            Sink::Stderr => eprint!("{text}"),
+            Sink::File(path) => {
+                let written = std::fs::OpenOptions::new()
+                    .create(true)
+                    .write(true)
+                    .append(append)
+                    .truncate(!append)
+                    .open(path)
+                    .and_then(|mut f| f.write_all(text.as_bytes()));
+                if let Err(e) = written {
+                    eprintln!("hfast-obs: cannot write {}: {e}", path.display());
                 }
-                Err(e) => eprintln!("hfast-obs: cannot open {}: {e}", path.display()),
             }
         }
     }
-}
-
-/// Serializes each record via [`ToJsonl`] and writes it to the sink.
-pub fn emit<'a, T, I>(records: I)
-where
-    T: ToJsonl + 'a,
-    I: IntoIterator<Item = &'a T>,
-{
-    emit_lines(records.into_iter().map(ToJsonl::to_jsonl));
 }
 
 #[cfg(test)]
@@ -93,28 +63,41 @@ mod tests {
 
     #[test]
     fn parse_off_values() {
-        assert_eq!(parse_sink(None), Sink::Disabled);
-        assert_eq!(parse_sink(Some("0")), Sink::Disabled);
-        assert_eq!(parse_sink(Some("")), Sink::Disabled);
+        assert_eq!(parse_sink(None), None);
+        assert_eq!(parse_sink(Some("0")), None);
+        assert_eq!(parse_sink(Some("")), None);
+        assert_eq!(parse_sink(Some("  ")), None);
     }
 
     #[test]
     fn parse_stderr_values() {
-        assert_eq!(parse_sink(Some("1")), Sink::Stderr);
-        assert_eq!(parse_sink(Some("true")), Sink::Stderr);
-        assert_eq!(parse_sink(Some("stderr")), Sink::Stderr);
+        assert_eq!(parse_sink(Some("1")), Some(Sink::Stderr));
+        assert_eq!(parse_sink(Some("true")), Some(Sink::Stderr));
+        assert_eq!(parse_sink(Some("stderr")), Some(Sink::Stderr));
     }
 
     #[test]
     fn parse_path_values() {
         assert_eq!(
             parse_sink(Some("/tmp/obs.jsonl")),
-            Sink::File(PathBuf::from("/tmp/obs.jsonl"))
+            Some(Sink::File(PathBuf::from("/tmp/obs.jsonl")))
         );
         assert_eq!(
             parse_sink(Some(" out.jsonl ")),
-            Sink::File(PathBuf::from("out.jsonl")),
+            Some(Sink::File(PathBuf::from("out.jsonl"))),
             "paths are trimmed"
         );
+    }
+
+    #[test]
+    fn file_sink_appends_or_overwrites() {
+        let path = std::env::temp_dir().join(format!("hfast-obs-sink-{}", std::process::id()));
+        let sink = Sink::File(path.clone());
+        sink.write("a\n", true);
+        sink.write("b\n", true);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a\nb\n");
+        sink.write("doc", false);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "doc");
+        let _ = std::fs::remove_file(&path);
     }
 }

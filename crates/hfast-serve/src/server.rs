@@ -41,7 +41,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use hfast_obs::{Outcome, ServeObs, SlidingWindow};
+use hfast_obs::{Outcome, ServeObs, Sink, SlidingWindow};
 use hfast_trace::{server_span_id, TraceRecorder, Track};
 
 use crate::cache::ResponseCache;
@@ -226,7 +226,8 @@ struct Shared {
     cache: ResponseCache,
     obs: ServeObs,
     permits: Permits,
-    trace: Option<TraceRecorder>,
+    /// The span recorder and the `HFAST_TRACE` sink it drains to.
+    trace: Option<(TraceRecorder, Sink)>,
     epoch: Instant,
     span_counter: AtomicU64,
     /// Rolling per-verb latency/outcome window behind the `metrics` verb.
@@ -435,7 +436,7 @@ impl Shared {
             self.obs.record_service(idx, latency);
             self.window.record(t_done, idx, latency, outcome);
         }
-        if let Some(trace) = &self.trace {
+        if let Some((trace, _)) = &self.trace {
             let track = Track::Server(conn_id);
             trace.record_span(
                 track,
@@ -580,8 +581,8 @@ impl ServerHandle {
     pub fn join(self) {
         let _ = self.acceptor.join();
         self.shared.obs.export();
-        if let Some(trace) = &self.shared.trace {
-            hfast_trace::write_to_env_sink(&hfast_trace::export(&trace.snapshot()));
+        if let Some((trace, sink)) = &self.shared.trace {
+            sink.write(&hfast_trace::export(&trace.snapshot()), false);
         }
     }
 }
@@ -599,7 +600,7 @@ pub fn start(addr: &str, config: ServerConfig) -> io::Result<ServerHandle> {
         registry: Registry::new(),
         obs: ServeObs::new(&ENDPOINTS),
         permits: Permits::new(config.workers, config.queue_cap),
-        trace: hfast_trace::enabled().then(TraceRecorder::new),
+        trace: hfast_trace::sink().map(|sink| (TraceRecorder::new(), sink)),
         epoch: Instant::now(),
         span_counter: AtomicU64::new(1),
         window: SlidingWindow::new(ENDPOINTS.len(), WINDOW_BUCKETS, WINDOW_BUCKET_NS),

@@ -1,8 +1,10 @@
 //! Telemetry must be invisible on the wire: a daemon with `HFAST_TRACE`
 //! and `HFAST_OBS` switched on answers every request with exactly the
 //! bytes the switched-off daemon produces — for every verb, computed and
-//! served from cache. The switches are probed once per process, so the
-//! on/off pair must be real subprocesses.
+//! served from cache. The switches are read once per daemon from its
+//! environment, so the on/off pair must be real subprocesses. The
+//! telemetry-on daemon's drain summary, the one `HFAST_OBS` export, is
+//! then checked line by line.
 
 use std::io::{BufRead as _, BufReader};
 use std::net::TcpStream;
@@ -10,8 +12,9 @@ use std::process::{Child, ChildStderr, Command, Stdio};
 
 use hfast_serve::{
     decode_response, encode_request, read_frame, write_frame, AppSpec, FabricSpec, Request,
-    Response,
+    Response, ENDPOINTS,
 };
+use hfast_trace::JsonValue;
 
 struct Daemon {
     child: Child,
@@ -169,12 +172,14 @@ fn telemetry_on_answers_byte_identically_to_telemetry_off() {
 
     let mut off = spawn_daemon(None);
     let mut on = spawn_daemon(Some((&trace_sink, &obs_sink)));
+    let mut sent = 0u64;
 
     // Every deterministic verb, twice (a miss, then a cache hit), in
     // lockstep so both daemons see the identical request sequence.
     for req in &deterministic_pool() {
         let body = encode_request(req);
         for _ in 0..2 {
+            sent += 1;
             let a = exchange(&mut off.stream, &body);
             let b = exchange(&mut on.stream, &body);
             assert_eq!(a, b, "telemetry changed the reply to {body}");
@@ -185,6 +190,7 @@ fn telemetry_on_answers_byte_identically_to_telemetry_off() {
     // latency quantiles must match exactly (masked compare).
     for req in [Request::Stats, Request::Metrics] {
         let body = encode_request(&req);
+        sent += 1;
         let a = exchange(&mut off.stream, &body);
         let b = exchange(&mut on.stream, &body);
         let a = mask_timing(decode_response(&a).expect("off decodes"));
@@ -195,6 +201,7 @@ fn telemetry_on_answers_byte_identically_to_telemetry_off() {
     // Shutdown acknowledges identically; the telemetry-on daemon then
     // flushes a non-empty Perfetto document on drain.
     let bye = encode_request(&Request::Shutdown);
+    sent += 1;
     let a = exchange(&mut off.stream, &bye);
     let b = exchange(&mut on.stream, &bye);
     assert_eq!(a, b, "shutdown ack differs under telemetry");
@@ -203,5 +210,40 @@ fn telemetry_on_answers_byte_identically_to_telemetry_off() {
     let doc = std::fs::read_to_string(&trace_sink).expect("span sink written");
     let stats = hfast_trace::validate(&doc).expect("a valid trace document");
     assert!(stats.events > 0, "telemetry-on daemon exported no spans");
+
+    // The drain summary: one `serve_endpoint` line per endpoint, one
+    // `serve_summary` line counting every request sent above.
+    let jsonl = std::fs::read_to_string(&obs_sink).expect("obs sink written");
+    let lines: Vec<JsonValue> = jsonl
+        .lines()
+        .map(|l| hfast_trace::parse(l).unwrap_or_else(|e| panic!("bad obs line {l:?}: {e}")))
+        .collect();
+    let field = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_str).map(String::from);
+    let event = |v: &JsonValue| field(v, "event");
+    for name in ENDPOINTS {
+        let rows = lines
+            .iter()
+            .filter(|v| {
+                event(v).as_deref() == Some("serve_endpoint")
+                    && field(v, "endpoint").as_deref() == Some(name)
+            })
+            .count();
+        assert_eq!(rows, 1, "serve_endpoint lines for {name}");
+    }
+    let summaries: Vec<&JsonValue> = lines
+        .iter()
+        .filter(|v| event(v).as_deref() == Some("serve_summary"))
+        .collect();
+    assert_eq!(summaries.len(), 1, "one serve_summary line");
+    assert_eq!(
+        summaries[0].get("requests").and_then(JsonValue::as_u64),
+        Some(sent),
+        "serve_summary.requests"
+    );
+    assert_eq!(
+        lines.len(),
+        ENDPOINTS.len() + 1,
+        "nothing but the drain summary"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

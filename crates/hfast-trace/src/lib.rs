@@ -21,15 +21,12 @@
 //!
 //! ## The `HFAST_TRACE` switch
 //!
-//! Mirrors `HFAST_OBS`: off by default, probed once, a relaxed atomic
-//! load afterwards — the disabled path at a stamp site is one load and a
-//! branch.
-//!
-//! | `HFAST_TRACE`          | behaviour                                    |
-//! |------------------------|----------------------------------------------|
-//! | unset, empty, `0`      | disabled (no stamps, no spans, no output)    |
-//! | `1`, `true`, `stderr`  | enabled; exports write to stderr             |
-//! | anything else          | enabled; treated as a path, JSON written     |
+//! Parsed like `HFAST_OBS`, by `hfast-obs`'s one parser (see [`sink`]):
+//! unset, empty or `0` is off; `1`, `true` or `stderr` writes the exported
+//! document to stderr; anything else is a file path, overwritten (a trace
+//! is one document, not an appendable log). The switch is read once per
+//! world or daemon; a run given its own [`TraceRecorder`] exports it
+//! itself.
 //!
 //! ## Determinism
 //!
@@ -59,83 +56,17 @@ pub use span::{
     SpanRecord, TraceRecorder, Track,
 };
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// 0 = not yet probed, 1 = disabled, 2 = enabled.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
-
-/// True if causal tracing is switched on via `HFAST_TRACE`.
-///
-/// The environment is consulted once per process; afterwards this is a
-/// relaxed atomic load, cheap enough for the per-message stamp sites.
-#[inline]
-pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            let on = switch_is_on(std::env::var("HFAST_TRACE").ok().as_deref());
-            ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Pure parser behind [`enabled`]: is this `HFAST_TRACE` value "on"?
-pub(crate) fn switch_is_on(value: Option<&str>) -> bool {
-    match value {
-        None => false,
-        Some(v) => {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        }
-    }
-}
-
-/// Writes an exported trace document to the destination `HFAST_TRACE`
-/// names: stderr for `1`/`true`/`stderr`, otherwise the value is a file
-/// path (overwritten — a trace is one document, not an appendable log).
-/// No-op when tracing is disabled. Never writes to stdout.
-pub fn write_to_env_sink(document: &str) {
-    if !enabled() {
-        return;
-    }
-    match std::env::var("HFAST_TRACE").ok().as_deref().map(str::trim) {
-        Some("1") | Some("true") | Some("stderr") => {
-            eprint!("{document}");
-        }
-        Some(path) if !path.is_empty() && path != "0" => {
-            if let Err(e) = std::fs::write(path, document) {
-                eprintln!("hfast-trace: cannot write {path}: {e}");
-            }
-        }
-        _ => {}
-    }
+/// The `HFAST_TRACE` sink, read from the environment now; `None` when
+/// tracing is off. Write an [`export`]ed document to it with
+/// [`Sink::write`](hfast_obs::Sink::write) with
+/// `append` false: a trace is one document.
+pub fn sink() -> Option<hfast_obs::Sink> {
+    hfast_obs::sink("HFAST_TRACE")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn switch_parsing() {
-        assert!(!switch_is_on(None));
-        assert!(!switch_is_on(Some("")));
-        assert!(!switch_is_on(Some("  ")));
-        assert!(!switch_is_on(Some("0")));
-        assert!(switch_is_on(Some("1")));
-        assert!(switch_is_on(Some("true")));
-        assert!(switch_is_on(Some("stderr")));
-        assert!(switch_is_on(Some("/tmp/trace.json")));
-    }
-
-    #[test]
-    fn enabled_is_stable_across_calls() {
-        let first = enabled();
-        for _ in 0..100 {
-            assert_eq!(enabled(), first);
-        }
-    }
 
     #[test]
     fn spans_to_perfetto_end_to_end() {

@@ -10,8 +10,10 @@
 //! * [`topology`] — communication graphs, TDC analysis, thresholding.
 //! * [`core`] — the HFAST architecture: switches, provisioning, cost models.
 //! * [`netsim`] — discrete-event simulator for fat-tree/torus/HFAST fabrics.
-//! * [`obs`] — zero-dependency observability: counters, histograms, traces,
-//!   and the `HFAST_OBS` JSON Lines export switch.
+//! * [`obs`] — zero-dependency observability: counters, histograms,
+//!   windows, and the one parser and writer of the `HFAST_OBS` and
+//!   `HFAST_TRACE` switches (`HFAST_OBS` exports the daemon's drain
+//!   summary).
 //! * [`trace`] — causal span tracing across ranks and fabric links, Perfetto
 //!   export, and congestion analysis behind the `HFAST_TRACE` switch.
 
