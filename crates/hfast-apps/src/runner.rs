@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hfast_ipm::{CommProfile, IpmProfiler};
-use hfast_mpi::{CommHook, MpiError, World, WorldConfig};
+use hfast_mpi::{Comm, CommHook, MpiError, World, WorldConfig};
 
 use crate::CommKernel;
 
@@ -37,22 +37,33 @@ pub fn profile_app(app: &dyn CommKernel, procs: usize) -> Result<AppOutcome, Mpi
 /// [`WorldConfig`] — e.g. one carrying a trace recorder, an extra hook, or
 /// a different timeout. The config's `size` is overridden to `procs` and
 /// the IPM profiler is chained after any hook already installed.
+///
+/// A config with a trace recorder runs on rank threads
+/// ([`World::run_with`]), since a trace is a wall-clock record; any other
+/// runs on [`World::replay`], whose calls take no time (so the profile's
+/// `*_ns` statistics are 0) and which needs no thread per rank. The
+/// kernels' sends depend on neither received bytes nor timing, which is
+/// what the replay requires; it refuses a kernel that breaks this with a
+/// typed error naming the rank.
 pub fn profile_app_with(
     app: &dyn CommKernel,
     procs: usize,
     config: WorldConfig,
 ) -> Result<AppOutcome, MpiError> {
     let profiler = Arc::new(IpmProfiler::new(procs));
-    let prof_for_ranks = Arc::clone(&profiler);
     let base_hook = config.hook.clone();
     let mut config = config.hook(Arc::new(hfast_mpi::MultiHook::new(vec![
         base_hook,
         Arc::clone(&profiler) as Arc<dyn CommHook>,
     ])));
     config.size = procs;
-    World::run_with(config, move |comm| app.run(comm, &prof_for_ranks))?
-        .into_iter()
-        .collect::<Result<Vec<()>, MpiError>>()?;
+    let rank = |comm: &mut Comm| app.run(comm, &profiler);
+    let ranks = if config.trace.is_some() {
+        World::run_with(config, rank)?
+    } else {
+        World::replay(config, rank)?
+    };
+    ranks.into_iter().collect::<Result<Vec<()>, MpiError>>()?;
     Ok(AppOutcome {
         name: app.name(),
         procs,

@@ -117,6 +117,10 @@ impl IpmProfiler {
         // it touched; one row for the whole extract, cleared as it is read.
         let mut sent = vec![[EdgeStat::default(); 2]; self.size];
         let mut peers: Vec<usize> = Vec::new();
+        // Consecutive table entries mostly share `(kind, bytes)` (a rank
+        // sends one size to many peers), so the current key's statistics
+        // are summed here and meet the map once per run of equal keys.
+        let mut run: Option<((CallKind, u64), CallStats)> = None;
         for (rank, state) in self.ranks.iter().enumerate() {
             let st = state.lock().expect("profiler mutex poisoned");
             let region_id: Option<u16> = match region {
@@ -134,7 +138,14 @@ impl IpmProfiler {
                     continue;
                 }
                 let kind = CallKind::ALL[usize::from(key.kind)];
-                entries.entry((kind, key.bytes)).or_default().merge(stats);
+                match &mut run {
+                    Some((last, sum)) if *last == (kind, key.bytes) => sum.merge(stats),
+                    _ => {
+                        if let Some((last, sum)) = run.replace(((kind, key.bytes), *stats)) {
+                            entries.entry(last).or_default().merge(&sum);
+                        }
+                    }
+                }
                 if key.peer != NO_PEER && kind.is_outbound() {
                     let stat = EdgeStat {
                         bytes: key.bytes * stats.count,
@@ -160,6 +171,9 @@ impl IpmProfiler {
                 }
                 wire_volume.push((rank, peer, wire));
             }
+        }
+        if let Some((last, sum)) = run {
+            entries.entry(last).or_default().merge(&sum);
         }
         CommProfile {
             size: self.size,

@@ -8,10 +8,10 @@
 //!
 //! A rank blocks only in [`recv_wait`]. It waits in two phases: up to
 //! [`YIELD_ROUNDS`] rounds of `try_recv` + [`std::thread::yield_now`], then a
-//! timed park for whatever is left of its timeout. Worlds run far more rank
-//! threads than the host has cores (P = 256 on two cores for the paper's
-//! grid), so the message a rank waits for is usually one scheduler slice
-//! away. Yielding hands that slice to the sender; parking at once makes every
+//! timed park for whatever is left of its timeout. Threaded worlds run far
+//! more rank threads than the host has cores (P = 256 on two cores for
+//! `trace_capture`), so the message a rank waits for is usually one
+//! scheduler slice away. Yielding hands that slice to the sender; parking at once makes every
 //! such send pay a futex wake. Which phase delivers a message changes only
 //! timing: each mailbox is FIFO either way, and no result depends on it.
 
@@ -22,10 +22,14 @@ use std::time::{Duration, Instant};
 
 /// `try_recv` + `yield_now` rounds a [`recv_wait`] spends before it parks.
 ///
-/// Sized on the paper grid (six codes at P ∈ {64, 256} on two cores): one
-/// round gets about three quarters of the saving, and 4, 16 and 64 rounds
-/// are within noise of one another, so the bound is the smallest of those.
-/// A longer bound only adds yields to waits that park anyway.
+/// Sized when the paper grid (six codes at P ∈ {64, 256} on two cores) ran
+/// on rank threads: one round got about three quarters of the saving, and
+/// 4, 16 and 64 rounds were within noise of one another, so the bound is
+/// the smallest of those. The grid now profiles on the replay executor;
+/// the threaded worlds left (traced runs such as `trace_capture`, and the
+/// benchmark's `mpi.bare_ms` probe of the same twelve cells) keep the
+/// shape it was sized on. A longer bound only adds yields to waits that
+/// park anyway.
 pub(crate) const YIELD_ROUNDS: u32 = 4;
 
 /// An unbounded FIFO channel.

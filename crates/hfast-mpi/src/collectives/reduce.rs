@@ -37,7 +37,11 @@ impl Comm {
                         SrcSel::Rank(child),
                         TagSel::Tag(coll_tag(OpId::Reduce, round)),
                     )?;
-                    acc = op.combine(&acc, &env.payload)?;
+                    // A replay's stand-in is the identity: the partial
+                    // keeps its own length.
+                    if !env.is_stand_in() {
+                        acc = op.combine(&acc, &env.payload)?;
+                    }
                 }
             } else {
                 // Send the partial to the parent and leave the tree.
@@ -137,5 +141,30 @@ mod tests {
             matches!(results[0], Err(MpiError::CollectiveMismatch(_))),
             "root detects mismatched reduce lengths"
         );
+    }
+
+    #[test]
+    fn mismatched_lengths_error_replayed() {
+        // No timeout to wait out: in pass two the root fails to combine
+        // and stops short of the broadcast pass one logged for it, and the
+        // replay names it at once.
+        let t0 = std::time::Instant::now();
+        let err = World::replay(WorldConfig::new(2), |comm| {
+            let payload = Payload::synthetic(8 * (comm.rank() + 1));
+            comm.allreduce(payload, ReduceOp::Sum)
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MpiError::Diverged {
+                    rank: 0,
+                    send: 0,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(t0.elapsed() < Duration::from_secs(1));
     }
 }

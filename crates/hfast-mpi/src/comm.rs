@@ -6,7 +6,8 @@ use std::time::{Duration, Instant};
 use crate::chan::{recv_wait, Receiver, RecvTimeoutError, Sender};
 use crate::error::{MpiError, Result};
 use crate::hook::{CallKind, CommEvent, CommHook, Scope};
-use crate::message::{Envelope, Payload};
+use crate::message::{Envelope, Payload, Stamp};
+use crate::replay::Replayer;
 use crate::request::{Matcher, RecvHandle, Request};
 use crate::trace::CommTrace;
 use crate::{Rank, Tag};
@@ -54,20 +55,34 @@ pub struct Status {
 
 /// A rank's handle onto the world: all communication happens through this.
 ///
-/// One `Comm` exists per rank thread; it is not `Sync` and is handed to the
-/// rank's closure by [`World::run`](crate::World::run).
+/// One `Comm` exists per rank; it is not `Sync` and is handed to the
+/// rank's closure by [`World::run`](crate::World::run) or
+/// [`World::replay`](crate::World::replay).
 pub struct Comm {
     rank: Rank,
     size: usize,
-    txs: Arc<Vec<Sender<Envelope>>>,
-    rx: Receiver<Envelope>,
+    link: Link,
     /// Posted receives and unexpected messages.
     matcher: Matcher,
     hook: Arc<dyn CommHook>,
-    epoch: Instant,
-    timeout: Duration,
     /// Causal tracing state, present only when a recorder is attached.
     trace: Option<CommTrace>,
+}
+
+/// How a rank's envelopes travel: the executor's half of a [`Comm`].
+enum Link {
+    /// Rank threads ([`World::run`](crate::World::run)): every rank's
+    /// mailbox sender, this rank's receiver, the world's clock and the
+    /// wait's timeout.
+    Threads {
+        txs: Arc<Vec<Sender<Envelope>>>,
+        rx: Receiver<Envelope>,
+        epoch: Instant,
+        timeout: Duration,
+    },
+    /// The replay executor ([`World::replay`](crate::World::replay)):
+    /// sends and receives go through the log, and no clock is read.
+    Replay(Replayer),
 }
 
 impl Comm {
@@ -85,13 +100,40 @@ impl Comm {
         Comm {
             rank,
             size,
-            txs,
-            rx,
+            link: Link::Threads {
+                txs,
+                rx,
+                epoch,
+                timeout,
+            },
             matcher: Matcher::default(),
             hook,
-            epoch,
-            timeout,
             trace,
+        }
+    }
+
+    /// A rank of a replayed world.
+    pub(crate) fn replaying(
+        rank: Rank,
+        size: usize,
+        replayer: Replayer,
+        hook: Arc<dyn CommHook>,
+    ) -> Self {
+        Comm {
+            rank,
+            size,
+            link: Link::Replay(replayer),
+            matcher: Matcher::default(),
+            hook,
+            trace: None,
+        }
+    }
+
+    /// The replay state back once the rank has run.
+    pub(crate) fn into_replayer(self) -> Replayer {
+        match self.link {
+            Link::Replay(replayer) => replayer,
+            Link::Threads { .. } => unreachable!("only a replayed rank has a replayer"),
         }
     }
 
@@ -107,10 +149,14 @@ impl Comm {
         self.size
     }
 
-    /// Nanoseconds since world start.
+    /// Nanoseconds since world start; always 0 in a replay, which reads
+    /// no clock.
     #[inline]
     pub(crate) fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        match &self.link {
+            Link::Threads { epoch, .. } => epoch.elapsed().as_nanos() as u64,
+            Link::Replay(_) => 0,
+        }
     }
 
     fn check_rank(&self, r: Rank) -> Result<()> {
@@ -161,16 +207,22 @@ impl Comm {
     /// Sends an envelope; when tracing is on, stamps it with a fresh
     /// [`SpanContext`](hfast_trace::SpanContext) and returns the stamped
     /// span id (0 otherwise) so the caller can record the send span.
-    pub(crate) fn send_raw(&self, dest: Rank, tag: Tag, payload: Payload) -> Result<u64> {
+    pub(crate) fn send_raw(&mut self, dest: Rank, tag: Tag, payload: Payload) -> Result<u64> {
         self.check_rank(dest)?;
+        let txs = match &mut self.link {
+            Link::Threads { txs, .. } => txs,
+            Link::Replay(replayer) => {
+                return replayer.send(self.rank, dest, tag, payload).map(|()| 0)
+            }
+        };
         let stamp = self.trace.as_ref().map(|t| t.send_stamp());
         let span_id = stamp.as_ref().map_or(0, |s| s.span_id);
-        self.txs[dest]
+        txs[dest]
             .send(Envelope {
                 src: self.rank,
                 tag,
                 payload,
-                stamp,
+                stamp: stamp.map(Stamp::Span),
             })
             .map_err(|_| MpiError::Disconnected {
                 rank: self.rank,
@@ -198,7 +250,7 @@ impl Comm {
     /// the originating send span and merging its Lamport clock.
     fn trace_recv(&self, name: &'static str, t0: u64, env: &Envelope) {
         if let Some(t) = &self.trace {
-            if let Some(stamp) = &env.stamp {
+            if let Some(Stamp::Span(stamp)) = &env.stamp {
                 let (span_id, clock) = t.recv_merge(stamp);
                 let dur = self.now_ns().saturating_sub(t0).max(1);
                 t.record(
@@ -217,22 +269,42 @@ impl Comm {
         }
     }
 
-    /// Blocks for one envelope off the wire and hands it to the matcher.
-    fn pump_one(&mut self, waiting_for: &dyn Fn() -> String) -> Result<()> {
-        match recv_wait(&self.rx, self.timeout) {
-            Ok(env) => {
-                self.matcher.arrive(env);
-                Ok(())
+    /// Hands the matcher one more envelope while the receive `handle` is
+    /// unmatched: the next off the mailbox under threads (blocking for it),
+    /// or the replay's next for that receive's selectors. `alone` is false
+    /// when the rank waits for any of a set of receives (`waitany`).
+    fn pump_one(
+        &mut self,
+        handle: RecvHandle,
+        alone: bool,
+        waiting_for: &dyn Fn() -> String,
+    ) -> Result<()> {
+        let env = match &mut self.link {
+            Link::Threads { rx, timeout, .. } => match recv_wait(rx, *timeout) {
+                Ok(env) => env,
+                Err(RecvTimeoutError::Timeout) => {
+                    return Err(MpiError::Timeout {
+                        rank: self.rank,
+                        waiting_for: waiting_for(),
+                    })
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(MpiError::Disconnected {
+                        rank: self.rank,
+                        peer: self.rank,
+                    })
+                }
+            },
+            Link::Replay(replayer) => {
+                let (src, tag) = self
+                    .matcher
+                    .describe(handle)
+                    .ok_or(MpiError::StaleRequest)?;
+                replayer.pull(self.rank, src, tag, alone)?
             }
-            Err(RecvTimeoutError::Timeout) => Err(MpiError::Timeout {
-                rank: self.rank,
-                waiting_for: waiting_for(),
-            }),
-            Err(RecvTimeoutError::Disconnected) => Err(MpiError::Disconnected {
-                rank: self.rank,
-                peer: self.rank,
-            }),
-        }
+        };
+        self.matcher.arrive(env);
+        Ok(())
     }
 
     /// Blocking matched receive at the transport layer: posted like an
@@ -246,7 +318,7 @@ impl Comm {
             if let Some(env) = self.matcher.take(handle) {
                 return Ok(env);
             }
-            if let Err(e) = self.pump_one(&waiting) {
+            if let Err(e) = self.pump_one(handle, true, &waiting) {
                 self.matcher.cancel(handle);
                 return Err(e);
             }
@@ -255,7 +327,7 @@ impl Comm {
 
     /// Transport-scope send used by collective algorithms: emits a
     /// `TransportSend` event so network simulators can replay actual flows.
-    pub(crate) fn send_transport(&self, dest: Rank, tag: Tag, payload: Payload) -> Result<()> {
+    pub(crate) fn send_transport(&mut self, dest: Rank, tag: Tag, payload: Payload) -> Result<()> {
         let t0 = self.now_ns();
         let bytes = payload.len();
         let span_id = self.send_raw(dest, tag, payload)?;
@@ -441,7 +513,7 @@ impl Comm {
             let me = self.rank;
             let waiting = move || format!("wait(irecv {desc:?}) on rank {me}");
             // Nothing matched yet: pump the wire.
-            self.pump_one(&waiting)?;
+            self.pump_one(handle, true, &waiting)?;
         }
     }
 
@@ -504,20 +576,23 @@ impl Comm {
         let t0 = self.now_ns();
         loop {
             // Send requests are complete by construction; also check matched
-            // receives.
+            // receives, unless none is matched (then no `take` can succeed,
+            // and a long receive list costs no lookups).
             let mut ready: Option<(usize, Option<Envelope>)> = None;
+            let any_matched = self.matcher.any_matched();
             for (i, req) in requests.iter().enumerate() {
                 match req {
                     Request::Send(_) => {
                         ready = Some((i, None));
                         break;
                     }
-                    Request::Recv(h) => {
+                    Request::Recv(h) if any_matched => {
                         if let Some(env) = self.matcher.take(*h) {
                             ready = Some((i, Some(env)));
                             break;
                         }
                     }
+                    Request::Recv(_) => {}
                 }
             }
             if let Some((i, env)) = ready {
@@ -543,7 +618,16 @@ impl Comm {
             let me = self.rank;
             let n = requests.len();
             let waiting = move || format!("waitany over {n} requests on rank {me}");
-            self.pump_one(&waiting)?;
+            // Every receive in the set is unmatched here; the first one
+            // steers the replay's pull.
+            let first = requests
+                .iter()
+                .find_map(|r| match r {
+                    Request::Recv(h) => Some(*h),
+                    Request::Send(_) => None,
+                })
+                .expect("a set with no receive completes at once");
+            self.pump_one(first, false, &waiting)?;
         }
     }
 

@@ -1,6 +1,6 @@
 //! Error types for the message-passing runtime.
 
-use crate::Rank;
+use crate::{Rank, Tag};
 
 /// Errors surfaced by runtime operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,6 +50,38 @@ pub enum MpiError {
     },
     /// Empty or otherwise invalid group description.
     InvalidGroup(String),
+    /// [`World::replay`](crate::World::replay) ran a rank twice and its
+    /// sends differed: they depend on received bytes, on timing or on an
+    /// `ANY_SOURCE` outcome, which a replay cannot reproduce.
+    Diverged {
+        /// The rank whose sends differed.
+        rank: Rank,
+        /// Index of the first differing send in the rank's send order.
+        send: usize,
+        /// That send in the first pass.
+        pass_one: String,
+        /// That send in the second pass.
+        pass_two: String,
+    },
+    /// [`World::replay`](crate::World::replay) found no send in the world
+    /// for a receive, where a threaded world would wait out its timeout.
+    Unmatched {
+        /// The receiving rank.
+        rank: Rank,
+        /// The source it names (`None` for `ANY_SOURCE`).
+        src: Option<Rank>,
+        /// The tag it names (`None` for `ANY_TAG`).
+        tag: Option<Tag>,
+    },
+    /// [`World::replay`](crate::World::replay) found ranks that wait on
+    /// one another in a cycle, where a threaded world would wait out its
+    /// timeout: the send a receive needs comes only after the receive.
+    Deadlock {
+        /// The lowest rank left waiting.
+        rank: Rank,
+        /// The rank whose send it waits for.
+        src: Rank,
+    },
 }
 
 impl std::fmt::Display for MpiError {
@@ -72,6 +104,30 @@ impl std::fmt::Display for MpiError {
             MpiError::RankPanic { rank, message } => write!(f, "rank {rank} panicked: {message}"),
             MpiError::NotInGroup { rank } => write!(f, "rank {rank} is not a group member"),
             MpiError::InvalidGroup(msg) => write!(f, "invalid group: {msg}"),
+            MpiError::Diverged {
+                rank,
+                send,
+                pass_one,
+                pass_two,
+            } => write!(
+                f,
+                "rank {rank}'s send {send} differs between the replay's passes: \
+                 {pass_one}, then {pass_two}"
+            ),
+            MpiError::Deadlock { rank, src } => write!(
+                f,
+                "rank {rank} deadlocks: the send it waits for from rank {src} \
+                 comes only after its own wait"
+            ),
+            MpiError::Unmatched { rank, src, tag } => {
+                let any = |v: Option<String>| v.unwrap_or_else(|| "any".to_string());
+                write!(
+                    f,
+                    "rank {rank}: no send in the world matches recv(src={}, tag={})",
+                    any(src.map(|r| r.to_string())),
+                    any(tag.map(|t| t.to_string()))
+                )
+            }
         }
     }
 }

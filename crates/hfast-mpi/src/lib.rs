@@ -1,4 +1,4 @@
-//! # hfast-mpi — a threaded message-passing runtime with an MPI-like API
+//! # hfast-mpi — a message-passing runtime with an MPI-like API
 //!
 //! This crate is the *substrate* beneath the HFAST reproduction: a small,
 //! self-contained message-passing runtime whose API is the subset of MPI the
@@ -7,8 +7,19 @@
 //! collectives `barrier`, `bcast` (whole world or over a [`Group`]),
 //! `gather_in` over a group and `allreduce`.
 //!
-//! Ranks execute as OS threads inside [`World::run`]; messages travel over
-//! unbounded mailbox channels. The runtime exposes a PMPI-style
+//! A world runs on one of two executors behind the same [`Comm`]:
+//!
+//! * [`World::run`] / [`World::run_with`] run each rank as an OS thread;
+//!   messages travel over unbounded mailbox channels, and calls take wall
+//!   time. Tracing and the runtime's own concurrency tests use these.
+//! * [`World::replay`] runs the ranks one after another, twice, against a
+//!   log of every send, with no thread per rank and no clock. It is exact
+//!   for rank programs whose sends depend neither on received bytes, nor
+//!   on timing, nor on `ANY_SOURCE` outcomes, as the six kernels' do, and
+//!   refuses any other with a typed error naming the rank. Profiling uses
+//!   it, at any P.
+//!
+//! The runtime exposes a PMPI-style
 //! observer boundary
 //! ([`CommHook`]) that fires one [`CommEvent`] per API call, which is exactly
 //! the interposition point the IPM profiling layer of the paper uses — the
@@ -55,6 +66,7 @@ mod hook;
 #[cfg(test)]
 mod matching_oracle;
 mod message;
+mod replay;
 mod request;
 mod runtime;
 mod trace;

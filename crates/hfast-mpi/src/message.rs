@@ -147,8 +147,26 @@ pub(crate) struct Envelope {
     pub tag: Tag,
     /// Message body.
     pub payload: Payload,
-    /// Causal stamp of the originating send span, when tracing is on.
-    pub stamp: Option<hfast_trace::SpanContext>,
+    /// What the envelope carries beside its payload, if anything.
+    pub stamp: Option<Stamp>,
+}
+
+impl Envelope {
+    /// True for the replay's stand-in for a send its first pass lacked.
+    pub(crate) fn is_stand_in(&self) -> bool {
+        matches!(self.stamp, Some(Stamp::StandIn))
+    }
+}
+
+/// An envelope's mark beside its payload.
+#[derive(Debug, Clone)]
+pub(crate) enum Stamp {
+    /// The causal stamp of the originating send span, when tracing is on.
+    Span(hfast_trace::SpanContext),
+    /// The replay's first pass had no send for the receive that got this
+    /// envelope: it stands in for one, and a reduction takes it as its
+    /// identity.
+    StandIn,
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Nonblocking request handles and the per-communicator message matcher.
 
-use std::collections::BTreeMap;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::comm::{SrcSel, Status, TagSel};
 use crate::message::Envelope;
@@ -31,8 +32,47 @@ pub struct RecvHandle {
 /// Source key under which `ANY_SOURCE` receives wait; no rank reaches it.
 const ANY_SOURCE: Rank = Rank::MAX;
 
+/// A hash map keyed by rank. Ranks are small dense integers, not untrusted
+/// keys, so one multiply spreads them (std's default SipHash costs more
+/// than the lookup it guards).
+pub(crate) type RankMap<V> = HashMap<Rank, V, BuildHasherDefault<RankHasher>>;
+
+/// Fibonacci hashing of a rank: the multiply leaves the high bits, which
+/// the map's probe tags read, well mixed.
+#[derive(Debug, Default)]
+pub(crate) struct RankHasher(u64);
+
+impl Hasher for RankHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// One source's side of the matching: the receives that name it and the
+/// envelopes it sent that no receive has taken.
+#[derive(Debug, Default)]
+struct Fifo {
+    /// Unmatched receives as `(seq, tag)`, in posting order.
+    waiting: VecDeque<(u64, TagSel)>,
+    /// Matched receives not yet taken, as `(seq, envelope)`.
+    matched: Vec<(u64, Envelope)>,
+    /// Envelopes no receive has accepted yet, as `(arrival, envelope)`,
+    /// in arrival order.
+    unexpected: VecDeque<(u64, Envelope)>,
+}
+
 /// One rank's message matching: posted receives on one side, unexpected
-/// envelopes on the other, both indexed by source.
+/// envelopes on the other, both kept per source.
 ///
 /// Four ordering rules hold, each MPI's:
 ///
@@ -51,21 +91,25 @@ const ANY_SOURCE: Rank = Rank::MAX;
 ///
 /// No unexpected envelope is ever acceptable to a waiting receive, since
 /// each is offered to the waiting receives when it arrives and to each new
-/// receive when it is posted. Heap is proportional to the receives and
-/// envelopes in flight: the three maps hold only live entries.
+/// receive when it is posted. Each source a rank hears from or names gets
+/// one [`Fifo`] in a hash map, and `ANY_SOURCE` receives one more beside
+/// it, so an envelope or a receive costs one lookup and a walk of its own
+/// source's queue, and a rank pays for the sources it talks to, never for
+/// the world's size.
 #[derive(Debug, Default)]
 pub(crate) struct Matcher {
     next_seq: u64,
-    /// Unmatched receives keyed `(source, seq)`, `ANY_SOURCE` ones under
-    /// [`ANY_SOURCE`]: each source's receives form one range in posting
-    /// order.
-    waiting: BTreeMap<(Rank, u64), TagSel>,
-    /// Matched receives not yet taken, by seq.
-    matched: BTreeMap<u64, Envelope>,
-    /// Envelopes no receive has accepted yet, keyed `(source, arrival)`:
-    /// each source's envelopes form one range in arrival order.
-    unexpected: BTreeMap<(Rank, u64), Envelope>,
     next_arrival: u64,
+    /// Per named source.
+    fifos: RankMap<Fifo>,
+    /// `ANY_SOURCE` receives (its `unexpected` stays empty).
+    any: Fifo,
+    /// Receives posted and not yet matched or cancelled.
+    waiting: usize,
+    /// Receives matched and not yet taken.
+    matched: usize,
+    /// Envelopes in the `unexpected` queues.
+    unexpected: usize,
 }
 
 impl Matcher {
@@ -74,71 +118,109 @@ impl Matcher {
     pub(crate) fn post(&mut self, src: SrcSel, tag: TagSel) -> RecvHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let handle = RecvHandle {
-            src: match src {
-                SrcSel::Rank(r) => r,
-                SrcSel::Any => ANY_SOURCE,
-            },
-            seq,
+        let accepts =
+            |q: &VecDeque<(u64, Envelope)>| q.iter().position(|(_, e)| tag.accepts(e.tag));
+        let (key, found) = match src {
+            SrcSel::Rank(r) => {
+                let found = self
+                    .fifos
+                    .get_mut(&r)
+                    .and_then(|f| accepts(&f.unexpected).and_then(|i| f.unexpected.remove(i)));
+                (r, found)
+            }
+            SrcSel::Any => {
+                let earliest = self
+                    .fifos
+                    .iter()
+                    .filter_map(|(&r, f)| accepts(&f.unexpected).map(|i| (f.unexpected[i].0, r, i)))
+                    .min();
+                let found = earliest.and_then(|(_, r, i)| {
+                    self.fifos.get_mut(&r).and_then(|f| f.unexpected.remove(i))
+                });
+                (ANY_SOURCE, found)
+            }
         };
-        match self
-            .find_unexpected(src, |e| tag.accepts(e.tag))
-            .and_then(|key| self.unexpected.remove(&key))
-        {
-            Some(env) => {
-                self.matched.insert(seq, env);
+        let fifo = self.fifo(key);
+        match found {
+            Some((_, env)) => {
+                fifo.matched.push((seq, env));
+                self.matched += 1;
+                self.unexpected -= 1;
             }
             None => {
-                self.waiting.insert((handle.src, seq), tag);
+                fifo.waiting.push_back((seq, tag));
+                self.waiting += 1;
             }
         }
-        handle
+        RecvHandle { src: key, seq }
     }
 
     /// Delivers an envelope off the wire to the earliest-posted receive that
     /// accepts it, or queues it as unexpected.
     pub(crate) fn arrive(&mut self, env: Envelope) {
-        let first = |src: Rank| {
-            self.waiting
-                .range((src, 0)..=(src, u64::MAX))
-                .find(|(_, tag)| tag.accepts(env.tag))
-                .map(|(&key, _)| key)
+        let first = |f: &Fifo| {
+            f.waiting
+                .iter()
+                .position(|&(_, tag)| tag.accepts(env.tag))
+                .map(|i| (f.waiting[i].0, i))
         };
-        let winner = match (first(env.src), first(ANY_SOURCE)) {
-            (Some(named), Some(any)) => Some(if named.1 < any.1 { named } else { any }),
-            (named, any) => named.or(any),
-        };
-        match winner {
-            Some(key) => {
-                self.waiting.remove(&key);
-                self.matched.insert(key.1, env);
-            }
-            None => {
-                self.unexpected.insert((env.src, self.next_arrival), env);
+        let named = self.fifos.get(&env.src).and_then(first);
+        let any = first(&self.any);
+        let (fifo, i) = match (named, any) {
+            (Some(n), Some(a)) if a.0 < n.0 => (&mut self.any, a.1),
+            (Some(n), _) => (self.fifos.get_mut(&env.src).expect("found above"), n.1),
+            (None, Some(a)) => (&mut self.any, a.1),
+            (None, None) => {
+                let arrival = self.next_arrival;
                 self.next_arrival += 1;
+                self.unexpected += 1;
+                self.fifos
+                    .entry(env.src)
+                    .or_default()
+                    .unexpected
+                    .push_back((arrival, env));
+                return;
             }
-        }
+        };
+        let (seq, _) = fifo.waiting.remove(i).expect("position found above");
+        fifo.matched.push((seq, env));
+        self.waiting -= 1;
+        self.matched += 1;
     }
 
     /// Takes the matched envelope of a completed receive, after which the
     /// handle is stale. `None` while the receive is pending and for a stale
     /// handle; [`describe`](Self::describe) tells the two apart. One lookup
-    /// among the matched-but-untaken receives, so polling a long request
-    /// list (`waitany`) stays cheap.
+    /// and a scan of its source's matched-but-untaken receives, so polling
+    /// a long request list (`waitany`) stays cheap.
     pub(crate) fn take(&mut self, h: RecvHandle) -> Option<Envelope> {
-        self.matched.remove(&h.seq)
+        let fifo = self.fifo_of(h)?;
+        let i = fifo.matched.iter().position(|&(seq, _)| seq == h.seq)?;
+        let (_, env) = fifo.matched.swap_remove(i);
+        self.matched -= 1;
+        Some(env)
     }
 
     /// Withdraws a still-unmatched receive (a blocking receive whose wait
     /// failed) so it cannot claim a later envelope.
     pub(crate) fn cancel(&mut self, h: RecvHandle) {
-        self.waiting.remove(&(h.src, h.seq));
+        if let Some(fifo) = self.fifo_of(h) {
+            if let Some(i) = fifo.waiting.iter().position(|&(seq, _)| seq == h.seq) {
+                fifo.waiting.remove(i);
+                self.waiting -= 1;
+            }
+        }
     }
 
-    /// Selectors of a still-unmatched receive (for timeout diagnostics);
-    /// `None` once it is matched, taken or cancelled.
+    /// Selectors of a still-unmatched receive (for timeout diagnostics and
+    /// the replay's pulls); `None` once it is matched, taken or cancelled.
     pub(crate) fn describe(&self, h: RecvHandle) -> Option<(SrcSel, TagSel)> {
-        let tag = *self.waiting.get(&(h.src, h.seq))?;
+        let fifo = if h.src == ANY_SOURCE {
+            &self.any
+        } else {
+            self.fifos.get(&h.src)?
+        };
+        let &(_, tag) = fifo.waiting.iter().find(|&&(seq, _)| seq == h.seq)?;
         let src = if h.src == ANY_SOURCE {
             SrcSel::Any
         } else {
@@ -149,33 +231,35 @@ impl Matcher {
 
     /// Number of posted-but-uncompleted receives.
     pub(crate) fn outstanding(&self) -> usize {
-        self.waiting.len() + self.matched.len()
+        self.waiting + self.matched
+    }
+
+    /// True if some receive is matched and not yet taken: until one is,
+    /// [`take`](Self::take) returns `None` for every handle.
+    pub(crate) fn any_matched(&self) -> bool {
+        self.matched > 0
     }
 
     /// Number of unexpected (arrived, unmatched) envelopes.
     pub(crate) fn unexpected_depth(&self) -> usize {
-        self.unexpected.len()
+        self.unexpected
     }
 
-    /// Key of the earliest-arrived unexpected envelope from `src` that
-    /// `accepts` admits.
-    fn find_unexpected(
-        &self,
-        src: SrcSel,
-        accepts: impl Fn(&Envelope) -> bool,
-    ) -> Option<(Rank, u64)> {
-        match src {
-            SrcSel::Rank(r) => self
-                .unexpected
-                .range((r, 0)..=(r, u64::MAX))
-                .find(|(_, e)| accepts(e))
-                .map(|(&key, _)| key),
-            SrcSel::Any => self
-                .unexpected
-                .iter()
-                .filter(|(_, e)| accepts(e))
-                .min_by_key(|(&(_, arrival), _)| arrival)
-                .map(|(&key, _)| key),
+    /// The queues of `key` (a rank or [`ANY_SOURCE`]), made on first use.
+    fn fifo(&mut self, key: Rank) -> &mut Fifo {
+        if key == ANY_SOURCE {
+            &mut self.any
+        } else {
+            self.fifos.entry(key).or_default()
+        }
+    }
+
+    /// The queues a handle's receive was posted to, if they exist.
+    fn fifo_of(&mut self, h: RecvHandle) -> Option<&mut Fifo> {
+        if h.src == ANY_SOURCE {
+            Some(&mut self.any)
+        } else {
+            self.fifos.get_mut(&h.src)
         }
     }
 }

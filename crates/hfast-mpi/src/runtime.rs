@@ -20,6 +20,7 @@ pub struct WorldConfig {
     /// How long a blocking operation may stall before the runtime reports a
     /// [`MpiError::Timeout`] instead of deadlocking. A peer that panicked
     /// (and will never send) thereby turns into a diagnosable error.
+    /// Threaded worlds only: a replay never waits.
     pub timeout: Duration,
     /// Observer for communication events.
     pub hook: Arc<dyn CommHook>,
@@ -27,7 +28,8 @@ pub struct WorldConfig {
     /// envelopes and records send/recv spans into it; the caller owns the
     /// recorder and its export. When unset but `HFAST_TRACE` is on, the
     /// world attaches a recorder itself and writes a Perfetto JSON
-    /// document to the `HFAST_TRACE` sink at world end.
+    /// document to the `HFAST_TRACE` sink at world end. Threaded worlds
+    /// only: a replay reads no clock, so it has no spans to record.
     pub trace: Option<Arc<TraceRecorder>>,
 }
 
@@ -70,7 +72,8 @@ impl std::fmt::Debug for WorldConfig {
     }
 }
 
-/// Entry point to the runtime: spawns ranks and runs a closure on each.
+/// Entry point to the runtime: runs a closure on each rank, on rank
+/// threads ([`World::run_with`]) or replayed ([`World::replay`]).
 #[derive(Debug)]
 pub struct World;
 
@@ -192,7 +195,7 @@ impl World {
 
 /// The text a rank panicked with: the `&str` or `String` payload of
 /// `panic!`, or a fixed text for any other payload type.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(message) => *message,
         Err(payload) => match payload.downcast_ref::<&str>() {
