@@ -23,6 +23,11 @@ use std::sync::Mutex;
 type RankWindows = BTreeMap<(u64, usize), EdgeStat>;
 
 /// A [`CommHook`] that accumulates directed PTP volumes per time window.
+///
+/// It bins each call by its wall-clock start (`CommEvent::t_start_ns`), so
+/// it needs a threaded world (`World::run_with`). Under `World::replay`,
+/// which `profile_app_with` uses when its config carries no trace
+/// recorder, every call starts at 0 and the whole run lands in window 0.
 pub struct WindowedTdcHook {
     size: usize,
     window_ns: u64,

@@ -267,6 +267,12 @@ fn cached_response_is_byte_identical_to_fresh() {
             cutoff: 2048,
             strategy: None,
         },
+        Request::Provision {
+            app: toy_app(),
+            block_ports: 16,
+            cutoff: 2048,
+            strategy: Some(Strategy::BffCircuit),
+        },
         Request::Cost {
             app: toy_app(),
             block_ports: 8,
@@ -288,20 +294,58 @@ fn cached_response_is_byte_identical_to_fresh() {
             }),
             strategy: None,
         },
+        // An incast on a fat tree under credit flow control.
+        Request::Scenario {
+            kind: ScenarioKind::Incast,
+            nodes: 16,
+            flows: None,
+            bytes: None,
+            seed: 0xC0DE,
+            fabric: FabricSpec::FatTree { ports: 8 },
+            strategy: None,
+            credits: None,
+        },
     ];
     for req in &requests {
-        let (_, fresh) = client.call_text(req).expect("fresh call");
+        let (fresh_resp, fresh) = client.call_text(req).expect("fresh call");
         let (_, cached) = client.call_text(req).expect("cached call");
         assert_eq!(fresh, cached, "cache changed the bytes of {req:?}");
+        match fresh_resp {
+            Response::CostReport { ratio, .. } => assert!(ratio > 0.0, "cost ratio {ratio}"),
+            // The incast completes every flow and grows at least one
+            // congestion tree.
+            Response::ScenarioReport {
+                flows,
+                completed,
+                unrouted,
+                trees,
+                ..
+            } => {
+                assert_eq!((completed, unrouted), (flows, 0), "incast flows");
+                assert!(trees > 0, "the incast formed no congestion tree");
+            }
+            _ => {}
+        }
     }
     match client.call(&Request::Stats).expect("stats") {
         Response::Stats {
+            requests: served,
             cache_hits,
             cache_misses,
+            sim_events,
+            strategy_hits,
+            scenario_hits,
             ..
         } => {
+            assert_eq!(served, 2 * requests.len() as u64 + 1, "requests");
             assert_eq!(cache_hits, requests.len() as u64);
             assert_eq!(cache_misses, requests.len() as u64);
+            assert!(sim_events > 0, "the replays counted no events");
+            // Hits never reach a handler: the two `provision`s and the
+            // `cost` each ran their provisioner once (`cost` as
+            // `PaperLinear`), and the scenario replayed once.
+            assert_eq!(strategy_hits, [2, 1, 0], "strategy_hits");
+            assert_eq!(scenario_hits.iter().sum::<u64>(), 1, "scenario_hits");
         }
         other => panic!("expected Stats, got {other:?}"),
     }

@@ -5,8 +5,8 @@ cd "$(dirname "$0")/.."
 
 # Runs one smoke quietly under a 600 s wall-clock bound; on failure names
 # it (and its command and exit code) before the script exits non-zero, so
-# a red verify says which of the smokes broke, and a hung one (a drain
-# that never finishes) says it timed out instead of hanging verify.
+# a red verify says which of the smokes broke, and a hung one says it
+# timed out instead of hanging verify.
 smoke() {
   local name="$1" code=0
   shift
@@ -32,13 +32,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 # Paper smoke (~5 s): the full experiment sweep; exits non-zero unless every
 # row of the claims ledger (hfast_bench::CLAIMS) holds.
 smoke paper_checks cargo run --release -q -p hfast-bench --bin paper -- experiments
-# Serving smoke: ephemeral-port daemon exercised across its endpoints
-# (health, provision under two strategies, cost, tdc, simulate cold and
-# cached, scenario cold and cached, the debug_panic isolation probe,
-# stats, metrics), then hostile frames (the retired v2 and traced
-# envelopes among them), then drained; exits non-zero on any mismatch,
-# unexercised cache, or a hung drain.
-smoke serve_self_test cargo run --release -q -p hfast-serve -- --self-test
+# The daemon's end-to-end checks are tier-1 tests, run above:
+# hfast-serve's tests/telemetry.rs spawns the binary (every
+# verb, the hostile frames, each named when it fails, and the drain), and
+# tests/properties.rs drives in-process daemons (cache, panic isolation,
+# malformed frames, shedding, drain).
 # Benchmark-package smoke: `benchmark/` is a standalone package (own
 # lockfile, invisible to the workspace build above), so a change to the
 # "API surface the benchmark calls" (benchmark/README.md) would otherwise

@@ -5,8 +5,11 @@
 //! must name a `pub mod` or a root export of that crate, read from its
 //! `lib.rs`; every `--bin X` there must name a bin some package builds;
 //! every `paper X` (`paper -- X` on a command line, or a code span
-//! starting `paper X`) must name a section of `paper`'s `SECTIONS` table.
-//! A failure names the file, the line and the path, bin or section.
+//! starting `paper X`) must name a section of `paper`'s `SECTIONS` table;
+//! every example cited (`--example X`, `examples/X.rs`, ``example `X` ``,
+//! or a `` * `X` `` bullet of a list introduced by `--example <name>`) must
+//! name a file in `examples/`. A failure names the file, the line and the
+//! path, bin, section or example.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -128,6 +131,29 @@ fn cited_sections(line: &str) -> Vec<&str> {
         .map(ident)
         .filter(|name| !name.is_empty())
         .collect()
+}
+
+/// Every `X` in `--example X`, `examples/X.rs` or ``example `X` `` on
+/// `line`.
+fn cited_examples(line: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    for (pattern, end) in [("--example ", ""), ("examples/", ".rs"), ("example `", "`")] {
+        for (at, _) in line.match_indices(pattern) {
+            let rest = &line[at + pattern.len()..];
+            let name = ident(rest);
+            if !name.is_empty() && rest[name.len()..].starts_with(end) {
+                out.push(name);
+            }
+        }
+    }
+    out
+}
+
+/// The name a `` * `X` `` bullet leads with.
+fn bullet_name(line: &str) -> Option<&str> {
+    line.strip_prefix("* `")
+        .map(ident)
+        .filter(|name| !name.is_empty())
 }
 
 /// The section names `paper`'s `SECTIONS` table lists, read from its
@@ -264,6 +290,48 @@ fn every_documented_paper_section_exists() {
 }
 
 #[test]
+fn every_documented_example_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let examples: BTreeSet<String> = fs::read_dir(root.join("examples"))
+        .expect("examples/")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|path| path.extension().is_some_and(|x| x == "rs"))
+        .map(|path| {
+            path.file_stem()
+                .expect("a file stem")
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    let mut cited = 0;
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = fs::read_to_string(root.join(doc)).expect("readable doc");
+        // Inside a list introduced by `--example <name>`: its bullets,
+        // their indented continuations and blank lines.
+        let mut in_list = false;
+        for (n, line) in text.lines().enumerate() {
+            in_list &= line.is_empty() || line.starts_with("* ") || line.starts_with("  ");
+            let mut names = cited_examples(line);
+            names.extend(bullet_name(line).filter(|_| in_list));
+            in_list |= line.contains("--example <name>");
+            for name in names {
+                cited += 1;
+                if !examples.contains(name) {
+                    missing.push(format!("{doc}:{}: example {name}", n + 1));
+                }
+            }
+        }
+    }
+    assert!(cited >= 5, "the scan found only {cited} example citations");
+    assert!(
+        missing.is_empty(),
+        "examples/ holds no such files (known: {examples:?}):\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
 fn the_scans_read_spans_lists_and_flags() {
     let line = "see `hfast_core::CostModel`, `hfast::netsim::{engine, traffic::Flow}` \
                 and hfast_obs::emit outside a span";
@@ -293,6 +361,18 @@ fn the_scans_read_spans_lists_and_flags() {
         cited_sections("cargo run -p hfast-bench --bin paper -- fig5  # `paper smp`"),
         ["fig5", "smp"]
     );
+    assert_eq!(
+        cited_examples(
+            "`cargo run --example quickstart`, examples/smp_placement.rs, \
+             (example `windowed_tdc`), `--example <name>` and examples/"
+        ),
+        ["quickstart", "smp_placement", "windowed_tdc"]
+    );
+    assert_eq!(
+        bullet_name("* `workload_study` — §6"),
+        Some("workload_study")
+    );
+    assert_eq!(bullet_name("  `netsim::AdaptiveReplay`, the driver"), None);
     let lib = "mod a;\npub mod b;\npub use a::{c, d::E as F};\npub use g::H;\n\
                pub fn i() {}\npub const fn j() {}\n    pub fn nested() {}\n";
     let names: Vec<String> = root_names(lib).into_iter().collect();
