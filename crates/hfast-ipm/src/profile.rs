@@ -45,6 +45,26 @@ impl RankState {
     }
 }
 
+/// One rank's state behind its mutex, alone on its cache lines.
+///
+/// Ranks run on different threads (a replay's workers take consecutive
+/// ranks), and every event writes its rank's mutex word. Unpadded, the
+/// 120-byte slots of neighbouring ranks share a line, so each write by one
+/// worker evicts the line another worker is writing: false sharing on
+/// every call. 128 bytes covers the adjacent-line prefetch pairs of x86
+/// as well as 128-byte lines.
+#[repr(align(128))]
+struct Slot(Mutex<RankState>);
+
+// Dropping the padding (the wrapper or its `repr`) fails the build here.
+const _: () = assert!(std::mem::align_of::<Slot>() >= 128);
+
+impl Slot {
+    fn lock(&self) -> std::sync::MutexGuard<'_, RankState> {
+        self.0.lock().expect("profiler mutex poisoned")
+    }
+}
+
 /// The IPM-style profiler: install as the world's
 /// [`CommHook`] and extract a [`CommProfile`] after the
 /// run.
@@ -57,9 +77,13 @@ impl RankState {
 /// a profile walks the stored signatures, not the bound, and derives the
 /// directed volumes from them, so a signature the table dropped for
 /// overflow is missing from the volumes too, as in IPM.
+///
+/// Each rank's state sits on cache lines of its own (a 128-byte aligned
+/// slot), so the mutex stays uncontended in hardware too: ranks profiled
+/// on different threads never write one line.
 pub struct IpmProfiler {
     size: usize,
-    ranks: Vec<Mutex<RankState>>,
+    ranks: Vec<Slot>,
 }
 
 impl IpmProfiler {
@@ -73,7 +97,7 @@ impl IpmProfiler {
         IpmProfiler {
             size,
             ranks: (0..size)
-                .map(|_| Mutex::new(RankState::new(capacity)))
+                .map(|_| Slot(Mutex::new(RankState::new(capacity))))
                 .collect(),
         }
     }
@@ -81,7 +105,7 @@ impl IpmProfiler {
     /// Enters a named code region on `rank` (IPM's region feature, used in
     /// the paper to exclude SuperLU's initialization traffic). Regions nest.
     pub fn enter_region(&self, rank: usize, name: &str) {
-        let mut st = self.ranks[rank].lock().expect("profiler mutex poisoned");
+        let mut st = self.ranks[rank].lock();
         let id = st.region_id(name);
         st.region_stack.push(id);
     }
@@ -89,7 +113,7 @@ impl IpmProfiler {
     /// Exits the innermost named region on `rank`. Exiting the default
     /// region is a no-op.
     pub fn exit_region(&self, rank: usize) {
-        let mut st = self.ranks[rank].lock().expect("profiler mutex poisoned");
+        let mut st = self.ranks[rank].lock();
         if st.region_stack.len() > 1 {
             st.region_stack.pop();
         }
@@ -122,7 +146,7 @@ impl IpmProfiler {
         // are summed here and meet the map once per run of equal keys.
         let mut run: Option<((CallKind, u64), CallStats)> = None;
         for (rank, state) in self.ranks.iter().enumerate() {
-            let st = state.lock().expect("profiler mutex poisoned");
+            let st = state.lock();
             let region_id: Option<u16> = match region {
                 None => None,
                 Some(name) => {
@@ -191,7 +215,7 @@ impl IpmProfiler {
 impl CommHook for IpmProfiler {
     fn on_event(&self, ev: &CommEvent) {
         debug_assert!(ev.rank < self.size, "event from out-of-range rank");
-        let mut st = self.ranks[ev.rank].lock().expect("profiler mutex poisoned");
+        let mut st = self.ranks[ev.rank].lock();
         let key = CallKey {
             region: st.current_region(),
             kind: ev.kind.index() as u8,

@@ -112,27 +112,32 @@ impl Comm {
         }
     }
 
-    /// A rank of a replayed world.
+    /// A rank of a replayed world, on a replay worker's replayer and
+    /// matcher, both readied for it first: whatever the worker's previous
+    /// rank left in them is not this rank's.
     pub(crate) fn replaying(
         rank: Rank,
         size: usize,
-        replayer: Replayer,
+        (mut replayer, mut matcher): (Replayer, Matcher),
         hook: Arc<dyn CommHook>,
     ) -> Self {
+        replayer.start(rank);
+        matcher.clear();
         Comm {
             rank,
             size,
             link: Link::Replay(replayer),
-            matcher: Matcher::default(),
+            matcher,
             hook,
             trace: None,
         }
     }
 
-    /// The replay state back once the rank has run.
-    pub(crate) fn into_replayer(self) -> Replayer {
+    /// The replayer and matcher back once the rank has run, for the
+    /// worker's next rank.
+    pub(crate) fn into_replay(self) -> (Replayer, Matcher) {
         match self.link {
-            Link::Replay(replayer) => replayer,
+            Link::Replay(replayer) => (replayer, self.matcher),
             Link::Threads { .. } => unreachable!("only a replayed rank has a replayer"),
         }
     }

@@ -28,6 +28,11 @@
 //! take no time: nothing reads a clock, so every event has
 //! `t_start_ns == t_end_ns == 0`. The world's `timeout` and `trace` are
 //! not used: nothing waits, and there is no wall-clock order to trace.
+//!
+//! Pass one's loop and each pass-two worker keep one [`Replayer`] and one
+//! [`Matcher`] for every rank they run, so a rank allocates no matching
+//! state of its own: before each rank, [`Comm::replaying`] empties the
+//! matcher in place and [`Replayer::start`]s the replayer.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,7 +43,7 @@ use crate::comm::{Comm, SrcSel, TagSel};
 use crate::error::{MpiError, Result};
 use crate::hook::{CommHook, NullHook};
 use crate::message::{Envelope, Payload, Stamp};
-use crate::request::RankMap;
+use crate::request::Matcher;
 use crate::runtime::{panic_message, World, WorldConfig};
 use crate::{Rank, Tag};
 
@@ -60,34 +65,38 @@ impl World {
         let size = config.size;
         assert!(size > 0, "world size must be positive");
         let quiet: Arc<dyn CommHook> = Arc::new(NullHook);
-        let mut log = Log::new(size);
+        let mut state = (
+            Replayer::new(Pass::Record(Log::new(size))),
+            Matcher::default(),
+        );
         for rank in 0..size {
-            let replayer = Replayer::record(log, rank);
-            let mut comm = Comm::replaying(rank, size, replayer, Arc::clone(&quiet));
+            let mut comm = Comm::replaying(rank, size, state, Arc::clone(&quiet));
             let ran = catch_unwind(AssertUnwindSafe(|| drop(f(&mut comm))));
-            log = comm.into_replayer().into_log();
+            state = comm.into_replay();
             if let Err(payload) = ran {
                 let message = panic_message(payload);
                 return Err(MpiError::RankPanic { rank, message });
             }
         }
 
-        let log = Arc::new(log);
+        let log = Arc::new(state.0.into_log());
         let next = AtomicUsize::new(0);
         let worker = || {
             let mut done = Vec::new();
+            let mut state = (
+                Replayer::new(Pass::Check(Arc::clone(&log))),
+                Matcher::default(),
+            );
             loop {
                 let rank = next.fetch_add(1, Ordering::Relaxed);
                 if rank >= size {
                     return done;
                 }
-                let replayer = Replayer::check(Arc::clone(&log));
-                let mut comm = Comm::replaying(rank, size, replayer, Arc::clone(&config.hook));
-                let out = match catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
-                    Ok(value) => comm
-                        .into_replayer()
-                        .finish(rank)
-                        .map(|waits| (value, waits)),
+                let mut comm = Comm::replaying(rank, size, state, Arc::clone(&config.hook));
+                let ran = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
+                state = comm.into_replay();
+                let out = match ran {
+                    Ok(value) => state.0.finish(rank).map(|waits| (value, waits)),
                     Err(payload) => Err(MpiError::RankPanic {
                         rank,
                         message: panic_message(payload),
@@ -196,19 +205,23 @@ impl Log {
     }
 
     /// The next unread send from `src` in `me`'s inbox, advancing `next`.
-    fn next_from(&self, next: &mut RankMap<usize>, me: Rank, src: Rank) -> Option<u32> {
+    fn next_from(&self, next: &mut Vec<usize>, me: Rank, src: Rank) -> Option<u32> {
         let range = self.range(src)?;
         let inbox = &self.inbox[me];
-        let pos = next
-            .entry(src)
-            .or_insert_with(|| inbox.partition_point(|&i| (i as usize) < range.start));
+        if src >= next.len() {
+            next.resize(src + 1, UNREAD);
+        }
+        let pos = &mut next[src];
+        if *pos == UNREAD {
+            *pos = inbox.partition_point(|&i| (i as usize) < range.start);
+        }
         let &index = inbox.get(*pos).filter(|&&i| (i as usize) < range.end)?;
         *pos += 1;
         Some(index)
     }
 
     /// The next unread send from the lowest source that has one.
-    fn next_from_any(&self, next: &mut RankMap<usize>, me: Rank) -> Option<(Rank, u32)> {
+    fn next_from_any(&self, next: &mut Vec<usize>, me: Rank) -> Option<(Rank, u32)> {
         let inbox = &self.inbox[me];
         let mut pos = 0;
         while let Some(&index) = inbox.get(pos) {
@@ -283,15 +296,19 @@ enum Pass {
     Check(Arc<Log>),
 }
 
+/// A cursor of [`Replayer::next`] that no receive has used yet.
+const UNREAD: usize = usize::MAX;
+
 /// One rank's transport under [`World::replay`]: its sends go to (pass
 /// one) or are checked against (pass two) the log, and its receives are
-/// served from it.
+/// served from it. A worker keeps one for every rank it runs,
+/// [`start`](Self::start)ing it on each.
 #[derive(Debug)]
 pub(crate) struct Replayer {
     pass: Pass,
-    /// Per source, the position in this rank's inbox of its next unread
-    /// send.
-    next: RankMap<usize>,
+    /// Per source rank, the position in this rank's inbox of its next
+    /// unread send, or [`UNREAD`]; grown to the highest source read.
+    next: Vec<usize>,
     /// Sends made so far.
     sent: usize,
     /// Pass two's waits on a single receive (not `waitany`'s, nor an
@@ -302,26 +319,27 @@ pub(crate) struct Replayer {
 }
 
 impl Replayer {
-    /// Pass one for `rank`, which starts its sends at the log's end.
-    fn record(mut log: Log, rank: Rank) -> Self {
-        debug_assert_eq!(log.starts.len(), rank, "ranks record in order");
-        log.starts.push(log.sends.len());
-        Self::new(Pass::Record(log))
-    }
-
-    /// Pass two, against the complete log.
-    fn check(log: Arc<Log>) -> Self {
-        Self::new(Pass::Check(log))
-    }
-
     fn new(pass: Pass) -> Self {
         Replayer {
             pass,
-            next: RankMap::default(),
+            next: Vec::new(),
             sent: 0,
             waits: Vec::new(),
             fault: None,
         }
+    }
+
+    /// Readies the replayer for `rank`, keeping the cursors' allocation.
+    /// In pass one the rank starts its sends at the log's end.
+    pub(crate) fn start(&mut self, rank: Rank) {
+        if let Pass::Record(log) = &mut self.pass {
+            debug_assert_eq!(log.starts.len(), rank, "ranks record in order");
+            log.starts.push(log.sends.len());
+        }
+        self.next.clear();
+        self.sent = 0;
+        self.waits.clear();
+        self.fault = None;
     }
 
     fn log(&self) -> &Log {
@@ -331,7 +349,7 @@ impl Replayer {
         }
     }
 
-    /// The pass-one log back, once its rank has run.
+    /// The pass-one log back, once every rank has run.
     fn into_log(self) -> Log {
         match self.pass {
             Pass::Record(log) => log,
@@ -342,14 +360,14 @@ impl Replayer {
     /// Pass two's verdict on a rank that returned: its first refusal, or
     /// [`MpiError::Diverged`] if it stopped short of its pass-one sends;
     /// else its waits.
-    fn finish(self, me: Rank) -> Result<Vec<Wait>> {
-        if let Some(fault) = self.fault {
+    fn finish(&mut self, me: Rank) -> Result<Vec<Wait>> {
+        if let Some(fault) = self.fault.take() {
             return Err(fault);
         }
         let log = self.log();
         let mine = log.range(me).expect("pass one ran every rank");
         match log.sends[mine].get(self.sent) {
-            None => Ok(self.waits),
+            None => Ok(std::mem::take(&mut self.waits)),
             missing => Err(MpiError::Diverged {
                 rank: me,
                 send: self.sent,
@@ -560,6 +578,40 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, MpiError::Deadlock { rank: 1, src: 2 });
         assert!(t0.elapsed() < PROMPT);
+    }
+
+    #[test]
+    fn a_reused_matcher_carries_nothing_into_the_next_rank() {
+        // Rank 0 sends each rank r > 0 a tag-1 message of r bytes, then a
+        // tag-2 one. Even ranks receive only tag 2, which leaves their
+        // tag-1 envelope unexpected; odd ranks then receive tag 1 and send
+        // its length back. Pass one runs every rank on one matcher, in
+        // order, so a tag-1 envelope left over from rank r - 1 would
+        // answer rank r's receive.
+        let lengths = |comm: &mut Comm| {
+            let (rank, size) = (comm.rank(), comm.size());
+            if rank == 0 {
+                for r in 1..size {
+                    comm.send(r, Tag(1), Payload::synthetic(r)).unwrap();
+                    comm.send(r, Tag(2), Payload::synthetic(0)).unwrap();
+                }
+                return (1..size)
+                    .step_by(2)
+                    .map(|r| comm.recv(r, Tag(3)).unwrap().0.bytes)
+                    .sum();
+            }
+            comm.recv(0, Tag(2)).unwrap();
+            if rank % 2 == 0 {
+                return 0;
+            }
+            let (status, _) = comm.recv(0, Tag(1)).unwrap();
+            comm.send(0, Tag(3), Payload::synthetic(status.bytes))
+                .unwrap();
+            status.bytes
+        };
+        let replayed = World::replay(WorldConfig::new(8), lengths).unwrap();
+        assert_eq!(replayed, [16, 1, 0, 3, 0, 5, 0, 7]);
+        assert_eq!(replayed, World::run(8, lengths).unwrap());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Nonblocking request handles and the per-communicator message matcher.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
 use crate::comm::{SrcSel, Status, TagSel};
 use crate::message::Envelope;
@@ -31,32 +30,6 @@ pub struct RecvHandle {
 
 /// Source key under which `ANY_SOURCE` receives wait; no rank reaches it.
 const ANY_SOURCE: Rank = Rank::MAX;
-
-/// A hash map keyed by rank. Ranks are small dense integers, not untrusted
-/// keys, so one multiply spreads them (std's default SipHash costs more
-/// than the lookup it guards).
-pub(crate) type RankMap<V> = HashMap<Rank, V, BuildHasherDefault<RankHasher>>;
-
-/// Fibonacci hashing of a rank: the multiply leaves the high bits, which
-/// the map's probe tags read, well mixed.
-#[derive(Debug, Default)]
-pub(crate) struct RankHasher(u64);
-
-impl Hasher for RankHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.0 = (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
 
 /// One source's side of the matching: the receives that name it and the
 /// envelopes it sent that no receive has taken.
@@ -91,17 +64,23 @@ struct Fifo {
 ///
 /// No unexpected envelope is ever acceptable to a waiting receive, since
 /// each is offered to the waiting receives when it arrives and to each new
-/// receive when it is posted. Each source a rank hears from or names gets
-/// one [`Fifo`] in a hash map, and `ANY_SOURCE` receives one more beside
-/// it, so an envelope or a receive costs one lookup and a walk of its own
-/// source's queue, and a rank pays for the sources it talks to, never for
-/// the world's size.
+/// receive when it is posted. The [`Fifo`]s are indexed by source rank, in
+/// a `Vec` grown to the highest source the rank hears from or names, and
+/// `ANY_SOURCE` receives get one more beside it, so an envelope or a
+/// receive costs one index and a walk of its own source's queue. Beside
+/// the queued entries, a matcher costs one [`Fifo`] header (88 bytes) per
+/// rank up to the highest source it meets: at most 88·P bytes, whatever
+/// the traffic. A threaded world keeps P matchers alive at once.
+///
+/// A replay worker runs every rank it takes on one matcher, and
+/// [`clear`](Self::clear) empties it between ranks while keeping the
+/// queues' allocations.
 #[derive(Debug, Default)]
 pub(crate) struct Matcher {
     next_seq: u64,
     next_arrival: u64,
-    /// Per named source.
-    fifos: RankMap<Fifo>,
+    /// Per named source, indexed by rank.
+    fifos: Vec<Fifo>,
     /// `ANY_SOURCE` receives (its `unexpected` stays empty).
     any: Fifo,
     /// Receives posted and not yet matched or cancelled.
@@ -124,19 +103,19 @@ impl Matcher {
             SrcSel::Rank(r) => {
                 let found = self
                     .fifos
-                    .get_mut(&r)
+                    .get_mut(r)
                     .and_then(|f| accepts(&f.unexpected).and_then(|i| f.unexpected.remove(i)));
                 (r, found)
             }
+            SrcSel::Any if self.unexpected == 0 => (ANY_SOURCE, None),
             SrcSel::Any => {
                 let earliest = self
                     .fifos
                     .iter()
-                    .filter_map(|(&r, f)| accepts(&f.unexpected).map(|i| (f.unexpected[i].0, r, i)))
+                    .enumerate()
+                    .filter_map(|(r, f)| accepts(&f.unexpected).map(|i| (f.unexpected[i].0, r, i)))
                     .min();
-                let found = earliest.and_then(|(_, r, i)| {
-                    self.fifos.get_mut(&r).and_then(|f| f.unexpected.remove(i))
-                });
+                let found = earliest.and_then(|(_, r, i)| self.fifos[r].unexpected.remove(i));
                 (ANY_SOURCE, found)
             }
         };
@@ -164,21 +143,17 @@ impl Matcher {
                 .position(|&(_, tag)| tag.accepts(env.tag))
                 .map(|i| (f.waiting[i].0, i))
         };
-        let named = self.fifos.get(&env.src).and_then(first);
+        let named = self.fifos.get(env.src).and_then(first);
         let any = first(&self.any);
         let (fifo, i) = match (named, any) {
             (Some(n), Some(a)) if a.0 < n.0 => (&mut self.any, a.1),
-            (Some(n), _) => (self.fifos.get_mut(&env.src).expect("found above"), n.1),
+            (Some(n), _) => (&mut self.fifos[env.src], n.1),
             (None, Some(a)) => (&mut self.any, a.1),
             (None, None) => {
                 let arrival = self.next_arrival;
                 self.next_arrival += 1;
                 self.unexpected += 1;
-                self.fifos
-                    .entry(env.src)
-                    .or_default()
-                    .unexpected
-                    .push_back((arrival, env));
+                self.fifo(env.src).unexpected.push_back((arrival, env));
                 return;
             }
         };
@@ -218,7 +193,7 @@ impl Matcher {
         let fifo = if h.src == ANY_SOURCE {
             &self.any
         } else {
-            self.fifos.get(&h.src)?
+            self.fifos.get(h.src)?
         };
         let &(_, tag) = fifo.waiting.iter().find(|&&(seq, _)| seq == h.seq)?;
         let src = if h.src == ANY_SOURCE {
@@ -245,13 +220,34 @@ impl Matcher {
         self.unexpected
     }
 
+    /// Empties the matcher for the next rank: every queue is cleared in
+    /// place, keeping its allocation, and the numbering restarts. Only
+    /// a rank that left receives or envelopes behind costs a walk of the
+    /// queues.
+    pub(crate) fn clear(&mut self) {
+        if self.waiting + self.matched + self.unexpected > 0 {
+            for fifo in self.fifos.iter_mut().chain([&mut self.any]) {
+                fifo.waiting.clear();
+                fifo.matched.clear();
+                fifo.unexpected.clear();
+            }
+        }
+        self.next_seq = 0;
+        self.next_arrival = 0;
+        self.waiting = 0;
+        self.matched = 0;
+        self.unexpected = 0;
+    }
+
     /// The queues of `key` (a rank or [`ANY_SOURCE`]), made on first use.
     fn fifo(&mut self, key: Rank) -> &mut Fifo {
         if key == ANY_SOURCE {
-            &mut self.any
-        } else {
-            self.fifos.entry(key).or_default()
+            return &mut self.any;
         }
+        if key >= self.fifos.len() {
+            self.fifos.resize_with(key + 1, Fifo::default);
+        }
+        &mut self.fifos[key]
     }
 
     /// The queues a handle's receive was posted to, if they exist.
@@ -259,7 +255,7 @@ impl Matcher {
         if h.src == ANY_SOURCE {
             Some(&mut self.any)
         } else {
-            self.fifos.get_mut(&h.src)
+            self.fifos.get_mut(h.src)
         }
     }
 }
@@ -354,6 +350,23 @@ mod tests {
         assert_eq!(m.take(internal).unwrap().src, 0);
         m.arrive(env(1, 4));
         assert_eq!(m.take(waiting).unwrap().tag, Tag(4));
+    }
+
+    #[test]
+    fn clear_leaves_no_receive_or_envelope_behind() {
+        let mut m = Matcher::default();
+        m.post(SrcSel::Rank(1), TagSel::Any);
+        m.post(SrcSel::Any, TagSel::Tag(Tag(3)));
+        let matched = m.post(SrcSel::Rank(0), TagSel::Any);
+        m.arrive(env(0, 4));
+        m.arrive(env(2, 5));
+        m.clear();
+        assert_eq!((m.outstanding(), m.unexpected_depth()), (0, 0));
+        assert!(m.take(matched).is_none(), "its envelope went too");
+        let h = m.post(SrcSel::Rank(2), TagSel::Any);
+        assert!(m.take(h).is_none(), "the unexpected envelope is gone");
+        m.arrive(env(1, 3));
+        assert_eq!(m.unexpected_depth(), 1, "so are both waiting receives");
     }
 
     #[test]
